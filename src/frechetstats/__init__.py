@@ -6,15 +6,20 @@ from . import errors
 from .geometry import (
     DiffConfig,
     Point,
+    Sample,
     Space,
     Chart,
     euclidean_point,
+    euclidean_sample,
     frechet_value,
     numeric_gradient,
     numeric_hessian,
     openbook_point,
+    openbook_sample,
     spd_point,
+    spd_sample,
     sphere_point,
+    sphere_sample,
 )
 from .estimator import (
     FrechetFit,
@@ -40,7 +45,6 @@ from .simulate import (
     SphereCapDescriptor,
     SphereTwoPointDescriptor,
     SPDLogGaussianDescriptor,
-    draw,
     mc_consistency,
     mc_coverage,
     mc_stickiness,

@@ -49,13 +49,12 @@ from .simulate import (
     mc_type1,
 )
 from .spaces import EuclideanSpace, OpenBookSpace, SPDSpace, SphereSpace
+from .spaces.spd import UPPER_COLUMNS, matrix_to_upper, upper_to_matrix
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NOCONVERGENCE = 3
 EXIT_PARTIAL = 4
-
-SPD_HEADER = ("a11", "a12", "a13", "a22", "a23", "a33")
 
 
 class CLIInputError(ValueError):
@@ -71,13 +70,8 @@ def _normalize_metric(metric):
     return metric.replace("-", "_") if metric else None
 
 
-def _upper_to_matrix(values):
-    a11, a12, a13, a22, a23, a33 = values
-    return np.array([[a11, a12, a13], [a12, a22, a23], [a13, a23, a33]])
-
-
 def load_points(path, space_kind, metric=None):
-    """Read a point file (mandatory header line) into (space, sample)."""
+    """Read a point file (mandatory header line) into (space, Sample)."""
     with open(path) as fh:
         lines = fh.read().splitlines()
     rows = [(i + 1, ln.strip()) for i, ln in enumerate(lines) if ln.strip()]
@@ -97,7 +91,6 @@ def load_points(path, space_kind, metric=None):
         except ValueError as exc:
             raise CLIInputError(f"{path}: line {lineno}: {exc}") from exc
 
-    sample = []
     if space_kind in ("euclidean", "sphere"):
         dim = len(columns)
         if dim < 1 or (space_kind == "sphere" and dim < 2):
@@ -109,52 +102,43 @@ def load_points(path, space_kind, metric=None):
             else SphereSpace(dim, metric)
         )
         make = euclidean_point if space_kind == "euclidean" else sphere_point
-        for lineno, line in data_rows:
-            values = parse_floats(lineno, [c.strip() for c in line.split(",")], dim)
-            try:
-                sample.append(make(values))
-            except InvalidPoint as exc:
-                raise CLIInputError(f"{path}: line {lineno}: {exc}") from exc
     elif space_kind == "spd":
-        if tuple(columns) != SPD_HEADER:
+        if tuple(columns) != UPPER_COLUMNS:
             raise CLIInputError(
-                f"{path}: line {header_no}: expected header {','.join(SPD_HEADER)!r}"
+                f"{path}: line {header_no}: expected header {','.join(UPPER_COLUMNS)!r}"
             )
         space = SPDSpace(3, _normalize_metric(metric) or "log_euclidean")
-        for lineno, line in data_rows:
-            values = parse_floats(lineno, [c.strip() for c in line.split(",")], 6)
-            try:
-                sample.append(spd_point(_upper_to_matrix(values)))
-            except InvalidPoint as exc:
-                raise CLIInputError(f"{path}: line {lineno}: {exc}") from exc
+
+        def make(values):
+            return spd_point(upper_to_matrix(values))
     elif space_kind == "openbook":
         if len(columns) < 2 or columns[0] != "leaf":
             raise CLIInputError(
                 f"{path}: line {header_no}: expected header 'leaf,x0[,x1,...]'"
             )
-        spine_dim = len(columns) - 2
-        max_leaf = 0
-        for lineno, line in data_rows:
-            parts = [c.strip() for c in line.split(",")]
-            values = parse_floats(lineno, parts, len(columns))
-            leaf = int(values[0])
-            if leaf != values[0]:
-                raise CLIInputError(f"{path}: line {lineno}: leaf must be an integer")
-            try:
-                sample.append(openbook_point(leaf, values[1:]))
-            except InvalidPoint as exc:
-                raise CLIInputError(f"{path}: line {lineno}: {exc}") from exc
-            max_leaf = max(max_leaf, leaf)
-        space = OpenBookSpace(max(2, max_leaf), spine_dim)
+        space = None  # sized by the largest leaf label, once the rows are read
+
+        def make(values):
+            if not values[0].is_integer():  # also rejects nan and inf
+                raise InvalidPoint("leaf must be an integer")
+            return openbook_point(int(values[0]), values[1:])
     else:
         raise CLIInputError(f"unknown space {space_kind!r}")
-    return space, sample
+    sample = []
+    for lineno, line in data_rows:
+        values = parse_floats(lineno, [c.strip() for c in line.split(",")], len(columns))
+        try:
+            sample.append(make(values))
+        except InvalidPoint as exc:
+            raise CLIInputError(f"{path}: line {lineno}: {exc}") from exc
+    if space is None:
+        space = OpenBookSpace(max(2, max(p.leaf for p in sample)), len(columns) - 2)
+    return space, space.check_sample(sample)
 
 
 def _point_json(point):
     if point.kind == "spd":
-        m = point.data
-        return [m[0, 0], m[0, 1], m[0, 2], m[1, 1], m[1, 2], m[2, 2]]
+        return matrix_to_upper(point.data)
     if point.kind == "openbook":
         return {"leaf": point.leaf, "coords": list(point.data)}
     return list(point.data)
@@ -231,10 +215,10 @@ def cmd_test2(args):
         res = two_sample_test(space, sample_x, sample_y)
     except NearSingularCovariance as exc:
         return _fail(str(exc), EXIT_PARTIAL)
+    except (InvalidPoint, ValueError) as exc:  # e.g. files of different dimensions
+        return _fail(str(exc), EXIT_INPUT)
     except FrechetStatsError as exc:
         return _fail(str(exc), EXIT_NOCONVERGENCE)
-    except ValueError as exc:
-        return _fail(str(exc), EXIT_INPUT)
     _emit_json(
         {
             "space": args.space,
@@ -258,10 +242,9 @@ def cmd_fiber(args):
             dataset = parse_fiber_csv(fh)
     except (FiberParseError, OSError) as exc:
         return _fail(str(exc), EXIT_INPUT)
-    for site in range(dataset.n_sites):
-        g0, g1 = dataset.site_samples(site)
-        if not g0 or not g1:
-            return _fail(f"site {site} lacks one of the groups", EXIT_INPUT)
+    # the parser requires every (subject, site) pair, so this covers every site
+    if not np.any(dataset.groups == 0) or not np.any(dataset.groups == 1):
+        return _fail("the dataset lacks one of the groups", EXIT_INPUT)
     metric = _normalize_metric(args.metric) or "log_euclidean"
     results, summary = fiber_site_tests(dataset, metric=metric, alpha=args.alpha)
     with open(args.output, "w") as fh:

@@ -1,10 +1,10 @@
 """Sample Frechet means and their asymptotic sandwich covariance.
 
 ``estimate_mean`` finds a stationary point of the empirical Frechet
-function, dispatching on the space: closed forms where they exist
+function with the space's own ``mean``: closed forms where they exist
 (Euclidean, SPD under both metrics, chordal sphere, open book), Karcher
-fixed-point iteration for the geodesic sphere, and a damped Newton descent
-on chart coordinates as the generic fallback.
+fixed-point iteration for the geodesic sphere, and the damped Newton
+descent on chart coordinates that every space inherits.
 
 ``sandwich_covariance`` then forms, in the chart anchored at the estimate,
 
@@ -23,18 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NearSingularCovariance, NearSingularHessian, NoConvergence
-from .geometry import (
-    DiffConfig,
-    Point,
-    gradient_rows,
-    numeric_gradient,
-    numeric_hessian,
-)
-from .spaces.euclidean import EuclideanSpace
-from .spaces.openbook import OpenBookSpace
-from .spaces.spd import SPDSpace
-from .geometry import sphere_point
-from .spaces.sphere import SphereSpace, _geodesic_sq_rows, _log_rows, sphere_exp
+from .geometry import Point, Space, gradient_rows, mean_gradient, numeric_hessian
 
 #: condition-number ceiling beyond which Lambda_n (or a covariance) is
 #: treated as numerically singular
@@ -64,82 +53,13 @@ class FrechetFit:
     lambda_pd: bool | None = None
 
 
-def _mean_gradient(chart, x, packed, diff, force_numeric=False):
-    if not force_numeric:
-        rows = chart.grad_h_many(x, packed)
-        if rows is not None:
-            return rows.mean(axis=0)
-    return numeric_gradient(lambda xx: float(np.mean(chart.h_many(xx, packed))), x, diff)
-
-
-def _karcher_sphere(space, sample, tol, max_iter):
-    points = np.stack([p.data for p in sample])
-    mu = space.initial_guess(sample).data
-    for it in range(max_iter):
-        step = _log_rows(mu, points).mean(axis=0)
-        if 2.0 * np.linalg.norm(step) <= tol:
-            return sphere_point(mu), it
-        f0 = float(np.mean(_geodesic_sq_rows(mu, points)))
-        # allow rounding-level increases, or the damping loop can stall the
-        # iteration just above the gradient tolerance
-        slack = 1e-15 * (1.0 + abs(f0))
-        tau = 1.0
-        while True:
-            cand = sphere_exp(mu, tau * step)
-            if float(np.mean(_geodesic_sq_rows(cand, points))) <= f0 + slack or tau < 1e-8:
-                break
-            tau *= 0.5
-        mu = cand
-    return sphere_point(mu), max_iter
-
-
-def _newton(space, sample, tol, max_iter, diff):
-    start = space.initial_guess(sample)
-    chart = space.chart_at(start)
-    packed = chart.pack(sample)
-    x = chart.forward(start)
-
-    def fmean(xx):
-        return float(np.mean(chart.h_many(xx, packed)))
-
-    for it in range(max_iter):
-        g = _mean_gradient(chart, x, packed, diff)
-        if np.linalg.norm(g) <= tol:
-            return chart.inverse(x), it
-        hess = chart.hess_h_mean(x, packed)
-        if hess is None:
-            hess = numeric_hessian(fmean, x, diff)
-        try:
-            step = np.linalg.solve(hess, -g)
-        except np.linalg.LinAlgError:
-            step = -g
-        f0 = fmean(x)
-        tau = 1.0
-        while fmean(x + tau * step) > f0 and tau > 1e-10:
-            tau *= 0.5
-        x = x + tau * step
-    return chart.inverse(x), max_iter
-
-
-def _dispatch_strategy(space, strategy):
-    if strategy is not None:
-        return strategy
-    if isinstance(space, (EuclideanSpace, SPDSpace)):
-        return "closed_form"
-    if isinstance(space, OpenBookSpace):
-        return "openbook_exact"
-    if isinstance(space, SphereSpace):
-        return "karcher" if space.metric == "intrinsic" else "closed_form"
-    return "newton"
-
-
 def estimate_mean(space, sample, *, tol=1e-10, max_iter=200, strategy=None, diff=None):
     """Stationary point of the empirical Frechet function.
 
     Parameters
     ----------
     space : Space
-    sample : list of Point
+    sample : Sample or sequence of Point
         Nonempty, all of the space's kind.
     tol : float
         Convergence threshold on the chart-coordinate gradient norm of the
@@ -147,8 +67,9 @@ def estimate_mean(space, sample, *, tol=1e-10, max_iter=200, strategy=None, diff
     max_iter : int
         Iteration budget for the iterative strategies.
     strategy : str, optional
-        Force one of ``closed_form | karcher | newton | openbook_exact``
-        instead of the per-space default.
+        ``newton`` forces the damped Newton descent of the ``Space`` base
+        class; None, or the space's own ``mean_strategy`` (``closed_form``,
+        ``karcher`` or ``openbook_exact``), runs ``space.mean``.
     diff : DiffConfig, optional
         Finite-difference settings for numeric fallbacks.
 
@@ -159,32 +80,18 @@ def estimate_mean(space, sample, *, tol=1e-10, max_iter=200, strategy=None, diff
     MixedSpacePoints
         Some sample point is from a different space.
     """
-    space.check_sample(sample)
-    diff = diff or DiffConfig()
-    strategy = _dispatch_strategy(space, strategy)
-
-    iterations = 0
-    if strategy == "closed_form":
-        if isinstance(space, SphereSpace):
-            mean = space.extrinsic_mean(sample)
-        else:
-            mean = space.mean(sample)
-    elif strategy == "openbook_exact":
-        mean = space.mean(sample)
-    elif strategy == "karcher":
-        mean, iterations = _karcher_sphere(space, sample, tol, max_iter)
+    sample = space.check_sample(sample)
+    strategy = strategy or space.mean_strategy
+    if strategy == space.mean_strategy:
+        mean, iterations = space.mean(sample, tol=tol, max_iter=max_iter, diff=diff)
     elif strategy == "newton":
-        mean, iterations = _newton(space, sample, tol, max_iter, diff)
+        mean, iterations = Space.mean(space, sample, tol=tol, max_iter=max_iter, diff=diff)
     else:
-        raise ValueError(f"unknown strategy {strategy!r}")
+        raise ValueError(f"unknown strategy {strategy!r} for {space!r}")
 
     chart = space.chart_at(mean)
     coords = chart.forward(mean)
-    packed = chart.pack(sample)
-    if chart.s == 0:
-        grad_norm = 0.0
-    else:
-        grad_norm = float(np.linalg.norm(_mean_gradient(chart, coords, packed, diff)))
+    grad_norm = float(np.linalg.norm(mean_gradient(chart, coords, chart.pack(sample), diff)))
     fit = FrechetFit(
         mean=mean,
         chart_coords=coords,
@@ -202,18 +109,24 @@ def estimate_mean(space, sample, *, tol=1e-10, max_iter=200, strategy=None, diff
     return fit
 
 
-def _inverse_with_guard(matrix, error_cls, label):
+def checked_eigh(matrix, error_cls, label):
+    """Eigenvalues, eigenvectors and condition number of the symmetric part
+    of a nonempty square matrix; raises ``error_cls`` when the condition
+    number exceeds COND_LIMIT."""
     m = np.asarray(matrix, dtype=float)
-    if m.shape[0] == 0:
-        return m.copy(), 1.0, True
     w, v = np.linalg.eigh(0.5 * (m + m.T))
     amax = float(np.max(np.abs(w)))
     amin = float(np.min(np.abs(w)))
     if amin == 0.0 or amax / amin > COND_LIMIT:
         cond = np.inf if amin == 0.0 else amax / amin
         raise error_cls(f"{label} is numerically singular (condition number {cond:.3e})")
+    return w, v, amax / amin
+
+
+def _guarded_inverse(matrix, error_cls, label):
+    w, v, cond = checked_eigh(matrix, error_cls, label)
     inv = (v / w) @ v.T
-    return 0.5 * (inv + inv.T), amax / amin, bool(np.min(w) > 0.0)
+    return 0.5 * (inv + inv.T), w, cond
 
 
 def sandwich_covariance(space, sample, fit, *, derivatives="auto", diff=None):
@@ -226,8 +139,7 @@ def sandwich_covariance(space, sample, fit, *, derivatives="auto", diff=None):
     Raises NearSingularHessian when Lambda_n has condition number beyond
     1e12, which signals a boundary or otherwise degenerate configuration.
     """
-    space.check_sample(sample)
-    diff = diff or DiffConfig()
+    sample = space.check_sample(sample)
     if derivatives not in ("auto", "numeric"):
         raise ValueError(f"unknown derivatives mode {derivatives!r}")
     force_numeric = derivatives == "numeric"
@@ -256,7 +168,7 @@ def sandwich_covariance(space, sample, fit, *, derivatives="auto", diff=None):
     # exactly zero
     c = rows.T @ rows / n
     c = 0.5 * (c + c.T)
-    lam_inv, cond, is_pd = _inverse_with_guard(lam, NearSingularHessian, "Lambda_n")
+    lam_inv, w, cond = _guarded_inverse(lam, NearSingularHessian, "Lambda_n")
     asym = lam_inv @ c @ lam_inv
     return dataclasses.replace(
         fit,
@@ -264,7 +176,7 @@ def sandwich_covariance(space, sample, fit, *, derivatives="auto", diff=None):
         c_n=c,
         asym_cov=0.5 * (asym + asym.T),
         lambda_cond=cond,
-        lambda_pd=is_pd,
+        lambda_pd=bool(np.min(w) > 0.0),
     )
 
 
@@ -287,6 +199,6 @@ def confidence_region_contains(fit, candidate_chart_coords, alpha):
     d = fit.chart_coords - x
     if not np.any(d):
         return True  # statistic is identically 0, even for degenerate fits
-    inv, _, _ = _inverse_with_guard(fit.asym_cov, NearSingularCovariance, "asym_cov")
+    inv, _, _ = _guarded_inverse(fit.asym_cov, NearSingularCovariance, "asym_cov")
     statistic = float(fit.n * d @ inv @ d)
     return statistic <= chi2_quantile(s, 1.0 - alpha)

@@ -10,13 +10,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidPoint
-from .geometry import spd_point
+from .geometry import spd_point, spd_sample
 from .inference import NearSingularCovariance, bh_fdr, bonferroni, two_sample_test
 from .simulate import _stream
-from .spaces.spd import SPDSpace, spd_expm, spd_logm, spd_vech_inv
+from .spaces.spd import UPPER_COLUMNS, SPDSpace, matrix_to_upper, spd_expm, spd_logm
+from .spaces.spd import spd_vech_inv, upper_to_matrix
 
 #: canonical column order of the dataset CSV
-FIBER_COLUMNS = ("subject", "group", "site", "a11", "a12", "a13", "a22", "a23", "a33")
+FIBER_COLUMNS = ("subject", "group", "site") + UPPER_COLUMNS
 
 #: p-values below this are flagged as outside the reliable range of the
 #: chi-square approximation
@@ -25,15 +26,6 @@ TINY_P = 1e-5
 
 class FiberParseError(ValueError):
     """Malformed dataset file; the message names the offending line."""
-
-
-def _upper_to_matrix(values):
-    a11, a12, a13, a22, a23, a33 = values
-    return np.array([[a11, a12, a13], [a12, a22, a23], [a13, a23, a33]])
-
-
-def _matrix_to_upper(m):
-    return (m[0, 0], m[0, 1], m[0, 2], m[1, 1], m[1, 2], m[2, 2])
 
 
 @dataclass(frozen=True)
@@ -53,10 +45,9 @@ class FiberDataset:
         return self.tensors.shape[1]
 
     def site_samples(self, site):
-        """(group-0 points, group-1 points) at one site."""
-        g0 = [spd_point(self.tensors[i, site]) for i in np.flatnonzero(self.groups == 0)]
-        g1 = [spd_point(self.tensors[i, site]) for i in np.flatnonzero(self.groups == 1)]
-        return g0, g1
+        """(group-0 sample, group-1 sample) at one site."""
+        mats = self.tensors[:, site]
+        return spd_sample(mats[self.groups == 0]), spd_sample(mats[self.groups == 1])
 
 
 def parse_fiber_csv(lines):
@@ -98,7 +89,7 @@ def parse_fiber_csv(lines):
         if (subject, site) in rows:
             raise FiberParseError(f"line {lineno}: duplicate (subject, site) pair")
         try:
-            spd_point(_upper_to_matrix(values))
+            spd_point(upper_to_matrix(values))
         except InvalidPoint as exc:
             raise FiberParseError(f"line {lineno}: matrix is not SPD ({exc})") from exc
         rows[(subject, site)] = values
@@ -109,27 +100,27 @@ def parse_fiber_csv(lines):
 
     subjects = tuple(sorted(groups))
     n_sites = max(site for _, site in rows) + 1
-    tensors = np.empty((len(subjects), n_sites, 3, 3))
+    uppers = np.empty((len(subjects), n_sites, len(UPPER_COLUMNS)))
     for i, subject in enumerate(subjects):
         for site in range(n_sites):
             if (subject, site) not in rows:
                 raise FiberParseError(
                     f"subject {subject!r} is missing site {site} (every pair required)"
                 )
-            tensors[i, site] = _upper_to_matrix(rows[(subject, site)])
+            uppers[i, site] = rows[(subject, site)]
     return FiberDataset(
         subjects=subjects,
         groups=np.array([groups[s] for s in subjects], dtype=int),
-        tensors=tensors,
+        tensors=upper_to_matrix(uppers),
     )
 
 
 def write_fiber_csv(dataset, stream):
     stream.write(",".join(FIBER_COLUMNS) + "\n")
+    uppers = matrix_to_upper(dataset.tensors)
     for i, subject in enumerate(dataset.subjects):
         for site in range(dataset.n_sites):
-            upper = _matrix_to_upper(dataset.tensors[i, site])
-            values = ",".join(f"{v:.17g}" for v in upper)
+            values = ",".join(f"{v:.17g}" for v in uppers[i, site])
             stream.write(f"{subject},{dataset.groups[i]},{site},{values}\n")
 
 

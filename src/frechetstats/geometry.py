@@ -1,5 +1,6 @@
-"""Core abstractions: tagged points, sample-space descriptors and charts,
-finite differences, and the empirical Frechet function.
+"""Core abstractions: tagged points and validated samples, sample-space
+descriptors and charts, finite differences, and the empirical Frechet
+function.
 
 A *space* bundles a distance with a chart ``phi`` mapping a neighborhood of
 the mean onto an open subset of R^s; ``h(x; q) = distance(phi^-1(x), q)^2``
@@ -28,16 +29,6 @@ GRADIENT_STEP_SCALE = _EPS ** (1.0 / 3.0)
 HESSIAN_STEP_SCALE = _EPS ** 0.25
 
 
-def _frozen_array(values, shape=None):
-    a = np.array(values, dtype=float)
-    if shape is not None and a.shape != shape:
-        raise InvalidPoint(f"expected payload of shape {shape}, got {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise InvalidPoint("point payload contains non-finite entries")
-    a.setflags(write=False)
-    return a
-
-
 @dataclass(frozen=True, eq=False)
 class Point:
     """Element of one of the supported sample spaces.
@@ -64,57 +55,130 @@ class Point:
         return f"Point({self.kind}, {np.array2string(self.data, precision=6)})"
 
 
-def _point_unchecked(kind, data, leaf=0):
-    """Wrap a payload known-valid by construction (hot paths only)."""
-    a = np.array(data, dtype=float)
-    a.setflags(write=False)
-    return Point(kind, a, leaf)
+@dataclass(frozen=True, eq=False)
+class Sample:
+    """Batch of n points of one kind, the form every sample takes inside
+    the library.
+
+    ``data`` is the read-only ``(n, ...)`` array of the points' payloads and
+    ``leaves`` the read-only ``(n,)`` leaf labels of an open-book sample
+    (None for the other kinds).  The constructors ``euclidean_sample``,
+    ``sphere_sample``, ``spd_sample`` and ``openbook_sample`` validate the
+    whole batch at once.  ``len``, indexing and iteration give Points.
+    """
+
+    kind: str
+    data: np.ndarray
+    leaves: np.ndarray | None = None
+
+    def __post_init__(self):
+        self.data.setflags(write=False)
+        if self.leaves is not None:
+            self.leaves.setflags(write=False)
+
+    def __len__(self):
+        return self.data.shape[0]
+
+    def __getitem__(self, i):
+        leaf = 0 if self.leaves is None else int(self.leaves[i])
+        return Point(self.kind, self.data[i], leaf)
+
+
+def _finite_rows(values, ndim):
+    a = np.array(values, dtype=float, order="C")
+    if a.ndim != ndim:
+        raise InvalidPoint(f"expected a batch of {ndim - 1}-d payloads, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise InvalidPoint("point payload contains non-finite entries")
+    return a
+
+
+def euclidean_sample(rows):
+    """Sample of R^s from an (n, s) array."""
+    return Sample("euclidean", _finite_rows(rows, 2))
+
+
+def sphere_sample(rows, atol=1e-12):
+    """Sample of S^d from an (n, d+1) array of unit vectors; each row's norm
+    must be 1 within ``atol``, and the row is divided by it."""
+    a = _finite_rows(rows, 2)
+    # row-by-row dot products, so each row is normalised exactly as
+    # np.linalg.norm normalises a single vector
+    nrm = np.sqrt((a[:, None, :] @ a[:, :, None])[:, 0, 0])
+    bad = np.flatnonzero(np.abs(nrm - 1.0) > atol)
+    if bad.size:
+        raise InvalidPoint(f"sphere point has norm {float(nrm[bad[0]])!r}, not 1 within {atol}")
+    return Sample("sphere", a / nrm[:, None])
+
+
+def spd_sample(mats, atol=1e-12):
+    """Sample of SPD matrices from an (n, p, p) array; each matrix must be
+    symmetric within ``atol`` (it is then symmetrized) and positive
+    definite."""
+    m = _finite_rows(mats, 3)
+    if m.shape[1] != m.shape[2]:
+        raise InvalidPoint("spd payload must be a square matrix")
+    mt = np.swapaxes(m, 1, 2)
+    if not np.allclose(m, mt, rtol=0.0, atol=atol):
+        raise InvalidPoint("spd payload is not symmetric within tolerance")
+    m = 0.5 * (m + mt)
+    if np.any(np.linalg.eigvalsh(m)[:, 0] <= 0.0):
+        raise InvalidPoint("spd payload has a non-positive eigenvalue")
+    return Sample("spd", m)
+
+
+def openbook_sample(leaves, coords):
+    """Open-book sample from (n,) leaf labels and (n, D+1) half-space
+    coordinates with x0 >= 0.
+
+    Rows with ``x0 == 0`` lie on the spine and are canonicalized to leaf 0,
+    so equality of glued boundary points is well defined.
+    """
+    c = _finite_rows(coords, 2)
+    labels = np.asarray(leaves).astype(int)
+    if c.shape[1] == 0 or labels.shape != (c.shape[0],):
+        raise InvalidPoint("open-book sample needs one leaf label per row of coordinates")
+    if np.any(c[:, 0] < 0.0):
+        raise InvalidPoint("open-book coordinate x0 must be nonnegative")
+    if np.any(labels < 0):
+        raise InvalidPoint("leaf label must be nonnegative")
+    labels = np.where(c[:, 0] == 0.0, 0, labels)
+    if np.any((labels == 0) & (c[:, 0] > 0.0)):
+        raise InvalidPoint("spine points (leaf 0) must have x0 == 0")
+    return Sample("openbook", c, labels)
+
+
+def as_sample(sample):
+    """``sample`` as one Sample: a Sample is returned as is, a sequence of
+    Points of one kind (validated when they were built) is stacked once."""
+    if len(sample) == 0:
+        raise ValueError("sample must be nonempty")
+    if isinstance(sample, Sample):
+        return sample
+    kind = sample[0].kind
+    leaves = np.array([p.leaf for p in sample]) if kind == "openbook" else None
+    return Sample(kind, np.stack([p.data for p in sample]), leaves)
 
 
 def euclidean_point(v):
     """Point of R^s."""
-    return Point("euclidean", _frozen_array(np.atleast_1d(v)))
+    return euclidean_sample(np.atleast_1d(np.asarray(v, dtype=float))[None])[0]
 
 
 def sphere_point(v, atol=1e-12):
     """Unit vector in R^{d+1}; the norm must already be 1 within ``atol``."""
-    a = np.atleast_1d(np.asarray(v, dtype=float))
-    nrm = float(np.linalg.norm(a))
-    if abs(nrm - 1.0) > atol:
-        raise InvalidPoint(f"sphere point has norm {nrm!r}, not 1 within {atol}")
-    return Point("sphere", _frozen_array(a / nrm))
+    return sphere_sample(np.atleast_1d(np.asarray(v, dtype=float))[None], atol)[0]
 
 
 def spd_point(a, atol=1e-12):
     """Symmetric positive definite matrix."""
-    m = np.asarray(a, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise InvalidPoint("spd payload must be a square matrix")
-    if not np.allclose(m, m.T, rtol=0.0, atol=atol):
-        raise InvalidPoint("spd payload is not symmetric within tolerance")
-    m = 0.5 * (m + m.T)
-    if np.linalg.eigvalsh(m)[0] <= 0.0:
-        raise InvalidPoint("spd payload has a non-positive eigenvalue")
-    return Point("spd", _frozen_array(m))
+    return spd_sample(np.asarray(a, dtype=float)[None], atol)[0]
 
 
 def openbook_point(leaf, coords):
-    """Open-book point: leaf label plus half-space coordinates (x0 >= 0).
-
-    Points with ``x0 == 0`` lie on the spine and are canonicalized to leaf 0,
-    so equality of glued boundary points is well defined.
-    """
-    c = np.atleast_1d(np.asarray(coords, dtype=float))
-    if c[0] < 0.0:
-        raise InvalidPoint("open-book coordinate x0 must be nonnegative")
-    leaf = int(leaf)
-    if leaf < 0:
-        raise InvalidPoint("leaf label must be nonnegative")
-    if c[0] == 0.0:
-        leaf = 0
-    elif leaf == 0:
-        raise InvalidPoint("spine points (leaf 0) must have x0 == 0")
-    return Point("openbook", _frozen_array(c), leaf)
+    """Open-book point: leaf label plus half-space coordinates (x0 >= 0);
+    a point with ``x0 == 0`` is on the spine (leaf 0)."""
+    return openbook_sample([int(leaf)], np.atleast_1d(np.asarray(coords, dtype=float))[None])[0]
 
 
 @dataclass(frozen=True)
@@ -161,15 +225,17 @@ def _check_finite(value):
 
 
 def _gradient_fixed_steps(f, x, steps):
-    x = np.asarray(x, dtype=float)
-    g = np.empty_like(x)
+    """Central differences of a scalar map, (s,), or of a vector map, (n, s)."""
+    cols = []
     for r in range(x.size):
         e = np.zeros_like(x)
         e[r] = steps[r]
-        fp = _check_finite(f(x + e))
-        fm = _check_finite(f(x - e))
-        g[r] = (fp - fm) / (2.0 * steps[r])
-    return g
+        fp = _check_finite(np.asarray(f(x + e), dtype=float))
+        fm = _check_finite(np.asarray(f(x - e), dtype=float))
+        cols.append((fp - fm) / (2.0 * steps[r]))
+    if not cols:
+        return np.zeros(np.shape(f(x)) + (0,))
+    return np.stack(cols, axis=-1)
 
 
 def numeric_gradient(f, x, cfg=None):
@@ -230,17 +296,7 @@ def gradient_rows(fvec, x, cfg=None):
     """
     cfg = cfg or DiffConfig()
     x = np.asarray(x, dtype=float)
-    steps = cfg.gradient_steps(x)
-    cols = []
-    for r in range(x.size):
-        e = np.zeros_like(x)
-        e[r] = steps[r]
-        fp = _check_finite(np.asarray(fvec(x + e), dtype=float))
-        fm = _check_finite(np.asarray(fvec(x - e), dtype=float))
-        cols.append((fp - fm) / (2.0 * steps[r]))
-    if not cols:
-        return np.zeros((np.asarray(fvec(x)).size, 0))
-    return np.column_stack(cols)
+    return _gradient_fixed_steps(fvec, x, cfg.gradient_steps(x))
 
 
 class Chart(ABC):
@@ -267,18 +323,18 @@ class Chart(ABC):
 
     @abstractmethod
     def pack(self, sample):
-        """Precompute per-sample arrays reused across h/derivative calls."""
+        """Precompute, from a Sample, arrays reused across h/derivative calls."""
 
     @abstractmethod
     def h_many(self, x, packed):
         """Vector of h(x; Y_j) = distance(phi^-1(x), Y_j)^2 over the sample."""
 
-    def h(self, x, q):
-        return float(self.h_many(np.asarray(x, dtype=float), self.pack([q]))[0])
-
+    @abstractmethod
     def forward_many(self, sample):
-        """Chart coordinates of every sample point, as an (n, s) matrix."""
-        return np.stack([self.forward(p) for p in sample])
+        """Chart coordinates of every point of a Sample, as an (n, s) matrix."""
+
+    def h(self, x, q):
+        return float(self.h_many(np.asarray(x, dtype=float), self.pack(as_sample([q])))[0])
 
     def grad_h_many(self, x, packed):
         """Analytic (n, s) gradient rows of h(.; Y_j) at x, or None."""
@@ -287,6 +343,28 @@ class Chart(ABC):
     def hess_h_mean(self, x, packed):
         """Analytic s x s Hessian of the averaged h at x, or None."""
         return None
+
+
+class FlatChart(Chart):
+    """Chart in which h(x; Y_j) = ||x - y_j||^2 exactly, for the rows y_j
+    that ``pack`` returns (the chart images; by default the payloads
+    themselves), so the derivatives are analytic."""
+
+    def pack(self, sample):
+        return sample.data
+
+    def forward_many(self, sample):
+        return self.pack(sample)
+
+    def h_many(self, x, packed):
+        diff = packed - np.asarray(x, dtype=float)
+        return np.einsum("ij,ij->i", diff, diff)
+
+    def grad_h_many(self, x, packed):
+        return 2.0 * (np.asarray(x, dtype=float) - packed)
+
+    def hess_h_mean(self, x, packed):
+        return 2.0 * np.eye(self.s)
 
 
 class Space(ABC):
@@ -298,8 +376,12 @@ class Space(ABC):
 
     kind: str
     chart_dim: int
+    #: shape of one point's payload (None: not checked)
+    point_shape = None
     #: True when chart_at ignores the base point (one global chart)
     has_global_chart = False
+    #: how ``mean`` finds the sample Frechet mean (``FrechetFit.strategy``)
+    mean_strategy = "newton"
 
     @abstractmethod
     def distance(self, p, q):
@@ -317,12 +399,62 @@ class Space(ABC):
         if not isinstance(p, Point) or p.kind != self.kind:
             got = getattr(p, "kind", type(p).__name__)
             raise MixedSpacePoints(f"expected a {self.kind} point, got {got}")
+        if self.point_shape is not None and p.data.shape != self.point_shape:
+            raise InvalidPoint(f"expected payload shape {self.point_shape}, got {p.data.shape}")
 
     def check_sample(self, sample):
-        if len(sample) == 0:
-            raise ValueError("sample must be nonempty")
-        for p in sample:
-            self.check_point(p)
+        """The sample as one Sample of this space (a sequence of Points is
+        checked point by point and converted once)."""
+        if not isinstance(sample, Sample):
+            for p in sample:
+                self.check_point(p)
+        sample = as_sample(sample)
+        self.check_point(sample[0])  # the rows of a Sample share kind and shape
+        return sample
+
+    def mean(self, sample, *, tol=1e-10, max_iter=200, diff=None):
+        """Sample Frechet mean as ``(point, iterations)``.
+
+        The default is a damped Newton descent on the chart coordinates at
+        ``initial_guess``, stopped once the gradient norm of the averaged h
+        is at most ``tol``; spaces with a closed form or a cheaper iteration
+        override it.  ``diff`` configures the central differences used where
+        a chart has no analytic derivatives.
+        """
+        sample = self.check_sample(sample)
+        start = self.initial_guess(sample)
+        chart = self.chart_at(start)
+        packed = chart.pack(sample)
+        x = chart.forward(start)
+
+        def fmean(xx):
+            return float(np.mean(chart.h_many(xx, packed)))
+
+        for it in range(max_iter):
+            g = mean_gradient(chart, x, packed, diff)
+            if np.linalg.norm(g) <= tol:
+                return chart.inverse(x), it
+            hess = chart.hess_h_mean(x, packed)
+            if hess is None:
+                hess = numeric_hessian(fmean, x, diff)
+            try:
+                step = np.linalg.solve(hess, -g)
+            except np.linalg.LinAlgError:
+                step = -g
+            f0 = fmean(x)
+            tau = 1.0
+            while fmean(x + tau * step) > f0 and tau > 1e-10:
+                tau *= 0.5
+            x = x + tau * step
+        return chart.inverse(x), max_iter
+
+
+def mean_gradient(chart, x, packed, diff=None):
+    """Gradient at ``x`` of the averaged h, analytic where the chart has it."""
+    rows = chart.grad_h_many(x, packed)
+    if rows is not None:
+        return rows.mean(axis=0)
+    return numeric_gradient(lambda xx: float(np.mean(chart.h_many(xx, packed))), x, diff)
 
 
 def frechet_value(space, sample, p, weights=None):
@@ -331,7 +463,7 @@ def frechet_value(space, sample, p, weights=None):
     ``weights`` default to uniform 1/n; when given they must be nonnegative
     and sum to 1.
     """
-    space.check_sample(sample)
+    sample = space.check_sample(sample)
     space.check_point(p)
     if weights is None:
         w = np.full(len(sample), 1.0 / len(sample))

@@ -11,8 +11,8 @@ import numpy as np
 from scipy import special
 
 from .errors import NearSingularCovariance
-
-COND_LIMIT = 1e12
+from .estimator import checked_eigh, estimate_mean
+from .geometry import Sample
 
 
 def chi2_sf(x, k):
@@ -66,8 +66,8 @@ def two_sample_test(space, sample_x, sample_y):
 
     with unbiased (n-1) group covariances, compared against chi-square(s).
     """
-    space.check_sample(sample_x)
-    space.check_sample(sample_y)
+    sample_x = space.check_sample(sample_x)
+    sample_y = space.check_sample(sample_y)
     n1, n2 = len(sample_x), len(sample_y)
     s = space.chart_dim
     if n1 < 2 or n2 < 2:
@@ -78,9 +78,11 @@ def two_sample_test(space, sample_x, sample_y):
     if getattr(space, "has_global_chart", False):
         chart = space.chart_at()
     else:
-        from .estimator import estimate_mean
-
-        chart = space.chart_at(estimate_mean(space, list(sample_x) + list(sample_y)).mean)
+        leaves = None
+        if sample_x.leaves is not None:
+            leaves = np.concatenate([sample_x.leaves, sample_y.leaves])
+        both = Sample(space.kind, np.concatenate([sample_x.data, sample_y.data]), leaves)
+        chart = space.chart_at(estimate_mean(space, both).mean)
     vx = chart.forward_many(sample_x)
     vy = chart.forward_many(sample_y)
     mean_x = vx.mean(axis=0)
@@ -89,10 +91,7 @@ def two_sample_test(space, sample_x, sample_y):
     cov_y = np.cov(vy, rowvar=False, ddof=1).reshape(s, s)
     pooled = cov_x / n1 + cov_y / n2
 
-    w, v = np.linalg.eigh(0.5 * (pooled + pooled.T))
-    amin, amax = float(np.min(np.abs(w))), float(np.max(np.abs(w)))
-    if amin == 0.0 or amax / amin > COND_LIMIT:
-        raise NearSingularCovariance("pooled two-sample covariance is near-singular")
+    w, v, _ = checked_eigh(pooled, NearSingularCovariance, "pooled two-sample covariance")
     diff = mean_x - mean_y
     statistic = float(diff @ ((v / w) @ v.T) @ diff)
     statistic = max(statistic, 0.0)

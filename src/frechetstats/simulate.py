@@ -25,11 +25,12 @@ from .errors import (
     NotPositiveDefinite,
 )
 from .estimator import estimate_mean, sandwich_covariance, confidence_region_contains
-from .geometry import _point_unchecked, euclidean_point, openbook_point, sphere_point, spd_point
+from .geometry import Sample, euclidean_point, euclidean_sample, openbook_point, openbook_sample
+from .geometry import spd_point, sphere_point, sphere_sample
 from .inference import two_sample_test
 from .spaces.euclidean import EuclideanSpace
 from .spaces.openbook import OpenBookSpace
-from .spaces.spd import SPDSpace, spd_expm
+from .spaces.spd import SPDSpace, _expm_rows, _vech_inv_rows, spd_expm, spd_vech
 from .spaces.sphere import SphereSpace, sphere_exp, sphere_log, tangent_basis
 
 #: estimation failures tolerated (as a fraction of replications) before a
@@ -87,8 +88,7 @@ class GaussianDescriptor:
         w, v = np.linalg.eigh(c)
         root = v * np.sqrt(np.maximum(w, 0.0))
         z = rng.standard_normal((n, space.dim))
-        rows = np.asarray(self.mean, dtype=float) + z @ root.T
-        return [euclidean_point(r) for r in rows]
+        return euclidean_sample(np.asarray(self.mean, dtype=float) + z @ root.T)
 
     def population_mean(self, space):
         return euclidean_point(self.mean)
@@ -117,7 +117,7 @@ class SphereCapDescriptor:
         center = np.asarray(self.center, dtype=float)
         center = center / np.linalg.norm(center)
         if self.radius == 0.0:
-            return [sphere_point(center) for _ in range(n)]
+            return sphere_sample(np.tile(center, (n, 1)))
         if space.ambient_dim == 3:
             # exact inverse-CDF sampling of the colatitude on S^2
             u = rng.random(n)
@@ -127,18 +127,15 @@ class SphereCapDescriptor:
             dirs = np.cos(phi)[:, None] * basis[0] + np.sin(phi)[:, None] * basis[1]
             rows = np.cos(theta)[:, None] * center + np.sin(theta)[:, None] * dirs
             rows /= np.linalg.norm(rows, axis=1, keepdims=True)
-            return [_point_unchecked("sphere", r) for r in rows]
+            return Sample("sphere", rows)  # unit rows by construction
         # general dimension: rejection from the uniform sphere
-        out = []
+        accepted = []
         cos_r = np.cos(self.radius)
-        while len(out) < n:
+        while sum(len(a) for a in accepted) < n:
             z = rng.standard_normal((max(2048, 2 * n), space.ambient_dim))
             z /= np.linalg.norm(z, axis=1, keepdims=True)
-            for row in z[z @ center >= cos_r]:
-                out.append(sphere_point(row))
-                if len(out) == n:
-                    break
-        return out
+            accepted.append(z[z @ center >= cos_r])
+        return sphere_sample(np.concatenate(accepted)[:n])
 
     def population_mean(self, space):
         c = np.asarray(self.center, dtype=float)
@@ -164,10 +161,8 @@ class SphereTwoPointDescriptor:
             raise InvalidDescriptor("antipodal support has no unique mean")
 
     def draw(self, rng, n, space):
-        pa = sphere_point(np.asarray(self.a, dtype=float))
-        pb = sphere_point(np.asarray(self.b, dtype=float))
         picks = rng.random(n) < 0.5
-        return [pa if take_a else pb for take_a in picks]
+        return sphere_sample(np.where(picks[:, None], self.a, self.b))
 
     def population_mean(self, space):
         a = np.asarray(self.a, dtype=float)
@@ -193,12 +188,9 @@ class SPDLogGaussianDescriptor:
             raise InvalidDescriptor("scale must be nonnegative")
 
     def draw(self, rng, n, space):
-        from .spaces.spd import _expm_rows, _vech_inv_rows, spd_vech
-
         base = spd_vech(np.asarray(self.mean_log, dtype=float))
         z = base + self.scale * rng.standard_normal((n, base.size))
-        mats = _expm_rows(_vech_inv_rows(z, space.p))
-        return [_point_unchecked("spd", m) for m in mats]
+        return Sample("spd", _expm_rows(_vech_inv_rows(z, space.p)))  # SPD by construction
 
     def population_mean(self, space):
         if space.metric != "log_euclidean":
@@ -293,10 +285,7 @@ class OpenBookDescriptor:
         rest = np.asarray(self.spine_mean, dtype=float) + self.spine_sd * rng.standard_normal(
             (n, space.spine_dim)
         )
-        return [
-            openbook_point(labels[j], np.concatenate([[x0[j]], rest[j]]))
-            for j in range(n)
-        ]
+        return openbook_sample(labels, np.column_stack([x0, rest]))
 
     def population_folded_means(self, space):
         """Closed-form folded means m_k of the sampling law."""
@@ -345,17 +334,13 @@ class Sampler:
         return _stream(self.seed, rep)
 
     def draw(self, n, rep=0):
+        """Sample of n i.i.d. points from the replication-``rep`` stream."""
         if n < 1:
             raise ValueError("n must be >= 1")
         return self.descriptor.draw(self.rng(rep), n, self.space)
 
     def population_mean(self):
         return self.descriptor.population_mean(self.space)
-
-
-def draw(sampler, n, rep=0):
-    """n i.i.d. points from the sampler's replication-``rep`` stream."""
-    return sampler.draw(n, rep)
 
 
 @dataclass(frozen=True)
@@ -442,7 +427,7 @@ def mc_stickiness(sampler, n, reps):
     heights = []
     for rep in range(reps):
         sample = sampler.draw(n, rep)
-        mean = space.mean(sample)
+        mean, _ = space.mean(sample)
         tags.append("spine" if mean.leaf == 0 else f"leaf_{mean.leaf}")
         heights.append(float(mean.data[0]))
     fractions = {tag: tags.count(tag) / reps for tag in sorted(set(tags))}

@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..geometry import Chart, Space, euclidean_point
+from ..geometry import FlatChart, Space, euclidean_point
 
 
-class EuclideanChart(Chart):
-    """Identity chart; h(x; q) = ||x - q||^2 with analytic derivatives."""
+class EuclideanChart(FlatChart):
+    """Identity chart; h(x; q) = ||x - q||^2."""
 
     def __init__(self, space, base):
         self.s = space.chart_dim
@@ -27,39 +27,23 @@ class EuclideanChart(Chart):
     def inverse(self, x):
         return euclidean_point(x)
 
-    def pack(self, sample):
-        return np.stack([p.data for p in sample])
-
-    def h_many(self, x, packed):
-        diff = packed - np.asarray(x, dtype=float)
-        return np.einsum("ij,ij->i", diff, diff)
-
-    def grad_h_many(self, x, packed):
-        return 2.0 * (np.asarray(x, dtype=float) - packed)
-
-    def hess_h_mean(self, x, packed):
-        return 2.0 * np.eye(self.s)
-
 
 class EuclideanSpace(Space):
     """R^dim with the usual distance."""
 
     kind = "euclidean"
     has_global_chart = True
+    mean_strategy = "closed_form"
 
     def __init__(self, dim):
         if dim < 1:
             raise ValueError("dimension must be >= 1")
         self.dim = int(dim)
         self.chart_dim = self.dim
+        self.point_shape = (self.dim,)
 
     def __repr__(self):
         return f"EuclideanSpace(dim={self.dim})"
-
-    def check_point(self, p):
-        super().check_point(p)
-        if p.data.shape != (self.dim,):
-            raise ValueError(f"expected a vector of length {self.dim}")
 
     def distance(self, p, q):
         self.check_point(p)
@@ -72,9 +56,9 @@ class EuclideanSpace(Space):
         return EuclideanChart(self, base)
 
     def initial_guess(self, sample):
-        self.check_sample(sample)
-        return euclidean_point(np.mean([p.data for p in sample], axis=0))
+        return euclidean_point(self.check_sample(sample).data.mean(axis=0))
 
-    def mean(self, sample):
-        """Arithmetic mean (the exact Frechet mean of R^s)."""
-        return self.initial_guess(sample)
+    def mean(self, sample, **_):
+        """Arithmetic mean (the exact Frechet mean of R^s), after 0
+        iterations."""
+        return self.initial_guess(sample), 0

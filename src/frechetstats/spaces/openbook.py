@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..geometry import Chart, Space, openbook_point
 from ..errors import InvalidPoint
+from ..geometry import Chart, FlatChart, Space, as_sample, openbook_point
 
 
 def openbook_distance(a, b):
@@ -75,14 +75,13 @@ def openbook_moments(sample, n_leaves=None):
 
     ``n_leaves`` defaults to the largest leaf label present in the sample.
     """
-    if len(sample) == 0:
-        raise ValueError("sample must be nonempty")
-    leaves = np.array([p.leaf for p in sample], dtype=int)
-    coords = np.stack([p.data for p in sample])
+    sample = as_sample(sample)
+    leaves = sample.leaves
+    coords = sample.data
     k_max = int(leaves.max(initial=0))
     n_leaves = k_max if n_leaves is None else int(n_leaves)
     if n_leaves < k_max:
-        raise ValueError("sample contains leaf labels beyond n_leaves")
+        raise InvalidPoint("sample contains leaf labels beyond n_leaves")
     n = len(sample)
     x0 = coords[:, 0]
     total = float(x0.sum())
@@ -136,11 +135,9 @@ def openbook_frechet_mean(sample, n_leaves=None):
     return openbook_point(0, np.concatenate([[0.0], mom.spine_mean]))
 
 
-class OpenBookLeafChart(Chart):
-    """Chart of a leaf stratum: the folding map f_k, s = D + 1.
-
-    h(x; q) = ||x - f_k(q)||^2 exactly, hence analytic derivatives.
-    """
+class OpenBookLeafChart(FlatChart):
+    """Chart of a leaf stratum: the folding map f_k, s = D + 1, with
+    h(x; q) = ||x - f_k(q)||^2."""
 
     def __init__(self, space, base):
         self.s = space.spine_dim + 1
@@ -159,20 +156,11 @@ class OpenBookLeafChart(Chart):
         return openbook_point(self.leaf if x[0] > 0.0 else 0, x)
 
     def pack(self, sample):
-        return np.stack([openbook_fold(self.leaf, p) for p in sample])
-
-    def forward_many(self, sample):
-        return self.pack(sample)
-
-    def h_many(self, x, packed):
-        diff = packed - np.asarray(x, dtype=float)
-        return np.einsum("ij,ij->i", diff, diff)
-
-    def grad_h_many(self, x, packed):
-        return 2.0 * (np.asarray(x, dtype=float) - packed)
-
-    def hess_h_mean(self, x, packed):
-        return 2.0 * np.eye(self.s)
+        """The folded sample f_k(Y_j), as an (n, D+1) matrix."""
+        folded = np.array(sample.data)
+        other = (sample.leaves != self.leaf) & (sample.leaves != 0)
+        folded[other, 0] = -folded[other, 0]
+        return folded
 
 
 class OpenBookSpineChart(Chart):
@@ -194,8 +182,12 @@ class OpenBookSpineChart(Chart):
         return openbook_point(0, np.concatenate([[0.0], np.asarray(x, dtype=float)]))
 
     def pack(self, sample):
-        coords = np.stack([p.data for p in sample])
-        return coords[:, 0] ** 2, coords[:, 1:]
+        return sample.data[:, 0] ** 2, sample.data[:, 1:]
+
+    def forward_many(self, sample):
+        if np.any(sample.leaves != 0):
+            raise InvalidPoint("spine chart is only defined on the spine")
+        return np.ascontiguousarray(sample.data[:, 1:])
 
     def h_many(self, x, packed):
         x0sq, rest = packed
@@ -214,6 +206,7 @@ class OpenBookSpace(Space):
     """Open book with ``n_leaves`` leaves glued along a D-dimensional spine."""
 
     kind = "openbook"
+    mean_strategy = "openbook_exact"
 
     def __init__(self, n_leaves, spine_dim):
         if n_leaves < 2:
@@ -223,16 +216,15 @@ class OpenBookSpace(Space):
         self.n_leaves = int(n_leaves)
         self.spine_dim = int(spine_dim)
         self.chart_dim = self.spine_dim + 1
+        self.point_shape = (self.spine_dim + 1,)
 
     def __repr__(self):
         return f"OpenBookSpace(n_leaves={self.n_leaves}, spine_dim={self.spine_dim})"
 
     def check_point(self, p):
         super().check_point(p)
-        if p.data.shape != (self.spine_dim + 1,):
-            raise ValueError(f"expected {self.spine_dim + 1} half-space coordinates")
         if p.leaf > self.n_leaves:
-            raise ValueError(f"leaf label {p.leaf} exceeds n_leaves={self.n_leaves}")
+            raise InvalidPoint(f"leaf label {p.leaf} exceeds n_leaves={self.n_leaves}")
 
     def distance(self, p, q):
         self.check_point(p)
@@ -246,13 +238,9 @@ class OpenBookSpace(Space):
         return OpenBookLeafChart(self, base)
 
     def initial_guess(self, sample):
-        return self.mean(sample)
+        return self.mean(sample)[0]
 
-    def mean(self, sample):
-        """Exact sample Frechet mean (no iteration)."""
-        self.check_sample(sample)
-        return openbook_frechet_mean(sample, self.n_leaves)
-
-    def moments(self, sample):
-        self.check_sample(sample)
-        return openbook_moments(sample, self.n_leaves)
+    def mean(self, sample, **_):
+        """Exact sample Frechet mean (``openbook_frechet_mean``), after 0
+        iterations."""
+        return openbook_frechet_mean(self.check_sample(sample), self.n_leaves), 0

@@ -13,9 +13,13 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import NotPositiveDefinite
-from ..geometry import Chart, Space, spd_point
+from ..geometry import FlatChart, Space, as_sample, spd_point
 
 _SQRT2 = np.sqrt(2.0)
+
+#: column names of the upper-triangle row format of an SPD(3) matrix
+UPPER_COLUMNS = ("a11", "a12", "a13", "a22", "a23", "a33")
+_UPPER = np.triu_indices(3)
 
 
 def _eigh_checked(a):
@@ -61,10 +65,7 @@ def _expm_rows(mats):
 def spd_vech(b):
     """Isometric vectorization: diagonal entries, then sqrt(2)-scaled upper
     off-diagonals in row-major order, so ||vech(B)||_2 = ||B||_F."""
-    b = np.asarray(b, dtype=float)
-    p = b.shape[0]
-    iu = np.triu_indices(p, k=1)
-    return np.concatenate([np.diagonal(b), _SQRT2 * b[iu]])
+    return _vech_rows(np.asarray(b, dtype=float)[None])[0]
 
 
 def spd_vech_inv(x, p):
@@ -72,12 +73,7 @@ def spd_vech_inv(x, p):
     x = np.asarray(x, dtype=float)
     if x.shape != (p * (p + 1) // 2,):
         raise ValueError(f"expected a vector of length {p * (p + 1) // 2}")
-    b = np.diag(x[:p].astype(float))
-    iu = np.triu_indices(p, k=1)
-    off = x[p:] / _SQRT2
-    b[iu] = off
-    b[(iu[1], iu[0])] = off
-    return b
+    return _vech_inv_rows(x[None], p)[0]
 
 
 def _vech_rows(mats):
@@ -101,13 +97,29 @@ def _vech_inv_rows(x, p):
     return b
 
 
+def upper_to_matrix(values):
+    """Symmetric 3x3 matrices from (..., 6) upper-triangle rows in the
+    order of UPPER_COLUMNS."""
+    v = np.asarray(values, dtype=float)
+    m = np.empty(v.shape[:-1] + (3, 3))
+    m[..., _UPPER[0], _UPPER[1]] = v
+    m[..., _UPPER[1], _UPPER[0]] = v
+    return m
+
+
+def matrix_to_upper(m):
+    """Upper-triangle rows (..., 6) of (..., 3, 3) matrices, in the order of
+    UPPER_COLUMNS."""
+    return np.asarray(m)[..., _UPPER[0], _UPPER[1]]
+
+
 def spd_mean(sample, metric="log_euclidean"):
     """Closed-form Frechet mean of SPD matrices under either metric.
 
     Euclidean: entrywise mean (SPD by convexity of the cone).
     Log-Euclidean: expm of the mean of matrix logs.
     """
-    mats = np.stack([p.data for p in sample])
+    mats = as_sample(sample).data
     if metric == "euclidean":
         return spd_point(mats.mean(axis=0))
     if metric == "log_euclidean":
@@ -115,7 +127,7 @@ def spd_mean(sample, metric="log_euclidean"):
     raise ValueError(f"unknown spd metric {metric!r}")
 
 
-class SPDChart(Chart):
+class SPDChart(FlatChart):
     """Global vech chart (of the matrix, or of its log); h is exactly the
     squared chart-space Euclidean distance."""
 
@@ -135,23 +147,10 @@ class SPDChart(Chart):
         return spd_point(spd_expm(b) if self._log else b)
 
     def pack(self, sample):
-        mats = np.stack([p.data for p in sample])
+        mats = sample.data
         if self._log:
             mats = _logm_rows(mats)
         return _vech_rows(mats)
-
-    def forward_many(self, sample):
-        return self.pack(sample)
-
-    def h_many(self, x, packed):
-        diff = packed - np.asarray(x, dtype=float)
-        return np.einsum("ij,ij->i", diff, diff)
-
-    def grad_h_many(self, x, packed):
-        return 2.0 * (np.asarray(x, dtype=float) - packed)
-
-    def hess_h_mean(self, x, packed):
-        return 2.0 * np.eye(self.s)
 
 
 class SPDSpace(Space):
@@ -159,6 +158,7 @@ class SPDSpace(Space):
 
     kind = "spd"
     has_global_chart = True
+    mean_strategy = "closed_form"
 
     def __init__(self, p, metric="log_euclidean"):
         if p < 1:
@@ -168,14 +168,10 @@ class SPDSpace(Space):
         self.p = int(p)
         self.metric = metric
         self.chart_dim = self.p * (self.p + 1) // 2
+        self.point_shape = (self.p, self.p)
 
     def __repr__(self):
         return f"SPDSpace(p={self.p}, metric={self.metric!r})"
-
-    def check_point(self, p):
-        super().check_point(p)
-        if p.data.shape != (self.p, self.p):
-            raise ValueError(f"expected a {self.p}x{self.p} matrix")
 
     def distance(self, p, q):
         self.check_point(p)
@@ -190,9 +186,8 @@ class SPDSpace(Space):
         return SPDChart(self)
 
     def initial_guess(self, sample):
-        self.check_sample(sample)
-        return self.mean(sample)
+        return self.mean(sample)[0]
 
-    def mean(self, sample):
-        self.check_sample(sample)
-        return spd_mean(sample, self.metric)
+    def mean(self, sample, **_):
+        """Closed-form Frechet mean (``spd_mean``), after 0 iterations."""
+        return spd_mean(self.check_sample(sample), self.metric), 0

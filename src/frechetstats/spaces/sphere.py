@@ -106,12 +106,9 @@ def _geodesic_sq_rows(p, points):
     return (2.0 * np.arcsin(np.minimum(1.0, half))) ** 2
 
 
-class SphereIntrinsicChart(Chart):
-    """Log-map chart at ``base`` in an orthonormal tangent basis.
-
-    Gradient and Hessian of h are closed-form at the chart origin (where the
-    estimator evaluates them); elsewhere callers fall back to differences.
-    """
+class _TangentChart(Chart):
+    """Chart at ``base`` in the orthonormal tangent basis of ``base``; the
+    packed sample is its (n, d+1) array of unit vectors."""
 
     def __init__(self, space, base):
         space.check_point(base)
@@ -120,17 +117,25 @@ class SphereIntrinsicChart(Chart):
         self._b = np.array(base.data, dtype=float)
         self._basis = tangent_basis(self._b)
 
+    def pack(self, sample):
+        return sample.data
+
+
+class SphereIntrinsicChart(_TangentChart):
+    """Log-map chart at ``base`` in an orthonormal tangent basis.
+
+    Gradient and Hessian of h are closed-form at the chart origin (where the
+    estimator evaluates them); elsewhere callers fall back to differences.
+    """
+
     def forward(self, p):
         return self._basis @ sphere_log(self._b, p.data)
 
     def inverse(self, x):
         return sphere_point(sphere_exp(self._b, self._basis.T @ np.asarray(x, dtype=float)))
 
-    def pack(self, sample):
-        return np.stack([p.data for p in sample])
-
     def forward_many(self, sample):
-        return _log_rows(self._b, self.pack(sample)) @ self._basis.T
+        return _log_rows(self._b, sample.data) @ self._basis.T
 
     def h_many(self, x, packed):
         p = sphere_exp(self._b, self._basis.T @ np.asarray(x, dtype=float))
@@ -162,19 +167,12 @@ class SphereIntrinsicChart(Chart):
         return 2.0 * (outer_sum + float(np.mean(t)) * np.eye(self.s))
 
 
-class SphereExtrinsicChart(Chart):
+class SphereExtrinsicChart(_TangentChart):
     """Tangent-projection chart; h is the squared chordal distance.
 
     Analytic derivatives are available at every chart point via the
     differential of the hemisphere parameterization.
     """
-
-    def __init__(self, space, base):
-        space.check_point(base)
-        self.s = space.chart_dim
-        self.base = base
-        self._b = np.array(base.data, dtype=float)
-        self._basis = tangent_basis(self._b)
 
     def forward(self, p):
         return self._basis @ p.data
@@ -191,11 +189,8 @@ class SphereExtrinsicChart(Chart):
         p, _ = self._point_at(x)
         return sphere_point(p / np.linalg.norm(p))
 
-    def pack(self, sample):
-        return np.stack([p.data for p in sample])
-
     def forward_many(self, sample):
-        return self.pack(sample) @ self._basis.T
+        return sample.data @ self._basis.T
 
     def h_many(self, x, packed):
         p, _ = self._point_at(x)
@@ -228,14 +223,11 @@ class SphereSpace(Space):
         self.ambient_dim = int(ambient_dim)
         self.metric = metric
         self.chart_dim = self.ambient_dim - 1
+        self.point_shape = (self.ambient_dim,)
+        self.mean_strategy = "karcher" if metric == "intrinsic" else "closed_form"
 
     def __repr__(self):
         return f"SphereSpace(ambient_dim={self.ambient_dim}, metric={self.metric!r})"
-
-    def check_point(self, p):
-        super().check_point(p)
-        if p.data.shape != (self.ambient_dim,):
-            raise ValueError(f"expected an ambient vector of length {self.ambient_dim}")
 
     def distance(self, p, q):
         self.check_point(p)
@@ -250,11 +242,34 @@ class SphereSpace(Space):
         return SphereExtrinsicChart(self, base)
 
     def initial_guess(self, sample):
-        self.check_sample(sample)
-        m = np.mean([p.data for p in sample], axis=0)
-        return sphere_point(sphere_extrinsic_project(m))
-
-    def extrinsic_mean(self, sample):
         """Projection of the ambient mean; exact minimizer of the chordal
         Frechet function."""
-        return self.initial_guess(sample)
+        m = self.check_sample(sample).data.mean(axis=0)
+        return sphere_point(sphere_extrinsic_project(m))
+
+    def mean(self, sample, *, tol=1e-10, max_iter=200, **_):
+        """Sample Frechet mean as ``(point, iterations)``: the extrinsic
+        mean (0 iterations) under the chordal metric; under the geodesic
+        metric, Karcher fixed-point iteration from the extrinsic mean,
+        stopped once the gradient norm is at most ``tol``."""
+        sample = self.check_sample(sample)
+        if self.metric == "extrinsic":
+            return self.initial_guess(sample), 0
+        points = sample.data
+        mu = self.initial_guess(sample).data
+        for it in range(max_iter):
+            step = _log_rows(mu, points).mean(axis=0)
+            if 2.0 * np.linalg.norm(step) <= tol:
+                return sphere_point(mu), it
+            f0 = float(np.mean(_geodesic_sq_rows(mu, points)))
+            # allow rounding-level increases, or the damping loop can stall
+            # the iteration just above the gradient tolerance
+            slack = 1e-15 * (1.0 + abs(f0))
+            tau = 1.0
+            while True:
+                cand = sphere_exp(mu, tau * step)
+                if float(np.mean(_geodesic_sq_rows(cand, points))) <= f0 + slack or tau < 1e-8:
+                    break
+                tau *= 0.5
+            mu = cand
+        return sphere_point(mu), max_iter

@@ -159,6 +159,13 @@ def test_cli_mean_openbook(tmp_path, capsys):
     assert np.allclose(out["mean"]["coords"], [2 / 3, 2.0])
 
 
+def test_cli_mean_openbook_non_integer_leaf_exits_2(tmp_path, capsys):
+    for label in ("1.5", "inf", "nan"):
+        inp = write(tmp_path / "book.csv", f"leaf,x0,x1\n1,0.5,0.1\n{label},1.0,0.2\n")
+        assert main(["mean", inp, "--space", "openbook"]) == 2
+        assert "line 3: leaf must be an integer" in capsys.readouterr().err
+
+
 def test_cli_test2(tmp_path, capsys):
     a = write(tmp_path / "a.csv", "x\n-0.7071067811865476\n0.7071067811865476\n")
     b = write(tmp_path / "b.csv", "x\n0.2928932188134524\n1.7071067811865476\n")
@@ -166,6 +173,13 @@ def test_cli_test2(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["statistic"] == pytest.approx(1.0, abs=1e-9)
     assert out["df"] == 1
+
+
+def test_cli_test2_dimension_mismatch_exits_2(tmp_path, capsys):
+    a = write(tmp_path / "a.csv", "x,y\n0,1\n1,0\n2,2\n")
+    b = write(tmp_path / "b.csv", "x,y,z\n0,1,2\n1,0,2\n2,2,2\n")
+    assert main(["test2", a, b, "--space", "euclidean"]) == 2
+    assert "shape (2,), got (3,)" in capsys.readouterr().err
 
 
 def test_cli_gen_fiber_and_fiber_round_trip(tmp_path, capsys):

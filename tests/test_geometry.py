@@ -12,7 +12,8 @@ from frechetstats.geometry import (
     spd_point,
     sphere_point,
 )
-from frechetstats.spaces import EuclideanSpace, SphereSpace
+from frechetstats.estimator import estimate_mean
+from frechetstats.spaces import EuclideanSpace, OpenBookSpace, SphereSpace, openbook_moments
 
 from conftest import random_point, space_instances
 
@@ -42,6 +43,15 @@ def test_openbook_point_canonicalizes_spine():
         openbook_point(1, (-0.5, 0.0))
     with pytest.raises(InvalidPoint):
         openbook_point(0, (1.0, 0.0))
+
+
+def test_wrong_payload_shape_or_leaf_label_raises_invalid_point():
+    with pytest.raises(InvalidPoint):
+        estimate_mean(EuclideanSpace(3), [euclidean_point([1.0, 2.0])])
+    with pytest.raises(InvalidPoint):
+        estimate_mean(OpenBookSpace(2, 1), [openbook_point(3, (1.0, 0.0))])
+    with pytest.raises(InvalidPoint):
+        openbook_moments([openbook_point(3, (1.0, 0.0))], 2)
 
 
 def test_point_payload_is_immutable():

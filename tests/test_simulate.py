@@ -10,7 +10,6 @@ from frechetstats.simulate import (
     SphereTwoPointDescriptor,
     SPDLogGaussianDescriptor,
     _check_failures,
-    draw,
     mc_consistency,
     mc_coverage,
     mc_stickiness,
@@ -32,10 +31,10 @@ def euclid_sampler(seed=0):
 
 def test_draw_is_deterministic_per_seed_and_rep():
     s = euclid_sampler(seed=123)
-    a = draw(s, 20, rep=4)
-    b = draw(s, 20, rep=4)
+    a = s.draw(20, rep=4)
+    b = s.draw(20, rep=4)
     assert all(np.array_equal(p.data, q.data) for p, q in zip(a, b))
-    c = draw(s, 20, rep=5)
+    c = s.draw(20, rep=5)
     assert not all(np.array_equal(p.data, q.data) for p, q in zip(a, c))
 
 
