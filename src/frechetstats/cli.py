@@ -242,11 +242,11 @@ def cmd_fiber(args):
             dataset = parse_fiber_csv(fh)
     except (FiberParseError, OSError) as exc:
         return _fail(str(exc), EXIT_INPUT)
-    # the parser requires every (subject, site) pair, so this covers every site
-    if not np.any(dataset.groups == 0) or not np.any(dataset.groups == 1):
-        return _fail("the dataset lacks one of the groups", EXIT_INPUT)
     metric = _normalize_metric(args.metric) or "log_euclidean"
-    results, summary = fiber_site_tests(dataset, metric=metric, alpha=args.alpha)
+    try:
+        results, summary = fiber_site_tests(dataset, metric=metric, alpha=args.alpha)
+    except ValueError as exc:  # e.g. a group with fewer than 2 subjects
+        return _fail(str(exc), EXIT_INPUT)
     with open(args.output, "w") as fh:
         write_site_csv(results, fh)
     _emit_json(summary, None)

@@ -109,24 +109,29 @@ def estimate_mean(space, sample, *, tol=1e-10, max_iter=200, strategy=None, diff
     return fit
 
 
-def checked_eigh(matrix, error_cls, label):
-    """Eigenvalues, eigenvectors and condition number of the symmetric part
-    of a nonempty square matrix; raises ``error_cls`` when the condition
-    number exceeds COND_LIMIT."""
-    m = np.asarray(matrix, dtype=float)
-    w, v = np.linalg.eigh(0.5 * (m + m.T))
-    amax = float(np.max(np.abs(w)))
-    amin = float(np.min(np.abs(w)))
-    if amin == 0.0 or amax / amin > COND_LIMIT:
-        cond = np.inf if amin == 0.0 else amax / amin
-        raise error_cls(f"{label} is numerically singular (condition number {cond:.3e})")
-    return w, v, amax / amin
+def guarded_eigh(matrices):
+    """Eigendecomposition of the symmetric parts of a (..., s, s) stack of
+    nonempty square matrices.
+
+    Returns ``(w, v, cond, singular)``: eigenvalues, eigenvectors, the
+    condition numbers max|w| / min|w| (inf when an eigenvalue is 0) and the
+    mask of matrices treated as numerically singular, those whose condition
+    number exceeds COND_LIMIT.
+    """
+    m = np.asarray(matrices, dtype=float)
+    w, v = np.linalg.eigh(0.5 * (m + np.swapaxes(m, -1, -2)))
+    absw = np.abs(w)
+    amax, amin = absw.max(axis=-1), absw.min(axis=-1)
+    cond = np.divide(amax, amin, out=np.full_like(amax, np.inf), where=amin > 0.0)
+    return w, v, cond, cond > COND_LIMIT
 
 
 def _guarded_inverse(matrix, error_cls, label):
-    w, v, cond = checked_eigh(matrix, error_cls, label)
+    w, v, cond, singular = guarded_eigh(matrix)
+    if singular:
+        raise error_cls(f"{label} is numerically singular (condition number {float(cond):.3e})")
     inv = (v / w) @ v.T
-    return 0.5 * (inv + inv.T), w, cond
+    return 0.5 * (inv + inv.T), w, float(cond)
 
 
 def sandwich_covariance(space, sample, fit, *, derivatives="auto", diff=None):

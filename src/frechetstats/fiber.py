@@ -1,6 +1,11 @@
 """Fiber-tract batch pipeline: a per-(subject, site) SPD(3) dataset format,
 a synthetic generator with a controllable group effect, and the per-site
 two-sample sweep with Bonferroni and BH correction.
+
+The pipeline works on whole arrays: the parser checks each line as it reads
+it and validates all tensors in one batch at the end, and the sweep maps
+every tensor to the chart at once and tests all sites in one batched
+chi-square computation (``inference.chi2_two_sample``).
 """
 
 from __future__ import annotations
@@ -11,10 +16,10 @@ import numpy as np
 
 from .errors import InvalidPoint
 from .geometry import spd_point, spd_sample
-from .inference import NearSingularCovariance, bh_fdr, bonferroni, two_sample_test
+from .inference import bh_fdr, bonferroni, chi2_two_sample
 from .simulate import _stream
 from .spaces.spd import UPPER_COLUMNS, SPDSpace, matrix_to_upper, spd_expm, spd_logm
-from .spaces.spd import spd_vech_inv, upper_to_matrix
+from .spaces.spd import _vech_inv_rows, upper_to_matrix
 
 #: canonical column order of the dataset CSV
 FIBER_COLUMNS = ("subject", "group", "site") + UPPER_COLUMNS
@@ -44,18 +49,57 @@ class FiberDataset:
     def n_sites(self):
         return self.tensors.shape[1]
 
-    def site_samples(self, site):
-        """(group-0 sample, group-1 sample) at one site."""
-        mats = self.tensors[:, site]
-        return spd_sample(mats[self.groups == 0]), spd_sample(mats[self.groups == 1])
+
+def _spd_error(rows):
+    """FiberParseError naming the first non-SPD matrix among the
+    ``(lineno, upper-triangle values)`` of ``rows``, or None."""
+    if not rows:
+        return None
+    try:
+        spd_sample(upper_to_matrix([values for _, values in rows.values()]))
+    except InvalidPoint:
+        # spd_point is spd_sample on a batch of one, so some row fails alone
+        for lineno, values in rows.values():
+            try:
+                spd_point(upper_to_matrix(values))
+            except InvalidPoint as exc:
+                return FiberParseError(f"line {lineno}: matrix is not SPD ({exc})")
+        raise
+    return None
+
+
+def _read_line(line, groups, rows):
+    """((subject, site), values) of one data line, checked against the lines
+    before it; raises FiberParseError with the problem (no line number)."""
+    parts = line.split(",")
+    if len(parts) != len(FIBER_COLUMNS):
+        raise FiberParseError(f"expected {len(FIBER_COLUMNS)} columns")
+    subject = parts[0].strip()
+    try:  # int and float ignore surrounding whitespace
+        group = int(parts[1])
+        site = int(parts[2])
+        values = list(map(float, parts[3:]))
+    except ValueError as exc:
+        raise FiberParseError(str(exc)) from exc
+    if group not in (0, 1):
+        raise FiberParseError("group must be 0 or 1")
+    if site < 0:
+        raise FiberParseError("site must be nonnegative")
+    if groups.setdefault(subject, group) != group:
+        raise FiberParseError(f"subject {subject!r} changes group")
+    if (subject, site) in rows:
+        raise FiberParseError("duplicate (subject, site) pair")
+    return (subject, site), values
 
 
 def parse_fiber_csv(lines):
     """Parse the dataset format (header + one row per subject/site pair).
 
-    Raises FiberParseError naming the 1-based line of the first problem.
+    Each line is checked as it is read and the tensors are validated
+    together at the end.  Raises FiberParseError naming the 1-based line of
+    the first problem.
     """
-    rows = {}
+    rows = {}  # (subject, site) -> (lineno, values), in file order
     groups = {}
     header_seen = False
     for lineno, raw in enumerate(lines, start=1):
@@ -69,45 +113,33 @@ def parse_fiber_csv(lines):
                 )
             header_seen = True
             continue
-        parts = [c.strip() for c in line.split(",")]
-        if len(parts) != len(FIBER_COLUMNS):
-            raise FiberParseError(f"line {lineno}: expected {len(FIBER_COLUMNS)} columns")
-        subject = parts[0]
         try:
-            group = int(parts[1])
-            site = int(parts[2])
-            values = [float(v) for v in parts[3:]]
-        except ValueError as exc:
-            raise FiberParseError(f"line {lineno}: {exc}") from exc
-        if group not in (0, 1):
-            raise FiberParseError(f"line {lineno}: group must be 0 or 1")
-        if site < 0:
-            raise FiberParseError(f"line {lineno}: site must be nonnegative")
-        if subject in groups and groups[subject] != group:
-            raise FiberParseError(f"line {lineno}: subject {subject!r} changes group")
-        groups[subject] = group
-        if (subject, site) in rows:
-            raise FiberParseError(f"line {lineno}: duplicate (subject, site) pair")
-        try:
-            spd_point(upper_to_matrix(values))
-        except InvalidPoint as exc:
-            raise FiberParseError(f"line {lineno}: matrix is not SPD ({exc})") from exc
-        rows[(subject, site)] = values
+            pair, values = _read_line(line, groups, rows)
+        except FiberParseError as exc:
+            # a non-SPD matrix on an earlier line is the first problem of the file
+            raise _spd_error(rows) or FiberParseError(f"line {lineno}: {exc}") from None
+        rows[pair] = (lineno, values)
     if not header_seen:
         raise FiberParseError("line 1: empty file, header expected")
     if not rows:
         raise FiberParseError("line 2: no data rows")
+    error = _spd_error(rows)
+    if error is not None:
+        raise error
 
     subjects = tuple(sorted(groups))
     n_sites = max(site for _, site in rows) + 1
+    if len(rows) < len(subjects) * n_sites:
+        subject, site = next(
+            (subject, site) for subject in subjects for site in range(n_sites)
+            if (subject, site) not in rows
+        )
+        raise FiberParseError(f"subject {subject!r} is missing site {site} (every pair required)")
+    index = {subject: i for i, subject in enumerate(subjects)}
     uppers = np.empty((len(subjects), n_sites, len(UPPER_COLUMNS)))
-    for i, subject in enumerate(subjects):
-        for site in range(n_sites):
-            if (subject, site) not in rows:
-                raise FiberParseError(
-                    f"subject {subject!r} is missing site {site} (every pair required)"
-                )
-            uppers[i, site] = rows[(subject, site)]
+    uppers[[index[subject] for subject, _ in rows], [site for _, site in rows]] = [
+        values for _, values in rows.values()
+    ]
     return FiberDataset(
         subjects=subjects,
         groups=np.array([groups[s] for s in subjects], dtype=int),
@@ -148,20 +180,16 @@ def generate_fiber_dataset(
     n = n_group1 + n_group0
     subjects = tuple(f"subj{i:03d}" for i in range(n))
     groups = np.array([1] * n_group1 + [0] * n_group0)
-    base = spd_logm(np.diag([1.5, 1.0, 0.7]))
-    shift = effect_size * np.eye(3) / np.sqrt(3.0)
-    tensors = np.empty((n, n_sites, 3, 3))
-    for i in range(n):
-        for site in range(n_sites):
-            # gentle anisotropy trend along the tract
-            m = base.copy()
-            m[0, 0] += 0.1 * np.sin(2.0 * np.pi * site / n_sites)
-            if groups[i] == 1 and site in effect:
-                m = m + shift
-            rng = _stream(seed, (i, site))
-            noise = spd_vech_inv(noise_scale * rng.standard_normal(6), 3)
-            tensors[i, site] = spd_expm(m + noise)
-    return FiberDataset(subjects=subjects, groups=groups, tensors=tensors)
+    logs = np.broadcast_to(spd_logm(np.diag([1.5, 1.0, 0.7])), (n, n_sites, 3, 3)).copy()
+    # gentle anisotropy trend along the tract
+    logs[:, :, 0, 0] += 0.1 * np.sin(2.0 * np.pi * np.arange(n_sites) / n_sites)
+    if effect:
+        logs[np.ix_(groups == 1, sorted(effect))] += effect_size * np.eye(3) / np.sqrt(3.0)
+    z = np.array(
+        [_stream(seed, (i, site)).standard_normal(6) for i in range(n) for site in range(n_sites)]
+    )
+    noise = _vech_inv_rows(noise_scale * z, 3).reshape(logs.shape)
+    return FiberDataset(subjects=subjects, groups=groups, tensors=spd_expm(logs + noise))
 
 
 @dataclass(frozen=True)
@@ -181,50 +209,52 @@ class SiteTestResult:
 def fiber_site_tests(dataset, metric="log_euclidean", alpha=0.05):
     """Two-sample test at every site plus Bonferroni/BH over the tract.
 
-    Returns (results ordered by site, summary dict).  Sites whose pooled
-    covariance is near-singular are reported with NaN statistics, excluded
-    from the corrections, and listed in the summary.
+    The tensors are validated once, mapped to the chart together, and all
+    sites are tested in one batch by ``chi2_two_sample``.  Returns (results
+    ordered by site, summary dict).  Sites whose pooled covariance is
+    near-singular are reported with NaN statistics, excluded from the
+    corrections, and listed in the summary.
     """
     space = SPDSpace(3, metric)
-    stats, pvals, ok_sites, failed_sites = [], [], [], []
-    for site in range(dataset.n_sites):
-        g0, g1 = dataset.site_samples(site)
-        try:
-            res = two_sample_test(space, g1, g0)
-        except NearSingularCovariance:
-            failed_sites.append(site)
-            stats.append(float("nan"))
-            pvals.append(float("nan"))
-            continue
-        ok_sites.append(site)
-        stats.append(res.statistic)
-        pvals.append(res.p_value)
-    ok_pvals = [pvals[s] for s in ok_sites]
-    bh = bh_fdr(ok_pvals, alpha) if ok_sites else None
-    bonf = bonferroni(ok_pvals, alpha) if ok_sites else None
-    bh_flags = dict(zip(ok_sites, bh.rejected)) if bh else {}
-    bonf_flags = dict(zip(ok_sites, bonf.rejected)) if bonf else {}
+    n, n_sites = dataset.tensors.shape[:2]
+    sample = spd_sample(dataset.tensors.reshape(n * n_sites, 3, 3))
+    images = space.chart_at().forward_many(sample).reshape(n, n_sites, space.chart_dim)
+    images = np.swapaxes(images, 0, 1)  # (site, subject, coordinate)
+    stats, pvals, _, _, _, _ = chi2_two_sample(
+        images[:, dataset.groups == 1], images[:, dataset.groups == 0]
+    )
+    failed = np.isnan(stats)
+    ok = ~failed
+    bh = np.zeros(n_sites, dtype=bool)
+    bonf = np.zeros(n_sites, dtype=bool)
+    bh_result = bonf_result = None
+    if ok.any():
+        bh_result = bh_fdr(pvals[ok], alpha)
+        bonf_result = bonferroni(pvals[ok], alpha)
+        bh[ok] = bh_result.rejected
+        bonf[ok] = bonf_result.rejected
+    tiny = ok & (pvals < TINY_P)
     results = [
         SiteTestResult(
             site=site,
-            statistic=stats[site],
+            statistic=float(stats[site]),
             df=space.chart_dim,
-            p_value=pvals[site],
-            tiny_p=bool(pvals[site] < TINY_P) if site not in failed_sites else False,
-            bh_rejected=bool(bh_flags.get(site, False)),
-            bonferroni_rejected=bool(bonf_flags.get(site, False)),
-            failed=site in failed_sites,
+            p_value=float(pvals[site]),
+            tiny_p=bool(tiny[site]),
+            bh_rejected=bool(bh[site]),
+            bonferroni_rejected=bool(bonf[site]),
+            failed=bool(failed[site]),
         )
-        for site in range(dataset.n_sites)
+        for site in range(n_sites)
     ]
     summary = {
         "metric": metric,
         "alpha": alpha,
-        "n_sites": dataset.n_sites,
-        "n_tested": len(ok_sites),
-        "bonferroni_global_p": bonf.global_p if bonf else float("nan"),
-        "bh_rejections": bh.n_rejected if bh else 0,
-        "failed_sites": failed_sites,
+        "n_sites": n_sites,
+        "n_tested": int(ok.sum()),
+        "bonferroni_global_p": bonf_result.global_p if bonf_result else float("nan"),
+        "bh_rejections": bh_result.n_rejected if bh_result else 0,
+        "failed_sites": np.flatnonzero(failed).tolist(),
     }
     return results, summary
 

@@ -238,11 +238,9 @@ def _gradient_fixed_steps(f, x, steps):
     return np.stack(cols, axis=-1)
 
 
-def numeric_gradient(f, x, cfg=None):
-    """Central-difference gradient of a scalar function ``f: R^s -> R``.
-
-    Raises NonFiniteValue if any probe evaluation is NaN or infinite.
-    """
+def _central_gradient(f, x, cfg):
+    """Central differences of ``f`` at ``x`` with the steps of ``cfg``,
+    Richardson-extrapolated over one step halving when it asks for that."""
     cfg = cfg or DiffConfig()
     x = np.asarray(x, dtype=float)
     steps = cfg.gradient_steps(x)
@@ -251,6 +249,14 @@ def numeric_gradient(f, x, cfg=None):
         g_half = _gradient_fixed_steps(f, x, steps / 2.0)
         g = (4.0 * g_half - g) / 3.0
     return g
+
+
+def numeric_gradient(f, x, cfg=None):
+    """Central-difference gradient of a scalar function ``f: R^s -> R``.
+
+    Raises NonFiniteValue if any probe evaluation is NaN or infinite.
+    """
+    return _central_gradient(f, x, cfg)
 
 
 def _hessian_fixed_steps(f, x, steps):
@@ -294,9 +300,7 @@ def gradient_rows(fvec, x, cfg=None):
     component.  Used to differentiate ``h(.; Y_j)`` for all sample points at
     once when a chart has no analytic gradient.
     """
-    cfg = cfg or DiffConfig()
-    x = np.asarray(x, dtype=float)
-    return _gradient_fixed_steps(fvec, x, cfg.gradient_steps(x))
+    return _central_gradient(fvec, x, cfg)
 
 
 class Chart(ABC):

@@ -11,18 +11,21 @@ import numpy as np
 from scipy import special
 
 from .errors import NearSingularCovariance
-from .estimator import checked_eigh, estimate_mean
+from .estimator import estimate_mean, guarded_eigh
 from .geometry import Sample
 
 
 def chi2_sf(x, k):
     """Upper tail P(chi2_k > x) via the regularized upper incomplete gamma
-    function Q(k/2, x/2)."""
-    if x < 0.0:
+    function Q(k/2, x/2).  ``x`` may be an array (a NaN entry gives NaN);
+    a scalar ``x`` gives a float."""
+    x = np.asarray(x, dtype=float)
+    if np.any(x < 0.0):
         raise ValueError("x must be nonnegative")
     if k < 1:
         raise ValueError("degrees of freedom must be >= 1")
-    return float(special.gammaincc(0.5 * k, 0.5 * x))
+    p = special.gammaincc(0.5 * k, 0.5 * x)
+    return float(p) if p.ndim == 0 else p
 
 
 def chi2_cdf(x, k):
@@ -55,26 +58,51 @@ class TwoSampleResult:
     pooled_cov: np.ndarray
 
 
-def two_sample_test(space, sample_x, sample_y):
-    """Test equality of two distributions through their chart-mean difference.
+def chi2_two_sample(vx, vy):
+    """Chi-square two-sample comparisons of B pairs of chart-image samples.
 
-    Both samples are vectorized with the *same* chart (the space's global
-    chart when it has one, otherwise the chart at the pooled mean estimate).
-    The statistic is the Mahalanobis form
+    ``vx`` and ``vy`` are (B, n1, s) and (B, n2, s) stacks; comparison b
+    tests ``vx[b]`` against ``vy[b]`` with the Mahalanobis form
 
         T = (xbar - ybar)^T (S_x/n1 + S_y/n2)^-1 (xbar - ybar)
 
-    with unbiased (n-1) group covariances, compared against chi-square(s).
+    of unbiased (n-1) group covariances, against chi-square(s).  Returns
+    ``(statistic, p_value, cond, mean_x, mean_y, pooled)`` along the batch
+    axis; a comparison whose pooled covariance is numerically singular
+    (``guarded_eigh``) gets NaN statistic and p-value.
     """
-    sample_x = space.check_sample(sample_x)
-    sample_y = space.check_sample(sample_y)
-    n1, n2 = len(sample_x), len(sample_y)
-    s = space.chart_dim
+    n1, n2, s = vx.shape[1], vy.shape[1], vx.shape[2]
     if n1 < 2 or n2 < 2:
         raise ValueError("each group needs at least 2 observations")
     if n1 + n2 < s + 2:
         raise ValueError(f"need n1 + n2 >= {s + 2} for a rank-{s} covariance")
+    mean_x = vx.mean(axis=1)
+    mean_y = vy.mean(axis=1)
+    cx = vx - mean_x[:, None, :]
+    cy = vy - mean_y[:, None, :]
+    cov_x = np.swapaxes(cx, 1, 2) @ cx * (1.0 / (n1 - 1))
+    cov_y = np.swapaxes(cy, 1, 2) @ cy * (1.0 / (n2 - 1))
+    pooled = cov_x / n1 + cov_y / n2
 
+    w, v, cond, singular = guarded_eigh(pooled)
+    w = np.where(singular[:, None], 1.0, w)  # finite stand-in, the statistic becomes NaN
+    diff = (mean_x - mean_y)[:, None, :]
+    inv = (v / w[:, None, :]) @ np.swapaxes(v, 1, 2)
+    statistic = np.maximum((diff @ inv @ np.swapaxes(diff, 1, 2))[:, 0, 0], 0.0)
+    statistic[singular] = np.nan
+    return statistic, chi2_sf(statistic, s), cond, mean_x, mean_y, pooled
+
+
+def two_sample_test(space, sample_x, sample_y):
+    """Test equality of two distributions through their chart-mean difference.
+
+    Both samples are vectorized with the *same* chart (the space's global
+    chart when it has one, otherwise the chart at the pooled mean estimate)
+    and compared by ``chi2_two_sample``.  Raises NearSingularCovariance when
+    the pooled covariance is numerically singular.
+    """
+    sample_x = space.check_sample(sample_x)
+    sample_y = space.check_sample(sample_y)
     if getattr(space, "has_global_chart", False):
         chart = space.chart_at()
     else:
@@ -85,25 +113,21 @@ def two_sample_test(space, sample_x, sample_y):
         chart = space.chart_at(estimate_mean(space, both).mean)
     vx = chart.forward_many(sample_x)
     vy = chart.forward_many(sample_y)
-    mean_x = vx.mean(axis=0)
-    mean_y = vy.mean(axis=0)
-    cov_x = np.cov(vx, rowvar=False, ddof=1).reshape(s, s)
-    cov_y = np.cov(vy, rowvar=False, ddof=1).reshape(s, s)
-    pooled = cov_x / n1 + cov_y / n2
-
-    w, v, _ = checked_eigh(pooled, NearSingularCovariance, "pooled two-sample covariance")
-    diff = mean_x - mean_y
-    statistic = float(diff @ ((v / w) @ v.T) @ diff)
-    statistic = max(statistic, 0.0)
+    statistic, p_value, cond, mean_x, mean_y, pooled = chi2_two_sample(vx[None], vy[None])
+    if np.isnan(statistic[0]):
+        raise NearSingularCovariance(
+            f"pooled two-sample covariance is numerically singular "
+            f"(condition number {cond[0]:.3e})"
+        )
     return TwoSampleResult(
-        statistic=statistic,
-        df=s,
-        p_value=chi2_sf(statistic, s),
-        n1=n1,
-        n2=n2,
-        mean_x=mean_x,
-        mean_y=mean_y,
-        pooled_cov=pooled,
+        statistic=float(statistic[0]),
+        df=chart.s,
+        p_value=float(p_value[0]),
+        n1=len(sample_x),
+        n2=len(sample_y),
+        mean_x=mean_x[0],
+        mean_y=mean_y[0],
+        pooled_cov=pooled[0],
     )
 
 

@@ -39,11 +39,12 @@ def spd_logm(a):
 
 
 def spd_expm(b):
-    """Matrix exponential of a symmetric matrix (always SPD)."""
+    """Matrix exponential of a symmetric matrix, or of each matrix of a
+    (..., p, p) stack (always SPD)."""
     b = np.asarray(b, dtype=float)
-    w, v = np.linalg.eigh(0.5 * (b + b.T))
-    out = (v * np.exp(w)) @ v.T
-    return 0.5 * (out + out.T)
+    w, v = np.linalg.eigh(0.5 * (b + np.swapaxes(b, -1, -2)))
+    out = (v * np.exp(w)[..., None, :]) @ np.swapaxes(v, -1, -2)
+    return 0.5 * (out + np.swapaxes(out, -1, -2))
 
 
 def _logm_rows(mats):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from frechetstats.cli import main
+from frechetstats.errors import NearSingularCovariance
 from frechetstats.fiber import (
     FiberDataset,
     FiberParseError,
@@ -14,6 +15,9 @@ from frechetstats.fiber import (
     write_fiber_csv,
     write_site_csv,
 )
+from frechetstats.geometry import spd_sample
+from frechetstats.inference import two_sample_test
+from frechetstats.spaces import SPDSpace
 
 SITE_HEADER = "site,statistic,df,p_value,tiny_p,bh_rejected,bonferroni_rejected"
 
@@ -49,8 +53,13 @@ def test_parse_errors_name_the_line():
         parse_fiber_csv(io.StringIO(good + "s0,0,0,1,0,0,1,0\n"))  # short row
     with pytest.raises(FiberParseError, match="line 2"):
         parse_fiber_csv(io.StringIO(good + "s0,0,0,1,0,x,1,0,1\n"))  # bad float
-    with pytest.raises(FiberParseError, match="not SPD"):
+    with pytest.raises(FiberParseError, match="line 2: matrix is not SPD"):
         parse_fiber_csv(io.StringIO(good + "s0,0,0,-1,0,0,1,0,1\n"))
+    with pytest.raises(FiberParseError, match="line 2: matrix is not SPD"):
+        # the first problem is reported, even when a later line is malformed
+        parse_fiber_csv(io.StringIO(good + "s0,0,0,-1,0,0,1,0,1\n" + "s1,0,0,1,0,x,1,0,1\n"))
+    with pytest.raises(FiberParseError, match="line 3: matrix is not SPD"):
+        parse_fiber_csv(io.StringIO(good + "s0,0,0,1,0,0,1,0,1\n" + "s1,0,0,1,0,nan,1,0,1\n"))
     with pytest.raises(FiberParseError, match="duplicate"):
         parse_fiber_csv(
             io.StringIO(good + "s0,0,0,1,0,0,1,0,1\n" + "s0,0,0,1,0,0,1,0,1\n")
@@ -78,6 +87,31 @@ def test_identical_groups_give_unit_pvalues():
         assert r.p_value == 1.0
         assert r.df == 6
     assert summary["bh_rejections"] == 0
+
+
+@pytest.mark.parametrize("metric", ["log_euclidean", "euclidean"])
+def test_batched_sweep_matches_per_site_two_sample_test(metric):
+    ds = generate_fiber_dataset(
+        seed=8, n_sites=9, n_group1=7, n_group0=6, effect_sites=(2, 5), effect_size=0.5
+    )
+    tensors = ds.tensors.copy()
+    tensors[:, 4] = np.eye(3)  # identical tensors: singular pooled covariance at site 4
+    ds = FiberDataset(subjects=ds.subjects, groups=ds.groups, tensors=tensors)
+    results, summary = fiber_site_tests(ds, metric)
+    space = SPDSpace(3, metric)
+    for r in results:
+        mats = ds.tensors[:, r.site]
+        try:
+            ref = two_sample_test(space, spd_sample(mats[ds.groups == 1]),
+                                  spd_sample(mats[ds.groups == 0]))
+        except NearSingularCovariance:
+            assert r.failed and np.isnan(r.statistic) and np.isnan(r.p_value)
+            continue
+        assert not r.failed
+        assert r.statistic == pytest.approx(ref.statistic, rel=1e-12, abs=0.0)
+        assert r.p_value == pytest.approx(ref.p_value, rel=1e-12, abs=0.0)
+    assert summary["failed_sites"] == [4]
+    assert summary["n_tested"] == 8
 
 
 def test_df_is_six_everywhere():
@@ -231,6 +265,24 @@ def test_cli_fiber_partial_failure_exit_code(tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert len(lines) == 4  # header + all three sites still emitted
     assert lines[1].startswith("0,nan")
+
+
+@pytest.mark.parametrize("sizes", [(5, 1), (1, 5), (3, 4)])
+def test_cli_fiber_too_few_subjects_exits_2(tmp_path, capsys, sizes):
+    # one subject in a group, or n1 + n0 < 8 for the 6-d chart covariance
+    ds = generate_fiber_dataset(seed=2, n_sites=2, n_group1=5, n_group0=5)
+    n1, n0 = sizes
+    keep = np.concatenate([np.arange(n1), 5 + np.arange(n0)])
+    small = FiberDataset(
+        subjects=tuple(ds.subjects[i] for i in keep),
+        groups=ds.groups[keep],
+        tensors=ds.tensors[keep],
+    )
+    data = tmp_path / "small.csv"
+    with open(data, "w") as fh:
+        write_fiber_csv(small, fh)
+    assert main(["fiber", str(data), "--output", str(tmp_path / "sites.csv")]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_cli_fiber_parse_error_exit_code(tmp_path, capsys):

@@ -6,6 +6,7 @@ from frechetstats.geometry import (
     DiffConfig,
     euclidean_point,
     frechet_value,
+    gradient_rows,
     numeric_gradient,
     numeric_hessian,
     openbook_point,
@@ -153,10 +154,23 @@ def test_diffconfig_validation():
 
 
 def test_richardson_gradient_refines():
-    g = numeric_gradient(
-        lambda x: float(np.sin(x[0])), np.array([0.7]), DiffConfig(richardson=True)
-    )
+    cfg = DiffConfig(richardson=True)
+    g = numeric_gradient(lambda x: float(np.sin(x[0])), np.array([0.7]), cfg)
     assert abs(g[0] - np.cos(0.7)) < 1e-11
+
+    # per-row gradients of (sin(3x) e^y, cos(xy)) get the same extrapolation
+    def fvec(v):
+        return np.array([np.sin(3.0 * v[0]) * np.exp(v[1]), np.cos(v[0] * v[1])])
+
+    x, y = 0.7, -0.3
+    exact = np.array(
+        [
+            [3.0 * np.cos(3.0 * x) * np.exp(y), np.sin(3.0 * x) * np.exp(y)],
+            [-y * np.sin(x * y), -x * np.sin(x * y)],
+        ]
+    )
+    rows = gradient_rows(fvec, np.array([x, y]), cfg)
+    assert np.max(np.abs(rows - exact)) < 1e-11
 
 
 # ---------------------------------------------------------------------------
