@@ -24,6 +24,7 @@ from .errors import (
     NearSingularCovariance,
     NearSingularHessian,
     NoConvergence,
+    NotPositiveDefinite,
 )
 from .estimator import estimate_mean, sandwich_covariance
 from .fiber import (
@@ -245,7 +246,7 @@ def cmd_fiber(args):
     metric = _normalize_metric(args.metric) or "log_euclidean"
     try:
         results, summary = fiber_site_tests(dataset, metric=metric, alpha=args.alpha)
-    except ValueError as exc:  # e.g. a group with fewer than 2 subjects
+    except (ValueError, NotPositiveDefinite) as exc:  # too few subjects, a near-singular tensor
         return _fail(str(exc), EXIT_INPUT)
     with open(args.output, "w") as fh:
         write_site_csv(results, fh)

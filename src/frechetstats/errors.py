@@ -22,7 +22,15 @@ class CutLocus(FrechetStatsError):
 
 
 class NotPositiveDefinite(FrechetStatsError):
-    """A matrix required to be SPD has a non-positive eigenvalue."""
+    """A matrix required to be SPD has a non-positive eigenvalue.
+
+    ``index`` is the position of the first offending matrix in a batch
+    (None for a single matrix).
+    """
+
+    def __init__(self, message, index=None):
+        super().__init__(message)
+        self.index = index
 
 
 class NonUniqueProjection(FrechetStatsError):

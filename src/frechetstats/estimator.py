@@ -151,7 +151,6 @@ def sandwich_covariance(space, sample, fit, *, derivatives="auto", diff=None):
     chart = fit.chart
     x = np.asarray(fit.chart_coords, dtype=float)
     packed = chart.pack(sample)
-    n = len(sample)
 
     if chart.s == 0:
         # fully degenerate stratum: the mean is pinned, covariance is exact
@@ -168,21 +167,43 @@ def sandwich_covariance(space, sample, fit, *, derivatives="auto", diff=None):
     if lam is None:
         lam = numeric_hessian(lambda xx: float(np.mean(chart.h_many(xx, packed))), x, diff)
     lam = 0.5 * (lam + lam.T)
-    # raw (uncentered) second moments: the gradients average to ~0 at a
-    # stationary point, and the raw form stays valid when the residual is not
-    # exactly zero
-    c = rows.T @ rows / n
-    c = 0.5 * (c + c.T)
+    c = _second_moments(rows)
     lam_inv, w, cond = _guarded_inverse(lam, NearSingularHessian, "Lambda_n")
-    asym = lam_inv @ c @ lam_inv
     return dataclasses.replace(
         fit,
         lambda_n=lam,
         c_n=c,
-        asym_cov=0.5 * (asym + asym.T),
+        asym_cov=_sandwich_product(lam_inv, c),
         lambda_cond=cond,
         lambda_pd=bool(np.min(w) > 0.0),
     )
+
+
+def _second_moments(rows):
+    """C_n of (..., n, s) gradient rows: their raw (uncentered) second
+    moments, symmetrized.  The gradients average to ~0 at a stationary
+    point, and the raw form stays valid when the residual is not exactly
+    zero."""
+    c = np.swapaxes(rows, -1, -2) @ rows / rows.shape[-2]
+    return 0.5 * (c + np.swapaxes(c, -1, -2))
+
+
+def _sandwich_product(lam_inv, c):
+    asym = lam_inv @ c @ lam_inv
+    return 0.5 * (asym + np.swapaxes(asym, -1, -2))
+
+
+def flat_sandwich(chart, coords, images):
+    """Asymptotic covariances Lambda_n^-1 C_n Lambda_n^-1, as an (R, s, s)
+    stack, of R fits in one flat chart (a ``FlatChart``, whose closed-form
+    derivatives broadcast over replications): ``coords`` (R, s) are the
+    fitted means' chart coordinates and ``images`` (R, n, s) the samples'
+    chart images.  Each fit gets the arithmetic of ``sandwich_covariance``.
+    """
+    lam = chart.hess_h_mean(coords[0], images[0])
+    lam_inv, _, _ = _guarded_inverse(0.5 * (lam + lam.T), NearSingularHessian, "Lambda_n")
+    rows = chart.grad_h_many(coords[:, None, :], images)
+    return _sandwich_product(lam_inv, _second_moments(rows))
 
 
 def confidence_region_contains(fit, candidate_chart_coords, alpha):
@@ -191,19 +212,39 @@ def confidence_region_contains(fit, candidate_chart_coords, alpha):
     Returns whether ``n (nu_n - x)^T asym_cov^-1 (nu_n - x)`` is at most the
     chi-square(s) quantile at level 1 - alpha (boundary inclusive).
     """
-    from .inference import chi2_quantile
-
     if fit.asym_cov is None:
         raise ValueError("fit has no covariance; run sandwich_covariance first")
+    contains = confidence_regions_contain(
+        fit.n, fit.chart_coords[None], fit.asym_cov[None], candidate_chart_coords, alpha
+    )
+    return bool(contains[0])
+
+
+def confidence_regions_contain(n, coords, asym_covs, candidate_chart_coords, alpha):
+    """``confidence_region_contains`` for R fits on samples of size n at
+    once: ``coords`` (R, s) are the fitted means' chart coordinates and
+    ``asym_covs`` (R, s, s) their sandwich covariances, all in the chart of
+    the candidate.  Returns the (R,) membership mask.  Raises
+    NearSingularCovariance for the first fit whose covariance is
+    numerically singular while the candidate differs from its mean.
+    """
+    from .inference import chi2_quantile
+
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
-    s = fit.chart.s
-    if s == 0:
-        return True
-    x = np.asarray(candidate_chart_coords, dtype=float)
-    d = fit.chart_coords - x
-    if not np.any(d):
-        return True  # statistic is identically 0, even for degenerate fits
-    inv, _, _ = _guarded_inverse(fit.asym_cov, NearSingularCovariance, "asym_cov")
-    statistic = float(fit.n * d @ inv @ d)
-    return statistic <= chi2_quantile(s, 1.0 - alpha)
+    if coords.shape[-1] == 0:
+        return np.ones(len(coords), dtype=bool)  # a pinned mean: the region is the whole chart
+    d = coords - np.asarray(candidate_chart_coords, dtype=float)
+    # the statistic is identically 0 at the mean, even for degenerate fits
+    at_mean = ~np.any(d, axis=-1)
+    w, v, cond, singular = guarded_eigh(asym_covs)
+    bad = np.flatnonzero(singular & ~at_mean)
+    if bad.size:
+        raise NearSingularCovariance(
+            f"asym_cov is numerically singular (condition number {float(cond[bad[0]]):.3e})"
+        )
+    w = np.where(singular[:, None], 1.0, w)  # finite stand-in where d is 0
+    inv = (v / w[:, None, :]) @ np.swapaxes(v, 1, 2)
+    inv = 0.5 * (inv + np.swapaxes(inv, 1, 2))
+    statistic = ((n * d)[:, None, :] @ inv @ d[:, :, None])[:, 0, 0]
+    return at_mean | (statistic <= chi2_quantile(coords.shape[-1], 1.0 - alpha))

@@ -3,9 +3,9 @@ a synthetic generator with a controllable group effect, and the per-site
 two-sample sweep with Bonferroni and BH correction.
 
 The pipeline works on whole arrays: the parser checks each line as it reads
-it and validates all tensors in one batch at the end, and the sweep maps
-every tensor to the chart at once and tests all sites in one batched
-chi-square computation (``inference.chi2_two_sample``).
+it, a dataset validates all its tensors in one batch when it is built, and
+the sweep maps every tensor to the chart at once and tests all sites in one
+batched chi-square computation (``inference.chi2_two_sample``).
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidPoint
-from .geometry import spd_point, spd_sample
+from .errors import InvalidPoint, NotPositiveDefinite
+from .geometry import Sample, spd_point, spd_sample
 from .inference import bh_fdr, bonferroni, chi2_two_sample
 from .simulate import _stream
 from .spaces.spd import UPPER_COLUMNS, SPDSpace, matrix_to_upper, spd_expm, spd_logm
@@ -38,12 +38,21 @@ class FiberDataset:
     """Per-(subject, site) SPD(3) tensors for a two-group study.
 
     ``tensors[i, s]`` is the 3x3 matrix of subject i at site s; ``groups``
-    holds each subject's group label (0 or 1).
+    holds each subject's group label (0 or 1).  The tensors are validated
+    as SPD once, when the dataset is built, and kept read-only, so the sweep
+    maps them without checking them again.
     """
 
     subjects: tuple
     groups: np.ndarray
     tensors: np.ndarray
+
+    def __post_init__(self):
+        tensors = np.asarray(self.tensors, dtype=float)
+        if tensors.ndim != 4 or tensors.shape[2:] != (3, 3):
+            raise InvalidPoint(f"tensors must be (subjects, sites, 3, 3), got {tensors.shape}")
+        valid = spd_sample(tensors.reshape(-1, 3, 3)).data
+        object.__setattr__(self, "tensors", valid.reshape(tensors.shape))
 
     @property
     def n_sites(self):
@@ -123,9 +132,6 @@ def parse_fiber_csv(lines):
         raise FiberParseError("line 1: empty file, header expected")
     if not rows:
         raise FiberParseError("line 2: no data rows")
-    error = _spd_error(rows)
-    if error is not None:
-        raise error
 
     subjects = tuple(sorted(groups))
     n_sites = max(site for _, site in rows) + 1
@@ -134,17 +140,22 @@ def parse_fiber_csv(lines):
             (subject, site) for subject in subjects for site in range(n_sites)
             if (subject, site) not in rows
         )
-        raise FiberParseError(f"subject {subject!r} is missing site {site} (every pair required)")
+        raise _spd_error(rows) or FiberParseError(
+            f"subject {subject!r} is missing site {site} (every pair required)"
+        )
     index = {subject: i for i, subject in enumerate(subjects)}
     uppers = np.empty((len(subjects), n_sites, len(UPPER_COLUMNS)))
     uppers[[index[subject] for subject, _ in rows], [site for _, site in rows]] = [
         values for _, values in rows.values()
     ]
-    return FiberDataset(
-        subjects=subjects,
-        groups=np.array([groups[s] for s in subjects], dtype=int),
-        tensors=upper_to_matrix(uppers),
-    )
+    try:
+        return FiberDataset(
+            subjects=subjects,
+            groups=np.array([groups[s] for s in subjects], dtype=int),
+            tensors=upper_to_matrix(uppers),
+        )
+    except InvalidPoint:
+        raise _spd_error(rows) from None
 
 
 def write_fiber_csv(dataset, stream):
@@ -209,16 +220,27 @@ class SiteTestResult:
 def fiber_site_tests(dataset, metric="log_euclidean", alpha=0.05):
     """Two-sample test at every site plus Bonferroni/BH over the tract.
 
-    The tensors are validated once, mapped to the chart together, and all
-    sites are tested in one batch by ``chi2_two_sample``.  Returns (results
+    The dataset's tensors are mapped to the chart together, and all sites
+    are tested in one batch by ``chi2_two_sample``.  Returns (results
     ordered by site, summary dict).  Sites whose pooled covariance is
     near-singular are reported with NaN statistics, excluded from the
-    corrections, and listed in the summary.
+    corrections, and listed in the summary.  Raises NotPositiveDefinite,
+    naming the subject and site, for a tensor too close to singular for the
+    log-Euclidean chart.
     """
     space = SPDSpace(3, metric)
     n, n_sites = dataset.tensors.shape[:2]
-    sample = spd_sample(dataset.tensors.reshape(n * n_sites, 3, 3))
-    images = space.chart_at().forward_many(sample).reshape(n, n_sites, space.chart_dim)
+    sample = Sample("spd", dataset.tensors.reshape(n * n_sites, 3, 3))  # validated by the dataset
+    try:
+        images = space.chart_at().forward_many(sample)
+    except NotPositiveDefinite as exc:
+        subject, site = divmod(exc.index, n_sites)
+        raise NotPositiveDefinite(
+            f"subject {dataset.subjects[subject]!r} site {site}: tensor has eigenvalue ratio "
+            f"at most 1e-14, too close to singular for the {metric} metric",
+            index=exc.index,
+        ) from None
+    images = images.reshape(n, n_sites, space.chart_dim)
     images = np.swapaxes(images, 0, 1)  # (site, subject, coordinate)
     stats, pvals, _, _, _, _ = chi2_two_sample(
         images[:, dataset.groups == 1], images[:, dataset.groups == 0]

@@ -93,6 +93,12 @@ def _finite_rows(values, ndim):
     return a
 
 
+def row_norms(rows):
+    """Euclidean norm of each row of an (R, k) array, computed row by row
+    exactly as np.linalg.norm computes the norm of one vector."""
+    return np.sqrt((rows[:, None, :] @ rows[:, :, None])[:, 0, 0])
+
+
 def euclidean_sample(rows):
     """Sample of R^s from an (n, s) array."""
     return Sample("euclidean", _finite_rows(rows, 2))
@@ -102,9 +108,7 @@ def sphere_sample(rows, atol=1e-12):
     """Sample of S^d from an (n, d+1) array of unit vectors; each row's norm
     must be 1 within ``atol``, and the row is divided by it."""
     a = _finite_rows(rows, 2)
-    # row-by-row dot products, so each row is normalised exactly as
-    # np.linalg.norm normalises a single vector
-    nrm = np.sqrt((a[:, None, :] @ a[:, :, None])[:, 0, 0])
+    nrm = row_norms(a)
     bad = np.flatnonzero(np.abs(nrm - 1.0) > atol)
     if bad.size:
         raise InvalidPoint(f"sphere point has norm {float(nrm[bad[0]])!r}, not 1 within {atol}")
@@ -386,6 +390,15 @@ class Space(ABC):
     has_global_chart = False
     #: how ``mean`` finds the sample Frechet mean (``FrechetFit.strategy``)
     mean_strategy = "newton"
+
+    @property
+    def batches_fits(self):
+        """True when the mean is closed form and the chart global and flat
+        (h is the squared chart distance).  Such a space also provides
+        ``mean_many(sample, reps)`` and ``distance_many(payloads, q)``, the
+        batched forms of its ``mean`` and ``distance``, so that R fits run
+        as array operations."""
+        return self.has_global_chart and self.mean_strategy == "closed_form"
 
     @abstractmethod
     def distance(self, p, q):

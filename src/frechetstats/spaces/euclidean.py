@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..geometry import FlatChart, Space, euclidean_point
+from ..geometry import FlatChart, Space, euclidean_point, euclidean_sample, row_norms
 
 
 class EuclideanChart(FlatChart):
@@ -47,8 +47,7 @@ class EuclideanSpace(Space):
 
     def distance(self, p, q):
         self.check_point(p)
-        self.check_point(q)
-        return float(np.linalg.norm(p.data - q.data))
+        return float(self.distance_many(p.data[None], q)[0])
 
     def chart_at(self, base=None):
         if base is not None:
@@ -56,9 +55,21 @@ class EuclideanSpace(Space):
         return EuclideanChart(self, base)
 
     def initial_guess(self, sample):
-        return euclidean_point(self.check_sample(sample).data.mean(axis=0))
+        return self.mean(sample)[0]
 
     def mean(self, sample, **_):
         """Arithmetic mean (the exact Frechet mean of R^s), after 0
-        iterations."""
-        return self.initial_guess(sample), 0
+        iterations; the batch of one of ``mean_many``."""
+        return euclidean_point(self.mean_many(self.check_sample(sample), 1)[0][0]), 0
+
+    def mean_many(self, sample, reps):
+        """Arithmetic means of ``reps`` equal-size samples stacked row-wise
+        in one Sample, as ``(payloads, coords)``: both are the (R, s) stack
+        of means, the chart being the identity."""
+        means = euclidean_sample(sample.data.reshape(reps, -1, self.dim).mean(axis=1)).data
+        return means, means
+
+    def distance_many(self, payloads, q):
+        """Distance from each row of an (R, s) stack to the point ``q``."""
+        self.check_point(q)
+        return row_norms(payloads - q.data)

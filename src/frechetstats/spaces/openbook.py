@@ -70,6 +70,14 @@ class Classification:
     leaf: int | None = None
 
 
+def _winner(folded):
+    """Leaf label (1..K) of the largest folded mean along the last axis, and
+    that mean: the Frechet mean lies on this leaf when it is positive, at
+    the boundary when it is 0, and on the spine otherwise."""
+    k = np.argmax(folded, axis=-1)
+    return k + 1, np.take_along_axis(folded, k[..., None], axis=-1)[..., 0]
+
+
 def openbook_moments(sample, n_leaves=None):
     """Per-leaf occupation weights, folded means and the spine-block mean.
 
@@ -111,12 +119,11 @@ def openbook_classify(moments):
     m = moments.folded_means
     if m.size == 0:
         return Classification("spine")
-    k = int(np.argmax(m)) + 1
-    top = float(m[k - 1])
+    leaf, top = _winner(m)
     if top > 0.0:
-        return Classification("leaf", k)
+        return Classification("leaf", int(leaf))
     if top == 0.0:
-        return Classification("boundary", k)
+        return Classification("boundary", int(leaf))
     return Classification("spine")
 
 
@@ -133,6 +140,26 @@ def openbook_frechet_mean(sample, n_leaves=None):
         coords = np.concatenate([[mom.folded_means[tag.leaf - 1]], mom.spine_mean])
         return openbook_point(tag.leaf, coords)
     return openbook_point(0, np.concatenate([[0.0], mom.spine_mean]))
+
+
+def openbook_mean_strata(sample, reps, n_leaves):
+    """Leaf (0 for the spine) and height x0 of the exact Frechet mean of
+    each of ``reps`` equal-size samples stacked row-wise in ``sample``, as
+    two (R,) arrays, from all R samples' folded means at once.
+
+    The stratum rule is ``openbook_classify``'s (``_winner``) and the
+    height is the winning folded mean; the per-leaf sums run over the whole
+    row with other leaves' heights zeroed, so they can differ from
+    ``openbook_moments`` in the last bit.
+    """
+    leaves = sample.leaves.reshape(reps, 1, -1)
+    x0 = sample.data[:, 0].reshape(reps, 1, -1)
+    n = x0.shape[-1]
+    on_leaf = leaves == np.arange(1, n_leaves + 1)[:, None]  # (R, K, n)
+    totals = x0[:, 0].sum(axis=-1)
+    folded = (2.0 * np.where(on_leaf, x0, 0.0).sum(axis=-1) - totals[:, None]) / n
+    leaf, top = _winner(folded)
+    return np.where(top > 0.0, leaf, 0), np.where(top > 0.0, top, 0.0)
 
 
 class OpenBookLeafChart(FlatChart):

@@ -10,10 +10,13 @@ derivatives, sandwich covariance equal to the chart-vector covariance).
 
 from __future__ import annotations
 
+import functools
+import weakref
+
 import numpy as np
 
 from ..errors import NotPositiveDefinite
-from ..geometry import FlatChart, Space, as_sample, spd_point
+from ..geometry import FlatChart, Space, as_sample, row_norms, spd_point, spd_sample
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -23,19 +26,21 @@ _UPPER = np.triu_indices(3)
 
 
 def _eigh_checked(a):
-    w, v = np.linalg.eigh(0.5 * (a + a.T))
-    if w[0] <= 1e-14 * max(w[-1], 0.0):
+    w, v = np.linalg.eigh(0.5 * (a + np.swapaxes(a, -1, -2)))
+    bad = w[..., 0] <= 1e-14 * np.maximum(w[..., -1], 0.0)
+    if np.any(bad):
         raise NotPositiveDefinite(
-            f"matrix has near-zero or negative eigenvalue {w[0]:.3e}"
+            f"matrix has near-zero or negative eigenvalue {w[..., 0][bad].flat[0]:.3e}"
         )
     return w, v
 
 
 def spd_logm(a):
-    """Matrix logarithm of an SPD matrix via symmetric eigendecomposition."""
+    """Matrix logarithm of an SPD matrix, or of each matrix of a (..., p, p)
+    stack, via symmetric eigendecomposition."""
     w, v = _eigh_checked(np.asarray(a, dtype=float))
-    out = (v * np.log(w)) @ v.T
-    return 0.5 * (out + out.T)
+    out = (v * np.log(w)[..., None, :]) @ np.swapaxes(v, -1, -2)
+    return 0.5 * (out + np.swapaxes(out, -1, -2))
 
 
 def spd_expm(b):
@@ -48,10 +53,12 @@ def spd_expm(b):
 
 
 def _logm_rows(mats):
-    """Batched spd_logm over an (n, p, p) stack."""
+    """Batched spd_logm over an (n, p, p) stack; NotPositiveDefinite
+    carries the index of the first matrix it rejects."""
     w, v = np.linalg.eigh(mats)
-    if np.any(w[:, 0] <= 1e-14 * np.maximum(w[:, -1], 0.0)):
-        raise NotPositiveDefinite("a sample matrix is not positive definite")
+    bad = np.flatnonzero(w[:, 0] <= 1e-14 * np.maximum(w[:, -1], 0.0))
+    if bad.size:
+        raise NotPositiveDefinite("a sample matrix is not positive definite", index=int(bad[0]))
     out = np.einsum("nij,nj,nkj->nik", v, np.log(w), v)
     return 0.5 * (out + np.swapaxes(out, 1, 2))
 
@@ -77,11 +84,20 @@ def spd_vech_inv(x, p):
     return _vech_inv_rows(x[None], p)[0]
 
 
+@functools.cache
+def _indices(p):
+    """Read-only (diagonal, strict upper row, strict upper column) index
+    arrays of a p x p matrix, built once per p."""
+    out = (np.arange(p),) + np.triu_indices(p, k=1)
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
 def _vech_rows(mats):
     """Batched spd_vech over an (n, p, p) stack."""
-    p = mats.shape[-1]
-    iu = np.triu_indices(p, k=1)
-    diag = mats[:, np.arange(p), np.arange(p)]
+    idx, *iu = _indices(mats.shape[-1])
+    diag = mats[:, idx, idx]
     return np.concatenate([diag, _SQRT2 * mats[:, iu[0], iu[1]]], axis=1)
 
 
@@ -89,9 +105,8 @@ def _vech_inv_rows(x, p):
     """Batched spd_vech_inv over (n, p(p+1)/2) rows."""
     x = np.asarray(x, dtype=float)
     b = np.zeros((x.shape[0], p, p))
-    idx = np.arange(p)
+    idx, *iu = _indices(p)
     b[:, idx, idx] = x[:, :p]
-    iu = np.triu_indices(p, k=1)
     off = x[:, p:] / _SQRT2
     b[:, iu[0], iu[1]] = off
     b[:, iu[1], iu[0]] = off
@@ -114,18 +129,40 @@ def matrix_to_upper(m):
     return np.asarray(m)[..., _UPPER[0], _UPPER[1]]
 
 
+#: read-only matrix logs of SPD samples, kept while their sample lives
+_LOGS = weakref.WeakKeyDictionary()
+
+
+def _sample_logs(sample):
+    """Matrix logs of an SPD sample's matrices as a read-only (n, p, p)
+    array, taken on the first request and kept with the sample, so that
+    the mean and the chart image of one fit share them."""
+    logs = _LOGS.get(sample)
+    if logs is None:
+        logs = _logm_rows(sample.data)
+        logs.setflags(write=False)
+        _LOGS[sample] = logs
+    return logs
+
+
+def _means(sample, reps, metric):
+    """(R, p, p) closed-form means of ``reps`` equal-size samples stacked
+    row-wise in ``sample``."""
+    p = sample.data.shape[-1]
+    if metric == "euclidean":
+        return sample.data.reshape(reps, -1, p, p).mean(axis=1)
+    if metric == "log_euclidean":
+        return spd_expm(_sample_logs(sample).reshape(reps, -1, p, p).mean(axis=1))
+    raise ValueError(f"unknown spd metric {metric!r}")
+
+
 def spd_mean(sample, metric="log_euclidean"):
     """Closed-form Frechet mean of SPD matrices under either metric.
 
     Euclidean: entrywise mean (SPD by convexity of the cone).
     Log-Euclidean: expm of the mean of matrix logs.
     """
-    mats = as_sample(sample).data
-    if metric == "euclidean":
-        return spd_point(mats.mean(axis=0))
-    if metric == "log_euclidean":
-        return spd_point(spd_expm(_logm_rows(mats).mean(axis=0)))
-    raise ValueError(f"unknown spd metric {metric!r}")
+    return spd_point(_means(as_sample(sample), 1, metric)[0])
 
 
 class SPDChart(FlatChart):
@@ -148,10 +185,7 @@ class SPDChart(FlatChart):
         return spd_point(spd_expm(b) if self._log else b)
 
     def pack(self, sample):
-        mats = sample.data
-        if self._log:
-            mats = _logm_rows(mats)
-        return _vech_rows(mats)
+        return _vech_rows(_sample_logs(sample) if self._log else sample.data)
 
 
 class SPDSpace(Space):
@@ -176,10 +210,7 @@ class SPDSpace(Space):
 
     def distance(self, p, q):
         self.check_point(p)
-        self.check_point(q)
-        if self.metric == "euclidean":
-            return float(np.linalg.norm(p.data - q.data))
-        return float(np.linalg.norm(spd_logm(p.data) - spd_logm(q.data)))
+        return float(self.distance_many(p.data[None], q)[0])
 
     def chart_at(self, base=None):
         if base is not None:
@@ -192,3 +223,20 @@ class SPDSpace(Space):
     def mean(self, sample, **_):
         """Closed-form Frechet mean (``spd_mean``), after 0 iterations."""
         return spd_mean(self.check_sample(sample), self.metric), 0
+
+    def mean_many(self, sample, reps):
+        """Closed-form means of ``reps`` equal-size samples stacked row-wise
+        in one Sample, as ``(payloads, coords)``: the (R, p, p) means and
+        their (R, s) vech-chart coordinates."""
+        means = spd_sample(_means(sample, reps, self.metric)).data
+        return means, _vech_rows(spd_logm(means) if self.metric == "log_euclidean" else means)
+
+    def distance_many(self, payloads, q):
+        """Distance from each matrix of an (R, p, p) stack to the point
+        ``q``."""
+        self.check_point(q)
+        if self.metric == "euclidean":
+            diff = payloads - q.data
+        else:
+            diff = spd_logm(payloads) - spd_logm(q.data)
+        return row_norms(diff.reshape(len(diff), -1))

@@ -13,7 +13,7 @@ from frechetstats.estimator import (
     estimate_mean,
     sandwich_covariance,
 )
-from frechetstats.geometry import euclidean_point, openbook_point, sphere_point
+from frechetstats.geometry import euclidean_point, openbook_point, spd_sample, sphere_point
 from frechetstats.inference import chi2_quantile
 from frechetstats.spaces import EuclideanSpace, OpenBookSpace, SPDSpace, SphereSpace
 from frechetstats.spaces.sphere import sphere_exp
@@ -265,3 +265,23 @@ def test_confidence_decisions_affine_invariant(rng):
             fit_wrapped, fit_wrapped.chart.forward(target), 0.05
         )
         assert inside_inner == inside_wrapped
+
+
+def test_spd_fit_and_sandwich_take_the_matrix_log_once(rng, monkeypatch):
+    import frechetstats.spaces.spd as spd_module
+
+    calls = []
+    logm_rows = spd_module._logm_rows
+
+    def counted(mats):
+        calls.append(len(mats))
+        return logm_rows(mats)
+
+    monkeypatch.setattr(spd_module, "_logm_rows", counted)
+    sp = SPDSpace(3, "log_euclidean")
+    sample = spd_sample(np.stack([random_point(sp, rng).data for _ in range(40)]))
+    fit = sandwich_covariance(sp, sample, estimate_mean(sp, sample))
+    assert fit.asym_cov.shape == (6, 6)
+    assert calls == [40]
+    with pytest.raises(ValueError, match="read-only"):
+        spd_module._sample_logs(sample)[0, 0, 0] = 0.0

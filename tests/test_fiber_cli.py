@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from frechetstats.cli import main
-from frechetstats.errors import NearSingularCovariance
+from frechetstats.errors import InvalidPoint, NearSingularCovariance
 from frechetstats.fiber import (
     FiberDataset,
     FiberParseError,
@@ -340,3 +340,44 @@ def test_cli_simulate_consistency_table(tmp_path, capsys):
 def test_cli_simulate_bad_descriptor(tmp_path, capsys):
     bad = write(tmp_path / "bad.json", '{"space": {"kind": "nowhere"}}')
     assert main(["simulate", bad, "--experiment", "coverage"]) == 2
+
+
+def test_cli_fiber_near_singular_tensor_exits_2(tmp_path, capsys):
+    ds = generate_fiber_dataset(seed=3, n_sites=4, n_group1=5, n_group0=5)
+    tensors = ds.tensors.copy()
+    tensors[6, 2] = np.diag([1.0, 1.0, 1e-15])  # positive definite, eigenvalue ratio 1e-15
+    data = tmp_path / "near.csv"
+    with open(data, "w") as fh:
+        write_fiber_csv(FiberDataset(ds.subjects, ds.groups, tensors), fh)
+    out = tmp_path / "sites.csv"
+    assert main(["fiber", str(data), "--output", str(out)]) == 2
+    assert "subject 'subj006' site 2" in capsys.readouterr().err
+    assert main(["fiber", str(data), "--metric", "euclidean", "--output", str(out)]) == 0
+
+
+def test_fiber_command_validates_the_tensors_once(tmp_path, monkeypatch):
+    import frechetstats.fiber as fiber_module
+
+    data = tmp_path / "fiber.csv"
+    assert main(["gen-fiber", "--seed", "2", "--output", str(data)]) == 0
+    calls = []
+    validate = fiber_module.spd_sample
+
+    def counted(mats, *args):
+        calls.append(len(mats))
+        return validate(mats, *args)
+
+    monkeypatch.setattr(fiber_module, "spd_sample", counted)
+    assert main(["fiber", str(data), "--output", str(tmp_path / "sites.csv")]) == 0
+    assert calls == [46 * 75]
+
+
+def test_dataset_built_from_arrays_is_validated():
+    ds = generate_fiber_dataset(seed=6, n_sites=2, n_group1=3, n_group0=3)
+    assert not ds.tensors.flags.writeable
+    tensors = ds.tensors.copy()
+    tensors[1, 0] = -np.eye(3)
+    with pytest.raises(InvalidPoint):
+        FiberDataset(ds.subjects, ds.groups, tensors)
+    with pytest.raises(InvalidPoint):
+        FiberDataset(ds.subjects, ds.groups, ds.tensors[..., :2, :2])

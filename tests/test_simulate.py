@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
-from frechetstats.errors import FrechetStatsError, InvalidDescriptor
+from frechetstats import simulate
+from frechetstats.errors import FrechetStatsError, InvalidDescriptor, NearSingularCovariance
+from frechetstats.estimator import confidence_region_contains, estimate_mean, sandwich_covariance
+from frechetstats.inference import two_sample_test
 from frechetstats.simulate import (
     GaussianDescriptor,
     OpenBookDescriptor,
@@ -229,12 +232,190 @@ def test_mc_consistency_point_mass_has_zero_error():
 
 
 def test_failure_budget_enforced():
+    failed = [(rep, "NoConvergence", "karcher exhausted") for rep in range(25)]
     with pytest.raises(FrechetStatsError):
-        _check_failures(failures=25, reps=100, experiment="unit")
-    _check_failures(failures=1, reps=200, experiment="unit")
+        _check_failures(failed, reps=100, experiment="unit")
+    _check_failures(failed[:1], reps=200, experiment="unit")
 
 
 def test_mc_reports_are_reproducible():
     a = mc_coverage(euclid_sampler(21), n=50, reps=100, alpha=0.05)
     b = mc_coverage(euclid_sampler(21), n=50, reps=100, alpha=0.05)
     assert a.estimate == b.estimate and a.outcomes == b.outcomes
+
+
+# ---------------------------------------------------------------------------
+# batched replications: the same outcomes, streams and failures as one fit
+# per replication
+
+
+MEAN_LOG = ((0.4, 0.05, 0.0), (0.05, 0.0, -0.02), (0.0, -0.02, -0.3))
+
+
+def spd_sampler(seed, metric="log_euclidean", scale=0.15):
+    return Sampler(SPDSpace(3, metric), SPDLogGaussianDescriptor(MEAN_LOG, scale), seed)
+
+
+def euclid3_sampler(seed):
+    cov = ((2.0, 0.3, 0.0), (0.3, 1.0, -0.2), (0.0, -0.2, 0.5))
+    return Sampler(EuclideanSpace(3), GaussianDescriptor((1.0, -2.0, 0.5), cov), seed)
+
+
+def book_sampler(seed, probs=(0.5, 0.25, 0.25)):
+    return Sampler(
+        OpenBookSpace(3, 2), OpenBookDescriptor(probs, ("exponential", 1.0), (0.0, 0.0)), seed
+    )
+
+
+def record_streams(monkeypatch):
+    keys = []
+    rng = Sampler.rng
+
+    def logged(sampler, rep=0):
+        keys.append(rep)
+        return rng(sampler, rep)
+
+    monkeypatch.setattr(Sampler, "rng", logged)
+    return keys
+
+
+def no_single_fits(monkeypatch):
+    """Fail the test if an experiment falls back to one fit per replication."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a batched experiment ran a per-replication fit")
+
+    for name in ("estimate_mean", "sandwich_covariance", "two_sample_test"):
+        monkeypatch.setattr(simulate, name, refuse)
+
+
+def single_coverage(sampler, n, reps, alpha):
+    truth = sampler.population_mean()
+    out = []
+    for rep in range(reps):
+        sample = sampler.draw(n, rep)
+        fit = sandwich_covariance(sampler.space, sample, estimate_mean(sampler.space, sample))
+        out.append(bool(confidence_region_contains(fit, fit.chart.forward(truth), alpha)))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("make", [spd_sampler, euclid3_sampler])
+def test_batched_coverage_matches_single_fits(make, monkeypatch):
+    reps, n = 45, 200
+    assert reps * n > 2 * simulate.BLOCK_POINTS  # several blocks
+    expected = single_coverage(make(31), n, reps, 0.05)
+    keys = record_streams(monkeypatch)
+    no_single_fits(monkeypatch)
+    report = mc_coverage(make(31), n, reps, 0.05)
+    assert report.outcomes == expected
+    assert keys == list(range(reps))
+
+
+@pytest.mark.parametrize("metric", ["log_euclidean", "euclidean"])
+def test_batched_type1_matches_single_tests(metric, monkeypatch):
+    reps, n1, n2 = 45, 100, 90
+    assert reps * (n1 + n2) > 2 * simulate.BLOCK_POINTS  # several blocks
+    sampler = spd_sampler(32, metric)
+    expected = tuple(
+        two_sample_test(sampler.space, sampler.draw(n1, (r, 0)), sampler.draw(n2, (r, 1))).p_value
+        <= 0.2
+        for r in range(reps)
+    )
+    keys = record_streams(monkeypatch)
+    no_single_fits(monkeypatch)
+    report = mc_type1(sampler.space, sampler, n1, n2, reps, 0.2)
+    assert report.outcomes == expected
+    assert keys == [(r, g) for r in range(reps) for g in (0, 1)]
+
+
+def test_batched_stickiness_matches_single_means(monkeypatch):
+    reps, n = 45, 200
+    sampler = book_sampler(33)
+    means = [sampler.space.mean(sampler.draw(n, rep))[0] for rep in range(reps)]
+    keys = record_streams(monkeypatch)
+    report = mc_stickiness(sampler, n, reps)
+    assert report.outcomes == tuple("spine" if m.leaf == 0 else f"leaf_{m.leaf}" for m in means)
+    np.testing.assert_allclose(
+        report.details["mean_x0"], [m.data[0] for m in means], rtol=1e-12, atol=1e-15
+    )
+    assert keys == list(range(reps))
+
+
+@pytest.mark.parametrize("make", [spd_sampler, euclid3_sampler, book_sampler])
+def test_batched_consistency_matches_single_fits(make, monkeypatch):
+    sampler = make(34)
+    grid, reps = [20, 500], 20
+    assert reps * grid[1] > 2 * simulate.BLOCK_POINTS  # several blocks
+    expected = [
+        (n, float(np.median([
+            sampler.space.distance(estimate_mean(sampler.space, sampler.draw(n, (n, r))).mean,
+                                   sampler.population_mean())
+            for r in range(reps)
+        ])))
+        for n in grid
+    ]
+    keys = record_streams(monkeypatch)
+    if sampler.space.batches_fits:
+        no_single_fits(monkeypatch)
+    assert mc_consistency(sampler.space, sampler, grid, reps) == expected  # exact
+    assert keys == [(n, r) for n in grid for r in range(reps)]
+
+
+def test_draw_many_rows_match_single_draws():
+    samplers = [
+        euclid3_sampler(1),
+        spd_sampler(2),
+        book_sampler(3),
+        Sampler(SphereSpace(3), SphereCapDescriptor((0.0, 0.0, 1.0), 0.5), 4),
+        Sampler(SphereSpace(4), SphereCapDescriptor((0.0, 0.0, 0.0, 1.0), 0.4), 5),
+        Sampler(SphereSpace(3), SphereTwoPointDescriptor((1.0, 0.0, 0.0), (0.0, 0.6, 0.8)), 6),
+    ]
+    for sampler in samplers:
+        keys = [0, (1, 0), (1, 1), 7]
+        sizes = [13, 8, 21, 1]
+        block = sampler.draw_many(sizes, keys)
+        start = 0
+        for key, size in zip(keys, sizes):
+            one = sampler.draw(size, key)
+            assert np.array_equal(block.data[start:start + size], one.data)
+            if one.leaves is not None:
+                assert np.array_equal(block.leaves[start:start + size], one.leaves)
+            start += size
+        assert len(block) == start
+
+
+def test_failed_block_falls_back_to_single_fits():
+    # log-scale 6: some matrices have an eigenvalue ratio below 1e-14, so
+    # some replications of the batched block fail with NotPositiveDefinite
+    sampler = spd_sampler(35, scale=6.0)
+    with pytest.raises(FrechetStatsError) as batched:
+        mc_coverage(sampler, 10, 40, 0.05)
+    with pytest.raises(FrechetStatsError) as looped:
+        mc_coverage(sampler, 10, 40, 0.05, derivatives="numeric")
+    assert str(batched.value) == str(looped.value) == (
+        "mc_coverage: 6/40 replications failed (budget 1%): NotPositiveDefinite x6; "
+        "first failed keys 2, 4, 10, 29, 31, ..."
+    )
+
+
+def test_failure_budget_error_quotes_classes_and_keys(monkeypatch):
+    sampler = Sampler(SphereSpace(3), SphereCapDescriptor((0.0, 0.0, 1.0), 0.5), 36)
+    failing = {3, 11}
+    calls = []
+
+    def two_sample(space, x, y):
+        calls.append(None)
+        if len(calls) - 1 in failing:
+            raise NearSingularCovariance(f"singular at {len(calls) - 1}")
+        return two_sample_test(space, x, y)
+
+    monkeypatch.setattr(simulate, "two_sample_test", two_sample)
+    with pytest.raises(FrechetStatsError, match=r"^mc_type1: 2/50 replications failed "
+                       r"\(budget 1%\): NearSingularCovariance x2; first failed keys 3, 11$"):
+        mc_type1(sampler.space, sampler, 20, 20, 50, 0.05)
+    calls.clear()
+    failing = {5}
+    report = mc_type1(sampler.space, sampler, 20, 20, 100, 0.05)
+    assert report.failures == 1
+    assert report.details["failure_counts"] == {"NearSingularCovariance": 1}
+    assert report.details["failed_reps"] == ((5, "NearSingularCovariance", "singular at 5"),)

@@ -2,8 +2,17 @@ import numpy as np
 import pytest
 
 from frechetstats.errors import CutLocus, NonUniqueProjection, NotPositiveDefinite
-from frechetstats.geometry import frechet_value, openbook_point, spd_point, sphere_point
+from frechetstats.geometry import (
+    euclidean_point,
+    euclidean_sample,
+    frechet_value,
+    openbook_point,
+    spd_point,
+    spd_sample,
+    sphere_point,
+)
 from frechetstats.spaces import (
+    EuclideanSpace,
     OpenBookSpace,
     SPDSpace,
     SphereSpace,
@@ -157,6 +166,26 @@ def test_log_euclidean_distance_orthogonal_invariance(rng):
         ra = spd_point(q @ a.data @ q.T)
         rb = spd_point(q @ b.data @ q.T)
         assert space.distance(ra, rb) == pytest.approx(space.distance(a, b), abs=1e-10)
+
+
+def test_flat_space_single_forms_are_the_plain_formulas(rng):
+    # distance and mean run as the batch of one of distance_many and
+    # mean_many; they must still equal the textbook formulas bit for bit
+    euc = EuclideanSpace(4)
+    rows = rng.normal(size=(25, 4))
+    assert euc.mean(euclidean_sample(rows))[0].data.tolist() == rows.mean(axis=0).tolist()
+    a, b = euclidean_point(rows[0]), euclidean_point(rows[1])
+    assert euc.distance(a, b) == float(np.linalg.norm(rows[0] - rows[1]))
+    mats = np.stack([random_spd(rng).data for _ in range(25)])
+    for metric in ("euclidean", "log_euclidean"):
+        space = SPDSpace(3, metric)
+        logm = spd_logm if metric == "log_euclidean" else np.asarray
+        a, b = spd_point(mats[0]), spd_point(mats[1])
+        assert space.distance(a, b) == float(np.linalg.norm(logm(mats[0]) - logm(mats[1])))
+        expected = mats.mean(axis=0) if metric == "euclidean" else spd_expm(
+            np.mean([spd_logm(m) for m in mats], axis=0)
+        )
+        assert np.allclose(space.mean(spd_sample(mats))[0].data, expected, rtol=0.0, atol=1e-13)
 
 
 # ---------------------------------------------------------------------------
