@@ -24,8 +24,8 @@ class CutLocus(FrechetStatsError):
 class NotPositiveDefinite(FrechetStatsError):
     """A matrix required to be SPD has a non-positive eigenvalue.
 
-    ``index`` is the position of the first offending matrix in a batch
-    (None for a single matrix).
+    ``index`` is the flat position of the first offending matrix in its
+    (..., p, p) stack (0 for a single matrix).
     """
 
     def __init__(self, message, index=None):

@@ -109,29 +109,36 @@ def estimate_mean(space, sample, *, tol=1e-10, max_iter=200, strategy=None, diff
     return fit
 
 
-def guarded_eigh(matrices):
-    """Eigendecomposition of the symmetric parts of a (..., s, s) stack of
-    nonempty square matrices.
+def guarded_inverse(matrices):
+    """Inverses of the symmetric parts of a (..., s, s) stack of nonempty
+    square matrices, through their eigendecompositions.
 
-    Returns ``(w, v, cond, singular)``: eigenvalues, eigenvectors, the
-    condition numbers max|w| / min|w| (inf when an eigenvalue is 0) and the
-    mask of matrices treated as numerically singular, those whose condition
-    number exceeds COND_LIMIT.
+    Returns ``(inv, w, cond, singular)``: the symmetrized inverses, the
+    eigenvalues, the condition numbers max|w| / min|w| (inf when an
+    eigenvalue is 0) and the mask of matrices treated as numerically
+    singular, those whose condition number exceeds COND_LIMIT.  A singular
+    matrix gets a finite stand-in for its inverse (its eigenvalues replaced
+    by 1), so callers decide what it means.
     """
     m = np.asarray(matrices, dtype=float)
     w, v = np.linalg.eigh(0.5 * (m + np.swapaxes(m, -1, -2)))
     absw = np.abs(w)
     amax, amin = absw.max(axis=-1), absw.min(axis=-1)
     cond = np.divide(amax, amin, out=np.full_like(amax, np.inf), where=amin > 0.0)
-    return w, v, cond, cond > COND_LIMIT
+    singular = cond > COND_LIMIT
+    inv = (v / np.where(singular[..., None], 1.0, w)[..., None, :]) @ np.swapaxes(v, -1, -2)
+    return 0.5 * (inv + np.swapaxes(inv, -1, -2)), w, cond, singular
 
 
-def _guarded_inverse(matrix, error_cls, label):
-    w, v, cond, singular = guarded_eigh(matrix)
+def _lambda_inverse(lam):
+    """Inverse, eigenvalues and condition number of Lambda_n; raises
+    NearSingularHessian when it is numerically singular."""
+    inv, w, cond, singular = guarded_inverse(lam)
     if singular:
-        raise error_cls(f"{label} is numerically singular (condition number {float(cond):.3e})")
-    inv = (v / w) @ v.T
-    return 0.5 * (inv + inv.T), w, float(cond)
+        raise NearSingularHessian(
+            f"Lambda_n is numerically singular (condition number {float(cond):.3e})"
+        )
+    return inv, w, float(cond)
 
 
 def sandwich_covariance(space, sample, fit, *, derivatives="auto", diff=None):
@@ -168,7 +175,7 @@ def sandwich_covariance(space, sample, fit, *, derivatives="auto", diff=None):
         lam = numeric_hessian(lambda xx: float(np.mean(chart.h_many(xx, packed))), x, diff)
     lam = 0.5 * (lam + lam.T)
     c = _second_moments(rows)
-    lam_inv, w, cond = _guarded_inverse(lam, NearSingularHessian, "Lambda_n")
+    lam_inv, w, cond = _lambda_inverse(lam)
     return dataclasses.replace(
         fit,
         lambda_n=lam,
@@ -200,8 +207,7 @@ def flat_sandwich(chart, coords, images):
     fitted means' chart coordinates and ``images`` (R, n, s) the samples'
     chart images.  Each fit gets the arithmetic of ``sandwich_covariance``.
     """
-    lam = chart.hess_h_mean(coords[0], images[0])
-    lam_inv, _, _ = _guarded_inverse(0.5 * (lam + lam.T), NearSingularHessian, "Lambda_n")
+    lam_inv, _, _ = _lambda_inverse(chart.hess_h_mean(coords[0], images[0]))
     rows = chart.grad_h_many(coords[:, None, :], images)
     return _sandwich_product(lam_inv, _second_moments(rows))
 
@@ -237,14 +243,11 @@ def confidence_regions_contain(n, coords, asym_covs, candidate_chart_coords, alp
     d = coords - np.asarray(candidate_chart_coords, dtype=float)
     # the statistic is identically 0 at the mean, even for degenerate fits
     at_mean = ~np.any(d, axis=-1)
-    w, v, cond, singular = guarded_eigh(asym_covs)
+    inv, _, cond, singular = guarded_inverse(asym_covs)
     bad = np.flatnonzero(singular & ~at_mean)
     if bad.size:
         raise NearSingularCovariance(
             f"asym_cov is numerically singular (condition number {float(cond[bad[0]]):.3e})"
         )
-    w = np.where(singular[:, None], 1.0, w)  # finite stand-in where d is 0
-    inv = (v / w[:, None, :]) @ np.swapaxes(v, 1, 2)
-    inv = 0.5 * (inv + np.swapaxes(inv, 1, 2))
     statistic = ((n * d)[:, None, :] @ inv @ d[:, :, None])[:, 0, 0]
     return at_mean | (statistic <= chi2_quantile(coords.shape[-1], 1.0 - alpha))

@@ -83,6 +83,12 @@ class Sample:
         leaf = 0 if self.leaves is None else int(self.leaves[i])
         return Point(self.kind, self.data[i], leaf)
 
+    @classmethod
+    def of(cls, p):
+        """The Point ``p``, validated when it was built, as a Sample of one
+        (not validated again)."""
+        return cls(p.kind, p.data[None], np.array([p.leaf]) if p.kind == "openbook" else None)
+
 
 def _finite_rows(values, ndim):
     a = np.array(values, dtype=float, order="C")
@@ -97,6 +103,14 @@ def row_norms(rows):
     """Euclidean norm of each row of an (R, k) array, computed row by row
     exactly as np.linalg.norm computes the norm of one vector."""
     return np.sqrt((rows[:, None, :] @ rows[:, :, None])[:, 0, 0])
+
+
+def row_products(rows, matrix):
+    """``rows @ matrix`` for an (R, k) array, computed row by row as one
+    vector times ``matrix``, so that a row's result does not depend on the
+    other rows (a single matrix product of R rows need not round them all
+    alike)."""
+    return (rows[:, None, :] @ matrix)[:, 0, :]
 
 
 def euclidean_sample(rows):
@@ -310,20 +324,25 @@ def gradient_rows(fvec, x, cfg=None):
 class Chart(ABC):
     """Chart ``phi: G -> U`` of a space, anchored at a base point.
 
-    Subclasses provide the forward/inverse maps and a vectorized squared
-    distance ``h_many``; analytic derivative hooks may return ``None`` when a
-    closed form is unavailable at the requested point, in which case callers
-    fall back to central differences on ``h_many``.
+    Subclasses provide the row forms: the chart map ``forward_many`` of a
+    Sample, the inverse map, and a vectorized squared distance ``h_many``;
+    ``forward`` of one point is the batch of one of ``forward_many``.
+    Analytic derivative hooks may return ``None`` when a closed form is
+    unavailable at the requested point, in which case callers fall back to
+    central differences on ``h_many``.
     """
 
     #: chart dimension s
     s: int
     #: base point the chart is anchored at
     base: Point
+    #: the space the chart belongs to
+    space: Space
 
-    @abstractmethod
     def forward(self, p):
         """Chart coordinates phi(p) in R^s."""
+        self.space.check_point(p)
+        return self.forward_many(Sample.of(p))[0]
 
     @abstractmethod
     def inverse(self, x):
@@ -342,7 +361,7 @@ class Chart(ABC):
         """Chart coordinates of every point of a Sample, as an (n, s) matrix."""
 
     def h(self, x, q):
-        return float(self.h_many(np.asarray(x, dtype=float), self.pack(as_sample([q])))[0])
+        return float(self.h_many(np.asarray(x, dtype=float), self.pack(Sample.of(q)))[0])
 
     def grad_h_many(self, x, packed):
         """Analytic (n, s) gradient rows of h(.; Y_j) at x, or None."""
@@ -395,14 +414,21 @@ class Space(ABC):
     def batches_fits(self):
         """True when the mean is closed form and the chart global and flat
         (h is the squared chart distance).  Such a space also provides
-        ``mean_many(sample, reps)`` and ``distance_many(payloads, q)``, the
-        batched forms of its ``mean`` and ``distance``, so that R fits run
-        as array operations."""
+        ``mean_many(sample, reps)``, the batched form of its ``mean``, so
+        that R fits, and with ``distance_many`` their errors, run as array
+        operations."""
         return self.has_global_chart and self.mean_strategy == "closed_form"
 
     @abstractmethod
+    def distance_many(self, sample, q):
+        """Metric distance from each point of a Sample of this space to the
+        point ``q``, as an (n,) array."""
+
     def distance(self, p, q):
-        """Metric distance between two points of the space."""
+        """Metric distance between two points of the space (the batch of one
+        of ``distance_many``)."""
+        self.check_point(p)
+        return float(self.distance_many(Sample.of(p), q)[0])
 
     @abstractmethod
     def chart_at(self, base):
@@ -481,7 +507,6 @@ def frechet_value(space, sample, p, weights=None):
     and sum to 1.
     """
     sample = space.check_sample(sample)
-    space.check_point(p)
     if weights is None:
         w = np.full(len(sample), 1.0 / len(sample))
     else:
@@ -490,5 +515,4 @@ def frechet_value(space, sample, p, weights=None):
             raise ValueError("weights length must match the sample")
         if np.any(w < 0.0) or abs(float(w.sum()) - 1.0) > 1e-9:
             raise ValueError("weights must be nonnegative and sum to 1")
-    d2 = np.array([space.distance(p, q) ** 2 for q in sample])
-    return float(w @ d2)
+    return float(w @ space.distance_many(sample, p) ** 2)

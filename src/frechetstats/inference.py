@@ -11,7 +11,7 @@ import numpy as np
 from scipy import special
 
 from .errors import NearSingularCovariance
-from .estimator import estimate_mean, guarded_eigh
+from .estimator import estimate_mean, guarded_inverse
 from .geometry import Sample
 
 
@@ -69,7 +69,7 @@ def chi2_two_sample(vx, vy):
     of unbiased (n-1) group covariances, against chi-square(s).  Returns
     ``(statistic, p_value, cond, mean_x, mean_y, pooled)`` along the batch
     axis; a comparison whose pooled covariance is numerically singular
-    (``guarded_eigh``) gets NaN statistic and p-value.
+    (``guarded_inverse``) gets NaN statistic and p-value.
     """
     n1, n2, s = vx.shape[1], vy.shape[1], vx.shape[2]
     if n1 < 2 or n2 < 2:
@@ -84,10 +84,8 @@ def chi2_two_sample(vx, vy):
     cov_y = np.swapaxes(cy, 1, 2) @ cy * (1.0 / (n2 - 1))
     pooled = cov_x / n1 + cov_y / n2
 
-    w, v, cond, singular = guarded_eigh(pooled)
-    w = np.where(singular[:, None], 1.0, w)  # finite stand-in, the statistic becomes NaN
+    inv, _, cond, singular = guarded_inverse(pooled)
     diff = (mean_x - mean_y)[:, None, :]
-    inv = (v / w[:, None, :]) @ np.swapaxes(v, 1, 2)
     statistic = np.maximum((diff @ inv @ np.swapaxes(diff, 1, 2))[:, 0, 0], 0.0)
     statistic[singular] = np.nan
     return statistic, chi2_sf(statistic, s), cond, mean_x, mean_y, pooled

@@ -44,7 +44,7 @@ from .geometry import spd_point, sphere_point, sphere_sample
 from .inference import chi2_two_sample, two_sample_test
 from .spaces.euclidean import EuclideanSpace
 from .spaces.openbook import OpenBookSpace, openbook_mean_strata
-from .spaces.spd import SPDSpace, _expm_rows, _vech_inv_rows, spd_expm, spd_vech
+from .spaces.spd import SPDSpace, _vech_inv_rows, spd_expm, spd_vech
 from .spaces.sphere import SphereSpace, sphere_exp, sphere_log, tangent_basis
 
 #: estimation failures tolerated (as a fraction of replications) before a
@@ -237,7 +237,7 @@ class SPDLogGaussianDescriptor:
     def assemble(self, variates, space):
         (z,) = variates
         z = spd_vech(np.asarray(self.mean_log, dtype=float)) + self.scale * z
-        return Sample("spd", _expm_rows(_vech_inv_rows(z, space.p)))  # SPD by construction
+        return Sample("spd", spd_expm(_vech_inv_rows(z, space.p)))  # SPD by construction
 
     def population_mean(self, space):
         if space.metric != "log_euclidean":
@@ -643,7 +643,7 @@ def mc_consistency(space, sampler, n_grid, reps):
             if space.batches_fits:
                 try:
                     means, _ = space.mean_many(block, len(keys))
-                    errs += space.distance_many(means, truth).tolist()
+                    errs += space.distance_many(Sample(space.kind, means), truth).tolist()
                     continue
                 except FrechetStatsError:
                     pass  # one fit per replication reproduces each failure

@@ -7,8 +7,6 @@ covariance collapses to the sample covariance.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..geometry import FlatChart, Space, euclidean_point, euclidean_sample, row_norms
 
 
@@ -18,11 +16,7 @@ class EuclideanChart(FlatChart):
     def __init__(self, space, base):
         self.s = space.chart_dim
         self.base = base
-        self._space = space
-
-    def forward(self, p):
-        self._space.check_point(p)
-        return np.array(p.data, dtype=float)
+        self.space = space
 
     def inverse(self, x):
         return euclidean_point(x)
@@ -45,10 +39,6 @@ class EuclideanSpace(Space):
     def __repr__(self):
         return f"EuclideanSpace(dim={self.dim})"
 
-    def distance(self, p, q):
-        self.check_point(p)
-        return float(self.distance_many(p.data[None], q)[0])
-
     def chart_at(self, base=None):
         if base is not None:
             self.check_point(base)
@@ -69,7 +59,6 @@ class EuclideanSpace(Space):
         means = euclidean_sample(sample.data.reshape(reps, -1, self.dim).mean(axis=1)).data
         return means, means
 
-    def distance_many(self, payloads, q):
-        """Distance from each row of an (R, s) stack to the point ``q``."""
+    def distance_many(self, sample, q):
         self.check_point(q)
-        return row_norms(payloads - q.data)
+        return row_norms(sample.data - q.data)

@@ -17,7 +17,25 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import InvalidPoint
-from ..geometry import Chart, FlatChart, Space, as_sample, openbook_point
+from ..geometry import Chart, FlatChart, Sample, Space, as_sample, openbook_point, row_norms
+
+
+def _fold(sample, k):
+    """The rows of a Sample folded by f_k, as a new (n, D+1) array: x0 is
+    negated on the rows of leaves other than k (kept on leaf k and the
+    spine).  ``k == 0`` negates every leaf row's x0."""
+    folded = np.array(sample.data)
+    other = (sample.leaves != k) & (sample.leaves != 0)
+    folded[other, 0] = -folded[other, 0]
+    return folded
+
+
+def _distances(sample, q):
+    """Distance from each point of a Sample to the point ``q``: the
+    Euclidean distance of the half-space coordinates after folding the
+    sample onto q's leaf, which reflects x0 across the spine exactly for
+    the points of other leaves."""
+    return row_norms(_fold(sample, q.leaf) - q.data)
 
 
 def openbook_distance(a, b):
@@ -27,11 +45,7 @@ def openbook_distance(a, b):
     half-space coordinates.  Different leaves: Euclidean distance after
     reflecting one x0, i.e. sqrt((x0 + y0)^2 + ||rest difference||^2).
     """
-    if a.leaf == b.leaf or a.leaf == 0 or b.leaf == 0:
-        return float(np.linalg.norm(a.data - b.data))
-    d0 = a.data[0] + b.data[0]
-    rest = a.data[1:] - b.data[1:]
-    return float(np.sqrt(d0 * d0 + rest @ rest))
+    return float(_distances(Sample.of(a), b)[0])
 
 
 def openbook_fold(k, p):
@@ -39,10 +53,7 @@ def openbook_fold(k, p):
     other leaves.  Returns a plain (D+1,) vector."""
     if k < 1:
         raise ValueError("fold index must be a leaf label >= 1")
-    out = np.array(p.data, dtype=float)
-    if p.leaf != k and p.leaf != 0:
-        out[0] = -out[0]
-    return out
+    return _fold(Sample.of(p), k)[0]
 
 
 @dataclass(frozen=True)
@@ -78,6 +89,17 @@ def _winner(folded):
     return k + 1, np.take_along_axis(folded, k[..., None], axis=-1)[..., 0]
 
 
+def _folded_means(leaves, x0, n_leaves):
+    """(..., K) folded means of the samples whose (..., n) leaf labels and
+    heights are given.  f_k keeps leaf-k heights, negates the others and
+    fixes the spine, so its mean height is (2 s_k - total) / n, where the
+    leaf sums s_k run over whole rows with the other leaves' heights
+    zeroed."""
+    on_leaf = leaves[..., None, :] == np.arange(1, n_leaves + 1)[:, None]  # (..., K, n)
+    sums = np.where(on_leaf, x0[..., None, :], 0.0).sum(axis=-1)
+    return (2.0 * sums - x0.sum(axis=-1)[..., None]) / x0.shape[-1]
+
+
 def openbook_moments(sample, n_leaves=None):
     """Per-leaf occupation weights, folded means and the spine-block mean.
 
@@ -91,21 +113,12 @@ def openbook_moments(sample, n_leaves=None):
     if n_leaves < k_max:
         raise InvalidPoint("sample contains leaf labels beyond n_leaves")
     n = len(sample)
-    x0 = coords[:, 0]
-    total = float(x0.sum())
-    weights = np.empty(n_leaves)
-    folded = np.empty(n_leaves)
-    for k in range(1, n_leaves + 1):
-        on_k = leaves == k
-        s_k = float(x0[on_k].sum())
-        weights[k - 1] = float(on_k.sum()) / n
-        # f_k keeps leaf-k heights, negates the others, fixes the spine
-        folded[k - 1] = (2.0 * s_k - total) / n
+    counts = np.bincount(leaves, minlength=n_leaves + 1)
     return OpenBookMoments(
-        leaf_weights=weights,
-        folded_means=folded,
+        leaf_weights=counts[1:] / n,
+        folded_means=_folded_means(leaves, coords[:, 0], n_leaves),
         spine_mean=coords[:, 1:].mean(axis=0),
-        spine_fraction=float((leaves == 0).sum()) / n,
+        spine_fraction=float(counts[0]) / n,
         n=n,
     )
 
@@ -147,17 +160,13 @@ def openbook_mean_strata(sample, reps, n_leaves):
     each of ``reps`` equal-size samples stacked row-wise in ``sample``, as
     two (R,) arrays, from all R samples' folded means at once.
 
-    The stratum rule is ``openbook_classify``'s (``_winner``) and the
-    height is the winning folded mean; the per-leaf sums run over the whole
-    row with other leaves' heights zeroed, so they can differ from
-    ``openbook_moments`` in the last bit.
+    The folded means and the stratum rule are those of
+    ``openbook_moments`` and ``openbook_classify``, so each replication
+    gets the bits of its own ``openbook_frechet_mean``.
     """
-    leaves = sample.leaves.reshape(reps, 1, -1)
-    x0 = sample.data[:, 0].reshape(reps, 1, -1)
-    n = x0.shape[-1]
-    on_leaf = leaves == np.arange(1, n_leaves + 1)[:, None]  # (R, K, n)
-    totals = x0[:, 0].sum(axis=-1)
-    folded = (2.0 * np.where(on_leaf, x0, 0.0).sum(axis=-1) - totals[:, None]) / n
+    folded = _folded_means(
+        sample.leaves.reshape(reps, -1), sample.data[:, 0].reshape(reps, -1), n_leaves
+    )
     leaf, top = _winner(folded)
     return np.where(top > 0.0, leaf, 0), np.where(top > 0.0, top, 0.0)
 
@@ -170,11 +179,7 @@ class OpenBookLeafChart(FlatChart):
         self.s = space.spine_dim + 1
         self.base = base
         self.leaf = base.leaf
-        self._space = space
-
-    def forward(self, p):
-        self._space.check_point(p)
-        return openbook_fold(self.leaf, p)
+        self.space = space
 
     def inverse(self, x):
         x = np.asarray(x, dtype=float)
@@ -184,10 +189,7 @@ class OpenBookLeafChart(FlatChart):
 
     def pack(self, sample):
         """The folded sample f_k(Y_j), as an (n, D+1) matrix."""
-        folded = np.array(sample.data)
-        other = (sample.leaves != self.leaf) & (sample.leaves != 0)
-        folded[other, 0] = -folded[other, 0]
-        return folded
+        return _fold(sample, self.leaf)
 
 
 class OpenBookSpineChart(Chart):
@@ -197,13 +199,7 @@ class OpenBookSpineChart(Chart):
     def __init__(self, space, base):
         self.s = space.spine_dim
         self.base = base
-        self._space = space
-
-    def forward(self, p):
-        self._space.check_point(p)
-        if p.leaf != 0:
-            raise InvalidPoint("spine chart is only defined on the spine")
-        return np.array(p.data[1:], dtype=float)
+        self.space = space
 
     def inverse(self, x):
         return openbook_point(0, np.concatenate([[0.0], np.asarray(x, dtype=float)]))
@@ -250,13 +246,20 @@ class OpenBookSpace(Space):
 
     def check_point(self, p):
         super().check_point(p)
-        if p.leaf > self.n_leaves:
-            raise InvalidPoint(f"leaf label {p.leaf} exceeds n_leaves={self.n_leaves}")
+        self._check_leaf(p.leaf)
 
-    def distance(self, p, q):
-        self.check_point(p)
+    def check_sample(self, sample):
+        sample = super().check_sample(sample)
+        self._check_leaf(int(sample.leaves.max()))
+        return sample
+
+    def _check_leaf(self, leaf):
+        if leaf > self.n_leaves:
+            raise InvalidPoint(f"leaf label {leaf} exceeds n_leaves={self.n_leaves}")
+
+    def distance_many(self, sample, q):
         self.check_point(q)
-        return openbook_distance(p, q)
+        return _distances(sample, q)
 
     def chart_at(self, base):
         self.check_point(base)

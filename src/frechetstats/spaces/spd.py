@@ -25,49 +25,39 @@ UPPER_COLUMNS = ("a11", "a12", "a13", "a22", "a23", "a33")
 _UPPER = np.triu_indices(3)
 
 
-def _eigh_checked(a):
-    w, v = np.linalg.eigh(0.5 * (a + np.swapaxes(a, -1, -2)))
-    bad = w[..., 0] <= 1e-14 * np.maximum(w[..., -1], 0.0)
-    if np.any(bad):
-        raise NotPositiveDefinite(
-            f"matrix has near-zero or negative eigenvalue {w[..., 0][bad].flat[0]:.3e}"
-        )
-    return w, v
+def _eigh(a):
+    """Eigendecomposition of the symmetric part of each matrix of a
+    (..., p, p) stack."""
+    a = np.asarray(a, dtype=float)
+    return np.linalg.eigh(0.5 * (a + np.swapaxes(a, -1, -2)))
+
+
+def _spectral(w, v):
+    """The symmetrized matrices V diag(w) V^T of a (..., p, p) stack."""
+    out = np.einsum("...ij,...j,...kj->...ik", v, w, v)
+    return 0.5 * (out + np.swapaxes(out, -1, -2))
 
 
 def spd_logm(a):
     """Matrix logarithm of an SPD matrix, or of each matrix of a (..., p, p)
-    stack, via symmetric eigendecomposition."""
-    w, v = _eigh_checked(np.asarray(a, dtype=float))
-    out = (v * np.log(w)[..., None, :]) @ np.swapaxes(v, -1, -2)
-    return 0.5 * (out + np.swapaxes(out, -1, -2))
+    stack, via symmetric eigendecomposition.  A matrix whose eigenvalue
+    ratio is at most 1e-14 raises NotPositiveDefinite, whose ``index`` is
+    the flat position of the first such matrix in the stack."""
+    w, v = _eigh(a)
+    bad = np.flatnonzero(w[..., 0] <= 1e-14 * np.maximum(w[..., -1], 0.0))
+    if bad.size:
+        raise NotPositiveDefinite(
+            f"matrix has near-zero or negative eigenvalue {w[..., 0].flat[bad[0]]:.3e}",
+            index=int(bad[0]),
+        )
+    return _spectral(np.log(w), v)
 
 
 def spd_expm(b):
     """Matrix exponential of a symmetric matrix, or of each matrix of a
     (..., p, p) stack (always SPD)."""
-    b = np.asarray(b, dtype=float)
-    w, v = np.linalg.eigh(0.5 * (b + np.swapaxes(b, -1, -2)))
-    out = (v * np.exp(w)[..., None, :]) @ np.swapaxes(v, -1, -2)
-    return 0.5 * (out + np.swapaxes(out, -1, -2))
-
-
-def _logm_rows(mats):
-    """Batched spd_logm over an (n, p, p) stack; NotPositiveDefinite
-    carries the index of the first matrix it rejects."""
-    w, v = np.linalg.eigh(mats)
-    bad = np.flatnonzero(w[:, 0] <= 1e-14 * np.maximum(w[:, -1], 0.0))
-    if bad.size:
-        raise NotPositiveDefinite("a sample matrix is not positive definite", index=int(bad[0]))
-    out = np.einsum("nij,nj,nkj->nik", v, np.log(w), v)
-    return 0.5 * (out + np.swapaxes(out, 1, 2))
-
-
-def _expm_rows(mats):
-    """Batched spd_expm over an (n, p, p) symmetric stack."""
-    w, v = np.linalg.eigh(mats)
-    out = np.einsum("nij,nj,nkj->nik", v, np.exp(w), v)
-    return 0.5 * (out + np.swapaxes(out, 1, 2))
+    w, v = _eigh(b)
+    return _spectral(np.exp(w), v)
 
 
 def spd_vech(b):
@@ -139,7 +129,7 @@ def _sample_logs(sample):
     the mean and the chart image of one fit share them."""
     logs = _LOGS.get(sample)
     if logs is None:
-        logs = _logm_rows(sample.data)
+        logs = spd_logm(sample.data)
         logs.setflags(write=False)
         _LOGS[sample] = logs
     return logs
@@ -172,16 +162,11 @@ class SPDChart(FlatChart):
     def __init__(self, space):
         self.s = space.chart_dim
         self.base = None
-        self._space = space
+        self.space = space
         self._log = space.metric == "log_euclidean"
 
-    def forward(self, p):
-        self._space.check_point(p)
-        m = spd_logm(p.data) if self._log else p.data
-        return spd_vech(m)
-
     def inverse(self, x):
-        b = spd_vech_inv(x, self._space.p)
+        b = spd_vech_inv(x, self.space.p)
         return spd_point(spd_expm(b) if self._log else b)
 
     def pack(self, sample):
@@ -208,10 +193,6 @@ class SPDSpace(Space):
     def __repr__(self):
         return f"SPDSpace(p={self.p}, metric={self.metric!r})"
 
-    def distance(self, p, q):
-        self.check_point(p)
-        return float(self.distance_many(p.data[None], q)[0])
-
     def chart_at(self, base=None):
         if base is not None:
             self.check_point(base)
@@ -231,12 +212,10 @@ class SPDSpace(Space):
         means = spd_sample(_means(sample, reps, self.metric)).data
         return means, _vech_rows(spd_logm(means) if self.metric == "log_euclidean" else means)
 
-    def distance_many(self, payloads, q):
-        """Distance from each matrix of an (R, p, p) stack to the point
-        ``q``."""
+    def distance_many(self, sample, q):
         self.check_point(q)
         if self.metric == "euclidean":
-            diff = payloads - q.data
+            diff = sample.data - q.data
         else:
-            diff = spd_logm(payloads) - spd_logm(q.data)
+            diff = spd_logm(sample.data) - spd_logm(q.data)
         return row_norms(diff.reshape(len(diff), -1))

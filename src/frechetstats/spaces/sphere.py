@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import CutLocus, NonUniqueProjection
-from ..geometry import Chart, Space, sphere_point
+from ..geometry import Chart, Space, row_norms, row_products, sphere_point
 
 _CUT_TOL = 1e-9
 
@@ -22,10 +22,7 @@ def sphere_distance(p, q):
     The chord form is exactly symmetric in its arguments and accurate away
     from the antipodal configuration.
     """
-    u = np.asarray(p, dtype=float)
-    v = np.asarray(q, dtype=float)
-    half_chord = 0.5 * np.linalg.norm(u - v)
-    return 2.0 * float(np.arcsin(min(1.0, half_chord)))
+    return float(_geodesic_rows(np.asarray(q, dtype=float), np.asarray(p, dtype=float)[None])[0])
 
 
 def sphere_exp(base, v):
@@ -44,17 +41,7 @@ def sphere_log(base, p):
 
     Raises CutLocus when ``p`` is within 1e-9 of the antipode of ``base``.
     """
-    b = np.asarray(base, dtype=float)
-    u = np.asarray(p, dtype=float)
-    if np.linalg.norm(u + b) < _CUT_TOL:
-        raise CutLocus("log map requested at the cut locus (antipode of base)")
-    c = float(np.clip(b @ u, -1.0, 1.0))
-    w = u - c * b
-    nw = float(np.linalg.norm(w))
-    theta = float(np.arctan2(nw, c))
-    if nw < 1e-15:
-        return np.zeros_like(b)
-    return theta * (w / nw)
+    return _log_rows(np.asarray(base, dtype=float), np.asarray(p, dtype=float)[None])[0]
 
 
 def sphere_extrinsic_project(m):
@@ -90,9 +77,9 @@ def tangent_basis(base):
 
 def _log_rows(base, points):
     """Log map of each row of ``points`` at ``base``; (n, d+1) tangent rows."""
-    c = points @ base
+    c = row_products(points, base[:, None])[:, 0]
     if np.any(np.linalg.norm(points + base, axis=1) < _CUT_TOL):
-        raise CutLocus("sample point at the cut locus of the chart base")
+        raise CutLocus("log map requested at the cut locus (antipode of base)")
     w = points - np.outer(c, base)
     nw = np.linalg.norm(w, axis=1)
     theta = np.arctan2(nw, np.clip(c, -1.0, 1.0))
@@ -100,10 +87,9 @@ def _log_rows(base, points):
     return w * scale[:, None]
 
 
-def _geodesic_sq_rows(p, points):
-    """Squared geodesic distances from ``p`` to each row of ``points``."""
-    half = 0.5 * np.linalg.norm(points - p, axis=1)
-    return (2.0 * np.arcsin(np.minimum(1.0, half))) ** 2
+def _geodesic_rows(p, points):
+    """Geodesic distances from ``p`` to each row of ``points``."""
+    return 2.0 * np.arcsin(np.minimum(1.0, 0.5 * row_norms(points - p)))
 
 
 class _TangentChart(Chart):
@@ -114,6 +100,7 @@ class _TangentChart(Chart):
         space.check_point(base)
         self.s = space.chart_dim
         self.base = base
+        self.space = space
         self._b = np.array(base.data, dtype=float)
         self._basis = tangent_basis(self._b)
 
@@ -128,18 +115,15 @@ class SphereIntrinsicChart(_TangentChart):
     estimator evaluates them); elsewhere callers fall back to differences.
     """
 
-    def forward(self, p):
-        return self._basis @ sphere_log(self._b, p.data)
-
     def inverse(self, x):
         return sphere_point(sphere_exp(self._b, self._basis.T @ np.asarray(x, dtype=float)))
 
     def forward_many(self, sample):
-        return _log_rows(self._b, sample.data) @ self._basis.T
+        return row_products(_log_rows(self._b, sample.data), self._basis.T)
 
     def h_many(self, x, packed):
         p = sphere_exp(self._b, self._basis.T @ np.asarray(x, dtype=float))
-        return _geodesic_sq_rows(p, packed)
+        return _geodesic_rows(p, packed) ** 2
 
     def _at_origin(self, x):
         return float(np.linalg.norm(x)) < 1e-14
@@ -174,9 +158,6 @@ class SphereExtrinsicChart(_TangentChart):
     differential of the hemisphere parameterization.
     """
 
-    def forward(self, p):
-        return self._basis @ p.data
-
     def _point_at(self, x):
         x = np.asarray(x, dtype=float)
         sq = float(x @ x)
@@ -190,7 +171,7 @@ class SphereExtrinsicChart(_TangentChart):
         return sphere_point(p / np.linalg.norm(p))
 
     def forward_many(self, sample):
-        return sample.data @ self._basis.T
+        return row_products(sample.data, self._basis.T)
 
     def h_many(self, x, packed):
         p, _ = self._point_at(x)
@@ -229,12 +210,11 @@ class SphereSpace(Space):
     def __repr__(self):
         return f"SphereSpace(ambient_dim={self.ambient_dim}, metric={self.metric!r})"
 
-    def distance(self, p, q):
-        self.check_point(p)
+    def distance_many(self, sample, q):
         self.check_point(q)
         if self.metric == "intrinsic":
-            return sphere_distance(p.data, q.data)
-        return float(np.linalg.norm(p.data - q.data))
+            return _geodesic_rows(q.data, sample.data)
+        return row_norms(sample.data - q.data)
 
     def chart_at(self, base):
         if self.metric == "intrinsic":
@@ -261,14 +241,14 @@ class SphereSpace(Space):
             step = _log_rows(mu, points).mean(axis=0)
             if 2.0 * np.linalg.norm(step) <= tol:
                 return sphere_point(mu), it
-            f0 = float(np.mean(_geodesic_sq_rows(mu, points)))
+            f0 = float(np.mean(_geodesic_rows(mu, points) ** 2))
             # allow rounding-level increases, or the damping loop can stall
             # the iteration just above the gradient tolerance
             slack = 1e-15 * (1.0 + abs(f0))
             tau = 1.0
             while True:
                 cand = sphere_exp(mu, tau * step)
-                if float(np.mean(_geodesic_sq_rows(cand, points))) <= f0 + slack or tau < 1e-8:
+                if float(np.mean(_geodesic_rows(cand, points) ** 2)) <= f0 + slack or tau < 1e-8:
                     break
                 tau *= 0.5
             mu = cand

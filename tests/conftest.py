@@ -94,8 +94,8 @@ class AffineChartSpace(Space):
         self.chart_dim = inner.chart_dim
         self.has_global_chart = inner.has_global_chart
 
-    def distance(self, p, q):
-        return self.inner.distance(p, q)
+    def distance_many(self, sample, q):
+        return self.inner.distance_many(sample, q)
 
     def chart_at(self, base=None):
         inner_chart = self.inner.chart_at(base) if base is not None else self.inner.chart_at()

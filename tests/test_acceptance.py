@@ -14,7 +14,7 @@ from scipy import stats as scipy_stats
 
 import frechetstats as fs
 from frechetstats.cli import main as cli_main
-from frechetstats.spaces.spd import _logm_rows, _vech_rows, spd_vech_inv
+from frechetstats.spaces.spd import _vech_rows, spd_logm, spd_vech_inv
 from conftest import AffineChartSpace, random_openbook
 
 
@@ -70,7 +70,7 @@ def test_criterion_2_spd_reduction():
         fit = fs.sandwich_covariance(space, sample, fs.estimate_mean(space, sample))
         expected = fs.spd_expm(logs.mean(axis=0))
         worst_mean = max(worst_mean, float(np.linalg.norm(fit.mean.data - expected)))
-        vecs = _vech_rows(_logm_rows(np.stack([p.data for p in sample])))
+        vecs = _vech_rows(spd_logm(np.stack([p.data for p in sample])))
         cov = np.cov(vecs, rowvar=False, ddof=0)
         worst_cov = max(worst_cov, float(np.linalg.norm(fit.asym_cov - cov) / np.linalg.norm(cov)))
     elapsed = time.perf_counter() - start

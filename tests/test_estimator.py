@@ -17,7 +17,7 @@ from frechetstats.geometry import euclidean_point, openbook_point, spd_sample, s
 from frechetstats.inference import chi2_quantile
 from frechetstats.spaces import EuclideanSpace, OpenBookSpace, SPDSpace, SphereSpace
 from frechetstats.spaces.sphere import sphere_exp
-from frechetstats.spaces.spd import _logm_rows, _vech_rows
+from frechetstats.spaces.spd import _vech_rows, spd_logm
 
 from conftest import AffineChartSpace, random_point, space_instances
 
@@ -143,7 +143,7 @@ def test_spd_log_euclidean_sandwich_is_chart_covariance(rng):
     sp = SPDSpace(3, "log_euclidean")
     sample = [random_point(sp, rng) for _ in range(50)]
     fit = sandwich_covariance(sp, sample, estimate_mean(sp, sample))
-    vecs = _vech_rows(_logm_rows(np.stack([p.data for p in sample])))
+    vecs = _vech_rows(spd_logm(np.stack([p.data for p in sample])))
     cov = np.cov(vecs, rowvar=False, ddof=0)
     assert np.allclose(fit.asym_cov, cov, atol=1e-8)
 
@@ -271,17 +271,17 @@ def test_spd_fit_and_sandwich_take_the_matrix_log_once(rng, monkeypatch):
     import frechetstats.spaces.spd as spd_module
 
     calls = []
-    logm_rows = spd_module._logm_rows
+    logm = spd_module.spd_logm
 
     def counted(mats):
         calls.append(len(mats))
-        return logm_rows(mats)
+        return logm(mats)
 
-    monkeypatch.setattr(spd_module, "_logm_rows", counted)
+    monkeypatch.setattr(spd_module, "spd_logm", counted)
     sp = SPDSpace(3, "log_euclidean")
     sample = spd_sample(np.stack([random_point(sp, rng).data for _ in range(40)]))
     fit = sandwich_covariance(sp, sample, estimate_mean(sp, sample))
     assert fit.asym_cov.shape == (6, 6)
-    assert calls == [40]
+    assert calls == [40, 1]  # the sample, then the mean's chart coordinates
     with pytest.raises(ValueError, match="read-only"):
         spd_module._sample_logs(sample)[0, 0, 0] = 0.0

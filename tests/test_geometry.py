@@ -10,10 +10,12 @@ from frechetstats.geometry import (
     numeric_gradient,
     numeric_hessian,
     openbook_point,
+    openbook_sample,
     spd_point,
     sphere_point,
 )
-from frechetstats.estimator import estimate_mean
+from frechetstats.estimator import estimate_mean, sandwich_covariance
+from frechetstats.inference import two_sample_test
 from frechetstats.spaces import EuclideanSpace, OpenBookSpace, SphereSpace, openbook_moments
 
 from conftest import random_point, space_instances
@@ -53,6 +55,24 @@ def test_wrong_payload_shape_or_leaf_label_raises_invalid_point():
         estimate_mean(OpenBookSpace(2, 1), [openbook_point(3, (1.0, 0.0))])
     with pytest.raises(InvalidPoint):
         openbook_moments([openbook_point(3, (1.0, 0.0))], 2)
+
+
+def test_openbook_leaf_label_beyond_n_leaves_is_caught_in_any_row():
+    space = OpenBookSpace(2, 1)
+    coords = [[1.0, 0.0], [0.5, 1.0], [2.0, -1.0]]
+    good = openbook_sample([1, 2, 1], coords)
+    bad = openbook_sample([1, 3, 1], coords)  # the bad label is not in row 0
+    fit = estimate_mean(space, good)
+    calls = [
+        lambda: space.check_sample(bad),
+        lambda: estimate_mean(space, bad),
+        lambda: sandwich_covariance(space, bad, fit),
+        lambda: frechet_value(space, bad, fit.mean),
+        lambda: two_sample_test(space, good, bad),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidPoint, match="leaf label 3 exceeds n_leaves=2"):
+            call()
 
 
 def test_point_payload_is_immutable():

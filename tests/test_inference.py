@@ -147,7 +147,7 @@ def test_two_sample_statistic_affine_invariant(rng):
 def test_two_sample_vech_scaling_does_not_change_decision(rng):
     # oracle: recompute the statistic from plain (unscaled) half-vectorized
     # logs; the Mahalanobis form is invariant to the sqrt(2) convention
-    from frechetstats.spaces.spd import _logm_rows
+    from frechetstats.spaces.spd import spd_logm
 
     sp = SPDSpace(3, "log_euclidean")
     xs = [random_spd(rng, log_scale=0.3) for _ in range(25)]
@@ -157,7 +157,7 @@ def test_two_sample_vech_scaling_does_not_change_decision(rng):
     iu = np.triu_indices(3)
 
     def plain_vech(sample):
-        logs = _logm_rows(np.stack([p.data for p in sample]))
+        logs = spd_logm(np.stack([p.data for p in sample]))
         return logs[:, iu[0], iu[1]]
 
     vx, vy = plain_vech(xs), plain_vech(ys)
