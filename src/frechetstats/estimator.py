@@ -1,10 +1,11 @@
 """Sample Frechet means and their asymptotic sandwich covariance.
 
 ``estimate_mean`` finds a stationary point of the empirical Frechet
-function with the space's own ``mean``: closed forms where they exist
-(Euclidean, SPD under both metrics, chordal sphere, open book), Karcher
-fixed-point iteration for the geodesic sphere, and the damped Newton
-descent on chart coordinates that every space inherits.
+function with the space's own ``mean`` (its ``mean_many`` on one sample):
+closed forms where they exist (Euclidean, SPD under both metrics, chordal
+sphere, open book), Karcher fixed-point iteration for the geodesic sphere,
+and the damped Newton descent on chart coordinates that every space
+inherits.
 
 ``sandwich_covariance`` then forms, in the chart anchored at the estimate,
 
@@ -23,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NearSingularCovariance, NearSingularHessian, NoConvergence
-from .geometry import Point, Space, gradient_rows, mean_gradient, numeric_hessian
+from .geometry import MEAN_MAX_ITER, MEAN_TOL, Point, Space, gradient_rows, mean_gradient
+from .geometry import numeric_hessian
 
 #: condition-number ceiling beyond which Lambda_n (or a covariance) is
 #: treated as numerically singular
@@ -53,7 +55,7 @@ class FrechetFit:
     lambda_pd: bool | None = None
 
 
-def estimate_mean(space, sample, *, tol=1e-10, max_iter=200, strategy=None, diff=None):
+def estimate_mean(space, sample, *, tol=MEAN_TOL, max_iter=MEAN_MAX_ITER, strategy=None, diff=None):
     """Stationary point of the empirical Frechet function.
 
     Parameters
@@ -67,8 +69,8 @@ def estimate_mean(space, sample, *, tol=1e-10, max_iter=200, strategy=None, diff
     max_iter : int
         Iteration budget for the iterative strategies.
     strategy : str, optional
-        ``newton`` forces the damped Newton descent of the ``Space`` base
-        class; None, or the space's own ``mean_strategy`` (``closed_form``,
+        ``newton`` forces the damped Newton descent (``Space.mean_many``);
+        None, or the space's own ``mean_strategy`` (``closed_form``,
         ``karcher`` or ``openbook_exact``), runs ``space.mean``.
     diff : DiffConfig, optional
         Finite-difference settings for numeric fallbacks.
@@ -85,7 +87,8 @@ def estimate_mean(space, sample, *, tol=1e-10, max_iter=200, strategy=None, diff
     if strategy == space.mean_strategy:
         mean, iterations = space.mean(sample, tol=tol, max_iter=max_iter, diff=diff)
     elif strategy == "newton":
-        mean, iterations = Space.mean(space, sample, tol=tol, max_iter=max_iter, diff=diff)
+        means, its = Space.mean_many(space, sample, 1, tol=tol, max_iter=max_iter, diff=diff)
+        mean, iterations = means[0], int(its[0])
     else:
         raise ValueError(f"unknown strategy {strategy!r} for {space!r}")
 

@@ -224,7 +224,9 @@ def fiber_site_tests(dataset, metric="log_euclidean", alpha=0.05):
     are tested in one batch by ``chi2_two_sample``.  Returns (results
     ordered by site, summary dict).  Sites whose pooled covariance is
     near-singular are reported with NaN statistics, excluded from the
-    corrections, and listed in the summary.  Raises NotPositiveDefinite,
+    corrections, and listed in the summary (``failed_sites``), each with
+    its reason and the condition number of its pooled covariance (None when
+    infinite) in ``failed_site_details``.  Raises NotPositiveDefinite,
     naming the subject and site, for a tensor too close to singular for the
     log-Euclidean chart.
     """
@@ -242,7 +244,7 @@ def fiber_site_tests(dataset, metric="log_euclidean", alpha=0.05):
         ) from None
     images = images.reshape(n, n_sites, space.chart_dim)
     images = np.swapaxes(images, 0, 1)  # (site, subject, coordinate)
-    stats, pvals, _, _, _, _ = chi2_two_sample(
+    stats, pvals, cond, _, _, _ = chi2_two_sample(
         images[:, dataset.groups == 1], images[:, dataset.groups == 0]
     )
     failed = np.isnan(stats)
@@ -269,6 +271,7 @@ def fiber_site_tests(dataset, metric="log_euclidean", alpha=0.05):
         )
         for site in range(n_sites)
     ]
+    failed_sites = np.flatnonzero(failed).tolist()
     summary = {
         "metric": metric,
         "alpha": alpha,
@@ -276,7 +279,12 @@ def fiber_site_tests(dataset, metric="log_euclidean", alpha=0.05):
         "n_tested": int(ok.sum()),
         "bonferroni_global_p": bonf_result.global_p if bonf_result else float("nan"),
         "bh_rejections": bh_result.n_rejected if bh_result else 0,
-        "failed_sites": np.flatnonzero(failed).tolist(),
+        "failed_sites": failed_sites,
+        "failed_site_details": [
+            {"site": site, "reason": "pooled covariance is numerically singular",
+             "condition": float(cond[site]) if np.isfinite(cond[site]) else None}
+            for site in failed_sites
+        ],
     }
     return results, summary
 

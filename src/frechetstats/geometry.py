@@ -28,6 +28,10 @@ GRADIENT_STEP_SCALE = _EPS ** (1.0 / 3.0)
 #: quadratic terms below ~1e-6.
 HESSIAN_STEP_SCALE = _EPS ** 0.25
 
+#: default gradient-norm tolerance and iteration budget of the iterative means
+MEAN_TOL = 1e-10
+MEAN_MAX_ITER = 200
+
 
 @dataclass(frozen=True, eq=False)
 class Point:
@@ -83,6 +87,12 @@ class Sample:
         leaf = 0 if self.leaves is None else int(self.leaves[i])
         return Point(self.kind, self.data[i], leaf)
 
+    def split(self, sizes):
+        """The consecutive Samples of ``sizes`` rows each that make up this one."""
+        stops = np.cumsum(sizes)[:-1]
+        leaves = [None] * len(sizes) if self.leaves is None else np.split(self.leaves, stops)
+        return [Sample(self.kind, d, lv) for d, lv in zip(np.split(self.data, stops), leaves)]
+
     @classmethod
     def of(cls, p):
         """The Point ``p``, validated when it was built, as a Sample of one
@@ -100,9 +110,9 @@ def _finite_rows(values, ndim):
 
 
 def row_norms(rows):
-    """Euclidean norm of each row of an (R, k) array, computed row by row
+    """Euclidean norm of each row of an (..., k) array, computed row by row
     exactly as np.linalg.norm computes the norm of one vector."""
-    return np.sqrt((rows[:, None, :] @ rows[:, :, None])[:, 0, 0])
+    return np.sqrt((rows[..., None, :] @ rows[..., :, None])[..., 0, 0])
 
 
 def row_products(rows, matrix):
@@ -219,21 +229,13 @@ class DiffConfig:
             if scale is not None and scale <= 0.0:
                 raise ValueError("finite-difference step scales must be positive")
 
-    def _gradient_scale(self):
-        if self.gradient_scale is not None:
-            return self.gradient_scale
-        return _EPS ** 0.2 if self.richardson else GRADIENT_STEP_SCALE
-
-    def _hessian_scale(self):
-        if self.hessian_scale is not None:
-            return self.hessian_scale
-        return _EPS ** (1.0 / 6.0) if self.richardson else HESSIAN_STEP_SCALE
-
     def gradient_steps(self, x):
-        return self._gradient_scale() * np.maximum(1.0, np.abs(x))
+        scale = self.gradient_scale or (_EPS ** 0.2 if self.richardson else GRADIENT_STEP_SCALE)
+        return scale * np.maximum(1.0, np.abs(x))
 
     def hessian_steps(self, x):
-        return self._hessian_scale() * np.maximum(1.0, np.abs(x))
+        scale = self.hessian_scale or (_EPS ** (1 / 6) if self.richardson else HESSIAN_STEP_SCALE)
+        return scale * np.maximum(1.0, np.abs(x))
 
 
 def _check_finite(value):
@@ -256,17 +258,20 @@ def _gradient_fixed_steps(f, x, steps):
     return np.stack(cols, axis=-1)
 
 
+def _differences(fixed_steps, f, x, steps, cfg):
+    """``fixed_steps(f, x, steps)``, Richardson-extrapolated over one step
+    halving when ``cfg`` asks for that."""
+    d = fixed_steps(f, x, steps)
+    if cfg.richardson:
+        d = (4.0 * fixed_steps(f, x, steps / 2.0) - d) / 3.0
+    return d
+
+
 def _central_gradient(f, x, cfg):
-    """Central differences of ``f`` at ``x`` with the steps of ``cfg``,
-    Richardson-extrapolated over one step halving when it asks for that."""
+    """Central differences of ``f`` at ``x`` with the steps of ``cfg``."""
     cfg = cfg or DiffConfig()
     x = np.asarray(x, dtype=float)
-    steps = cfg.gradient_steps(x)
-    g = _gradient_fixed_steps(f, x, steps)
-    if cfg.richardson:
-        g_half = _gradient_fixed_steps(f, x, steps / 2.0)
-        g = (4.0 * g_half - g) / 3.0
-    return g
+    return _differences(_gradient_fixed_steps, f, x, cfg.gradient_steps(x), cfg)
 
 
 def numeric_gradient(f, x, cfg=None):
@@ -303,11 +308,7 @@ def numeric_hessian(f, x, cfg=None):
     """Second-order central-difference Hessian, symmetrized as (H + H^T)/2."""
     cfg = cfg or DiffConfig()
     x = np.asarray(x, dtype=float)
-    steps = cfg.hessian_steps(x)
-    h = _hessian_fixed_steps(f, x, steps)
-    if cfg.richardson:
-        h_half = _hessian_fixed_steps(f, x, steps / 2.0)
-        h = (4.0 * h_half - h) / 3.0
+    h = _differences(_hessian_fixed_steps, f, x, cfg.hessian_steps(x), cfg)
     return 0.5 * (h + h.T)
 
 
@@ -407,17 +408,8 @@ class Space(ABC):
     point_shape = None
     #: True when chart_at ignores the base point (one global chart)
     has_global_chart = False
-    #: how ``mean`` finds the sample Frechet mean (``FrechetFit.strategy``)
+    #: how ``mean_many`` finds the sample Frechet means (``FrechetFit.strategy``)
     mean_strategy = "newton"
-
-    @property
-    def batches_fits(self):
-        """True when the mean is closed form and the chart global and flat
-        (h is the squared chart distance).  Such a space also provides
-        ``mean_many(sample, reps)``, the batched form of its ``mean``, so
-        that R fits, and with ``distance_many`` their errors, run as array
-        operations."""
-        return self.has_global_chart and self.mean_strategy == "closed_form"
 
     @abstractmethod
     def distance_many(self, sample, q):
@@ -455,41 +447,55 @@ class Space(ABC):
         self.check_point(sample[0])  # the rows of a Sample share kind and shape
         return sample
 
-    def mean(self, sample, *, tol=1e-10, max_iter=200, diff=None):
-        """Sample Frechet mean as ``(point, iterations)``.
+    def mean(self, sample, *, tol=MEAN_TOL, max_iter=MEAN_MAX_ITER, diff=None):
+        """Sample Frechet mean as ``(point, iterations)``, the batch of one of
+        ``mean_many``."""
+        means, its = self.mean_many(self.check_sample(sample), 1, tol=tol, max_iter=max_iter,
+                                    diff=diff)
+        return means[0], int(its[0])
+
+    def mean_many(self, sample, reps, *, tol=MEAN_TOL, max_iter=MEAN_MAX_ITER, diff=None):
+        """Sample Frechet means of ``reps`` equal-size samples stacked
+        row-wise in one Sample, as ``(means, iterations)``: a Sample of the
+        R means and their (R,) iteration counts.
 
         The default is a damped Newton descent on the chart coordinates at
-        ``initial_guess``, stopped once the gradient norm of the averaged h
-        is at most ``tol``; spaces with a closed form or a cheaper iteration
-        override it.  ``diff`` configures the central differences used where
-        a chart has no analytic derivatives.
-        """
-        sample = self.check_sample(sample)
-        start = self.initial_guess(sample)
-        chart = self.chart_at(start)
-        packed = chart.pack(sample)
-        x = chart.forward(start)
+        ``initial_guess``, one replication at a time, stopped once the
+        gradient norm of the averaged h is at most ``tol`` (else after
+        ``max_iter`` iterations), with central differences (``diff``) where
+        the chart has no analytic derivatives."""
+        parts = sample.split([len(sample) // reps] * reps)
+        means, its = zip(*(_newton_mean(self, part, tol, max_iter, diff) for part in parts))
+        return as_sample(means), np.array(its)
 
-        def fmean(xx):
-            return float(np.mean(chart.h_many(xx, packed)))
 
-        for it in range(max_iter):
-            g = mean_gradient(chart, x, packed, diff)
-            if np.linalg.norm(g) <= tol:
-                return chart.inverse(x), it
-            hess = chart.hess_h_mean(x, packed)
-            if hess is None:
-                hess = numeric_hessian(fmean, x, diff)
-            try:
-                step = np.linalg.solve(hess, -g)
-            except np.linalg.LinAlgError:
-                step = -g
-            f0 = fmean(x)
-            tau = 1.0
-            while fmean(x + tau * step) > f0 and tau > 1e-10:
-                tau *= 0.5
-            x = x + tau * step
-        return chart.inverse(x), max_iter
+def _newton_mean(space, sample, tol, max_iter, diff):
+    """The damped Newton descent of ``Space.mean_many`` on one sample."""
+    start = space.initial_guess(sample)
+    chart = space.chart_at(start)
+    packed = chart.pack(sample)
+    x = chart.forward(start)
+
+    def fmean(xx):
+        return float(np.mean(chart.h_many(xx, packed)))
+
+    for it in range(max_iter):
+        g = mean_gradient(chart, x, packed, diff)
+        if np.linalg.norm(g) <= tol:
+            return chart.inverse(x), it
+        hess = chart.hess_h_mean(x, packed)
+        if hess is None:
+            hess = numeric_hessian(fmean, x, diff)
+        try:
+            step = np.linalg.solve(hess, -g)
+        except np.linalg.LinAlgError:
+            step = -g
+        f0 = fmean(x)
+        tau = 1.0
+        while fmean(x + tau * step) > f0 and tau > 1e-10:
+            tau *= 0.5
+        x = x + tau * step
+    return chart.inverse(x), max_iter
 
 
 def mean_gradient(chart, x, packed, diff=None):

@@ -101,7 +101,7 @@ def two_sample_test(space, sample_x, sample_y):
     """
     sample_x = space.check_sample(sample_x)
     sample_y = space.check_sample(sample_y)
-    if getattr(space, "has_global_chart", False):
+    if space.has_global_chart:
         chart = space.chart_at()
     else:
         leaves = None

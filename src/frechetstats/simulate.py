@@ -9,15 +9,17 @@ order in which replications execute.
 
 The experiments run their replications in blocks of at most BLOCK_POINTS
 sample points.  Each replication draws its raw variates from its own
-stream; the descriptor turns the whole block into points at once.  Where
-the space's mean is closed form and its chart global and flat (Euclidean,
-SPD), a block is fitted and scored with array operations; the open-book
-strata are computed for a whole block too.  Other spaces, and a block in
-which some replication fails, run one fit per replication.
+stream; the descriptor turns the whole block into points at once.  Every
+space fits a block with one ``mean_many`` call (consistency, stickiness);
+coverage and the type-I test run in blocks on the spaces with a global
+chart (Euclidean, SPD), and one replication at a time elsewhere.  A block
+in which a replication fails, or spends the iteration budget, runs again
+one replication at a time, which records each failure as a single fit does.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,11 +41,11 @@ from .estimator import (
     flat_sandwich,
     sandwich_covariance,
 )
-from .geometry import Sample, euclidean_point, euclidean_sample, openbook_point, openbook_sample
-from .geometry import spd_point, sphere_point, sphere_sample
+from .geometry import MEAN_MAX_ITER, Sample, euclidean_point, euclidean_sample, openbook_point
+from .geometry import openbook_sample, spd_point, sphere_point, sphere_sample
 from .inference import chi2_two_sample, two_sample_test
 from .spaces.euclidean import EuclideanSpace
-from .spaces.openbook import OpenBookSpace, openbook_mean_strata
+from .spaces.openbook import OpenBookSpace
 from .spaces.spd import SPDSpace, _vech_inv_rows, spd_expm, spd_vech
 from .spaces.sphere import SphereSpace, sphere_exp, sphere_log, tangent_basis
 
@@ -66,6 +68,7 @@ _REP_FAILURES = (
     NearSingularCovariance,
     CutLocus,
     NotPositiveDefinite,
+    InvalidPoint,
 )
 
 
@@ -179,8 +182,7 @@ class SphereCapDescriptor:
         return Sample("sphere", rows)  # unit rows by construction
 
     def population_mean(self, space):
-        c = np.asarray(self.center, dtype=float)
-        return sphere_point(c / np.linalg.norm(c))
+        return sphere_point(self._center())
 
 
 @dataclass(frozen=True)
@@ -251,20 +253,14 @@ class SPDLogGaussianDescriptor:
 _X0_FAMILIES = ("constant", "exponential", "half_gaussian")
 
 
-def _x0_mean(family, param):
+def _x0_moments(family, param):
+    """Mean and second moment of a height family."""
+    p = float(param)
     if family == "constant":
-        return float(param)
+        return p, p**2
     if family == "exponential":
-        return 1.0 / float(param)
-    return float(param) * np.sqrt(2.0 / np.pi)
-
-
-def _x0_second_moment(family, param):
-    if family == "constant":
-        return float(param) ** 2
-    if family == "exponential":
-        return 2.0 / float(param) ** 2
-    return float(param) ** 2
+        return 1.0 / p, 2.0 / p**2
+    return p * np.sqrt(2.0 / np.pi), p**2
 
 
 @dataclass(frozen=True)
@@ -336,31 +332,27 @@ class OpenBookDescriptor:
         rest = np.asarray(self.spine_mean, dtype=float) + self.spine_sd * z
         return openbook_sample(labels, np.column_stack([x0, rest]))
 
+    def _leaf_moments(self, space):
+        """(K, 2): each leaf's probability times the mean and the second
+        moment of its heights."""
+        probs = np.asarray(self.leaf_probs, dtype=float)[:, None]
+        return probs * np.array([_x0_moments(*f) for f in self._families(space.n_leaves)])
+
     def population_folded_means(self, space):
         """Closed-form folded means m_k of the sampling law."""
-        probs = np.asarray(self.leaf_probs, dtype=float)
-        fams = self._families(space.n_leaves)
-        contrib = probs * np.array([_x0_mean(*f) for f in fams])
-        total = contrib.sum()
-        return 2.0 * contrib - total
+        contrib = self._leaf_moments(space)[:, 0]
+        return 2.0 * contrib - contrib.sum()
 
     def population_folded_variance(self, space, k):
         """Variance of the zero-th coordinate of f_k under the law."""
-        probs = np.asarray(self.leaf_probs, dtype=float)
-        fams = self._families(space.n_leaves)
-        second = float(
-            (probs * np.array([_x0_second_moment(*f) for f in fams])).sum()
-        )
-        m_k = float(self.population_folded_means(space)[k - 1])
-        return second - m_k**2
+        second = float(self._leaf_moments(space)[:, 1].sum())
+        return second - float(self.population_folded_means(space)[k - 1]) ** 2
 
     def population_mean(self, space):
         m = self.population_folded_means(space)
-        mu_rest = np.asarray(self.spine_mean, dtype=float)
-        k = int(np.argmax(m)) + 1
-        if m[k - 1] > 0.0:
-            return openbook_point(k, np.concatenate([[m[k - 1]], mu_rest]))
-        return openbook_point(0, np.concatenate([[0.0], mu_rest]))
+        k = int(np.argmax(m))
+        # height 0, when no folded mean is positive, puts the mean on the spine
+        return openbook_point(k + 1, np.concatenate([[max(0.0, m[k])], self.spine_mean]))
 
 
 # ---------------------------------------------------------------------------
@@ -459,23 +451,54 @@ def _blocks(keys, points):
     return [keys[i : i + per] for i in range(0, len(keys), per)]
 
 
-def _split(sample, sizes):
-    """The consecutive samples of ``sizes`` rows each that make up a block."""
+def _block_means(space, block, reps):
+    """The Sample of the means of a block's ``reps`` replications.  Raises
+    NoConvergence when a replication spends the iteration budget, so that
+    ``estimate_mean`` decides, as for a single fit, whether it failed."""
+    means, iterations = space.mean_many(block, reps)
+    if np.any(iterations >= MEAN_MAX_ITER):
+        raise NoConvergence(f"a replication exhausted {MEAN_MAX_ITER} iterations")
+    return means
+
+
+def _outcomes(keys, block, sizes, batched, single, failed):
+    """Outcomes of the replications ``keys`` of a block of samples of
+    ``sizes`` rows each (a replication's groups in a row): ``batched(block,
+    len(keys))`` unless it is None or raises, otherwise ``single(*groups)``
+    per replication, each failure recorded in ``failed``."""
+    if batched is not None:
+        try:
+            return batched(block, len(keys))
+        except FrechetStatsError:
+            pass  # one replication at a time attributes each failure
+    groups = block.split(sizes)
+    per = len(groups) // len(keys)
     out = []
-    for stop, size in zip(np.cumsum(sizes), sizes):
-        rows = slice(stop - size, stop)
-        leaves = None if sample.leaves is None else sample.leaves[rows]
-        out.append(Sample(sample.kind, sample.data[rows], leaves))
+    for i, key in enumerate(keys):
+        try:
+            out.append(single(*groups[i * per : (i + 1) * per]))
+        except _REP_FAILURES as exc:
+            failed.append(_failure(key, exc))
     return out
 
 
-def _coverage_block(space, block, reps, truth, alpha):
+def _rate_report(experiment, reps, outcomes, failed, **details):
+    """MCReport of the fraction of true outcomes, once the failures are
+    within the budget."""
+    _check_failures(failed, reps, f"mc_{experiment}")
+    est = float(np.mean(outcomes)) if outcomes else float("nan")
+    return MCReport(experiment=experiment, reps=reps, estimate=est,
+                    std_error=_binomial_se(est, len(outcomes)), failures=len(failed),
+                    outcomes=tuple(outcomes), details={**details, **_failure_details(failed)})
+
+
+def _coverage_block(space, truth, alpha, block, reps):
     """Coverage outcomes of ``reps`` equal-size replications, fitted as
     arrays in the space's global flat chart."""
     chart = space.chart_at()
     candidate = chart.forward(truth)
     images = chart.pack(block).reshape(reps, -1, chart.s)
-    _, coords = space.mean_many(block, reps)
+    coords = chart.forward_many(_block_means(space, block, reps))
     asym = flat_sandwich(chart, coords, images)
     return confidence_regions_contain(images.shape[1], coords, asym, candidate, alpha).tolist()
 
@@ -488,45 +511,29 @@ def mc_coverage(sampler, n, reps, alpha, derivatives="auto"):
     the region.  Replications where the true mean lies outside the fitted
     chart's domain count as misses; numeric failures are counted separately
     and tolerated only up to the failure budget.  A block of replications
-    is fitted as arrays when the space batches its fits and the derivatives
-    are its closed forms (``auto``).
+    is fitted as arrays when the space has a global chart and the
+    derivatives are its closed forms (``auto``).
     """
     space = sampler.space
     truth = sampler.population_mean()
-    outcomes = []
-    failed = []
+    flat = derivatives == "auto" and space.has_global_chart
+    batched = functools.partial(_coverage_block, space, truth, alpha) if flat else None
+
+    def single(sample):
+        fit = estimate_mean(space, sample)
+        fit = sandwich_covariance(space, sample, fit, derivatives=derivatives)
+        try:
+            candidate = fit.chart.forward(truth)
+        except (InvalidPoint, CutLocus):
+            return False
+        return bool(confidence_region_contains(fit, candidate, alpha))
+
+    outcomes, failed = [], []
     for keys in _blocks(list(range(reps)), n):
         block = sampler.draw_many(n, keys)
-        if derivatives == "auto" and space.batches_fits:
-            try:
-                outcomes += _coverage_block(space, block, len(keys), truth, alpha)
-                continue
-            except FrechetStatsError:
-                pass  # one fit per replication reproduces each failure or miss
-        for key, sample in zip(keys, _split(block, [n] * len(keys))):
-            try:
-                fit = estimate_mean(space, sample)
-                fit = sandwich_covariance(space, sample, fit, derivatives=derivatives)
-            except _REP_FAILURES as exc:
-                failed.append(_failure(key, exc))
-                continue
-            try:
-                candidate = fit.chart.forward(truth)
-            except (InvalidPoint, CutLocus):
-                outcomes.append(False)
-                continue
-            outcomes.append(bool(confidence_region_contains(fit, candidate, alpha)))
-    _check_failures(failed, reps, "mc_coverage")
-    est = float(np.mean(outcomes)) if outcomes else float("nan")
-    return MCReport(
-        experiment="coverage",
-        reps=reps,
-        estimate=est,
-        std_error=_binomial_se(est, len(outcomes)),
-        failures=len(failed),
-        outcomes=tuple(outcomes),
-        details={"alpha": alpha, "n": n, "derivatives": derivatives, **_failure_details(failed)},
-    )
+        outcomes += _outcomes(keys, block, [n] * len(keys), batched, single, failed)
+    return _rate_report("coverage", reps, outcomes, failed,
+                        alpha=alpha, n=n, derivatives=derivatives)
 
 
 def mc_stickiness(sampler, n, reps):
@@ -536,20 +543,19 @@ def mc_stickiness(sampler, n, reps):
     The point estimate is the fraction landing in the population-predicted
     stratum (spine fraction when the population folded means have no strict
     winner).  ``details['mean_x0']`` records the height of each
-    replication's mean for boundary-regime diagnostics.  The strata of a
-    whole block come from ``openbook_mean_strata``.
+    replication's mean for boundary-regime diagnostics.  The means of a
+    whole block come from one ``mean_many`` call.
     """
     space = sampler.space
     if not isinstance(space, OpenBookSpace):
         raise InvalidDescriptor("mc_stickiness requires an open-book sampler")
     pop_m = sampler.descriptor.population_folded_means(space)
     pop_leaf = int(np.argmax(pop_m)) + 1 if float(np.max(pop_m)) > 0.0 else 0
-    tags = []
-    heights = []
+    tags, heights = [], []
     for keys in _blocks(list(range(reps)), n):
-        leaves, x0 = openbook_mean_strata(sampler.draw_many(n, keys), len(keys), space.n_leaves)
-        tags += ["spine" if leaf == 0 else f"leaf_{leaf}" for leaf in leaves.tolist()]
-        heights += x0.tolist()
+        means, _ = space.mean_many(sampler.draw_many(n, keys), len(keys))
+        tags += ["spine" if leaf == 0 else f"leaf_{leaf}" for leaf in means.leaves.tolist()]
+        heights += means.data[:, 0].tolist()
     fractions = {tag: tags.count(tag) / reps for tag in sorted(set(tags))}
     target = "spine" if pop_leaf == 0 else f"leaf_{pop_leaf}"
     est = fractions.get(target, 0.0)
@@ -570,7 +576,7 @@ def mc_stickiness(sampler, n, reps):
     )
 
 
-def _type1_block(space, block, reps, n1, alpha):
+def _type1_block(space, n1, alpha, block, reps):
     """Rejections of ``reps`` two-sample tests in the global chart, the
     groups of each replication stacked as its n1 + n2 rows."""
     chart = space.chart_at()
@@ -591,69 +597,44 @@ def mc_type1(space, sampler, n1, n2, reps, alpha, identical_groups=False):
     """
     if repr(sampler.space) != repr(space):
         raise InvalidDescriptor("sampler and space arguments disagree")
-    outcomes = []
-    failed = []
+    batched = (functools.partial(_type1_block, space, n1, alpha)
+               if space.has_global_chart else None)
+
+    def single(x, y):
+        return bool(two_sample_test(space, x, y).p_value <= alpha)
+
+    outcomes, failed = [], []
     for block_reps in _blocks(list(range(reps)), n1 + n2):
         keys = [key for rep in block_reps for key in ((rep, 0), (rep, 0 if identical_groups else 1))]
         sizes = [n1, n2] * len(block_reps)
         block = sampler.draw_many(sizes, keys)
-        if space.has_global_chart:
-            try:
-                outcomes += _type1_block(space, block, len(block_reps), n1, alpha)
-                continue
-            except FrechetStatsError:
-                pass  # one test per replication reproduces each failure
-        groups = _split(block, sizes)
-        for rep, x, y in zip(block_reps, groups[::2], groups[1::2]):
-            try:
-                res = two_sample_test(space, x, y)
-            except _REP_FAILURES as exc:
-                failed.append(_failure(rep, exc))
-                continue
-            outcomes.append(bool(res.p_value <= alpha))
-    _check_failures(failed, reps, "mc_type1")
-    est = float(np.mean(outcomes)) if outcomes else float("nan")
-    return MCReport(
-        experiment="type1",
-        reps=reps,
-        estimate=est,
-        std_error=_binomial_se(est, len(outcomes)),
-        failures=len(failed),
-        outcomes=tuple(outcomes),
-        details={"alpha": alpha, "n1": n1, "n2": n2, "df": space.chart_dim,
-                 **_failure_details(failed)},
-    )
+        outcomes += _outcomes(block_reps, block, sizes, batched, single, failed)
+    return _rate_report("type1", reps, outcomes, failed,
+                        alpha=alpha, n1=n1, n2=n2, df=space.chart_dim)
 
 
 def mc_consistency(space, sampler, n_grid, reps):
     """Median distance between the estimated and true mean at each sample
     size; returns a list of (n, median error) rows.  A block of
-    replications is fitted as arrays when the space batches its fits."""
+    replications is fitted with one ``mean_many`` call and scored with one
+    ``distance_many`` call."""
     if repr(sampler.space) != repr(space):
         raise InvalidDescriptor("sampler and space arguments disagree")
     truth = sampler.population_mean()
-    table = []
-    failed = []
-    total = 0
+
+    def batched(block, reps):
+        return space.distance_many(_block_means(space, block, reps), truth).tolist()
+
+    def single(sample):
+        return space.distance(estimate_mean(space, sample).mean, truth)
+
+    table, failed, total = [], [], 0
     for n in map(int, n_grid):
         errs = []
         for keys in _blocks([(n, rep) for rep in range(reps)], n):
             total += len(keys)
-            block = sampler.draw_many(n, keys)
-            if space.batches_fits:
-                try:
-                    means, _ = space.mean_many(block, len(keys))
-                    errs += space.distance_many(Sample(space.kind, means), truth).tolist()
-                    continue
-                except FrechetStatsError:
-                    pass  # one fit per replication reproduces each failure
-            for key, sample in zip(keys, _split(block, [n] * len(keys))):
-                try:
-                    fit = estimate_mean(space, sample)
-                except _REP_FAILURES as exc:
-                    failed.append(_failure(key, exc))
-                    continue
-                errs.append(space.distance(fit.mean, truth))
+            errs += _outcomes(keys, sampler.draw_many(n, keys), [n] * len(keys), batched, single,
+                              failed)
         table.append((n, float(np.median(errs))))
     _check_failures(failed, total, "mc_consistency")
     return table

@@ -7,6 +7,8 @@ covariance collapses to the sample covariance.
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..geometry import FlatChart, Space, euclidean_point, euclidean_sample, row_norms
 
 
@@ -47,17 +49,11 @@ class EuclideanSpace(Space):
     def initial_guess(self, sample):
         return self.mean(sample)[0]
 
-    def mean(self, sample, **_):
-        """Arithmetic mean (the exact Frechet mean of R^s), after 0
-        iterations; the batch of one of ``mean_many``."""
-        return euclidean_point(self.mean_many(self.check_sample(sample), 1)[0][0]), 0
-
-    def mean_many(self, sample, reps):
-        """Arithmetic means of ``reps`` equal-size samples stacked row-wise
-        in one Sample, as ``(payloads, coords)``: both are the (R, s) stack
-        of means, the chart being the identity."""
-        means = euclidean_sample(sample.data.reshape(reps, -1, self.dim).mean(axis=1)).data
-        return means, means
+    def mean_many(self, sample, reps, **_):
+        """Arithmetic means (the exact Frechet means of R^s), after 0
+        iterations."""
+        means = sample.data.reshape(reps, -1, self.dim).mean(axis=1)
+        return euclidean_sample(means), np.zeros(reps, dtype=int)
 
     def distance_many(self, sample, q):
         self.check_point(q)

@@ -141,34 +141,15 @@ def openbook_classify(moments):
 
 
 def openbook_frechet_mean(sample, n_leaves=None):
-    """Exact sample Frechet mean of an open-book sample.
+    """Exact sample Frechet mean of an open-book sample (the batch of one of
+    ``OpenBookSpace.mean_many``).
 
-    The squared distance separates into the folded zero-th coordinate and
-    the spine block, so no iteration is needed: leaf case (k; m_k, mean of
-    rest), otherwise the spine point (0; 0, mean of rest).
+    ``n_leaves`` defaults to the largest leaf label present (at least 2);
+    leaves the sample does not reach do not move the mean.
     """
-    mom = openbook_moments(sample, n_leaves)
-    tag = openbook_classify(mom)
-    if tag.kind == "leaf":
-        coords = np.concatenate([[mom.folded_means[tag.leaf - 1]], mom.spine_mean])
-        return openbook_point(tag.leaf, coords)
-    return openbook_point(0, np.concatenate([[0.0], mom.spine_mean]))
-
-
-def openbook_mean_strata(sample, reps, n_leaves):
-    """Leaf (0 for the spine) and height x0 of the exact Frechet mean of
-    each of ``reps`` equal-size samples stacked row-wise in ``sample``, as
-    two (R,) arrays, from all R samples' folded means at once.
-
-    The folded means and the stratum rule are those of
-    ``openbook_moments`` and ``openbook_classify``, so each replication
-    gets the bits of its own ``openbook_frechet_mean``.
-    """
-    folded = _folded_means(
-        sample.leaves.reshape(reps, -1), sample.data[:, 0].reshape(reps, -1), n_leaves
-    )
-    leaf, top = _winner(folded)
-    return np.where(top > 0.0, leaf, 0), np.where(top > 0.0, top, 0.0)
+    sample = as_sample(sample)
+    n_leaves = max(int(sample.leaves.max()), 2) if n_leaves is None else n_leaves
+    return OpenBookSpace(n_leaves, sample.data.shape[1] - 1).mean(sample)[0]
 
 
 class OpenBookLeafChart(FlatChart):
@@ -270,7 +251,16 @@ class OpenBookSpace(Space):
     def initial_guess(self, sample):
         return self.mean(sample)[0]
 
-    def mean(self, sample, **_):
-        """Exact sample Frechet mean (``openbook_frechet_mean``), after 0
-        iterations."""
-        return openbook_frechet_mean(self.check_sample(sample), self.n_leaves), 0
+    def mean_many(self, sample, reps, **_):
+        """Exact sample Frechet means, after 0 iterations: the squared
+        distance separates into the folded x0 and the spine block, so a
+        replication's mean is (k; m_k, mean of rest) when its largest folded
+        mean m_k is positive, otherwise the spine point (0; 0, mean of rest).
+        """
+        data = sample.data.reshape(reps, -1, self.spine_dim + 1)
+        folded = _folded_means(sample.leaves.reshape(reps, -1), data[..., 0], self.n_leaves)
+        leaf, top = _winner(folded)
+        on_leaf = top > 0.0
+        coords = np.column_stack([np.where(on_leaf, top, 0.0), data[..., 1:].mean(axis=1)])
+        # valid by construction: x0 > 0 exactly on the leaves
+        return Sample(self.kind, coords, np.where(on_leaf, leaf, 0)), np.zeros(reps, dtype=int)

@@ -135,24 +135,15 @@ def _sample_logs(sample):
     return logs
 
 
-def _means(sample, reps, metric):
-    """(R, p, p) closed-form means of ``reps`` equal-size samples stacked
-    row-wise in ``sample``."""
-    p = sample.data.shape[-1]
-    if metric == "euclidean":
-        return sample.data.reshape(reps, -1, p, p).mean(axis=1)
-    if metric == "log_euclidean":
-        return spd_expm(_sample_logs(sample).reshape(reps, -1, p, p).mean(axis=1))
-    raise ValueError(f"unknown spd metric {metric!r}")
-
-
 def spd_mean(sample, metric="log_euclidean"):
-    """Closed-form Frechet mean of SPD matrices under either metric.
+    """Closed-form Frechet mean of SPD matrices under either metric (the
+    batch of one of ``SPDSpace.mean_many``).
 
     Euclidean: entrywise mean (SPD by convexity of the cone).
     Log-Euclidean: expm of the mean of matrix logs.
     """
-    return spd_point(_means(as_sample(sample), 1, metric)[0])
+    sample = as_sample(sample)
+    return SPDSpace(sample.data.shape[-1], metric).mean(sample)[0]
 
 
 class SPDChart(FlatChart):
@@ -201,16 +192,14 @@ class SPDSpace(Space):
     def initial_guess(self, sample):
         return self.mean(sample)[0]
 
-    def mean(self, sample, **_):
-        """Closed-form Frechet mean (``spd_mean``), after 0 iterations."""
-        return spd_mean(self.check_sample(sample), self.metric), 0
-
-    def mean_many(self, sample, reps):
-        """Closed-form means of ``reps`` equal-size samples stacked row-wise
-        in one Sample, as ``(payloads, coords)``: the (R, p, p) means and
-        their (R, s) vech-chart coordinates."""
-        means = spd_sample(_means(sample, reps, self.metric)).data
-        return means, _vech_rows(spd_logm(means) if self.metric == "log_euclidean" else means)
+    def mean_many(self, sample, reps, **_):
+        """Closed-form Frechet means (see ``spd_mean``), after 0 iterations."""
+        p = self.p
+        if self.metric == "euclidean":
+            means = sample.data.reshape(reps, -1, p, p).mean(axis=1)
+        else:
+            means = spd_expm(_sample_logs(sample).reshape(reps, -1, p, p).mean(axis=1))
+        return spd_sample(means), np.zeros(reps, dtype=int)
 
     def distance_many(self, sample, q):
         self.check_point(q)

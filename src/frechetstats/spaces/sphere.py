@@ -11,7 +11,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import CutLocus, NonUniqueProjection
-from ..geometry import Chart, Space, row_norms, row_products, sphere_point
+from ..geometry import MEAN_MAX_ITER, MEAN_TOL, Chart, Space, row_norms, row_products
+from ..geometry import sphere_point, sphere_sample
 
 _CUT_TOL = 1e-9
 
@@ -27,13 +28,7 @@ def sphere_distance(p, q):
 
 def sphere_exp(base, v):
     """Exponential map: cos(|v|) base + sin(|v|) v/|v| (base when v = 0)."""
-    b = np.asarray(base, dtype=float)
-    v = np.asarray(v, dtype=float)
-    nv = float(np.linalg.norm(v))
-    if nv == 0.0:
-        return b.copy()
-    out = np.cos(nv) * b + np.sin(nv) * (v / nv)
-    return out / np.linalg.norm(out)
+    return _exp_rows(np.asarray(base, dtype=float)[None], np.asarray(v, dtype=float)[None])[0]
 
 
 def sphere_log(base, p):
@@ -50,11 +45,7 @@ def sphere_extrinsic_project(m):
     Raises NonUniqueProjection when ||m|| <= 1e-12 (every point of the
     sphere is then equally close).
     """
-    m = np.asarray(m, dtype=float)
-    nrm = float(np.linalg.norm(m))
-    if nrm <= 1e-12:
-        raise NonUniqueProjection("ambient mean is at the center of the sphere")
-    return m / nrm
+    return _project_rows(np.asarray(m, dtype=float)[None])[0]
 
 
 def tangent_basis(base):
@@ -75,21 +66,73 @@ def tangent_basis(base):
     return basis
 
 
+def _exp_rows(base, v):
+    """Exponential map at each row of an (R, d+1) ``base`` of that row of ``v``."""
+    nv = row_norms(v)[:, None]
+    zero = nv == 0.0
+    out = np.cos(nv) * base + np.sin(nv) * (v / np.where(zero, 1.0, nv))
+    return np.where(zero, base, out / row_norms(out)[:, None])
+
+
 def _log_rows(base, points):
-    """Log map of each row of ``points`` at ``base``; (n, d+1) tangent rows."""
-    c = row_products(points, base[:, None])[:, 0]
-    if np.any(np.linalg.norm(points + base, axis=1) < _CUT_TOL):
+    """Log map of each row of ``points`` at ``base``: (n, d+1) tangent rows
+    at one (d+1,) base, or, with leading axes, ``points[r]`` at
+    ``base[r]``."""
+    b = base[..., None, :]
+    c = (points[..., None, :] @ b[..., None])[..., 0, 0]
+    if np.any(np.linalg.norm(points + b, axis=-1) < _CUT_TOL):
         raise CutLocus("log map requested at the cut locus (antipode of base)")
-    w = points - np.outer(c, base)
-    nw = np.linalg.norm(w, axis=1)
+    w = points - c[..., None] * b
+    nw = np.linalg.norm(w, axis=-1)
     theta = np.arctan2(nw, np.clip(c, -1.0, 1.0))
     scale = np.where(nw < 1e-15, 0.0, theta / np.where(nw < 1e-15, 1.0, nw))
-    return w * scale[:, None]
+    return w * scale[..., None]
 
 
 def _geodesic_rows(p, points):
-    """Geodesic distances from ``p`` to each row of ``points``."""
-    return 2.0 * np.arcsin(np.minimum(1.0, 0.5 * row_norms(points - p)))
+    """Geodesic distances from ``p`` to each row of ``points`` (with
+    leading axes: from ``p[r]`` to each row of ``points[r]``)."""
+    return 2.0 * np.arcsin(np.minimum(1.0, 0.5 * row_norms(points - p[..., None, :])))
+
+
+def _project_rows(m):
+    """Each row of an (R, d+1) array divided by its norm; raises
+    NonUniqueProjection for a row of norm at most 1e-12."""
+    nrm = row_norms(m)
+    if np.any(nrm <= 1e-12):
+        raise NonUniqueProjection("ambient mean is at the center of the sphere")
+    return m / nrm[:, None]
+
+
+def _karcher_means(points, mu, tol, max_iter):
+    """Karcher fixed-point iteration for the geodesic means of an (R, n, d+1)
+    stack of samples from the (R, d+1) starts ``mu``: the means and the (R,)
+    iteration counts (``max_iter`` where the gradient norm 2 |step| never
+    reached ``tol``).  Each row halves its own step while the step raises its
+    Frechet function, with arithmetic independent of the other rows."""
+    mu = np.array(mu)
+    f_mu = (_geodesic_rows(mu, points) ** 2).mean(axis=-1)  # Frechet function at mu
+    iterations = np.full(len(mu), max_iter)
+    todo = np.ones(len(mu), dtype=bool)  # replications still iterating
+    for it in range(max_iter):
+        step = _log_rows(mu, points).mean(axis=-2)
+        done = todo & (2.0 * row_norms(step) <= tol)
+        iterations[done] = it
+        todo &= ~done
+        if not todo.any():
+            break
+        # allow rounding-level increases, or the damping can stall the
+        # iteration just above the gradient tolerance
+        limit = f_mu + 1e-15 * (1.0 + np.abs(f_mu))
+        moving, tau = todo.copy(), 1.0
+        while moving.any():
+            cand = _exp_rows(mu, tau * step)
+            f = (_geodesic_rows(cand, points) ** 2).mean(axis=-1)
+            ok = moving & ((f <= limit) | (tau < 1e-8))
+            mu[ok], f_mu[ok] = cand[ok], f[ok]
+            moving &= ~ok
+            tau *= 0.5
+    return mu, iterations
 
 
 class _TangentChart(Chart):
@@ -222,34 +265,17 @@ class SphereSpace(Space):
         return SphereExtrinsicChart(self, base)
 
     def initial_guess(self, sample):
-        """Projection of the ambient mean; exact minimizer of the chordal
-        Frechet function."""
-        m = self.check_sample(sample).data.mean(axis=0)
-        return sphere_point(sphere_extrinsic_project(m))
+        """The extrinsic mean, projection of the ambient mean: the exact
+        minimizer of the chordal Frechet function."""
+        return SphereSpace(self.ambient_dim, "extrinsic").mean(sample)[0]
 
-    def mean(self, sample, *, tol=1e-10, max_iter=200, **_):
-        """Sample Frechet mean as ``(point, iterations)``: the extrinsic
-        mean (0 iterations) under the chordal metric; under the geodesic
-        metric, Karcher fixed-point iteration from the extrinsic mean,
-        stopped once the gradient norm is at most ``tol``."""
-        sample = self.check_sample(sample)
+    def mean_many(self, sample, reps, *, tol=MEAN_TOL, max_iter=MEAN_MAX_ITER, **_):
+        """The extrinsic means (0 iterations) under the chordal metric; under
+        the geodesic metric, Karcher fixed-point iteration from them, each
+        replication stopped once its gradient norm is at most ``tol``."""
+        points = sample.data.reshape(reps, -1, self.ambient_dim)
+        start = sphere_sample(_project_rows(points.mean(axis=1)))
         if self.metric == "extrinsic":
-            return self.initial_guess(sample), 0
-        points = sample.data
-        mu = self.initial_guess(sample).data
-        for it in range(max_iter):
-            step = _log_rows(mu, points).mean(axis=0)
-            if 2.0 * np.linalg.norm(step) <= tol:
-                return sphere_point(mu), it
-            f0 = float(np.mean(_geodesic_rows(mu, points) ** 2))
-            # allow rounding-level increases, or the damping loop can stall
-            # the iteration just above the gradient tolerance
-            slack = 1e-15 * (1.0 + abs(f0))
-            tau = 1.0
-            while True:
-                cand = sphere_exp(mu, tau * step)
-                if float(np.mean(_geodesic_rows(cand, points) ** 2)) <= f0 + slack or tau < 1e-8:
-                    break
-                tau *= 0.5
-            mu = cand
-        return sphere_point(mu), max_iter
+            return start, np.zeros(reps, dtype=int)
+        means, iterations = _karcher_means(points, start.data, tol, max_iter)
+        return sphere_sample(means), iterations

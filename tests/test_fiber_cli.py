@@ -112,6 +112,13 @@ def test_batched_sweep_matches_per_site_two_sample_test(metric):
         assert r.p_value == pytest.approx(ref.p_value, rel=1e-12, abs=0.0)
     assert summary["failed_sites"] == [4]
     assert summary["n_tested"] == 8
+    (detail,) = summary["failed_site_details"]
+    assert detail["site"] == 4
+    assert detail["reason"] == "pooled covariance is numerically singular"
+    # identical tensors: the pooled covariance is exactly 0, so its
+    # condition number is infinite and reported as JSON null
+    assert detail["condition"] is None
+    assert json.loads(json.dumps(summary))["failed_site_details"] == [detail]
 
 
 def test_df_is_six_everywhere():

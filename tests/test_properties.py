@@ -1,12 +1,14 @@
 """Property tests (hypothesis) for the row kernels of every space: the
-single-point forms are the batch of one of the row forms, bit for bit, and
-the charts and folds satisfy their defining identities."""
+single-point forms are the batch of one of the row forms, bit for bit, the
+distances are metrics, and the charts and folds satisfy their defining
+identities; and for the multiple-testing procedures."""
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from frechetstats.errors import FrechetStatsError
 from frechetstats.geometry import (
     as_sample,
     euclidean_point,
@@ -15,8 +17,8 @@ from frechetstats.geometry import (
     spd_point,
     sphere_point,
 )
+from frechetstats.inference import bh_fdr, bonferroni
 from frechetstats.spaces import openbook_classify, openbook_fold, openbook_moments
-from frechetstats.spaces.openbook import openbook_mean_strata
 from frechetstats.spaces.spd import spd_expm, spd_vech_inv
 
 from conftest import space_instances
@@ -94,6 +96,40 @@ def test_distance_is_its_row_of_distance_many_and_symmetric(space, data):
 @pytest.mark.parametrize("space", SPACES, ids=repr)
 @SETTINGS
 @given(data=st.data())
+def test_triangle_inequality_holds(space, data):
+    p, q, r = (data.draw(points(space)) for _ in range(3))
+    via = space.distance(p, q) + space.distance(q, r)
+    assert space.distance(p, r) <= via * (1.0 + 1e-12) + 1e-12
+
+
+@pytest.mark.parametrize("space", SPACES, ids=repr)
+@SETTINGS
+@given(data=st.data(), reps=st.integers(1, 4), n=st.integers(1, 6))
+def test_mean_is_its_row_of_mean_many(space, data, reps, n):
+    block = as_sample(data.draw(st.lists(points(space), min_size=reps * n, max_size=reps * n)))
+    singles = []
+    for part in block.split([n] * reps):
+        try:
+            singles.append(space.mean(part))
+        except FrechetStatsError as exc:
+            singles.append(type(exc))
+    try:
+        means, iterations = space.mean_many(block, reps)
+    except FrechetStatsError as exc:
+        # a block fails exactly when one of its replications fails alone
+        assert type(exc) in singles
+        return
+    assert len(means) == reps and iterations.shape == (reps,)
+    for r, single in enumerate(singles):
+        assert not isinstance(single, type), f"replication {r} raised {single.__name__} alone"
+        mean, it = single
+        assert np.array_equal(means.data[r], mean.data)
+        assert means[r].leaf == mean.leaf and iterations[r] == it
+
+
+@pytest.mark.parametrize("space", SPACES, ids=repr)
+@SETTINGS
+@given(data=st.data())
 def test_chart_inverse_undoes_forward(space, data):
     base = data.draw(points(space))
     p = data.draw(points(space))
@@ -129,15 +165,15 @@ def test_fold_identities(p, q, k):
     reps=st.integers(1, 4),
     n=st.integers(1, 12),
 )
-def test_moments_and_mean_strata_share_the_folded_means(data, reps, n):
+def test_moments_and_mean_many_share_the_folded_means(data, reps, n):
     k = OPEN_BOOK.n_leaves
     leaves = np.array(data.draw(st.lists(st.integers(0, k), min_size=reps * n, max_size=reps * n)))
     heights = np.array(data.draw(st.lists(st.floats(0.0, 3.0, allow_nan=False),
                                           min_size=reps * n, max_size=reps * n)))
     heights[leaves == 0] = 0.0
-    coords = np.column_stack([heights, np.zeros(reps * n)])
+    coords = np.column_stack([heights, np.zeros((reps * n, OPEN_BOOK.spine_dim))])
     block = openbook_sample(leaves, coords)
-    strata, tops = openbook_mean_strata(block, reps, k)
+    means, _ = OPEN_BOOK.mean_many(block, reps)
     for r in range(reps):
         rows = slice(r * n, (r + 1) * n)
         mom = openbook_moments(openbook_sample(block.leaves[rows], coords[rows]), k)
@@ -145,7 +181,46 @@ def test_moments_and_mean_strata_share_the_folded_means(data, reps, n):
                           coords[rows, 0], -coords[rows, 0]).mean(axis=1)
         assert np.allclose(mom.folded_means, folded, rtol=0.0, atol=1e-12)
         tag = openbook_classify(mom)
+        stratum = (means.leaves[r], means.data[r, 0])
         if tag.kind == "leaf":
-            assert (strata[r], tops[r]) == (tag.leaf, mom.folded_means[tag.leaf - 1])
+            assert stratum == (tag.leaf, mom.folded_means[tag.leaf - 1])
         else:
-            assert (strata[r], tops[r]) == (0, 0.0)
+            assert stratum == (0, 0.0)
+
+
+pvalue = st.floats(0.0, 1.0, allow_nan=False)
+level = st.floats(0.001, 0.5, allow_nan=False)
+
+
+@SETTINGS
+@given(data=st.data(), pvalues=st.lists(pvalue, min_size=1, max_size=20), alpha=level)
+def test_bh_lowering_a_pvalue_never_unrejects(data, pvalues, alpha):
+    i = data.draw(st.integers(0, len(pvalues) - 1))
+    lowered = list(pvalues)
+    lowered[i] = data.draw(st.floats(0.0, pvalues[i], allow_nan=False))
+    before = bh_fdr(pvalues, alpha).rejected
+    after = bh_fdr(lowered, alpha).rejected
+    assert np.all(after[before])
+
+
+@SETTINGS
+@given(pvalues=st.lists(pvalue, min_size=1, max_size=20), alpha=level)
+def test_bh_rejects_the_k_smallest_pvalues_of_the_step_up_rule(pvalues, alpha):
+    p = np.array(pvalues)
+    res = bh_fdr(p, alpha)
+    k, m = res.n_rejected, p.size
+    assert int(res.rejected.sum()) == k
+    if 0 < k < m:
+        assert p[res.rejected].max() <= p[~res.rejected].min()
+    # step-up: k is the largest rank whose p-value is under its threshold
+    sorted_p = np.sort(p)
+    if k:
+        assert sorted_p[k - 1] <= k * alpha / m
+    assert all(sorted_p[j - 1] > j * alpha / m for j in range(k + 1, m + 1))
+
+
+@SETTINGS
+@given(pvalues=st.lists(pvalue, min_size=1, max_size=20), alpha=level)
+def test_bonferroni_rejections_are_bh_rejections(pvalues, alpha):
+    bonf = bonferroni(pvalues, alpha).rejected
+    assert np.all(bh_fdr(pvalues, alpha).rejected[bonf])

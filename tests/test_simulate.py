@@ -1,8 +1,15 @@
+import functools
+
 import numpy as np
 import pytest
 
 from frechetstats import simulate
-from frechetstats.errors import FrechetStatsError, InvalidDescriptor, NearSingularCovariance
+from frechetstats.errors import (
+    FrechetStatsError,
+    InvalidDescriptor,
+    NearSingularCovariance,
+    NoConvergence,
+)
 from frechetstats.estimator import confidence_region_contains, estimate_mean, sandwich_covariance
 from frechetstats.inference import two_sample_test
 from frechetstats.simulate import (
@@ -341,7 +348,19 @@ def test_batched_stickiness_matches_single_means(monkeypatch):
     assert keys == list(range(reps))
 
 
-@pytest.mark.parametrize("make", [spd_sampler, euclid3_sampler, book_sampler])
+def cap_sampler(seed):
+    return Sampler(SphereSpace(3), SphereCapDescriptor((0.0, 0.0, 1.0), 0.5), seed)
+
+
+def chordal_two_point_sampler(seed):
+    return Sampler(
+        SphereSpace(3, "extrinsic"), SphereTwoPointDescriptor((1.0, 0.0, 0.0), (0.0, 0.6, 0.8)), seed
+    )
+
+
+@pytest.mark.parametrize(
+    "make", [spd_sampler, euclid3_sampler, book_sampler, cap_sampler, chordal_two_point_sampler]
+)
 def test_batched_consistency_matches_single_fits(make, monkeypatch):
     sampler = make(34)
     grid, reps = [20, 500], 20
@@ -355,8 +374,7 @@ def test_batched_consistency_matches_single_fits(make, monkeypatch):
         for n in grid
     ]
     keys = record_streams(monkeypatch)
-    if sampler.space.batches_fits:
-        no_single_fits(monkeypatch)
+    no_single_fits(monkeypatch)
     assert mc_consistency(sampler.space, sampler, grid, reps) == expected  # exact
     assert keys == [(n, r) for n in grid for r in range(reps)]
 
@@ -396,6 +414,51 @@ def test_failed_block_falls_back_to_single_fits():
         "mc_coverage: 6/40 replications failed (budget 1%): NotPositiveDefinite x6; "
         "first failed keys 2, 4, 10, 29, 31, ..."
     )
+
+
+def test_block_spending_the_iteration_budget_falls_back_to_single_fits(monkeypatch):
+    # with an iteration budget of 4 for the block and the single fits, some
+    # Karcher replications spend it; their block runs again one fit per
+    # replication, and estimate_mean decides which of them failed
+    budget = 4
+    sampler = cap_sampler(37)
+    space = sampler.space
+    failed = []
+    for r in range(10):
+        try:
+            estimate_mean(space, sampler.draw(30, (30, r)), max_iter=budget)
+        except NoConvergence:
+            failed.append((30, r))
+    assert 0 < len(failed) < 10
+    monkeypatch.setattr(space, "mean_many", functools.partial(space.mean_many, max_iter=budget))
+    monkeypatch.setattr(simulate, "MEAN_MAX_ITER", budget)
+    monkeypatch.setattr(simulate, "estimate_mean", functools.partial(estimate_mean, max_iter=budget))
+    with pytest.raises(FrechetStatsError) as batched:
+        mc_consistency(space, sampler, [30], 10)
+    keys = ", ".join(map(str, failed[:5])) + (", ..." if len(failed) > 5 else "")
+    assert str(batched.value) == (
+        f"mc_consistency: {len(failed)}/10 replications failed (budget 1%): "
+        f"NoConvergence x{len(failed)}; first failed keys {keys}"
+    )
+
+
+def test_coverage_counts_a_singular_region_as_a_replication_failure():
+    # n = 1: every sandwich covariance is 0, so no region can be tested
+    with pytest.raises(FrechetStatsError, match=r"^mc_coverage: 10/10 replications failed "
+                       r"\(budget 1%\): NearSingularCovariance x10; first failed keys 0, 1, 2"):
+        mc_coverage(euclid_sampler(39), 1, 10, 0.05)
+
+
+def test_type1_counts_invalid_point_as_a_replication_failure():
+    # open-book pooled means on the spine: the spine chart cannot map the
+    # leaf points, which raises InvalidPoint in those replications
+    space = OpenBookSpace(3, 2)
+    sampler = Sampler(
+        space, OpenBookDescriptor((0.3, 0.3, 0.3), ("exponential", 1.0), (0.0, 0.0)), 38
+    )
+    with pytest.raises(FrechetStatsError, match=r"^mc_type1: \d+/40 replications failed "
+                       r"\(budget 1%\): InvalidPoint x\d+; first failed keys \d+"):
+        mc_type1(space, sampler, 50, 50, 40, 0.05)
 
 
 def test_failure_budget_error_quotes_classes_and_keys(monkeypatch):
