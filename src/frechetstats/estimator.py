@@ -14,6 +14,8 @@ inherits.
 
 and the asymptotic covariance Lambda_n^-1 C_n Lambda_n^-1 of the chart
 coordinates (to be divided by n for the covariance of the estimate).
+``stacked_sandwich`` forms the same for R fits at once, in a chart stacked
+at their R means; one fit's sandwich is its batch of one.
 """
 
 from __future__ import annotations
@@ -133,19 +135,9 @@ def guarded_inverse(matrices):
     return 0.5 * (inv + np.swapaxes(inv, -1, -2)), w, cond, singular
 
 
-def _lambda_inverse(lam):
-    """Inverse, eigenvalues and condition number of Lambda_n; raises
-    NearSingularHessian when it is numerically singular."""
-    inv, w, cond, singular = guarded_inverse(lam)
-    if singular:
-        raise NearSingularHessian(
-            f"Lambda_n is numerically singular (condition number {float(cond):.3e})"
-        )
-    return inv, w, float(cond)
-
-
 def sandwich_covariance(space, sample, fit, *, derivatives="auto", diff=None):
-    """Populate Lambda_n, C_n and the sandwich covariance of a fit.
+    """Populate Lambda_n, C_n and the sandwich covariance of a fit
+    (``stacked_sandwich`` of one fit).
 
     ``derivatives`` selects the gradient/Hessian route: ``auto`` prefers a
     chart's closed forms, ``numeric`` forces central differences (same
@@ -155,38 +147,57 @@ def sandwich_covariance(space, sample, fit, *, derivatives="auto", diff=None):
     1e12, which signals a boundary or otherwise degenerate configuration.
     """
     sample = space.check_sample(sample)
-    if derivatives not in ("auto", "numeric"):
-        raise ValueError(f"unknown derivatives mode {derivatives!r}")
-    force_numeric = derivatives == "numeric"
     chart = fit.chart
-    x = np.asarray(fit.chart_coords, dtype=float)
-    packed = chart.pack(sample)
-
-    if chart.s == 0:
+    # (stacked_sandwich rejects an unknown derivatives mode)
+    if chart.s == 0 and derivatives in ("auto", "numeric"):
         # fully degenerate stratum: the mean is pinned, covariance is exact
         empty = np.zeros((0, 0))
         return dataclasses.replace(
             fit, lambda_n=empty, c_n=empty.copy(), asym_cov=empty.copy(),
             lambda_cond=1.0, lambda_pd=True,
         )
-
-    rows = None if force_numeric else chart.grad_h_many(x, packed)
-    if rows is None:
-        rows = gradient_rows(lambda xx: chart.h_many(xx, packed), x, diff)
-    lam = None if force_numeric else chart.hess_h_mean(x, packed)
-    if lam is None:
-        lam = numeric_hessian(lambda xx: float(np.mean(chart.h_many(xx, packed))), x, diff)
-    lam = 0.5 * (lam + lam.T)
-    c = _second_moments(rows)
-    lam_inv, w, cond = _lambda_inverse(lam)
-    return dataclasses.replace(
-        fit,
-        lambda_n=lam,
-        c_n=c,
-        asym_cov=_sandwich_product(lam_inv, c),
-        lambda_cond=cond,
-        lambda_pd=bool(np.min(w) > 0.0),
+    lam, c, asym, cond, pd = stacked_sandwich(
+        chart, np.asarray(fit.chart_coords, dtype=float), chart.pack(sample),
+        derivatives=derivatives, diff=diff,
     )
+    return dataclasses.replace(
+        fit, lambda_n=lam, c_n=c, asym_cov=asym, lambda_cond=float(cond), lambda_pd=bool(pd)
+    )
+
+
+def stacked_sandwich(chart, coords, packed, *, derivatives="auto", diff=None):
+    """Lambda_n, C_n and the asymptotic covariance Lambda_n^-1 C_n
+    Lambda_n^-1 of one fit, or of R fits at once, in ``chart``.
+
+    ``coords`` are the fitted means' chart coordinates and ``packed`` the
+    chart's packed sample: (s,) and (n, ...) for one fit, (R, s) and
+    (R, n, ...) for R fits of equal-size samples in a chart stacked at the
+    R means, or in a global chart.  Returns ``(lambda_n, c_n, asym_cov,
+    lambda_cond, lambda_pd)`` with the leading axes of ``coords``; each
+    fit gets the values it gets alone.  ``derivatives`` is as for
+    ``sandwich_covariance``.  Raises NearSingularHessian for the first fit
+    whose Lambda_n is numerically singular.
+    """
+    if derivatives not in ("auto", "numeric"):
+        raise ValueError(f"unknown derivatives mode {derivatives!r}")
+    numeric = derivatives == "numeric"
+    rows = None if numeric else chart.grad_h_many(coords, packed)
+    if rows is None:
+        rows = gradient_rows(lambda xx: chart.h_many(xx, packed), coords, diff)
+    lam = None if numeric else chart.hess_h_mean(coords, packed)
+    if lam is None:
+        lam = numeric_hessian(lambda xx: chart.h_many(xx, packed).mean(axis=-1), coords, diff)
+    # a flat chart's closed-form Lambda_n is one matrix for every fit
+    lam = np.broadcast_to(lam, coords.shape + coords.shape[-1:])
+    lam = 0.5 * (lam + np.swapaxes(lam, -1, -2))
+    c = _second_moments(rows)
+    lam_inv, w, cond, singular = guarded_inverse(lam)
+    bad = np.flatnonzero(singular)
+    if bad.size:
+        raise NearSingularHessian(
+            f"Lambda_n is numerically singular (condition number {float(cond.flat[bad[0]]):.3e})"
+        )
+    return lam, c, _sandwich_product(lam_inv, c), cond, np.min(w, axis=-1) > 0.0
 
 
 def _second_moments(rows):
@@ -201,18 +212,6 @@ def _second_moments(rows):
 def _sandwich_product(lam_inv, c):
     asym = lam_inv @ c @ lam_inv
     return 0.5 * (asym + np.swapaxes(asym, -1, -2))
-
-
-def flat_sandwich(chart, coords, images):
-    """Asymptotic covariances Lambda_n^-1 C_n Lambda_n^-1, as an (R, s, s)
-    stack, of R fits in one flat chart (a ``FlatChart``, whose closed-form
-    derivatives broadcast over replications): ``coords`` (R, s) are the
-    fitted means' chart coordinates and ``images`` (R, n, s) the samples'
-    chart images.  Each fit gets the arithmetic of ``sandwich_covariance``.
-    """
-    lam_inv, _, _ = _lambda_inverse(chart.hess_h_mean(coords[0], images[0]))
-    rows = chart.grad_h_many(coords[:, None, :], images)
-    return _sandwich_product(lam_inv, _second_moments(rows))
 
 
 def confidence_region_contains(fit, candidate_chart_coords, alpha):
@@ -232,10 +231,11 @@ def confidence_region_contains(fit, candidate_chart_coords, alpha):
 def confidence_regions_contain(n, coords, asym_covs, candidate_chart_coords, alpha):
     """``confidence_region_contains`` for R fits on samples of size n at
     once: ``coords`` (R, s) are the fitted means' chart coordinates and
-    ``asym_covs`` (R, s, s) their sandwich covariances, all in the chart of
-    the candidate.  Returns the (R,) membership mask.  Raises
-    NearSingularCovariance for the first fit whose covariance is
-    numerically singular while the candidate differs from its mean.
+    ``asym_covs`` (R, s, s) their sandwich covariances, and the candidate is
+    given in each fit's chart, as (R, s) coordinates (one (s,) row when
+    every fit shares the candidate's chart).  Returns the (R,) membership
+    mask.  Raises NearSingularCovariance for the first fit whose covariance
+    is numerically singular while the candidate differs from its mean.
     """
     from .inference import chi2_quantile
 

@@ -109,18 +109,26 @@ def _finite_rows(values, ndim):
     return a
 
 
+def row_dots(a, b):
+    """Dot product of each row of an (..., k) array ``a`` with the matching
+    row of ``b`` (leading axes broadcast), computed row by row exactly as
+    np.dot computes the product of two vectors."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
 def row_norms(rows):
     """Euclidean norm of each row of an (..., k) array, computed row by row
     exactly as np.linalg.norm computes the norm of one vector."""
-    return np.sqrt((rows[..., None, :] @ rows[..., :, None])[..., 0, 0])
+    return np.sqrt(row_dots(rows, rows))
 
 
 def row_products(rows, matrix):
-    """``rows @ matrix`` for an (R, k) array, computed row by row as one
-    vector times ``matrix``, so that a row's result does not depend on the
-    other rows (a single matrix product of R rows need not round them all
+    """``rows @ matrix`` for an (..., k) array, computed row by row as one
+    vector times ``matrix`` (a (k, m) matrix, or a stack that broadcasts
+    against the rows), so that a row's result does not depend on the other
+    rows (a single matrix product of R rows need not round them all
     alike)."""
-    return (rows[:, None, :] @ matrix)[:, 0, :]
+    return (rows[..., None, :] @ matrix)[..., 0, :]
 
 
 def euclidean_sample(rows):
@@ -245,14 +253,18 @@ def _check_finite(value):
 
 
 def _gradient_fixed_steps(f, x, steps):
-    """Central differences of a scalar map, (s,), or of a vector map, (n, s)."""
+    """Central differences along the last axis of ``x``, one point (s,) or a
+    stack (R, s) that ``f`` maps row by row: of a scalar map, (..., s), or
+    of a vector map, (..., n, s)."""
     cols = []
-    for r in range(x.size):
+    for r in range(x.shape[-1]):
         e = np.zeros_like(x)
-        e[r] = steps[r]
+        e[..., r] = steps[..., r]
         fp = _check_finite(np.asarray(f(x + e), dtype=float))
         fm = _check_finite(np.asarray(f(x - e), dtype=float))
-        cols.append((fp - fm) / (2.0 * steps[r]))
+        # one step per point, broadcast over the components of a vector map
+        step = steps[..., r].reshape(steps.shape[:-1] + (1,) * (fp.ndim - x.ndim + 1))
+        cols.append((fp - fm) / (2.0 * step))
     if not cols:
         return np.zeros(np.shape(f(x)) + (0,))
     return np.stack(cols, axis=-1)
@@ -283,41 +295,48 @@ def numeric_gradient(f, x, cfg=None):
 
 
 def _hessian_fixed_steps(f, x, steps):
-    x = np.asarray(x, dtype=float)
-    s = x.size
-    h = np.empty((s, s))
+    """Second central differences along the last axis of ``x``, one point
+    (s,) or a stack (R, s) that the scalar map ``f`` maps row by row, as
+    (..., s, s)."""
+    s = x.shape[-1]
+    h = np.empty(x.shape + (s,))
     f0 = _check_finite(f(x))
     for r in range(s):
         er = np.zeros_like(x)
-        er[r] = steps[r]
+        er[..., r] = steps[..., r]
         fp = _check_finite(f(x + er))
         fm = _check_finite(f(x - er))
-        h[r, r] = (fp - 2.0 * f0 + fm) / steps[r] ** 2
+        h[..., r, r] = (fp - 2.0 * f0 + fm) / steps[..., r] ** 2
         for c in range(r + 1, s):
             ec = np.zeros_like(x)
-            ec[c] = steps[c]
+            ec[..., c] = steps[..., c]
             fpp = _check_finite(f(x + er + ec))
             fpm = _check_finite(f(x + er - ec))
             fmp = _check_finite(f(x - er + ec))
             fmm = _check_finite(f(x - er - ec))
-            h[r, c] = h[c, r] = (fpp - fpm - fmp + fmm) / (4.0 * steps[r] * steps[c])
+            mixed = (fpp - fpm - fmp + fmm) / (4.0 * steps[..., r] * steps[..., c])
+            h[..., r, c] = h[..., c, r] = mixed
     return h
 
 
 def numeric_hessian(f, x, cfg=None):
-    """Second-order central-difference Hessian, symmetrized as (H + H^T)/2."""
+    """Second-order central-difference Hessian, symmetrized as (H + H^T)/2:
+    (s, s) at one point x (s,), or (R, s, s) at a stack (R, s) of points
+    that ``f`` maps row by row to (R,) values."""
     cfg = cfg or DiffConfig()
     x = np.asarray(x, dtype=float)
     h = _differences(_hessian_fixed_steps, f, x, cfg.hessian_steps(x), cfg)
-    return 0.5 * (h + h.T)
+    return 0.5 * (h + np.swapaxes(h, -1, -2))
 
 
 def gradient_rows(fvec, x, cfg=None):
     """Per-row central-difference gradients of a vector map ``fvec: R^s -> R^n``.
 
     Returns the (n, s) matrix whose j-th row is the gradient of the j-th
-    component.  Used to differentiate ``h(.; Y_j)`` for all sample points at
-    once when a chart has no analytic gradient.
+    component; at a stack (R, s) of points that ``fvec`` maps row by row to
+    (R, n) values, the (R, n, s) stack of those matrices.  Used to
+    differentiate ``h(.; Y_j)`` for all sample points at once when a chart
+    has no analytic gradient.
     """
     return _central_gradient(fvec, x, cfg)
 
@@ -331,6 +350,13 @@ class Chart(ABC):
     Analytic derivative hooks may return ``None`` when a closed form is
     unavailable at the requested point, in which case callers fall back to
     central differences on ``h_many``.
+
+    A chart of a space that ``stacks_charts`` may be anchored at a Sample of
+    R base points: it is then the R charts at once.  ``forward_many`` maps
+    the i-th of R equal groups of consecutive sample rows in the i-th chart,
+    and ``h_many`` and the derivative hooks take coordinates (R, s) and a
+    packed sample per chart, (R, n, ...), and return their results with a
+    leading axis R.
     """
 
     #: chart dimension s
@@ -385,11 +411,11 @@ class FlatChart(Chart):
         return self.pack(sample)
 
     def h_many(self, x, packed):
-        diff = packed - np.asarray(x, dtype=float)
-        return np.einsum("ij,ij->i", diff, diff)
+        diff = packed - np.asarray(x, dtype=float)[..., None, :]
+        return np.einsum("...ij,...ij->...i", diff, diff)
 
     def grad_h_many(self, x, packed):
-        return 2.0 * (np.asarray(x, dtype=float) - packed)
+        return 2.0 * (np.asarray(x, dtype=float)[..., None, :] - packed)
 
     def hess_h_mean(self, x, packed):
         return 2.0 * np.eye(self.s)
@@ -408,6 +434,9 @@ class Space(ABC):
     point_shape = None
     #: True when chart_at ignores the base point (one global chart)
     has_global_chart = False
+    #: True when chart_at also takes a Sample of R base points and returns
+    #: their R charts stacked in one chart (see ``Chart``)
+    stacks_charts = False
     #: how ``mean_many`` finds the sample Frechet means (``FrechetFit.strategy``)
     mean_strategy = "newton"
 
@@ -446,6 +475,11 @@ class Space(ABC):
         sample = as_sample(sample)
         self.check_point(sample[0])  # the rows of a Sample share kind and shape
         return sample
+
+    def check_bases(self, base):
+        """The base of a chart, one Point or a Sample of R points, checked
+        and as a Sample."""
+        return self.check_sample([base] if isinstance(base, Point) else base)
 
     def mean(self, sample, *, tol=MEAN_TOL, max_iter=MEAN_MAX_ITER, diff=None):
         """Sample Frechet mean as ``(point, iterations)``, the batch of one of

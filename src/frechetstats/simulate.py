@@ -10,11 +10,12 @@ order in which replications execute.
 The experiments run their replications in blocks of at most BLOCK_POINTS
 sample points.  Each replication draws its raw variates from its own
 stream; the descriptor turns the whole block into points at once.  Every
-space fits a block with one ``mean_many`` call (consistency, stickiness);
-coverage and the type-I test run in blocks on the spaces with a global
-chart (Euclidean, SPD), and one replication at a time elsewhere.  A block
-in which a replication fails, or spends the iteration budget, runs again
-one replication at a time, which records each failure as a single fit does.
+space fits a block with one ``mean_many`` call.  Coverage runs in blocks
+on the spaces that stack their charts (all but the open book), the type-I
+test on those with a global chart (Euclidean, SPD), and both one
+replication at a time elsewhere.  A block in which a replication fails or
+spends the iteration budget runs again one replication at a time, which
+records each failure as a single fit does.
 """
 
 from __future__ import annotations
@@ -38,11 +39,11 @@ from .estimator import (
     confidence_region_contains,
     confidence_regions_contain,
     estimate_mean,
-    flat_sandwich,
     sandwich_covariance,
+    stacked_sandwich,
 )
-from .geometry import MEAN_MAX_ITER, Sample, euclidean_point, euclidean_sample, openbook_point
-from .geometry import openbook_sample, spd_point, sphere_point, sphere_sample
+from .geometry import MEAN_MAX_ITER, Sample, as_sample, euclidean_point, euclidean_sample
+from .geometry import openbook_point, openbook_sample, spd_point, sphere_point, sphere_sample
 from .inference import chi2_two_sample, two_sample_test
 from .spaces.euclidean import EuclideanSpace
 from .spaces.openbook import OpenBookSpace
@@ -492,17 +493,6 @@ def _rate_report(experiment, reps, outcomes, failed, **details):
                     outcomes=tuple(outcomes), details={**details, **_failure_details(failed)})
 
 
-def _coverage_block(space, truth, alpha, block, reps):
-    """Coverage outcomes of ``reps`` equal-size replications, fitted as
-    arrays in the space's global flat chart."""
-    chart = space.chart_at()
-    candidate = chart.forward(truth)
-    images = chart.pack(block).reshape(reps, -1, chart.s)
-    coords = chart.forward_many(_block_means(space, block, reps))
-    asym = flat_sandwich(chart, coords, images)
-    return confidence_regions_contain(images.shape[1], coords, asym, candidate, alpha).tolist()
-
-
 def mc_coverage(sampler, n, reps, alpha, derivatives="auto"):
     """Empirical coverage of the (1 - alpha) sandwich confidence ellipsoid.
 
@@ -511,13 +501,22 @@ def mc_coverage(sampler, n, reps, alpha, derivatives="auto"):
     the region.  Replications where the true mean lies outside the fitted
     chart's domain count as misses; numeric failures are counted separately
     and tolerated only up to the failure budget.  A block of replications
-    is fitted as arrays when the space has a global chart and the
-    derivatives are its closed forms (``auto``).
+    is fitted as arrays, in either ``derivatives`` mode, when the space
+    stacks its charts (all but the open book).
     """
     space = sampler.space
     truth = sampler.population_mean()
-    flat = derivatives == "auto" and space.has_global_chart
-    batched = functools.partial(_coverage_block, space, truth, alpha) if flat else None
+
+    def batched(block, reps):
+        # in the charts at the means, stacked; a truth at the cut locus of a
+        # mean's chart raises CutLocus, and the re-run counts it a miss
+        means = _block_means(space, block, reps)
+        chart = space.chart_at(means)
+        packed = chart.pack(block).reshape(reps, n, -1)
+        coords = chart.forward_many(means)
+        asym = stacked_sandwich(chart, coords, packed, derivatives=derivatives)[2]
+        candidates = chart.forward_many(as_sample([truth] * reps))
+        return confidence_regions_contain(n, coords, asym, candidates, alpha).tolist()
 
     def single(sample):
         fit = estimate_mean(space, sample)
@@ -530,8 +529,8 @@ def mc_coverage(sampler, n, reps, alpha, derivatives="auto"):
 
     outcomes, failed = [], []
     for keys in _blocks(list(range(reps)), n):
-        block = sampler.draw_many(n, keys)
-        outcomes += _outcomes(keys, block, [n] * len(keys), batched, single, failed)
+        outcomes += _outcomes(keys, sampler.draw_many(n, keys), [n] * len(keys),
+                              batched if space.stacks_charts else None, single, failed)
     return _rate_report("coverage", reps, outcomes, failed,
                         alpha=alpha, n=n, derivatives=derivatives)
 
@@ -628,13 +627,12 @@ def mc_consistency(space, sampler, n_grid, reps):
     def single(sample):
         return space.distance(estimate_mean(space, sample).mean, truth)
 
-    table, failed, total = [], [], 0
+    runs, failed = [], []
     for n in map(int, n_grid):
         errs = []
+        runs.append((n, errs))
         for keys in _blocks([(n, rep) for rep in range(reps)], n):
-            total += len(keys)
             errs += _outcomes(keys, sampler.draw_many(n, keys), [n] * len(keys), batched, single,
                               failed)
-        table.append((n, float(np.median(errs))))
-    _check_failures(failed, total, "mc_consistency")
-    return table
+    _check_failures(failed, reps * len(runs), "mc_consistency")
+    return [(n, float(np.median(errs)) if errs else float("nan")) for n, errs in runs]

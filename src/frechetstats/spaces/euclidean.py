@@ -29,6 +29,7 @@ class EuclideanSpace(Space):
 
     kind = "euclidean"
     has_global_chart = True
+    stacks_charts = True
     mean_strategy = "closed_form"
 
     def __init__(self, dim):
@@ -43,7 +44,7 @@ class EuclideanSpace(Space):
 
     def chart_at(self, base=None):
         if base is not None:
-            self.check_point(base)
+            self.check_bases(base)
         return EuclideanChart(self, base)
 
     def initial_guess(self, sample):

@@ -169,6 +169,7 @@ class SPDSpace(Space):
 
     kind = "spd"
     has_global_chart = True
+    stacks_charts = True
     mean_strategy = "closed_form"
 
     def __init__(self, p, metric="log_euclidean"):
@@ -186,7 +187,7 @@ class SPDSpace(Space):
 
     def chart_at(self, base=None):
         if base is not None:
-            self.check_point(base)
+            self.check_bases(base)
         return SPDChart(self)
 
     def initial_guess(self, sample):

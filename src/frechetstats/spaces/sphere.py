@@ -11,8 +11,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import CutLocus, NonUniqueProjection
-from ..geometry import MEAN_MAX_ITER, MEAN_TOL, Chart, Space, row_norms, row_products
-from ..geometry import sphere_point, sphere_sample
+from ..geometry import MEAN_MAX_ITER, MEAN_TOL, Chart, Point, Space, row_dots, row_norms
+from ..geometry import row_products, sphere_point, sphere_sample
 
 _CUT_TOL = 1e-9
 
@@ -49,29 +49,30 @@ def sphere_extrinsic_project(m):
 
 
 def tangent_basis(base):
-    """Deterministic orthonormal basis of the tangent space at ``base``.
+    """Deterministic orthonormal basis of the tangent space at ``base``, or
+    at each row of an (R, d+1) stack of bases.
 
-    Rows of the returned (d, d+1) matrix are orthonormal and orthogonal to
-    ``base`` (Householder completion of the base vector).
+    Rows of the returned (d, d+1) matrix (of each matrix of the (R, d, d+1)
+    stack) are orthonormal and orthogonal to the base (Householder
+    completion of the base vector).
     """
     b = np.asarray(base, dtype=float)
-    n = b.size
-    e0 = np.zeros(n)
-    e0[0] = 1.0 if b[0] >= 0.0 else -1.0
+    e0 = np.zeros_like(b)
+    e0[..., 0] = np.where(b[..., 0] >= 0.0, 1.0, -1.0)
     u = b + e0
-    u /= np.linalg.norm(u)
+    u = u / row_norms(u)[..., None]
     # columns 1..d of the reflection I - 2uu^T are orthonormal and _|_ b
-    basis = -2.0 * np.outer(u[1:], u)
-    basis[:, 1:] += np.eye(n - 1)
+    basis = -2.0 * (u[..., 1:, None] * u[..., None, :])
+    basis[..., 1:] += np.eye(b.shape[-1] - 1)
     return basis
 
 
 def _exp_rows(base, v):
-    """Exponential map at each row of an (R, d+1) ``base`` of that row of ``v``."""
-    nv = row_norms(v)[:, None]
+    """Exponential map at each row of an (..., d+1) ``base`` of that row of ``v``."""
+    nv = row_norms(v)[..., None]
     zero = nv == 0.0
     out = np.cos(nv) * base + np.sin(nv) * (v / np.where(zero, 1.0, nv))
-    return np.where(zero, base, out / row_norms(out)[:, None])
+    return np.where(zero, base, out / row_norms(out)[..., None])
 
 
 def _log_rows(base, points):
@@ -79,7 +80,7 @@ def _log_rows(base, points):
     at one (d+1,) base, or, with leading axes, ``points[r]`` at
     ``base[r]``."""
     b = base[..., None, :]
-    c = (points[..., None, :] @ b[..., None])[..., 0, 0]
+    c = row_dots(points, b)
     if np.any(np.linalg.norm(points + b, axis=-1) < _CUT_TOL):
         raise CutLocus("log map requested at the cut locus (antipode of base)")
     w = points - c[..., None] * b
@@ -136,19 +137,29 @@ def _karcher_means(points, mu, tol, max_iter):
 
 
 class _TangentChart(Chart):
-    """Chart at ``base`` in the orthonormal tangent basis of ``base``; the
-    packed sample is its (n, d+1) array of unit vectors."""
+    """Chart at ``base`` in the orthonormal tangent basis of ``base``, or the
+    charts at a Sample of R bases stacked; the packed sample is its array of
+    unit vectors."""
 
     def __init__(self, space, base):
-        space.check_point(base)
+        bases = space.check_bases(base).data
         self.s = space.chart_dim
         self.base = base
         self.space = space
-        self._b = np.array(base.data, dtype=float)
-        self._basis = tangent_basis(self._b)
+        self._b = bases[0] if isinstance(base, Point) else bases
+        self._basis_t = np.swapaxes(tangent_basis(self._b), -1, -2)  # (..., d+1, d)
 
     def pack(self, sample):
         return sample.data
+
+    def forward_many(self, sample):
+        rows = sample.data.reshape(self._b.shape[:-1] + (-1, self._b.shape[-1]))
+        coords = row_products(self._tangent(rows), self._basis_t[..., None, :, :])
+        return coords.reshape(-1, self.s)
+
+    def _ambient(self, x):
+        """Chart coordinates (..., s) as ambient tangent vectors (..., d+1)."""
+        return (self._basis_t @ np.asarray(x, dtype=float)[..., None])[..., 0]
 
 
 class SphereIntrinsicChart(_TangentChart):
@@ -158,40 +169,42 @@ class SphereIntrinsicChart(_TangentChart):
     estimator evaluates them); elsewhere callers fall back to differences.
     """
 
-    def inverse(self, x):
-        return sphere_point(sphere_exp(self._b, self._basis.T @ np.asarray(x, dtype=float)))
+    def _tangent(self, rows):
+        return _log_rows(self._b, rows)
 
-    def forward_many(self, sample):
-        return row_products(_log_rows(self._b, sample.data), self._basis.T)
+    def _point_at(self, x):
+        return _exp_rows(self._b, self._ambient(x))
+
+    def inverse(self, x):
+        return sphere_point(self._point_at(x))
 
     def h_many(self, x, packed):
-        p = sphere_exp(self._b, self._basis.T @ np.asarray(x, dtype=float))
-        return _geodesic_rows(p, packed) ** 2
+        return _geodesic_rows(self._point_at(x), packed) ** 2
 
     def _at_origin(self, x):
-        return float(np.linalg.norm(x)) < 1e-14
+        """Whether ``x`` is the origin of the chart, of every chart of a stack."""
+        return bool(np.all(row_norms(np.asarray(x, dtype=float)) < 1e-14))
 
     def grad_h_many(self, x, packed):
         if not self._at_origin(x):
             return None
-        logs = _log_rows(self._b, packed)
-        return -2.0 * (logs @ self._basis.T)
+        return -2.0 * (_log_rows(self._b, packed) @ self._basis_t)
 
     def hess_h_mean(self, x, packed):
         if not self._at_origin(x):
             return None
-        logs = _log_rows(self._b, packed) @ self._basis.T
-        theta = np.linalg.norm(logs, axis=1)
+        logs = _log_rows(self._b, packed) @ self._basis_t
+        theta = np.linalg.norm(logs, axis=-1)
         # eigenvalues of Hess(d^2)/2: 1 along the geodesic, theta*cot(theta)
         # orthogonal to it (unit curvature)
         small = theta < 1e-8
         safe = np.where(small, 1.0, theta)
         t = np.where(small, 1.0 - theta**2 / 3.0, safe / np.tan(safe))
-        u = logs / np.where(theta[:, None] < 1e-15, 1.0, theta[:, None])
+        u = logs / np.where(theta[..., None] < 1e-15, 1.0, theta[..., None])
         u[theta < 1e-15] = 0.0
-        n = packed.shape[0]
-        outer_sum = (u * (1.0 - t)[:, None]).T @ u / n
-        return 2.0 * (outer_sum + float(np.mean(t)) * np.eye(self.s))
+        n = packed.shape[-2]
+        outer_sum = np.swapaxes(u * (1.0 - t)[..., None], -1, -2) @ u / n
+        return 2.0 * (outer_sum + t.mean(axis=-1)[..., None, None] * np.eye(self.s))
 
 
 class SphereExtrinsicChart(_TangentChart):
@@ -201,43 +214,46 @@ class SphereExtrinsicChart(_TangentChart):
     differential of the hemisphere parameterization.
     """
 
+    def _tangent(self, rows):
+        return rows
+
     def _point_at(self, x):
         x = np.asarray(x, dtype=float)
-        sq = float(x @ x)
-        if sq >= 1.0:
+        sq = row_dots(x, x)
+        if np.any(sq >= 1.0):
             raise ValueError("chart coordinates outside the unit-hemisphere domain")
         gamma = np.sqrt(1.0 - sq)
-        return self._basis.T @ x + gamma * self._b, gamma
+        return self._ambient(x) + gamma[..., None] * self._b, gamma
 
     def inverse(self, x):
         p, _ = self._point_at(x)
         return sphere_point(p / np.linalg.norm(p))
 
-    def forward_many(self, sample):
-        return row_products(sample.data, self._basis.T)
-
     def h_many(self, x, packed):
         p, _ = self._point_at(x)
-        diff = packed - p
-        return np.einsum("ij,ij->i", diff, diff)
+        diff = packed - p[..., None, :]
+        return np.einsum("...ij,...ij->...i", diff, diff)
 
     def grad_h_many(self, x, packed):
         x = np.asarray(x, dtype=float)
-        p, gamma = self._point_at(x)
-        jac = self._basis.T - np.outer(self._b, x) / gamma  # d(point)/d(x)
+        _, gamma = self._point_at(x)
+        # d(point)/d(x)
+        jac = self._basis_t - self._b[..., :, None] * x[..., None, :] / gamma[..., None, None]
         return -2.0 * (packed @ jac)
 
     def hess_h_mean(self, x, packed):
         x = np.asarray(x, dtype=float)
         _, gamma = self._point_at(x)
-        mbar = packed.mean(axis=0)
-        return 2.0 * float(self._b @ mbar) * (np.eye(self.s) / gamma + np.outer(x, x) / gamma**3)
+        g = gamma[..., None, None]
+        scale = 2.0 * row_dots(self._b, packed.mean(axis=-2))[..., None, None]
+        return scale * (np.eye(self.s) / g + x[..., :, None] * x[..., None, :] / g**3)
 
 
 class SphereSpace(Space):
     """S^d in R^{d+1} under the geodesic or the chordal metric."""
 
     kind = "sphere"
+    stacks_charts = True
 
     def __init__(self, ambient_dim, metric="intrinsic"):
         if ambient_dim < 2:

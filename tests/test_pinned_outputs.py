@@ -30,9 +30,11 @@ def euclid(seed):
     )
 
 
-def cap(seed, ambient=3):
+def cap(seed, ambient=3, metric="intrinsic", radius=0.5):
     center = (0.0,) * (ambient - 1) + (1.0,)
-    return simulate.Sampler(SphereSpace(ambient), simulate.SphereCapDescriptor(center, 0.5), seed)
+    return simulate.Sampler(
+        SphereSpace(ambient, metric), simulate.SphereCapDescriptor(center, radius), seed
+    )
 
 
 def two_point(seed):
@@ -64,6 +66,10 @@ def test_coverage_outcomes_are_pinned():
     )
     numeric = simulate.mc_coverage(cap(103), 80, 20, 0.05, derivatives="numeric")
     assert bits(numeric.outcomes) == "11110111111111111111"
+    geodesic = simulate.mc_coverage(cap(111, radius=1.2), 40, 40, 0.2)
+    assert bits(geodesic.outcomes) == "1001110111011111110111001111111011111111"
+    chordal = simulate.mc_coverage(cap(112, metric="extrinsic", radius=1.2), 40, 40, 0.2)
+    assert bits(chordal.outcomes) == "1111101011110101011111111101110001011110"
 
 
 def test_type1_outcomes_are_pinned():

@@ -1,14 +1,16 @@
 """Property tests (hypothesis) for the row kernels of every space: the
-single-point forms are the batch of one of the row forms, bit for bit, the
-distances are metrics, and the charts and folds satisfy their defining
-identities; and for the multiple-testing procedures."""
+single-point forms are the batch of one of the row forms, bit for bit (one
+fit's sandwich is its row of the stacked sandwich), the distances are
+metrics, and the charts and folds satisfy their defining identities; and
+for the multiple-testing procedures."""
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from frechetstats.errors import FrechetStatsError
+from frechetstats.errors import FrechetStatsError, NoConvergence
+from frechetstats.estimator import estimate_mean, sandwich_covariance, stacked_sandwich
 from frechetstats.geometry import (
     as_sample,
     euclidean_point,
@@ -125,6 +127,42 @@ def test_mean_is_its_row_of_mean_many(space, data, reps, n):
         mean, it = single
         assert np.array_equal(means.data[r], mean.data)
         assert means[r].leaf == mean.leaf and iterations[r] == it
+
+
+@pytest.mark.parametrize("space", [space for space in SPACES if space.stacks_charts], ids=repr)
+@pytest.mark.parametrize("derivatives", ["auto", "numeric"])
+@SETTINGS
+@given(data=st.data(), reps=st.integers(1, 4), n=st.integers(1, 8))
+def test_sandwich_is_its_row_of_the_stacked_sandwich(space, derivatives, data, reps, n):
+    block = as_sample(data.draw(st.lists(points(space), min_size=reps * n, max_size=reps * n)))
+    singles = []
+    for part in block.split([n] * reps):
+        try:
+            fit = estimate_mean(space, part)
+            singles.append(sandwich_covariance(space, part, fit, derivatives=derivatives))
+        except FrechetStatsError as exc:
+            singles.append(type(exc))
+    # a replication that spends the iteration budget fails alone, not in a block
+    assume(NoConvergence not in singles)
+    try:
+        means, _ = space.mean_many(block, reps)
+        chart = space.chart_at(means)
+        packed = chart.pack(block)
+        coords = chart.forward_many(means)
+        lam, c, asym, cond, pd = stacked_sandwich(
+            chart, coords, packed.reshape((reps, n) + packed.shape[1:]), derivatives=derivatives
+        )
+    except FrechetStatsError as exc:
+        # a block fails exactly when one of its replications fails alone
+        assert type(exc) in singles
+        return
+    for r, fit in enumerate(singles):
+        assert not isinstance(fit, type), f"replication {r} raised {fit.__name__} alone"
+        assert np.array_equal(fit.chart_coords, coords[r])
+        assert np.array_equal(fit.lambda_n, lam[r])
+        assert np.array_equal(fit.c_n, c[r])
+        assert np.array_equal(fit.asym_cov, asym[r])
+        assert fit.lambda_cond == cond[r] and fit.lambda_pd == pd[r]
 
 
 @pytest.mark.parametrize("space", SPACES, ids=repr)

@@ -5,6 +5,7 @@ import pytest
 
 from frechetstats import simulate
 from frechetstats.errors import (
+    CutLocus,
     FrechetStatsError,
     InvalidDescriptor,
     NearSingularCovariance,
@@ -26,6 +27,7 @@ from frechetstats.simulate import (
     mc_type1,
 )
 from frechetstats.spaces import EuclideanSpace, OpenBookSpace, SPDSpace, SphereSpace
+from frechetstats.geometry import sphere_point
 from frechetstats.spaces.spd import spd_expm
 
 
@@ -296,24 +298,55 @@ def no_single_fits(monkeypatch):
         monkeypatch.setattr(simulate, name, refuse)
 
 
-def single_coverage(sampler, n, reps, alpha):
+def single_coverage(sampler, n, reps, alpha, derivatives="auto"):
     truth = sampler.population_mean()
     out = []
     for rep in range(reps):
         sample = sampler.draw(n, rep)
-        fit = sandwich_covariance(sampler.space, sample, estimate_mean(sampler.space, sample))
-        out.append(bool(confidence_region_contains(fit, fit.chart.forward(truth), alpha)))
+        fit = sandwich_covariance(sampler.space, sample, estimate_mean(sampler.space, sample),
+                                  derivatives=derivatives)
+        try:
+            candidate = fit.chart.forward(truth)
+        except CutLocus:
+            out.append(False)
+            continue
+        out.append(bool(confidence_region_contains(fit, candidate, alpha)))
     return tuple(out)
 
 
-@pytest.mark.parametrize("make", [spd_sampler, euclid3_sampler])
-def test_batched_coverage_matches_single_fits(make, monkeypatch):
-    reps, n = 45, 200
+def cap_sampler(seed, metric="intrinsic", radius=0.5):
+    return Sampler(SphereSpace(3, metric), SphereCapDescriptor((0.0, 0.0, 1.0), radius), seed)
+
+
+def chordal_cap_sampler(seed):
+    return cap_sampler(seed, "extrinsic", 1.2)
+
+
+def wide_cap_sampler(seed):
+    return cap_sampler(seed, radius=1.5)
+
+
+@pytest.mark.parametrize(
+    "make, derivatives",
+    [
+        pytest.param(spd_sampler, "auto", id="spd_sampler"),
+        pytest.param(spd_sampler, "numeric", id="spd_sampler-numeric"),
+        pytest.param(euclid3_sampler, "auto", id="euclid3_sampler"),
+        pytest.param(cap_sampler, "auto", id="cap_sampler"),
+        pytest.param(cap_sampler, "numeric", id="cap_sampler-numeric"),
+        pytest.param(wide_cap_sampler, "auto", id="wide_cap_sampler"),
+        pytest.param(chordal_cap_sampler, "auto", id="chordal_cap_sampler"),
+        pytest.param(chordal_cap_sampler, "numeric", id="chordal_cap_sampler-numeric"),
+    ],
+)
+def test_batched_coverage_matches_single_fits(make, derivatives, monkeypatch):
+    reps, n, alpha = 45, 200, 0.2
     assert reps * n > 2 * simulate.BLOCK_POINTS  # several blocks
-    expected = single_coverage(make(31), n, reps, 0.05)
+    expected = single_coverage(make(31), n, reps, alpha, derivatives)
+    assert not all(expected)  # misses as well as hits
     keys = record_streams(monkeypatch)
     no_single_fits(monkeypatch)
-    report = mc_coverage(make(31), n, reps, 0.05)
+    report = mc_coverage(make(31), n, reps, alpha, derivatives=derivatives)
     assert report.outcomes == expected
     assert keys == list(range(reps))
 
@@ -346,10 +379,6 @@ def test_batched_stickiness_matches_single_means(monkeypatch):
         report.details["mean_x0"], [m.data[0] for m in means], rtol=1e-12, atol=1e-15
     )
     assert keys == list(range(reps))
-
-
-def cap_sampler(seed):
-    return Sampler(SphereSpace(3), SphereCapDescriptor((0.0, 0.0, 1.0), 0.5), seed)
 
 
 def chordal_two_point_sampler(seed):
@@ -402,18 +431,42 @@ def test_draw_many_rows_match_single_draws():
         assert len(block) == start
 
 
+class AntipodalTruthCap(SphereCapDescriptor):
+    """A cap whose stated population mean is the antipode of its center."""
+
+    def population_mean(self, space):
+        return sphere_point(-np.asarray(self.center, dtype=float))
+
+
+def test_truth_at_the_cut_locus_is_a_miss():
+    # every mean is the center, so the truth is at the cut locus of its chart
+    sampler = Sampler(SphereSpace(3), AntipodalTruthCap((0.0, 0.0, 1.0), 0.0), 40)
+    expected = single_coverage(sampler, 5, 12, 0.05)
+    report = mc_coverage(sampler, 5, 12, 0.05)
+    assert report.outcomes == expected == (False,) * 12
+    assert report.failures == 0
+
+
 def test_failed_block_falls_back_to_single_fits():
     # log-scale 6: some matrices have an eigenvalue ratio below 1e-14, so
     # some replications of the batched block fail with NotPositiveDefinite
     sampler = spd_sampler(35, scale=6.0)
-    with pytest.raises(FrechetStatsError) as batched:
-        mc_coverage(sampler, 10, 40, 0.05)
-    with pytest.raises(FrechetStatsError) as looped:
-        mc_coverage(sampler, 10, 40, 0.05, derivatives="numeric")
-    assert str(batched.value) == str(looped.value) == (
-        "mc_coverage: 6/40 replications failed (budget 1%): NotPositiveDefinite x6; "
-        "first failed keys 2, 4, 10, 29, 31, ..."
-    )
+    for derivatives in ("auto", "numeric"):
+        failed = []
+        for rep in range(40):
+            sample = sampler.draw(10, rep)
+            try:
+                sandwich_covariance(sampler.space, sample, estimate_mean(sampler.space, sample),
+                                    derivatives=derivatives)
+            except FrechetStatsError as exc:
+                failed.append((rep, type(exc).__name__))
+        assert failed == [(rep, "NotPositiveDefinite") for rep in (2, 4, 10, 29, 31, 36)]
+        with pytest.raises(FrechetStatsError) as batched:
+            mc_coverage(sampler, 10, 40, 0.05, derivatives=derivatives)
+        assert str(batched.value) == (
+            "mc_coverage: 6/40 replications failed (budget 1%): NotPositiveDefinite x6; "
+            "first failed keys 2, 4, 10, 29, 31, ..."
+        )
 
 
 def test_block_spending_the_iteration_budget_falls_back_to_single_fits(monkeypatch):
@@ -439,6 +492,24 @@ def test_block_spending_the_iteration_budget_falls_back_to_single_fits(monkeypat
     assert str(batched.value) == (
         f"mc_consistency: {len(failed)}/10 replications failed (budget 1%): "
         f"NoConvergence x{len(failed)}; first failed keys {keys}"
+    )
+
+
+@pytest.mark.filterwarnings("error")
+def test_consistency_checks_the_budget_before_an_empty_median(monkeypatch):
+    # an iteration budget of 3 fails every replication of n = 30: the
+    # failure-budget error comes before any median of no errors is taken
+    budget = 3
+    sampler = cap_sampler(37)
+    space = sampler.space
+    monkeypatch.setattr(space, "mean_many", functools.partial(space.mean_many, max_iter=budget))
+    monkeypatch.setattr(simulate, "MEAN_MAX_ITER", budget)
+    monkeypatch.setattr(simulate, "estimate_mean", functools.partial(estimate_mean, max_iter=budget))
+    with pytest.raises(FrechetStatsError) as failed:
+        mc_consistency(space, sampler, [30], 10)
+    assert str(failed.value) == (
+        "mc_consistency: 10/10 replications failed (budget 1%): NoConvergence x10; "
+        "first failed keys (30, 0), (30, 1), (30, 2), (30, 3), (30, 4), ..."
     )
 
 
