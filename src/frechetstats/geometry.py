@@ -432,8 +432,6 @@ class Space(ABC):
     chart_dim: int
     #: shape of one point's payload (None: not checked)
     point_shape = None
-    #: True when chart_at ignores the base point (one global chart)
-    has_global_chart = False
     #: True when chart_at also takes a Sample of R base points and returns
     #: their R charts stacked in one chart (see ``Chart``)
     stacks_charts = False

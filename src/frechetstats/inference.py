@@ -91,42 +91,43 @@ def chi2_two_sample(vx, vy):
     return statistic, chi2_sf(statistic, s), cond, mean_x, mean_y, pooled
 
 
+def two_sample_tests(chart, block, reps, n1):
+    """Two-sample chart tests of ``reps`` replications stacked in ``block``,
+    each its first group (n1 rows) followed by its second, in ``chart``
+    (stacked at their pooled means, or one chart for one replication).
+
+    Returns ``(statistic, p_value, mean_x, mean_y, pooled)`` of
+    ``chi2_two_sample`` along the replications.  Raises
+    NearSingularCovariance for the first replication whose pooled
+    covariance is numerically singular.
+    """
+    # each replication's images keep the memory layout of the chart's rows,
+    # so that its arithmetic is the same in a block as alone
+    images = np.stack(np.split(chart.forward_many(block), reps))
+    statistic, p_value, cond, *rest = chi2_two_sample(images[:, :n1], images[:, n1:])
+    singular = np.flatnonzero(np.isnan(statistic))
+    if singular.size:
+        raise NearSingularCovariance(f"pooled two-sample covariance is numerically singular "
+                                     f"(condition number {cond[singular[0]]:.3e})")
+    return (statistic, p_value, *rest)
+
+
 def two_sample_test(space, sample_x, sample_y):
     """Test equality of two distributions through their chart-mean difference.
 
-    Both samples are vectorized with the *same* chart (the space's global
-    chart when it has one, otherwise the chart at the pooled mean estimate)
-    and compared by ``chi2_two_sample``.  Raises NearSingularCovariance when
+    Both samples are mapped in the chart at their pooled mean estimate (on
+    Euclidean and SPD spaces the global chart, which ignores its base) and
+    compared by ``two_sample_tests``.  Raises NearSingularCovariance when
     the pooled covariance is numerically singular.
     """
     sample_x = space.check_sample(sample_x)
     sample_y = space.check_sample(sample_y)
-    if space.has_global_chart:
-        chart = space.chart_at()
-    else:
-        leaves = None
-        if sample_x.leaves is not None:
-            leaves = np.concatenate([sample_x.leaves, sample_y.leaves])
-        both = Sample(space.kind, np.concatenate([sample_x.data, sample_y.data]), leaves)
-        chart = space.chart_at(estimate_mean(space, both).mean)
-    vx = chart.forward_many(sample_x)
-    vy = chart.forward_many(sample_y)
-    statistic, p_value, cond, mean_x, mean_y, pooled = chi2_two_sample(vx[None], vy[None])
-    if np.isnan(statistic[0]):
-        raise NearSingularCovariance(
-            f"pooled two-sample covariance is numerically singular "
-            f"(condition number {cond[0]:.3e})"
-        )
-    return TwoSampleResult(
-        statistic=float(statistic[0]),
-        df=chart.s,
-        p_value=float(p_value[0]),
-        n1=len(sample_x),
-        n2=len(sample_y),
-        mean_x=mean_x[0],
-        mean_y=mean_y[0],
-        pooled_cov=pooled[0],
-    )
+    leaves = None if sample_x.leaves is None else np.concatenate([sample_x.leaves, sample_y.leaves])
+    both = Sample(space.kind, np.concatenate([sample_x.data, sample_y.data]), leaves)
+    chart = space.chart_at(estimate_mean(space, both).mean)
+    stat, p, mean_x, mean_y, cov = (a[0] for a in two_sample_tests(chart, both, 1, len(sample_x)))
+    return TwoSampleResult(statistic=float(stat), df=chart.s, p_value=float(p), n1=len(sample_x),
+                           n2=len(sample_y), mean_x=mean_x, mean_y=mean_y, pooled_cov=cov)
 
 
 @dataclass(frozen=True)

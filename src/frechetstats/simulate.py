@@ -10,17 +10,15 @@ order in which replications execute.
 The experiments run their replications in blocks of at most BLOCK_POINTS
 sample points.  Each replication draws its raw variates from its own
 stream; the descriptor turns the whole block into points at once.  Every
-space fits a block with one ``mean_many`` call.  Coverage runs in blocks
-on the spaces that stack their charts (all but the open book), the type-I
-test on those with a global chart (Euclidean, SPD), and both one
-replication at a time elsewhere.  A block in which a replication fails or
-spends the iteration budget runs again one replication at a time, which
-records each failure as a single fit does.
+space fits a block with one ``mean_many`` call.  Coverage and the type-I
+test run in blocks on the spaces that stack their charts (all but the
+open book) and one replication at a time on the open book.  A block in
+which a replication fails or spends the iteration budget runs again one
+replication at a time, which records each failure as a single fit does.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,7 +42,7 @@ from .estimator import (
 )
 from .geometry import MEAN_MAX_ITER, Sample, as_sample, euclidean_point, euclidean_sample
 from .geometry import openbook_point, openbook_sample, spd_point, sphere_point, sphere_sample
-from .inference import chi2_two_sample, two_sample_test
+from .inference import two_sample_test, two_sample_tests
 from .spaces.euclidean import EuclideanSpace
 from .spaces.openbook import OpenBookSpace
 from .spaces.spd import SPDSpace, _vech_inv_rows, spd_expm, spd_vech
@@ -508,8 +506,8 @@ def mc_coverage(sampler, n, reps, alpha, derivatives="auto"):
     truth = sampler.population_mean()
 
     def batched(block, reps):
-        # in the charts at the means, stacked; a truth at the cut locus of a
-        # mean's chart raises CutLocus, and the re-run counts it a miss
+        # in the charts at the means, stacked; a truth outside a mean's chart
+        # raises CutLocus or InvalidPoint, and the re-run counts it a miss
         means = _block_means(space, block, reps)
         chart = space.chart_at(means)
         packed = chart.pack(block).reshape(reps, n, -1)
@@ -575,29 +573,22 @@ def mc_stickiness(sampler, n, reps):
     )
 
 
-def _type1_block(space, n1, alpha, block, reps):
-    """Rejections of ``reps`` two-sample tests in the global chart, the
-    groups of each replication stacked as its n1 + n2 rows."""
-    chart = space.chart_at()
-    images = chart.forward_many(block).reshape(reps, -1, chart.s)
-    p_value = chi2_two_sample(images[:, :n1], images[:, n1:])[1]
-    if np.isnan(p_value).any():
-        raise NearSingularCovariance("a pooled covariance of the block is numerically singular")
-    return (p_value <= alpha).tolist()
-
-
 def mc_type1(space, sampler, n1, n2, reps, alpha, identical_groups=False):
     """Empirical type-I error of the two-sample chart test under H0.
 
     Both groups are drawn from the sampler's distribution; with
     ``identical_groups`` the second group reuses the first group's stream
-    (degenerate sanity mode with statistic 0).  On a space with a global
-    chart a block of replications is tested in one batch.
+    (degenerate sanity mode with statistic 0).  On a space that stacks its
+    charts (all but the open book) a block of replications is tested by
+    one ``two_sample_tests`` call, in the charts at their pooled means,
+    stacked; the open book runs ``two_sample_test`` per replication.
     """
     if repr(sampler.space) != repr(space):
         raise InvalidDescriptor("sampler and space arguments disagree")
-    batched = (functools.partial(_type1_block, space, n1, alpha)
-               if space.has_global_chart else None)
+
+    def batched(block, reps):
+        chart = space.chart_at(_block_means(space, block, reps))
+        return (two_sample_tests(chart, block, reps, n1)[1] <= alpha).tolist()
 
     def single(x, y):
         return bool(two_sample_test(space, x, y).p_value <= alpha)
@@ -607,7 +598,8 @@ def mc_type1(space, sampler, n1, n2, reps, alpha, identical_groups=False):
         keys = [key for rep in block_reps for key in ((rep, 0), (rep, 0 if identical_groups else 1))]
         sizes = [n1, n2] * len(block_reps)
         block = sampler.draw_many(sizes, keys)
-        outcomes += _outcomes(block_reps, block, sizes, batched, single, failed)
+        outcomes += _outcomes(block_reps, block, sizes,
+                              batched if space.stacks_charts else None, single, failed)
     return _rate_report("type1", reps, outcomes, failed,
                         alpha=alpha, n1=n1, n2=n2, df=space.chart_dim)
 

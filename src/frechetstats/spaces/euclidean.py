@@ -28,7 +28,6 @@ class EuclideanSpace(Space):
     """R^dim with the usual distance."""
 
     kind = "euclidean"
-    has_global_chart = True
     stacks_charts = True
     mean_strategy = "closed_form"
 

@@ -168,7 +168,6 @@ class SPDSpace(Space):
     """SPD(p) under the Euclidean or log-Euclidean metric."""
 
     kind = "spd"
-    has_global_chart = True
     stacks_charts = True
     mean_strategy = "closed_form"
 

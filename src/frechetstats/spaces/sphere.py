@@ -3,14 +3,15 @@ extrinsic (chordal) metrics.
 
 The intrinsic chart at a base point is the log map expressed in an
 orthonormal tangent basis; the extrinsic chart is the linear projection
-onto that tangent basis.  Both charts exclude the antipode of the base.
+onto that tangent basis.  The intrinsic chart excludes the antipode of
+the base, the extrinsic chart the closed hemisphere opposite the base.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..errors import CutLocus, NonUniqueProjection
+from ..errors import CutLocus, InvalidPoint, NonUniqueProjection
 from ..geometry import MEAN_MAX_ITER, MEAN_TOL, Chart, Point, Space, row_dots, row_norms
 from ..geometry import row_products, sphere_point, sphere_sample
 
@@ -208,13 +209,16 @@ class SphereIntrinsicChart(_TangentChart):
 
 
 class SphereExtrinsicChart(_TangentChart):
-    """Tangent-projection chart; h is the squared chordal distance.
+    """Tangent-projection chart of the open hemisphere around the base
+    (InvalidPoint outside it); h is the squared chordal distance.
 
     Analytic derivatives are available at every chart point via the
     differential of the hemisphere parameterization.
     """
 
     def _tangent(self, rows):
+        if np.any(row_dots(rows, self._b[..., None, :]) <= 0.0):
+            raise InvalidPoint("point outside the open hemisphere of the chordal chart's base")
         return rows
 
     def _point_at(self, x):

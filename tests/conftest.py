@@ -92,14 +92,12 @@ class AffineChartSpace(Space):
         self.offset = offset
         self.kind = inner.kind
         self.chart_dim = inner.chart_dim
-        self.has_global_chart = inner.has_global_chart
 
     def distance_many(self, sample, q):
         return self.inner.distance_many(sample, q)
 
-    def chart_at(self, base=None):
-        inner_chart = self.inner.chart_at(base) if base is not None else self.inner.chart_at()
-        return AffineChart(inner_chart, self.mat, self.offset)
+    def chart_at(self, base):
+        return AffineChart(self.inner.chart_at(base), self.mat, self.offset)
 
     def initial_guess(self, sample):
         return self.inner.initial_guess(sample)

@@ -279,7 +279,8 @@ def test_criterion_9_geometry_kernel():
     space = fs.OpenBookSpace(3, 2)
     min_violations = 0
     for _ in range(1000):
-        sample = [random_openbook(rng) for _ in range(int(rng.integers(2, 12)))]
+        # one Sample for the mean and the 100 candidates
+        sample = space.check_sample([random_openbook(rng) for _ in range(int(rng.integers(2, 12)))])
         mu = fs.openbook_frechet_mean(sample, 3)
         f_mu = fs.frechet_value(space, sample, mu)
         for _ in range(100):

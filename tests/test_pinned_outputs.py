@@ -76,6 +76,16 @@ def test_type1_outcomes_are_pinned():
     sampler = spd(104, "euclidean")
     report = simulate.mc_type1(sampler.space, sampler, 30, 25, 40, 0.2)
     assert bits(report.outcomes) == "0000000010100000000000011011010000101000"
+    pinned = {
+        "geodesic": (cap(114, radius=0.8), "0010100000000001000000101010000100000000"),
+        "chordal": (cap(114, metric="extrinsic", radius=0.8),
+                    "0010101000000001000000101010000100000000"),
+        "leaf-regime book": (book(113, (0.8, 0.1, 0.1)),
+                             "1100001000001000010000100000000000001000"),
+    }
+    for name, (sampler, expected) in pinned.items():
+        report = simulate.mc_type1(sampler.space, sampler, 30, 25, 40, 0.2)
+        assert (name, bits(report.outcomes), report.failures) == (name, expected, 0)
 
 
 def test_stickiness_outcomes_are_pinned():

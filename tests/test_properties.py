@@ -19,7 +19,7 @@ from frechetstats.geometry import (
     spd_point,
     sphere_point,
 )
-from frechetstats.inference import bh_fdr, bonferroni
+from frechetstats.inference import bh_fdr, bonferroni, two_sample_test, two_sample_tests
 from frechetstats.spaces import openbook_classify, openbook_fold, openbook_moments
 from frechetstats.spaces.spd import spd_expm, spd_vech_inv
 
@@ -163,6 +163,51 @@ def test_sandwich_is_its_row_of_the_stacked_sandwich(space, derivatives, data, r
         assert np.array_equal(fit.c_n, c[r])
         assert np.array_equal(fit.asym_cov, asym[r])
         assert fit.lambda_cond == cond[r] and fit.lambda_pd == pd[r]
+
+
+def clustered(space):
+    """Strategy for points of ``space`` that the chart at the mean of any
+    sample of them maps: sphere points within 41 degrees of a pole, so that
+    each is less than 90 degrees from the mean."""
+    if space.kind != "sphere":
+        return points(space)
+
+    def near_pole(v):
+        v = np.append(v[:-1], abs(v[-1]) + 5.0)
+        return sphere_point(v / np.linalg.norm(v))
+
+    return vectors(space.ambient_dim).map(near_pole)
+
+
+@pytest.mark.parametrize("space", [space for space in SPACES if space.stacks_charts], ids=repr)
+@SETTINGS
+@given(data=st.data(), reps=st.integers(1, 4), n1=st.integers(2, 6), n2=st.integers(2, 6))
+def test_two_sample_test_is_its_row_of_two_sample_tests(space, data, reps, n1, n2):
+    n2 += space.chart_dim  # n1 + n2 >= s + 4
+    n = n1 + n2
+    block = as_sample(data.draw(st.lists(clustered(space), min_size=reps * n, max_size=reps * n)))
+    singles = []
+    for part in block.split([n] * reps):
+        try:
+            singles.append(two_sample_test(space, *part.split([n1, n2])))
+        except FrechetStatsError as exc:
+            singles.append(type(exc))
+    # a replication that spends the iteration budget fails alone, not in a block
+    assume(NoConvergence not in singles)
+    try:
+        means, _ = space.mean_many(block, reps)
+        statistic, p_value, mean_x, mean_y, pooled = two_sample_tests(
+            space.chart_at(means), block, reps, n1
+        )
+    except FrechetStatsError as exc:
+        # a block fails exactly when one of its replications fails alone
+        assert type(exc) in singles
+        return
+    for r, res in enumerate(singles):
+        assert not isinstance(res, type), f"replication {r} raised {res.__name__} alone"
+        assert res.statistic == statistic[r] and res.p_value == p_value[r]
+        assert np.array_equal(res.mean_x, mean_x[r]) and np.array_equal(res.mean_y, mean_y[r])
+        assert np.array_equal(res.pooled_cov, pooled[r])
 
 
 @pytest.mark.parametrize("space", SPACES, ids=repr)

@@ -8,6 +8,7 @@ from frechetstats.errors import (
     CutLocus,
     FrechetStatsError,
     InvalidDescriptor,
+    InvalidPoint,
     NearSingularCovariance,
     NoConvergence,
 )
@@ -307,7 +308,7 @@ def single_coverage(sampler, n, reps, alpha, derivatives="auto"):
                                   derivatives=derivatives)
         try:
             candidate = fit.chart.forward(truth)
-        except CutLocus:
+        except (CutLocus, InvalidPoint):
             out.append(False)
             continue
         out.append(bool(confidence_region_contains(fit, candidate, alpha)))
@@ -351,16 +352,25 @@ def test_batched_coverage_matches_single_fits(make, derivatives, monkeypatch):
     assert keys == list(range(reps))
 
 
-@pytest.mark.parametrize("metric", ["log_euclidean", "euclidean"])
-def test_batched_type1_matches_single_tests(metric, monkeypatch):
+@pytest.mark.parametrize(
+    "make",
+    [
+        pytest.param(spd_sampler, id="log_euclidean"),
+        pytest.param(functools.partial(spd_sampler, metric="euclidean"), id="euclidean"),
+        pytest.param(cap_sampler, id="geodesic_cap"),
+        pytest.param(chordal_cap_sampler, id="chordal_cap"),
+    ],
+)
+def test_batched_type1_matches_single_tests(make, monkeypatch):
     reps, n1, n2 = 45, 100, 90
     assert reps * (n1 + n2) > 2 * simulate.BLOCK_POINTS  # several blocks
-    sampler = spd_sampler(32, metric)
+    sampler = make(32)
     expected = tuple(
         two_sample_test(sampler.space, sampler.draw(n1, (r, 0)), sampler.draw(n2, (r, 1))).p_value
         <= 0.2
         for r in range(reps)
     )
+    assert any(expected) and not all(expected)  # rejections as well as acceptances
     keys = record_streams(monkeypatch)
     no_single_fits(monkeypatch)
     report = mc_type1(sampler.space, sampler, n1, n2, reps, 0.2)
@@ -438,9 +448,12 @@ class AntipodalTruthCap(SphereCapDescriptor):
         return sphere_point(-np.asarray(self.center, dtype=float))
 
 
-def test_truth_at_the_cut_locus_is_a_miss():
-    # every mean is the center, so the truth is at the cut locus of its chart
-    sampler = Sampler(SphereSpace(3), AntipodalTruthCap((0.0, 0.0, 1.0), 0.0), 40)
+@pytest.mark.parametrize("metric, radius", [("intrinsic", 0.0), ("extrinsic", 0.3)])
+def test_truth_at_the_cut_locus_is_a_miss(metric, radius):
+    # the truth is the antipode of the cap's center: at the cut locus of a
+    # geodesic chart at the center, and in the far hemisphere of a chordal
+    # chart at a mean near it, outside both charts' domains
+    sampler = Sampler(SphereSpace(3, metric), AntipodalTruthCap((0.0, 0.0, 1.0), radius), 40)
     expected = single_coverage(sampler, 5, 12, 0.05)
     report = mc_coverage(sampler, 5, 12, 0.05)
     assert report.outcomes == expected == (False,) * 12
@@ -534,6 +547,8 @@ def test_type1_counts_invalid_point_as_a_replication_failure():
 
 def test_failure_budget_error_quotes_classes_and_keys(monkeypatch):
     sampler = Sampler(SphereSpace(3), SphereCapDescriptor((0.0, 0.0, 1.0), 0.5), 36)
+    # this space tests one replication at a time, through the patched test
+    monkeypatch.setattr(sampler.space, "stacks_charts", False)
     failing = {3, 11}
     calls = []
 

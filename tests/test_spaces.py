@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from frechetstats.errors import CutLocus, NonUniqueProjection, NotPositiveDefinite
+from frechetstats.errors import CutLocus, InvalidPoint, NonUniqueProjection, NotPositiveDefinite
 from frechetstats.geometry import (
     euclidean_point,
     euclidean_sample,
@@ -10,6 +10,7 @@ from frechetstats.geometry import (
     spd_point,
     spd_sample,
     sphere_point,
+    sphere_sample,
 )
 from frechetstats.spaces import (
     EuclideanSpace,
@@ -77,6 +78,24 @@ def test_sphere_extrinsic_project():
     assert np.allclose(sphere_extrinsic_project((3.0, 4.0, 0.0)), [0.6, 0.8, 0.0])
     with pytest.raises(NonUniqueProjection):
         sphere_extrinsic_project((0.0, 0.0, 0.0))
+
+
+def test_chordal_chart_rejects_the_far_hemisphere():
+    # (0, 0.1, -0.995) and (0, 0.1, 0.995) project to the same tangent
+    # coordinates at the north pole; only the second is in the chart
+    space = SphereSpace(3, "extrinsic")
+    near, far = (sphere_sample(np.array([[0.0, 0.1, z]]) / np.hypot(0.1, z)) for z in (0.995, -0.995))
+    chart = space.chart_at(sphere_point((0.0, 0.0, 1.0)))
+    assert np.allclose(chart.forward_many(near), [[0.1 / np.hypot(0.1, 0.995), 0.0]])
+    for sample in (far, sphere_sample([[1.0, 0.0, 0.0]])):  # beyond and on the boundary
+        with pytest.raises(InvalidPoint):
+            chart.forward_many(sample)
+    # a stack of two charts, the second at the south pole: each group of
+    # rows is checked against its own base
+    stacked = space.chart_at(sphere_sample([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]))
+    assert stacked.forward_many(sphere_sample(np.concatenate([near.data, far.data]))).shape == (2, 2)
+    with pytest.raises(InvalidPoint):
+        stacked.forward_many(sphere_sample(np.concatenate([near.data, near.data])))
 
 
 def test_intrinsic_and_extrinsic_means_agree_when_concentrated(rng):
@@ -288,7 +307,8 @@ def test_openbook_mean_minimizes_frechet_function(rng):
     space = OpenBookSpace(3, 2)
     for _ in range(1000):
         n = int(rng.integers(2, 15))
-        sample = [random_openbook(rng) for _ in range(n)]
+        # one Sample for the mean and the 100 candidates
+        sample = space.check_sample([random_openbook(rng) for _ in range(n)])
         mu = openbook_frechet_mean(sample, 3)
         f_mu = frechet_value(space, sample, mu)
         for _ in range(100):
