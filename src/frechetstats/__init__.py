@@ -4,7 +4,6 @@ sample spaces: spheres, SPD matrices, and open-book stratified spaces.
 
 from . import errors
 from .geometry import (
-    DiffConfig,
     Point,
     Sample,
     Space,

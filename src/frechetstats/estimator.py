@@ -4,8 +4,8 @@
 function with the space's own ``mean`` (its ``mean_many`` on one sample):
 closed forms where they exist (Euclidean, SPD under both metrics, chordal
 sphere, open book), Karcher fixed-point iteration for the geodesic sphere,
-and the damped Newton descent on chart coordinates that every space
-inherits.
+and, on a space without a mean of its own, the damped Newton descent on
+chart coordinates of the base class ``Space.mean_many``.
 
 ``sandwich_covariance`` then forms, in the chart anchored at the estimate,
 
@@ -13,7 +13,9 @@ inherits.
     C_n      = average outer product of the gradients of h(.; Y_j),
 
 and the asymptotic covariance Lambda_n^-1 C_n Lambda_n^-1 of the chart
-coordinates (to be divided by n for the covariance of the estimate).
+coordinates (to be divided by n for the covariance of the estimate), from
+the chart's closed-form derivatives of h or else from central differences
+with fixed steps (``geometry.numeric_gradient`` and ``numeric_hessian``).
 ``stacked_sandwich`` forms the same for R fits at once, in a chart stacked
 at their R means; one fit's sandwich is its batch of one.
 """
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NearSingularCovariance, NearSingularHessian, NoConvergence
-from .geometry import MEAN_MAX_ITER, MEAN_TOL, Point, Space, gradient_rows, mean_gradient
+from .geometry import MEAN_MAX_ITER, MEAN_TOL, Point, mean_gradient, numeric_gradient
 from .geometry import numeric_hessian
 
 #: condition-number ceiling beyond which Lambda_n (or a covariance) is
@@ -57,8 +59,9 @@ class FrechetFit:
     lambda_pd: bool | None = None
 
 
-def estimate_mean(space, sample, *, tol=MEAN_TOL, max_iter=MEAN_MAX_ITER, strategy=None, diff=None):
-    """Stationary point of the empirical Frechet function.
+def estimate_mean(space, sample, *, tol=MEAN_TOL, max_iter=MEAN_MAX_ITER):
+    """Stationary point of the empirical Frechet function, found by
+    ``space.mean`` (the fit's ``strategy`` is the space's ``mean_strategy``).
 
     Parameters
     ----------
@@ -70,12 +73,6 @@ def estimate_mean(space, sample, *, tol=MEAN_TOL, max_iter=MEAN_MAX_ITER, strate
         empirical Frechet function.
     max_iter : int
         Iteration budget for the iterative strategies.
-    strategy : str, optional
-        ``newton`` forces the damped Newton descent (``Space.mean_many``);
-        None, or the space's own ``mean_strategy`` (``closed_form``,
-        ``karcher`` or ``openbook_exact``), runs ``space.mean``.
-    diff : DiffConfig, optional
-        Finite-difference settings for numeric fallbacks.
 
     Raises
     ------
@@ -85,18 +82,11 @@ def estimate_mean(space, sample, *, tol=MEAN_TOL, max_iter=MEAN_MAX_ITER, strate
         Some sample point is from a different space.
     """
     sample = space.check_sample(sample)
-    strategy = strategy or space.mean_strategy
-    if strategy == space.mean_strategy:
-        mean, iterations = space.mean(sample, tol=tol, max_iter=max_iter, diff=diff)
-    elif strategy == "newton":
-        means, its = Space.mean_many(space, sample, 1, tol=tol, max_iter=max_iter, diff=diff)
-        mean, iterations = means[0], int(its[0])
-    else:
-        raise ValueError(f"unknown strategy {strategy!r} for {space!r}")
-
+    strategy = space.mean_strategy
+    mean, iterations = space.mean(sample, tol=tol, max_iter=max_iter)
     chart = space.chart_at(mean)
     coords = chart.forward(mean)
-    grad_norm = float(np.linalg.norm(mean_gradient(chart, coords, chart.pack(sample), diff)))
+    grad_norm = float(np.linalg.norm(mean_gradient(chart, coords, chart.pack(sample))))
     fit = FrechetFit(
         mean=mean,
         chart_coords=coords,
@@ -135,7 +125,7 @@ def guarded_inverse(matrices):
     return 0.5 * (inv + np.swapaxes(inv, -1, -2)), w, cond, singular
 
 
-def sandwich_covariance(space, sample, fit, *, derivatives="auto", diff=None):
+def sandwich_covariance(space, sample, fit, *, derivatives="auto"):
     """Populate Lambda_n, C_n and the sandwich covariance of a fit
     (``stacked_sandwich`` of one fit).
 
@@ -158,14 +148,14 @@ def sandwich_covariance(space, sample, fit, *, derivatives="auto", diff=None):
         )
     lam, c, asym, cond, pd = stacked_sandwich(
         chart, np.asarray(fit.chart_coords, dtype=float), chart.pack(sample),
-        derivatives=derivatives, diff=diff,
+        derivatives=derivatives,
     )
     return dataclasses.replace(
         fit, lambda_n=lam, c_n=c, asym_cov=asym, lambda_cond=float(cond), lambda_pd=bool(pd)
     )
 
 
-def stacked_sandwich(chart, coords, packed, *, derivatives="auto", diff=None):
+def stacked_sandwich(chart, coords, packed, *, derivatives="auto"):
     """Lambda_n, C_n and the asymptotic covariance Lambda_n^-1 C_n
     Lambda_n^-1 of one fit, or of R fits at once, in ``chart``.
 
@@ -183,10 +173,10 @@ def stacked_sandwich(chart, coords, packed, *, derivatives="auto", diff=None):
     numeric = derivatives == "numeric"
     rows = None if numeric else chart.grad_h_many(coords, packed)
     if rows is None:
-        rows = gradient_rows(lambda xx: chart.h_many(xx, packed), coords, diff)
+        rows = numeric_gradient(lambda xx: chart.h_many(xx, packed), coords)
     lam = None if numeric else chart.hess_h_mean(coords, packed)
     if lam is None:
-        lam = numeric_hessian(lambda xx: chart.h_many(xx, packed).mean(axis=-1), coords, diff)
+        lam = numeric_hessian(lambda xx: chart.h_many(xx, packed).mean(axis=-1), coords)
     # a flat chart's closed-form Lambda_n is one matrix for every fit
     lam = np.broadcast_to(lam, coords.shape + coords.shape[-1:])
     lam = 0.5 * (lam + np.swapaxes(lam, -1, -2))

@@ -20,13 +20,17 @@ from .errors import InvalidPoint, MixedSpacePoints, NonFiniteValue
 
 _EPS = float(np.finfo(float).eps)
 
-#: Default step scale for first-order central differences, eps**(1/3).
+#: Step scale for first-order central differences, eps**(1/3); the step
+#: along coordinate r is the scale times max(1, |x_r|).
 GRADIENT_STEP_SCALE = _EPS ** (1.0 / 3.0)
 
-#: Default step scale for second-order central differences, eps**(1/4).
+#: Step scale for second-order central differences, eps**(1/4).
 #: The larger step keeps the roundoff error of the twice-differenced
 #: quadratic terms below ~1e-6.
 HESSIAN_STEP_SCALE = _EPS ** 0.25
+
+#: tolerance of a sphere point's unit norm and of an SPD matrix's symmetry
+POINT_ATOL = 1e-12
 
 #: default gradient-norm tolerance and iteration budget of the iterative means
 MEAN_TOL = 1e-10
@@ -136,26 +140,28 @@ def euclidean_sample(rows):
     return Sample("euclidean", _finite_rows(rows, 2))
 
 
-def sphere_sample(rows, atol=1e-12):
+def sphere_sample(rows):
     """Sample of S^d from an (n, d+1) array of unit vectors; each row's norm
-    must be 1 within ``atol``, and the row is divided by it."""
+    must be 1 within POINT_ATOL, and the row is divided by it."""
     a = _finite_rows(rows, 2)
     nrm = row_norms(a)
-    bad = np.flatnonzero(np.abs(nrm - 1.0) > atol)
+    bad = np.flatnonzero(np.abs(nrm - 1.0) > POINT_ATOL)
     if bad.size:
-        raise InvalidPoint(f"sphere point has norm {float(nrm[bad[0]])!r}, not 1 within {atol}")
+        raise InvalidPoint(
+            f"sphere point has norm {float(nrm[bad[0]])!r}, not 1 within {POINT_ATOL}"
+        )
     return Sample("sphere", a / nrm[:, None])
 
 
-def spd_sample(mats, atol=1e-12):
+def spd_sample(mats):
     """Sample of SPD matrices from an (n, p, p) array; each matrix must be
-    symmetric within ``atol`` (it is then symmetrized) and positive
+    symmetric within POINT_ATOL (it is then symmetrized) and positive
     definite."""
     m = _finite_rows(mats, 3)
     if m.shape[1] != m.shape[2]:
         raise InvalidPoint("spd payload must be a square matrix")
     mt = np.swapaxes(m, 1, 2)
-    if not np.allclose(m, mt, rtol=0.0, atol=atol):
+    if not np.allclose(m, mt, rtol=0.0, atol=POINT_ATOL):
         raise InvalidPoint("spd payload is not symmetric within tolerance")
     m = 0.5 * (m + mt)
     if np.any(np.linalg.eigvalsh(m)[:, 0] <= 0.0):
@@ -201,14 +207,14 @@ def euclidean_point(v):
     return euclidean_sample(np.atleast_1d(np.asarray(v, dtype=float))[None])[0]
 
 
-def sphere_point(v, atol=1e-12):
-    """Unit vector in R^{d+1}; the norm must already be 1 within ``atol``."""
-    return sphere_sample(np.atleast_1d(np.asarray(v, dtype=float))[None], atol)[0]
+def sphere_point(v):
+    """Unit vector in R^{d+1}; the norm must already be 1 within POINT_ATOL."""
+    return sphere_sample(np.atleast_1d(np.asarray(v, dtype=float))[None])[0]
 
 
-def spd_point(a, atol=1e-12):
+def spd_point(a):
     """Symmetric positive definite matrix."""
-    return spd_sample(np.asarray(a, dtype=float)[None], atol)[0]
+    return spd_sample(np.asarray(a, dtype=float)[None])[0]
 
 
 def openbook_point(leaf, coords):
@@ -217,45 +223,25 @@ def openbook_point(leaf, coords):
     return openbook_sample([int(leaf)], np.atleast_1d(np.asarray(coords, dtype=float))[None])[0]
 
 
-@dataclass(frozen=True)
-class DiffConfig:
-    """Finite-difference configuration.
-
-    Steps are scaled per coordinate as ``h_r = scale * max(1, |x_r|)``.
-    Unless overridden, ``gradient_scale`` is eps**(1/3) (first differences)
-    and ``hessian_scale`` eps**(1/4) (second differences); with Richardson
-    extrapolation (one step halving, off by default) the defaults widen to
-    eps**(1/5) and eps**(1/6), the optima of the fourth-order schemes.
-    """
-
-    gradient_scale: float | None = None
-    hessian_scale: float | None = None
-    richardson: bool = False
-
-    def __post_init__(self):
-        for scale in (self.gradient_scale, self.hessian_scale):
-            if scale is not None and scale <= 0.0:
-                raise ValueError("finite-difference step scales must be positive")
-
-    def gradient_steps(self, x):
-        scale = self.gradient_scale or (_EPS ** 0.2 if self.richardson else GRADIENT_STEP_SCALE)
-        return scale * np.maximum(1.0, np.abs(x))
-
-    def hessian_steps(self, x):
-        scale = self.hessian_scale or (_EPS ** (1 / 6) if self.richardson else HESSIAN_STEP_SCALE)
-        return scale * np.maximum(1.0, np.abs(x))
-
-
 def _check_finite(value):
     if not np.all(np.isfinite(value)):
         raise NonFiniteValue("function returned a non-finite value at a probe point")
     return value
 
 
-def _gradient_fixed_steps(f, x, steps):
-    """Central differences along the last axis of ``x``, one point (s,) or a
-    stack (R, s) that ``f`` maps row by row: of a scalar map, (..., s), or
-    of a vector map, (..., n, s)."""
+def numeric_gradient(f, x):
+    """Central differences along the last axis of ``x``, with the step
+    GRADIENT_STEP_SCALE * max(1, |x_r|) along coordinate r, at one point (s,)
+    or a stack (R, s) that ``f`` maps row by row.
+
+    Of a scalar map the gradient, (..., s); of a vector map ``R^s -> R^n``
+    the (..., n, s) rows of per-component gradients, which differentiate
+    ``h(.; Y_j)`` for all sample points at once when a chart has no
+    analytic gradient.  Raises NonFiniteValue if any probe evaluation is
+    NaN or infinite.
+    """
+    x = np.asarray(x, dtype=float)
+    steps = GRADIENT_STEP_SCALE * np.maximum(1.0, np.abs(x))
     cols = []
     for r in range(x.shape[-1]):
         e = np.zeros_like(x)
@@ -270,34 +256,14 @@ def _gradient_fixed_steps(f, x, steps):
     return np.stack(cols, axis=-1)
 
 
-def _differences(fixed_steps, f, x, steps, cfg):
-    """``fixed_steps(f, x, steps)``, Richardson-extrapolated over one step
-    halving when ``cfg`` asks for that."""
-    d = fixed_steps(f, x, steps)
-    if cfg.richardson:
-        d = (4.0 * fixed_steps(f, x, steps / 2.0) - d) / 3.0
-    return d
-
-
-def _central_gradient(f, x, cfg):
-    """Central differences of ``f`` at ``x`` with the steps of ``cfg``."""
-    cfg = cfg or DiffConfig()
+def numeric_hessian(f, x):
+    """Second central differences along the last axis of ``x``, with the
+    step HESSIAN_STEP_SCALE * max(1, |x_r|) along coordinate r, symmetrized
+    as (H + H^T)/2: (s, s) at one point x (s,), or (R, s, s) at a stack
+    (R, s) of points that the scalar map ``f`` maps row by row to (R,)
+    values."""
     x = np.asarray(x, dtype=float)
-    return _differences(_gradient_fixed_steps, f, x, cfg.gradient_steps(x), cfg)
-
-
-def numeric_gradient(f, x, cfg=None):
-    """Central-difference gradient of a scalar function ``f: R^s -> R``.
-
-    Raises NonFiniteValue if any probe evaluation is NaN or infinite.
-    """
-    return _central_gradient(f, x, cfg)
-
-
-def _hessian_fixed_steps(f, x, steps):
-    """Second central differences along the last axis of ``x``, one point
-    (s,) or a stack (R, s) that the scalar map ``f`` maps row by row, as
-    (..., s, s)."""
+    steps = HESSIAN_STEP_SCALE * np.maximum(1.0, np.abs(x))
     s = x.shape[-1]
     h = np.empty(x.shape + (s,))
     f0 = _check_finite(f(x))
@@ -316,29 +282,7 @@ def _hessian_fixed_steps(f, x, steps):
             fmm = _check_finite(f(x - er - ec))
             mixed = (fpp - fpm - fmp + fmm) / (4.0 * steps[..., r] * steps[..., c])
             h[..., r, c] = h[..., c, r] = mixed
-    return h
-
-
-def numeric_hessian(f, x, cfg=None):
-    """Second-order central-difference Hessian, symmetrized as (H + H^T)/2:
-    (s, s) at one point x (s,), or (R, s, s) at a stack (R, s) of points
-    that ``f`` maps row by row to (R,) values."""
-    cfg = cfg or DiffConfig()
-    x = np.asarray(x, dtype=float)
-    h = _differences(_hessian_fixed_steps, f, x, cfg.hessian_steps(x), cfg)
     return 0.5 * (h + np.swapaxes(h, -1, -2))
-
-
-def gradient_rows(fvec, x, cfg=None):
-    """Per-row central-difference gradients of a vector map ``fvec: R^s -> R^n``.
-
-    Returns the (n, s) matrix whose j-th row is the gradient of the j-th
-    component; at a stack (R, s) of points that ``fvec`` maps row by row to
-    (R, n) values, the (R, n, s) stack of those matrices.  Used to
-    differentiate ``h(.; Y_j)`` for all sample points at once when a chart
-    has no analytic gradient.
-    """
-    return _central_gradient(fvec, x, cfg)
 
 
 class Chart(ABC):
@@ -479,14 +423,13 @@ class Space(ABC):
         and as a Sample."""
         return self.check_sample([base] if isinstance(base, Point) else base)
 
-    def mean(self, sample, *, tol=MEAN_TOL, max_iter=MEAN_MAX_ITER, diff=None):
+    def mean(self, sample, *, tol=MEAN_TOL, max_iter=MEAN_MAX_ITER):
         """Sample Frechet mean as ``(point, iterations)``, the batch of one of
         ``mean_many``."""
-        means, its = self.mean_many(self.check_sample(sample), 1, tol=tol, max_iter=max_iter,
-                                    diff=diff)
+        means, its = self.mean_many(self.check_sample(sample), 1, tol=tol, max_iter=max_iter)
         return means[0], int(its[0])
 
-    def mean_many(self, sample, reps, *, tol=MEAN_TOL, max_iter=MEAN_MAX_ITER, diff=None):
+    def mean_many(self, sample, reps, *, tol=MEAN_TOL, max_iter=MEAN_MAX_ITER):
         """Sample Frechet means of ``reps`` equal-size samples stacked
         row-wise in one Sample, as ``(means, iterations)``: a Sample of the
         R means and their (R,) iteration counts.
@@ -494,14 +437,14 @@ class Space(ABC):
         The default is a damped Newton descent on the chart coordinates at
         ``initial_guess``, one replication at a time, stopped once the
         gradient norm of the averaged h is at most ``tol`` (else after
-        ``max_iter`` iterations), with central differences (``diff``) where
-        the chart has no analytic derivatives."""
+        ``max_iter`` iterations), with central differences where the chart
+        has no analytic derivatives."""
         parts = sample.split([len(sample) // reps] * reps)
-        means, its = zip(*(_newton_mean(self, part, tol, max_iter, diff) for part in parts))
+        means, its = zip(*(_newton_mean(self, part, tol, max_iter) for part in parts))
         return as_sample(means), np.array(its)
 
 
-def _newton_mean(space, sample, tol, max_iter, diff):
+def _newton_mean(space, sample, tol, max_iter):
     """The damped Newton descent of ``Space.mean_many`` on one sample."""
     start = space.initial_guess(sample)
     chart = space.chart_at(start)
@@ -512,12 +455,12 @@ def _newton_mean(space, sample, tol, max_iter, diff):
         return float(np.mean(chart.h_many(xx, packed)))
 
     for it in range(max_iter):
-        g = mean_gradient(chart, x, packed, diff)
+        g = mean_gradient(chart, x, packed)
         if np.linalg.norm(g) <= tol:
             return chart.inverse(x), it
         hess = chart.hess_h_mean(x, packed)
         if hess is None:
-            hess = numeric_hessian(fmean, x, diff)
+            hess = numeric_hessian(fmean, x)
         try:
             step = np.linalg.solve(hess, -g)
         except np.linalg.LinAlgError:
@@ -530,27 +473,16 @@ def _newton_mean(space, sample, tol, max_iter, diff):
     return chart.inverse(x), max_iter
 
 
-def mean_gradient(chart, x, packed, diff=None):
+def mean_gradient(chart, x, packed):
     """Gradient at ``x`` of the averaged h, analytic where the chart has it."""
     rows = chart.grad_h_many(x, packed)
     if rows is not None:
         return rows.mean(axis=0)
-    return numeric_gradient(lambda xx: float(np.mean(chart.h_many(xx, packed))), x, diff)
+    return numeric_gradient(lambda xx: float(np.mean(chart.h_many(xx, packed))), x)
 
 
-def frechet_value(space, sample, p, weights=None):
-    """Empirical Frechet function: sum of weighted squared distances to ``p``.
-
-    ``weights`` default to uniform 1/n; when given they must be nonnegative
-    and sum to 1.
-    """
+def frechet_value(space, sample, p):
+    """Empirical Frechet function: the mean squared distance to ``p``."""
     sample = space.check_sample(sample)
-    if weights is None:
-        w = np.full(len(sample), 1.0 / len(sample))
-    else:
-        w = np.asarray(weights, dtype=float)
-        if w.shape != (len(sample),):
-            raise ValueError("weights length must match the sample")
-        if np.any(w < 0.0) or abs(float(w.sum()) - 1.0) > 1e-9:
-            raise ValueError("weights must be nonnegative and sum to 1")
+    w = np.full(len(sample), 1.0 / len(sample))
     return float(w @ space.distance_many(sample, p) ** 2)

@@ -95,15 +95,15 @@ def two_sample_tests(chart, block, reps, n1):
     """Two-sample chart tests of ``reps`` replications stacked in ``block``,
     each its first group (n1 rows) followed by its second, in ``chart``
     (stacked at their pooled means, or one chart for one replication).
+    Every chart maps to C-contiguous rows, so each replication's (n, s)
+    images have one layout, and one arithmetic, in a block and alone.
 
     Returns ``(statistic, p_value, mean_x, mean_y, pooled)`` of
     ``chi2_two_sample`` along the replications.  Raises
     NearSingularCovariance for the first replication whose pooled
     covariance is numerically singular.
     """
-    # each replication's images keep the memory layout of the chart's rows,
-    # so that its arithmetic is the same in a block as alone
-    images = np.stack(np.split(chart.forward_many(block), reps))
+    images = chart.forward_many(block).reshape(reps, -1, chart.s)
     statistic, p_value, cond, *rest = chi2_two_sample(images[:, :n1], images[:, n1:])
     singular = np.flatnonzero(np.isnan(statistic))
     if singular.size:

@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import special
 
 from .errors import (
     CutLocus,
@@ -41,7 +42,8 @@ from .estimator import (
     stacked_sandwich,
 )
 from .geometry import MEAN_MAX_ITER, Sample, as_sample, euclidean_point, euclidean_sample
-from .geometry import openbook_point, openbook_sample, spd_point, sphere_point, sphere_sample
+from .geometry import openbook_point, openbook_sample, row_norms, row_products, spd_point
+from .geometry import sphere_point, sphere_sample
 from .inference import two_sample_test, two_sample_tests
 from .spaces.euclidean import EuclideanSpace
 from .spaces.openbook import OpenBookSpace
@@ -128,7 +130,11 @@ class GaussianDescriptor:
 @dataclass(frozen=True)
 class SphereCapDescriptor:
     """Uniform distribution on a geodesic cap; radius 0 is a point mass at
-    the center.  The population mean is the center by symmetry."""
+    the center.  The population mean is the center by symmetry.
+
+    Points are drawn exactly in every dimension: the colatitude by
+    inverting its CDF on the cap, the direction uniformly in the tangent
+    space at the center."""
 
     center: tuple
     radius: float
@@ -154,29 +160,31 @@ class SphereCapDescriptor:
         if space.ambient_dim == 3:
             u = rng.random(n)
             return (np.column_stack([u, rng.random(n)]),)
-        # general dimension: rejection from the uniform sphere
-        center = self._center()
-        accepted = []
-        cos_r = np.cos(self.radius)
-        while sum(len(a) for a in accepted) < n:
-            z = rng.standard_normal((max(2048, 2 * n), space.ambient_dim))
-            z /= np.linalg.norm(z, axis=1, keepdims=True)
-            accepted.append(z[z @ center >= cos_r])
-        return (np.concatenate(accepted)[:n],)
+        # the colatitude's CDF level, then a Gaussian tangent direction
+        return (np.column_stack([rng.random(n), rng.standard_normal((n, space.chart_dim))]),)
 
     def assemble(self, variates, space):
         (v,) = variates
         center = self._center()
         if self.radius == 0.0:
             return sphere_sample(np.tile(center, (len(v), 1)))
-        if space.ambient_dim != 3:
-            return sphere_sample(v)
-        # exact inverse-CDF sampling of the colatitude on S^2
-        theta = np.arccos(1.0 - v[:, 0] * (1.0 - np.cos(self.radius)))
-        phi = 2.0 * np.pi * v[:, 1]
         basis = tangent_basis(center)
-        dirs = np.cos(phi)[:, None] * basis[0] + np.sin(phi)[:, None] * basis[1]
-        rows = np.cos(theta)[:, None] * center + np.sin(theta)[:, None] * dirs
+        if space.ambient_dim == 3:
+            # exact inverse-CDF sampling of the colatitude on S^2
+            theta = np.arccos(1.0 - v[:, 0] * (1.0 - np.cos(self.radius)))
+            phi = 2.0 * np.pi * v[:, 1]
+            dirs = np.cos(phi)[:, None] * basis[0] + np.sin(phi)[:, None] * basis[1]
+            rows = np.cos(theta)[:, None] * center + np.sin(theta)[:, None] * dirs
+        else:
+            # on S^d, w = (1 - cos theta) / 2 is Beta(d/2, d/2) under the
+            # uniform law; invert its CDF truncated to the cap, w <= sin(r/2)^2
+            a = 0.5 * space.chart_dim
+            top = special.betainc(a, a, np.sin(0.5 * self.radius) ** 2)
+            w = special.betaincinv(a, a, v[:, 0] * top)
+            dirs = row_products(v[:, 1:], basis)
+            dirs /= row_norms(dirs)[:, None]
+            cos_t, sin_t = 1.0 - 2.0 * w, 2.0 * np.sqrt(w * (1.0 - w))
+            rows = cos_t[:, None] * center + sin_t[:, None] * dirs
         rows /= np.linalg.norm(rows, axis=1, keepdims=True)
         return Sample("sphere", rows)  # unit rows by construction
 

@@ -85,10 +85,13 @@ def _indices(p):
 
 
 def _vech_rows(mats):
-    """Batched spd_vech over an (n, p, p) stack."""
-    idx, *iu = _indices(mats.shape[-1])
-    diag = mats[:, idx, idx]
-    return np.concatenate([diag, _SQRT2 * mats[:, iu[0], iu[1]]], axis=1)
+    """Batched spd_vech over an (n, p, p) stack, as C-contiguous rows."""
+    p = mats.shape[-1]
+    idx, *iu = _indices(p)
+    rows = np.empty((mats.shape[0], p * (p + 1) // 2))
+    rows[:, :p] = mats[:, idx, idx]
+    np.multiply(_SQRT2, mats[:, iu[0], iu[1]], out=rows[:, p:])
+    return rows
 
 
 def _vech_inv_rows(x, p):

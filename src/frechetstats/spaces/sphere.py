@@ -289,7 +289,7 @@ class SphereSpace(Space):
         minimizer of the chordal Frechet function."""
         return SphereSpace(self.ambient_dim, "extrinsic").mean(sample)[0]
 
-    def mean_many(self, sample, reps, *, tol=MEAN_TOL, max_iter=MEAN_MAX_ITER, **_):
+    def mean_many(self, sample, reps, *, tol=MEAN_TOL, max_iter=MEAN_MAX_ITER):
         """The extrinsic means (0 iterations) under the chordal metric; under
         the geodesic metric, Karcher fixed-point iteration from them, each
         replication stopped once its gradient norm is at most ``tol``."""

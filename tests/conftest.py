@@ -4,7 +4,8 @@ affine-reparameterized chart wrapper used by the invariance tests."""
 import numpy as np
 import pytest
 
-from frechetstats.geometry import Chart, Space, euclidean_point, openbook_point, spd_point, sphere_point
+from frechetstats.geometry import Chart, Space, euclidean_point, openbook_point, openbook_sample
+from frechetstats.geometry import spd_point, sphere_point
 from frechetstats.spaces import EuclideanSpace, OpenBookSpace, SPDSpace, SphereSpace
 from frechetstats.spaces.spd import spd_expm, spd_vech_inv
 
@@ -23,12 +24,24 @@ def random_spd(rng, p=3, log_scale=1.0):
     return spd_point(spd_expm(b))
 
 
-def random_openbook(rng, n_leaves=3, spine_dim=2, spine_prob=0.2):
+def random_openbook_coords(rng, n_leaves=3, spine_dim=2, spine_prob=0.2):
+    """Leaf label and half-space coordinates of a random open-book point."""
     if rng.random() < spine_prob:
-        return openbook_point(0, np.concatenate([[0.0], rng.normal(size=spine_dim)]))
+        return 0, np.concatenate([[0.0], rng.normal(size=spine_dim)])
     leaf = int(rng.integers(1, n_leaves + 1))
     x0 = abs(rng.normal()) + 1e-12
-    return openbook_point(leaf, np.concatenate([[x0], rng.normal(size=spine_dim)]))
+    return leaf, np.concatenate([[x0], rng.normal(size=spine_dim)])
+
+
+def random_openbook(rng, n_leaves=3, spine_dim=2, spine_prob=0.2):
+    return openbook_point(*random_openbook_coords(rng, n_leaves, spine_dim, spine_prob))
+
+
+def random_openbook_sample(rng, n):
+    """n random points of the open book with 3 leaves and a 2-d spine, drawn
+    as by n calls of random_openbook and validated as one Sample."""
+    leaves, coords = zip(*(random_openbook_coords(rng) for _ in range(n)))
+    return openbook_sample(leaves, np.stack(coords))
 
 
 def space_instances():

@@ -15,7 +15,7 @@ from scipy import stats as scipy_stats
 import frechetstats as fs
 from frechetstats.cli import main as cli_main
 from frechetstats.spaces.spd import _vech_rows, spd_logm, spd_vech_inv
-from conftest import AffineChartSpace, random_openbook
+from conftest import AffineChartSpace, random_openbook, random_openbook_sample
 
 
 def check(criterion, passed, detail):
@@ -279,12 +279,11 @@ def test_criterion_9_geometry_kernel():
     space = fs.OpenBookSpace(3, 2)
     min_violations = 0
     for _ in range(1000):
-        # one Sample for the mean and the 100 candidates
-        sample = space.check_sample([random_openbook(rng) for _ in range(int(rng.integers(2, 12)))])
+        sample = random_openbook_sample(rng, int(rng.integers(2, 12)))
         mu = fs.openbook_frechet_mean(sample, 3)
         f_mu = fs.frechet_value(space, sample, mu)
-        for _ in range(100):
-            if f_mu > fs.frechet_value(space, sample, random_openbook(rng)) + 1e-12:
+        for cand in random_openbook_sample(rng, 100):
+            if f_mu > fs.frechet_value(space, sample, cand) + 1e-12:
                 min_violations += 1
                 break
 

@@ -3,10 +3,10 @@ import pytest
 
 from frechetstats.errors import InvalidPoint, MixedSpacePoints, NonFiniteValue
 from frechetstats.geometry import (
-    DiffConfig,
+    GRADIENT_STEP_SCALE,
+    HESSIAN_STEP_SCALE,
     euclidean_point,
     frechet_value,
-    gradient_rows,
     numeric_gradient,
     numeric_hessian,
     openbook_point,
@@ -110,15 +110,6 @@ def test_frechet_value_rejects_mixed_points():
         frechet_value(sp, [sphere_point((0, 0, 1))], euclidean_point((0, 0, 0)))
 
 
-def test_frechet_value_weights():
-    sp = EuclideanSpace(1)
-    sample = [euclidean_point([0.0]), euclidean_point([2.0])]
-    p = euclidean_point([0.0])
-    assert frechet_value(sp, sample, p, weights=[0.25, 0.75]) == pytest.approx(3.0)
-    with pytest.raises(ValueError):
-        frechet_value(sp, sample, p, weights=[0.5, 0.6])
-
-
 # ---------------------------------------------------------------------------
 # finite differences
 
@@ -166,19 +157,41 @@ def test_non_finite_probe_raises():
         numeric_gradient(f, np.array([1.0, 0.0]))
 
 
-def test_diffconfig_validation():
-    with pytest.raises(ValueError):
-        DiffConfig(gradient_scale=0.0)
-    cfg = DiffConfig()
-    assert cfg.gradient_steps(np.zeros(1))[0] == pytest.approx(np.finfo(float).eps ** (1 / 3))
+def test_difference_steps_scale_with_the_coordinates():
+    eps = np.finfo(float).eps
+    assert GRADIENT_STEP_SCALE == pytest.approx(eps ** (1 / 3))
+    assert HESSIAN_STEP_SCALE == pytest.approx(eps ** (1 / 4))
+    x = np.array([0.25, -3.0, 40.0])
+    scale = np.maximum(1.0, np.abs(x))
+
+    def probe_offsets(differentiate):
+        probes = []
+
+        def f(v):
+            probes.append(v - x)
+            return float(v @ v)
+
+        differentiate(f, x)
+        return np.array(probes)
+
+    # (x + h) - x rounds, so the steps are compared to 1e-9 relative
+    # each gradient probe moves one coordinate by +-eps^(1/3) max(1, |x_r|)
+    offsets = probe_offsets(numeric_gradient)
+    assert offsets.shape == (6, 3)
+    assert np.all(np.count_nonzero(offsets, axis=1) == 1)
+    np.testing.assert_allclose(np.abs(offsets).sum(axis=1),
+                               np.repeat(GRADIENT_STEP_SCALE * scale, 2), rtol=1e-9)
+    # the Hessian probes x, x +- h_r e_r and x +- h_r e_r +- h_c e_c with
+    # h_r = eps^(1/4) max(1, |x_r|)
+    offsets = probe_offsets(numeric_hessian)
+    assert offsets.shape == (1 + 6 + 12, 3)
+    steps = HESSIAN_STEP_SCALE * scale
+    np.testing.assert_allclose(np.where(offsets == 0.0, steps, np.abs(offsets)),
+                               np.broadcast_to(steps, offsets.shape), rtol=1e-9)
 
 
-def test_richardson_gradient_refines():
-    cfg = DiffConfig(richardson=True)
-    g = numeric_gradient(lambda x: float(np.sin(x[0])), np.array([0.7]), cfg)
-    assert abs(g[0] - np.cos(0.7)) < 1e-11
-
-    # per-row gradients of (sin(3x) e^y, cos(xy)) get the same extrapolation
+def test_numeric_gradient_of_a_vector_map_has_one_row_per_component():
+    # per-row gradients of (sin(3x) e^y, cos(xy)), to central-difference accuracy
     def fvec(v):
         return np.array([np.sin(3.0 * v[0]) * np.exp(v[1]), np.cos(v[0] * v[1])])
 
@@ -189,8 +202,9 @@ def test_richardson_gradient_refines():
             [-y * np.sin(x * y), -x * np.sin(x * y)],
         ]
     )
-    rows = gradient_rows(fvec, np.array([x, y]), cfg)
-    assert np.max(np.abs(rows - exact)) < 1e-11
+    rows = numeric_gradient(fvec, np.array([x, y]))
+    assert rows.shape == (2, 2)
+    assert np.max(np.abs(rows - exact)) < 1e-9
 
 
 # ---------------------------------------------------------------------------

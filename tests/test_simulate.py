@@ -2,6 +2,7 @@ import functools
 
 import numpy as np
 import pytest
+from scipy import special, stats
 
 from frechetstats import simulate
 from frechetstats.errors import (
@@ -97,13 +98,29 @@ def test_gaussian_descriptor_allows_singular_covariance():
     assert np.allclose(rows[:, 0], rows[:, 1], atol=1e-12)  # degenerate direction
 
 
-def test_cap_rejection_sampling_matches_radius_bound():
-    space = SphereSpace(4)  # exercises the rejection path (ambient != 3)
+def test_cap_sampling_matches_radius_bound():
+    space = SphereSpace(4)  # the Beta inverse-CDF path (ambient != 3)
     d = SphereCapDescriptor(center=(0.0, 0.0, 0.0, 1.0), radius=0.4)
     pts = Sampler(space, d, 0).draw(200)
     center = np.array([0.0, 0.0, 0.0, 1.0])
     dists = [2 * np.arcsin(min(1.0, np.linalg.norm(p.data - center) / 2)) for p in pts]
     assert max(dists) <= 0.4 + 1e-12
+
+
+def test_narrow_cap_on_s9_is_drawn_exactly():
+    # uniform proposals on S^9 land in this cap with probability ~1e-10
+    radius, center = 0.1, np.eye(10)[-1]
+    pts = Sampler(SphereSpace(10), SphereCapDescriptor(tuple(center), radius), 9).draw(10_000)
+    theta = 2.0 * np.arcsin(np.minimum(1.0, np.linalg.norm(pts.data - center, axis=1) / 2.0))
+    assert theta.max() <= radius + 1e-12
+    # the colatitude follows the uniform law's, truncated to the cap:
+    # (1 - cos theta) / 2 = sin(theta / 2)^2 is Beta(9/2, 9/2) below sin(r/2)^2
+    top = special.betainc(4.5, 4.5, np.sin(radius / 2.0) ** 2)
+    law = stats.kstest(theta, lambda t: special.betainc(4.5, 4.5, np.sin(t / 2.0) ** 2) / top)
+    assert law.pvalue > 1e-3
+    # and the direction is uniform about the center
+    tangent = pts.data[:, :-1] / np.linalg.norm(pts.data[:, :-1], axis=1, keepdims=True)
+    assert np.linalg.norm(tangent.mean(axis=0)) < 0.05
 
 
 # ---------------------------------------------------------------------------

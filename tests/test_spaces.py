@@ -33,7 +33,7 @@ from frechetstats.spaces import (
 )
 from frechetstats.estimator import estimate_mean
 
-from conftest import random_openbook, random_spd
+from conftest import random_openbook, random_openbook_sample, random_spd
 
 
 # ---------------------------------------------------------------------------
@@ -307,12 +307,10 @@ def test_openbook_mean_minimizes_frechet_function(rng):
     space = OpenBookSpace(3, 2)
     for _ in range(1000):
         n = int(rng.integers(2, 15))
-        # one Sample for the mean and the 100 candidates
-        sample = space.check_sample([random_openbook(rng) for _ in range(n)])
+        sample = random_openbook_sample(rng, n)
         mu = openbook_frechet_mean(sample, 3)
         f_mu = frechet_value(space, sample, mu)
-        for _ in range(100):
-            cand = random_openbook(rng)
+        for cand in random_openbook_sample(rng, 100):
             assert f_mu <= frechet_value(space, sample, cand) + 1e-12
 
 
