@@ -11,6 +11,7 @@ downstream (mean estimation, sandwich covariances, two-sample tests) works on
 
 from __future__ import annotations
 
+import weakref
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
@@ -35,6 +36,11 @@ POINT_ATOL = 1e-12
 #: default gradient-norm tolerance and iteration budget of the iterative means
 MEAN_TOL = 1e-10
 MEAN_MAX_ITER = 200
+
+#: read-only per-row arrays derived from a Sample's rows (an SPD sample's
+#: matrix logs), kept while the Sample lives; ``Sample.split`` and
+#: ``Sample.join`` carry them to the parts and to the joined Sample
+ROW_CACHE = weakref.WeakKeyDictionary()
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,10 +98,29 @@ class Sample:
         return Point(self.kind, self.data[i], leaf)
 
     def split(self, sizes):
-        """The consecutive Samples of ``sizes`` rows each that make up this one."""
+        """The consecutive Samples of ``sizes`` rows each that make up this
+        one, each with its rows of this one's cached row array."""
         stops = np.cumsum(sizes)[:-1]
         leaves = [None] * len(sizes) if self.leaves is None else np.split(self.leaves, stops)
-        return [Sample(self.kind, d, lv) for d, lv in zip(np.split(self.data, stops), leaves)]
+        parts = [Sample(self.kind, d, lv) for d, lv in zip(np.split(self.data, stops), leaves)]
+        cached = ROW_CACHE.get(self)
+        if cached is not None:
+            for part, rows in zip(parts, np.split(cached, stops)):
+                ROW_CACHE[part] = rows  # read-only views
+        return parts
+
+    @classmethod
+    def join(cls, parts):
+        """The Sample of the rows of ``parts`` (Samples of one kind) in
+        order, with their cached row arrays joined when every part has one."""
+        leaves = None if parts[0].leaves is None else np.concatenate([p.leaves for p in parts])
+        joined = cls(parts[0].kind, np.concatenate([p.data for p in parts]), leaves)
+        cached = [ROW_CACHE.get(p) for p in parts]
+        if all(rows is not None for rows in cached):
+            rows = np.concatenate(cached)
+            rows.setflags(write=False)
+            ROW_CACHE[joined] = rows
+        return joined
 
     @classmethod
     def of(cls, p):

@@ -122,8 +122,7 @@ def two_sample_test(space, sample_x, sample_y):
     """
     sample_x = space.check_sample(sample_x)
     sample_y = space.check_sample(sample_y)
-    leaves = None if sample_x.leaves is None else np.concatenate([sample_x.leaves, sample_y.leaves])
-    both = Sample(space.kind, np.concatenate([sample_x.data, sample_y.data]), leaves)
+    both = Sample.join([sample_x, sample_y])
     chart = space.chart_at(estimate_mean(space, both).mean)
     stat, p, mean_x, mean_y, cov = (a[0] for a in two_sample_tests(chart, both, 1, len(sample_x)))
     return TwoSampleResult(statistic=float(stat), df=chart.s, p_value=float(p), n1=len(sample_x),

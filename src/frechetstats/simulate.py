@@ -47,7 +47,7 @@ from .geometry import sphere_point, sphere_sample
 from .inference import two_sample_test, two_sample_tests
 from .spaces.euclidean import EuclideanSpace
 from .spaces.openbook import OpenBookSpace
-from .spaces.spd import SPDSpace, _vech_inv_rows, spd_expm, spd_vech
+from .spaces.spd import SPDSpace, _vech_inv_rows, spd_exp_sample, spd_expm, spd_vech
 from .spaces.sphere import SphereSpace, sphere_exp, sphere_log, tangent_basis
 
 #: estimation failures tolerated (as a fraction of replications) before a
@@ -246,7 +246,7 @@ class SPDLogGaussianDescriptor:
     def assemble(self, variates, space):
         (z,) = variates
         z = spd_vech(np.asarray(self.mean_log, dtype=float)) + self.scale * z
-        return Sample("spd", spd_expm(_vech_inv_rows(z, space.p)))  # SPD by construction
+        return spd_exp_sample(_vech_inv_rows(z, space.p))
 
     def population_mean(self, space):
         if space.metric != "log_euclidean":

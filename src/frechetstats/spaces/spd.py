@@ -11,12 +11,12 @@ derivatives, sandwich covariance equal to the chart-vector covariance).
 from __future__ import annotations
 
 import functools
-import weakref
 
 import numpy as np
 
 from ..errors import NotPositiveDefinite
-from ..geometry import FlatChart, Space, as_sample, row_norms, spd_point, spd_sample
+from ..geometry import ROW_CACHE, FlatChart, Sample, Space, as_sample, row_norms, spd_point
+from ..geometry import spd_sample
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -24,17 +24,21 @@ _SQRT2 = np.sqrt(2.0)
 UPPER_COLUMNS = ("a11", "a12", "a13", "a22", "a23", "a33")
 _UPPER = np.triu_indices(3)
 
+#: widest spread of log-eigenvalues (the log of the eigenvalue ratio) at
+#: which ``spd_exp_sample`` keeps the logs it exponentiates; safely below
+#: ln(1e14) ~ 32.2, where ``spd_logm`` refuses a matrix as near-singular
+KEPT_LOG_SPREAD = 30.0
 
-def _eigh(a):
-    """Eigendecomposition of the symmetric part of each matrix of a
-    (..., p, p) stack."""
+
+def _symmetric(a):
+    """The symmetric part of each matrix of a (..., p, p) stack."""
     a = np.asarray(a, dtype=float)
-    return np.linalg.eigh(0.5 * (a + np.swapaxes(a, -1, -2)))
+    return 0.5 * (a + np.swapaxes(a, -1, -2))
 
 
 def _spectral(w, v):
     """The symmetrized matrices V diag(w) V^T of a (..., p, p) stack."""
-    out = np.einsum("...ij,...j,...kj->...ik", v, w, v)
+    out = (v * w[..., None, :]) @ np.swapaxes(v, -1, -2)
     return 0.5 * (out + np.swapaxes(out, -1, -2))
 
 
@@ -43,7 +47,7 @@ def spd_logm(a):
     stack, via symmetric eigendecomposition.  A matrix whose eigenvalue
     ratio is at most 1e-14 raises NotPositiveDefinite, whose ``index`` is
     the flat position of the first such matrix in the stack."""
-    w, v = _eigh(a)
+    w, v = np.linalg.eigh(_symmetric(a))
     bad = np.flatnonzero(w[..., 0] <= 1e-14 * np.maximum(w[..., -1], 0.0))
     if bad.size:
         raise NotPositiveDefinite(
@@ -56,8 +60,24 @@ def spd_logm(a):
 def spd_expm(b):
     """Matrix exponential of a symmetric matrix, or of each matrix of a
     (..., p, p) stack (always SPD)."""
-    w, v = _eigh(b)
+    w, v = np.linalg.eigh(_symmetric(b))
     return _spectral(np.exp(w), v)
+
+
+def spd_exp_sample(logs):
+    """Sample of the matrix exponentials of an (n, p, p) stack of symmetric
+    matrices (SPD by construction), which keeps the stack as the sample's
+    read-only matrix logs, so that no fit takes them again.  It keeps them
+    only when every matrix's log-eigenvalues spread at most KEPT_LOG_SPREAD;
+    otherwise ``spd_logm`` takes them when first needed, and refuses a
+    near-singular matrix as it would any other sample's."""
+    logs = _symmetric(logs)
+    w, v = np.linalg.eigh(logs)
+    sample = Sample("spd", _spectral(np.exp(w), v))
+    if np.all(w[:, -1] - w[:, 0] <= KEPT_LOG_SPREAD):
+        logs.setflags(write=False)
+        ROW_CACHE[sample] = logs
+    return sample
 
 
 def spd_vech(b):
@@ -122,19 +142,16 @@ def matrix_to_upper(m):
     return np.asarray(m)[..., _UPPER[0], _UPPER[1]]
 
 
-#: read-only matrix logs of SPD samples, kept while their sample lives
-_LOGS = weakref.WeakKeyDictionary()
-
-
 def _sample_logs(sample):
     """Matrix logs of an SPD sample's matrices as a read-only (n, p, p)
-    array, taken on the first request and kept with the sample, so that
-    the mean and the chart image of one fit share them."""
-    logs = _LOGS.get(sample)
+    array, taken on the first request (unless the sample was built from
+    them) and kept with the sample in ``ROW_CACHE``, so that the mean, the
+    chart images and the distances of one fit share them."""
+    logs = ROW_CACHE.get(sample)
     if logs is None:
         logs = spd_logm(sample.data)
         logs.setflags(write=False)
-        _LOGS[sample] = logs
+        ROW_CACHE[sample] = logs
     return logs
 
 
@@ -209,5 +226,5 @@ class SPDSpace(Space):
         if self.metric == "euclidean":
             diff = sample.data - q.data
         else:
-            diff = spd_logm(sample.data) - spd_logm(q.data)
+            diff = _sample_logs(sample) - spd_logm(q.data)
         return row_norms(diff.reshape(len(diff), -1))

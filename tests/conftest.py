@@ -19,6 +19,21 @@ def random_sphere(rng, ambient=3):
     return sphere_point(v / np.linalg.norm(v))
 
 
+def count_logm(monkeypatch):
+    """The number of matrices of every later ``spd_logm`` call, as a list."""
+    import frechetstats.spaces.spd as spd_module
+
+    calls = []
+    logm = spd_module.spd_logm
+
+    def counted(mats):
+        calls.append(len(mats))
+        return logm(mats)
+
+    monkeypatch.setattr(spd_module, "spd_logm", counted)
+    return calls
+
+
 def random_spd(rng, p=3, log_scale=1.0):
     b = spd_vech_inv(log_scale * rng.normal(size=p * (p + 1) // 2), p)
     return spd_point(spd_expm(b))

@@ -20,6 +20,7 @@ from frechetstats.geometry import (
     sphere_point,
 )
 from frechetstats.inference import bh_fdr, bonferroni, two_sample_test, two_sample_tests
+from frechetstats.simulate import Sampler, SPDLogGaussianDescriptor
 from frechetstats.spaces import openbook_classify, openbook_fold, openbook_moments
 from frechetstats.spaces.spd import spd_expm, spd_vech_inv
 
@@ -208,6 +209,36 @@ def test_two_sample_test_is_its_row_of_two_sample_tests(space, data, reps, n1, n
         assert res.statistic == statistic[r] and res.p_value == p_value[r]
         assert np.array_equal(res.mean_x, mean_x[r]) and np.array_equal(res.mean_y, mean_y[r])
         assert np.array_equal(res.pooled_cov, pooled[r])
+
+
+def _replication_results(space, sample, reps, n1):
+    """Means, chart images and two-sample statistics of ``reps`` stacked
+    replications, as the block experiments compute them."""
+    means, _ = space.mean_many(sample, reps)
+    chart = space.chart_at(means)
+    return means.data, chart.forward_many(sample), two_sample_tests(chart, sample, reps, n1)[0]
+
+
+@pytest.mark.parametrize("space", [space for space in SPACES if space.kind == "spd"], ids=repr)
+@SETTINGS
+@given(mean_log=vectors(6), scale=st.floats(0.05, 1.0), seed=st.integers(0, 2**32 - 1),
+       reps=st.integers(1, 4), n1=st.integers(2, 6), n2=st.integers(7, 10))
+def test_spd_replication_is_the_same_alone_in_a_block_and_split(space, mean_log, scale, seed,
+                                                                reps, n1, n2):
+    sampler = Sampler(space, SPDLogGaussianDescriptor(spd_vech_inv(mean_log / 3.0, 3), scale),
+                      seed)
+    keys = [(r, g) for r in range(reps) for g in (0, 1)]
+    block = sampler.draw_many([n1, n2] * reps, keys)
+    means, images, statistics = _replication_results(space, block, reps, n1)
+    n = n1 + n2
+    for r, part in enumerate(block.split([n] * reps)):
+        alone = sampler.draw_many([n1, n2], keys[2 * r : 2 * r + 2])
+        for sample in (alone, part):
+            mean, image, statistic = _replication_results(space, sample, 1, n1)
+            assert np.array_equal(mean[0], means[r])
+            assert np.array_equal(image, images[r * n : (r + 1) * n])
+            assert statistic[0] == statistics[r]
+        assert two_sample_test(space, *part.split([n1, n2])).statistic == statistics[r]
 
 
 @pytest.mark.parametrize("space", SPACES, ids=repr)

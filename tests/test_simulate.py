@@ -32,6 +32,8 @@ from frechetstats.spaces import EuclideanSpace, OpenBookSpace, SPDSpace, SphereS
 from frechetstats.geometry import sphere_point
 from frechetstats.spaces.spd import spd_expm
 
+from conftest import count_logm
+
 
 def euclid_sampler(seed=0):
     return Sampler(
@@ -585,3 +587,30 @@ def test_failure_budget_error_quotes_classes_and_keys(monkeypatch):
     assert report.failures == 1
     assert report.details["failure_counts"] == {"NearSingularCovariance": 1}
     assert report.details["failed_reps"] == ((5, "NearSingularCovariance", "singular at 5"),)
+
+
+# ---------------------------------------------------------------------------
+# log-Gaussian SPD draws keep their matrix logs
+
+
+def test_spd_blocks_take_the_log_of_no_drawn_matrix(monkeypatch):
+    calls = count_logm(monkeypatch)
+    sampler = Sampler(SPDSpace(3, "log_euclidean"),
+                      SPDLogGaussianDescriptor(np.diag([0.3, 0.0, -0.2]), 0.3), 41)
+    n, reps = 20, 150
+    assert mc_coverage(sampler, n, reps, 0.05).failures == 0
+    # only the means and the truth, one of each per replication
+    assert sum(calls) == 2 * reps and max(calls) <= simulate.BLOCK_POINTS // n
+    calls.clear()
+    assert mc_type1(sampler.space, sampler, 10, 12, reps, 0.05).failures == 0
+    assert calls == []  # the global chart maps the drawn logs, not the means
+
+
+def test_spd_draws_too_close_to_singular_still_fail_the_log_guard():
+    # log-eigenvalues spread about 33.5 > ln(1e14): the draws keep no logs,
+    # and spd_logm refuses every drawn sample
+    sampler = Sampler(SPDSpace(3, "log_euclidean"),
+                      SPDLogGaussianDescriptor(np.diag([17.0, 0.0, -16.5]), 0.3), 42)
+    with pytest.raises(FrechetStatsError, match=r"^mc_coverage: 30/30 replications failed "
+                       r"\(budget 1%\): NotPositiveDefinite x30; first failed keys 0, 1, 2"):
+        mc_coverage(sampler, 10, 30, 0.05)

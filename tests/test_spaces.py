@@ -32,8 +32,9 @@ from frechetstats.spaces import (
     sphere_log,
 )
 from frechetstats.estimator import estimate_mean
+from frechetstats.spaces.spd import KEPT_LOG_SPREAD, _sample_logs, spd_exp_sample
 
-from conftest import random_openbook, random_openbook_sample, random_spd
+from conftest import count_logm, random_openbook, random_openbook_sample, random_spd
 
 
 # ---------------------------------------------------------------------------
@@ -147,6 +148,45 @@ def test_spd_expm_logm_round_trip(rng):
 def test_spd_logm_rejects_non_pd():
     with pytest.raises(NotPositiveDefinite):
         spd_logm(np.diag([1.0, 0.0]))
+
+
+def _diagonal_logs(spreads):
+    """Diagonal log matrices of log-eigenvalues (s/2, 0, -s/2), one per
+    spread s."""
+    half = 0.5 * np.asarray(spreads, dtype=float)
+    return np.stack([np.diag([h, 0.0, -h]) for h in half])
+
+
+def test_spd_exp_sample_keeps_its_logs(rng):
+    b = rng.normal(scale=0.3, size=(40, 3, 3))
+    b = b + np.swapaxes(b, 1, 2)
+    sample = spd_exp_sample(b)
+    assert np.array_equal(sample.data, np.swapaxes(sample.data, 1, 2))
+    assert np.array_equal(spd_sample(sample.data).data, sample.data)
+    assert np.array_equal(sample.data, spd_expm(b))
+    logs = _sample_logs(sample)
+    assert np.array_equal(logs, b) and not logs.flags.writeable
+    assert np.allclose(logs, spd_logm(sample.data), rtol=0.0, atol=1e-14)
+    with pytest.raises(ValueError, match="read-only"):
+        logs[0, 0, 0] = 0.0
+    # the parts of a split, and their join, keep their rows of the logs
+    parts = sample.split([15, 25])
+    assert np.array_equal(_sample_logs(parts[1]), b[15:])
+    joined = type(sample).join(parts[::-1])
+    assert np.array_equal(_sample_logs(joined), np.concatenate([b[15:], b[:15]]))
+
+
+@pytest.mark.parametrize("spreads", [[31.0] * 5, [1.0, 1.0, 1.0, 31.0, 1.0]])
+def test_spd_exp_sample_leaves_wide_spreads_to_logm(spreads, monkeypatch):
+    calls = count_logm(monkeypatch)
+    # spreads between KEPT_LOG_SPREAD and ln(1e14) ~ 32.2 pass spd_logm's
+    # guard; a stack with one of them keeps none of its logs
+    logs = _diagonal_logs(spreads)
+    assert np.allclose(_sample_logs(spd_exp_sample(logs)), logs, rtol=0.0, atol=1e-12)
+    assert calls == [5]
+    calls.clear()
+    _sample_logs(spd_exp_sample(_diagonal_logs([KEPT_LOG_SPREAD] * 5)))
+    assert calls == []
 
 
 def test_spd_vech_examples():
