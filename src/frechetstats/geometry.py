@@ -38,8 +38,9 @@ MEAN_TOL = 1e-10
 MEAN_MAX_ITER = 200
 
 #: read-only per-row arrays derived from a Sample's rows (an SPD sample's
-#: matrix logs), kept while the Sample lives; ``Sample.split`` and
-#: ``Sample.join`` carry them to the parts and to the joined Sample
+#: matrix logs, NaN in the rows not taken yet), kept while the Sample lives;
+#: ``Sample.split`` and ``Sample.join`` carry them to the parts and to the
+#: joined Sample
 ROW_CACHE = weakref.WeakKeyDictionary()
 
 

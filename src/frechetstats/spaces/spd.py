@@ -6,6 +6,16 @@ or of its matrix logarithm.  The off-diagonal entries of ``vech`` carry a
 sqrt(2) factor so the chart preserves the Frobenius norm exactly, which
 reduces both geometries to the Euclidean case (closed-form means, analytic
 derivatives, sandwich covariance equal to the chart-vector covariance).
+
+A drawn log-Gaussian stack (``spd_exp_sample``) is exponentiated through a
+batched cyclic Jacobi eigensolver when p = 3: it keeps the six unique
+entries of every matrix as separate (n,) arrays, so each numpy operation
+covers the whole stack, where LAPACK decomposes one 3x3 matrix at a time.
+A row still off-diagonal beyond a fixed relative tolerance after a fixed
+number of sweeps goes to ``np.linalg.eigh``.  Everything else (``spd_logm``,
+``spd_expm``, every p != 3) stays on LAPACK, which is faster on the small
+stacks of means, truths and single matrices those see; the choice never
+depends on the stack size, so a matrix gets the same bits in any stack.
 """
 
 from __future__ import annotations
@@ -29,6 +39,17 @@ _UPPER = np.triu_indices(3)
 #: ln(1e14) ~ 32.2, where ``spd_logm`` refuses a matrix as near-singular
 KEPT_LOG_SPREAD = 30.0
 
+#: sweeps of the 3x3 Jacobi eigensolver; a matrix whose largest off-diagonal
+#: entry is still above _JACOBI_TOL times its largest entry after them goes
+#: to np.linalg.eigh
+_JACOBI_SWEEPS = 4
+_JACOBI_TOL = 1e-15
+
+#: the rotations (p, q) of a cyclic sweep, each with the positions in the
+#: off-diagonal list (a12, a13, a23) of the entries (p, q), (r, p) and
+#: (r, q) it changes, r being the third index
+_ROTATIONS = ((0, 1, 0, 1, 2), (0, 2, 1, 0, 2), (1, 2, 2, 0, 1))
+
 
 def _symmetric(a):
     """The symmetric part of each matrix of a (..., p, p) stack."""
@@ -40,6 +61,18 @@ def _spectral(w, v):
     """The symmetrized matrices V diag(w) V^T of a (..., p, p) stack."""
     out = (v * w[..., None, :]) @ np.swapaxes(v, -1, -2)
     return 0.5 * (out + np.swapaxes(out, -1, -2))
+
+
+def _spectral3(w, v):
+    """The matrices V diag(w) V^T of an (n, 3, 3) stack, entry by entry
+    over the whole stack (each summed over the eigenpairs in order), so
+    exactly symmetric."""
+    u = v * w[:, None, :]
+    out = np.empty_like(v)
+    for i, j in zip(*_UPPER):
+        out[:, i, j] = out[:, j, i] = (u[:, i, 0] * v[:, j, 0] + u[:, i, 1] * v[:, j, 1]
+                                       + u[:, i, 2] * v[:, j, 2])
+    return out
 
 
 def spd_logm(a):
@@ -64,19 +97,64 @@ def spd_expm(b):
     return _spectral(np.exp(w), v)
 
 
+def _eigh3(a):
+    """Eigenvalues (n, 3) and orthonormal eigenvectors (n, 3, 3, one per
+    column) of an (n, 3, 3) stack of symmetric matrices, as np.linalg.eigh
+    gives them but in no particular order: _JACOBI_SWEEPS cyclic Jacobi
+    sweeps over the whole stack at once, each matrix's arithmetic
+    independent of the others'.  A matrix whose largest off-diagonal entry
+    is then above _JACOBI_TOL times its largest entry is decomposed by
+    np.linalg.eigh instead."""
+    d = [a[:, 0, 0], a[:, 1, 1], a[:, 2, 2]]
+    off = [a[:, 0, 1], a[:, 0, 2], a[:, 1, 2]]
+    largest = np.max(np.abs(d + off), axis=0)  # over the six unique entries
+    zero = np.zeros(len(a))
+    cols = [np.zeros((3, len(a))) for _ in range(3)]  # eigenvector j as cols[j][k]
+    for j in range(3):
+        cols[j][j] = 1.0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(_JACOBI_SWEEPS):
+            for p, q, pq, rp, rq in _ROTATIONS:
+                # t, c and s: tangent, cosine and sine of the rotation
+                # angle that zeroes entry (p, q)
+                apq = off[pq]
+                theta = (d[q] - d[p]) / (2.0 * apq)
+                t = 1.0 / (theta + np.copysign(np.sqrt(theta * theta + 1.0), theta))
+                t[np.isnan(t)] = 0.0  # 0/0: apq = 0 on an equal diagonal pair, no rotation
+                c = 1.0 / np.sqrt(t * t + 1.0)
+                s = t * c
+                g = t * apq
+                d[p], d[q], off[pq] = d[p] - g, d[q] + g, zero
+                off[rp], off[rq] = c * off[rp] - s * off[rq], s * off[rp] + c * off[rq]
+                cols[p], cols[q] = c * cols[p] - s * cols[q], s * cols[p] + c * cols[q]
+    w = np.stack(d, axis=-1)
+    v = np.stack(cols, axis=-1).transpose(1, 0, 2)
+    slow = np.flatnonzero(np.max(np.abs(off), axis=0) > _JACOBI_TOL * largest)
+    if slow.size:
+        w[slow], v[slow] = np.linalg.eigh(a[slow])
+    return w, v
+
+
 def spd_exp_sample(logs):
     """Sample of the matrix exponentials of an (n, p, p) stack of symmetric
     matrices (SPD by construction), which keeps the stack as the sample's
-    read-only matrix logs, so that no fit takes them again.  It keeps them
-    only when every matrix's log-eigenvalues spread at most KEPT_LOG_SPREAD;
-    otherwise ``spd_logm`` takes them when first needed, and refuses a
-    near-singular matrix as it would any other sample's."""
+    read-only matrix logs, so that no fit takes them again.  It keeps a
+    matrix's log only when its log-eigenvalues spread at most
+    KEPT_LOG_SPREAD; ``spd_logm`` takes the others when first needed (see
+    ``_sample_logs``), and refuses a near-singular matrix as it would any
+    other sample's.  For p = 3 the stack is decomposed by ``_eigh3``."""
     logs = _symmetric(logs)
-    w, v = np.linalg.eigh(logs)
-    sample = Sample("spd", _spectral(np.exp(w), v))
-    if np.all(w[:, -1] - w[:, 0] <= KEPT_LOG_SPREAD):
-        logs.setflags(write=False)
-        ROW_CACHE[sample] = logs
+    if logs.shape[-1] == 3:
+        w, v = _eigh3(logs)
+        sample = Sample("spd", _spectral3(np.exp(w), v))
+    else:
+        w, v = np.linalg.eigh(logs)
+        sample = Sample("spd", _spectral(np.exp(w), v))
+    # (p, n), so each reduction is one pass over whole arrays, not n short ones
+    w = np.ascontiguousarray(w.T)
+    logs[w.max(axis=0) - w.min(axis=0) > KEPT_LOG_SPREAD] = np.nan  # not kept
+    logs.setflags(write=False)
+    ROW_CACHE[sample] = logs
     return sample
 
 
@@ -146,12 +224,24 @@ def _sample_logs(sample):
     """Matrix logs of an SPD sample's matrices as a read-only (n, p, p)
     array, taken on the first request (unless the sample was built from
     them) and kept with the sample in ``ROW_CACHE``, so that the mean, the
-    chart images and the distances of one fit share them."""
+    chart images and the distances of one fit share them.  The NaN rows
+    of a kept array (the logs ``spd_exp_sample`` did not keep) are taken
+    then, by one ``spd_logm`` of their matrices alone, whose
+    NotPositiveDefinite names the position in the whole sample."""
     logs = ROW_CACHE.get(sample)
     if logs is None:
         logs = spd_logm(sample.data)
-        logs.setflags(write=False)
-        ROW_CACHE[sample] = logs
+    else:
+        missing = np.flatnonzero(np.isnan(logs[:, 0, 0]))
+        if not missing.size:
+            return logs
+        logs = logs.copy()
+        try:
+            logs[missing] = spd_logm(sample.data[missing])
+        except NotPositiveDefinite as exc:
+            raise NotPositiveDefinite(str(exc), index=int(missing[exc.index])) from None
+    logs.setflags(write=False)
+    ROW_CACHE[sample] = logs
     return logs
 
 

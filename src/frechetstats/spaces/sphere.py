@@ -5,6 +5,13 @@ The intrinsic chart at a base point is the log map expressed in an
 orthonormal tangent basis; the extrinsic chart is the linear projection
 onto that tangent basis.  The intrinsic chart excludes the antipode of
 the base, the extrinsic chart the closed hemisphere opposite the base.
+
+The Karcher iteration of the geodesic means (``_karcher_means``) works on
+an (R, d+1, n) copy of its (R, n, d+1) block of samples: every per-point
+quantity (the dot with the mean, the log-map scale, the geodesic distance)
+is an (R, n) array of one numpy operation per coordinate, summed over the
+coordinates in their order, where the row layout would reduce length-(d+1)
+rows one at a time.
 """
 
 from __future__ import annotations
@@ -106,18 +113,57 @@ def _project_rows(m):
     return m / nrm[:, None]
 
 
+def _coordinate_sum(a):
+    """The (R, n) sum over axis 1 of an (R, d+1, n) array, one coordinate
+    after the other in their order."""
+    out = a[:, 0].copy()
+    for k in range(1, a.shape[1]):
+        out += a[:, k]
+    return out
+
+
+def _frechet_values(cols, p):
+    """Mean squared geodesic distance from each row of ``p`` (R, d+1) to
+    the points of the matching sample of ``cols`` (R, d+1, n)."""
+    diff = cols - p[:, :, None]
+    dist = 2.0 * np.arcsin(np.minimum(1.0, 0.5 * np.sqrt(_coordinate_sum(diff * diff))))
+    return (dist * dist).mean(axis=-1)
+
+
+def _mean_log(cols, base):
+    """Mean over the points of the matching sample of ``cols`` (R, d+1, n)
+    of their log maps (those of ``_log_rows``) at each row of ``base`` (R,
+    d+1); CutLocus for a point within 1e-9 of the antipode of its base."""
+    b = base[:, :, None]
+    c = _coordinate_sum(cols * b)
+    # |p + b|^2 = 2 + 2c >= 1 for unit vectors with c >= -1/2: only a block
+    # with a smaller dot can reach the cut locus
+    if c.min() < -0.5:
+        near = cols + b
+        if (np.sqrt(_coordinate_sum(near * near)) < _CUT_TOL).any():
+            raise CutLocus("log map requested at the cut locus (antipode of base)")
+    w = cols - c[:, None, :] * b
+    nw = np.sqrt(_coordinate_sum(w * w))
+    theta = np.arctan2(nw, np.clip(c, -1.0, 1.0))
+    small = nw < 1e-15
+    scale = np.where(small, 0.0, theta / np.where(small, 1.0, nw))
+    return (w * scale[:, None, :]).mean(axis=-1)
+
+
 def _karcher_means(points, mu, tol, max_iter):
     """Karcher fixed-point iteration for the geodesic means of an (R, n, d+1)
     stack of samples from the (R, d+1) starts ``mu``: the means and the (R,)
     iteration counts (``max_iter`` where the gradient norm 2 |step| never
     reached ``tol``).  Each row halves its own step while the step raises its
-    Frechet function, with arithmetic independent of the other rows."""
+    Frechet function, with arithmetic independent of the other rows.  The
+    samples are iterated on as one (R, d+1, n) array of coordinates."""
+    cols = np.ascontiguousarray(np.swapaxes(points, -1, -2))
     mu = np.array(mu)
-    f_mu = (_geodesic_rows(mu, points) ** 2).mean(axis=-1)  # Frechet function at mu
+    f_mu = _frechet_values(cols, mu)  # Frechet function at mu
     iterations = np.full(len(mu), max_iter)
     todo = np.ones(len(mu), dtype=bool)  # replications still iterating
     for it in range(max_iter):
-        step = _log_rows(mu, points).mean(axis=-2)
+        step = _mean_log(cols, mu)
         done = todo & (2.0 * row_norms(step) <= tol)
         iterations[done] = it
         todo &= ~done
@@ -129,7 +175,7 @@ def _karcher_means(points, mu, tol, max_iter):
         moving, tau = todo.copy(), 1.0
         while moving.any():
             cand = _exp_rows(mu, tau * step)
-            f = (_geodesic_rows(cand, points) ** 2).mean(axis=-1)
+            f = _frechet_values(cols, cand)
             ok = moving & ((f <= limit) | (tau < 1e-8))
             mu[ok], f_mu[ok] = cand[ok], f[ok]
             moving &= ~ok

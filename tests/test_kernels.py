@@ -1,0 +1,200 @@
+"""The geometry kernels of the Monte Carlo hot path: the batched 3x3 Jacobi
+eigensolver that exponentiates drawn SPD stacks, and the component-major
+Karcher iteration of the geodesic sphere means.  Each is checked against
+the plain computation it replaces, and for its rows' independence of
+their stack."""
+
+import numpy as np
+import pytest
+
+import frechetstats.spaces.spd as spd_module
+from frechetstats import simulate
+from frechetstats.errors import CutLocus
+from frechetstats.geometry import MEAN_MAX_ITER, MEAN_TOL, row_norms, sphere_sample
+from frechetstats.simulate import (
+    Sampler,
+    SPDLogGaussianDescriptor,
+    SphereCapDescriptor,
+    mc_coverage,
+    mc_type1,
+)
+from frechetstats.spaces import SPDSpace, SphereSpace
+from frechetstats.spaces.sphere import _exp_rows, _geodesic_rows, _karcher_means, _log_rows
+from frechetstats.spaces.sphere import _project_rows
+
+
+# ---------------------------------------------------------------------------
+# 3x3 Jacobi eigensolver
+
+
+def _rotated(rng, eigenvalues):
+    """Symmetric matrices Q diag(w) Q^T, one per row of ``eigenvalues``,
+    with Haar-random orthogonal Q."""
+    w = np.asarray(eigenvalues, dtype=float)
+    q, r = np.linalg.qr(rng.normal(size=(len(w), 3, 3)))
+    q = q * np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :]
+    a = (q * w[:, None, :]) @ np.swapaxes(q, 1, 2)
+    return 0.5 * (a + np.swapaxes(a, 1, 2))
+
+
+def _stacks():
+    rng = np.random.default_rng(11)
+    m = 400
+    base = rng.uniform(-15.0, 15.0, size=(m, 1))
+    stacks = {
+        "distinct": _rotated(rng, rng.uniform(-15.0, 15.0, size=(m, 3))),
+        "double": _rotated(rng, np.hstack([base, base, rng.uniform(-15.0, 15.0, size=(m, 1))])),
+        "triple": _rotated(rng, np.hstack([base, base, base])),
+        "near double": _rotated(rng, np.hstack([base, base + 1e-12 * np.abs(base),
+                                                rng.uniform(-15.0, 15.0, size=(m, 1))])),
+        "cluster": _rotated(rng, base + [0.0, 1e-12, 2e-12]),
+        "log spread 60": _rotated(rng, np.tile([30.0, 0.0, -30.0], (m, 1))),
+        "diagonal": np.stack([np.diag(w) for w in rng.uniform(-15.0, 15.0, size=(m, 3))]),
+        "diagonal double": np.stack([np.diag([w, 2.0, w]) for w in rng.uniform(-3.0, 3.0, m)]),
+        "zero": np.zeros((4, 3, 3)),
+        "identity": np.tile(np.eye(3), (4, 1, 1)),
+    }
+    stacks["scale 1e-200"] = 1e-200 * stacks["distinct"]
+    stacks["cluster scale 1e-200"] = 1e-200 * stacks["cluster"]
+    return stacks
+
+
+STACKS = _stacks()
+
+
+@pytest.mark.parametrize("name", list(STACKS))
+def test_jacobi_matches_eigh(name):
+    a = STACKS[name]
+    w, v = spd_module._eigh3(a)
+    reference = np.linalg.eigvalsh(a)
+    norm = np.max(np.abs(reference), axis=1)  # spectral norm of each matrix
+    rebuilt = (v * w[:, None, :]) @ np.swapaxes(v, 1, 2)
+    orthogonality = np.swapaxes(v, 1, 2) @ v - np.eye(3)
+    assert np.all(np.max(np.abs(rebuilt - a), axis=(1, 2)) <= 1e-14 * norm)
+    assert np.all(np.max(np.abs(orthogonality), axis=(1, 2)) <= 1e-14)
+    assert np.all(np.max(np.abs(np.sort(w, axis=1) - reference), axis=1) <= 1e-14 * norm)
+
+
+def test_jacobi_row_is_the_same_alone_and_in_a_stack():
+    rng = np.random.default_rng(12)
+    stack = np.concatenate([STACKS[name] for name in STACKS])
+    stack = stack[rng.permutation(len(stack))][:2000]
+    assert len(stack) == 2000
+    w, v = spd_module._eigh3(stack)
+    for i in rng.choice(len(stack), size=40, replace=False):
+        w1, v1 = spd_module._eigh3(stack[i : i + 1])
+        assert np.array_equal(w1[0], w[i]) and np.array_equal(v1[0], v[i])
+
+
+def test_jacobi_sends_unconverged_rows_to_eigh(monkeypatch):
+    a = np.concatenate([STACKS["distinct"][:50], STACKS["diagonal"][:5]])
+    monkeypatch.setattr(spd_module, "_JACOBI_SWEEPS", 0)
+    w, v = spd_module._eigh3(a)
+    # without a sweep every non-diagonal matrix is left to eigh
+    w_ref, v_ref = np.linalg.eigh(a[:50])
+    assert np.array_equal(w[:50], w_ref) and np.array_equal(v[:50], v_ref)
+    assert np.array_equal(w[50:], np.diagonal(a[50:], axis1=1, axis2=2))
+    assert np.array_equal(v[50:], np.tile(np.eye(3), (5, 1, 1)))
+
+
+def _sizes_seen_by_eigh(monkeypatch):
+    """The number of 3x3 matrices of every later np.linalg.eigh call."""
+    sizes = []
+    eigh = np.linalg.eigh
+
+    def counted(a):
+        if np.shape(a)[-1] == 3:
+            sizes.append(int(np.prod(np.shape(a)[:-2])))
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return sizes
+
+
+def test_spd_blocks_decompose_no_drawn_matrix_with_eigh(monkeypatch):
+    sizes = _sizes_seen_by_eigh(monkeypatch)
+    sampler = Sampler(SPDSpace(3, "log_euclidean"),
+                      SPDLogGaussianDescriptor(np.diag([0.4, 0.0, -0.3]), 0.15), 43)
+    reps = simulate.BLOCK_POINTS // 200  # one block of 2,000 drawn matrices
+    assert mc_coverage(sampler, 200, reps, 0.05).failures == 0
+    # the truth, and stacks of the R means or of the truth's R copies
+    assert max(sizes) <= reps and sum(sizes) <= 3 * reps + 1
+    sizes.clear()
+    assert mc_type1(sampler.space, sampler, 100, 100, reps, 0.05).failures == 0
+    assert sizes == [reps]  # the pooled means
+
+
+# ---------------------------------------------------------------------------
+# per-row logs of drawn SPD stacks
+
+
+def test_spd_means_are_the_same_alone_and_in_a_block_with_wide_spreads():
+    # log-eigenvalue spreads around 29.8: some drawn matrices keep their
+    # logs, the others have them taken by spd_logm, row by row
+    sampler = Sampler(SPDSpace(3, "log_euclidean"),
+                      SPDLogGaussianDescriptor(np.diag([14.9, 0.0, -14.9]), 0.1), 7)
+    n, reps = 20, 50
+    block = sampler.draw_many(n, list(range(reps)))
+    means, _ = sampler.space.mean_many(block, reps)
+    for rep in range(reps):
+        alone, _ = sampler.space.mean_many(sampler.draw(n, rep), 1)
+        assert np.array_equal(alone.data[0], means.data[rep]), f"replication {rep}"
+
+
+# ---------------------------------------------------------------------------
+# component-major Karcher iteration
+
+
+def _karcher_rows(points, mu, tol, max_iter):
+    """The Karcher iteration on the (R, n, d+1) row layout, one length-(d+1)
+    row at a time: the reference for ``_karcher_means``."""
+    mu = np.array(mu)
+    f_mu = (_geodesic_rows(mu, points) ** 2).mean(axis=-1)
+    iterations = np.full(len(mu), max_iter)
+    todo = np.ones(len(mu), dtype=bool)
+    for it in range(max_iter):
+        step = _log_rows(mu, points).mean(axis=-2)
+        done = todo & (2.0 * row_norms(step) <= tol)
+        iterations[done] = it
+        todo &= ~done
+        if not todo.any():
+            break
+        limit = f_mu + 1e-15 * (1.0 + np.abs(f_mu))
+        moving, tau = todo.copy(), 1.0
+        while moving.any():
+            cand = _exp_rows(mu, tau * step)
+            f = (_geodesic_rows(cand, points) ** 2).mean(axis=-1)
+            ok = moving & ((f <= limit) | (tau < 1e-8))
+            mu[ok], f_mu[ok] = cand[ok], f[ok]
+            moving &= ~ok
+            tau *= 0.5
+    return mu, iterations
+
+
+@pytest.mark.parametrize("ambient, radius, n", [(3, 0.5, 400), (3, 1.5, 60), (10, 0.3, 50),
+                                                (10, 1.2, 200)])
+def test_karcher_means_match_the_row_layout(ambient, radius, n):
+    center = np.zeros(ambient)
+    center[-1] = 1.0
+    sampler = Sampler(SphereSpace(ambient), SphereCapDescriptor(tuple(center), radius), 13)
+    reps = 8
+    points = sampler.draw_many(n, list(range(reps))).data.reshape(reps, n, ambient)
+    start = _project_rows(points.mean(axis=1))
+    means, iterations = _karcher_means(points, start, MEAN_TOL, MEAN_MAX_ITER)
+    ref_means, ref_iterations = _karcher_rows(points, start, MEAN_TOL, MEAN_MAX_ITER)
+    assert np.array_equal(iterations, ref_iterations)
+    assert np.max(np.abs(means - ref_means)) <= 1e-15
+
+
+def test_karcher_means_refuse_the_cut_locus_in_a_block_and_alone():
+    space = SphereSpace(3)
+    p = np.array([0.6, 0.0, 0.8])
+    # the extrinsic start of (p, p, -p) is p, whose antipode is a point
+    antipodal = np.array([p, p, -p])
+    fine = np.array([[0.0, 0.0, 1.0], [0.0, 0.6, 0.8], [0.6, 0.0, 0.8]])
+    with pytest.raises(CutLocus):
+        space.mean_many(sphere_sample(np.concatenate([fine, antipodal])), 2)
+    with pytest.raises(CutLocus):
+        space.mean_many(sphere_sample(antipodal), 1)
+    means, _ = space.mean_many(sphere_sample(fine), 1)
+    assert np.all(np.isfinite(means.data))

@@ -163,7 +163,9 @@ def test_spd_exp_sample_keeps_its_logs(rng):
     sample = spd_exp_sample(b)
     assert np.array_equal(sample.data, np.swapaxes(sample.data, 1, 2))
     assert np.array_equal(spd_sample(sample.data).data, sample.data)
-    assert np.array_equal(sample.data, spd_expm(b))
+    # the Jacobi eigensolver's exponentials, within rounding of LAPACK's
+    expm = spd_expm(b)
+    assert np.all(np.abs(sample.data - expm) <= 1e-14 * np.abs(expm).max(axis=(1, 2))[:, None, None])
     logs = _sample_logs(sample)
     assert np.array_equal(logs, b) and not logs.flags.writeable
     assert np.allclose(logs, spd_logm(sample.data), rtol=0.0, atol=1e-14)
@@ -176,17 +178,33 @@ def test_spd_exp_sample_keeps_its_logs(rng):
     assert np.array_equal(_sample_logs(joined), np.concatenate([b[15:], b[:15]]))
 
 
-@pytest.mark.parametrize("spreads", [[31.0] * 5, [1.0, 1.0, 1.0, 31.0, 1.0]])
+@pytest.mark.parametrize("spreads", [[31.0] * 5, [1.0, 1.0, 1.0, 31.0, 1.0], [1.0, 31.0, 1.0, 31.0, 1.0]])
 def test_spd_exp_sample_leaves_wide_spreads_to_logm(spreads, monkeypatch):
     calls = count_logm(monkeypatch)
     # spreads between KEPT_LOG_SPREAD and ln(1e14) ~ 32.2 pass spd_logm's
-    # guard; a stack with one of them keeps none of its logs
+    # guard; spd_logm takes those matrices' logs, and only theirs
     logs = _diagonal_logs(spreads)
-    assert np.allclose(_sample_logs(spd_exp_sample(logs)), logs, rtol=0.0, atol=1e-12)
-    assert calls == [5]
+    sample = spd_exp_sample(logs)
+    kept = np.array(spreads) <= KEPT_LOG_SPREAD
+    assert np.allclose(_sample_logs(sample), logs, rtol=0.0, atol=1e-12)
+    assert np.array_equal(_sample_logs(sample)[kept], logs[kept])
+    assert calls == [int(np.sum(~kept))]
+    _sample_logs(sample)
+    assert len(calls) == 1  # taken once
     calls.clear()
     _sample_logs(spd_exp_sample(_diagonal_logs([KEPT_LOG_SPREAD] * 5)))
     assert calls == []
+
+
+def test_spd_exp_sample_names_the_near_singular_matrix_of_the_stack():
+    # spreads 31 (taken by spd_logm) and 40 (refused by it) among kept ones
+    sample = spd_exp_sample(_diagonal_logs([1.0, 31.0, 1.0, 40.0, 40.0, 1.0]))
+    with pytest.raises(NotPositiveDefinite) as info:
+        _sample_logs(sample)
+    assert info.value.index == 3
+    with pytest.raises(NotPositiveDefinite) as alone:
+        spd_logm(sample.data)
+    assert alone.value.index == 3 and str(alone.value) == str(info.value)
 
 
 def test_spd_vech_examples():
