@@ -11,11 +11,15 @@ A drawn log-Gaussian stack (``spd_exp_sample``) is exponentiated through a
 batched cyclic Jacobi eigensolver when p = 3: it keeps the six unique
 entries of every matrix as separate (n,) arrays, so each numpy operation
 covers the whole stack, where LAPACK decomposes one 3x3 matrix at a time.
-A row still off-diagonal beyond a fixed relative tolerance after a fixed
-number of sweeps goes to ``np.linalg.eigh``.  Everything else (``spd_logm``,
-``spd_expm``, every p != 3) stays on LAPACK, which is faster on the small
-stacks of means, truths and single matrices those see; the choice never
-depends on the stack size, so a matrix gets the same bits in any stack.
+A matrix whose largest off-diagonal entry is still above a fixed fraction
+of its largest entry after a fixed number of sweeps goes to
+``np.linalg.eigh``.  Its eigenvalues are then within 1e-14 of the largest
+in magnitude (about 2e-15 measured), and such an error in an eigenvalue of
+the decomposed log is a relative error of that size in its exponential.
+Everything else (``spd_logm``, ``spd_expm``, every p != 3) stays on
+LAPACK, which is faster on the small stacks of means, truths and single
+matrices those see; the choice never depends on the stack size, so a
+matrix gets the same bits in any stack.
 """
 
 from __future__ import annotations
@@ -61,18 +65,6 @@ def _spectral(w, v):
     """The symmetrized matrices V diag(w) V^T of a (..., p, p) stack."""
     out = (v * w[..., None, :]) @ np.swapaxes(v, -1, -2)
     return 0.5 * (out + np.swapaxes(out, -1, -2))
-
-
-def _spectral3(w, v):
-    """The matrices V diag(w) V^T of an (n, 3, 3) stack, entry by entry
-    over the whole stack (each summed over the eigenpairs in order), so
-    exactly symmetric."""
-    u = v * w[:, None, :]
-    out = np.empty_like(v)
-    for i, j in zip(*_UPPER):
-        out[:, i, j] = out[:, j, i] = (u[:, i, 0] * v[:, j, 0] + u[:, i, 1] * v[:, j, 1]
-                                       + u[:, i, 2] * v[:, j, 2])
-    return out
 
 
 def spd_logm(a):
@@ -144,12 +136,8 @@ def spd_exp_sample(logs):
     ``_sample_logs``), and refuses a near-singular matrix as it would any
     other sample's.  For p = 3 the stack is decomposed by ``_eigh3``."""
     logs = _symmetric(logs)
-    if logs.shape[-1] == 3:
-        w, v = _eigh3(logs)
-        sample = Sample("spd", _spectral3(np.exp(w), v))
-    else:
-        w, v = np.linalg.eigh(logs)
-        sample = Sample("spd", _spectral(np.exp(w), v))
+    w, v = _eigh3(logs) if logs.shape[-1] == 3 else np.linalg.eigh(logs)
+    sample = Sample("spd", _spectral(np.exp(w), v))
     # (p, n), so each reduction is one pass over whole arrays, not n short ones
     w = np.ascontiguousarray(w.T)
     logs[w.max(axis=0) - w.min(axis=0) > KEPT_LOG_SPREAD] = np.nan  # not kept

@@ -83,14 +83,23 @@ def _exp_rows(base, v):
     return np.where(zero, base, out / row_norms(out)[..., None])
 
 
+def _check_cut_locus(c, gaps):
+    """CutLocus when a point is within 1e-9 of the antipode of its base,
+    for the log maps of both layouts: ``c`` holds the points' dots with
+    their bases and ``gaps()`` the norms |p + base|.  Since |p + b|^2 =
+    2 + 2c >= 1 for unit vectors with c >= -1/2, the norms are taken only
+    when some dot is smaller."""
+    if c.min(initial=0.0) < -0.5 and np.any(gaps() < _CUT_TOL):
+        raise CutLocus("log map requested at the cut locus (antipode of base)")
+
+
 def _log_rows(base, points):
     """Log map of each row of ``points`` at ``base``: (n, d+1) tangent rows
     at one (d+1,) base, or, with leading axes, ``points[r]`` at
     ``base[r]``."""
     b = base[..., None, :]
     c = row_dots(points, b)
-    if np.any(np.linalg.norm(points + b, axis=-1) < _CUT_TOL):
-        raise CutLocus("log map requested at the cut locus (antipode of base)")
+    _check_cut_locus(c, lambda: np.linalg.norm(points + b, axis=-1))
     w = points - c[..., None] * b
     nw = np.linalg.norm(w, axis=-1)
     theta = np.arctan2(nw, np.clip(c, -1.0, 1.0))
@@ -136,12 +145,7 @@ def _mean_log(cols, base):
     d+1); CutLocus for a point within 1e-9 of the antipode of its base."""
     b = base[:, :, None]
     c = _coordinate_sum(cols * b)
-    # |p + b|^2 = 2 + 2c >= 1 for unit vectors with c >= -1/2: only a block
-    # with a smaller dot can reach the cut locus
-    if c.min() < -0.5:
-        near = cols + b
-        if (np.sqrt(_coordinate_sum(near * near)) < _CUT_TOL).any():
-            raise CutLocus("log map requested at the cut locus (antipode of base)")
+    _check_cut_locus(c, lambda: np.sqrt(_coordinate_sum((cols + b) ** 2)))
     w = cols - c[:, None, :] * b
     nw = np.sqrt(_coordinate_sum(w * w))
     theta = np.arctan2(nw, np.clip(c, -1.0, 1.0))
