@@ -71,10 +71,18 @@ def _normalize_metric(metric):
     return metric.replace("-", "_") if metric else None
 
 
+def _read_input(path, read):
+    """``read(fh)`` of the text file at ``path``, opened as UTF-8."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return read(fh)
+        except UnicodeDecodeError as exc:
+            raise CLIInputError(f"{path}: not UTF-8 text ({exc})") from None
+
+
 def load_points(path, space_kind, metric=None):
     """Read a point file (mandatory header line) into (space, Sample)."""
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    lines = _read_input(path, lambda fh: fh.read().splitlines())
     rows = [(i + 1, ln.strip()) for i, ln in enumerate(lines) if ln.strip()]
     if not rows:
         raise CLIInputError(f"{path}: line 1: empty file, header expected")
@@ -171,10 +179,7 @@ def _emit_json(payload, output):
 
 
 def cmd_mean(args):
-    try:
-        space, sample = load_points(args.input, args.space, args.metric)
-    except (CLIInputError, OSError) as exc:
-        return _fail(str(exc), EXIT_INPUT)
+    space, sample = load_points(args.input, args.space, args.metric)
     try:
         fit = estimate_mean(space, sample)
     except NoConvergence as exc:
@@ -207,11 +212,8 @@ def cmd_mean(args):
 
 
 def cmd_test2(args):
-    try:
-        space, sample_x = load_points(args.input_x, args.space, args.metric)
-        _, sample_y = load_points(args.input_y, args.space, args.metric)
-    except (CLIInputError, OSError) as exc:
-        return _fail(str(exc), EXIT_INPUT)
+    space, sample_x = load_points(args.input_x, args.space, args.metric)
+    _, sample_y = load_points(args.input_y, args.space, args.metric)
     try:
         res = two_sample_test(space, sample_x, sample_y)
     except NearSingularCovariance as exc:
@@ -238,11 +240,7 @@ def cmd_test2(args):
 
 
 def cmd_fiber(args):
-    try:
-        with open(args.input) as fh:
-            dataset = parse_fiber_csv(fh)
-    except (FiberParseError, OSError) as exc:
-        return _fail(str(exc), EXIT_INPUT)
+    dataset = _read_input(args.input, parse_fiber_csv)
     metric = _normalize_metric(args.metric) or "log_euclidean"
     try:
         results, summary = fiber_site_tests(dataset, metric=metric, alpha=args.alpha)
@@ -292,8 +290,7 @@ def _descriptor_from_config(cfg):
 
 def cmd_simulate(args):
     try:
-        with open(args.descriptor) as fh:
-            cfg = json.load(fh)
+        cfg = _read_input(args.descriptor, json.load)
         space = _space_from_config(cfg["space"])
         descriptor = _descriptor_from_config(cfg["distribution"])
         sampler = Sampler(space=space, descriptor=descriptor, seed=args.seed)
@@ -329,7 +326,7 @@ def cmd_simulate(args):
                 args.output,
             )
             return EXIT_OK
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError, InvalidDescriptor) as exc:
+    except (json.JSONDecodeError, KeyError, TypeError, ValueError, InvalidDescriptor) as exc:
         return _fail(f"descriptor error: {exc!r}", EXIT_INPUT)
     except FrechetStatsError as exc:
         # too many failed replications, or numeric degeneracy mid-experiment
@@ -439,7 +436,10 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (CLIInputError, FiberParseError, OSError) as exc:  # OSError names its path
+        return _fail(str(exc), EXIT_INPUT)
 
 
 if __name__ == "__main__":

@@ -2,15 +2,20 @@
 a synthetic generator with a controllable group effect, and the per-site
 two-sample sweep with Bonferroni and BH correction.
 
-The pipeline works on whole arrays: the parser checks each line as it reads
-it, a dataset validates all its tensors in one batch when it is built, and
+The pipeline works on whole arrays: the parser splits the data lines into
+columns (``CHUNK_LINES`` lines at a time), converts each column with one
+call per chunk, checks the columns as arrays and fills the tensors in one
+scatter; a dataset validates all its tensors in one batch when it is built;
 the sweep maps every tensor to the chart at once and tests all sites in one
-batched chi-square computation (``inference.chi2_two_sample``).
+batched chi-square computation (``inference.chi2_two_sample``).  Only a file
+with a problem is read again line by line, so that the error names the
+first bad line.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -23,6 +28,10 @@ from .spaces.spd import _vech_inv_rows, upper_to_matrix
 
 #: canonical column order of the dataset CSV
 FIBER_COLUMNS = ("subject", "group", "site") + UPPER_COLUMNS
+
+#: data lines the parser splits into fields at once; only one chunk's field
+#: strings are alive at a time, which bounds the parser's memory
+CHUNK_LINES = 512
 
 #: p-values below this are flagged as outside the reliable range of the
 #: chi-square approximation
@@ -101,61 +110,98 @@ def _read_line(line, groups, rows):
     return (subject, site), values
 
 
-def parse_fiber_csv(lines):
-    """Parse the dataset format (header + one row per subject/site pair).
-
-    Each line is checked as it is read and the tensors are validated
-    together at the end.  Raises FiberParseError naming the 1-based line of
-    the first problem.
-    """
+def _first_problem(numbered):
+    """FiberParseError for the first problem of the ``(lineno, line)`` data
+    lines, found by checking them one at a time."""
     rows = {}  # (subject, site) -> (lineno, values), in file order
     groups = {}
-    header_seen = False
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if not header_seen:
-            if tuple(c.strip() for c in line.split(",")) != FIBER_COLUMNS:
-                raise FiberParseError(
-                    f"line {lineno}: expected header {','.join(FIBER_COLUMNS)!r}"
-                )
-            header_seen = True
-            continue
+    for lineno, line in numbered:
         try:
             pair, values = _read_line(line, groups, rows)
         except FiberParseError as exc:
             # a non-SPD matrix on an earlier line is the first problem of the file
-            raise _spd_error(rows) or FiberParseError(f"line {lineno}: {exc}") from None
+            return _spd_error(rows) or FiberParseError(f"line {lineno}: {exc}")
         rows[pair] = (lineno, values)
-    if not header_seen:
-        raise FiberParseError("line 1: empty file, header expected")
-    if not rows:
-        raise FiberParseError("line 2: no data rows")
-
-    subjects = tuple(sorted(groups))
-    n_sites = max(site for _, site in rows) + 1
-    if len(rows) < len(subjects) * n_sites:
+    # every line is fine alone, so a matrix is not SPD or a pair is missing
+    error = _spd_error(rows)
+    if error is None:
+        n_sites = max(site for _, site in rows) + 1
         subject, site = next(
-            (subject, site) for subject in subjects for site in range(n_sites)
+            (subject, site) for subject in sorted(groups) for site in range(n_sites)
             if (subject, site) not in rows
         )
-        raise _spd_error(rows) or FiberParseError(
-            f"subject {subject!r} is missing site {site} (every pair required)"
-        )
+        error = FiberParseError(f"subject {subject!r} is missing site {site} (every pair required)")
+    return error
+
+
+def _read_columns(body):
+    """FiberDataset of the stripped data lines ``body``, read column by
+    column, or None if any line has a problem."""
+    n, width = len(body), len(FIBER_COLUMNS)
+    if set(map(str.count, body, repeat(","))) != {width - 1}:
+        return None
+    subject_of_row, groups, sites = [], [], []
+    values = np.empty((n, len(UPPER_COLUMNS)))
+    try:  # int and float ignore surrounding whitespace
+        for start in range(0, n, CHUNK_LINES):
+            fields = ",".join(body[start:start + CHUNK_LINES]).split(",")
+            subject_of_row += map(str.strip, fields[0::width])
+            groups += map(int, fields[1::width])
+            sites += map(int, fields[2::width])
+            chunk = values[start:start + CHUNK_LINES]
+            for k in range(3, width):
+                chunk[:, k - 3] = np.fromiter(map(float, fields[k::width]), float, len(chunk))
+    except ValueError:
+        return None
+    if not set(groups) <= {0, 1} or min(sites) < 0:
+        return None
+    subjects = sorted(set(subject_of_row))
+    n_sites = max(sites) + 1
+    if n != len(subjects) * n_sites:  # before allocating anything n_sites long
+        return None
     index = {subject: i for i, subject in enumerate(subjects)}
+    row = np.fromiter(map(index.__getitem__, subject_of_row), np.intp, n)
+    site = np.array(sites)
+    filled = np.zeros((len(subjects), n_sites), dtype=bool)
+    filled[row, site] = True  # n rows fill all n pairs only if no pair repeats
+    group = np.array(groups)
+    group_of = np.zeros(len(subjects), dtype=int)
+    group_of[row] = group
+    if not filled.all() or not np.array_equal(group_of[row], group):
+        return None
     uppers = np.empty((len(subjects), n_sites, len(UPPER_COLUMNS)))
-    uppers[[index[subject] for subject, _ in rows], [site for _, site in rows]] = [
-        values for _, values in rows.values()
-    ]
+    uppers[row, site] = values
     try:
         return FiberDataset(
-            subjects=subjects,
-            groups=np.array([groups[s] for s in subjects], dtype=int),
-            tensors=upper_to_matrix(uppers),
+            subjects=tuple(subjects), groups=group_of, tensors=upper_to_matrix(uppers)
         )
     except InvalidPoint:
-        raise _spd_error(rows) from None
+        return None
+
+
+def parse_fiber_csv(lines):
+    """Parse the dataset format (header + one row per subject/site pair).
+
+    The data lines are read and checked as whole columns, and the tensors
+    validated together.  Only if that finds a problem are the lines checked
+    one at a time, to raise a FiberParseError naming the 1-based line of the
+    file's first problem.
+    """
+    stripped = list(map(str.strip, lines))
+    body = list(filter(None, stripped))
+    if not body:
+        raise FiberParseError("line 1: empty file, header expected")
+    header_no = stripped.index(body[0]) + 1
+    if tuple(c.strip() for c in body[0].split(",")) != FIBER_COLUMNS:
+        raise FiberParseError(f"line {header_no}: expected header {','.join(FIBER_COLUMNS)!r}")
+    del body[0]
+    if not body:
+        raise FiberParseError(f"line {header_no + 1}: no data rows")
+    dataset = _read_columns(body)
+    if dataset is None:
+        numbered = enumerate(stripped[header_no:], start=header_no + 1)
+        raise _first_problem((lineno, line) for lineno, line in numbered if line)
+    return dataset
 
 
 def write_fiber_csv(dataset, stream):

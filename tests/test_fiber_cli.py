@@ -7,6 +7,7 @@ import pytest
 from frechetstats.cli import main
 from frechetstats.errors import InvalidPoint, NearSingularCovariance
 from frechetstats.fiber import (
+    CHUNK_LINES,
     FiberDataset,
     FiberParseError,
     fiber_site_tests,
@@ -72,6 +73,57 @@ def test_parse_errors_name_the_line():
         parse_fiber_csv(
             io.StringIO(good + "s0,0,0,1,0,0,1,0,1\n" + "s1,1,1,1,0,0,1,0,1\n")
         )
+    for text, message in [
+        (good + "s0,2,0,1,0,0,1,0,1\n", "line 2: group must be 0 or 1"),
+        (good + "s0,0,-1,1,0,0,1,0,1\n", "line 2: site must be nonnegative"),
+        # fails before anything a billion sites long is allocated
+        (good + "s0,0,1000000000,1,0,0,1,0,1\n",
+         "subject 's0' is missing site 0 (every pair required)"),
+        # a short and a long line that, split together, would read as two good rows
+        (good + "a,0,0,1,0,0,1,0\n" + "1,2,0,0,1,0,0,1,0,1\n", "line 2: expected 9 columns"),
+        # the non-SPD line comes before the duplicate
+        (good + "s0,0,0,1,0,0,1,0,1\n" + "s1,0,0,-1,0,0,1,0,1\n" + "s0,0,0,1,0,0,1,0,1\n",
+         "line 3: matrix is not SPD (spd payload has a non-positive eigenvalue)"),
+        (good, "line 2: no data rows"),
+        ("\n \n" + good + "\n", "line 4: no data rows"),
+    ]:
+        with pytest.raises(FiberParseError) as info:
+            parse_fiber_csv(io.StringIO(text))
+        assert str(info.value) == message
+
+
+def test_reordered_and_padded_files_give_the_same_dataset(tmp_path):
+    # 17 significant digits are exact, so every layout of the generated file
+    # must give the generated dataset back bit for bit
+    ds = generate_fiber_dataset(seed=11, n_sites=60, n_group1=5, n_group0=4)
+    buf = io.StringIO()
+    write_fiber_csv(ds, buf)
+    header, *rows = buf.getvalue().splitlines()
+    assert len(rows) > CHUNK_LINES  # rows from every chunk are mixed
+    rng = np.random.default_rng(0)
+    shuffled = [rows[i] for i in rng.permutation(len(rows))]
+    padded = [" " + " , ".join(row.split(",")) + "\t" for row in shuffled]
+    variants = {
+        "shuffled": "\n".join([header] + shuffled) + "\n",
+        "blank lines": "\n \n" + header + "\n\n" + "\n\n".join(shuffled) + "\n\n",
+        "crlf": "\r\n".join([header] + shuffled) + "\r\n",
+        "padded": "\n".join([" " + header + " "] + padded),
+    }
+    expected_sites = tmp_path / "expected.csv"
+    canonical = write(tmp_path / "canonical.csv", buf.getvalue())
+    assert main(["fiber", canonical, "--output", str(expected_sites)]) == 0
+    for name, text in variants.items():
+        parsed = parse_fiber_csv(io.StringIO(text))
+        assert parsed.subjects == ds.subjects, name
+        assert parsed.groups.dtype == ds.groups.dtype, name
+        assert parsed.groups.tobytes() == ds.groups.tobytes(), name
+        assert parsed.tensors.tobytes() == ds.tensors.tobytes(), name
+        # the command reads the same file with universal newlines
+        path = tmp_path / "variant.csv"
+        path.write_bytes(text.encode())
+        sites = tmp_path / "sites.csv"
+        assert main(["fiber", str(path), "--output", str(sites)]) == 0, name
+        assert sites.read_bytes() == expected_sites.read_bytes(), name
 
 
 def test_identical_groups_give_unit_pvalues():
@@ -296,6 +348,45 @@ def test_cli_fiber_parse_error_exit_code(tmp_path, capsys):
     bad = write(tmp_path / "bad.csv", "subject,group\n")
     out = tmp_path / "sites.csv"
     assert main(["fiber", bad, "--output", str(out)]) == 2
+
+
+@pytest.mark.parametrize("command", ["fiber", "mean", "test2"])
+def test_cli_undecodable_input_exits_2_naming_the_path(tmp_path, capsys, command):
+    bad = tmp_path / "latin1.csv"
+    if command == "fiber":
+        bad.write_bytes(b"subject,group,site,a11,a12,a13,a22,a23,a33\nsubj\xe9,0,0,1,0,0,1,0,1\n")
+        argv = ["fiber", str(bad), "--output", str(tmp_path / "sites.csv")]
+    else:
+        bad.write_bytes(b"x\n0\n2\xe9\n")
+        good = write(tmp_path / "good.csv", "x\n0\n2\n")
+        inputs = [str(bad)] if command == "mean" else [good, str(bad)]
+        argv = [command, *inputs, "--space", "euclidean"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"{bad}: not UTF-8 text" in err
+
+
+def test_cli_output_in_missing_directory_exits_2_naming_the_path(tmp_path, capsys):
+    data = tmp_path / "fiber.csv"
+    args = ["--sites", "2", "--group1-size", "5", "--group0-size", "4"]
+    assert main(["gen-fiber", *args, "--output", str(data)]) == 0
+    points = write(tmp_path / "pts.csv", "x\n0\n2\n")
+    descriptor = write(tmp_path / "cons.json", json.dumps({
+        "space": {"kind": "euclidean", "dim": 1},
+        "distribution": {"kind": "gaussian", "mean": [0.0]},
+        "n_grid": [5],
+        "reps": 2,
+    }))
+    out = str(tmp_path / "missing" / "out.csv")
+    for argv in (
+        ["gen-fiber", *args, "--output", out],
+        ["fiber", str(data), "--output", out],
+        ["mean", points, "--space", "euclidean", "--output", out],
+        ["test2", points, points, "--space", "euclidean", "--output", out],
+        ["simulate", descriptor, "--experiment", "consistency", "--output", out],
+    ):
+        assert main(argv) == 2, argv[0]
+        assert out in capsys.readouterr().err, argv[0]
 
 
 def test_cli_simulate_deterministic_json(tmp_path, capsys):
