@@ -6,12 +6,14 @@ orthonormal tangent basis; the extrinsic chart is the linear projection
 onto that tangent basis.  The intrinsic chart excludes the antipode of
 the base, the extrinsic chart the closed hemisphere opposite the base.
 
-The Karcher iteration of the geodesic means (``_karcher_means``) works on
-an (R, d+1, n) copy of its (R, n, d+1) block of samples: every per-point
-quantity (the dot with the mean, the log-map scale, the geodesic distance)
-is an (R, n) array of one numpy operation per coordinate, summed over the
-coordinates in their order, where the row layout would reduce length-(d+1)
-rows one at a time.
+The log map and the geodesic distance are written once, for every caller
+(charts, distances, derivatives, Karcher means and the single-point
+helpers), on points stored component-major: an (..., d+1, n) array of
+coordinates (``_columns``).  Every per-point quantity (the dot with the
+base, the log-map scale, the geodesic distance) is an (..., n) array of
+one numpy operation per coordinate, summed over the coordinates in their
+order, where the row layout would reduce length-(d+1) rows one at a time.
+A point's arithmetic is thus its own, alone or in any stack.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ def sphere_distance(p, q):
     The chord form is exactly symmetric in its arguments and accurate away
     from the antipodal configuration.
     """
-    return float(_geodesic_rows(np.asarray(q, dtype=float), np.asarray(p, dtype=float)[None])[0])
+    return float(_geodesics(_columns(p), np.asarray(q, dtype=float))[0])
 
 
 def sphere_exp(base, v):
@@ -44,7 +46,7 @@ def sphere_log(base, p):
 
     Raises CutLocus when ``p`` is within 1e-9 of the antipode of ``base``.
     """
-    return _log_rows(np.asarray(base, dtype=float), np.asarray(p, dtype=float)[None])[0]
+    return _logs(_columns(p), np.asarray(base, dtype=float))[:, 0]
 
 
 def sphere_extrinsic_project(m):
@@ -83,36 +85,6 @@ def _exp_rows(base, v):
     return np.where(zero, base, out / row_norms(out)[..., None])
 
 
-def _check_cut_locus(c, gaps):
-    """CutLocus when a point is within 1e-9 of the antipode of its base,
-    for the log maps of both layouts: ``c`` holds the points' dots with
-    their bases and ``gaps()`` the norms |p + base|.  Since |p + b|^2 =
-    2 + 2c >= 1 for unit vectors with c >= -1/2, the norms are taken only
-    when some dot is smaller."""
-    if c.min(initial=0.0) < -0.5 and np.any(gaps() < _CUT_TOL):
-        raise CutLocus("log map requested at the cut locus (antipode of base)")
-
-
-def _log_rows(base, points):
-    """Log map of each row of ``points`` at ``base``: (n, d+1) tangent rows
-    at one (d+1,) base, or, with leading axes, ``points[r]`` at
-    ``base[r]``."""
-    b = base[..., None, :]
-    c = row_dots(points, b)
-    _check_cut_locus(c, lambda: np.linalg.norm(points + b, axis=-1))
-    w = points - c[..., None] * b
-    nw = np.linalg.norm(w, axis=-1)
-    theta = np.arctan2(nw, np.clip(c, -1.0, 1.0))
-    scale = np.where(nw < 1e-15, 0.0, theta / np.where(nw < 1e-15, 1.0, nw))
-    return w * scale[..., None]
-
-
-def _geodesic_rows(p, points):
-    """Geodesic distances from ``p`` to each row of ``points`` (with
-    leading axes: from ``p[r]`` to each row of ``points[r]``)."""
-    return 2.0 * np.arcsin(np.minimum(1.0, 0.5 * row_norms(points - p[..., None, :])))
-
-
 def _project_rows(m):
     """Each row of an (R, d+1) array divided by its norm; raises
     NonUniqueProjection for a row of norm at most 1e-12."""
@@ -122,36 +94,44 @@ def _project_rows(m):
     return m / nrm[:, None]
 
 
+def _columns(rows):
+    """Points given as (..., n, d+1) rows, or one (d+1,) point, as the
+    C-contiguous (..., d+1, n) array of their coordinates."""
+    return np.ascontiguousarray(np.swapaxes(np.atleast_2d(np.asarray(rows, dtype=float)), -1, -2))
+
+
 def _coordinate_sum(a):
-    """The (R, n) sum over axis 1 of an (R, d+1, n) array, one coordinate
-    after the other in their order."""
-    out = a[:, 0].copy()
-    for k in range(1, a.shape[1]):
-        out += a[:, k]
+    """The (..., n) sum over axis -2 of an (..., d+1, n) array, one
+    coordinate after the other in their order."""
+    out = a[..., 0, :].copy()
+    for k in range(1, a.shape[-2]):
+        out += a[..., k, :]
     return out
 
 
-def _frechet_values(cols, p):
-    """Mean squared geodesic distance from each row of ``p`` (R, d+1) to
-    the points of the matching sample of ``cols`` (R, d+1, n)."""
-    diff = cols - p[:, :, None]
-    dist = 2.0 * np.arcsin(np.minimum(1.0, 0.5 * np.sqrt(_coordinate_sum(diff * diff))))
-    return (dist * dist).mean(axis=-1)
+def _geodesics(cols, p):
+    """Geodesic distances 2 arcsin(|y - p| / 2) from each row of ``p``
+    (..., d+1) to the points y of the matching ``cols`` (..., d+1, n)."""
+    diff = cols - p[..., :, None]
+    return 2.0 * np.arcsin(np.minimum(1.0, 0.5 * np.sqrt(_coordinate_sum(diff * diff))))
 
 
-def _mean_log(cols, base):
-    """Mean over the points of the matching sample of ``cols`` (R, d+1, n)
-    of their log maps (those of ``_log_rows``) at each row of ``base`` (R,
-    d+1); CutLocus for a point within 1e-9 of the antipode of its base."""
-    b = base[:, :, None]
+def _logs(cols, base):
+    """Log maps, as (..., d+1, n) tangent vectors, of the points of ``cols``
+    (..., d+1, n) at the matching rows of ``base`` (..., d+1); CutLocus for
+    a point within 1e-9 of the antipode of its base."""
+    b = base[..., :, None]
     c = _coordinate_sum(cols * b)
-    _check_cut_locus(c, lambda: np.sqrt(_coordinate_sum((cols + b) ** 2)))
-    w = cols - c[:, None, :] * b
+    # |p + b|^2 = 2 + 2c >= 1 for unit vectors with c >= -1/2, so the norms
+    # are taken only when some dot is smaller
+    if c.min(initial=0.0) < -0.5 and np.any(np.sqrt(_coordinate_sum((cols + b) ** 2)) < _CUT_TOL):
+        raise CutLocus("log map requested at the cut locus (antipode of base)")
+    w = cols - c[..., None, :] * b
     nw = np.sqrt(_coordinate_sum(w * w))
     theta = np.arctan2(nw, np.clip(c, -1.0, 1.0))
     small = nw < 1e-15
     scale = np.where(small, 0.0, theta / np.where(small, 1.0, nw))
-    return (w * scale[:, None, :]).mean(axis=-1)
+    return w * scale[..., None, :]
 
 
 def _karcher_means(points, mu, tol, max_iter):
@@ -161,13 +141,13 @@ def _karcher_means(points, mu, tol, max_iter):
     reached ``tol``).  Each row halves its own step while the step raises its
     Frechet function, with arithmetic independent of the other rows.  The
     samples are iterated on as one (R, d+1, n) array of coordinates."""
-    cols = np.ascontiguousarray(np.swapaxes(points, -1, -2))
+    cols = _columns(points)
     mu = np.array(mu)
-    f_mu = _frechet_values(cols, mu)  # Frechet function at mu
+    f_mu = (_geodesics(cols, mu) ** 2).mean(axis=-1)  # Frechet function at mu
     iterations = np.full(len(mu), max_iter)
     todo = np.ones(len(mu), dtype=bool)  # replications still iterating
     for it in range(max_iter):
-        step = _mean_log(cols, mu)
+        step = _logs(cols, mu).mean(axis=-1)
         done = todo & (2.0 * row_norms(step) <= tol)
         iterations[done] = it
         todo &= ~done
@@ -179,7 +159,7 @@ def _karcher_means(points, mu, tol, max_iter):
         moving, tau = todo.copy(), 1.0
         while moving.any():
             cand = _exp_rows(mu, tau * step)
-            f = _frechet_values(cols, cand)
+            f = (_geodesics(cols, cand) ** 2).mean(axis=-1)
             ok = moving & ((f <= limit) | (tau < 1e-8))
             mu[ok], f_mu[ok] = cand[ok], f[ok]
             moving &= ~ok
@@ -221,7 +201,7 @@ class SphereIntrinsicChart(_TangentChart):
     """
 
     def _tangent(self, rows):
-        return _log_rows(self._b, rows)
+        return np.swapaxes(_logs(_columns(rows), self._b), -1, -2)
 
     def _point_at(self, x):
         return _exp_rows(self._b, self._ambient(x))
@@ -230,7 +210,7 @@ class SphereIntrinsicChart(_TangentChart):
         return sphere_point(self._point_at(x))
 
     def h_many(self, x, packed):
-        return _geodesic_rows(self._point_at(x), packed) ** 2
+        return _geodesics(_columns(packed), self._point_at(x)) ** 2
 
     def _at_origin(self, x):
         """Whether ``x`` is the origin of the chart, of every chart of a stack."""
@@ -239,12 +219,12 @@ class SphereIntrinsicChart(_TangentChart):
     def grad_h_many(self, x, packed):
         if not self._at_origin(x):
             return None
-        return -2.0 * (_log_rows(self._b, packed) @ self._basis_t)
+        return -2.0 * (self._tangent(packed) @ self._basis_t)
 
     def hess_h_mean(self, x, packed):
         if not self._at_origin(x):
             return None
-        logs = _log_rows(self._b, packed) @ self._basis_t
+        logs = self._tangent(packed) @ self._basis_t
         theta = np.linalg.norm(logs, axis=-1)
         # eigenvalues of Hess(d^2)/2: 1 along the geodesic, theta*cot(theta)
         # orthogonal to it (unit curvature)
@@ -326,7 +306,7 @@ class SphereSpace(Space):
     def distance_many(self, sample, q):
         self.check_point(q)
         if self.metric == "intrinsic":
-            return _geodesic_rows(q.data, sample.data)
+            return _geodesics(_columns(sample.data), q.data)
         return row_norms(sample.data - q.data)
 
     def chart_at(self, base):

@@ -1,8 +1,8 @@
 """The geometry kernels of the Monte Carlo hot path: the batched 3x3 Jacobi
 eigensolver that exponentiates drawn SPD stacks, and the component-major
-Karcher iteration of the geodesic sphere means.  Each is checked against
-the plain computation it replaces, and for its rows' independence of
-their stack."""
+sphere log map and geodesic distance of the Karcher iteration and the
+geodesic charts.  Each is checked against the plain computation it
+replaces, and for its rows' independence of their stack."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,7 @@ import pytest
 import frechetstats.spaces.spd as spd_module
 from frechetstats import simulate
 from frechetstats.errors import CutLocus
-from frechetstats.geometry import MEAN_MAX_ITER, MEAN_TOL, row_norms, sphere_sample
+from frechetstats.geometry import MEAN_MAX_ITER, MEAN_TOL, row_dots, row_norms, sphere_sample
 from frechetstats.simulate import (
     Sampler,
     SPDLogGaussianDescriptor,
@@ -19,8 +19,7 @@ from frechetstats.simulate import (
     mc_type1,
 )
 from frechetstats.spaces import SPDSpace, SphereSpace
-from frechetstats.spaces.sphere import _exp_rows, _geodesic_rows, _karcher_means, _log_rows
-from frechetstats.spaces.sphere import _project_rows
+from frechetstats.spaces.sphere import _exp_rows, _karcher_means, _project_rows
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +114,7 @@ def test_spd_blocks_decompose_no_drawn_matrix_with_eigh(monkeypatch):
     sizes = _sizes_seen_by_eigh(monkeypatch)
     sampler = Sampler(SPDSpace(3, "log_euclidean"),
                       SPDLogGaussianDescriptor(np.diag([0.4, 0.0, -0.3]), 0.15), 43)
-    reps = simulate.BLOCK_POINTS // 200  # one block of 2,000 drawn matrices
+    reps = simulate.BLOCK_POINTS // 200  # one block of drawn matrices (8,000 at 8,192 points)
     assert mc_coverage(sampler, 200, reps, 0.05).failures == 0
     # the truth, and stacks of the R means or of the truth's R copies
     assert max(sizes) <= reps and sum(sizes) <= 3 * reps + 1
@@ -142,7 +141,42 @@ def test_spd_means_are_the_same_alone_and_in_a_block_with_wide_spreads():
 
 
 # ---------------------------------------------------------------------------
-# component-major Karcher iteration
+# component-major sphere kernels
+
+
+def _log_rows(base, points):
+    """Log map of each row of ``points`` at ``base``, one length-(d+1) row
+    at a time: (n, d+1) rows at one (d+1,) base, or, with leading axes,
+    ``points[r]`` at ``base[r]``; the reference for the component-major
+    ``_logs``."""
+    b = base[..., None, :]
+    c = row_dots(points, b)
+    if np.any(np.linalg.norm(points + b, axis=-1) < 1e-9):
+        raise CutLocus("log map requested at the cut locus (antipode of base)")
+    w = points - c[..., None] * b
+    nw = np.linalg.norm(w, axis=-1)
+    theta = np.arctan2(nw, np.clip(c, -1.0, 1.0))
+    scale = np.where(nw < 1e-15, 0.0, theta / np.where(nw < 1e-15, 1.0, nw))
+    return w * scale[..., None]
+
+
+def _geodesic_rows(p, points):
+    """Geodesic distances from ``p`` to each row of ``points`` (with leading
+    axes: from ``p[r]`` to each row of ``points[r]``), one row at a time:
+    the reference for the component-major ``_geodesics``."""
+    return 2.0 * np.arcsin(np.minimum(1.0, 0.5 * row_norms(points - p[..., None, :])))
+
+
+def _cap_points(ambient, radius, n, reps, seed=13):
+    """An (reps, n, ambient) stack of samples of a cap around the last axis."""
+    center = np.zeros(ambient)
+    center[-1] = 1.0
+    sampler = Sampler(SphereSpace(ambient), SphereCapDescriptor(tuple(center), radius), seed)
+    return sampler.draw_many(n, list(range(reps))).data.reshape(reps, n, ambient)
+
+
+#: (ambient dimension, cap radius, sample size): narrow and wide caps
+CAPS = [(3, 0.5, 400), (3, 1.5, 60), (10, 0.3, 50), (10, 1.2, 200)]
 
 
 def _karcher_rows(points, mu, tol, max_iter):
@@ -171,14 +205,9 @@ def _karcher_rows(points, mu, tol, max_iter):
     return mu, iterations
 
 
-@pytest.mark.parametrize("ambient, radius, n", [(3, 0.5, 400), (3, 1.5, 60), (10, 0.3, 50),
-                                                (10, 1.2, 200)])
+@pytest.mark.parametrize("ambient, radius, n", CAPS)
 def test_karcher_means_match_the_row_layout(ambient, radius, n):
-    center = np.zeros(ambient)
-    center[-1] = 1.0
-    sampler = Sampler(SphereSpace(ambient), SphereCapDescriptor(tuple(center), radius), 13)
-    reps = 8
-    points = sampler.draw_many(n, list(range(reps))).data.reshape(reps, n, ambient)
+    points = _cap_points(ambient, radius, n, 8)
     start = _project_rows(points.mean(axis=1))
     means, iterations = _karcher_means(points, start, MEAN_TOL, MEAN_MAX_ITER)
     ref_means, ref_iterations = _karcher_rows(points, start, MEAN_TOL, MEAN_MAX_ITER)
@@ -198,3 +227,26 @@ def test_karcher_means_refuse_the_cut_locus_in_a_block_and_alone():
         space.mean_many(sphere_sample(antipodal), 1)
     means, _ = space.mean_many(sphere_sample(fine), 1)
     assert np.all(np.isfinite(means.data))
+
+
+@pytest.mark.parametrize("ambient, radius, n", CAPS)
+def test_geodesic_chart_kernels_match_the_row_layout(ambient, radius, n):
+    def close(got, ref):
+        # rounding level: within 1e-15, or 8 units in the last place of
+        # values beyond 1 (the squared distances of the wide caps reach 2.6)
+        return np.all(np.abs(got - ref) <= np.maximum(1e-15, 8.0 * np.spacing(np.abs(ref))))
+
+    reps = 8
+    points = _cap_points(ambient, radius, n, reps)
+    space = SphereSpace(ambient)
+    sample = sphere_sample(points.reshape(-1, ambient))
+    means, _ = space.mean_many(sample, reps)
+    chart = space.chart_at(means)
+    x = np.random.default_rng(14).uniform(-0.1, 0.1, size=(reps, ambient - 1))  # off the origins
+    assert close(chart.h_many(x, points),
+                 _geodesic_rows(_exp_rows(means.data, chart._ambient(x)), points) ** 2)
+    logs = _log_rows(means.data, points) @ chart._basis_t
+    assert close(chart.forward_many(sample), logs.reshape(-1, ambient - 1))
+    assert close(chart.grad_h_many(np.zeros_like(x), points), -2.0 * logs)
+    assert close(space.distance_many(sphere_sample(points[0]), means[0]),
+                 _geodesic_rows(means.data[0], points[0]))

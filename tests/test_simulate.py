@@ -347,20 +347,24 @@ def wide_cap_sampler(seed):
 
 
 @pytest.mark.parametrize(
-    "make, derivatives",
+    "make, derivatives, n, block_points",
     [
-        pytest.param(spd_sampler, "auto", id="spd_sampler"),
-        pytest.param(spd_sampler, "numeric", id="spd_sampler-numeric"),
-        pytest.param(euclid3_sampler, "auto", id="euclid3_sampler"),
-        pytest.param(cap_sampler, "auto", id="cap_sampler"),
-        pytest.param(cap_sampler, "numeric", id="cap_sampler-numeric"),
-        pytest.param(wide_cap_sampler, "auto", id="wide_cap_sampler"),
-        pytest.param(chordal_cap_sampler, "auto", id="chordal_cap_sampler"),
-        pytest.param(chordal_cap_sampler, "numeric", id="chordal_cap_sampler-numeric"),
+        pytest.param(spd_sampler, "auto", 200, 2048, id="spd_sampler"),
+        pytest.param(spd_sampler, "numeric", 200, 2048, id="spd_sampler-numeric"),
+        pytest.param(euclid3_sampler, "auto", 200, 2048, id="euclid3_sampler"),
+        pytest.param(cap_sampler, "auto", 200, 2048, id="cap_sampler"),
+        pytest.param(cap_sampler, "numeric", 200, 2048, id="cap_sampler-numeric"),
+        # the default blocks: block-mates leave a replication's outcome alone
+        pytest.param(cap_sampler, "numeric", 400, None, id="cap_sampler-numeric-default_blocks"),
+        pytest.param(wide_cap_sampler, "auto", 200, 2048, id="wide_cap_sampler"),
+        pytest.param(chordal_cap_sampler, "auto", 200, 2048, id="chordal_cap_sampler"),
+        pytest.param(chordal_cap_sampler, "numeric", 200, 2048, id="chordal_cap_sampler-numeric"),
     ],
 )
-def test_batched_coverage_matches_single_fits(make, derivatives, monkeypatch):
-    reps, n, alpha = 45, 200, 0.2
+def test_batched_coverage_matches_single_fits(make, derivatives, n, block_points, monkeypatch):
+    if block_points is not None:
+        monkeypatch.setattr(simulate, "BLOCK_POINTS", block_points)
+    reps, alpha = 45, 0.2
     assert reps * n > 2 * simulate.BLOCK_POINTS  # several blocks
     expected = single_coverage(make(31), n, reps, alpha, derivatives)
     assert not all(expected)  # misses as well as hits
@@ -381,6 +385,7 @@ def test_batched_coverage_matches_single_fits(make, derivatives, monkeypatch):
     ],
 )
 def test_batched_type1_matches_single_tests(make, monkeypatch):
+    monkeypatch.setattr(simulate, "BLOCK_POINTS", 2048)
     reps, n1, n2 = 45, 100, 90
     assert reps * (n1 + n2) > 2 * simulate.BLOCK_POINTS  # several blocks
     sampler = make(32)
@@ -420,6 +425,7 @@ def chordal_two_point_sampler(seed):
     "make", [spd_sampler, euclid3_sampler, book_sampler, cap_sampler, chordal_two_point_sampler]
 )
 def test_batched_consistency_matches_single_fits(make, monkeypatch):
+    monkeypatch.setattr(simulate, "BLOCK_POINTS", 2048)
     sampler = make(34)
     grid, reps = [20, 500], 20
     assert reps * grid[1] > 2 * simulate.BLOCK_POINTS  # several blocks
