@@ -138,14 +138,6 @@ def sandwich_covariance(space, sample, fit, *, derivatives="auto"):
     """
     sample = space.check_sample(sample)
     chart = fit.chart
-    # (stacked_sandwich rejects an unknown derivatives mode)
-    if chart.s == 0 and derivatives in ("auto", "numeric"):
-        # fully degenerate stratum: the mean is pinned, covariance is exact
-        empty = np.zeros((0, 0))
-        return dataclasses.replace(
-            fit, lambda_n=empty, c_n=empty.copy(), asym_cov=empty.copy(),
-            lambda_cond=1.0, lambda_pd=True,
-        )
     lam, c, asym, cond, pd = stacked_sandwich(
         chart, np.asarray(fit.chart_coords, dtype=float), chart.pack(sample),
         derivatives=derivatives,
@@ -170,6 +162,9 @@ def stacked_sandwich(chart, coords, packed, *, derivatives="auto"):
     """
     if derivatives not in ("auto", "numeric"):
         raise ValueError(f"unknown derivatives mode {derivatives!r}")
+    if coords.shape[-1] == 0:  # a zero-dimensional chart: the mean is pinned, exactly
+        empty = np.zeros(coords.shape + (0,))
+        return empty, empty, empty, np.ones(coords.shape[:-1]), np.ones(coords.shape[:-1], bool)
     numeric = derivatives == "numeric"
     rows = None if numeric else chart.grad_h_many(coords, packed)
     if rows is None:

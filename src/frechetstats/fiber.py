@@ -280,7 +280,7 @@ def fiber_site_tests(dataset, metric="log_euclidean", alpha=0.05):
     n, n_sites = dataset.tensors.shape[:2]
     sample = Sample("spd", dataset.tensors.reshape(n * n_sites, 3, 3))  # validated by the dataset
     try:
-        images = space.chart_at().forward_many(sample)
+        images = space.chart_at().test_images(sample)
     except NotPositiveDefinite as exc:
         subject, site = divmod(exc.index, n_sites)
         raise NotPositiveDefinite(

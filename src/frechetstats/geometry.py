@@ -319,14 +319,17 @@ class Chart(ABC):
     ``forward`` of one point is the batch of one of ``forward_many``.
     Analytic derivative hooks may return ``None`` when a closed form is
     unavailable at the requested point, in which case callers fall back to
-    central differences on ``h_many``.
+    central differences on ``h_many``.  The chart map and its inverse
+    refuse a point outside the chart's domain; ``test_images``, the linear
+    images a two-sample test compares, may map every point.
 
-    A chart of a space that ``stacks_charts`` may be anchored at a Sample of
-    R base points: it is then the R charts at once.  ``forward_many`` maps
-    the i-th of R equal groups of consecutive sample rows in the i-th chart,
-    and ``h_many`` and the derivative hooks take coordinates (R, s) and a
-    packed sample per chart, (R, n, ...), and return their results with a
-    leading axis R.
+    A chart may be anchored at a Sample of R base points (of one stratum
+    on the open book): it is then the R charts at once.  ``forward_many``
+    and ``test_images`` map the i-th of R equal groups of consecutive
+    sample rows in the i-th chart, ``pack`` returns an array whose rows
+    regroup as (R, n, ...), and ``h_many`` and the derivative hooks take
+    coordinates (R, s) and a packed sample per chart, (R, n, ...), and
+    return their results with a leading axis R.
     """
 
     #: chart dimension s
@@ -356,6 +359,10 @@ class Chart(ABC):
     @abstractmethod
     def forward_many(self, sample):
         """Chart coordinates of every point of a Sample, as an (n, s) matrix."""
+
+    def test_images(self, sample):
+        """The (n, s) images a two-sample test compares: the chart map."""
+        return self.forward_many(sample)
 
     def h(self, x, q):
         return float(self.h_many(np.asarray(x, dtype=float), self.pack(Sample.of(q)))[0])
@@ -402,9 +409,6 @@ class Space(ABC):
     chart_dim: int
     #: shape of one point's payload (None: not checked)
     point_shape = None
-    #: True when chart_at also takes a Sample of R base points and returns
-    #: their R charts stacked in one chart (see ``Chart``)
-    stacks_charts = False
     #: how ``mean_many`` finds the sample Frechet means (``FrechetFit.strategy``)
     mean_strategy = "newton"
 
@@ -421,7 +425,8 @@ class Space(ABC):
 
     @abstractmethod
     def chart_at(self, base):
-        """Chart anchored at ``base`` whose domain contains ``base``."""
+        """Chart anchored at ``base`` whose domain contains ``base``, or the
+        charts at a Sample of R bases stacked in one chart (see ``Chart``)."""
 
     @abstractmethod
     def initial_guess(self, sample):

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .errors import NearSingularCovariance
+from .errors import InvalidPoint, NearSingularCovariance
 from .estimator import estimate_mean, guarded_inverse
 from .geometry import Sample
 
@@ -93,17 +93,21 @@ def chi2_two_sample(vx, vy):
 
 def two_sample_tests(chart, block, reps, n1):
     """Two-sample chart tests of ``reps`` replications stacked in ``block``,
-    each its first group (n1 rows) followed by its second, in ``chart``
-    (stacked at their pooled means, or one chart for one replication).
-    Every chart maps to C-contiguous rows, so each replication's (n, s)
-    images have one layout, and one arithmetic, in a block and alone.
+    each its first group (n1 rows) followed by its second, on their
+    ``chart.test_images`` (in the charts stacked at their pooled means, or
+    one chart for one replication).  The images are C-contiguous rows, so
+    each replication's (n, s) images have one layout, and one arithmetic,
+    in a block and alone.
 
     Returns ``(statistic, p_value, mean_x, mean_y, pooled)`` of
     ``chi2_two_sample`` along the replications.  Raises
     NearSingularCovariance for the first replication whose pooled
-    covariance is numerically singular.
+    covariance is numerically singular, and InvalidPoint in a
+    zero-dimensional chart (the spine of a book without spine coordinates).
     """
-    images = chart.forward_many(block).reshape(reps, -1, chart.s)
+    if chart.s == 0:
+        raise InvalidPoint("a zero-dimensional chart has no two-sample test")
+    images = chart.test_images(block).reshape(reps, -1, chart.s)
     statistic, p_value, cond, *rest = chi2_two_sample(images[:, :n1], images[:, n1:])
     singular = np.flatnonzero(np.isnan(statistic))
     if singular.size:
@@ -115,9 +119,9 @@ def two_sample_tests(chart, block, reps, n1):
 def two_sample_test(space, sample_x, sample_y):
     """Test equality of two distributions through their chart-mean difference.
 
-    Both samples are mapped in the chart at their pooled mean estimate (on
-    Euclidean and SPD spaces the global chart, which ignores its base) and
-    compared by ``two_sample_tests``.  Raises NearSingularCovariance when
+    Both samples' test images in the chart at their pooled mean estimate
+    (on Euclidean and SPD spaces the global chart, which ignores its base)
+    are compared by ``two_sample_tests``.  Raises NearSingularCovariance when
     the pooled covariance is numerically singular.
     """
     sample_x = space.check_sample(sample_x)

@@ -9,16 +9,17 @@ order in which replications execute.
 
 The experiments run their replications in blocks of at most BLOCK_POINTS
 sample points.  Each replication draws its raw variates from its own
-stream; the descriptor turns the whole block into points at once.  Every
-space fits a block with one ``mean_many`` call.  Coverage and the type-I
-test run in blocks on the spaces that stack their charts (all but the
-open book) and one replication at a time on the open book.  A block in
-which a replication fails or spends the iteration budget runs again one
+stream; the descriptor turns the whole block into points at once.  A
+block's means come from one ``mean_many`` call, and each group of
+replications whose means share a stratum (all of them, but on the open
+book) is run in the charts at its means, stacked.  A block in which a
+replication fails or spends the iteration budget runs again one
 replication at a time, which records each failure as a single fit does.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -433,9 +434,7 @@ def _failure(key, exc):
 
 
 def _failure_details(failed):
-    counts = {}
-    for _, name, _ in failed:
-        counts[name] = counts.get(name, 0) + 1
+    counts = dict(Counter(name for _, name, _ in failed))
     return {"failed_reps": tuple(failed), "failure_counts": counts}
 
 
@@ -460,26 +459,27 @@ def _blocks(keys, points):
     return [keys[i : i + per] for i in range(0, len(keys), per)]
 
 
-def _block_means(space, block, reps):
-    """The Sample of the means of a block's ``reps`` replications.  Raises
-    NoConvergence when a replication spends the iteration budget, so that
-    ``estimate_mean`` decides, as for a single fit, whether it failed."""
-    means, iterations = space.mean_many(block, reps)
-    if np.any(iterations >= MEAN_MAX_ITER):
-        raise NoConvergence(f"a replication exhausted {MEAN_MAX_ITER} iterations")
-    return means
-
-
-def _outcomes(keys, block, sizes, batched, single, failed):
+def _outcomes(space, keys, block, sizes, batched, single, failed):
     """Outcomes of the replications ``keys`` of a block of samples of
     ``sizes`` rows each (a replication's groups in a row): ``batched(block,
-    len(keys))`` unless it is None or raises, otherwise ``single(*groups)``
-    per replication, each failure recorded in ``failed``."""
-    if batched is not None:
-        try:
-            return batched(block, len(keys))
-        except FrechetStatsError:
-            pass  # one replication at a time attributes each failure
+    means)`` per stratum of their means, unless that raises or a replication
+    spends the iteration budget, otherwise ``single(*groups)`` per
+    replication, each failure recorded in ``failed``."""
+    reps = len(keys)
+    try:
+        means, iterations = space.mean_many(block, reps)
+        if np.any(iterations >= MEAN_MAX_ITER):
+            raise NoConvergence(f"a replication exhausted {MEAN_MAX_ITER} iterations")
+        strata = np.zeros(reps, dtype=bool) if means.leaves is None else means.leaves > 0
+        if strata.all() or not strata.any():
+            return batched(block, means)
+        parts = [s.split([len(s) // reps] * reps) for s in (block, means)]
+        out = {}
+        for rows in (np.flatnonzero(~strata), np.flatnonzero(strata)):
+            out.update(zip(rows, batched(*(Sample.join([p[i] for i in rows]) for p in parts))))
+        return [out[i] for i in range(reps)]
+    except FrechetStatsError:
+        pass  # one replication at a time attributes each failure
     groups = block.split(sizes)
     per = len(groups) // len(keys)
     out = []
@@ -509,22 +509,29 @@ def mc_coverage(sampler, n, reps, alpha, derivatives="auto"):
     the region.  Replications where the true mean lies outside the fitted
     chart's domain count as misses; numeric failures are counted separately
     and tolerated only up to the failure budget.  A block of replications
-    is fitted as arrays, in either ``derivatives`` mode, when the space
-    stacks its charts (all but the open book).
+    is fitted as arrays, in either ``derivatives`` mode, in the charts at
+    its means stacked (one stack per stratum on the open book).
     """
     space = sampler.space
     truth = sampler.population_mean()
 
-    def batched(block, reps):
-        # in the charts at the means, stacked; a truth outside a mean's chart
-        # raises CutLocus or InvalidPoint, and the re-run counts it a miss
-        means = _block_means(space, block, reps)
+    def truth_coords(chart, means):
+        # the truth in the charts at the means; outside one's domain, a miss
+        try:
+            return chart.forward_many(as_sample([truth] * len(means))), True
+        except (InvalidPoint, CutLocus):
+            if len(means) == 1:
+                return chart.forward_many(means), False
+            one = [truth_coords(space.chart_at(m), m) for m in means.split([1] * len(means))]
+            return np.concatenate([c for c, _ in one]), np.array([inside for _, inside in one])
+
+    def batched(block, means):
         chart = space.chart_at(means)
-        packed = chart.pack(block).reshape(reps, n, -1)
         coords = chart.forward_many(means)
+        packed = chart.pack(block).reshape(len(means), n, -1)
         asym = stacked_sandwich(chart, coords, packed, derivatives=derivatives)[2]
-        candidates = chart.forward_many(as_sample([truth] * reps))
-        return confidence_regions_contain(n, coords, asym, candidates, alpha).tolist()
+        candidates, inside = truth_coords(chart, means)
+        return (inside & confidence_regions_contain(n, coords, asym, candidates, alpha)).tolist()
 
     def single(sample):
         fit = estimate_mean(space, sample)
@@ -537,8 +544,8 @@ def mc_coverage(sampler, n, reps, alpha, derivatives="auto"):
 
     outcomes, failed = [], []
     for keys in _blocks(list(range(reps)), n):
-        outcomes += _outcomes(keys, sampler.draw_many(n, keys), [n] * len(keys),
-                              batched if space.stacks_charts else None, single, failed)
+        outcomes += _outcomes(space, keys, sampler.draw_many(n, keys), [n] * len(keys), batched,
+                              single, failed)
     return _rate_report("coverage", reps, outcomes, failed,
                         alpha=alpha, n=n, derivatives=derivatives)
 
@@ -588,30 +595,31 @@ def mc_type1(space, sampler, n1, n2, reps, alpha, identical_groups=False):
 
     Both groups are drawn from the sampler's distribution; with
     ``identical_groups`` the second group reuses the first group's stream
-    (degenerate sanity mode with statistic 0).  On a space that stacks its
-    charts (all but the open book) a block of replications is tested by
-    one ``two_sample_tests`` call, in the charts at their pooled means,
-    stacked; the open book runs ``two_sample_test`` per replication.
+    (degenerate sanity mode with statistic 0).  A block of replications is
+    tested by ``two_sample_tests`` in the charts at their pooled means,
+    stacked.  ``details['df']`` counts the tests by degrees of freedom (on
+    the open book D at a pooled mean on the spine, D + 1 on a leaf).
     """
     if repr(sampler.space) != repr(space):
         raise InvalidDescriptor("sampler and space arguments disagree")
 
-    def batched(block, reps):
-        chart = space.chart_at(_block_means(space, block, reps))
-        return (two_sample_tests(chart, block, reps, n1)[1] <= alpha).tolist()
+    def batched(block, means):
+        chart = space.chart_at(means)
+        p_values = two_sample_tests(chart, block, len(means), n1)[1]
+        return [(reject, chart.s) for reject in (p_values <= alpha).tolist()]
 
     def single(x, y):
-        return bool(two_sample_test(space, x, y).p_value <= alpha)
+        test = two_sample_test(space, x, y)
+        return bool(test.p_value <= alpha), test.df
 
-    outcomes, failed = [], []
+    results, failed = [], []
     for block_reps in _blocks(list(range(reps)), n1 + n2):
         keys = [key for rep in block_reps for key in ((rep, 0), (rep, 0 if identical_groups else 1))]
         sizes = [n1, n2] * len(block_reps)
-        block = sampler.draw_many(sizes, keys)
-        outcomes += _outcomes(block_reps, block, sizes,
-                              batched if space.stacks_charts else None, single, failed)
-    return _rate_report("type1", reps, outcomes, failed,
-                        alpha=alpha, n1=n1, n2=n2, df=space.chart_dim)
+        results += _outcomes(space, block_reps, sampler.draw_many(sizes, keys), sizes, batched,
+                             single, failed)
+    return _rate_report("type1", reps, [reject for reject, _ in results], failed, alpha=alpha,
+                        n1=n1, n2=n2, df=dict(sorted(Counter(df for _, df in results).items())))
 
 
 def mc_consistency(space, sampler, n_grid, reps):
@@ -623,8 +631,8 @@ def mc_consistency(space, sampler, n_grid, reps):
         raise InvalidDescriptor("sampler and space arguments disagree")
     truth = sampler.population_mean()
 
-    def batched(block, reps):
-        return space.distance_many(_block_means(space, block, reps), truth).tolist()
+    def batched(block, means):
+        return space.distance_many(means, truth).tolist()
 
     def single(sample):
         return space.distance(estimate_mean(space, sample).mean, truth)
@@ -634,7 +642,7 @@ def mc_consistency(space, sampler, n_grid, reps):
         errs = []
         runs.append((n, errs))
         for keys in _blocks([(n, rep) for rep in range(reps)], n):
-            errs += _outcomes(keys, sampler.draw_many(n, keys), [n] * len(keys), batched, single,
-                              failed)
+            errs += _outcomes(space, keys, sampler.draw_many(n, keys), [n] * len(keys), batched,
+                              single, failed)
     _check_failures(failed, reps * len(runs), "mc_consistency")
     return [(n, float(np.median(errs)) if errs else float("nan")) for n, errs in runs]

@@ -28,7 +28,6 @@ class EuclideanSpace(Space):
     """R^dim with the usual distance."""
 
     kind = "euclidean"
-    stacks_charts = True
     mean_strategy = "closed_form"
 
     def __init__(self, dim):

@@ -17,15 +17,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import InvalidPoint
-from ..geometry import Chart, FlatChart, Sample, Space, as_sample, openbook_point, row_norms
+from ..geometry import FlatChart, Sample, Space, as_sample, openbook_point, row_norms
 
 
 def _fold(sample, k):
     """The rows of a Sample folded by f_k, as a new (n, D+1) array: x0 is
     negated on the rows of leaves other than k (kept on leaf k and the
-    spine).  ``k == 0`` negates every leaf row's x0."""
+    spine).  ``k == 0`` negates every leaf row's x0.  ``k`` may also be an
+    (R,) array of leaves, one per group of R equal groups of rows."""
     folded = np.array(sample.data)
-    other = (sample.leaves != k) & (sample.leaves != 0)
+    leaves = sample.leaves.reshape(np.shape(k) + (-1,))
+    other = ((leaves != np.asarray(k)[..., None]) & (leaves != 0)).reshape(-1)
     folded[other, 0] = -folded[other, 0]
     return folded
 
@@ -154,12 +156,13 @@ def openbook_frechet_mean(sample, n_leaves=None):
 
 class OpenBookLeafChart(FlatChart):
     """Chart of a leaf stratum: the folding map f_k, s = D + 1, with
-    h(x; q) = ||x - f_k(q)||^2."""
+    h(x; q) = ||x - f_k(q)||^2.  Stacked at R bases on leaves, the i-th
+    chart folds onto the i-th base's leaf."""
 
     def __init__(self, space, base):
         self.s = space.spine_dim + 1
         self.base = base
-        self.leaf = base.leaf
+        self.leaf = base.leaves if isinstance(base, Sample) else base.leaf
         self.space = space
 
     def inverse(self, x):
@@ -173,9 +176,10 @@ class OpenBookLeafChart(FlatChart):
         return _fold(sample, self.leaf)
 
 
-class OpenBookSpineChart(Chart):
-    """Chart of the spine stratum, s = D; the x0 offsets of the sample enter
-    h only as an additive constant."""
+class OpenBookSpineChart(FlatChart):
+    """Chart of the spine stratum, s = D, the same at every spine base: flat
+    in the spine coordinates, the x0 of the sample entering h only as the
+    additive x0^2.  So the test images are every point's spine coordinates."""
 
     def __init__(self, space, base):
         self.s = space.spine_dim
@@ -186,24 +190,22 @@ class OpenBookSpineChart(Chart):
         return openbook_point(0, np.concatenate([[0.0], np.asarray(x, dtype=float)]))
 
     def pack(self, sample):
-        return sample.data[:, 0] ** 2, sample.data[:, 1:]
+        """(n, D+1) rows of x0^2, then the spine coordinates."""
+        return np.column_stack([sample.data[:, 0] ** 2, sample.data[:, 1:]])
 
     def forward_many(self, sample):
         if np.any(sample.leaves != 0):
             raise InvalidPoint("spine chart is only defined on the spine")
+        return self.test_images(sample)
+
+    def test_images(self, sample):
         return np.ascontiguousarray(sample.data[:, 1:])
 
     def h_many(self, x, packed):
-        x0sq, rest = packed
-        diff = rest - np.asarray(x, dtype=float)
-        return x0sq + np.einsum("ij,ij->i", diff, diff)
+        return packed[..., 0] + super().h_many(x, packed[..., 1:])
 
     def grad_h_many(self, x, packed):
-        _, rest = packed
-        return 2.0 * (np.asarray(x, dtype=float) - rest)
-
-    def hess_h_mean(self, x, packed):
-        return 2.0 * np.eye(self.s)
+        return super().grad_h_many(x, packed[..., 1:])
 
 
 class OpenBookSpace(Space):
@@ -243,10 +245,13 @@ class OpenBookSpace(Space):
         return _distances(sample, q)
 
     def chart_at(self, base):
-        self.check_point(base)
-        if base.leaf == 0:
-            return OpenBookSpineChart(self, base)
-        return OpenBookLeafChart(self, base)
+        """Stacked charts lie in one stratum, all on the spine or all on leaves."""
+        leaves = self.check_bases(base).leaves
+        if leaves.all() != leaves.any():
+            raise InvalidPoint("stacked chart bases lie in different strata (spine and leaves)")
+        if leaves.any():
+            return OpenBookLeafChart(self, base)
+        return OpenBookSpineChart(self, base)
 
     def initial_guess(self, sample):
         return self.mean(sample)[0]

@@ -266,7 +266,6 @@ class SPDSpace(Space):
     """SPD(p) under the Euclidean or log-Euclidean metric."""
 
     kind = "spd"
-    stacks_charts = True
     mean_strategy = "closed_form"
 
     def __init__(self, p, metric="log_euclidean"):

@@ -184,9 +184,12 @@ class _TangentChart(Chart):
         return sample.data
 
     def forward_many(self, sample):
+        return self._in_basis(sample, self._tangent)
+
+    def _in_basis(self, sample, tangent):
+        # the (n, s) coordinates of ``tangent`` of the rows, one group per chart
         rows = sample.data.reshape(self._b.shape[:-1] + (-1, self._b.shape[-1]))
-        coords = row_products(self._tangent(rows), self._basis_t[..., None, :, :])
-        return coords.reshape(-1, self.s)
+        return row_products(tangent(rows), self._basis_t[..., None, :, :]).reshape(-1, self.s)
 
     def _ambient(self, x):
         """Chart coordinates (..., s) as ambient tangent vectors (..., d+1)."""
@@ -243,8 +246,13 @@ class SphereExtrinsicChart(_TangentChart):
     (InvalidPoint outside it); h is the squared chordal distance.
 
     Analytic derivatives are available at every chart point via the
-    differential of the hemisphere parameterization.
+    differential of the hemisphere parameterization.  The test images are
+    the projections of all points (the extrinsic test of Bhattacharya and
+    Patrangenaru compares the projected ambient means).
     """
+
+    def test_images(self, sample):
+        return self._in_basis(sample, np.asarray)
 
     def _tangent(self, rows):
         if np.any(row_dots(rows, self._b[..., None, :]) <= 0.0):
@@ -287,7 +295,6 @@ class SphereSpace(Space):
     """S^d in R^{d+1} under the geodesic or the chordal metric."""
 
     kind = "sphere"
-    stacks_charts = True
 
     def __init__(self, ambient_dim, metric="intrinsic"):
         if ambient_dim < 2:

@@ -16,9 +16,10 @@ from frechetstats.fiber import (
     write_fiber_csv,
     write_site_csv,
 )
-from frechetstats.geometry import spd_sample
+from frechetstats.geometry import Sample, spd_sample
 from frechetstats.inference import two_sample_test
-from frechetstats.spaces import SPDSpace
+from frechetstats.simulate import Sampler, SphereCapDescriptor
+from frechetstats.spaces import SPDSpace, SphereSpace
 
 SITE_HEADER = "site,statistic,df,p_value,tiny_p,bh_rejected,bonferroni_rejected"
 
@@ -433,6 +434,44 @@ def test_cli_simulate_consistency_table(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert [row[0] for row in report["table"]] == [20, 80]
     assert report["table"][1][1] < report["table"][0][1]
+
+
+def test_cli_simulate_type1_on_the_open_book_spine(tmp_path, capsys):
+    # pooled means on the spine: every test compares the spine coordinates
+    desc = write(
+        tmp_path / "type1.json",
+        json.dumps(
+            {
+                "space": {"kind": "openbook", "leaves": 3, "spine_dim": 2},
+                "distribution": {"kind": "openbook", "leaf_probs": [0.3, 0.3, 0.3],
+                                 "spine_mean": [0.0, 0.0]},
+                "n1": 60,
+                "n2": 50,
+                "reps": 100,
+            }
+        ),
+    )
+    assert main(["simulate", desc, "--experiment", "type1", "--seed", "1"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["failures"] == 0 and 0.0 <= report["estimate"] <= 0.15
+    # D = 2 df at a spine pooled mean, D + 1 = 3 at the few on a leaf
+    assert set(report["df"]) == {"2", "3"} and sum(report["df"].values()) == 100
+    assert report["df"]["2"] > report["df"]["3"]
+
+
+def test_cli_test2_chordal_sphere_past_the_pooled_means_hemisphere(tmp_path, capsys):
+    # caps of radius 2.8 reach beyond the open hemisphere of the pooled mean
+    sampler = Sampler(SphereSpace(3, "extrinsic"), SphereCapDescriptor((0.0, 0.0, 1.0), 2.8), 4)
+    x, y = sampler.draw(40, 0), sampler.draw(50, 1)
+    pooled = SphereSpace(3, "extrinsic").mean(Sample.join([x, y]))[0]
+    assert np.any(np.concatenate([x.data, y.data]) @ pooled.data < 0.0)
+    paths = []
+    for name, sample in (("x.csv", x), ("y.csv", y)):
+        rows = "".join(",".join(map(repr, row)) + "\n" for row in sample.data.tolist())
+        paths.append(write(tmp_path / name, "x,y,z\n" + rows))
+    assert main(["test2", *paths, "--space", "sphere", "--metric", "extrinsic"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["df"] == 2 and 0.0 <= out["p_value"] <= 1.0
 
 
 def test_cli_simulate_bad_descriptor(tmp_path, capsys):

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from frechetstats.errors import NearSingularCovariance
-from frechetstats.geometry import euclidean_point
+from frechetstats.errors import InvalidPoint, NearSingularCovariance
+from frechetstats.geometry import euclidean_point, openbook_sample
 from frechetstats.inference import (
     bh_fdr,
     bonferroni,
@@ -14,7 +14,7 @@ from frechetstats.inference import (
     chi2_sf,
     two_sample_test,
 )
-from frechetstats.spaces import EuclideanSpace, SPDSpace
+from frechetstats.spaces import EuclideanSpace, OpenBookSpace, SPDSpace
 
 from conftest import AffineChartSpace, random_spd
 
@@ -128,6 +128,16 @@ def test_two_sample_near_singular_covariance():
     xs = [euclidean_point((0.0, 0.0)) for _ in range(5)]
     ys = [euclidean_point((1.0, 1.0)) for _ in range(5)]
     with pytest.raises(NearSingularCovariance):
+        two_sample_test(sp, xs, ys)
+
+
+def test_two_sample_on_the_spine_of_a_book_without_spine_coordinates():
+    # the pooled mean is the book's one spine point, whose chart has no
+    # coordinates to compare
+    sp = OpenBookSpace(3, 0)
+    xs = openbook_sample([1, 2, 3, 0], [[1.0], [1.0], [1.0], [0.0]])
+    ys = openbook_sample([1, 2, 3], [[2.0], [1.0], [1.5]])
+    with pytest.raises(InvalidPoint, match="zero-dimensional chart"):
         two_sample_test(sp, xs, ys)
 
 

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from frechetstats.errors import FrechetStatsError, NoConvergence
 from frechetstats.estimator import estimate_mean, sandwich_covariance, stacked_sandwich
 from frechetstats.geometry import (
+    Sample,
     as_sample,
     euclidean_point,
     openbook_point,
@@ -130,7 +131,18 @@ def test_mean_is_its_row_of_mean_many(space, data, reps, n):
         assert means[r].leaf == mean.leaf and iterations[r] == it
 
 
-@pytest.mark.parametrize("space", [space for space in SPACES if space.stacks_charts], ids=repr)
+def by_stratum(block, means, reps):
+    """(rows, block part, means part) for each group of a block's
+    replications whose means share a stratum, the groups in which the Monte
+    Carlo experiments stack their charts (one group off the open book)."""
+    strata = np.zeros(reps, dtype=bool) if means.leaves is None else means.leaves > 0
+    parts, mean_parts = block.split([len(block) // reps] * reps), means.split([1] * reps)
+    for stratum in np.unique(strata):
+        rows = np.flatnonzero(strata == stratum)
+        yield rows, Sample.join([parts[i] for i in rows]), Sample.join([mean_parts[i] for i in rows])
+
+
+@pytest.mark.parametrize("space", SPACES, ids=repr)
 @pytest.mark.parametrize("derivatives", ["auto", "numeric"])
 @SETTINGS
 @given(data=st.data(), reps=st.integers(1, 4), n=st.integers(1, 8))
@@ -145,25 +157,27 @@ def test_sandwich_is_its_row_of_the_stacked_sandwich(space, derivatives, data, r
             singles.append(type(exc))
     # a replication that spends the iteration budget fails alone, not in a block
     assume(NoConvergence not in singles)
+    stacked = {}
     try:
         means, _ = space.mean_many(block, reps)
-        chart = space.chart_at(means)
-        packed = chart.pack(block)
-        coords = chart.forward_many(means)
-        lam, c, asym, cond, pd = stacked_sandwich(
-            chart, coords, packed.reshape((reps, n) + packed.shape[1:]), derivatives=derivatives
-        )
+        for rows, part, part_means in by_stratum(block, means, reps):
+            chart = space.chart_at(part_means)
+            coords = chart.forward_many(part_means)
+            packed = chart.pack(part).reshape((len(rows), n, -1))
+            results = stacked_sandwich(chart, coords, packed, derivatives=derivatives)
+            stacked.update({r: [a[i] for a in (coords, *results)] for i, r in enumerate(rows)})
     except FrechetStatsError as exc:
         # a block fails exactly when one of its replications fails alone
         assert type(exc) in singles
         return
     for r, fit in enumerate(singles):
         assert not isinstance(fit, type), f"replication {r} raised {fit.__name__} alone"
-        assert np.array_equal(fit.chart_coords, coords[r])
-        assert np.array_equal(fit.lambda_n, lam[r])
-        assert np.array_equal(fit.c_n, c[r])
-        assert np.array_equal(fit.asym_cov, asym[r])
-        assert fit.lambda_cond == cond[r] and fit.lambda_pd == pd[r]
+        coords, lam, c, asym, cond, pd = stacked[r]
+        assert np.array_equal(fit.chart_coords, coords)
+        assert np.array_equal(fit.lambda_n, lam)
+        assert np.array_equal(fit.c_n, c)
+        assert np.array_equal(fit.asym_cov, asym)
+        assert fit.lambda_cond == cond and fit.lambda_pd == pd
 
 
 def clustered(space):
@@ -180,7 +194,7 @@ def clustered(space):
     return vectors(space.ambient_dim).map(near_pole)
 
 
-@pytest.mark.parametrize("space", [space for space in SPACES if space.stacks_charts], ids=repr)
+@pytest.mark.parametrize("space", SPACES, ids=repr)
 @SETTINGS
 @given(data=st.data(), reps=st.integers(1, 4), n1=st.integers(2, 6), n2=st.integers(2, 6))
 def test_two_sample_test_is_its_row_of_two_sample_tests(space, data, reps, n1, n2):
@@ -195,20 +209,23 @@ def test_two_sample_test_is_its_row_of_two_sample_tests(space, data, reps, n1, n
             singles.append(type(exc))
     # a replication that spends the iteration budget fails alone, not in a block
     assume(NoConvergence not in singles)
+    stacked = {}
     try:
         means, _ = space.mean_many(block, reps)
-        statistic, p_value, mean_x, mean_y, pooled = two_sample_tests(
-            space.chart_at(means), block, reps, n1
-        )
+        for rows, part, part_means in by_stratum(block, means, reps):
+            chart = space.chart_at(part_means)
+            results = two_sample_tests(chart, part, len(rows), n1)
+            stacked.update({r: [a[i] for a in results] + [chart.s] for i, r in enumerate(rows)})
     except FrechetStatsError as exc:
         # a block fails exactly when one of its replications fails alone
         assert type(exc) in singles
         return
     for r, res in enumerate(singles):
         assert not isinstance(res, type), f"replication {r} raised {res.__name__} alone"
-        assert res.statistic == statistic[r] and res.p_value == p_value[r]
-        assert np.array_equal(res.mean_x, mean_x[r]) and np.array_equal(res.mean_y, mean_y[r])
-        assert np.array_equal(res.pooled_cov, pooled[r])
+        statistic, p_value, mean_x, mean_y, pooled, df = stacked[r]
+        assert res.statistic == statistic and res.p_value == p_value and res.df == df
+        assert np.array_equal(res.mean_x, mean_x) and np.array_equal(res.mean_y, mean_y)
+        assert np.array_equal(res.pooled_cov, pooled)
 
 
 def _replication_results(space, sample, reps, n1):

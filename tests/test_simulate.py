@@ -29,7 +29,7 @@ from frechetstats.simulate import (
     mc_type1,
 )
 from frechetstats.spaces import EuclideanSpace, OpenBookSpace, SPDSpace, SphereSpace
-from frechetstats.geometry import sphere_point
+from frechetstats.geometry import Sample, openbook_sample, sphere_point
 from frechetstats.spaces.spd import spd_expm
 
 from conftest import count_logm
@@ -239,8 +239,12 @@ def test_mc_type1_reports_df():
     spd = SPDSpace(3, "log_euclidean")
     d = SPDLogGaussianDescriptor(mean_log=((0.0, 0, 0), (0, 0.0, 0), (0, 0, 0.0)), scale=0.2)
     rep = mc_type1(spd, Sampler(spd, d, 5), n1=40, n2=40, reps=100, alpha=0.05)
-    assert rep.details["df"] == 6
+    assert rep.details["df"] == {6: 100}
     assert 0.0 <= rep.estimate <= 0.2
+    # on the open book a test has D df at a spine pooled mean, D + 1 on a leaf
+    book = book_sampler(5)
+    rep = mc_type1(book.space, book, n1=40, n2=40, reps=100, alpha=0.05)
+    assert set(rep.details["df"]) == {2, 3} and sum(rep.details["df"].values()) == 100
 
 
 def test_mc_stickiness_fractions_sum_to_one():
@@ -294,6 +298,18 @@ def book_sampler(seed, probs=(0.5, 0.25, 0.25)):
     return Sampler(
         OpenBookSpace(3, 2), OpenBookDescriptor(probs, ("exponential", 1.0), (0.0, 0.0)), seed
     )
+
+
+# the open book's regimes: population mean on the spine, on leaf 1, and at
+# the boundary (means on the spine and on leaves)
+spine_book_sampler = functools.partial(book_sampler, probs=(0.3, 0.3, 0.3))
+leaf_book_sampler = functools.partial(book_sampler, probs=(0.6, 0.2, 0.2))
+boundary_book_sampler = book_sampler
+
+
+def spineless_book_sampler(seed):
+    # D = 0: a mean on the spine is pinned, in a zero-dimensional chart
+    return Sampler(OpenBookSpace(3, 0), OpenBookDescriptor((0.5, 0.25, 0.25)), seed)
 
 
 def record_streams(monkeypatch):
@@ -359,6 +375,12 @@ def wide_cap_sampler(seed):
         pytest.param(wide_cap_sampler, "auto", 200, 2048, id="wide_cap_sampler"),
         pytest.param(chordal_cap_sampler, "auto", 200, 2048, id="chordal_cap_sampler"),
         pytest.param(chordal_cap_sampler, "numeric", 200, 2048, id="chordal_cap_sampler-numeric"),
+        pytest.param(spine_book_sampler, "auto", 200, 2048, id="spine_book_sampler"),
+        pytest.param(leaf_book_sampler, "auto", 200, 2048, id="leaf_book_sampler"),
+        pytest.param(boundary_book_sampler, "auto", 200, 2048, id="boundary_book_sampler"),
+        pytest.param(boundary_book_sampler, "numeric", 200, 2048,
+                     id="boundary_book_sampler-numeric"),
+        pytest.param(spineless_book_sampler, "auto", 200, 2048, id="spineless_book_sampler"),
     ],
 )
 def test_batched_coverage_matches_single_fits(make, derivatives, n, block_points, monkeypatch):
@@ -382,6 +404,9 @@ def test_batched_coverage_matches_single_fits(make, derivatives, n, block_points
         pytest.param(functools.partial(spd_sampler, metric="euclidean"), id="euclidean"),
         pytest.param(cap_sampler, id="geodesic_cap"),
         pytest.param(chordal_cap_sampler, id="chordal_cap"),
+        pytest.param(spine_book_sampler, id="spine_book"),
+        pytest.param(leaf_book_sampler, id="leaf_book"),
+        pytest.param(boundary_book_sampler, id="boundary_book"),
     ],
 )
 def test_batched_type1_matches_single_tests(make, monkeypatch):
@@ -558,22 +583,59 @@ def test_coverage_counts_a_singular_region_as_a_replication_failure():
         mc_coverage(euclid_sampler(39), 1, 10, 0.05)
 
 
-def test_type1_counts_invalid_point_as_a_replication_failure():
-    # open-book pooled means on the spine: the spine chart cannot map the
-    # leaf points, which raises InvalidPoint in those replications
+@pytest.mark.parametrize(
+    "make",
+    [
+        pytest.param(spine_book_sampler, id="spine"),
+        pytest.param(leaf_book_sampler, id="leaf"),
+        pytest.param(boundary_book_sampler, id="boundary"),
+    ],
+)
+def test_openbook_type1_tests_every_regime(make):
+    # a pooled mean on the spine tests the spine coordinates of every point,
+    # leaf points included, so no replication fails
+    sampler = make(38)
+    report = mc_type1(sampler.space, sampler, 100, 100, 200, 0.05)
+    assert report.failures == 0 and len(report.outcomes) == 200
+    assert report.estimate <= 0.15
+
+
+def test_chordal_type1_tests_samples_past_the_pooled_means_hemisphere():
+    # a cap of radius 2.8 reaches far beyond the open hemisphere of its
+    # mean: the test compares every point's tangent projection
+    sampler = cap_sampler(38, "extrinsic", 2.8)
+    report = mc_type1(sampler.space, sampler, 100, 100, 100, 0.05)
+    assert report.failures == 0 and len(report.outcomes) == 100
+    assert report.estimate <= 0.15
+
+
+def test_openbook_charts_stack_by_stratum():
     space = OpenBookSpace(3, 2)
-    sampler = Sampler(
-        space, OpenBookDescriptor((0.3, 0.3, 0.3), ("exponential", 1.0), (0.0, 0.0)), 38
-    )
-    with pytest.raises(FrechetStatsError, match=r"^mc_type1: \d+/40 replications failed "
-                       r"\(budget 1%\): InvalidPoint x\d+; first failed keys \d+"):
-        mc_type1(space, sampler, 50, 50, 40, 0.05)
+    spine = openbook_sample([0, 0], [[0.0, 1.0, 2.0], [0.0, -1.0, 0.5]])
+    leaves = openbook_sample([1, 3], [[0.5, 1.0, 2.0], [0.2, -1.0, 0.5]])
+    sample = book_sampler(39).draw(10)
+    block = Sample.join([sample, sample])
+    for bases in (spine, leaves):
+        stacked = space.chart_at(bases)
+        packed = stacked.pack(block).reshape(2, 10, -1)
+        for r in range(2):
+            single = space.chart_at(bases[r])
+            assert np.array_equal(packed[r], single.pack(sample))
+            assert np.array_equal(stacked.test_images(block)[10 * r : 10 * (r + 1)],
+                                  single.test_images(sample))
+    with pytest.raises(InvalidPoint, match="different strata"):
+        space.chart_at(Sample.join([spine, leaves]))
 
 
 def test_failure_budget_error_quotes_classes_and_keys(monkeypatch):
     sampler = Sampler(SphereSpace(3), SphereCapDescriptor((0.0, 0.0, 1.0), 0.5), 36)
-    # this space tests one replication at a time, through the patched test
-    monkeypatch.setattr(sampler.space, "stacks_charts", False)
+
+    def failed_block(*args):
+        raise NearSingularCovariance("singular in the block")
+
+    # every block fails, and its re-run tests one replication at a time,
+    # through the patched test
+    monkeypatch.setattr(simulate, "two_sample_tests", failed_block)
     failing = {3, 11}
     calls = []
 
