@@ -40,7 +40,8 @@ MEAN_MAX_ITER = 200
 #: read-only per-row arrays derived from a Sample's rows (an SPD sample's
 #: matrix logs, NaN in the rows not taken yet), kept while the Sample lives;
 #: ``Sample.split`` and ``Sample.join`` carry them to the parts and to the
-#: joined Sample
+#: joined Sample, and a Point taken from a Sample carries its row (kept
+#: with the Point) to ``Sample.of`` and ``as_sample``
 ROW_CACHE = weakref.WeakKeyDictionary()
 
 
@@ -80,30 +81,60 @@ class Sample:
     (None for the other kinds).  The constructors ``euclidean_sample``,
     ``sphere_sample``, ``spd_sample`` and ``openbook_sample`` validate the
     whole batch at once.  ``len``, indexing and iteration give Points.
+
+    A Sample built with ``build`` is deferred: its ``data`` is
+    ``build(rows)`` of the ``rows`` it was given, computed when ``data`` is
+    first read (a drawn SPD stack holds its matrix logs and exponentiates
+    them then).  ``build`` maps each row on its own and keeps the array's
+    shape, so ``len``, ``shape``, ``split`` and ``join`` never call it, and a
+    row's data has the same bits whichever part of a stack builds it.
     """
 
     kind: str
-    data: np.ndarray
+    _rows: np.ndarray
     leaves: np.ndarray | None = None
+    _build: object = None
 
     def __post_init__(self):
-        self.data.setflags(write=False)
+        self._rows.setflags(write=False)
         if self.leaves is not None:
             self.leaves.setflags(write=False)
 
+    @property
+    def data(self):
+        """The read-only (n, ...) payloads, built on the first read of a
+        deferred Sample."""
+        if self._build is not None:
+            data = self._build(self._rows)
+            data.setflags(write=False)
+            object.__setattr__(self, "_rows", data)
+            object.__setattr__(self, "_build", None)
+        return self._rows
+
+    @property
+    def shape(self):
+        """The shape of ``data``, read without building it."""
+        return self._rows.shape
+
     def __len__(self):
-        return self.data.shape[0]
+        return self._rows.shape[0]
 
     def __getitem__(self, i):
         leaf = 0 if self.leaves is None else int(self.leaves[i])
-        return Point(self.kind, self.data[i], leaf)
+        point = Point(self.kind, self.data[i], leaf)
+        cached = ROW_CACHE.get(self)
+        if cached is not None:
+            ROW_CACHE[point] = cached[i]
+        return point
 
     def split(self, sizes):
         """The consecutive Samples of ``sizes`` rows each that make up this
-        one, each with its rows of this one's cached row array."""
+        one (deferred when it is), each with its rows of this one's cached
+        row array."""
         stops = np.cumsum(sizes)[:-1]
         leaves = [None] * len(sizes) if self.leaves is None else np.split(self.leaves, stops)
-        parts = [Sample(self.kind, d, lv) for d, lv in zip(np.split(self.data, stops), leaves)]
+        parts = [Sample(self.kind, rows, lv, self._build)
+                 for rows, lv in zip(np.split(self._rows, stops), leaves)]
         cached = ROW_CACHE.get(self)
         if cached is not None:
             for part, rows in zip(parts, np.split(cached, stops)):
@@ -113,9 +144,14 @@ class Sample:
     @classmethod
     def join(cls, parts):
         """The Sample of the rows of ``parts`` (Samples of one kind) in
-        order, with their cached row arrays joined when every part has one."""
+        order, deferred when every part is deferred alike, with their cached
+        row arrays joined when every part has one."""
         leaves = None if parts[0].leaves is None else np.concatenate([p.leaves for p in parts])
-        joined = cls(parts[0].kind, np.concatenate([p.data for p in parts]), leaves)
+        build = parts[0]._build
+        if any(p._build is not build for p in parts):
+            build = None
+        payloads = [p.data if build is None else p._rows for p in parts]
+        joined = cls(parts[0].kind, np.concatenate(payloads), leaves, build)
         cached = [ROW_CACHE.get(p) for p in parts]
         if all(rows is not None for rows in cached):
             rows = np.concatenate(cached)
@@ -126,8 +162,13 @@ class Sample:
     @classmethod
     def of(cls, p):
         """The Point ``p``, validated when it was built, as a Sample of one
-        (not validated again)."""
-        return cls(p.kind, p.data[None], np.array([p.leaf]) if p.kind == "openbook" else None)
+        (not validated again), with its row of the cached row array of the
+        Sample it was taken from."""
+        sample = cls(p.kind, p.data[None], np.array([p.leaf]) if p.kind == "openbook" else None)
+        cached = ROW_CACHE.get(p)
+        if cached is not None:
+            ROW_CACHE[sample] = cached[None]
+        return sample
 
 
 def _finite_rows(values, ndim):
@@ -218,14 +259,21 @@ def openbook_sample(leaves, coords):
 
 def as_sample(sample):
     """``sample`` as one Sample: a Sample is returned as is, a sequence of
-    Points of one kind (validated when they were built) is stacked once."""
+    Points of one kind (validated when they were built) is stacked once,
+    with their cached rows when every Point has one."""
     if len(sample) == 0:
         raise ValueError("sample must be nonempty")
     if isinstance(sample, Sample):
         return sample
     kind = sample[0].kind
     leaves = np.array([p.leaf for p in sample]) if kind == "openbook" else None
-    return Sample(kind, np.stack([p.data for p in sample]), leaves)
+    stacked = Sample(kind, np.stack([p.data for p in sample]), leaves)
+    cached = [ROW_CACHE.get(p) for p in sample]
+    if all(row is not None for row in cached):
+        rows = np.stack(cached)
+        rows.setflags(write=False)
+        ROW_CACHE[stacked] = rows
+    return stacked
 
 
 def euclidean_point(v):
@@ -433,11 +481,16 @@ class Space(ABC):
         """Cheap starting point for iterative mean estimation."""
 
     def check_point(self, p):
-        if not isinstance(p, Point) or p.kind != self.kind:
+        if not isinstance(p, Point):
             got = getattr(p, "kind", type(p).__name__)
             raise MixedSpacePoints(f"expected a {self.kind} point, got {got}")
-        if self.point_shape is not None and p.data.shape != self.point_shape:
-            raise InvalidPoint(f"expected payload shape {self.point_shape}, got {p.data.shape}")
+        self._check_payloads(p.kind, p.data.shape)
+
+    def _check_payloads(self, kind, shape):
+        if kind != self.kind:
+            raise MixedSpacePoints(f"expected a {self.kind} point, got {kind}")
+        if self.point_shape is not None and shape != self.point_shape:
+            raise InvalidPoint(f"expected payload shape {self.point_shape}, got {shape}")
 
     def check_sample(self, sample):
         """The sample as one Sample of this space (a sequence of Points is
@@ -446,7 +499,7 @@ class Space(ABC):
             for p in sample:
                 self.check_point(p)
         sample = as_sample(sample)
-        self.check_point(sample[0])  # the rows of a Sample share kind and shape
+        self._check_payloads(sample.kind, sample.shape[1:])  # shared by its rows
         return sample
 
     def check_bases(self, base):

@@ -43,12 +43,12 @@ from .estimator import (
     stacked_sandwich,
 )
 from .geometry import MEAN_MAX_ITER, Sample, as_sample, euclidean_point, euclidean_sample
-from .geometry import openbook_point, openbook_sample, row_norms, row_products, spd_point
+from .geometry import openbook_point, openbook_sample, row_norms, row_products
 from .geometry import sphere_point, sphere_sample
 from .inference import two_sample_test, two_sample_tests
 from .spaces.euclidean import EuclideanSpace
 from .spaces.openbook import OpenBookSpace
-from .spaces.spd import SPDSpace, _vech_inv_rows, spd_exp_sample, spd_expm, spd_vech
+from .spaces.spd import SPDSpace, _expm_sample, _vech_inv_rows, spd_exp_sample, spd_vech
 from .spaces.sphere import SphereSpace, sphere_exp, sphere_log, tangent_basis
 
 #: estimation failures tolerated (as a fraction of replications) before a
@@ -257,7 +257,8 @@ class SPDLogGaussianDescriptor:
                 "closed-form population mean of the expm-gaussian family is only "
                 "available under the log-Euclidean metric"
             )
-        return spd_point(spd_expm(np.asarray(self.mean_log, dtype=float)))
+        # expm(mean_log), which keeps mean_log as its matrix log
+        return _expm_sample(np.asarray(self.mean_log, dtype=float)[None])[0]
 
 
 _X0_FAMILIES = ("constant", "exponential", "half_gaussian")

@@ -7,10 +7,18 @@ sqrt(2) factor so the chart preserves the Frobenius norm exactly, which
 reduces both geometries to the Euclidean case (closed-form means, analytic
 derivatives, sandwich covariance equal to the chart-vector covariance).
 
-A drawn log-Gaussian stack (``spd_exp_sample``) is exponentiated through a
-batched cyclic Jacobi eigensolver when p = 3: it keeps the six unique
-entries of every matrix as separate (n,) arrays, so each numpy operation
-covers the whole stack, where LAPACK decomposes one 3x3 matrix at a time.
+A drawn log-Gaussian stack (``spd_exp_sample``) is a deferred Sample: it
+holds its matrix logs and builds its matrices only when its ``data`` is
+read.  A log-Euclidean fit reads only the logs (means, chart images,
+sandwiches, tests), so log-Euclidean Monte Carlo builds no drawn matrix;
+the Euclidean metric, and a Point taken from the sample, read the
+matrices.  Log-Euclidean means likewise keep their mean logs, and
+``spd_expm`` builds their matrices when they are read.
+
+When built, a drawn stack is decomposed by a batched cyclic Jacobi
+eigensolver for p = 3: it keeps the six unique entries of every matrix as
+separate (n,) arrays, so each numpy operation covers the whole stack,
+where LAPACK decomposes one 3x3 matrix at a time.
 A matrix whose largest off-diagonal entry is still above a fixed fraction
 of its largest entry after a fixed number of sweeps goes to
 ``np.linalg.eigh``.  Its eigenvalues are then within 1e-14 of the largest
@@ -127,21 +135,58 @@ def _eigh3(a):
     return w, v
 
 
+def _exp_logs(logs):
+    """Matrix exponentials of an (n, p, p) stack of symmetric matrices, the
+    deferred data of ``spd_exp_sample``: decomposed by ``_eigh3`` for
+    p = 3, by np.linalg.eigh otherwise, each matrix on its own."""
+    w, v = _eigh3(logs) if logs.shape[-1] == 3 else np.linalg.eigh(logs)
+    return _spectral(np.exp(w), v)
+
+
 def spd_exp_sample(logs):
     """Sample of the matrix exponentials of an (n, p, p) stack of symmetric
-    matrices (SPD by construction), which keeps the stack as the sample's
-    read-only matrix logs, so that no fit takes them again.  It keeps a
-    matrix's log only when its log-eigenvalues spread at most
-    KEPT_LOG_SPREAD; ``spd_logm`` takes the others when first needed (see
-    ``_sample_logs``), and refuses a near-singular matrix as it would any
-    other sample's.  For p = 3 the stack is decomposed by ``_eigh3``."""
+    matrices (SPD by construction).  The sample is deferred: it holds the
+    stack and exponentiates it (``_exp_logs``) only when its data is read,
+    which no log-Euclidean fit does.  It keeps the stack as the sample's
+    read-only matrix logs, so that no fit takes them again, but only the
+    logs whose eigenvalues spread at most KEPT_LOG_SPREAD; ``spd_logm``
+    takes the others when first needed (see ``_sample_logs``), and refuses
+    a near-singular matrix as it would any other sample's.  The spread of
+    a log L is at most sqrt(2) ||L - tr(L)/p I||_F, so only the logs whose
+    bound is not below KEPT_LOG_SPREAD by more than rounding have their
+    eigenvalues taken (``eigvalsh``) to decide."""
     logs = _symmetric(logs)
-    w, v = _eigh3(logs) if logs.shape[-1] == 3 else np.linalg.eigh(logs)
-    sample = Sample("spd", _spectral(np.exp(w), v))
-    # (p, n), so each reduction is one pass over whole arrays, not n short ones
-    w = np.ascontiguousarray(w.T)
-    logs[w.max(axis=0) - w.min(axis=0) > KEPT_LOG_SPREAD] = np.nan  # not kept
-    logs.setflags(write=False)
+    sample = Sample("spd", logs, None, _exp_logs)
+    p = logs.shape[-1]
+    idx, *iu = _indices(p)
+    # (p, n) diagonal and upper entries, so each sum is one pass over whole
+    # arrays, not n short ones
+    diag = np.ascontiguousarray(logs[:, idx, idx].T)
+    upper = np.ascontiguousarray(logs[:, iu[0], iu[1]].T)
+    mid = diag.sum(axis=0) / p
+    dev = diag - mid
+    bound = _SQRT2 * np.sqrt((dev * dev).sum(axis=0) + 2.0 * (upper * upper).sum(axis=0))
+    near = np.flatnonzero(bound > KEPT_LOG_SPREAD - 1e-12 * (KEPT_LOG_SPREAD + np.abs(mid)))
+    kept = logs
+    if near.size:
+        w = np.linalg.eigvalsh(logs[near])
+        wide = near[w[:, -1] - w[:, 0] > KEPT_LOG_SPREAD]
+        if wide.size:
+            kept = logs.copy()
+            kept[wide] = np.nan  # not kept
+            kept.setflags(write=False)
+    ROW_CACHE[sample] = kept
+    return sample
+
+
+def _expm_sample(logs):
+    """Sample of the matrix exponentials of an (n, p, p) stack of symmetric
+    matrices that keeps the stack as its read-only matrix logs, deferred:
+    ``spd_expm`` (LAPACK) takes the exponentials when its data is read.
+    Log-Euclidean means are such samples, so that their chart coordinates
+    are their mean logs, not the logs of their exponentials."""
+    logs = _symmetric(logs)
+    sample = Sample("spd", logs, None, spd_expm)
     ROW_CACHE[sample] = logs
     return sample
 
@@ -241,7 +286,7 @@ def spd_mean(sample, metric="log_euclidean"):
     Log-Euclidean: expm of the mean of matrix logs.
     """
     sample = as_sample(sample)
-    return SPDSpace(sample.data.shape[-1], metric).mean(sample)[0]
+    return SPDSpace(sample.shape[-1], metric).mean(sample)[0]
 
 
 class SPDChart(FlatChart):
@@ -290,18 +335,17 @@ class SPDSpace(Space):
         return self.mean(sample)[0]
 
     def mean_many(self, sample, reps, **_):
-        """Closed-form Frechet means (see ``spd_mean``), after 0 iterations."""
-        p = self.p
+        """Closed-form Frechet means (see ``spd_mean``), after 0 iterations.
+        Log-Euclidean means keep their mean logs (``_expm_sample``)."""
+        p, its = self.p, np.zeros(reps, dtype=int)
         if self.metric == "euclidean":
-            means = sample.data.reshape(reps, -1, p, p).mean(axis=1)
-        else:
-            means = spd_expm(_sample_logs(sample).reshape(reps, -1, p, p).mean(axis=1))
-        return spd_sample(means), np.zeros(reps, dtype=int)
+            return spd_sample(sample.data.reshape(reps, -1, p, p).mean(axis=1)), its
+        return _expm_sample(_sample_logs(sample).reshape(reps, -1, p, p).mean(axis=1)), its
 
     def distance_many(self, sample, q):
         self.check_point(q)
         if self.metric == "euclidean":
             diff = sample.data - q.data
         else:
-            diff = _sample_logs(sample) - spd_logm(q.data)
+            diff = _sample_logs(sample) - _sample_logs(Sample.of(q))
         return row_norms(diff.reshape(len(diff), -1))

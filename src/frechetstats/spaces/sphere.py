@@ -203,6 +203,8 @@ class SphereIntrinsicChart(_TangentChart):
     estimator evaluates them); elsewhere callers fall back to differences.
     """
 
+    _packed = None
+
     def _tangent(self, rows):
         return np.swapaxes(_logs(_columns(rows), self._b), -1, -2)
 
@@ -213,7 +215,14 @@ class SphereIntrinsicChart(_TangentChart):
         return sphere_point(self._point_at(x))
 
     def h_many(self, x, packed):
-        return _geodesics(_columns(packed), self._point_at(x)) ** 2
+        return _geodesics(self._columns_of(packed), self._point_at(x)) ** 2
+
+    def _columns_of(self, packed):
+        """``_columns(packed)``, kept for the last read-only packed sample:
+        the probes of a numeric sandwich or a Newton step share one copy."""
+        if self._packed is not packed or packed.flags.writeable:
+            self._packed, self._packed_columns = packed, _columns(packed)
+        return self._packed_columns
 
     def _at_origin(self, x):
         """Whether ``x`` is the origin of the chart, of every chart of a stack."""

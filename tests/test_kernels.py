@@ -8,9 +8,12 @@ import numpy as np
 import pytest
 
 import frechetstats.spaces.spd as spd_module
+import frechetstats.spaces.sphere as sphere_module
 from frechetstats import simulate
-from frechetstats.errors import CutLocus
-from frechetstats.geometry import MEAN_MAX_ITER, MEAN_TOL, row_dots, row_norms, sphere_sample
+from frechetstats.errors import CutLocus, InvalidPoint, NoConvergence
+from frechetstats.estimator import stacked_sandwich
+from frechetstats.geometry import MEAN_MAX_ITER, MEAN_TOL, ROW_CACHE, Sample, row_dots, row_norms
+from frechetstats.geometry import sphere_sample
 from frechetstats.simulate import (
     Sampler,
     SPDLogGaussianDescriptor,
@@ -19,6 +22,7 @@ from frechetstats.simulate import (
     mc_type1,
 )
 from frechetstats.spaces import SPDSpace, SphereSpace
+from frechetstats.spaces.spd import KEPT_LOG_SPREAD, spd_exp_sample
 from frechetstats.spaces.sphere import _exp_rows, _karcher_means, _project_rows
 
 
@@ -110,17 +114,33 @@ def _sizes_seen_by_eigh(monkeypatch):
     return sizes
 
 
+def _calls_of_jacobi(monkeypatch):
+    """The number of matrices of every later ``_eigh3`` call."""
+    sizes = []
+    eigh3 = spd_module._eigh3
+
+    def counted(a):
+        sizes.append(len(a))
+        return eigh3(a)
+
+    monkeypatch.setattr(spd_module, "_eigh3", counted)
+    return sizes
+
+
 def test_spd_blocks_decompose_no_drawn_matrix_with_eigh(monkeypatch):
     sizes = _sizes_seen_by_eigh(monkeypatch)
+    jacobi = _calls_of_jacobi(monkeypatch)
     sampler = Sampler(SPDSpace(3, "log_euclidean"),
                       SPDLogGaussianDescriptor(np.diag([0.4, 0.0, -0.3]), 0.15), 43)
-    reps = simulate.BLOCK_POINTS // 200  # one block of drawn matrices (8,000 at 8,192 points)
+    reps = 2 * (simulate.BLOCK_POINTS // 200) + 3  # three blocks of drawn matrices
     assert mc_coverage(sampler, 200, reps, 0.05).failures == 0
-    # the truth, and stacks of the R means or of the truth's R copies
-    assert max(sizes) <= reps and sum(sizes) <= 3 * reps + 1
+    # the truth's matrix, the exponential of the log it keeps
+    assert sizes == [1]
     sizes.clear()
     assert mc_type1(sampler.space, sampler, 100, 100, reps, 0.05).failures == 0
-    assert sizes == [reps]  # the pooled means
+    assert sizes == []
+    # no drawn matrix, and no mean, is ever built
+    assert jacobi == []
 
 
 # ---------------------------------------------------------------------------
@@ -138,6 +158,96 @@ def test_spd_means_are_the_same_alone_and_in_a_block_with_wide_spreads():
     for rep in range(reps):
         alone, _ = sampler.space.mean_many(sampler.draw(n, rep), 1)
         assert np.array_equal(alone.data[0], means.data[rep]), f"replication {rep}"
+
+
+# ---------------------------------------------------------------------------
+# deferred exponentials of drawn SPD stacks
+
+
+def _drawn_logs(n, seed=15):
+    b = np.random.default_rng(seed).normal(scale=0.4, size=(n, 3, 3))
+    return 0.5 * (b + np.swapaxes(b, 1, 2))
+
+
+def _eager(logs):
+    """The exponentials of a stack of logs as a draw built them before it
+    was deferred: ``_spectral(exp(w), v)`` of one ``_eigh3`` of the stack."""
+    w, v = spd_module._eigh3(logs)
+    return spd_module._spectral(np.exp(w), v)
+
+
+def test_deferred_draw_builds_the_eager_bits_whole_split_and_joined():
+    logs = _drawn_logs(300)
+    eager = _eager(logs)
+    assert np.array_equal(spd_exp_sample(logs).data, eager)
+    sizes = [120, 1, 179]
+    parts = spd_exp_sample(logs).split(sizes)
+    # read out of order: each part builds its own rows
+    for i in (2, 0, 1):
+        assert np.array_equal(parts[i].data, np.split(eager, np.cumsum(sizes)[:-1])[i])
+    deferred = spd_exp_sample(logs).split(sizes)
+    joined = Sample.join(deferred[::-1])
+    assert np.array_equal(joined.data, np.concatenate([eager[121:], eager[120:121], eager[:120]]))
+    # a join of a built part and deferred ones builds the rest
+    mixed = spd_exp_sample(logs).split(sizes)
+    assert np.array_equal(mixed[1].data, eager[120:121])
+    assert np.array_equal(Sample.join(mixed).data, eager)
+
+
+def test_deferred_draw_builds_the_eager_bits_one_replication_at_a_time(monkeypatch):
+    sampler = Sampler(SPDSpace(3, "log_euclidean"),
+                      SPDLogGaussianDescriptor(np.diag([0.4, 0.0, -0.3]), 0.15), 44)
+    keys, n = list(range(6)), 30
+    block = sampler.draw_many(n, keys)
+    eager = _eager(ROW_CACHE[block])  # every log kept at these spreads
+    jacobi = _calls_of_jacobi(monkeypatch)
+
+    def batched(block, means):
+        raise NoConvergence("fit one replication at a time")
+
+    seen = []
+    out = simulate._outcomes(sampler.space, keys, block, [n] * len(keys), batched,
+                             lambda sample: seen.append(sample.data) or True, [])
+    assert out == [True] * len(keys)
+    assert jacobi == [n] * len(keys)  # each replication builds its own matrices
+    assert np.array_equal(np.concatenate(seen), eager)
+
+
+def test_deferred_draw_is_not_built_by_its_size_checks_or_parts(monkeypatch):
+    jacobi = _calls_of_jacobi(monkeypatch)
+    space = SPDSpace(3, "log_euclidean")
+    sample = spd_exp_sample(_drawn_logs(50))
+    assert len(sample) == 50 and sample.shape == (50, 3, 3)
+    assert space.check_sample(sample) is sample
+    joined = Sample.join(sample.split([20, 30])[::-1])
+    assert len(joined) == 50
+    truth = space.mean(joined)[0]  # a mean is built from its log, not from the draw
+    assert len(Sample.of(truth)) == 1
+    with pytest.raises(InvalidPoint):
+        SPDSpace(2).check_sample(sample)
+    assert jacobi == []
+    built = sample.data
+    assert jacobi == [50]
+    assert sample.data is built and jacobi == [50]  # built once
+
+
+def test_kept_logs_follow_the_exact_eigenvalues_near_the_spread_limit():
+    rng = np.random.default_rng(16)
+    m = 2000
+    spreads = np.concatenate([np.linspace(29.9, 30.1, m - 400),
+                              KEPT_LOG_SPREAD + rng.uniform(-1e-12, 1e-12, 400)])
+    low = rng.uniform(-20.0, 5.0, m)
+    # the middle eigenvalue anywhere between, or at the midpoint, where the
+    # screening bound sqrt(2) ||L - tr(L)/3 I||_F is the spread itself
+    middle = np.where(rng.random(m) < 0.5, low + rng.random(m) * spreads, low + 0.5 * spreads)
+    logs = _rotated(rng, np.column_stack([low, middle, low + spreads]))
+    sample = spd_exp_sample(logs)
+    w = np.linalg.eigvalsh(logs)
+    exact = w[:, -1] - w[:, 0] <= KEPT_LOG_SPREAD
+    kept = ~np.isnan(ROW_CACHE[sample][:, 0, 0])
+    assert 0 < exact.sum() < m
+    assert np.array_equal(kept, exact)
+    assert np.array_equal(ROW_CACHE[sample][kept], logs[kept])
 
 
 # ---------------------------------------------------------------------------
@@ -250,3 +360,23 @@ def test_geodesic_chart_kernels_match_the_row_layout(ambient, radius, n):
     assert close(chart.grad_h_many(np.zeros_like(x), points), -2.0 * logs)
     assert close(space.distance_many(sphere_sample(points[0]), means[0]),
                  _geodesic_rows(means.data[0], points[0]))
+
+
+def test_numeric_sandwich_copies_its_sample_component_major_once(monkeypatch):
+    reps, n = 4, 80
+    points = _cap_points(3, 0.5, n, reps)
+    space = SphereSpace(3)
+    means, _ = space.mean_many(sphere_sample(points.reshape(-1, 3)), reps)
+    chart = space.chart_at(means)
+    coords = chart.forward_many(means)
+    expected = stacked_sandwich(chart, coords, points, derivatives="numeric")
+    copies = []
+    columns = sphere_module._columns
+    monkeypatch.setattr(sphere_module, "_columns", lambda rows: copies.append(1) or columns(rows))
+    fresh = space.chart_at(means)
+    got = stacked_sandwich(fresh, coords, points, derivatives="numeric")
+    # one copy for the 13 probes of h_many (4 for the gradient, 9 for the
+    # Hessian), the same bits as a copy per probe
+    assert len(copies) == 1
+    for a, b in zip(got, expected):
+        assert np.array_equal(a, b)
