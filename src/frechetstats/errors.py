@@ -25,12 +25,14 @@ class NotPositiveDefinite(FrechetStatsError):
     """A matrix required to be SPD has a non-positive eigenvalue.
 
     ``index`` is the flat position of the first offending matrix in its
-    (..., p, p) stack (0 for a single matrix).
+    (..., p, p) stack (0 for a single matrix); ``logs``, when set, are the
+    matrix logs of the stack, NaN at each offending matrix.
     """
 
-    def __init__(self, message, index=None):
+    def __init__(self, message, index=None, logs=None):
         super().__init__(message)
         self.index = index
+        self.logs = logs
 
 
 class NonUniqueProjection(FrechetStatsError):

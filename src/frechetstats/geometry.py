@@ -111,6 +111,10 @@ class Sample:
             object.__setattr__(self, "_build", None)
         return self._rows
 
+    def rows(self, index):
+        """``data[index]``, built for those rows alone while deferred."""
+        return self.data[index] if self._build is None else self._build(self._rows[index])
+
     @property
     def shape(self):
         """The shape of ``data``, read without building it."""

@@ -13,8 +13,9 @@ stream; the descriptor turns the whole block into points at once.  A
 block's means come from one ``mean_many`` call, and each group of
 replications whose means share a stratum (all of them, but on the open
 book) is run in the charts at its means, stacked.  A block in which a
-replication fails or spends the iteration budget runs again one
-replication at a time, which records each failure as a single fit does.
+replication fails or spends the iteration budget runs each replication
+again as a block of one, through the same function, so that each failure
+is recorded on its own replication.
 """
 
 from __future__ import annotations
@@ -35,17 +36,11 @@ from .errors import (
     NoConvergence,
     NotPositiveDefinite,
 )
-from .estimator import (
-    confidence_region_contains,
-    confidence_regions_contain,
-    estimate_mean,
-    sandwich_covariance,
-    stacked_sandwich,
-)
+from .estimator import confidence_regions_contain, estimate_mean, stacked_sandwich
 from .geometry import MEAN_MAX_ITER, Sample, as_sample, euclidean_point, euclidean_sample
 from .geometry import openbook_point, openbook_sample, row_norms, row_products
 from .geometry import sphere_point, sphere_sample
-from .inference import two_sample_test, two_sample_tests
+from .inference import two_sample_tests
 from .spaces.euclidean import EuclideanSpace
 from .spaces.openbook import OpenBookSpace
 from .spaces.spd import SPDSpace, _expm_sample, _vech_inv_rows, spd_exp_sample, spd_vech
@@ -430,10 +425,6 @@ def _binomial_se(p_hat, n_eff):
     return float(np.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / n_eff)) if n_eff else float("nan")
 
 
-def _failure(key, exc):
-    return key, type(exc).__name__, str(exc)
-
-
 def _failure_details(failed):
     counts = dict(Counter(name for _, name, _ in failed))
     return {"failed_reps": tuple(failed), "failure_counts": counts}
@@ -453,6 +444,18 @@ def _check_failures(failed, reps, experiment):
         )
 
 
+def _check_run(reps, alpha=None, least=1, **sizes):
+    """Refuse, before anything is drawn, a run of no replications, an
+    ``alpha`` outside (0, 1) or a sample size below ``least``."""
+    if not reps >= 1:
+        raise InvalidDescriptor(f"reps must be >= 1, got {reps!r}")
+    if alpha is not None and not 0.0 < alpha < 1.0:
+        raise InvalidDescriptor(f"alpha must lie in (0, 1), got {alpha!r}")
+    for name, size in sizes.items():
+        if not size >= least:
+            raise InvalidDescriptor(f"{name} must be >= {least}, got {size!r}")
+
+
 def _blocks(keys, points):
     """``keys`` in consecutive blocks of at most BLOCK_POINTS sample points,
     ``points`` per replication (at least one replication per block)."""
@@ -460,12 +463,13 @@ def _blocks(keys, points):
     return [keys[i : i + per] for i in range(0, len(keys), per)]
 
 
-def _outcomes(space, keys, block, sizes, batched, single, failed):
-    """Outcomes of the replications ``keys`` of a block of samples of
-    ``sizes`` rows each (a replication's groups in a row): ``batched(block,
-    means)`` per stratum of their means, unless that raises or a replication
-    spends the iteration budget, otherwise ``single(*groups)`` per
-    replication, each failure recorded in ``failed``."""
+def _outcomes(space, keys, block, batched, failed):
+    """Outcomes of the replications ``keys`` of a block of samples of equal
+    size (a replication's groups in a row): ``batched(block, means)`` per
+    stratum of their means, unless that raises or a replication spends the
+    iteration budget; then ``batched(part, mean)`` of each replication's
+    part alone, at its ``estimate_mean``, each failure recorded in
+    ``failed``."""
     reps = len(keys)
     try:
         means, iterations = space.mean_many(block, reps)
@@ -480,15 +484,13 @@ def _outcomes(space, keys, block, sizes, batched, single, failed):
             out.update(zip(rows, batched(*(Sample.join([p[i] for i in rows]) for p in parts))))
         return [out[i] for i in range(reps)]
     except FrechetStatsError:
-        pass  # one replication at a time attributes each failure
-    groups = block.split(sizes)
-    per = len(groups) // len(keys)
+        pass  # a block of one per replication attributes each failure
     out = []
-    for i, key in enumerate(keys):
+    for key, part in zip(keys, block.split([len(block) // reps] * reps)):
         try:
-            out.append(single(*groups[i * per : (i + 1) * per]))
+            out += batched(part, Sample.of(estimate_mean(space, part).mean))
         except _REP_FAILURES as exc:
-            failed.append(_failure(key, exc))
+            failed.append((key, type(exc).__name__, str(exc)))
     return out
 
 
@@ -513,6 +515,7 @@ def mc_coverage(sampler, n, reps, alpha, derivatives="auto"):
     is fitted as arrays, in either ``derivatives`` mode, in the charts at
     its means stacked (one stack per stratum on the open book).
     """
+    _check_run(reps, alpha, n=n)
     space = sampler.space
     truth = sampler.population_mean()
 
@@ -534,19 +537,9 @@ def mc_coverage(sampler, n, reps, alpha, derivatives="auto"):
         candidates, inside = truth_coords(chart, means)
         return (inside & confidence_regions_contain(n, coords, asym, candidates, alpha)).tolist()
 
-    def single(sample):
-        fit = estimate_mean(space, sample)
-        fit = sandwich_covariance(space, sample, fit, derivatives=derivatives)
-        try:
-            candidate = fit.chart.forward(truth)
-        except (InvalidPoint, CutLocus):
-            return False
-        return bool(confidence_region_contains(fit, candidate, alpha))
-
     outcomes, failed = [], []
     for keys in _blocks(list(range(reps)), n):
-        outcomes += _outcomes(space, keys, sampler.draw_many(n, keys), [n] * len(keys), batched,
-                              single, failed)
+        outcomes += _outcomes(space, keys, sampler.draw_many(n, keys), batched, failed)
     return _rate_report("coverage", reps, outcomes, failed,
                         alpha=alpha, n=n, derivatives=derivatives)
 
@@ -561,6 +554,7 @@ def mc_stickiness(sampler, n, reps):
     replication's mean for boundary-regime diagnostics.  The means of a
     whole block come from one ``mean_many`` call.
     """
+    _check_run(reps, n=n)
     space = sampler.space
     if not isinstance(space, OpenBookSpace):
         raise InvalidDescriptor("mc_stickiness requires an open-book sampler")
@@ -601,6 +595,7 @@ def mc_type1(space, sampler, n1, n2, reps, alpha, identical_groups=False):
     stacked.  ``details['df']`` counts the tests by degrees of freedom (on
     the open book D at a pooled mean on the spine, D + 1 on a leaf).
     """
+    _check_run(reps, alpha, least=2, n1=n1, n2=n2)
     if repr(sampler.space) != repr(space):
         raise InvalidDescriptor("sampler and space arguments disagree")
 
@@ -609,16 +604,11 @@ def mc_type1(space, sampler, n1, n2, reps, alpha, identical_groups=False):
         p_values = two_sample_tests(chart, block, len(means), n1)[1]
         return [(reject, chart.s) for reject in (p_values <= alpha).tolist()]
 
-    def single(x, y):
-        test = two_sample_test(space, x, y)
-        return bool(test.p_value <= alpha), test.df
-
     results, failed = [], []
     for block_reps in _blocks(list(range(reps)), n1 + n2):
         keys = [key for rep in block_reps for key in ((rep, 0), (rep, 0 if identical_groups else 1))]
-        sizes = [n1, n2] * len(block_reps)
-        results += _outcomes(space, block_reps, sampler.draw_many(sizes, keys), sizes, batched,
-                             single, failed)
+        block = sampler.draw_many([n1, n2] * len(block_reps), keys)
+        results += _outcomes(space, block_reps, block, batched, failed)
     return _rate_report("type1", reps, [reject for reject, _ in results], failed, alpha=alpha,
                         n1=n1, n2=n2, df=dict(sorted(Counter(df for _, df in results).items())))
 
@@ -628,6 +618,10 @@ def mc_consistency(space, sampler, n_grid, reps):
     size; returns a list of (n, median error) rows.  A block of
     replications is fitted with one ``mean_many`` call and scored with one
     ``distance_many`` call."""
+    n_grid = [int(n) for n in n_grid]
+    if not n_grid:
+        raise InvalidDescriptor("n_grid names no sample size")
+    _check_run(reps, n=min(n_grid))
     if repr(sampler.space) != repr(space):
         raise InvalidDescriptor("sampler and space arguments disagree")
     truth = sampler.population_mean()
@@ -635,15 +629,11 @@ def mc_consistency(space, sampler, n_grid, reps):
     def batched(block, means):
         return space.distance_many(means, truth).tolist()
 
-    def single(sample):
-        return space.distance(estimate_mean(space, sample).mean, truth)
-
     runs, failed = [], []
-    for n in map(int, n_grid):
+    for n in n_grid:
         errs = []
         runs.append((n, errs))
         for keys in _blocks([(n, rep) for rep in range(reps)], n):
-            errs += _outcomes(space, keys, sampler.draw_many(n, keys), [n] * len(keys), batched,
-                              single, failed)
+            errs += _outcomes(space, keys, sampler.draw_many(n, keys), batched, failed)
     _check_failures(failed, reps * len(runs), "mc_consistency")
     return [(n, float(np.median(errs)) if errs else float("nan")) for n, errs in runs]

@@ -79,15 +79,16 @@ def spd_logm(a):
     """Matrix logarithm of an SPD matrix, or of each matrix of a (..., p, p)
     stack, via symmetric eigendecomposition.  A matrix whose eigenvalue
     ratio is at most 1e-14 raises NotPositiveDefinite, whose ``index`` is
-    the flat position of the first such matrix in the stack."""
+    the flat position of the first such matrix in the stack and whose
+    ``logs`` are the stack's logs, NaN at each such matrix."""
     w, v = np.linalg.eigh(_symmetric(a))
-    bad = np.flatnonzero(w[..., 0] <= 1e-14 * np.maximum(w[..., -1], 0.0))
-    if bad.size:
-        raise NotPositiveDefinite(
-            f"matrix has near-zero or negative eigenvalue {w[..., 0].flat[bad[0]]:.3e}",
-            index=int(bad[0]),
-        )
-    return _spectral(np.log(w), v)
+    refused = w[..., 0] <= 1e-14 * np.maximum(w[..., -1], 0.0)
+    logs = _spectral(np.log(np.where(refused[..., None], np.nan, w)), v)
+    if refused.any():
+        bad = int(np.flatnonzero(refused)[0])
+        raise NotPositiveDefinite(f"matrix has near-zero or negative eigenvalue "
+                                  f"{w[..., 0].flat[bad]:.3e}", index=bad, logs=logs)
+    return logs
 
 
 def spd_expm(b):
@@ -255,26 +256,27 @@ def matrix_to_upper(m):
 
 def _sample_logs(sample):
     """Matrix logs of an SPD sample's matrices as a read-only (n, p, p)
-    array, taken on the first request (unless the sample was built from
-    them) and kept with the sample in ``ROW_CACHE``, so that the mean, the
-    chart images and the distances of one fit share them.  The NaN rows
-    of a kept array (the logs ``spd_exp_sample`` did not keep) are taken
-    then, by one ``spd_logm`` of their matrices alone, whose
-    NotPositiveDefinite names the position in the whole sample."""
+    array, kept with the sample in ``ROW_CACHE`` so that the mean, the
+    chart images and the distances of one fit share them.  The logs not
+    kept yet (all, unless the sample was built from them; the NaN rows of
+    ``spd_exp_sample``'s) are taken by one ``spd_logm`` of their matrices
+    alone, built alone; its NotPositiveDefinite names the position in the
+    whole sample, and the logs it did take are kept for the sample's parts."""
     logs = ROW_CACHE.get(sample)
     if logs is None:
-        logs = spd_logm(sample.data)
-    else:
-        missing = np.flatnonzero(np.isnan(logs[:, 0, 0]))
-        if not missing.size:
-            return logs
-        logs = logs.copy()
-        try:
-            logs[missing] = spd_logm(sample.data[missing])
-        except NotPositiveDefinite as exc:
-            raise NotPositiveDefinite(str(exc), index=int(missing[exc.index])) from None
-    logs.setflags(write=False)
-    ROW_CACHE[sample] = logs
+        logs = np.full(sample.shape, np.nan)
+    missing = np.flatnonzero(np.isnan(logs[:, 0, 0]))
+    if not missing.size:
+        return logs
+    logs = logs.copy()
+    try:
+        logs[missing] = spd_logm(sample.rows(missing))
+    except NotPositiveDefinite as exc:
+        logs[missing] = exc.logs
+        raise NotPositiveDefinite(str(exc), index=int(missing[exc.index])) from None
+    finally:
+        logs.setflags(write=False)
+        ROW_CACHE[sample] = logs
     return logs
 
 

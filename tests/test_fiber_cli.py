@@ -459,6 +459,26 @@ def test_cli_simulate_type1_on_the_open_book_spine(tmp_path, capsys):
     assert report["df"]["2"] > report["df"]["3"]
 
 
+@pytest.mark.parametrize(
+    "experiment, run",
+    [
+        pytest.param("coverage", {"n": 0}, id="coverage-n"),
+        pytest.param("coverage", {"n": 10, "reps": 0}, id="coverage-reps"),
+        pytest.param("type1", {"n1": 10, "n2": 10, "alpha": 1.5}, id="type1-alpha"),
+    ],
+)
+def test_cli_simulate_refuses_bad_run_arguments(experiment, run, tmp_path, capsys):
+    desc = write(
+        tmp_path / "run.json",
+        json.dumps({"space": {"kind": "euclidean", "dim": 2},
+                    "distribution": {"kind": "gaussian", "mean": [0.0, 0.0], "cov": 1.0},
+                    "reps": 20, **run}),
+    )
+    assert main(["simulate", desc, "--experiment", experiment]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "InvalidDescriptor" in err
+
+
 def test_cli_test2_chordal_sphere_past_the_pooled_means_hemisphere(tmp_path, capsys):
     # caps of radius 2.8 reach beyond the open hemisphere of the pooled mean
     sampler = Sampler(SphereSpace(3, "extrinsic"), SphereCapDescriptor((0.0, 0.0, 1.0), 2.8), 4)

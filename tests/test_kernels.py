@@ -10,7 +10,7 @@ import pytest
 import frechetstats.spaces.spd as spd_module
 import frechetstats.spaces.sphere as sphere_module
 from frechetstats import simulate
-from frechetstats.errors import CutLocus, InvalidPoint, NoConvergence
+from frechetstats.errors import CutLocus, InvalidPoint, NoConvergence, NotPositiveDefinite
 from frechetstats.estimator import stacked_sandwich
 from frechetstats.geometry import MEAN_MAX_ITER, MEAN_TOL, ROW_CACHE, Sample, row_dots, row_norms
 from frechetstats.geometry import sphere_sample
@@ -202,12 +202,15 @@ def test_deferred_draw_builds_the_eager_bits_one_replication_at_a_time(monkeypat
     eager = _eager(ROW_CACHE[block])  # every log kept at these spreads
     jacobi = _calls_of_jacobi(monkeypatch)
 
-    def batched(block, means):
-        raise NoConvergence("fit one replication at a time")
-
     seen = []
-    out = simulate._outcomes(sampler.space, keys, block, [n] * len(keys), batched,
-                             lambda sample: seen.append(sample.data) or True, [])
+
+    def batched(block, means):
+        if len(means) > 1:
+            raise NoConvergence("run one replication at a time")
+        seen.append(block.data)
+        return [True]
+
+    out = simulate._outcomes(sampler.space, keys, block, batched, [])
     assert out == [True] * len(keys)
     assert jacobi == [n] * len(keys)  # each replication builds its own matrices
     assert np.array_equal(np.concatenate(seen), eager)
@@ -229,6 +232,49 @@ def test_deferred_draw_is_not_built_by_its_size_checks_or_parts(monkeypatch):
     built = sample.data
     assert jacobi == [50]
     assert sample.data is built and jacobi == [50]  # built once
+
+
+def test_logs_a_draw_did_not_keep_are_taken_from_their_matrices_alone(monkeypatch):
+    # log-eigenvalue spreads around 29.8: only the drawn matrices whose logs
+    # were not kept are built, and their logs have the bits of the whole build
+    sampler = Sampler(SPDSpace(3, "log_euclidean"),
+                      SPDLogGaussianDescriptor(np.diag([14.9, 0.0, -14.9]), 0.1), 7)
+    block = sampler.draw_many(20, list(range(10)))
+    missing = np.isnan(ROW_CACHE[block][:, 0, 0])
+    assert 0 < missing.sum() < len(block)
+    jacobi = _calls_of_jacobi(monkeypatch)
+    logs = spd_module._sample_logs(block)
+    assert jacobi == [missing.sum()]
+    assert np.array_equal(logs[missing], spd_module.spd_logm(block.data[missing]))
+    assert jacobi == [missing.sum(), len(block)]
+
+
+def test_a_refused_draw_keeps_the_logs_it_took_for_its_parts(monkeypatch):
+    # log-scale 6: some drawn matrices are too close to singular; the logs
+    # taken before the refusal are kept, and only the refused matrices are
+    # built again by the replications' parts
+    sampler = Sampler(SPDSpace(3, "log_euclidean"),
+                      SPDLogGaussianDescriptor(np.diag([0.4, 0.0, -0.3]), 6.0), 35)
+    n, reps = 10, 40
+    block = sampler.draw_many(n, list(range(reps)))
+    missing = np.isnan(ROW_CACHE[block][:, 0, 0])
+    jacobi = _calls_of_jacobi(monkeypatch)
+    with pytest.raises(NotPositiveDefinite) as refused:
+        spd_module._sample_logs(block)
+    assert jacobi == [missing.sum()]
+    still = np.isnan(ROW_CACHE[block][:, 0, 0])
+    assert 0 < still.sum() < missing.sum() and still[refused.value.index]
+    jacobi.clear()
+    parts = block.split([n] * reps)
+    for part, rows in zip(parts, np.split(still, reps)):
+        if rows.any():
+            with pytest.raises(NotPositiveDefinite):
+                spd_module._sample_logs(part)
+        else:
+            assert not np.isnan(spd_module._sample_logs(part)).any()
+    assert jacobi == [rows.sum() for rows in np.split(still, reps) if rows.any()]
+    taken = missing & ~still  # with the bits of their logs alone
+    assert np.array_equal(ROW_CACHE[block][taken], spd_module.spd_logm(block.data[taken]))
 
 
 def test_kept_logs_follow_the_exact_eigenvalues_near_the_spread_limit():

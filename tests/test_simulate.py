@@ -11,6 +11,7 @@ from frechetstats.errors import (
     InvalidDescriptor,
     InvalidPoint,
     NearSingularCovariance,
+    NearSingularHessian,
     NoConvergence,
 )
 from frechetstats.estimator import confidence_region_contains, estimate_mean, sandwich_covariance
@@ -271,6 +272,40 @@ def test_failure_budget_enforced():
     _check_failures(failed[:1], reps=200, experiment="unit")
 
 
+@pytest.mark.parametrize(
+    "run, message",
+    [
+        pytest.param(lambda: mc_coverage(euclid_sampler(), 0, 10, 0.05), "n must be >= 1",
+                     id="coverage-n"),
+        pytest.param(lambda: mc_coverage(euclid_sampler(), 10, 0, 0.05), "reps must be >= 1",
+                     id="coverage-reps"),
+        pytest.param(lambda: mc_coverage(euclid_sampler(), 10, 10, 0.0), r"alpha must lie in",
+                     id="coverage-alpha"),
+        pytest.param(lambda: mc_stickiness(book_sampler(0), 0, 10), "n must be >= 1",
+                     id="stickiness-n"),
+        pytest.param(lambda: mc_stickiness(book_sampler(0), 10, 0), "reps must be >= 1",
+                     id="stickiness-reps"),
+        pytest.param(lambda: mc_type1(EuclideanSpace(2), euclid_sampler(), 10, 10, 10, 1.5),
+                     r"alpha must lie in", id="type1-alpha"),
+        pytest.param(lambda: mc_type1(EuclideanSpace(2), euclid_sampler(), 1, 10, 10, 0.05),
+                     "n1 must be >= 2", id="type1-n1"),
+        pytest.param(lambda: mc_type1(EuclideanSpace(2), euclid_sampler(), 10, 1, 10, 0.05),
+                     "n2 must be >= 2", id="type1-n2"),
+        pytest.param(lambda: mc_consistency(EuclideanSpace(2), euclid_sampler(), [], 10),
+                     "n_grid names no sample size", id="consistency-empty-grid"),
+        pytest.param(lambda: mc_consistency(EuclideanSpace(2), euclid_sampler(), [20, 0], 10),
+                     "n must be >= 1", id="consistency-grid-entry"),
+        pytest.param(lambda: mc_consistency(EuclideanSpace(2), euclid_sampler(), [20], 0),
+                     "reps must be >= 1", id="consistency-reps"),
+    ],
+)
+def test_mc_arguments_are_refused_before_anything_is_drawn(run, message, monkeypatch):
+    keys = record_streams(monkeypatch)
+    with pytest.raises(InvalidDescriptor, match=message):
+        run()
+    assert keys == []
+
+
 def test_mc_reports_are_reproducible():
     a = mc_coverage(euclid_sampler(21), n=50, reps=100, alpha=0.05)
     b = mc_coverage(euclid_sampler(21), n=50, reps=100, alpha=0.05)
@@ -325,13 +360,13 @@ def record_streams(monkeypatch):
 
 
 def no_single_fits(monkeypatch):
-    """Fail the test if an experiment falls back to one fit per replication."""
+    """Fail the test if an experiment runs a replication again on its own,
+    which starts with the replication's ``estimate_mean``."""
 
     def refuse(*args, **kwargs):
-        raise AssertionError("a batched experiment ran a per-replication fit")
+        raise AssertionError("a batched experiment ran a replication on its own")
 
-    for name in ("estimate_mean", "sandwich_covariance", "two_sample_test"):
-        monkeypatch.setattr(simulate, name, refuse)
+    monkeypatch.setattr(simulate, "estimate_mean", refuse)
 
 
 def single_coverage(sampler, n, reps, alpha, derivatives="auto"):
@@ -629,23 +664,21 @@ def test_openbook_charts_stack_by_stratum():
 
 def test_failure_budget_error_quotes_classes_and_keys(monkeypatch):
     sampler = Sampler(SphereSpace(3), SphereCapDescriptor((0.0, 0.0, 1.0), 0.5), 36)
-
-    def failed_block(*args):
-        raise NearSingularCovariance("singular in the block")
-
-    # every block fails, and its re-run tests one replication at a time,
-    # through the patched test
-    monkeypatch.setattr(simulate, "two_sample_tests", failed_block)
+    tests = simulate.two_sample_tests
     failing = {3, 11}
     calls = []
 
-    def two_sample(space, x, y):
+    def two_sample_tests(chart, block, reps, n1):
+        # every block fails, and its re-run tests one replication at a time,
+        # through the patched tests
+        if reps > 1:
+            raise NearSingularCovariance("singular in the block")
         calls.append(None)
         if len(calls) - 1 in failing:
             raise NearSingularCovariance(f"singular at {len(calls) - 1}")
-        return two_sample_test(space, x, y)
+        return tests(chart, block, reps, n1)
 
-    monkeypatch.setattr(simulate, "two_sample_test", two_sample)
+    monkeypatch.setattr(simulate, "two_sample_tests", two_sample_tests)
     with pytest.raises(FrechetStatsError, match=r"^mc_type1: 2/50 replications failed "
                        r"\(budget 1%\): NearSingularCovariance x2; first failed keys 3, 11$"):
         mc_type1(sampler.space, sampler, 20, 20, 50, 0.05)
@@ -655,6 +688,42 @@ def test_failure_budget_error_quotes_classes_and_keys(monkeypatch):
     assert report.failures == 1
     assert report.details["failure_counts"] == {"NearSingularCovariance": 1}
     assert report.details["failed_reps"] == ((5, "NearSingularCovariance", "singular at 5"),)
+
+
+def fail_at_mean(monkeypatch, space, mean):
+    """Make every chart at ``mean`` (alone or among other bases) raise
+    NearSingularHessian, which fails the one replication whose mean it is."""
+    chart_at = space.chart_at
+
+    def failing(base):
+        if np.any(np.all(np.isclose(np.atleast_2d(base.data), mean.data, rtol=0.0, atol=1e-9),
+                         axis=1)):
+            raise NearSingularHessian("forced at one replication's mean")
+        return chart_at(base)
+
+    monkeypatch.setattr(space, "chart_at", failing)
+
+
+@pytest.mark.parametrize("experiment", ["coverage", "type1"])
+def test_a_failing_block_keeps_the_outcomes_of_its_other_replications(experiment, monkeypatch):
+    monkeypatch.setattr(simulate, "BLOCK_POINTS", 2048)
+    reps, target = 100, 23
+    if experiment == "coverage":
+        sampler = cap_sampler(45)
+        run = functools.partial(mc_coverage, sampler, 200, reps, 0.2)
+        target_sample = sampler.draw(200, target)
+    else:
+        sampler = boundary_book_sampler(45)
+        run = functools.partial(mc_type1, sampler.space, sampler, 100, 90, reps, 0.2)
+        target_sample = Sample.join([sampler.draw(100, (target, 0)), sampler.draw(90, (target, 1))])
+    expected = run()
+    assert expected.failures == 0 and len(set(expected.outcomes)) == 2
+    fail_at_mean(monkeypatch, sampler.space, sampler.space.mean(target_sample)[0])
+    report = run()
+    assert report.outcomes == expected.outcomes[:target] + expected.outcomes[target + 1:]
+    assert report.details["failed_reps"] == (
+        (target, "NearSingularHessian", "forced at one replication's mean"),
+    )
 
 
 # ---------------------------------------------------------------------------
