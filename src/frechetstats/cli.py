@@ -372,7 +372,7 @@ def cmd_gen_fiber(args):
             noise_scale=args.noise_scale,
             seed=args.seed,
         )
-    except ValueError as exc:
+    except (ValueError, InvalidDescriptor) as exc:  # e.g. a negative seed
         return _fail(str(exc), EXIT_INPUT)
     with open(args.output, "w") as fh:
         write_fiber_csv(dataset, fh)

@@ -22,9 +22,9 @@ import numpy as np
 from .errors import InvalidPoint, NotPositiveDefinite
 from .geometry import Sample, spd_point, spd_sample
 from .inference import bh_fdr, bonferroni, chi2_two_sample
-from .simulate import _stream
 from .spaces.spd import UPPER_COLUMNS, SPDSpace, matrix_to_upper, spd_expm, spd_logm
 from .spaces.spd import _vech_inv_rows, upper_to_matrix
+from .streams import Streams
 
 #: canonical column order of the dataset CSV
 FIBER_COLUMNS = ("subject", "group", "site") + UPPER_COLUMNS
@@ -242,9 +242,9 @@ def generate_fiber_dataset(
     logs[:, :, 0, 0] += 0.1 * np.sin(2.0 * np.pi * np.arange(n_sites) / n_sites)
     if effect:
         logs[np.ix_(groups == 1, sorted(effect))] += effect_size * np.eye(3) / np.sqrt(3.0)
-    z = np.array(
-        [_stream(seed, (i, site)).standard_normal(6) for i in range(n) for site in range(n_sites)]
-    )
+    keys = [(i, site) for i in range(n) for site in range(n_sites)]
+    streams = Streams(seed, keys)
+    z = np.array([streams.open(key).standard_normal(6) for key in keys])
     noise = _vech_inv_rows(noise_scale * z, 3).reshape(logs.shape)
     return FiberDataset(subjects=subjects, groups=groups, tensors=spd_expm(logs + noise))
 

@@ -5,7 +5,7 @@ consistency decay of the mean.
 
 Randomness runs through counter-based Philox streams keyed by
 (seed, replication), so replication r is reproducible independent of the
-order in which replications execute.
+order in which replications execute (see ``streams``).
 
 The experiments run their replications in blocks of at most BLOCK_POINTS
 sample points.  Each replication draws its raw variates from its own
@@ -45,6 +45,7 @@ from .spaces.euclidean import EuclideanSpace
 from .spaces.openbook import OpenBookSpace
 from .spaces.spd import SPDSpace, _expm_sample, _vech_inv_rows, spd_exp_sample, spd_vech
 from .spaces.sphere import SphereSpace, sphere_exp, sphere_log, tangent_basis
+from .streams import Streams, is_count
 
 #: estimation failures tolerated (as a fraction of replications) before a
 #: Monte Carlo run is aborted instead of silently dropping replications
@@ -69,12 +70,6 @@ _REP_FAILURES = (
     NotPositiveDefinite,
     InvalidPoint,
 )
-
-
-def _stream(seed, key):
-    key = (key,) if isinstance(key, (int, np.integer)) else tuple(int(k) for k in key)
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=key)
-    return np.random.Generator(np.random.Philox(ss))
 
 
 # ---------------------------------------------------------------------------
@@ -107,15 +102,14 @@ class GaussianDescriptor:
         if not np.allclose(c, c.T) or np.linalg.eigvalsh(c)[0] < 0.0:
             raise InvalidDescriptor("covariance must be symmetric PSD")
 
-    def variates(self, rng, n, space):
-        c = self._cov_matrix(space.dim)
+    def variates(self, space):
         # eigen root instead of Cholesky: singular PSD covariances are legal
-        w, v = np.linalg.eigh(c)
-        root = v * np.sqrt(np.maximum(w, 0.0))
+        w, v = np.linalg.eigh(self._cov_matrix(space.dim))
+        root_t = (v * np.sqrt(np.maximum(w, 0.0))).T
         # one product per replication: BLAS computes a single row by another
         # path than a stack of rows, so a product over the whole block would
         # change the draws of n = 1
-        return (rng.standard_normal((n, space.dim)) @ root.T,)
+        return lambda rng, n: (rng.standard_normal((n, space.dim)) @ root_t,)
 
     def assemble(self, variates, space):
         (z,) = variates
@@ -152,14 +146,15 @@ class SphereCapDescriptor:
         center = np.asarray(self.center, dtype=float)
         return center / np.linalg.norm(center)
 
-    def variates(self, rng, n, space):
+    def variates(self, space):
         if self.radius == 0.0:
-            return (np.empty((n, 0)),)
+            return lambda rng, n: (np.empty((n, 0)),)
         if space.ambient_dim == 3:
-            u = rng.random(n)
-            return (np.column_stack([u, rng.random(n)]),)
+            return lambda rng, n: (np.column_stack([rng.random(n), rng.random(n)]),)
         # the colatitude's CDF level, then a Gaussian tangent direction
-        return (np.column_stack([rng.random(n), rng.standard_normal((n, space.chart_dim))]),)
+        return lambda rng, n: (
+            np.column_stack([rng.random(n), rng.standard_normal((n, space.chart_dim))]),
+        )
 
     def assemble(self, variates, space):
         (v,) = variates
@@ -208,8 +203,8 @@ class SphereTwoPointDescriptor:
         if np.linalg.norm(np.asarray(self.a) + np.asarray(self.b)) < 1e-9:
             raise InvalidDescriptor("antipodal support has no unique mean")
 
-    def variates(self, rng, n, space):
-        return (rng.random(n),)
+    def variates(self, space):
+        return lambda rng, n: (rng.random(n),)
 
     def assemble(self, variates, space):
         (u,) = variates
@@ -238,8 +233,8 @@ class SPDLogGaussianDescriptor:
         if self.scale < 0.0:
             raise InvalidDescriptor("scale must be nonnegative")
 
-    def variates(self, rng, n, space):
-        return (rng.standard_normal((n, space.chart_dim)),)
+    def variates(self, space):
+        return lambda rng, n: (rng.standard_normal((n, space.chart_dim)),)
 
     def assemble(self, variates, space):
         (z,) = variates
@@ -320,18 +315,21 @@ class OpenBookDescriptor:
             return rng.exponential(scale=1.0 / float(param), size=count)
         return np.abs(rng.normal(0.0, float(param), size=count))
 
-    def variates(self, rng, n, space):
-        probs = np.asarray(self.leaf_probs, dtype=float)
+    def variates(self, space):
         fams = self._families(space.n_leaves)
-        edges = np.cumsum(probs)
-        labels = np.searchsorted(edges, rng.random(n), side="right") + 1
-        labels[labels > space.n_leaves] = 0  # spine mass
-        x0 = np.zeros(n)
-        for k in range(1, space.n_leaves + 1):
-            mask = labels == k
-            if mask.any():
-                x0[mask] = self._draw_x0(rng, fams[k - 1], int(mask.sum()))
-        return labels, x0, rng.standard_normal((n, space.spine_dim))
+        edges = np.cumsum(np.asarray(self.leaf_probs, dtype=float))
+
+        def draw(rng, n):
+            labels = np.searchsorted(edges, rng.random(n), side="right") + 1
+            labels[labels > space.n_leaves] = 0  # spine mass
+            x0 = np.zeros(n)
+            for k in range(1, space.n_leaves + 1):
+                mask = labels == k
+                if mask.any():
+                    x0[mask] = self._draw_x0(rng, fams[k - 1], int(mask.sum()))
+            return labels, x0, rng.standard_normal((n, space.spine_dim))
+
+        return draw
 
     def assemble(self, variates, space):
         labels, x0, z = variates
@@ -368,17 +366,25 @@ class OpenBookDescriptor:
 @dataclass(frozen=True)
 class Sampler:
     """Space + distribution descriptor + seed; the only source of randomness
-    for the Monte Carlo experiments."""
+    for the Monte Carlo experiments.  The seed is a non-negative integer, and
+    so is a replication key or each entry of a tuple key."""
 
     space: object
     descriptor: object
     seed: int
 
     def __post_init__(self):
+        if not is_count(self.seed):
+            raise InvalidDescriptor(f"seed must be a non-negative integer, got {self.seed!r}")
         self.descriptor.validate(self.space)
 
-    def rng(self, rep=0):
-        return _stream(self.seed, rep)
+    def rng(self, rep=0, streams=None):
+        """Generator at the start of the replication-``rep`` stream, the
+        stream of ``SeedSequence(seed, spawn_key=rep)``.  Alone, it is a
+        Generator of its own; with ``streams`` (this seed's ``Streams`` over
+        keys that include ``rep``), it is their shared Generator, which
+        draws ``rep``'s stream until the next stream is opened on it."""
+        return (Streams(self.seed, [rep]) if streams is None else streams).open(rep)
 
     def draw(self, n, rep=0):
         """Sample of n i.i.d. points from the replication-``rep`` stream."""
@@ -388,15 +394,23 @@ class Sampler:
         """Samples of n i.i.d. points from the stream of each replication
         key, stacked row-wise in one Sample: the rows of ``keys[i]`` follow
         those of ``keys[i - 1]``.  ``n`` may also be one size per key.  The
-        streams are opened in key order and the descriptor turns all their
+        streams are opened in key order, one ``rng`` call per key on one
+        bit generator for the call, and the descriptor turns all their
         variates into points at once."""
-        sizes = np.broadcast_to(np.asarray(n, dtype=int), (len(keys),))
+        if len(keys) == 0:
+            raise InvalidDescriptor("keys name no replication")
+        sizes = np.asarray(n)
+        if sizes.dtype.kind not in "iu":
+            raise InvalidDescriptor(f"sample sizes must be integers, got {n!r}")
+        try:
+            sizes = np.broadcast_to(sizes, (len(keys),))
+        except ValueError:
+            raise InvalidDescriptor(f"{np.size(n)} sample sizes for {len(keys)} keys") from None
         if np.any(sizes < 1):
-            raise ValueError("n must be >= 1")
-        parts = [
-            self.descriptor.variates(self.rng(key), int(size), self.space)
-            for key, size in zip(keys, sizes)
-        ]
+            raise InvalidDescriptor("n must be >= 1")
+        streams = Streams(self.seed, keys)
+        variates = self.descriptor.variates(self.space)
+        parts = [variates(self.rng(key, streams), size) for key, size in zip(keys, sizes.tolist())]
         return self.descriptor.assemble(tuple(map(np.concatenate, zip(*parts))), self.space)
 
     def population_mean(self):

@@ -19,6 +19,12 @@ def random_sphere(rng, ambient=3):
     return sphere_point(v / np.linalg.norm(v))
 
 
+def seed_sequence_stream(seed, key):
+    """numpy's own Generator on the Philox stream of ``key`` under ``seed``."""
+    key = key if isinstance(key, tuple) else (key,)
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=key)))
+
+
 def count_logm(monkeypatch):
     """The number of matrices of every later ``spd_logm`` call, as a list."""
     import frechetstats.spaces.spd as spd_module

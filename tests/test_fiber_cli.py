@@ -538,3 +538,14 @@ def test_dataset_built_from_arrays_is_validated():
         FiberDataset(ds.subjects, ds.groups, tensors)
     with pytest.raises(InvalidPoint):
         FiberDataset(ds.subjects, ds.groups, ds.tensors[..., :2, :2])
+
+
+def test_cli_refuses_a_negative_seed(tmp_path, capsys):
+    assert main(["gen-fiber", "--seed", "-1", "--output", str(tmp_path / "f.csv")]) == 2
+    assert "seed must be a non-negative integer" in capsys.readouterr().err
+    desc = tmp_path / "run.json"
+    desc.write_text(json.dumps({"space": {"kind": "euclidean", "dim": 2},
+                                "distribution": {"kind": "gaussian", "mean": [0.0, 0.0]},
+                                "n": 10, "reps": 5}))
+    assert main(["simulate", str(desc), "--experiment", "coverage", "--seed", "-1"]) == 2
+    assert "seed must be a non-negative integer" in capsys.readouterr().err

@@ -33,7 +33,7 @@ from frechetstats.spaces import EuclideanSpace, OpenBookSpace, SPDSpace, SphereS
 from frechetstats.geometry import Sample, openbook_sample, sphere_point
 from frechetstats.spaces.spd import spd_expm
 
-from conftest import count_logm
+from conftest import count_logm, seed_sequence_stream
 
 
 def euclid_sampler(seed=0):
@@ -56,7 +56,7 @@ def test_draw_is_deterministic_per_seed_and_rep():
 
 
 def test_draw_requires_positive_n():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidDescriptor, match="n must be >= 1"):
         euclid_sampler().draw(0)
 
 
@@ -351,9 +351,9 @@ def record_streams(monkeypatch):
     keys = []
     rng = Sampler.rng
 
-    def logged(sampler, rep=0):
+    def logged(sampler, rep=0, streams=None):
         keys.append(rep)
-        return rng(sampler, rep)
+        return rng(sampler, rep, streams)
 
     monkeypatch.setattr(Sampler, "rng", logged)
     return keys
@@ -751,3 +751,77 @@ def test_spd_draws_too_close_to_singular_still_fail_the_log_guard():
     with pytest.raises(FrechetStatsError, match=r"^mc_coverage: 30/30 replications failed "
                        r"\(budget 1%\): NotPositiveDefinite x30; first failed keys 0, 1, 2"):
         mc_coverage(sampler, 10, 30, 0.05)
+
+
+# ---------------------------------------------------------------------------
+# streams: each key's SeedSequence stream, opened through Sampler.rng
+
+
+def test_sampler_rng_alone_is_an_independent_seed_sequence_stream():
+    sampler = Sampler(EuclideanSpace(2), GaussianDescriptor((0.0, 0.0)), 11)
+    first, second = sampler.rng(4), sampler.rng((4, 1))
+    assert first is not second
+    a = first.standard_normal(5)
+    b = second.standard_normal(5)
+    assert np.array_equal(a, seed_sequence_stream(11, 4).standard_normal(5))
+    assert np.array_equal(b, seed_sequence_stream(11, (4, 1)).standard_normal(5))
+    assert np.array_equal(sampler.rng().random(3), seed_sequence_stream(11, 0).random(3))
+
+
+def test_draw_many_draws_each_key_from_its_seed_sequence_stream():
+    # identity covariance: the rows are the standard normals themselves
+    sampler = Sampler(EuclideanSpace(3), GaussianDescriptor((0.0, 0.0, 0.0)), 21)
+    keys, sizes = [5, (5, 0), (5, 1), 2**33, 5], [4, 1, 6, 3, 2]
+    block = sampler.draw_many(sizes, keys)
+    expected = [seed_sequence_stream(21, key).standard_normal((size, 3))
+                for key, size in zip(keys, sizes)]
+    assert np.array_equal(block.data, np.concatenate(expected))
+
+
+def test_draw_many_opens_its_streams_through_rng_in_key_order(monkeypatch):
+    # the benchmark's stream log wraps Sampler.rng and reads its first argument
+    seen = []
+    rng = Sampler.rng
+
+    def logged(sampler, *args, **kwargs):
+        seen.append(args[0])
+        return rng(sampler, *args, **kwargs)
+
+    monkeypatch.setattr(Sampler, "rng", logged)
+    sampler = Sampler(SPDSpace(3), SPDLogGaussianDescriptor(tuple(map(tuple, np.eye(3))), 0.1), 2)
+    keys = [(3, 0), (3, 0), (4, 0), (4, 1), 9]
+    sampler.draw_many(5, keys)
+    assert seen == keys
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, 2.0, True, np.float64(3.0), "3", None])
+def test_sampler_refuses_a_seed_that_is_not_a_non_negative_integer(seed):
+    with pytest.raises(InvalidDescriptor, match="seed must be a non-negative integer"):
+        Sampler(EuclideanSpace(2), GaussianDescriptor((0.0, 0.0)), seed)
+
+
+def test_sampler_takes_numpy_integer_seeds():
+    sampler = Sampler(EuclideanSpace(2), GaussianDescriptor((0.0, 0.0)), np.uint64(2**63 + 3))
+    assert np.array_equal(sampler.rng(1).random(4), seed_sequence_stream(2**63 + 3, 1).random(4))
+
+
+@pytest.mark.parametrize("key", [-1, 1.5, True, (1, -2), (), (1, 2.0), [1, 2], "1"])
+def test_draw_many_refuses_a_key_that_is_not_a_non_negative_integer(key):
+    sampler = Sampler(EuclideanSpace(2), GaussianDescriptor((0.0, 0.0)), 1)
+    with pytest.raises(InvalidDescriptor, match="stream key"):
+        sampler.draw_many(3, [0, key])
+    with pytest.raises(InvalidDescriptor, match="stream key"):
+        sampler.rng(key)
+
+
+def test_draw_many_names_bad_sizes_and_empty_keys():
+    sampler = Sampler(EuclideanSpace(2), GaussianDescriptor((0.0, 0.0)), 1)
+    with pytest.raises(InvalidDescriptor, match="n must be >= 1"):
+        sampler.draw_many([3, 0], [0, 1])
+    with pytest.raises(InvalidDescriptor, match="keys name no replication"):
+        sampler.draw_many(3, [])
+    with pytest.raises(InvalidDescriptor, match="3 sample sizes for 2 keys"):
+        sampler.draw_many([3, 4, 5], [0, 1])
+    for sizes in (2.5, [3, 2.0], True):
+        with pytest.raises(InvalidDescriptor, match="sample sizes must be integers"):
+            sampler.draw_many(sizes, [0, 1])

@@ -1,0 +1,70 @@
+"""The block stream opener against numpy's own SeedSequence streams."""
+
+import numpy as np
+import pytest
+
+from frechetstats.streams import Streams, philox_keys
+
+from conftest import seed_sequence_stream
+
+
+def seed_sequence_keys(seed, keys):
+    return np.array([
+        np.random.SeedSequence(seed, spawn_key=key if isinstance(key, tuple) else (key,))
+        .generate_state(2, np.uint64)
+        for key in keys
+    ])
+
+
+# seed 0, one word, more than 2^32 (two words), more than 2^128 (past the pool)
+SEEDS = [0, 12345, 2**32 + 7, 2**130 + 2**64 + 3]
+
+# int, np.integer and tuple keys; words of 2^32 and above; mixed widths
+KEYS = [
+    0, 1, 2**31, 2**32 - 1, 2**32, 2**64 + 5, 2**100,
+    np.int64(9), np.uint32(4_000_000_000), np.uint64(2**63 + 1),
+    (0,), (3, 4), (0, 0), (2**40, 3), (np.int32(7), 2**33, 0), (1, 2, 3, 4, 5),
+]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_philox_keys_are_seed_sequence_words(seed):
+    assert np.array_equal(philox_keys(seed, KEYS), seed_sequence_keys(seed, KEYS))
+    # each key alone, and the block in another order, give the same rows
+    for key in KEYS:
+        assert np.array_equal(philox_keys(seed, [key]), seed_sequence_keys(seed, [key]))
+    assert np.array_equal(philox_keys(seed, KEYS[::-1]), seed_sequence_keys(seed, KEYS[::-1]))
+
+
+def test_philox_keys_match_on_random_seeds_and_keys():
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        seed = int(rng.integers(0, 2**63)) << int(rng.integers(0, 140))
+        keys = [int(k) for k in rng.integers(0, 2**62, 5)]
+        keys += [tuple(int(k) for k in rng.integers(0, 2**40, int(rng.integers(1, 4))))
+                 for _ in range(5)]
+        assert np.array_equal(philox_keys(seed, keys), seed_sequence_keys(seed, keys))
+
+
+def test_a_fresh_philox_starts_at_the_seed_sequence_key():
+    # the premise of the port: Philox(ss) keys itself with ss's two words
+    ss = np.random.SeedSequence(5, spawn_key=(3, 1))
+    state = np.random.Philox(ss).state
+    assert np.array_equal(state["state"]["key"], ss.generate_state(2, np.uint64))
+    assert not state["state"]["counter"].any()
+    assert state["buffer_pos"] == 4 and state["has_uint32"] == 0
+
+
+def test_a_reset_philox_draws_like_a_fresh_one():
+    keys = [0, (1, 0), (1, 1), 2**32 + 1]
+    streams = Streams(3, keys)
+    for key in keys:
+        # leave a half-used uint32 and a partly used buffer on the generator
+        used = streams.open(keys[0])
+        used.integers(0, 2**32, size=3, dtype=np.uint32)
+        assert used.bit_generator.state["has_uint32"] == 1
+        rng, ref = streams.open(key), seed_sequence_stream(3, key)
+        assert rng.integers(0, 2**32, dtype=np.uint32) == ref.integers(0, 2**32, dtype=np.uint32)
+        assert np.array_equal(rng.standard_normal(7), ref.standard_normal(7))
+        assert np.array_equal(rng.random(5, dtype=np.float32), ref.random(5, dtype=np.float32))
+        assert np.array_equal(rng.exponential(size=9), ref.exponential(size=9))
