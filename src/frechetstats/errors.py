@@ -2,7 +2,13 @@
 
 
 class FrechetStatsError(Exception):
-    """Base class for all library errors."""
+    """Base class for all library errors.  ``refused``, when set, masks the
+    rows or fits that the raising kernel refused among those it was given.
+    """
+
+    def __init__(self, message, refused=None):
+        super().__init__(message)
+        self.refused = refused
 
 
 class MixedSpacePoints(FrechetStatsError):
@@ -11,6 +17,11 @@ class MixedSpacePoints(FrechetStatsError):
 
 class InvalidPoint(FrechetStatsError):
     """A point payload violates its space's invariants."""
+
+
+class TooFewPoints(FrechetStatsError, ValueError):
+    """A sample is too small for the statistic asked of it (an empty sample,
+    a two-sample group of one point); also a ValueError, as it once was."""
 
 
 class NonFiniteValue(FrechetStatsError):
@@ -22,17 +33,8 @@ class CutLocus(FrechetStatsError):
 
 
 class NotPositiveDefinite(FrechetStatsError):
-    """A matrix required to be SPD has a non-positive eigenvalue.
-
-    ``index`` is the flat position of the first offending matrix in its
-    (..., p, p) stack (0 for a single matrix); ``logs``, when set, are the
-    matrix logs of the stack, NaN at each offending matrix.
-    """
-
-    def __init__(self, message, index=None, logs=None):
-        super().__init__(message)
-        self.index = index
-        self.logs = logs
+    """A matrix required to be SPD has a non-positive eigenvalue; ``refused``
+    masks the offending matrices of the (..., p, p) stack."""
 
 
 class NonUniqueProjection(FrechetStatsError):
@@ -45,8 +47,8 @@ class NoConvergence(FrechetStatsError):
     The partial fit (with diagnostics) is attached as ``.fit``.
     """
 
-    def __init__(self, message, fit=None):
-        super().__init__(message)
+    def __init__(self, message, fit=None, refused=None):
+        super().__init__(message, refused)
         self.fit = fit
 
 

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import NearSingularCovariance, NearSingularHessian, NoConvergence
 from .geometry import MEAN_MAX_ITER, MEAN_TOL, Point, mean_gradient, numeric_gradient
-from .geometry import numeric_hessian
+from .geometry import numeric_hessian, row_norms
 
 #: condition-number ceiling beyond which Lambda_n (or a covariance) is
 #: treated as numerically singular
@@ -80,28 +80,39 @@ def estimate_mean(space, sample, *, tol=MEAN_TOL, max_iter=MEAN_MAX_ITER):
         Iteration budget exhausted; the partial fit rides on the exception.
     MixedSpacePoints
         Some sample point is from a different space.
+    TooFewPoints
+        The sample is empty.
     """
     sample = space.check_sample(sample)
     strategy = space.mean_strategy
     mean, iterations = space.mean(sample, tol=tol, max_iter=max_iter)
     chart = space.chart_at(mean)
     coords = chart.forward(mean)
-    grad_norm = float(np.linalg.norm(mean_gradient(chart, coords, chart.pack(sample))))
+    grad_norm = row_norms(mean_gradient(chart, coords, chart.pack(sample)))
     fit = FrechetFit(
         mean=mean,
         chart_coords=coords,
         n=len(sample),
         iterations=iterations,
-        grad_norm=grad_norm,
+        grad_norm=float(grad_norm),
         strategy=strategy,
         chart=chart,
     )
-    if strategy in ("karcher", "newton") and grad_norm > tol and iterations >= max_iter:
-        raise NoConvergence(
-            f"{strategy} exhausted {max_iter} iterations (grad norm {grad_norm:.3e})",
-            fit=fit,
-        )
+    check_convergence(strategy, grad_norm, iterations, tol=tol, max_iter=max_iter, fit=fit)
     return fit
+
+
+def check_convergence(strategy, grad_norms, iterations, *, tol=MEAN_TOL, max_iter=MEAN_MAX_ITER,
+                      fit=None):
+    """Raise NoConvergence (with ``fit``) masking the fits of an iterative
+    ``strategy`` that spent ``max_iter`` iterations with the gradient norm
+    at the mean still above ``tol``; ``grad_norms`` and ``iterations`` are
+    one fit's, or R fits' (R,) arrays."""
+    refused = (strategy in ("karcher", "newton")) & (iterations >= max_iter) & (grad_norms > tol)
+    if np.any(refused):
+        norm = grad_norms.flat[np.flatnonzero(refused)[0]]
+        raise NoConvergence(f"{strategy} exhausted {max_iter} iterations (grad norm {norm:.3e})",
+                            fit=fit, refused=refused)
 
 
 def guarded_inverse(matrices):
@@ -157,7 +168,7 @@ def stacked_sandwich(chart, coords, packed, *, derivatives="auto"):
     R means, or in a global chart.  Returns ``(lambda_n, c_n, asym_cov,
     lambda_cond, lambda_pd)`` with the leading axes of ``coords``; each
     fit gets the values it gets alone.  ``derivatives`` is as for
-    ``sandwich_covariance``.  Raises NearSingularHessian for the first fit
+    ``sandwich_covariance``.  Raises NearSingularHessian masking the fits
     whose Lambda_n is numerically singular.
     """
     if derivatives not in ("auto", "numeric"):
@@ -177,11 +188,9 @@ def stacked_sandwich(chart, coords, packed, *, derivatives="auto"):
     lam = 0.5 * (lam + np.swapaxes(lam, -1, -2))
     c = _second_moments(rows)
     lam_inv, w, cond, singular = guarded_inverse(lam)
-    bad = np.flatnonzero(singular)
-    if bad.size:
-        raise NearSingularHessian(
-            f"Lambda_n is numerically singular (condition number {float(cond.flat[bad[0]]):.3e})"
-        )
+    if singular.any():
+        raise NearSingularHessian(f"Lambda_n is numerically singular (condition number "
+                                  f"{float(cond[singular].flat[0]):.3e})", singular)
     return lam, c, _sandwich_product(lam_inv, c), cond, np.min(w, axis=-1) > 0.0
 
 
@@ -219,8 +228,8 @@ def confidence_regions_contain(n, coords, asym_covs, candidate_chart_coords, alp
     ``asym_covs`` (R, s, s) their sandwich covariances, and the candidate is
     given in each fit's chart, as (R, s) coordinates (one (s,) row when
     every fit shares the candidate's chart).  Returns the (R,) membership
-    mask.  Raises NearSingularCovariance for the first fit whose covariance
-    is numerically singular while the candidate differs from its mean.
+    mask.  Raises NearSingularCovariance masking the fits whose covariance
+    is numerically singular while the candidate differs from their mean.
     """
     from .inference import chi2_quantile
 
@@ -232,10 +241,9 @@ def confidence_regions_contain(n, coords, asym_covs, candidate_chart_coords, alp
     # the statistic is identically 0 at the mean, even for degenerate fits
     at_mean = ~np.any(d, axis=-1)
     inv, _, cond, singular = guarded_inverse(asym_covs)
-    bad = np.flatnonzero(singular & ~at_mean)
-    if bad.size:
-        raise NearSingularCovariance(
-            f"asym_cov is numerically singular (condition number {float(cond[bad[0]]):.3e})"
-        )
+    refused = singular & ~at_mean
+    if refused.any():
+        raise NearSingularCovariance(f"asym_cov is numerically singular (condition number "
+                                     f"{float(cond[refused][0]):.3e})", refused)
     statistic = ((n * d)[:, None, :] @ inv @ d[:, :, None])[:, 0, 0]
     return at_mean | (statistic <= chi2_quantile(coords.shape[-1], 1.0 - alpha))

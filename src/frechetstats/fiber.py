@@ -282,11 +282,11 @@ def fiber_site_tests(dataset, metric="log_euclidean", alpha=0.05):
     try:
         images = space.chart_at().test_images(sample)
     except NotPositiveDefinite as exc:
-        subject, site = divmod(exc.index, n_sites)
+        subject, site = divmod(int(exc.refused.argmax()), n_sites)
         raise NotPositiveDefinite(
             f"subject {dataset.subjects[subject]!r} site {site}: tensor has eigenvalue ratio "
             f"at most 1e-14, too close to singular for the {metric} metric",
-            index=exc.index,
+            exc.refused,
         ) from None
     images = images.reshape(n, n_sites, space.chart_dim)
     images = np.swapaxes(images, 0, 1)  # (site, subject, coordinate)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidPoint, MixedSpacePoints, NonFiniteValue
+from .errors import InvalidPoint, MixedSpacePoints, NonFiniteValue, TooFewPoints
 
 _EPS = float(np.finfo(float).eps)
 
@@ -39,9 +39,9 @@ MEAN_MAX_ITER = 200
 
 #: read-only per-row arrays derived from a Sample's rows (an SPD sample's
 #: matrix logs, NaN in the rows not taken yet), kept while the Sample lives;
-#: ``Sample.split`` and ``Sample.join`` carry them to the parts and to the
+#: ``Sample.take`` and ``Sample.join`` carry them to the parts and to the
 #: joined Sample, and a Point taken from a Sample carries its row (kept
-#: with the Point) to ``Sample.of`` and ``as_sample``
+#: with the Point) to ``as_sample``
 ROW_CACHE = weakref.WeakKeyDictionary()
 
 
@@ -86,7 +86,7 @@ class Sample:
     ``build(rows)`` of the ``rows`` it was given, computed when ``data`` is
     first read (a drawn SPD stack holds its matrix logs and exponentiates
     them then).  ``build`` maps each row on its own and keeps the array's
-    shape, so ``len``, ``shape``, ``split`` and ``join`` never call it, and a
+    shape, so ``len``, ``shape``, ``take`` and ``join`` never call it, and a
     row's data has the same bits whichever part of a stack builds it.
     """
 
@@ -111,10 +111,6 @@ class Sample:
             object.__setattr__(self, "_build", None)
         return self._rows
 
-    def rows(self, index):
-        """``data[index]``, built for those rows alone while deferred."""
-        return self.data[index] if self._build is None else self._build(self._rows[index])
-
     @property
     def shape(self):
         """The shape of ``data``, read without building it."""
@@ -131,19 +127,21 @@ class Sample:
             ROW_CACHE[point] = cached[i]
         return point
 
-    def split(self, sizes):
-        """The consecutive Samples of ``sizes`` rows each that make up this
-        one (deferred when it is), each with its rows of this one's cached
-        row array."""
-        stops = np.cumsum(sizes)[:-1]
-        leaves = [None] * len(sizes) if self.leaves is None else np.split(self.leaves, stops)
-        parts = [Sample(self.kind, rows, lv, self._build)
-                 for rows, lv in zip(np.split(self._rows, stops), leaves)]
+    def take(self, index):
+        """The Sample of the rows ``index`` (a slice or integer array),
+        deferred when this one is, with those rows of its cached row array."""
+        taken = Sample(self.kind, self._rows[index],
+                       None if self.leaves is None else self.leaves[index], self._build)
         cached = ROW_CACHE.get(self)
         if cached is not None:
-            for part, rows in zip(parts, np.split(cached, stops)):
-                ROW_CACHE[part] = rows  # read-only views
-        return parts
+            ROW_CACHE[taken] = cached[index]
+            ROW_CACHE[taken].setflags(write=False)
+        return taken
+
+    def split(self, sizes):
+        """The consecutive Samples of ``sizes`` rows each that make up this
+        one (``take`` of each)."""
+        return [self.take(slice(stop - size, stop)) for size, stop in zip(sizes, np.cumsum(sizes))]
 
     @classmethod
     def join(cls, parts):
@@ -162,17 +160,6 @@ class Sample:
             rows.setflags(write=False)
             ROW_CACHE[joined] = rows
         return joined
-
-    @classmethod
-    def of(cls, p):
-        """The Point ``p``, validated when it was built, as a Sample of one
-        (not validated again), with its row of the cached row array of the
-        Sample it was taken from."""
-        sample = cls(p.kind, p.data[None], np.array([p.leaf]) if p.kind == "openbook" else None)
-        cached = ROW_CACHE.get(p)
-        if cached is not None:
-            ROW_CACHE[sample] = cached[None]
-        return sample
 
 
 def _finite_rows(values, ndim):
@@ -227,7 +214,7 @@ def sphere_sample(rows):
 def spd_sample(mats):
     """Sample of SPD matrices from an (n, p, p) array; each matrix must be
     symmetric within POINT_ATOL (it is then symmetrized) and positive
-    definite."""
+    definite (InvalidPoint masks the matrices that are not)."""
     m = _finite_rows(mats, 3)
     if m.shape[1] != m.shape[2]:
         raise InvalidPoint("spd payload must be a square matrix")
@@ -235,8 +222,9 @@ def spd_sample(mats):
     if not np.allclose(m, mt, rtol=0.0, atol=POINT_ATOL):
         raise InvalidPoint("spd payload is not symmetric within tolerance")
     m = 0.5 * (m + mt)
-    if np.any(np.linalg.eigvalsh(m)[:, 0] <= 0.0):
-        raise InvalidPoint("spd payload has a non-positive eigenvalue")
+    refused = np.linalg.eigvalsh(m)[:, 0] <= 0.0
+    if refused.any():
+        raise InvalidPoint("spd payload has a non-positive eigenvalue", refused)
     return Sample("spd", m)
 
 
@@ -264,9 +252,10 @@ def openbook_sample(leaves, coords):
 def as_sample(sample):
     """``sample`` as one Sample: a Sample is returned as is, a sequence of
     Points of one kind (validated when they were built) is stacked once,
-    with their cached rows when every Point has one."""
+    with their cached rows when every Point has one.  TooFewPoints for an
+    empty sample."""
     if len(sample) == 0:
-        raise ValueError("sample must be nonempty")
+        raise TooFewPoints("sample must be nonempty")
     if isinstance(sample, Sample):
         return sample
     kind = sample[0].kind
@@ -394,7 +383,7 @@ class Chart(ABC):
     def forward(self, p):
         """Chart coordinates phi(p) in R^s."""
         self.space.check_point(p)
-        return self.forward_many(Sample.of(p))[0]
+        return self.forward_many(as_sample([p]))[0]
 
     @abstractmethod
     def inverse(self, x):
@@ -417,7 +406,7 @@ class Chart(ABC):
         return self.forward_many(sample)
 
     def h(self, x, q):
-        return float(self.h_many(np.asarray(x, dtype=float), self.pack(Sample.of(q)))[0])
+        return float(self.h_many(np.asarray(x, dtype=float), self.pack(as_sample([q])))[0])
 
     def grad_h_many(self, x, packed):
         """Analytic (n, s) gradient rows of h(.; Y_j) at x, or None."""
@@ -473,7 +462,7 @@ class Space(ABC):
         """Metric distance between two points of the space (the batch of one
         of ``distance_many``)."""
         self.check_point(p)
-        return float(self.distance_many(Sample.of(p), q)[0])
+        return float(self.distance_many(as_sample([p]), q)[0])
 
     @abstractmethod
     def chart_at(self, base):
@@ -562,11 +551,12 @@ def _newton_mean(space, sample, tol, max_iter):
 
 
 def mean_gradient(chart, x, packed):
-    """Gradient at ``x`` of the averaged h, analytic where the chart has it."""
+    """Gradient at ``x`` of the averaged h, analytic where the chart has it;
+    (R, s) at the (R, s) coordinates of R fits in a stacked chart."""
     rows = chart.grad_h_many(x, packed)
     if rows is not None:
-        return rows.mean(axis=0)
-    return numeric_gradient(lambda xx: float(np.mean(chart.h_many(xx, packed))), x)
+        return rows.mean(axis=-2)
+    return numeric_gradient(lambda xx: chart.h_many(xx, packed).mean(axis=-1), x)
 
 
 def frechet_value(space, sample, p):

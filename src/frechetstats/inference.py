@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .errors import InvalidPoint, NearSingularCovariance
+from .errors import InvalidPoint, NearSingularCovariance, TooFewPoints
 from .estimator import estimate_mean, guarded_inverse
 from .geometry import Sample
 
@@ -69,13 +69,14 @@ def chi2_two_sample(vx, vy):
     of unbiased (n-1) group covariances, against chi-square(s).  Returns
     ``(statistic, p_value, cond, mean_x, mean_y, pooled)`` along the batch
     axis; a comparison whose pooled covariance is numerically singular
-    (``guarded_inverse``) gets NaN statistic and p-value.
+    (``guarded_inverse``) gets NaN statistic and p-value.  TooFewPoints for
+    a group of fewer than 2 points or groups of fewer than s + 2 together.
     """
     n1, n2, s = vx.shape[1], vy.shape[1], vx.shape[2]
     if n1 < 2 or n2 < 2:
-        raise ValueError("each group needs at least 2 observations")
+        raise TooFewPoints("each group needs at least 2 observations")
     if n1 + n2 < s + 2:
-        raise ValueError(f"need n1 + n2 >= {s + 2} for a rank-{s} covariance")
+        raise TooFewPoints(f"need n1 + n2 >= {s + 2} for a rank-{s} covariance")
     mean_x = vx.mean(axis=1)
     mean_y = vy.mean(axis=1)
     cx = vx - mean_x[:, None, :]
@@ -101,18 +102,19 @@ def two_sample_tests(chart, block, reps, n1):
 
     Returns ``(statistic, p_value, mean_x, mean_y, pooled)`` of
     ``chi2_two_sample`` along the replications.  Raises
-    NearSingularCovariance for the first replication whose pooled
-    covariance is numerically singular, and InvalidPoint in a
+    NearSingularCovariance masking the replications whose pooled covariance
+    is numerically singular, and InvalidPoint masking all in a
     zero-dimensional chart (the spine of a book without spine coordinates).
     """
     if chart.s == 0:
-        raise InvalidPoint("a zero-dimensional chart has no two-sample test")
+        raise InvalidPoint("a zero-dimensional chart has no two-sample test",
+                           np.ones(reps, dtype=bool))
     images = chart.test_images(block).reshape(reps, -1, chart.s)
     statistic, p_value, cond, *rest = chi2_two_sample(images[:, :n1], images[:, n1:])
-    singular = np.flatnonzero(np.isnan(statistic))
-    if singular.size:
+    singular = np.isnan(statistic)
+    if singular.any():
         raise NearSingularCovariance(f"pooled two-sample covariance is numerically singular "
-                                     f"(condition number {cond[singular[0]]:.3e})")
+                                     f"(condition number {cond[singular][0]:.3e})", singular)
     return (statistic, p_value, *rest)
 
 
@@ -122,7 +124,7 @@ def two_sample_test(space, sample_x, sample_y):
     Both samples' test images in the chart at their pooled mean estimate
     (on Euclidean and SPD spaces the global chart, which ignores its base)
     are compared by ``two_sample_tests``.  Raises NearSingularCovariance when
-    the pooled covariance is numerically singular.
+    the pooled covariance is numerically singular, TooFewPoints for too few.
     """
     sample_x = space.check_sample(sample_x)
     sample_y = space.check_sample(sample_y)

@@ -12,10 +12,10 @@ sample points.  Each replication draws its raw variates from its own
 stream; the descriptor turns the whole block into points at once.  A
 block's means come from one ``mean_many`` call, and each group of
 replications whose means share a stratum (all of them, but on the open
-book) is run in the charts at its means, stacked.  A block in which a
-replication fails or spends the iteration budget runs each replication
-again as a block of one, through the same function, so that each failure
-is recorded on its own replication.
+book) is run in the charts at its means, stacked.  A kernel that refuses
+some rows or fits of a stack raises an error that masks them; the block
+records a failure for each replication they belong to and runs the rest
+of its replications again, through the same function.
 """
 
 from __future__ import annotations
@@ -26,19 +26,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special
 
-from .errors import (
-    CutLocus,
-    FrechetStatsError,
-    InvalidDescriptor,
-    InvalidPoint,
-    NearSingularCovariance,
-    NearSingularHessian,
-    NoConvergence,
-    NotPositiveDefinite,
-)
-from .estimator import confidence_regions_contain, estimate_mean, stacked_sandwich
+from .errors import CutLocus, FrechetStatsError, InvalidDescriptor, InvalidPoint
+from .estimator import check_convergence, confidence_regions_contain, stacked_sandwich
 from .geometry import MEAN_MAX_ITER, Sample, as_sample, euclidean_point, euclidean_sample
-from .geometry import openbook_point, openbook_sample, row_norms, row_products
+from .geometry import mean_gradient, openbook_point, openbook_sample, row_norms, row_products
 from .geometry import sphere_point, sphere_sample
 from .inference import two_sample_tests
 from .spaces.euclidean import EuclideanSpace
@@ -61,15 +52,6 @@ BLOCK_POINTS = 8192
 
 #: failed replications quoted by key in a failure-budget error
 QUOTED_KEYS = 5
-
-_REP_FAILURES = (
-    NoConvergence,
-    NearSingularHessian,
-    NearSingularCovariance,
-    CutLocus,
-    NotPositiveDefinite,
-    InvalidPoint,
-)
 
 
 # ---------------------------------------------------------------------------
@@ -380,10 +362,11 @@ class Sampler:
 
     def rng(self, rep=0, streams=None):
         """Generator at the start of the replication-``rep`` stream, the
-        stream of ``SeedSequence(seed, spawn_key=rep)``.  Alone, it is a
-        Generator of its own; with ``streams`` (this seed's ``Streams`` over
-        keys that include ``rep``), it is their shared Generator, which
-        draws ``rep``'s stream until the next stream is opened on it."""
+        stream of ``SeedSequence(seed, spawn_key=rep)``, which keys with the
+        same words share (``2**32`` and ``(0, 1)``, see ``streams``).
+        Alone, it is a Generator of its own; with ``streams`` (this seed's
+        ``Streams`` over keys that include ``rep``), it is their shared
+        Generator, which draws ``rep``'s stream until the next is opened."""
         return (Streams(self.seed, [rep]) if streams is None else streams).open(rep)
 
     def draw(self, n, rep=0):
@@ -460,14 +443,15 @@ def _check_failures(failed, reps, experiment):
 
 def _check_run(reps, alpha=None, least=1, **sizes):
     """Refuse, before anything is drawn, a run of no replications, an
-    ``alpha`` outside (0, 1) or a sample size below ``least``."""
-    if not reps >= 1:
-        raise InvalidDescriptor(f"reps must be >= 1, got {reps!r}")
+    ``alpha`` outside (0, 1), or a count of replications or a sample size
+    that is not an integer or is below ``least``."""
     if alpha is not None and not 0.0 < alpha < 1.0:
         raise InvalidDescriptor(f"alpha must lie in (0, 1), got {alpha!r}")
-    for name, size in sizes.items():
-        if not size >= least:
-            raise InvalidDescriptor(f"{name} must be >= {least}, got {size!r}")
+    for name, value, low in (("reps", reps, 1), *((k, v, least) for k, v in sizes.items())):
+        if not is_count(value):
+            raise InvalidDescriptor(f"{name} must be an integer, got {value!r}")
+        if value < low:
+            raise InvalidDescriptor(f"{name} must be >= {low}, got {value!r}")
 
 
 def _blocks(keys, points):
@@ -477,34 +461,56 @@ def _blocks(keys, points):
     return [keys[i : i + per] for i in range(0, len(keys), per)]
 
 
+def _part(sample, count, groups):
+    """The Sample of the ``groups`` of ``sample``'s ``count`` equal groups
+    of consecutive rows."""
+    return sample.take(np.arange(len(sample)).reshape(count, -1)[groups].reshape(-1))
+
+
 def _outcomes(space, keys, block, batched, failed):
-    """Outcomes of the replications ``keys`` of a block of samples of equal
-    size (a replication's groups in a row): ``batched(block, means)`` per
-    stratum of their means, unless that raises or a replication spends the
-    iteration budget; then ``batched(part, mean)`` of each replication's
-    part alone, at its ``estimate_mean``, each failure recorded in
-    ``failed``."""
+    """Outcomes, in key order, of the replications ``keys`` of a block of
+    samples of equal size (a replication's groups in a row):
+    ``batched(stack, means)`` of each group of replications whose means
+    share a stratum (all of them, but on the open book), stacked.  A raise
+    that masks rows or fits of the stack being run fails the replications
+    they belong to, each recorded in ``failed`` (in key order) as (key,
+    class, message), and the others run again; any other raise aborts.
+    Replications that spend the iteration budget are checked by
+    ``check_convergence``, as ``estimate_mean`` checks one."""
     reps = len(keys)
-    try:
-        means, iterations = space.mean_many(block, reps)
-        if np.any(iterations >= MEAN_MAX_ITER):
-            raise NoConvergence(f"a replication exhausted {MEAN_MAX_ITER} iterations")
-        strata = np.zeros(reps, dtype=bool) if means.leaves is None else means.leaves > 0
-        if strata.all() or not strata.any():
-            return batched(block, means)
-        parts = [s.split([len(s) // reps] * reps) for s in (block, means)]
-        out = {}
-        for rows in (np.flatnonzero(~strata), np.flatnonzero(strata)):
-            out.update(zip(rows, batched(*(Sample.join([p[i] for i in rows]) for p in parts))))
-        return [out[i] for i in range(reps)]
-    except FrechetStatsError:
-        pass  # a block of one per replication attributes each failure
-    out = []
-    for key, part in zip(keys, block.split([len(block) // reps] * reps)):
+    live, out, refused = np.arange(reps), [], {}  # the replications not failed yet
+    while live.size:
+        sample = block if len(live) == reps else _part(block, reps, live)
+        stack = live  # the replications of the call in progress
         try:
-            out += batched(part, Sample.of(estimate_mean(space, part).mean))
-        except _REP_FAILURES as exc:
-            failed.append((key, type(exc).__name__, str(exc)))
+            means, iterations = space.mean_many(sample, len(live))
+            spent = np.flatnonzero(iterations >= MEAN_MAX_ITER)
+            if spent.size:
+                stack, bases = live[spent], _part(means, len(live), spent)
+                chart = space.chart_at(bases)
+                packed = chart.pack(_part(sample, len(live), spent))
+                grad = mean_gradient(chart, chart.forward_many(bases),
+                                     packed.reshape((len(spent), -1) + packed.shape[1:]))
+                check_convergence(space.mean_strategy, row_norms(grad), iterations[spent],
+                                  max_iter=MEAN_MAX_ITER)
+            strata = np.zeros(len(live), bool) if means.leaves is None else means.leaves > 0
+            groups = {}
+            for stratum in np.unique(strata):
+                rows = np.flatnonzero(strata == stratum)
+                stack = live[rows]
+                parts = [s if len(rows) == len(live) else _part(s, len(live), rows)
+                         for s in (sample, means)]
+                groups.update(zip(rows.tolist(), batched(*parts)))
+            out = [groups[i] for i in range(len(live))]
+            break
+        except FrechetStatsError as exc:
+            mask = np.asarray([] if exc.refused is None else exc.refused, dtype=bool)
+            if not mask.any() or mask.size % len(stack):
+                raise
+            hit = stack[mask.reshape(len(stack), -1).any(axis=1)]
+            refused.update((i, (keys[i], type(exc).__name__, str(exc))) for i in hit.tolist())
+            live = live[~np.isin(live, hit)]
+    failed += [refused[i] for i in sorted(refused)]
     return out
 
 
@@ -632,10 +638,11 @@ def mc_consistency(space, sampler, n_grid, reps):
     size; returns a list of (n, median error) rows.  A block of
     replications is fitted with one ``mean_many`` call and scored with one
     ``distance_many`` call."""
-    n_grid = [int(n) for n in n_grid]
+    n_grid = list(n_grid)
     if not n_grid:
         raise InvalidDescriptor("n_grid names no sample size")
-    _check_run(reps, n=min(n_grid))
+    for n in n_grid:
+        _check_run(reps, n=n)
     if repr(sampler.space) != repr(space):
         raise InvalidDescriptor("sampler and space arguments disagree")
     truth = sampler.population_mean()
@@ -650,4 +657,4 @@ def mc_consistency(space, sampler, n_grid, reps):
         for keys in _blocks([(n, rep) for rep in range(reps)], n):
             errs += _outcomes(space, keys, sampler.draw_many(n, keys), batched, failed)
     _check_failures(failed, reps * len(runs), "mc_consistency")
-    return [(n, float(np.median(errs)) if errs else float("nan")) for n, errs in runs]
+    return [(int(n), float(np.median(errs)) if errs else float("nan")) for n, errs in runs]

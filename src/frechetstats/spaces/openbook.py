@@ -47,7 +47,7 @@ def openbook_distance(a, b):
     half-space coordinates.  Different leaves: Euclidean distance after
     reflecting one x0, i.e. sqrt((x0 + y0)^2 + ||rest difference||^2).
     """
-    return float(_distances(Sample.of(a), b)[0])
+    return float(_distances(as_sample([a]), b)[0])
 
 
 def openbook_fold(k, p):
@@ -55,7 +55,7 @@ def openbook_fold(k, p):
     other leaves.  Returns a plain (D+1,) vector."""
     if k < 1:
         raise ValueError("fold index must be a leaf label >= 1")
-    return _fold(Sample.of(p), k)[0]
+    return _fold(as_sample([p]), k)[0]
 
 
 @dataclass(frozen=True)

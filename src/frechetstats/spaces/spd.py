@@ -78,17 +78,16 @@ def _spectral(w, v):
 def spd_logm(a):
     """Matrix logarithm of an SPD matrix, or of each matrix of a (..., p, p)
     stack, via symmetric eigendecomposition.  A matrix whose eigenvalue
-    ratio is at most 1e-14 raises NotPositiveDefinite, whose ``index`` is
-    the flat position of the first such matrix in the stack and whose
-    ``logs`` are the stack's logs, NaN at each such matrix."""
+    ratio is at most 1e-14 raises NotPositiveDefinite, which masks every
+    such matrix of the stack and quotes the smallest eigenvalue of the
+    first."""
     w, v = np.linalg.eigh(_symmetric(a))
     refused = w[..., 0] <= 1e-14 * np.maximum(w[..., -1], 0.0)
-    logs = _spectral(np.log(np.where(refused[..., None], np.nan, w)), v)
     if refused.any():
         bad = int(np.flatnonzero(refused)[0])
         raise NotPositiveDefinite(f"matrix has near-zero or negative eigenvalue "
-                                  f"{w[..., 0].flat[bad]:.3e}", index=bad, logs=logs)
-    return logs
+                                  f"{w[..., 0].flat[bad]:.3e}", refused)
+    return _spectral(np.log(w), v)
 
 
 def spd_expm(b):
@@ -260,8 +259,8 @@ def _sample_logs(sample):
     chart images and the distances of one fit share them.  The logs not
     kept yet (all, unless the sample was built from them; the NaN rows of
     ``spd_exp_sample``'s) are taken by one ``spd_logm`` of their matrices
-    alone, built alone; its NotPositiveDefinite names the position in the
-    whole sample, and the logs it did take are kept for the sample's parts."""
+    alone, built alone; its NotPositiveDefinite masks the refused rows of
+    the whole sample."""
     logs = ROW_CACHE.get(sample)
     if logs is None:
         logs = np.full(sample.shape, np.nan)
@@ -270,13 +269,13 @@ def _sample_logs(sample):
         return logs
     logs = logs.copy()
     try:
-        logs[missing] = spd_logm(sample.rows(missing))
+        logs[missing] = spd_logm(sample.take(missing).data)
     except NotPositiveDefinite as exc:
-        logs[missing] = exc.logs
-        raise NotPositiveDefinite(str(exc), index=int(missing[exc.index])) from None
-    finally:
-        logs.setflags(write=False)
-        ROW_CACHE[sample] = logs
+        refused = np.zeros(len(sample), dtype=bool)
+        refused[missing] = exc.refused
+        raise NotPositiveDefinite(str(exc), refused) from None
+    logs.setflags(write=False)
+    ROW_CACHE[sample] = logs
     return logs
 
 
@@ -349,5 +348,5 @@ class SPDSpace(Space):
         if self.metric == "euclidean":
             diff = sample.data - q.data
         else:
-            diff = _sample_logs(sample) - _sample_logs(Sample.of(q))
+            diff = _sample_logs(sample) - _sample_logs(as_sample([q]))
         return row_norms(diff.reshape(len(diff), -1))

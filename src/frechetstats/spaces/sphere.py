@@ -118,14 +118,15 @@ def _geodesics(cols, p):
 
 def _logs(cols, base):
     """Log maps, as (..., d+1, n) tangent vectors, of the points of ``cols``
-    (..., d+1, n) at the matching rows of ``base`` (..., d+1); CutLocus for
-    a point within 1e-9 of the antipode of its base."""
+    (..., d+1, n) at the matching rows of ``base`` (..., d+1); CutLocus,
+    masking them, for points within 1e-9 of the antipode of their base."""
     b = base[..., :, None]
     c = _coordinate_sum(cols * b)
     # |p + b|^2 = 2 + 2c >= 1 for unit vectors with c >= -1/2, so the norms
     # are taken only when some dot is smaller
-    if c.min(initial=0.0) < -0.5 and np.any(np.sqrt(_coordinate_sum((cols + b) ** 2)) < _CUT_TOL):
-        raise CutLocus("log map requested at the cut locus (antipode of base)")
+    cut = c.min(initial=0.0) < -0.5 and np.sqrt(_coordinate_sum((cols + b) ** 2)) < _CUT_TOL
+    if np.any(cut):
+        raise CutLocus("log map requested at the cut locus (antipode of base)", cut)
     w = cols - c[..., None, :] * b
     nw = np.sqrt(_coordinate_sum(w * w))
     theta = np.arctan2(nw, np.clip(c, -1.0, 1.0))
@@ -252,7 +253,7 @@ class SphereIntrinsicChart(_TangentChart):
 
 class SphereExtrinsicChart(_TangentChart):
     """Tangent-projection chart of the open hemisphere around the base
-    (InvalidPoint outside it); h is the squared chordal distance.
+    (InvalidPoint masks the points outside it); h is the squared chordal distance.
 
     Analytic derivatives are available at every chart point via the
     differential of the hemisphere parameterization.  The test images are
@@ -264,8 +265,10 @@ class SphereExtrinsicChart(_TangentChart):
         return self._in_basis(sample, np.asarray)
 
     def _tangent(self, rows):
-        if np.any(row_dots(rows, self._b[..., None, :]) <= 0.0):
-            raise InvalidPoint("point outside the open hemisphere of the chordal chart's base")
+        outside = row_dots(rows, self._b[..., None, :]) <= 0.0
+        if outside.any():
+            raise InvalidPoint("point outside the open hemisphere of the chordal chart's base",
+                               outside)
         return rows
 
     def _point_at(self, x):

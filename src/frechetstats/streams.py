@@ -6,6 +6,9 @@ The stream of ``key`` under ``seed`` is the one numpy builds as
 zero counter whose 128-bit key is ``SeedSequence(seed,
 spawn_key=key).generate_state(2, np.uint64)``.  A seed is a non-negative
 integer; a key is a non-negative integer or a nonempty tuple of them.
+Keys with equal uint32 words share a stream: ``2**32`` and ``(0, 1)`` are
+both [0, 1], and ``5`` and ``(5,)`` both [5].  One Monte Carlo experiment's
+keys (ints below 2^32, ``(rep, group)`` or ``(n, rep)``) have distinct words.
 
 ``philox_keys`` computes those Philox keys for a whole block of stream keys
 at once: SeedSequence's uint32 hash mix is ported to numpy arithmetic.

@@ -6,6 +6,7 @@ from frechetstats.errors import (
     NearSingularCovariance,
     NearSingularHessian,
     NoConvergence,
+    TooFewPoints,
 )
 from frechetstats.estimator import (
     FrechetFit,
@@ -101,6 +102,12 @@ def test_newton_matches_karcher_on_sphere(rng):
     karcher = estimate_mean(sp, sample)
     newton, _ = Space.mean_many(sp, sp.check_sample(sample), 1)
     assert sp.distance(karcher.mean, newton[0]) < 1e-8
+
+
+@pytest.mark.parametrize("space", space_instances(), ids=repr)
+def test_an_empty_sample_has_no_mean(space):
+    with pytest.raises(TooFewPoints, match="sample must be nonempty"):
+        estimate_mean(space, [])
 
 
 def test_no_convergence_carries_diagnostics(rng):

@@ -276,6 +276,13 @@ def test_cli_test2_dimension_mismatch_exits_2(tmp_path, capsys):
     assert "shape (2,), got (3,)" in capsys.readouterr().err
 
 
+def test_cli_test2_one_point_group_exits_2(tmp_path, capsys):
+    a = write(tmp_path / "a.csv", "x,y\n0,1\n")
+    b = write(tmp_path / "b.csv", "x,y\n0,1\n1,0\n2,2\n")
+    assert main(["test2", a, b, "--space", "euclidean"]) == 2
+    assert "each group needs at least 2 observations" in capsys.readouterr().err
+
+
 def test_cli_gen_fiber_and_fiber_round_trip(tmp_path, capsys):
     data = tmp_path / "fiber.csv"
     rc = main(

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from frechetstats.errors import InvalidPoint, NearSingularCovariance
+from frechetstats.errors import InvalidPoint, NearSingularCovariance, TooFewPoints
 from frechetstats.geometry import euclidean_point, openbook_sample
 from frechetstats.inference import (
     bh_fdr,
@@ -117,10 +117,13 @@ def test_two_sample_chi2_six_quantile_maps_to_alpha():
 def test_two_sample_preconditions():
     sp = EuclideanSpace(4)
     pts = [euclidean_point(v) for v in np.eye(4)]
-    with pytest.raises(ValueError):
+    with pytest.raises(TooFewPoints, match="each group needs at least 2 observations"):
         two_sample_test(sp, pts[:1], pts[1:])
-    with pytest.raises(ValueError):
+    with pytest.raises(TooFewPoints, match=r"need n1 \+ n2 >= 6"):
         two_sample_test(sp, pts[:2], pts[:2])  # n1 + n2 < s + 2
+    # still a ValueError, as it was before it had a class of its own
+    with pytest.raises(ValueError):
+        two_sample_test(sp, pts[1:], pts[:1])
 
 
 def test_two_sample_near_singular_covariance():

@@ -13,7 +13,7 @@ from frechetstats import simulate
 from frechetstats.errors import CutLocus, InvalidPoint, NoConvergence, NotPositiveDefinite
 from frechetstats.estimator import stacked_sandwich
 from frechetstats.geometry import MEAN_MAX_ITER, MEAN_TOL, ROW_CACHE, Sample, row_dots, row_norms
-from frechetstats.geometry import sphere_sample
+from frechetstats.geometry import as_sample, sphere_sample
 from frechetstats.simulate import (
     Sampler,
     SPDLogGaussianDescriptor,
@@ -201,19 +201,14 @@ def test_deferred_draw_builds_the_eager_bits_one_replication_at_a_time(monkeypat
     block = sampler.draw_many(n, keys)
     eager = _eager(ROW_CACHE[block])  # every log kept at these spreads
     jacobi = _calls_of_jacobi(monkeypatch)
-
-    seen = []
-
-    def batched(block, means):
-        if len(means) > 1:
-            raise NoConvergence("run one replication at a time")
-        seen.append(block.data)
-        return [True]
-
-    out = simulate._outcomes(sampler.space, keys, block, batched, [])
-    assert out == [True] * len(keys)
-    assert jacobi == [n] * len(keys)  # each replication builds its own matrices
-    assert np.array_equal(np.concatenate(seen), eager)
+    # each replication's draw alone, and its rows taken from the block
+    # (as a block that failed some replications takes the others'), builds
+    # its own matrices
+    alone = [sampler.draw(n, key).data for key in keys]
+    taken = [simulate._part(block, len(keys), [key]).data for key in keys]
+    assert jacobi == [n] * 2 * len(keys)
+    assert np.array_equal(np.concatenate(alone), eager)
+    assert np.array_equal(np.concatenate(taken), eager)
 
 
 def test_deferred_draw_is_not_built_by_its_size_checks_or_parts(monkeypatch):
@@ -225,7 +220,7 @@ def test_deferred_draw_is_not_built_by_its_size_checks_or_parts(monkeypatch):
     joined = Sample.join(sample.split([20, 30])[::-1])
     assert len(joined) == 50
     truth = space.mean(joined)[0]  # a mean is built from its log, not from the draw
-    assert len(Sample.of(truth)) == 1
+    assert len(as_sample([truth])) == 1
     with pytest.raises(InvalidPoint):
         SPDSpace(2).check_sample(sample)
     assert jacobi == []
@@ -249,32 +244,28 @@ def test_logs_a_draw_did_not_keep_are_taken_from_their_matrices_alone(monkeypatc
     assert jacobi == [missing.sum(), len(block)]
 
 
-def test_a_refused_draw_keeps_the_logs_it_took_for_its_parts(monkeypatch):
-    # log-scale 6: some drawn matrices are too close to singular; the logs
-    # taken before the refusal are kept, and only the refused matrices are
-    # built again by the replications' parts
+def _refused_alone(matrix):
+    try:
+        spd_module.spd_logm(matrix)
+    except NotPositiveDefinite:
+        return True
+    return False
+
+
+def test_a_refused_draw_masks_the_matrices_it_refuses():
+    # log-scale 6: some drawn matrices are too close to singular; the
+    # refusal masks exactly the rows spd_logm refuses one at a time, and
+    # keeps no log
     sampler = Sampler(SPDSpace(3, "log_euclidean"),
                       SPDLogGaussianDescriptor(np.diag([0.4, 0.0, -0.3]), 6.0), 35)
-    n, reps = 10, 40
-    block = sampler.draw_many(n, list(range(reps)))
-    missing = np.isnan(ROW_CACHE[block][:, 0, 0])
-    jacobi = _calls_of_jacobi(monkeypatch)
+    block = sampler.draw_many(10, list(range(40)))
+    kept = ROW_CACHE[block]
     with pytest.raises(NotPositiveDefinite) as refused:
         spd_module._sample_logs(block)
-    assert jacobi == [missing.sum()]
-    still = np.isnan(ROW_CACHE[block][:, 0, 0])
-    assert 0 < still.sum() < missing.sum() and still[refused.value.index]
-    jacobi.clear()
-    parts = block.split([n] * reps)
-    for part, rows in zip(parts, np.split(still, reps)):
-        if rows.any():
-            with pytest.raises(NotPositiveDefinite):
-                spd_module._sample_logs(part)
-        else:
-            assert not np.isnan(spd_module._sample_logs(part)).any()
-    assert jacobi == [rows.sum() for rows in np.split(still, reps) if rows.any()]
-    taken = missing & ~still  # with the bits of their logs alone
-    assert np.array_equal(ROW_CACHE[block][taken], spd_module.spd_logm(block.data[taken]))
+    alone = [_refused_alone(matrix) for matrix in block.data]
+    assert 0 < sum(alone) < len(block)
+    assert refused.value.refused.tolist() == alone
+    assert ROW_CACHE[block] is kept
 
 
 def test_kept_logs_follow_the_exact_eigenvalues_near_the_spread_limit():

@@ -297,6 +297,19 @@ def test_failure_budget_enforced():
                      "n must be >= 1", id="consistency-grid-entry"),
         pytest.param(lambda: mc_consistency(EuclideanSpace(2), euclid_sampler(), [20], 0),
                      "reps must be >= 1", id="consistency-reps"),
+        # sizes and counts that are not integers
+        pytest.param(lambda: mc_coverage(euclid_sampler(), 10.5, 20, 0.05),
+                     "n must be an integer, got 10.5", id="coverage-float-n"),
+        pytest.param(lambda: mc_coverage(euclid_sampler(), 10, 20.0, 0.05),
+                     "reps must be an integer, got 20.0", id="coverage-float-reps"),
+        pytest.param(lambda: mc_stickiness(book_sampler(0), True, 10),
+                     "n must be an integer, got True", id="stickiness-bool-n"),
+        pytest.param(lambda: mc_type1(EuclideanSpace(2), euclid_sampler(), 10, 10.5, 20, 0.05),
+                     "n2 must be an integer, got 10.5", id="type1-float-n2"),
+        pytest.param(lambda: mc_consistency(EuclideanSpace(2), euclid_sampler(), [10.7], 20),
+                     "n must be an integer, got 10.7", id="consistency-float-grid"),
+        pytest.param(lambda: mc_consistency(EuclideanSpace(2), euclid_sampler(), [10, 20.5], 20),
+                     "n must be an integer, got 20.5", id="consistency-float-grid-entry"),
     ],
 )
 def test_mc_arguments_are_refused_before_anything_is_drawn(run, message, monkeypatch):
@@ -304,6 +317,14 @@ def test_mc_arguments_are_refused_before_anything_is_drawn(run, message, monkeyp
     with pytest.raises(InvalidDescriptor, match=message):
         run()
     assert keys == []
+
+
+def test_mc_runs_take_numpy_integer_sizes():
+    report = mc_coverage(euclid_sampler(3), np.int64(10), np.uint8(20), 0.05)
+    assert report.outcomes == mc_coverage(euclid_sampler(3), 10, 20, 0.05).outcomes
+    rows = mc_consistency(EuclideanSpace(2), euclid_sampler(3), [np.int32(10)], 5)
+    assert rows == mc_consistency(EuclideanSpace(2), euclid_sampler(3), [10], 5)
+    assert type(rows[0][0]) is int
 
 
 def test_mc_reports_are_reproducible():
@@ -359,14 +380,19 @@ def record_streams(monkeypatch):
     return keys
 
 
-def no_single_fits(monkeypatch):
-    """Fail the test if an experiment runs a replication again on its own,
-    which starts with the replication's ``estimate_mean``."""
+def fitted_replications(monkeypatch, space):
+    """The replications of every later ``mean_many`` call on ``space``'s
+    class, as a list: they sum to an experiment's replications when it fits
+    each of them once, and no replication runs again."""
+    fitted = []
+    mean_many = type(space).mean_many
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("a batched experiment ran a replication on its own")
+    def counted(self, sample, reps, **kwargs):
+        fitted.append(reps)
+        return mean_many(self, sample, reps, **kwargs)
 
-    monkeypatch.setattr(simulate, "estimate_mean", refuse)
+    monkeypatch.setattr(type(space), "mean_many", counted)
+    return fitted
 
 
 def single_coverage(sampler, n, reps, alpha, derivatives="auto"):
@@ -426,10 +452,12 @@ def test_batched_coverage_matches_single_fits(make, derivatives, n, block_points
     expected = single_coverage(make(31), n, reps, alpha, derivatives)
     assert not all(expected)  # misses as well as hits
     keys = record_streams(monkeypatch)
-    no_single_fits(monkeypatch)
-    report = mc_coverage(make(31), n, reps, alpha, derivatives=derivatives)
+    sampler = make(31)
+    fitted = fitted_replications(monkeypatch, sampler.space)
+    report = mc_coverage(sampler, n, reps, alpha, derivatives=derivatives)
     assert report.outcomes == expected
     assert keys == list(range(reps))
+    assert sum(fitted) == reps
 
 
 @pytest.mark.parametrize(
@@ -456,10 +484,11 @@ def test_batched_type1_matches_single_tests(make, monkeypatch):
     )
     assert any(expected) and not all(expected)  # rejections as well as acceptances
     keys = record_streams(monkeypatch)
-    no_single_fits(monkeypatch)
+    fitted = fitted_replications(monkeypatch, sampler.space)
     report = mc_type1(sampler.space, sampler, n1, n2, reps, 0.2)
     assert report.outcomes == expected
     assert keys == [(r, g) for r in range(reps) for g in (0, 1)]
+    assert sum(fitted) == reps
 
 
 def test_batched_stickiness_matches_single_means(monkeypatch):
@@ -498,9 +527,10 @@ def test_batched_consistency_matches_single_fits(make, monkeypatch):
         for n in grid
     ]
     keys = record_streams(monkeypatch)
-    no_single_fits(monkeypatch)
+    fitted = fitted_replications(monkeypatch, sampler.space)
     assert mc_consistency(sampler.space, sampler, grid, reps) == expected  # exact
     assert keys == [(n, r) for n in grid for r in range(reps)]
+    assert sum(fitted) == reps * len(grid)
 
 
 def test_draw_many_rows_match_single_draws():
@@ -569,8 +599,8 @@ def test_failed_block_falls_back_to_single_fits():
 
 def test_block_spending_the_iteration_budget_falls_back_to_single_fits(monkeypatch):
     # with an iteration budget of 4 for the block and the single fits, some
-    # Karcher replications spend it; their block runs again one fit per
-    # replication, and estimate_mean decides which of them failed
+    # Karcher replications spend it; the block checks them by estimate_mean's
+    # rule (check_convergence), so the same ones fail
     budget = 4
     sampler = cap_sampler(37)
     space = sampler.space
@@ -583,7 +613,6 @@ def test_block_spending_the_iteration_budget_falls_back_to_single_fits(monkeypat
     assert 0 < len(failed) < 10
     monkeypatch.setattr(space, "mean_many", functools.partial(space.mean_many, max_iter=budget))
     monkeypatch.setattr(simulate, "MEAN_MAX_ITER", budget)
-    monkeypatch.setattr(simulate, "estimate_mean", functools.partial(estimate_mean, max_iter=budget))
     with pytest.raises(FrechetStatsError) as batched:
         mc_consistency(space, sampler, [30], 10)
     keys = ", ".join(map(str, failed[:5])) + (", ..." if len(failed) > 5 else "")
@@ -602,7 +631,6 @@ def test_consistency_checks_the_budget_before_an_empty_median(monkeypatch):
     space = sampler.space
     monkeypatch.setattr(space, "mean_many", functools.partial(space.mean_many, max_iter=budget))
     monkeypatch.setattr(simulate, "MEAN_MAX_ITER", budget)
-    monkeypatch.setattr(simulate, "estimate_mean", functools.partial(estimate_mean, max_iter=budget))
     with pytest.raises(FrechetStatsError) as failed:
         mc_consistency(space, sampler, [30], 10)
     assert str(failed.value) == (
@@ -665,24 +693,23 @@ def test_openbook_charts_stack_by_stratum():
 def test_failure_budget_error_quotes_classes_and_keys(monkeypatch):
     sampler = Sampler(SphereSpace(3), SphereCapDescriptor((0.0, 0.0, 1.0), 0.5), 36)
     tests = simulate.two_sample_tests
+    rows = {Sample.join([sampler.draw(20, (r, 0)), sampler.draw(20, (r, 1))]).data.tobytes(): r
+            for r in range(100)}
     failing = {3, 11}
-    calls = []
 
     def two_sample_tests(chart, block, reps, n1):
-        # every block fails, and its re-run tests one replication at a time,
-        # through the patched tests
-        if reps > 1:
-            raise NearSingularCovariance("singular in the block")
-        calls.append(None)
-        if len(calls) - 1 in failing:
-            raise NearSingularCovariance(f"singular at {len(calls) - 1}")
+        # the replications of ``failing`` fail, those of one call in one
+        # raise that masks them and names the first
+        keys = [rows[group.tobytes()] for group in block.data.reshape(reps, -1, 3)]
+        refused = np.isin(keys, list(failing))
+        if refused.any():
+            raise NearSingularCovariance(f"singular at {keys[np.argmax(refused)]}", refused)
         return tests(chart, block, reps, n1)
 
     monkeypatch.setattr(simulate, "two_sample_tests", two_sample_tests)
     with pytest.raises(FrechetStatsError, match=r"^mc_type1: 2/50 replications failed "
                        r"\(budget 1%\): NearSingularCovariance x2; first failed keys 3, 11$"):
         mc_type1(sampler.space, sampler, 20, 20, 50, 0.05)
-    calls.clear()
     failing = {5}
     report = mc_type1(sampler.space, sampler, 20, 20, 100, 0.05)
     assert report.failures == 1
@@ -690,15 +717,62 @@ def test_failure_budget_error_quotes_classes_and_keys(monkeypatch):
     assert report.details["failed_reps"] == ((5, "NearSingularCovariance", "singular at 5"),)
 
 
+@pytest.mark.parametrize("failing", [1, 7, 40])
+def test_a_failing_block_runs_its_block_function_again_once(failing):
+    # one raise refuses ``failing`` replications: the block function runs
+    # twice whatever their number, and the others keep their outcomes
+    sampler = euclid3_sampler(46)
+    keys = list(range(60))
+    block = sampler.draw_many(10, keys)
+    firsts = sampler.space.mean_many(block, len(keys))[0].data[:, 0]
+    limit = np.sort(firsts)[failing - 1]
+    calls = []
+
+    def batched(block, means):
+        calls.append(len(means))
+        refused = means.data[:, 0] <= limit
+        if refused.any():
+            raise NearSingularCovariance("refused", refused)
+        return means.data[:, 0].tolist()
+
+    failed = []
+    out = simulate._outcomes(sampler.space, keys, block, batched, failed)
+    assert calls == [60, 60 - failing]
+    assert out == firsts[firsts > limit].tolist()
+    assert failed == [(key, "NearSingularCovariance", "refused")
+                      for key in keys if firsts[key] <= limit]
+
+
+def test_a_failing_spd_block_is_fitted_at_most_twice(monkeypatch):
+    # log-scale 6: 6 of 40 replications have a near-singular matrix; the
+    # block's means are taken twice, and its sandwiches once
+    sampler = spd_sampler(35, scale=6.0)
+    fitted = fitted_replications(monkeypatch, sampler.space)
+    sandwiches = []
+    stacked = simulate.stacked_sandwich
+
+    def counted(*args, **kwargs):
+        sandwiches.append(len(args[1]))
+        return stacked(*args, **kwargs)
+
+    monkeypatch.setattr(simulate, "stacked_sandwich", counted)
+    monkeypatch.setattr(simulate, "FAILURE_BUDGET", 0.5)
+    report = mc_coverage(sampler, 10, 40, 0.05)
+    assert report.failures == 6
+    assert fitted == [40, 34] and sandwiches == [34]
+
+
 def fail_at_mean(monkeypatch, space, mean):
     """Make every chart at ``mean`` (alone or among other bases) raise
-    NearSingularHessian, which fails the one replication whose mean it is."""
+    NearSingularHessian masking it, which fails the one replication whose
+    mean it is."""
     chart_at = space.chart_at
 
     def failing(base):
-        if np.any(np.all(np.isclose(np.atleast_2d(base.data), mean.data, rtol=0.0, atol=1e-9),
-                         axis=1)):
-            raise NearSingularHessian("forced at one replication's mean")
+        at_mean = np.all(np.isclose(np.atleast_2d(base.data), mean.data, rtol=0.0, atol=1e-9),
+                         axis=1)
+        if at_mean.any():
+            raise NearSingularHessian("forced at one replication's mean", at_mean)
         return chart_at(base)
 
     monkeypatch.setattr(space, "chart_at", failing)

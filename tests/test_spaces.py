@@ -212,10 +212,11 @@ def test_spd_exp_sample_names_the_near_singular_matrix_of_the_stack():
     sample = spd_exp_sample(_diagonal_logs([1.0, 31.0, 1.0, 40.0, 40.0, 1.0]))
     with pytest.raises(NotPositiveDefinite) as info:
         _sample_logs(sample)
-    assert info.value.index == 3
+    refused = [False, False, False, True, True, False]
+    assert info.value.refused.tolist() == refused
     with pytest.raises(NotPositiveDefinite) as alone:
         spd_logm(sample.data)
-    assert alone.value.index == 3 and str(alone.value) == str(info.value)
+    assert alone.value.refused.tolist() == refused and str(alone.value) == str(info.value)
 
 
 def test_spd_vech_examples():

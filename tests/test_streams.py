@@ -68,3 +68,25 @@ def test_a_reset_philox_draws_like_a_fresh_one():
         assert np.array_equal(rng.standard_normal(7), ref.standard_normal(7))
         assert np.array_equal(rng.random(5, dtype=np.float32), ref.random(5, dtype=np.float32))
         assert np.array_equal(rng.exponential(size=9), ref.exponential(size=9))
+
+
+def test_keys_with_equal_words_share_a_stream():
+    # SeedSequence concatenates the words of a key's integers: 2**32 and
+    # (0, 1) are both the words [0, 1], and 5 and (5,) both [5]
+    rows = philox_keys(1, [2**32, (0, 1), 5, (5,)])
+    assert np.array_equal(rows[0], rows[1]) and np.array_equal(rows[2], rows[3])
+    assert not np.array_equal(rows[0], rows[2])
+
+
+@pytest.mark.parametrize(
+    "keys",
+    [
+        pytest.param(list(range(3000)), id="coverage_and_stickiness"),
+        pytest.param([(r, g) for r in range(3000) for g in (0, 1)], id="type1"),
+        pytest.param([(n, r) for n in (10, 20, 50, 200, 3000) for r in range(3000)],
+                     id="consistency"),
+    ],
+)
+def test_each_experiments_keys_open_distinct_streams(keys):
+    for seed in (0, 2**40 + 3):
+        assert len(np.unique(philox_keys(seed, keys), axis=0)) == len(keys)
