@@ -493,15 +493,17 @@ def _outcomes(space, keys, block, batched, failed):
                                      packed.reshape((len(spent), -1) + packed.shape[1:]))
                 check_convergence(space.mean_strategy, row_norms(grad), iterations[spent],
                                   max_iter=MEAN_MAX_ITER)
+            stack = live
             strata = np.zeros(len(live), bool) if means.leaves is None else means.leaves > 0
-            groups = {}
-            for stratum in np.unique(strata):
-                rows = np.flatnonzero(strata == stratum)
+            if strata.all() or not strata.any():
+                out = batched(sample, means)
+                break
+            grouped = {}
+            for rows in (np.flatnonzero(~strata), np.flatnonzero(strata)):
                 stack = live[rows]
-                parts = [s if len(rows) == len(live) else _part(s, len(live), rows)
-                         for s in (sample, means)]
-                groups.update(zip(rows.tolist(), batched(*parts)))
-            out = [groups[i] for i in range(len(live))]
+                parts = [_part(s, len(live), rows) for s in (sample, means)]
+                grouped.update(zip(rows.tolist(), batched(*parts)))
+            out = [grouped[i] for i in range(len(live))]
             break
         except FrechetStatsError as exc:
             mask = np.asarray([] if exc.refused is None else exc.refused, dtype=bool)

@@ -124,9 +124,10 @@ def _logs(cols, base):
     c = _coordinate_sum(cols * b)
     # |p + b|^2 = 2 + 2c >= 1 for unit vectors with c >= -1/2, so the norms
     # are taken only when some dot is smaller
-    cut = c.min(initial=0.0) < -0.5 and np.sqrt(_coordinate_sum((cols + b) ** 2)) < _CUT_TOL
-    if np.any(cut):
-        raise CutLocus("log map requested at the cut locus (antipode of base)", cut)
+    if c.min(initial=0.0) < -0.5:
+        cut = np.sqrt(_coordinate_sum((cols + b) ** 2)) < _CUT_TOL
+        if cut.any():
+            raise CutLocus("log map requested at the cut locus (antipode of base)", cut)
     w = cols - c[..., None, :] * b
     nw = np.sqrt(_coordinate_sum(w * w))
     theta = np.arctan2(nw, np.clip(c, -1.0, 1.0))
