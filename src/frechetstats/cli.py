@@ -35,7 +35,7 @@ from .fiber import (
     write_fiber_csv,
     write_site_csv,
 )
-from .geometry import euclidean_point, openbook_point, spd_point, sphere_point
+from .geometry import euclidean_point, openbook_point, spd_sample, sphere_point
 from .inference import two_sample_test
 from .simulate import (
     GaussianDescriptor,
@@ -117,9 +117,7 @@ def load_points(path, space_kind, metric=None):
                 f"{path}: line {header_no}: expected header {','.join(UPPER_COLUMNS)!r}"
             )
         space = SPDSpace(3, _normalize_metric(metric) or "log_euclidean")
-
-        def make(values):
-            return spd_point(upper_to_matrix(values))
+        make = list  # the rows are validated as one batch below
     elif space_kind == "openbook":
         if len(columns) < 2 or columns[0] != "leaf":
             raise CLIInputError(
@@ -140,6 +138,12 @@ def load_points(path, space_kind, metric=None):
             sample.append(make(values))
         except InvalidPoint as exc:
             raise CLIInputError(f"{path}: line {lineno}: {exc}") from exc
+    if space_kind == "spd":
+        try:
+            sample = spd_sample(upper_to_matrix(sample))
+        except InvalidPoint as exc:  # a non-finite row carries no mask
+            bad = exc.refused if exc.refused is not None else ~np.isfinite(sample).all(axis=1)
+            raise CLIInputError(f"{path}: line {data_rows[np.argmax(bad)][0]}: {exc}") from exc
     if space is None:
         space = OpenBookSpace(max(2, max(p.leaf for p in sample)), len(columns) - 2)
     return space, space.check_sample(sample)
@@ -252,16 +256,23 @@ def cmd_fiber(args):
     return EXIT_PARTIAL if summary["failed_sites"] else EXIT_OK
 
 
+def _integer(field, value):
+    """A descriptor size: a JSON integer or an integral float such as 10.0."""
+    if type(value) not in (int, float) or value % 1:  # refuses true, 10.7, nan and inf
+        raise InvalidDescriptor(f"{field} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _space_from_config(cfg):
     kind = cfg.get("kind")
     if kind == "euclidean":
-        return EuclideanSpace(int(cfg["dim"]))
+        return EuclideanSpace(_integer("dim", cfg["dim"]))
     if kind == "sphere":
-        return SphereSpace(int(cfg["ambient_dim"]), _normalize_metric(cfg.get("metric")) or "intrinsic")
+        return SphereSpace(_integer("ambient_dim", cfg["ambient_dim"]), _normalize_metric(cfg.get("metric")) or "intrinsic")
     if kind == "spd":
-        return SPDSpace(int(cfg["p"]), _normalize_metric(cfg.get("metric")) or "log_euclidean")
+        return SPDSpace(_integer("p", cfg["p"]), _normalize_metric(cfg.get("metric")) or "log_euclidean")
     if kind == "openbook":
-        return OpenBookSpace(int(cfg["leaves"]), int(cfg["spine_dim"]))
+        return OpenBookSpace(_integer("leaves", cfg["leaves"]), _integer("spine_dim", cfg["spine_dim"]))
     raise InvalidDescriptor(f"unknown space kind {kind!r}")
 
 
@@ -294,28 +305,28 @@ def cmd_simulate(args):
         space = _space_from_config(cfg["space"])
         descriptor = _descriptor_from_config(cfg["distribution"])
         sampler = Sampler(space=space, descriptor=descriptor, seed=args.seed)
-        reps = int(cfg.get("reps", 200))
+        reps = _integer("reps", cfg.get("reps", 200))
         if args.experiment == "coverage":
             report = mc_coverage(
                 sampler,
-                n=int(cfg["n"]),
+                n=_integer("n", cfg["n"]),
                 reps=reps,
                 alpha=float(cfg.get("alpha", args.alpha)),
                 derivatives=cfg.get("derivatives", "auto"),
             )
         elif args.experiment == "stickiness":
-            report = mc_stickiness(sampler, n=int(cfg["n"]), reps=reps)
+            report = mc_stickiness(sampler, n=_integer("n", cfg["n"]), reps=reps)
         elif args.experiment == "type1":
             report = mc_type1(
                 space,
                 sampler,
-                n1=int(cfg["n1"]),
-                n2=int(cfg["n2"]),
+                n1=_integer("n1", cfg["n1"]),
+                n2=_integer("n2", cfg["n2"]),
                 reps=reps,
                 alpha=float(cfg.get("alpha", args.alpha)),
             )
         else:
-            table = mc_consistency(space, sampler, [int(v) for v in cfg["n_grid"]], reps)
+            table = mc_consistency(space, sampler, [_integer("n_grid", v) for v in cfg["n_grid"]], reps)
             _emit_json(
                 {
                     "experiment": "consistency",

@@ -20,7 +20,7 @@ from itertools import repeat
 import numpy as np
 
 from .errors import InvalidPoint, NotPositiveDefinite
-from .geometry import Sample, spd_point, spd_sample
+from .geometry import Sample, spd_sample
 from .inference import bh_fdr, bonferroni, chi2_two_sample
 from .spaces.spd import UPPER_COLUMNS, SPDSpace, matrix_to_upper, spd_expm, spd_logm
 from .spaces.spd import _vech_inv_rows, upper_to_matrix
@@ -71,18 +71,13 @@ class FiberDataset:
 def _spd_error(rows):
     """FiberParseError naming the first non-SPD matrix among the
     ``(lineno, upper-triangle values)`` of ``rows``, or None."""
-    if not rows:
-        return None
+    numbered = list(rows.values())
+    uppers = np.array([values for _, values in numbered]).reshape(-1, len(UPPER_COLUMNS))
     try:
-        spd_sample(upper_to_matrix([values for _, values in rows.values()]))
-    except InvalidPoint:
-        # spd_point is spd_sample on a batch of one, so some row fails alone
-        for lineno, values in rows.values():
-            try:
-                spd_point(upper_to_matrix(values))
-            except InvalidPoint as exc:
-                return FiberParseError(f"line {lineno}: matrix is not SPD ({exc})")
-        raise
+        spd_sample(upper_to_matrix(uppers))
+    except InvalidPoint as exc:  # a non-finite row carries no mask
+        bad = exc.refused if exc.refused is not None else ~np.isfinite(uppers).all(axis=1)
+        return FiberParseError(f"line {numbered[np.argmax(bad)][0]}: matrix is not SPD ({exc})")
     return None
 
 

@@ -33,6 +33,9 @@ HESSIAN_STEP_SCALE = _EPS ** 0.25
 #: tolerance of a sphere point's unit norm and of an SPD matrix's symmetry
 POINT_ATOL = 1e-12
 
+#: leading minors, of a matrix over its largest entry, that certify SPD(3)
+_MINOR_MARGIN = 1e-8
+
 #: default gradient-norm tolerance and iteration budget of the iterative means
 MEAN_TOL = 1e-10
 MEAN_MAX_ITER = 200
@@ -211,20 +214,41 @@ def sphere_sample(rows):
     return Sample("sphere", a / nrm[:, None])
 
 
+def _uncertified(m):
+    """Mask of the symmetric (n, 3, 3) matrices that the leading minors do
+    not certify positive definite (see ``spd_sample``)."""
+    upper = m.reshape(-1, 9)[:, [0, 1, 2, 4, 5, 8]]
+    scale = np.abs(upper).max(axis=1)
+    a11, a12, a13, a22, a23, a33 = (upper / np.where(scale > 0.0, scale, 1.0)[:, None]).T
+    minor = a11 * a22 - a12 * a12
+    det = a33 * minor - a11 * a23 * a23 + a12 * (2.0 * a13 * a23) - a22 * a13 * a13
+    return ~((a11 > _MINOR_MARGIN) & (minor > _MINOR_MARGIN) & (det > _MINOR_MARGIN))
+
+
 def spd_sample(mats):
     """Sample of SPD matrices from an (n, p, p) array; each matrix must be
     symmetric within POINT_ATOL (it is then symmetrized) and positive
-    definite (InvalidPoint masks the matrices that are not)."""
+    definite (InvalidPoint masks the matrices that are not).
+
+    eigvalsh refuses a matrix whose smallest eigenvalue is <= 0; for p == 3
+    it sees only the matrices the leading minors do not certify.  Over its
+    largest absolute entry (no product overflows) a matrix has lambda_max
+    <= 3, so minors a11, a11*a22 - a12**2 and det above _MINOR_MARGIN give
+    lambda_min >= det/9 > 1e-9 of that entry, far beyond eigvalsh's error of
+    about 1e-15 of it: the decisions and the mask are eigvalsh's.  The zero
+    matrix is never certified."""
     m = _finite_rows(mats, 3)
     if m.shape[1] != m.shape[2]:
         raise InvalidPoint("spd payload must be a square matrix")
     mt = np.swapaxes(m, 1, 2)
-    if not np.allclose(m, mt, rtol=0.0, atol=POINT_ATOL):
+    if not np.all(np.abs(m - mt) <= POINT_ATOL):  # np.allclose with rtol=0
         raise InvalidPoint("spd payload is not symmetric within tolerance")
     m = 0.5 * (m + mt)
-    refused = np.linalg.eigvalsh(m)[:, 0] <= 0.0
+    refused = _uncertified(m) if m.shape[1] == 3 else np.ones(len(m), dtype=bool)
     if refused.any():
-        raise InvalidPoint("spd payload has a non-positive eigenvalue", refused)
+        refused[refused] = np.linalg.eigvalsh(m[refused])[:, 0] <= 0.0
+        if refused.any():
+            raise InvalidPoint("spd payload has a non-positive eigenvalue", refused)
     return Sample("spd", m)
 
 

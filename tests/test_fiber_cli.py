@@ -245,6 +245,21 @@ def test_cli_mean_sphere_and_spd(tmp_path, capsys):
     assert np.allclose(out["mean"], [2.0, 0.0, 0.0, 2.0, 0.0, 2.0])
 
 
+@pytest.mark.parametrize("command", ["mean", "test2"])
+def test_cli_spd_points_name_the_first_bad_line(command, tmp_path, capsys):
+    header, good = "a11,a12,a13,a22,a23,a33\n", "2,0.1,0,1,0,1\n"
+    ok = write(tmp_path / "ok.csv", header + good + good)
+    for rows, message in [
+        (good + "1,2,0,1,0,1\n" + "1,0,0,1,0,-1\n", "line 3: spd payload has a non-positive eigenvalue"),
+        (good + good + "0,0,0,0,0,0\n", "line 4: spd payload has a non-positive eigenvalue"),
+        (good + "\n" + "1,0,0,1,0,nan\n" + "1,2,0,1,0,1\n", "line 4: point payload contains non-finite"),
+    ]:
+        bad = write(tmp_path / "bad.csv", header + rows)
+        inputs = [bad] if command == "mean" else [ok, bad]
+        assert main([command, *inputs, "--space", "spd"]) == 2
+        assert f"{bad}: {message}" in capsys.readouterr().err
+
+
 def test_cli_mean_openbook(tmp_path, capsys):
     ob = write(tmp_path / "ob.csv", "leaf,x0,x1\n1,1,0\n1,3,2\n2,2,4\n")
     assert main(["mean", ob, "--space", "openbook"]) == 0
@@ -486,6 +501,50 @@ def test_cli_simulate_refuses_bad_run_arguments(experiment, run, tmp_path, capsy
     assert out == "" and "InvalidDescriptor" in err
 
 
+EUCLID_RUN = {"space": {"kind": "euclidean", "dim": 2},
+              "distribution": {"kind": "gaussian", "mean": [0.0, 0.0], "cov": 1.0},
+              "n": 10, "n1": 10, "n2": 10, "n_grid": [5, 10], "reps": 20}
+
+
+@pytest.mark.parametrize(
+    "experiment, changes, field",
+    [
+        pytest.param("coverage", {"n": 10.7}, "n", id="n"),
+        pytest.param("stickiness", {"n": True}, "n", id="n-bool"),
+        pytest.param("coverage", {"reps": 20.5}, "reps", id="reps"),
+        pytest.param("type1", {"n1": 10.5}, "n1", id="n1"),
+        pytest.param("type1", {"n2": "10"}, "n2", id="n2-string"),
+        pytest.param("consistency", {"n_grid": [5, 7.5]}, "n_grid", id="n_grid"),
+        pytest.param("coverage", {"space": {"kind": "euclidean", "dim": 2.9}}, "dim", id="dim"),
+        pytest.param("coverage", {"space": {"kind": "sphere", "ambient_dim": 3.5}},
+                     "ambient_dim", id="ambient_dim"),
+        pytest.param("coverage", {"space": {"kind": "spd", "p": 3.01}}, "p", id="p"),
+        pytest.param("coverage", {"space": {"kind": "openbook", "leaves": 2.5, "spine_dim": 1}},
+                     "leaves", id="leaves"),
+        pytest.param("coverage", {"space": {"kind": "openbook", "leaves": 3, "spine_dim": 1e400}},
+                     "spine_dim", id="spine_dim-inf"),
+    ],
+)
+def test_cli_simulate_refuses_non_integral_sizes(experiment, changes, field, tmp_path, capsys):
+    desc = write(tmp_path / "run.json", json.dumps({**EUCLID_RUN, **changes}))
+    assert main(["simulate", desc, "--experiment", experiment]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "InvalidDescriptor" in err and f"{field} must be an integer" in err
+
+
+def test_cli_simulate_accepts_integral_float_sizes(tmp_path, capsys):
+    runs = []
+    for sizes in ({"n_grid": [5, 10], "reps": 20}, {"n_grid": [5.0, 10.0], "reps": 20.0}):
+        desc = write(tmp_path / "run.json", json.dumps({**EUCLID_RUN, **sizes}))
+        assert main(["simulate", desc, "--experiment", "consistency", "--seed", "4"]) == 0
+        runs.append(capsys.readouterr().out)
+    assert runs[0] == runs[1]
+    space = {"space": {"kind": "euclidean", "dim": 2.0}, "n": 10.0}
+    desc = write(tmp_path / "run.json", json.dumps({**EUCLID_RUN, **space}))
+    assert main(["simulate", desc, "--experiment", "coverage"]) == 0
+    assert json.loads(capsys.readouterr().out)["n"] == 10
+
+
 def test_cli_test2_chordal_sphere_past_the_pooled_means_hemisphere(tmp_path, capsys):
     # caps of radius 2.8 reach beyond the open hemisphere of the pooled mean
     sampler = Sampler(SphereSpace(3, "extrinsic"), SphereCapDescriptor((0.0, 0.0, 1.0), 2.8), 4)
@@ -534,6 +593,16 @@ def test_fiber_command_validates_the_tensors_once(tmp_path, monkeypatch):
     monkeypatch.setattr(fiber_module, "spd_sample", counted)
     assert main(["fiber", str(data), "--output", str(tmp_path / "sites.csv")]) == 0
     assert calls == [46 * 75]
+
+
+def test_fiber_dataset_sends_no_tensor_to_eigvalsh(monkeypatch):
+    # the benchmark's dataset shape: every tensor is certified by its minors
+    ds = generate_fiber_dataset(seed=1, effect_sites=range(10, 21), effect_size=0.3)
+    sent = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: sent.append(len(a)) or eigvalsh(a))
+    FiberDataset(ds.subjects, ds.groups, ds.tensors)
+    assert sent == []
 
 
 def test_dataset_built_from_arrays_is_validated():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from frechetstats import geometry
 from frechetstats.errors import InvalidPoint, MixedSpacePoints, NonFiniteValue
 from frechetstats.geometry import (
     GRADIENT_STEP_SCALE,
@@ -12,6 +13,7 @@ from frechetstats.geometry import (
     openbook_point,
     openbook_sample,
     spd_point,
+    spd_sample,
     sphere_point,
 )
 from frechetstats.estimator import estimate_mean, sandwich_covariance
@@ -37,6 +39,90 @@ def test_spd_point_requires_symmetry_and_positivity():
         spd_point(np.array([[1.0, 0.5], [0.0, 1.0]]))
     with pytest.raises(InvalidPoint):
         spd_point(np.diag([1.0, -0.5]))
+
+
+# ---------------------------------------------------------------------------
+# spd_sample's leading-minor certificate decides as eigvalsh does
+
+#: smallest over largest eigenvalue of the test matrices (their middle one is 0.5)
+SPD_RATIOS = (-1e-3, -1e-16, 0.0, 1e-17, 1e-9, geometry._MINOR_MARGIN, 1.0)
+SPD_SCALES = tuple(10.0 ** np.arange(-300, 301, 50))
+
+
+def spd_stack(ratios, scales, seed=0):
+    """Symmetric 3x3 matrices with eigenvalues (1, 0.5, ratio) * scale: a
+    diagonal one and a randomly rotated one per (ratio, scale)."""
+    rng = np.random.default_rng(seed)
+    mats = []
+    for scale in scales:
+        for ratio in ratios:
+            w = np.array([1.0, 0.5, ratio])
+            q = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+            rotated = (q * w) @ q.T
+            mats += [np.diag(w) * scale, 0.5 * (rotated + rotated.T) * scale]
+    return np.array(mats)
+
+
+def refusals(mats):
+    """spd_sample's refused mask of ``mats``, all False when it accepts them."""
+    try:
+        spd_sample(mats)
+    except InvalidPoint as exc:
+        assert str(exc) == "spd payload has a non-positive eigenvalue"
+        return exc.refused
+    return np.zeros(len(mats), dtype=bool)
+
+
+def eigvalsh_refusals(mats):
+    return np.linalg.eigvalsh(mats)[:, 0] <= 0.0
+
+
+@pytest.mark.parametrize("scale", SPD_SCALES)
+def test_spd_sample_refuses_what_eigvalsh_refuses_at_every_scale(scale):
+    # pytest turns any RuntimeWarning (an overflow, say) into a failure
+    mats = np.concatenate([spd_stack(SPD_RATIOS, [scale]), np.zeros((1, 3, 3))])
+    expected = eigvalsh_refusals(mats)
+    assert expected.any() and not expected.all()
+    np.testing.assert_array_equal(refusals(mats), expected)
+    for m, refused in zip(mats, expected):
+        np.testing.assert_array_equal(refusals(m[None]), [refused])
+
+
+def test_spd_sample_refuses_what_eigvalsh_refuses_in_a_mixed_stack():
+    mats = np.concatenate([spd_stack(SPD_RATIOS, SPD_SCALES, seed=1), np.zeros((2, 3, 3))])
+    mats = mats[np.random.default_rng(2).permutation(len(mats))]
+    np.testing.assert_array_equal(refusals(mats), eigvalsh_refusals(mats))
+    well = spd_stack([1.0], SPD_SCALES, seed=3)
+    assert not refusals(well).any()
+    assert spd_sample(well).data.tobytes() == well.tobytes()  # exactly symmetric already
+
+
+def test_spd_sample_sends_eigvalsh_only_the_uncertified_matrices(monkeypatch):
+    sent = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        sent.append(np.array(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    well = spd_stack([1.0], SPD_SCALES, seed=4)
+    spd_sample(well)
+    assert sent == []
+    # a tiny or negative eigenvalue, or none at all, is never certified
+    ill = np.concatenate([spd_stack((-1e-3, -1e-16, 0.0, 1e-17), SPD_SCALES, seed=5),
+                          np.zeros((1, 3, 3))])
+    mixed = np.concatenate([well, ill])
+    order = np.random.default_rng(6).permutation(len(mixed))
+    with pytest.raises(InvalidPoint) as info:
+        spd_sample(mixed[order])
+    assert len(sent) == 1
+    is_ill = order >= len(well)
+    np.testing.assert_array_equal(sent[0], mixed[order][is_ill])
+    np.testing.assert_array_equal(info.value.refused, eigvalsh_refusals(mixed[order]))
+    sent.clear()
+    spd_sample(np.stack([np.eye(2), np.diag([2.0, 1.0])]))  # p != 3 goes to eigvalsh
+    assert [a.shape for a in sent] == [(2, 2, 2)]
 
 
 def test_openbook_point_canonicalizes_spine():

@@ -7,10 +7,13 @@ rejection sets exactly.  A change that alters the samplers' arithmetic or
 the estimators' numerics shows up here.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from frechetstats import simulate
+from frechetstats.cli import main
 from frechetstats.fiber import fiber_site_tests, generate_fiber_dataset
 from frechetstats.spaces import EuclideanSpace, OpenBookSpace, SPDSpace, SphereSpace
 
@@ -151,3 +154,25 @@ def test_fiber_site_statistics_are_pinned(metric):
     np.testing.assert_allclose([r.p_value for r in results], pvals, rtol=1e-12, atol=0.0)
     assert [r.site for r in results if r.bh_rejected] == bh
     assert [r.site for r in results if r.bonferroni_rejected] == bonf
+
+
+#: sha256 of the ``fiber`` site CSV of ``gen-fiber --seed 1 --effect-sites
+#: 10-20 --effect-size 0.3`` (46 subjects x 75 sites) under each metric
+FIBER_SITE_CSV_SHA256 = {
+    "log-euclidean": "8cb8c8e32e83ebd0209d662bf99b93e668d33a99741af14a3b4f0cfa1f8bc84c",
+    "euclidean": "882889cd4ea07c580899884d66564afc87d59d821a60fde183db481a82c2e46e",
+}
+FIBER_DATA_SHA256 = "91ffc9296c29ff6e7f2d281ca411eed4b3a6c7607e6cc1cc62cf351d46a4b8cd"
+
+
+@pytest.mark.parametrize("metric", sorted(FIBER_SITE_CSV_SHA256))
+def test_fiber_site_csv_bytes_are_pinned(metric, tmp_path, capsys):
+    """The whole CLI pipeline, byte for byte; the digests were recorded on
+    x86-64 with numpy 2.4 (another libm or LAPACK may round differently)."""
+    data, sites = tmp_path / "fiber.csv", tmp_path / "sites.csv"
+    gen = ["gen-fiber", "--seed", "1", "--effect-sites", "10-20", "--effect-size", "0.3"]
+    assert main([*gen, "--output", str(data)]) == 0
+    assert hashlib.sha256(data.read_bytes()).hexdigest() == FIBER_DATA_SHA256
+    assert main(["fiber", str(data), "--metric", metric, "--output", str(sites)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(sites.read_bytes()).hexdigest() == FIBER_SITE_CSV_SHA256[metric]
