@@ -35,7 +35,8 @@ from .fiber import (
     write_fiber_csv,
     write_site_csv,
 )
-from .geometry import euclidean_point, openbook_point, spd_sample, sphere_point
+from .geometry import UPPER_COLUMNS, euclidean_point, matrix_to_upper, openbook_point
+from .geometry import spd_sample, sphere_point, upper_to_matrix
 from .inference import two_sample_test
 from .simulate import (
     GaussianDescriptor,
@@ -50,7 +51,6 @@ from .simulate import (
     mc_type1,
 )
 from .spaces import EuclideanSpace, OpenBookSpace, SPDSpace, SphereSpace
-from .spaces.spd import UPPER_COLUMNS, matrix_to_upper, upper_to_matrix
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -141,9 +141,9 @@ def load_points(path, space_kind, metric=None):
     if space_kind == "spd":
         try:
             sample = spd_sample(upper_to_matrix(sample))
-        except InvalidPoint as exc:  # a non-finite row carries no mask
-            bad = exc.refused if exc.refused is not None else ~np.isfinite(sample).all(axis=1)
-            raise CLIInputError(f"{path}: line {data_rows[np.argmax(bad)][0]}: {exc}") from exc
+        except InvalidPoint as exc:
+            lineno = data_rows[np.argmax(exc.refused)][0]
+            raise CLIInputError(f"{path}: line {lineno}: {exc}") from exc
     if space is None:
         space = OpenBookSpace(max(2, max(p.leaf for p in sample)), len(columns) - 2)
     return space, space.check_sample(sample)

@@ -20,10 +20,9 @@ from itertools import repeat
 import numpy as np
 
 from .errors import InvalidPoint, NotPositiveDefinite
-from .geometry import Sample, spd_sample
+from .geometry import UPPER_COLUMNS, Sample, matrix_to_upper, spd_sample, upper_to_matrix
 from .inference import bh_fdr, bonferroni, chi2_two_sample
-from .spaces.spd import UPPER_COLUMNS, SPDSpace, matrix_to_upper, spd_expm, spd_logm
-from .spaces.spd import _vech_inv_rows, upper_to_matrix
+from .spaces.spd import SPDSpace, _vech_inv_rows, spd_expm, spd_logm
 from .streams import Streams
 
 #: canonical column order of the dataset CSV
@@ -75,9 +74,9 @@ def _spd_error(rows):
     uppers = np.array([values for _, values in numbered]).reshape(-1, len(UPPER_COLUMNS))
     try:
         spd_sample(upper_to_matrix(uppers))
-    except InvalidPoint as exc:  # a non-finite row carries no mask
-        bad = exc.refused if exc.refused is not None else ~np.isfinite(uppers).all(axis=1)
-        return FiberParseError(f"line {numbered[np.argmax(bad)][0]}: matrix is not SPD ({exc})")
+    except InvalidPoint as exc:
+        return FiberParseError(f"line {numbered[np.argmax(exc.refused)][0]}: "
+                               f"matrix is not SPD ({exc})")
     return None
 
 

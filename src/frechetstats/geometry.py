@@ -7,11 +7,14 @@ the mean onto an open subset of R^s; ``h(x; q) = distance(phi^-1(x), q)^2``
 is the squared-distance function expressed in chart coordinates.  Everything
 downstream (mean estimation, sandwich covariances, two-sample tests) works on
 ``h`` and its first two derivatives.
+
+A Sample, and a Point taken from one, carries what belongs to its rows as
+fields: the leaf labels of an open-book sample, and the matrix logs of an
+SPD sample (``_logs``), its log-Euclidean coordinates.
 """
 
 from __future__ import annotations
 
-import weakref
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
@@ -40,13 +43,6 @@ _MINOR_MARGIN = 1e-8
 MEAN_TOL = 1e-10
 MEAN_MAX_ITER = 200
 
-#: read-only per-row arrays derived from a Sample's rows (an SPD sample's
-#: matrix logs, NaN in the rows not taken yet), kept while the Sample lives;
-#: ``Sample.take`` and ``Sample.join`` carry them to the parts and to the
-#: joined Sample, and a Point taken from a Sample carries its row (kept
-#: with the Point) to ``as_sample``
-ROW_CACHE = weakref.WeakKeyDictionary()
-
 
 @dataclass(frozen=True, eq=False)
 class Point:
@@ -56,12 +52,15 @@ class Point:
     holds the coordinate payload (vector, unit vector, SPD matrix, or the
     half-space coordinates ``(x0, x1, ..., xD)``).  ``leaf`` is meaningful
     for open-book points only: leaf 0 is the spine, and spine points always
-    carry ``leaf == 0`` and ``x0 == 0``.
+    carry ``leaf == 0`` and ``x0 == 0``.  ``_logs`` is the read-only
+    matrix log (p, p) of an SPD point taken from a Sample that has its logs
+    (NaN when not taken yet), else None.
     """
 
     kind: str
     data: np.ndarray
     leaf: int = 0
+    _logs: np.ndarray | None = None
 
     def close_to(self, other, atol=1e-12):
         if self.kind != other.kind or self.leaf != other.leaf:
@@ -91,17 +90,23 @@ class Sample:
     them then).  ``build`` maps each row on its own and keeps the array's
     shape, so ``len``, ``shape``, ``take`` and ``join`` never call it, and a
     row's data has the same bits whichever part of a stack builds it.
+
+    ``_logs`` is None, or an SPD sample's read-only (n, p, p) matrix logs,
+    NaN in the rows whose logs are not taken yet (see
+    ``spaces.spd._sample_logs``, which fills them).  Indexing, ``take``,
+    ``join`` and ``as_sample`` carry them as they carry ``leaves``.
     """
 
     kind: str
     _rows: np.ndarray
     leaves: np.ndarray | None = None
     _build: object = None
+    _logs: np.ndarray | None = None
 
     def __post_init__(self):
-        self._rows.setflags(write=False)
-        if self.leaves is not None:
-            self.leaves.setflags(write=False)
+        for a in (self._rows, self.leaves, self._logs):
+            if a is not None:
+                a.setflags(write=False)
 
     @property
     def data(self):
@@ -124,22 +129,13 @@ class Sample:
 
     def __getitem__(self, i):
         leaf = 0 if self.leaves is None else int(self.leaves[i])
-        point = Point(self.kind, self.data[i], leaf)
-        cached = ROW_CACHE.get(self)
-        if cached is not None:
-            ROW_CACHE[point] = cached[i]
-        return point
+        return Point(self.kind, self.data[i], leaf, None if self._logs is None else self._logs[i])
 
     def take(self, index):
         """The Sample of the rows ``index`` (a slice or integer array),
-        deferred when this one is, with those rows of its cached row array."""
-        taken = Sample(self.kind, self._rows[index],
-                       None if self.leaves is None else self.leaves[index], self._build)
-        cached = ROW_CACHE.get(self)
-        if cached is not None:
-            ROW_CACHE[taken] = cached[index]
-            ROW_CACHE[taken].setflags(write=False)
-        return taken
+        deferred when this one is."""
+        leaves, logs = (None if a is None else a[index] for a in (self.leaves, self._logs))
+        return Sample(self.kind, self._rows[index], leaves, self._build, logs)
 
     def split(self, sizes):
         """The consecutive Samples of ``sizes`` rows each that make up this
@@ -149,28 +145,37 @@ class Sample:
     @classmethod
     def join(cls, parts):
         """The Sample of the rows of ``parts`` (Samples of one kind) in
-        order, deferred when every part is deferred alike, with their cached
-        row arrays joined when every part has one."""
-        leaves = None if parts[0].leaves is None else np.concatenate([p.leaves for p in parts])
+        order, deferred when every part is deferred alike, with their logs
+        when every part has them."""
         build = parts[0]._build
         if any(p._build is not build for p in parts):
             build = None
         payloads = [p.data if build is None else p._rows for p in parts]
-        joined = cls(parts[0].kind, np.concatenate(payloads), leaves, build)
-        cached = [ROW_CACHE.get(p) for p in parts]
-        if all(rows is not None for rows in cached):
-            rows = np.concatenate(cached)
-            rows.setflags(write=False)
-            ROW_CACHE[joined] = rows
-        return joined
+        return cls(parts[0].kind, np.concatenate(payloads), _joined([p.leaves for p in parts]),
+                   build, _joined([p._logs for p in parts]))
+
+
+def _joined(arrays, join=np.concatenate):
+    """``join(arrays)``, or None when an array is None."""
+    return None if any(a is None for a in arrays) else join(arrays)
+
+
+def _refuse(bad, message):
+    """Raise InvalidPoint masking the rows that hold a ``bad`` entry (an
+    array of at least one axis, rows first), if there are any."""
+    if bad.any():
+        raise InvalidPoint(message, bad.reshape(len(bad), -1).any(axis=1))
 
 
 def _finite_rows(values, ndim):
+    """``values`` as a float array of ``ndim`` axes; InvalidPoint masks the
+    rows that hold a non-finite entry (a wrong shape is not masked).  Each
+    later check of the ``*_sample`` validators masks the rows it refuses in
+    the same way; the first check that refuses a row raises."""
     a = np.array(values, dtype=float, order="C")
     if a.ndim != ndim:
         raise InvalidPoint(f"expected a batch of {ndim - 1}-d payloads, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise InvalidPoint("point payload contains non-finite entries")
+    _refuse(~np.isfinite(a), "point payload contains non-finite entries")
     return a
 
 
@@ -206,18 +211,38 @@ def sphere_sample(rows):
     must be 1 within POINT_ATOL, and the row is divided by it."""
     a = _finite_rows(rows, 2)
     nrm = row_norms(a)
-    bad = np.flatnonzero(np.abs(nrm - 1.0) > POINT_ATOL)
-    if bad.size:
-        raise InvalidPoint(
-            f"sphere point has norm {float(nrm[bad[0]])!r}, not 1 within {POINT_ATOL}"
-        )
+    bad = np.abs(nrm - 1.0) > POINT_ATOL
+    if bad.any():
+        raise InvalidPoint(f"sphere point has norm {float(nrm[bad][0])!r}, "
+                           f"not 1 within {POINT_ATOL}", bad)
     return Sample("sphere", a / nrm[:, None])
+
+
+#: column names of the upper-triangle row format of an SPD(3) matrix
+UPPER_COLUMNS = ("a11", "a12", "a13", "a22", "a23", "a33")
+_UPPER = np.triu_indices(3)
+
+
+def upper_to_matrix(values):
+    """Symmetric 3x3 matrices from (..., 6) upper-triangle rows in the
+    order of UPPER_COLUMNS."""
+    v = np.asarray(values, dtype=float)
+    m = np.empty(v.shape[:-1] + (3, 3))
+    m[..., _UPPER[0], _UPPER[1]] = v
+    m[..., _UPPER[1], _UPPER[0]] = v
+    return m
+
+
+def matrix_to_upper(m):
+    """Upper-triangle rows (..., 6) of (..., 3, 3) matrices, in the order of
+    UPPER_COLUMNS."""
+    return np.asarray(m)[..., _UPPER[0], _UPPER[1]]
 
 
 def _uncertified(m):
     """Mask of the symmetric (n, 3, 3) matrices that the leading minors do
     not certify positive definite (see ``spd_sample``)."""
-    upper = m.reshape(-1, 9)[:, [0, 1, 2, 4, 5, 8]]
+    upper = matrix_to_upper(m)
     scale = np.abs(upper).max(axis=1)
     a11, a12, a13, a22, a23, a33 = (upper / np.where(scale > 0.0, scale, 1.0)[:, None]).T
     minor = a11 * a22 - a12 * a12
@@ -241,14 +266,13 @@ def spd_sample(mats):
     if m.shape[1] != m.shape[2]:
         raise InvalidPoint("spd payload must be a square matrix")
     mt = np.swapaxes(m, 1, 2)
-    if not np.all(np.abs(m - mt) <= POINT_ATOL):  # np.allclose with rtol=0
-        raise InvalidPoint("spd payload is not symmetric within tolerance")
+    _refuse(np.abs(m - mt) > POINT_ATOL,  # np.allclose with rtol=0
+            "spd payload is not symmetric within tolerance")
     m = 0.5 * (m + mt)
     refused = _uncertified(m) if m.shape[1] == 3 else np.ones(len(m), dtype=bool)
     if refused.any():
         refused[refused] = np.linalg.eigvalsh(m[refused])[:, 0] <= 0.0
-        if refused.any():
-            raise InvalidPoint("spd payload has a non-positive eigenvalue", refused)
+        _refuse(refused, "spd payload has a non-positive eigenvalue")
     return Sample("spd", m)
 
 
@@ -263,34 +287,25 @@ def openbook_sample(leaves, coords):
     labels = np.asarray(leaves).astype(int)
     if c.shape[1] == 0 or labels.shape != (c.shape[0],):
         raise InvalidPoint("open-book sample needs one leaf label per row of coordinates")
-    if np.any(c[:, 0] < 0.0):
-        raise InvalidPoint("open-book coordinate x0 must be nonnegative")
-    if np.any(labels < 0):
-        raise InvalidPoint("leaf label must be nonnegative")
-    labels = np.where(c[:, 0] == 0.0, 0, labels)
-    if np.any((labels == 0) & (c[:, 0] > 0.0)):
-        raise InvalidPoint("spine points (leaf 0) must have x0 == 0")
-    return Sample("openbook", c, labels)
+    _refuse(c[:, 0] < 0.0, "open-book coordinate x0 must be nonnegative")
+    _refuse(labels < 0, "leaf label must be nonnegative")
+    _refuse((labels == 0) & (c[:, 0] > 0.0), "spine points (leaf 0) must have x0 == 0")
+    return Sample("openbook", c, np.where(c[:, 0] == 0.0, 0, labels))
 
 
 def as_sample(sample):
     """``sample`` as one Sample: a Sample is returned as is, a sequence of
     Points of one kind (validated when they were built) is stacked once,
-    with their cached rows when every Point has one.  TooFewPoints for an
-    empty sample."""
+    with their logs when every Point has them.  TooFewPoints for an empty
+    sample."""
     if len(sample) == 0:
         raise TooFewPoints("sample must be nonempty")
     if isinstance(sample, Sample):
         return sample
     kind = sample[0].kind
     leaves = np.array([p.leaf for p in sample]) if kind == "openbook" else None
-    stacked = Sample(kind, np.stack([p.data for p in sample]), leaves)
-    cached = [ROW_CACHE.get(p) for p in sample]
-    if all(row is not None for row in cached):
-        rows = np.stack(cached)
-        rows.setflags(write=False)
-        ROW_CACHE[stacked] = rows
-    return stacked
+    return Sample(kind, np.stack([p.data for p in sample]), leaves, None,
+                  _joined([p._logs for p in sample], np.stack))
 
 
 def euclidean_point(v):

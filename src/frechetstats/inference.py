@@ -15,30 +15,36 @@ from .estimator import estimate_mean, guarded_inverse
 from .geometry import Sample
 
 
-def chi2_sf(x, k):
-    """Upper tail P(chi2_k > x) via the regularized upper incomplete gamma
-    function Q(k/2, x/2).  ``x`` may be an array (a NaN entry gives NaN);
-    a scalar ``x`` gives a float."""
+def _check_df(k):
+    if k < 1:
+        raise ValueError("degrees of freedom must be >= 1")
+
+
+def _gamma_tail(tail, x, k):
+    """``tail(k/2, x/2)`` of a regularized incomplete gamma function, for a
+    scalar ``x`` (a float) or an array (a NaN entry gives NaN)."""
     x = np.asarray(x, dtype=float)
     if np.any(x < 0.0):
         raise ValueError("x must be nonnegative")
-    if k < 1:
-        raise ValueError("degrees of freedom must be >= 1")
-    p = special.gammaincc(0.5 * k, 0.5 * x)
+    _check_df(k)
+    p = tail(0.5 * k, 0.5 * x)
     return float(p) if p.ndim == 0 else p
 
 
+def chi2_sf(x, k):
+    """Upper tail P(chi2_k > x) via the regularized upper incomplete gamma
+    function Q(k/2, x/2); ``x`` may be an array."""
+    return _gamma_tail(special.gammaincc, x, k)
+
+
 def chi2_cdf(x, k):
-    """Lower tail P(chi2_k <= x)."""
-    if x < 0.0:
-        raise ValueError("x must be nonnegative")
-    if k < 1:
-        raise ValueError("degrees of freedom must be >= 1")
-    return float(special.gammainc(0.5 * k, 0.5 * x))
+    """Lower tail P(chi2_k <= x); ``x`` may be an array."""
+    return _gamma_tail(special.gammainc, x, k)
 
 
 def chi2_quantile(k, prob):
     """Value q with P(chi2_k <= q) = prob."""
+    _check_df(k)
     if not 0.0 < prob < 1.0:
         raise ValueError("prob must be in (0, 1)")
     return float(2.0 * special.gammainccinv(0.5 * k, 1.0 - prob))
@@ -154,19 +160,21 @@ class MultiTestResult:
     global_p: float | None
 
 
-def _validated_pvalues(pvalues):
+def _validated_pvalues(pvalues, alpha):
     p = np.asarray(pvalues, dtype=float)
     if p.ndim != 1 or p.size == 0:
         raise ValueError("pvalues must be a nonempty 1-d sequence")
     if np.any(~np.isfinite(p)) or np.any(p < 0.0) or np.any(p > 1.0):
         raise ValueError("pvalues must lie in [0, 1]")
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must be in (0, 1)")
     return p
 
 
 def bonferroni(pvalues, alpha=0.05):
     """Bonferroni correction: global p = min(1, m * min p); site i is
     rejected at level alpha iff p_i <= alpha / m."""
-    p = _validated_pvalues(pvalues)
+    p = _validated_pvalues(pvalues, alpha)
     m = p.size
     order = np.argsort(p, kind="stable")
     rejected = p <= alpha / m
@@ -187,9 +195,7 @@ def bh_fdr(pvalues, alpha=0.05):
     Rejects the i smallest p-values, where i is the largest index with
     p_(i) <= i * alpha / m (none when no index qualifies).
     """
-    p = _validated_pvalues(pvalues)
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must be in (0, 1)")
+    p = _validated_pvalues(pvalues, alpha)
     m = p.size
     order = np.argsort(p, kind="stable")
     sorted_p = p[order]

@@ -607,15 +607,14 @@ def mc_stickiness(sampler, n, reps):
     )
 
 
-def mc_type1(space, sampler, n1, n2, reps, alpha, identical_groups=False):
+def mc_type1(space, sampler, n1, n2, reps, alpha):
     """Empirical type-I error of the two-sample chart test under H0.
 
-    Both groups are drawn from the sampler's distribution; with
-    ``identical_groups`` the second group reuses the first group's stream
-    (degenerate sanity mode with statistic 0).  A block of replications is
-    tested by ``two_sample_tests`` in the charts at their pooled means,
-    stacked.  ``details['df']`` counts the tests by degrees of freedom (on
-    the open book D at a pooled mean on the spine, D + 1 on a leaf).
+    Both groups are drawn from the sampler's distribution.  A block of
+    replications is tested by ``two_sample_tests`` in the charts at their
+    pooled means, stacked.  ``details['df']`` counts the tests by degrees
+    of freedom (on the open book D at a pooled mean on the spine, D + 1 on
+    a leaf).
     """
     _check_run(reps, alpha, least=2, n1=n1, n2=n2)
     if repr(sampler.space) != repr(space):
@@ -628,7 +627,7 @@ def mc_type1(space, sampler, n1, n2, reps, alpha, identical_groups=False):
 
     results, failed = [], []
     for block_reps in _blocks(list(range(reps)), n1 + n2):
-        keys = [key for rep in block_reps for key in ((rep, 0), (rep, 0 if identical_groups else 1))]
+        keys = [key for rep in block_reps for key in ((rep, 0), (rep, 1))]
         block = sampler.draw_many([n1, n2] * len(block_reps), keys)
         results += _outcomes(space, block_reps, block, batched, failed)
     return _rate_report("type1", reps, [reject for reject, _ in results], failed, alpha=alpha,

@@ -7,8 +7,10 @@ sqrt(2) factor so the chart preserves the Frobenius norm exactly, which
 reduces both geometries to the Euclidean case (closed-form means, analytic
 derivatives, sandwich covariance equal to the chart-vector covariance).
 
-A drawn log-Gaussian stack (``spd_exp_sample``) is a deferred Sample: it
-holds its matrix logs and builds its matrices only when its ``data`` is
+An SPD sample's matrix logs are its ``_logs`` field (a Point's too),
+filled by ``_sample_logs`` when first needed.  A drawn log-Gaussian stack
+(``spd_exp_sample``) is a deferred Sample: it is built with its matrix
+logs as that field and builds its matrices only when its ``data`` is
 read.  A log-Euclidean fit reads only the logs (means, chart images,
 sandwiches, tests), so log-Euclidean Monte Carlo builds no drawn matrix;
 the Euclidean metric, and a Point taken from the sample, read the
@@ -37,14 +39,10 @@ import functools
 import numpy as np
 
 from ..errors import NotPositiveDefinite
-from ..geometry import ROW_CACHE, FlatChart, Sample, Space, as_sample, row_norms, spd_point
-from ..geometry import spd_sample
+from ..geometry import FlatChart, Sample, Space, as_sample, row_norms, spd_point, spd_sample
+from ..geometry import UPPER_COLUMNS, matrix_to_upper, upper_to_matrix  # noqa: F401 (re-exported)
 
 _SQRT2 = np.sqrt(2.0)
-
-#: column names of the upper-triangle row format of an SPD(3) matrix
-UPPER_COLUMNS = ("a11", "a12", "a13", "a22", "a23", "a33")
-_UPPER = np.triu_indices(3)
 
 #: widest spread of log-eigenvalues (the log of the eigenvalue ratio) at
 #: which ``spd_exp_sample`` keeps the logs it exponentiates; safely below
@@ -156,7 +154,6 @@ def spd_exp_sample(logs):
     bound is not below KEPT_LOG_SPREAD by more than rounding have their
     eigenvalues taken (``eigvalsh``) to decide."""
     logs = _symmetric(logs)
-    sample = Sample("spd", logs, None, _exp_logs)
     p = logs.shape[-1]
     idx, *iu = _indices(p)
     # (p, n) diagonal and upper entries, so each sum is one pass over whole
@@ -174,9 +171,7 @@ def spd_exp_sample(logs):
         if wide.size:
             kept = logs.copy()
             kept[wide] = np.nan  # not kept
-            kept.setflags(write=False)
-    ROW_CACHE[sample] = kept
-    return sample
+    return Sample("spd", logs, None, _exp_logs, kept)
 
 
 def _expm_sample(logs):
@@ -186,9 +181,7 @@ def _expm_sample(logs):
     Log-Euclidean means are such samples, so that their chart coordinates
     are their mean logs, not the logs of their exponentials."""
     logs = _symmetric(logs)
-    sample = Sample("spd", logs, None, spd_expm)
-    ROW_CACHE[sample] = logs
-    return sample
+    return Sample("spd", logs, None, spd_expm, logs)
 
 
 def spd_vech(b):
@@ -237,31 +230,15 @@ def _vech_inv_rows(x, p):
     return b
 
 
-def upper_to_matrix(values):
-    """Symmetric 3x3 matrices from (..., 6) upper-triangle rows in the
-    order of UPPER_COLUMNS."""
-    v = np.asarray(values, dtype=float)
-    m = np.empty(v.shape[:-1] + (3, 3))
-    m[..., _UPPER[0], _UPPER[1]] = v
-    m[..., _UPPER[1], _UPPER[0]] = v
-    return m
-
-
-def matrix_to_upper(m):
-    """Upper-triangle rows (..., 6) of (..., 3, 3) matrices, in the order of
-    UPPER_COLUMNS."""
-    return np.asarray(m)[..., _UPPER[0], _UPPER[1]]
-
-
 def _sample_logs(sample):
     """Matrix logs of an SPD sample's matrices as a read-only (n, p, p)
-    array, kept with the sample in ``ROW_CACHE`` so that the mean, the
-    chart images and the distances of one fit share them.  The logs not
-    kept yet (all, unless the sample was built from them; the NaN rows of
+    array, kept as the sample's ``_logs`` so that the mean, the chart
+    images and the distances of one fit share them.  The logs not kept yet
+    (all, unless the sample was built from them; the NaN rows of
     ``spd_exp_sample``'s) are taken by one ``spd_logm`` of their matrices
     alone, built alone; its NotPositiveDefinite masks the refused rows of
-    the whole sample."""
-    logs = ROW_CACHE.get(sample)
+    the whole sample and keeps no log."""
+    logs = sample._logs
     if logs is None:
         logs = np.full(sample.shape, np.nan)
     missing = np.flatnonzero(np.isnan(logs[:, 0, 0]))
@@ -275,7 +252,7 @@ def _sample_logs(sample):
         refused[missing] = exc.refused
         raise NotPositiveDefinite(str(exc), refused) from None
     logs.setflags(write=False)
-    ROW_CACHE[sample] = logs
+    object.__setattr__(sample, "_logs", logs)  # as Sample.data keeps its build
     return logs
 
 

@@ -7,6 +7,7 @@ from frechetstats.geometry import (
     GRADIENT_STEP_SCALE,
     HESSIAN_STEP_SCALE,
     euclidean_point,
+    euclidean_sample,
     frechet_value,
     numeric_gradient,
     numeric_hessian,
@@ -15,6 +16,7 @@ from frechetstats.geometry import (
     spd_point,
     spd_sample,
     sphere_point,
+    sphere_sample,
 )
 from frechetstats.estimator import estimate_mean, sandwich_covariance
 from frechetstats.inference import two_sample_test
@@ -159,6 +161,55 @@ def test_openbook_leaf_label_beyond_n_leaves_is_caught_in_any_row():
     for call in calls:
         with pytest.raises(InvalidPoint, match="leaf label 3 exceeds n_leaves=2"):
             call()
+
+
+# each validator's cases: a batch (the arrays it takes, sharing their rows)
+# whose refused rows all fail the same check, among rows that pass
+_NAN, _ASYM = np.full((2, 2), np.nan), np.array([[1.0, 0.5], [0.0, 1.0]])
+VALIDATOR_CASES = {
+    "euclidean non-finite": (euclidean_sample, [[1.0, 2.0], [np.nan, 0.0], [0.0, 0.0], [np.inf, 1.0]]),
+    "sphere non-finite": (sphere_sample, [[1.0, 0.0, 0.0], [0.0, np.nan, 0.0], [0.0, 1.0, 0.0]]),
+    "sphere norm": (sphere_sample, [[1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 2.0]]),
+    "spd non-finite": (spd_sample, [np.eye(2), _NAN, 2.0 * np.eye(2), np.diag([1.0, -np.inf])]),
+    "spd symmetry": (spd_sample, [np.eye(2), _ASYM, 2.0 * np.eye(2), _ASYM.T]),
+    "spd eigenvalue": (spd_sample, [np.eye(2), np.diag([1.0, -0.5]), np.zeros((2, 2)), np.eye(2)]),
+    "openbook non-finite": (openbook_sample, [1, 2, 1], [[1.0, 0.0], [np.nan, 1.0], [0.0, 3.0]]),
+    "openbook x0": (openbook_sample, [1, 2, 1, 2], [[1.0, 0.0], [-0.5, 1.0], [0.0, 3.0], [-1.0, 0.0]]),
+    "openbook label": (openbook_sample, [1, -2, 1, -1], [[1.0, 0.0], [0.5, 1.0], [0.0, 3.0], [0.0, 0.0]]),
+    "openbook spine": (openbook_sample, [1, 0, 0, 2], [[1.0, 0.0], [0.5, 1.0], [0.0, 3.0], [2.0, 0.0]]),
+}
+
+
+def _refuses(validate, *arrays):
+    try:
+        validate(*arrays)
+    except InvalidPoint:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("case", VALIDATOR_CASES)
+def test_a_validator_masks_the_rows_it_refuses_one_at_a_time(case):
+    validate, *arrays = VALIDATOR_CASES[case]
+    arrays = [np.asarray(a) for a in arrays]
+    alone = [_refuses(validate, *(a[i : i + 1] for a in arrays)) for i in range(len(arrays[0]))]
+    assert 0 < sum(alone) < len(alone)
+    with pytest.raises(InvalidPoint) as refused:
+        validate(*arrays)
+    assert refused.value.refused.tolist() == alone
+
+
+def test_a_wrong_payload_shape_is_not_masked():
+    calls = [
+        lambda: euclidean_sample(np.ones(3)),
+        lambda: sphere_sample(np.ones((2, 3, 1))),
+        lambda: spd_sample(np.ones((2, 2, 3))),
+        lambda: openbook_sample([1, 1], [[1.0, 0.0]]),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidPoint) as refused:
+            call()
+        assert refused.value.refused is None
 
 
 def test_point_payload_is_immutable():

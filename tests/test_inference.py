@@ -83,6 +83,22 @@ def test_chi2_input_validation():
         chi2_quantile(3, 1.5)
 
 
+def test_chi2_functions_share_one_degrees_of_freedom_check():
+    for call in (lambda: chi2_sf(1.0, 0), lambda: chi2_cdf(1.0, 0), lambda: chi2_quantile(0, 0.95)):
+        with pytest.raises(ValueError, match="degrees of freedom must be >= 1"):
+            call()
+
+
+def test_chi2_cdf_maps_an_array_as_chi2_sf_does():
+    xs = np.array([0.0, 0.5, 3.0, 12.5916, np.nan])
+    cdf = chi2_cdf(xs, 6)
+    assert cdf.shape == xs.shape and np.isnan(cdf[-1])
+    assert cdf[:-1].tolist() == [chi2_cdf(float(x), 6) for x in xs[:-1]]
+    np.testing.assert_allclose(cdf[:-1] + chi2_sf(xs[:-1], 6), 1.0, rtol=0.0, atol=1e-12)
+    with pytest.raises(ValueError, match="x must be nonnegative"):
+        chi2_cdf(np.array([1.0, -1.0]), 6)
+
+
 # ---------------------------------------------------------------------------
 # two-sample test
 
@@ -260,3 +276,10 @@ def test_pvalue_validation():
         bh_fdr([-0.1], 0.05)
     with pytest.raises(ValueError):
         bh_fdr([0.5], 1.5)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0, -0.05])
+def test_bonferroni_refuses_alpha_outside_the_unit_interval_as_bh_does(alpha):
+    for correct in (bonferroni, bh_fdr):
+        with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\)"):
+            correct([0.01, 0.5], alpha)

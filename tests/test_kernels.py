@@ -12,7 +12,7 @@ import frechetstats.spaces.sphere as sphere_module
 from frechetstats import simulate
 from frechetstats.errors import CutLocus, InvalidPoint, NoConvergence, NotPositiveDefinite
 from frechetstats.estimator import stacked_sandwich
-from frechetstats.geometry import MEAN_MAX_ITER, MEAN_TOL, ROW_CACHE, Sample, row_dots, row_norms
+from frechetstats.geometry import MEAN_MAX_ITER, MEAN_TOL, Sample, row_dots, row_norms
 from frechetstats.geometry import as_sample, sphere_sample
 from frechetstats.simulate import (
     Sampler,
@@ -199,7 +199,7 @@ def test_deferred_draw_builds_the_eager_bits_one_replication_at_a_time(monkeypat
                       SPDLogGaussianDescriptor(np.diag([0.4, 0.0, -0.3]), 0.15), 44)
     keys, n = list(range(6)), 30
     block = sampler.draw_many(n, keys)
-    eager = _eager(ROW_CACHE[block])  # every log kept at these spreads
+    eager = _eager(block._logs)  # every log kept at these spreads
     jacobi = _calls_of_jacobi(monkeypatch)
     # each replication's draw alone, and its rows taken from the block
     # (as a block that failed some replications takes the others'), builds
@@ -235,7 +235,7 @@ def test_logs_a_draw_did_not_keep_are_taken_from_their_matrices_alone(monkeypatc
     sampler = Sampler(SPDSpace(3, "log_euclidean"),
                       SPDLogGaussianDescriptor(np.diag([14.9, 0.0, -14.9]), 0.1), 7)
     block = sampler.draw_many(20, list(range(10)))
-    missing = np.isnan(ROW_CACHE[block][:, 0, 0])
+    missing = np.isnan(block._logs[:, 0, 0])
     assert 0 < missing.sum() < len(block)
     jacobi = _calls_of_jacobi(monkeypatch)
     logs = spd_module._sample_logs(block)
@@ -259,13 +259,13 @@ def test_a_refused_draw_masks_the_matrices_it_refuses():
     sampler = Sampler(SPDSpace(3, "log_euclidean"),
                       SPDLogGaussianDescriptor(np.diag([0.4, 0.0, -0.3]), 6.0), 35)
     block = sampler.draw_many(10, list(range(40)))
-    kept = ROW_CACHE[block]
+    kept = block._logs
     with pytest.raises(NotPositiveDefinite) as refused:
         spd_module._sample_logs(block)
     alone = [_refused_alone(matrix) for matrix in block.data]
     assert 0 < sum(alone) < len(block)
     assert refused.value.refused.tolist() == alone
-    assert ROW_CACHE[block] is kept
+    assert block._logs is kept
 
 
 def test_kept_logs_follow_the_exact_eigenvalues_near_the_spread_limit():
@@ -281,10 +281,10 @@ def test_kept_logs_follow_the_exact_eigenvalues_near_the_spread_limit():
     sample = spd_exp_sample(logs)
     w = np.linalg.eigvalsh(logs)
     exact = w[:, -1] - w[:, 0] <= KEPT_LOG_SPREAD
-    kept = ~np.isnan(ROW_CACHE[sample][:, 0, 0])
+    kept = ~np.isnan(sample._logs[:, 0, 0])
     assert 0 < exact.sum() < m
     assert np.array_equal(kept, exact)
-    assert np.array_equal(ROW_CACHE[sample][kept], logs[kept])
+    assert np.array_equal(sample._logs[kept], logs[kept])
 
 
 # ---------------------------------------------------------------------------

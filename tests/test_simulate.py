@@ -229,13 +229,6 @@ def test_mc_coverage_numeric_matches_analytic_outcomes():
     assert a.outcomes == b.outcomes
 
 
-def test_mc_type1_identical_groups_never_rejects():
-    spd = SPDSpace(3, "log_euclidean")
-    d = SPDLogGaussianDescriptor(mean_log=((0.2, 0, 0), (0, 0.0, 0), (0, 0, -0.2)), scale=0.2)
-    rep = mc_type1(spd, Sampler(spd, d, 5), n1=30, n2=30, reps=50, alpha=0.05, identical_groups=True)
-    assert rep.estimate == 0.0
-
-
 def test_mc_type1_reports_df():
     spd = SPDSpace(3, "log_euclidean")
     d = SPDLogGaussianDescriptor(mean_log=((0.0, 0, 0), (0, 0.0, 0), (0, 0, 0.0)), scale=0.2)
@@ -741,6 +734,24 @@ def test_a_failing_block_runs_its_block_function_again_once(failing):
     assert out == firsts[firsts > limit].tolist()
     assert failed == [(key, "NearSingularCovariance", "refused")
                       for key in keys if firsts[key] <= limit]
+
+
+def test_a_non_finite_mean_fails_its_replication_and_a_non_finite_draw_aborts():
+    # a block built unvalidated (the Sample constructor) with an infinite entry in
+    # replication 2: its mean is refused, masked, and only it fails
+    sampler = euclid3_sampler(47)
+    keys = list(range(6))
+    rows = sampler.draw_many(10, keys).data.copy()
+    rows[25, 1] = np.inf
+    failed = []
+    out = simulate._outcomes(sampler.space, keys, Sample("euclidean", rows),
+                             lambda block, means: means.data[:, 0].tolist(), failed)
+    assert len(out) == 5
+    assert failed == [(2, "InvalidPoint", "point payload contains non-finite entries")]
+    # a draw is validated before its block runs: a non-finite one aborts
+    with pytest.raises(InvalidPoint, match="non-finite"):
+        mc_coverage(Sampler(EuclideanSpace(1), GaussianDescriptor(mean=(np.inf,), cov=1.0), 0),
+                    5, 4, 0.05)
 
 
 def test_a_failing_spd_block_is_fitted_at_most_twice(monkeypatch):

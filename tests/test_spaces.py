@@ -3,6 +3,7 @@ import pytest
 
 from frechetstats.errors import CutLocus, InvalidPoint, NonUniqueProjection, NotPositiveDefinite
 from frechetstats.geometry import (
+    as_sample,
     euclidean_point,
     euclidean_sample,
     frechet_value,
@@ -177,6 +178,28 @@ def test_spd_exp_sample_keeps_its_logs(rng):
     assert np.array_equal(_sample_logs(parts[1]), b[15:])
     joined = type(sample).join(parts[::-1])
     assert np.array_equal(_sample_logs(joined), np.concatenate([b[15:], b[:15]]))
+
+
+def test_a_point_of_a_log_euclidean_mean_stack_carries_its_mean_log(rng, monkeypatch):
+    space = SPDSpace(3, "log_euclidean")
+    b = rng.normal(scale=0.3, size=(40, 3, 3))
+    draws = spd_exp_sample(b + np.swapaxes(b, 1, 2))
+    means = space.mean_many(draws, 4)[0]
+    chart = space.chart_at()
+    calls = count_logm(monkeypatch)
+    for i in range(4):
+        point, taken = means[i], means.take([i])
+        assert np.array_equal(point._logs, _sample_logs(taken)[0])
+        assert np.array_equal(_sample_logs(as_sample([point])), _sample_logs(taken))
+        assert np.array_equal(chart.forward(point), chart.forward_many(taken)[0])
+        assert np.array_equal(space.distance_many(draws, point),
+                              [space.distance_many(taken, q)[0] for q in draws])
+    assert calls == []  # no mean's log is taken again from its matrix
+    # a point the user builds carries no logs: spd_logm takes them
+    user = spd_point(point.data)
+    assert user._logs is None and as_sample([user])._logs is None
+    assert np.array_equal(_sample_logs(as_sample([user]))[0], spd_logm(point.data))
+    assert calls == [1]
 
 
 @pytest.mark.parametrize("p", [2, 4])
