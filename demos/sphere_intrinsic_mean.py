@@ -1,4 +1,4 @@
-"""Means on the sphere: geodesic (Karcher) vs. chordal-projection estimates.
+"""Means on the sphere: geodesic (Riemannian Newton) vs. chordal-projection estimates.
 
 Draws a cap-uniform sample on S^2, fits both kinds of Frechet mean, and
 prints the sandwich confidence ellipsoid of the geodesic estimate.  For

@@ -2,10 +2,8 @@
 
 ``estimate_mean`` finds a stationary point of the empirical Frechet
 function with the space's own ``mean`` (its ``mean_many`` on one sample):
-closed forms where they exist (Euclidean, SPD under both metrics, chordal
-sphere, open book), Karcher fixed-point iteration for the geodesic sphere,
-and, on a space without a mean of its own, the damped Newton descent on
-chart coordinates of the base class ``Space.mean_many``.
+closed forms (Euclidean, SPD under both metrics, chordal sphere, open book)
+and, for the geodesic sphere, a damped Riemannian Newton iteration.
 
 ``sandwich_covariance`` then forms, in the chart anchored at the estimate,
 
@@ -104,11 +102,11 @@ def estimate_mean(space, sample, *, tol=MEAN_TOL, max_iter=MEAN_MAX_ITER):
 
 def check_convergence(strategy, grad_norms, iterations, *, tol=MEAN_TOL, max_iter=MEAN_MAX_ITER,
                       fit=None):
-    """Raise NoConvergence (with ``fit``) masking the fits of an iterative
-    ``strategy`` that spent ``max_iter`` iterations with the gradient norm
+    """Raise NoConvergence (with ``fit``) masking the fits of the iterative
+    ``"newton"`` strategy that spent ``max_iter`` iterations with the gradient norm
     at the mean still above ``tol``; ``grad_norms`` and ``iterations`` are
     one fit's, or R fits' (R,) arrays."""
-    refused = (strategy in ("karcher", "newton")) & (iterations >= max_iter) & (grad_norms > tol)
+    refused = (strategy == "newton") & (iterations >= max_iter) & (grad_norms > tol)
     if np.any(refused):
         norm = grad_norms.flat[np.flatnonzero(refused)[0]]
         raise NoConvergence(f"{strategy} exhausted {max_iter} iterations (grad norm {norm:.3e})",

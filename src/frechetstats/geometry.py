@@ -4,9 +4,10 @@ function.
 
 A *space* bundles a distance with a chart ``phi`` mapping a neighborhood of
 the mean onto an open subset of R^s; ``h(x; q) = distance(phi^-1(x), q)^2``
-is the squared-distance function expressed in chart coordinates.  Everything
-downstream (mean estimation, sandwich covariances, two-sample tests) works on
-``h`` and its first two derivatives.
+is the squared-distance function expressed in chart coordinates.  Each space
+finds its own sample Frechet means (``Space.mean_many``, batched over
+replications); everything downstream of the mean (sandwich covariances,
+two-sample tests) works on ``h`` and its first two derivatives.
 
 A Sample, and a Point taken from one, carries what belongs to its rows as
 fields: the leaf labels of an open-book sample, and the matrix logs of an
@@ -160,22 +161,47 @@ def _joined(arrays, join=np.concatenate):
     return None if any(a is None for a in arrays) else join(arrays)
 
 
-def _refuse(bad, message):
-    """Raise InvalidPoint masking the rows that hold a ``bad`` entry (an
-    array of at least one axis, rows first), if there are any."""
-    if bad.any():
-        raise InvalidPoint(message, bad.reshape(len(bad), -1).any(axis=1))
+class _Refusals:
+    """The rows a batch validator refuses, check after check.  ``check``
+    refuses the rows that hold a True entry of ``bad`` (an array of at
+    least one axis, rows first) and that no earlier check refused;
+    ``message`` is its text, or a function of the index of the first row
+    it refuses.  ``rows`` is the mask of the rows refused so far (None while
+    there are none), and ``raise_any`` raises one InvalidPoint masking them,
+    with the message of the check that refused the first of them."""
+
+    def __init__(self):
+        self.rows = None
+        self._messages = {}  # the first row each check refuses -> its message
+
+    def check(self, bad, message):
+        if not bad.any():
+            return
+        rows = bad.reshape(len(bad), -1).any(axis=1)
+        if self.rows is not None:
+            rows &= ~self.rows
+        if rows.any():
+            first = int(np.argmax(rows))
+            self._messages[first] = message(first) if callable(message) else message
+            self.rows = rows if self.rows is None else self.rows | rows
+
+    def raise_any(self):
+        if self.rows is not None:
+            raise InvalidPoint(self._messages[min(self._messages)], self.rows)
 
 
-def _finite_rows(values, ndim):
-    """``values`` as a float array of ``ndim`` axes; InvalidPoint masks the
-    rows that hold a non-finite entry (a wrong shape is not masked).  Each
-    later check of the ``*_sample`` validators masks the rows it refuses in
-    the same way; the first check that refuses a row raises."""
+def _finite_rows(values, ndim, refusals):
+    """``values`` as a float array of ``ndim`` axes (InvalidPoint, not
+    masked, for a wrong shape); ``refusals`` refuses the rows that hold a
+    non-finite entry, whose entries are then 0 in the array, so the later
+    checks of the ``*_sample`` validators compute on finite values."""
     a = np.array(values, dtype=float, order="C")
     if a.ndim != ndim:
         raise InvalidPoint(f"expected a batch of {ndim - 1}-d payloads, got shape {a.shape}")
-    _refuse(~np.isfinite(a), "point payload contains non-finite entries")
+    finite = np.isfinite(a)
+    if not finite.all():
+        refusals.check(~finite, "point payload contains non-finite entries")
+        a[~finite] = 0.0
     return a
 
 
@@ -203,18 +229,21 @@ def row_products(rows, matrix):
 
 def euclidean_sample(rows):
     """Sample of R^s from an (n, s) array."""
-    return Sample("euclidean", _finite_rows(rows, 2))
+    refusals = _Refusals()
+    a = _finite_rows(rows, 2, refusals)
+    refusals.raise_any()
+    return Sample("euclidean", a)
 
 
 def sphere_sample(rows):
     """Sample of S^d from an (n, d+1) array of unit vectors; each row's norm
     must be 1 within POINT_ATOL, and the row is divided by it."""
-    a = _finite_rows(rows, 2)
+    refusals = _Refusals()
+    a = _finite_rows(rows, 2, refusals)
     nrm = row_norms(a)
-    bad = np.abs(nrm - 1.0) > POINT_ATOL
-    if bad.any():
-        raise InvalidPoint(f"sphere point has norm {float(nrm[bad][0])!r}, "
-                           f"not 1 within {POINT_ATOL}", bad)
+    refusals.check(np.abs(nrm - 1.0) > POINT_ATOL,
+                   lambda i: f"sphere point has norm {float(nrm[i])!r}, not 1 within {POINT_ATOL}")
+    refusals.raise_any()
     return Sample("sphere", a / nrm[:, None])
 
 
@@ -262,17 +291,21 @@ def spd_sample(mats):
     lambda_min >= det/9 > 1e-9 of that entry, far beyond eigvalsh's error of
     about 1e-15 of it: the decisions and the mask are eigvalsh's.  The zero
     matrix is never certified."""
-    m = _finite_rows(mats, 3)
+    refusals = _Refusals()
+    m = _finite_rows(mats, 3, refusals)
     if m.shape[1] != m.shape[2]:
         raise InvalidPoint("spd payload must be a square matrix")
     mt = np.swapaxes(m, 1, 2)
-    _refuse(np.abs(m - mt) > POINT_ATOL,  # np.allclose with rtol=0
-            "spd payload is not symmetric within tolerance")
+    refusals.check(np.abs(m - mt) > POINT_ATOL,  # np.allclose with rtol=0
+                   "spd payload is not symmetric within tolerance")
     m = 0.5 * (m + mt)
-    refused = _uncertified(m) if m.shape[1] == 3 else np.ones(len(m), dtype=bool)
-    if refused.any():
-        refused[refused] = np.linalg.eigvalsh(m[refused])[:, 0] <= 0.0
-        _refuse(refused, "spd payload has a non-positive eigenvalue")
+    unsure = _uncertified(m) if m.shape[1] == 3 else np.ones(len(m), dtype=bool)
+    if refusals.rows is not None:
+        unsure &= ~refusals.rows  # eigvalsh sees only finite, symmetric matrices
+    if unsure.any():
+        unsure[unsure] = np.linalg.eigvalsh(m[unsure])[:, 0] <= 0.0
+        refusals.check(unsure, "spd payload has a non-positive eigenvalue")
+    refusals.raise_any()
     return Sample("spd", m)
 
 
@@ -283,13 +316,15 @@ def openbook_sample(leaves, coords):
     Rows with ``x0 == 0`` lie on the spine and are canonicalized to leaf 0,
     so equality of glued boundary points is well defined.
     """
-    c = _finite_rows(coords, 2)
+    refusals = _Refusals()
+    c = _finite_rows(coords, 2, refusals)
     labels = np.asarray(leaves).astype(int)
     if c.shape[1] == 0 or labels.shape != (c.shape[0],):
         raise InvalidPoint("open-book sample needs one leaf label per row of coordinates")
-    _refuse(c[:, 0] < 0.0, "open-book coordinate x0 must be nonnegative")
-    _refuse(labels < 0, "leaf label must be nonnegative")
-    _refuse((labels == 0) & (c[:, 0] > 0.0), "spine points (leaf 0) must have x0 == 0")
+    refusals.check(c[:, 0] < 0.0, "open-book coordinate x0 must be nonnegative")
+    refusals.check(labels < 0, "leaf label must be nonnegative")
+    refusals.check((labels == 0) & (c[:, 0] > 0.0), "spine points (leaf 0) must have x0 == 0")
+    refusals.raise_any()
     return Sample("openbook", c, np.where(c[:, 0] == 0.0, 0, labels))
 
 
@@ -490,7 +525,7 @@ class Space(ABC):
     #: shape of one point's payload (None: not checked)
     point_shape = None
     #: how ``mean_many`` finds the sample Frechet means (``FrechetFit.strategy``)
-    mean_strategy = "newton"
+    mean_strategy: str
 
     @abstractmethod
     def distance_many(self, sample, q):
@@ -507,10 +542,6 @@ class Space(ABC):
     def chart_at(self, base):
         """Chart anchored at ``base`` whose domain contains ``base``, or the
         charts at a Sample of R bases stacked in one chart (see ``Chart``)."""
-
-    @abstractmethod
-    def initial_guess(self, sample):
-        """Cheap starting point for iterative mean estimation."""
 
     def check_point(self, p):
         if not isinstance(p, Point):
@@ -545,48 +576,13 @@ class Space(ABC):
         means, its = self.mean_many(self.check_sample(sample), 1, tol=tol, max_iter=max_iter)
         return means[0], int(its[0])
 
+    @abstractmethod
     def mean_many(self, sample, reps, *, tol=MEAN_TOL, max_iter=MEAN_MAX_ITER):
         """Sample Frechet means of ``reps`` equal-size samples stacked
         row-wise in one Sample, as ``(means, iterations)``: a Sample of the
-        R means and their (R,) iteration counts.
-
-        The default is a damped Newton descent on the chart coordinates at
-        ``initial_guess``, one replication at a time, stopped once the
-        gradient norm of the averaged h is at most ``tol`` (else after
-        ``max_iter`` iterations), with central differences where the chart
-        has no analytic derivatives."""
-        parts = sample.split([len(sample) // reps] * reps)
-        means, its = zip(*(_newton_mean(self, part, tol, max_iter) for part in parts))
-        return as_sample(means), np.array(its)
-
-
-def _newton_mean(space, sample, tol, max_iter):
-    """The damped Newton descent of ``Space.mean_many`` on one sample."""
-    start = space.initial_guess(sample)
-    chart = space.chart_at(start)
-    packed = chart.pack(sample)
-    x = chart.forward(start)
-
-    def fmean(xx):
-        return float(np.mean(chart.h_many(xx, packed)))
-
-    for it in range(max_iter):
-        g = mean_gradient(chart, x, packed)
-        if np.linalg.norm(g) <= tol:
-            return chart.inverse(x), it
-        hess = chart.hess_h_mean(x, packed)
-        if hess is None:
-            hess = numeric_hessian(fmean, x)
-        try:
-            step = np.linalg.solve(hess, -g)
-        except np.linalg.LinAlgError:
-            step = -g
-        f0 = fmean(x)
-        tau = 1.0
-        while fmean(x + tau * step) > f0 and tau > 1e-10:
-            tau *= 0.5
-        x = x + tau * step
-    return chart.inverse(x), max_iter
+        R means and their (R,) iteration counts (``max_iter`` where an
+        iterative strategy stopped before the gradient norm of the averaged
+        h reached ``tol``)."""
 
 
 def mean_gradient(chart, x, packed):

@@ -45,9 +45,6 @@ class EuclideanSpace(Space):
             self.check_bases(base)
         return EuclideanChart(self, base)
 
-    def initial_guess(self, sample):
-        return self.mean(sample)[0]
-
     def mean_many(self, sample, reps, **_):
         """Arithmetic means (the exact Frechet means of R^s), after 0
         iterations."""

@@ -253,9 +253,6 @@ class OpenBookSpace(Space):
             return OpenBookLeafChart(self, base)
         return OpenBookSpineChart(self, base)
 
-    def initial_guess(self, sample):
-        return self.mean(sample)[0]
-
     def mean_many(self, sample, reps, **_):
         """Exact sample Frechet means, after 0 iterations: the squared
         distance separates into the folded x0 and the spine block, so a

@@ -309,9 +309,6 @@ class SPDSpace(Space):
             self.check_bases(base)
         return SPDChart(self)
 
-    def initial_guess(self, sample):
-        return self.mean(sample)[0]
-
     def mean_many(self, sample, reps, **_):
         """Closed-form Frechet means (see ``spd_mean``), after 0 iterations.
         Log-Euclidean means keep their mean logs (``_expm_sample``)."""

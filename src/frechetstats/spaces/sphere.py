@@ -7,7 +7,7 @@ onto that tangent basis.  The intrinsic chart excludes the antipode of
 the base, the extrinsic chart the closed hemisphere opposite the base.
 
 The log map and the geodesic distance are written once, for every caller
-(charts, distances, derivatives, Karcher means and the single-point
+(charts, distances, derivatives, Newton means and the single-point
 helpers), on points stored component-major: an (..., d+1, n) array of
 coordinates (``_columns``).  Every per-point quantity (the dot with the
 base, the log-map scale, the geodesic distance) is an (..., n) array of
@@ -136,25 +136,50 @@ def _logs(cols, base):
     return w * scale[..., None, :]
 
 
-def _karcher_means(points, mu, tol, max_iter):
-    """Karcher fixed-point iteration for the geodesic means of an (R, n, d+1)
+def _hessians(coords):
+    """Hessians of the Frechet functions at their bases, (..., s, s), from
+    the (..., n, s) log-map coordinates of the points in an orthonormal
+    tangent basis at each base: the eigenvalues of Hess(d^2)/2 are 1 along
+    the geodesic and theta*cot(theta) orthogonal to it (unit curvature)."""
+    theta = np.linalg.norm(coords, axis=-1)
+    small = theta < 1e-8
+    safe = np.where(small, 1.0, theta)
+    t = np.where(small, 1.0 - theta**2 / 3.0, safe / np.tan(safe))
+    u = coords / np.where(theta[..., None] < 1e-15, 1.0, theta[..., None])
+    u[theta < 1e-15] = 0.0
+    outer_sum = np.swapaxes(u * (1.0 - t)[..., None], -1, -2) @ u / coords.shape[-2]
+    return 2.0 * (outer_sum + t.mean(axis=-1)[..., None, None] * np.eye(coords.shape[-1]))
+
+
+def _newton_means(points, mu, tol, max_iter):
+    """Riemannian Newton iteration for the geodesic means of an (R, n, d+1)
     stack of samples from the (R, d+1) starts ``mu``: the means and the (R,)
-    iteration counts (``max_iter`` where the gradient norm 2 |step| never
-    reached ``tol``).  Each row halves its own step while the step raises its
-    Frechet function, with arithmetic independent of the other rows.  The
-    samples are iterated on as one (R, d+1, n) array of coordinates."""
+    iteration counts (``max_iter`` where the gradient norm never reached
+    ``tol``).  Each step is the Newton step in the tangent basis at the
+    current mean where the Hessian there is positive definite, else the
+    gradient step -g/2 (the Karcher step).  Each row halves its own step
+    while the step raises its Frechet function, with arithmetic independent
+    of the other rows.  The samples are iterated on as one (R, d+1, n) array
+    of coordinates."""
     cols = _columns(points)
     mu = np.array(mu)
     f_mu = (_geodesics(cols, mu) ** 2).mean(axis=-1)  # Frechet function at mu
     iterations = np.full(len(mu), max_iter)
     todo = np.ones(len(mu), dtype=bool)  # replications still iterating
     for it in range(max_iter):
-        step = _logs(cols, mu).mean(axis=-1)
-        done = todo & (2.0 * row_norms(step) <= tol)
+        basis = tangent_basis(mu)  # (R, d, d+1)
+        coords = np.swapaxes(_logs(cols, mu), -1, -2) @ np.swapaxes(basis, -1, -2)
+        g = -2.0 * coords.mean(axis=-2)
+        done = todo & (row_norms(g) <= tol)
         iterations[done] = it
         todo &= ~done
         if not todo.any():
             break
+        hess = _hessians(coords)
+        newton = np.linalg.eigvalsh(hess)[:, 0] > 0.0
+        x = -0.5 * g
+        x[newton] = np.linalg.solve(hess[newton], -g[newton, :, None])[..., 0]
+        step = row_products(x, basis)
         # allow rounding-level increases, or the damping can stall the
         # iteration just above the gradient tolerance
         limit = f_mu + 1e-15 * (1.0 + np.abs(f_mu))
@@ -221,7 +246,7 @@ class SphereIntrinsicChart(_TangentChart):
 
     def _columns_of(self, packed):
         """``_columns(packed)``, kept for the last read-only packed sample:
-        the probes of a numeric sandwich or a Newton step share one copy."""
+        the probes of a numeric sandwich share one copy."""
         if self._packed is not packed or packed.flags.writeable:
             self._packed, self._packed_columns = packed, _columns(packed)
         return self._packed_columns
@@ -238,18 +263,7 @@ class SphereIntrinsicChart(_TangentChart):
     def hess_h_mean(self, x, packed):
         if not self._at_origin(x):
             return None
-        logs = self._tangent(packed) @ self._basis_t
-        theta = np.linalg.norm(logs, axis=-1)
-        # eigenvalues of Hess(d^2)/2: 1 along the geodesic, theta*cot(theta)
-        # orthogonal to it (unit curvature)
-        small = theta < 1e-8
-        safe = np.where(small, 1.0, theta)
-        t = np.where(small, 1.0 - theta**2 / 3.0, safe / np.tan(safe))
-        u = logs / np.where(theta[..., None] < 1e-15, 1.0, theta[..., None])
-        u[theta < 1e-15] = 0.0
-        n = packed.shape[-2]
-        outer_sum = np.swapaxes(u * (1.0 - t)[..., None], -1, -2) @ u / n
-        return 2.0 * (outer_sum + t.mean(axis=-1)[..., None, None] * np.eye(self.s))
+        return _hessians(self._tangent(packed) @ self._basis_t)
 
 
 class SphereExtrinsicChart(_TangentChart):
@@ -318,7 +332,7 @@ class SphereSpace(Space):
         self.metric = metric
         self.chart_dim = self.ambient_dim - 1
         self.point_shape = (self.ambient_dim,)
-        self.mean_strategy = "karcher" if metric == "intrinsic" else "closed_form"
+        self.mean_strategy = "newton" if metric == "intrinsic" else "closed_form"
 
     def __repr__(self):
         return f"SphereSpace(ambient_dim={self.ambient_dim}, metric={self.metric!r})"
@@ -334,18 +348,13 @@ class SphereSpace(Space):
             return SphereIntrinsicChart(self, base)
         return SphereExtrinsicChart(self, base)
 
-    def initial_guess(self, sample):
-        """The extrinsic mean, projection of the ambient mean: the exact
-        minimizer of the chordal Frechet function."""
-        return SphereSpace(self.ambient_dim, "extrinsic").mean(sample)[0]
-
     def mean_many(self, sample, reps, *, tol=MEAN_TOL, max_iter=MEAN_MAX_ITER):
         """The extrinsic means (0 iterations) under the chordal metric; under
-        the geodesic metric, Karcher fixed-point iteration from them, each
-        replication stopped once its gradient norm is at most ``tol``."""
+        the geodesic metric, Newton iteration from them (``_newton_means``),
+        each replication stopped once its gradient norm is at most ``tol``."""
         points = sample.data.reshape(reps, -1, self.ambient_dim)
         start = sphere_sample(_project_rows(points.mean(axis=1)))
         if self.metric == "extrinsic":
             return start, np.zeros(reps, dtype=int)
-        means, iterations = _karcher_means(points, start.data, tol, max_iter)
+        means, iterations = _newton_means(points, start.data, tol, max_iter)
         return sphere_sample(means), iterations

@@ -117,8 +117,8 @@ class AffineChart(Chart):
 
 
 class AffineChartSpace(Space):
-    """Same metric space, charts reparameterized by a fixed affine map;
-    derivative information flows through central differences only."""
+    """Same metric space and means, charts reparameterized by a fixed affine
+    map; derivative information flows through central differences only."""
 
     def __init__(self, inner, mat, offset):
         self.inner = inner
@@ -126,6 +126,7 @@ class AffineChartSpace(Space):
         self.offset = offset
         self.kind = inner.kind
         self.chart_dim = inner.chart_dim
+        self.mean_strategy = inner.mean_strategy
 
     def distance_many(self, sample, q):
         return self.inner.distance_many(sample, q)
@@ -133,8 +134,8 @@ class AffineChartSpace(Space):
     def chart_at(self, base):
         return AffineChart(self.inner.chart_at(base), self.mat, self.offset)
 
-    def initial_guess(self, sample):
-        return self.inner.initial_guess(sample)
+    def mean_many(self, sample, reps, **options):
+        return self.inner.mean_many(sample, reps, **options)
 
 
 @pytest.fixture

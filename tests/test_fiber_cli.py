@@ -62,6 +62,10 @@ def test_parse_errors_name_the_line():
         parse_fiber_csv(io.StringIO(good + "s0,0,0,-1,0,0,1,0,1\n" + "s1,0,0,1,0,x,1,0,1\n"))
     with pytest.raises(FiberParseError, match="line 3: matrix is not SPD"):
         parse_fiber_csv(io.StringIO(good + "s0,0,0,1,0,0,1,0,1\n" + "s1,0,0,1,0,nan,1,0,1\n"))
+    with pytest.raises(FiberParseError, match="line 2: matrix is not SPD"):
+        # a non-finite line after the first non-SPD one does not hide it
+        parse_fiber_csv(io.StringIO(good + "s0,0,0,-1,0,0,1,0,1\n" + "s0,0,1,1,0,0,1,0,1\n"
+                                    + "s1,1,0,1,0,0,1,0,1\n" + "s1,1,1,1,0,nan,1,0,1\n"))
     with pytest.raises(FiberParseError, match="duplicate"):
         parse_fiber_csv(
             io.StringIO(good + "s0,0,0,1,0,0,1,0,1\n" + "s0,0,0,1,0,0,1,0,1\n")
@@ -253,6 +257,8 @@ def test_cli_spd_points_name_the_first_bad_line(command, tmp_path, capsys):
         (good + "1,2,0,1,0,1\n" + "1,0,0,1,0,-1\n", "line 3: spd payload has a non-positive eigenvalue"),
         (good + good + "0,0,0,0,0,0\n", "line 4: spd payload has a non-positive eigenvalue"),
         (good + "\n" + "1,0,0,1,0,nan\n" + "1,2,0,1,0,1\n", "line 4: point payload contains non-finite"),
+        ("1,2,0,1,0,1\n" + good + good + "1,0,0,1,0,nan\n",
+         "line 2: spd payload has a non-positive eigenvalue"),
     ]:
         bad = write(tmp_path / "bad.csv", header + rows)
         inputs = [bad] if command == "mean" else [ok, bad]

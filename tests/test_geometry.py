@@ -164,7 +164,7 @@ def test_openbook_leaf_label_beyond_n_leaves_is_caught_in_any_row():
 
 
 # each validator's cases: a batch (the arrays it takes, sharing their rows)
-# whose refused rows all fail the same check, among rows that pass
+# whose refused rows fail one check, or several ("mixed"), among rows that pass
 _NAN, _ASYM = np.full((2, 2), np.nan), np.array([[1.0, 0.5], [0.0, 1.0]])
 VALIDATOR_CASES = {
     "euclidean non-finite": (euclidean_sample, [[1.0, 2.0], [np.nan, 0.0], [0.0, 0.0], [np.inf, 1.0]]),
@@ -177,6 +177,10 @@ VALIDATOR_CASES = {
     "openbook x0": (openbook_sample, [1, 2, 1, 2], [[1.0, 0.0], [-0.5, 1.0], [0.0, 3.0], [-1.0, 0.0]]),
     "openbook label": (openbook_sample, [1, -2, 1, -1], [[1.0, 0.0], [0.5, 1.0], [0.0, 3.0], [0.0, 0.0]]),
     "openbook spine": (openbook_sample, [1, 0, 0, 2], [[1.0, 0.0], [0.5, 1.0], [0.0, 3.0], [2.0, 0.0]]),
+    "spd mixed": (spd_sample, [_ASYM, np.eye(2), _NAN]),
+    "spd mixed, non-finite first": (spd_sample, [np.eye(2), np.diag([np.inf, 1.0]), _ASYM, -np.eye(2)]),
+    "sphere mixed": (sphere_sample, [[0.0, 0.0, 2.0], [1.0, 0.0, 0.0], [np.nan, 0.0, 0.0]]),
+    "openbook mixed": (openbook_sample, [1, -1, 1, 0], [[-1.0, 0.0], [np.inf, 1.0], [0.0, 3.0], [1.0, 0.0]]),
 }
 
 
@@ -197,6 +201,11 @@ def test_a_validator_masks_the_rows_it_refuses_one_at_a_time(case):
     with pytest.raises(InvalidPoint) as refused:
         validate(*arrays)
     assert refused.value.refused.tolist() == alone
+    # every check runs before the raise; the message is the first bad row's
+    first = alone.index(True)
+    with pytest.raises(InvalidPoint) as first_alone:
+        validate(*(a[first : first + 1] for a in arrays))
+    assert str(refused.value) == str(first_alone.value)
 
 
 def test_a_wrong_payload_shape_is_not_masked():

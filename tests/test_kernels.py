@@ -1,6 +1,6 @@
 """The geometry kernels of the Monte Carlo hot path: the batched 3x3 Jacobi
 eigensolver that exponentiates drawn SPD stacks, and the component-major
-sphere log map and geodesic distance of the Karcher iteration and the
+sphere log map and geodesic distance of the Newton mean iteration and the
 geodesic charts.  Each is checked against the plain computation it
 replaces, and for its rows' independence of their stack."""
 
@@ -23,7 +23,7 @@ from frechetstats.simulate import (
 )
 from frechetstats.spaces import SPDSpace, SphereSpace
 from frechetstats.spaces.spd import KEPT_LOG_SPREAD, spd_exp_sample
-from frechetstats.spaces.sphere import _exp_rows, _karcher_means, _project_rows
+from frechetstats.spaces.sphere import _exp_rows, _newton_means, _project_rows
 
 
 # ---------------------------------------------------------------------------
@@ -327,8 +327,8 @@ CAPS = [(3, 0.5, 400), (3, 1.5, 60), (10, 0.3, 50), (10, 1.2, 200)]
 
 
 def _karcher_rows(points, mu, tol, max_iter):
-    """The Karcher iteration on the (R, n, d+1) row layout, one length-(d+1)
-    row at a time: the reference for ``_karcher_means``."""
+    """The Karcher fixed-point iteration on the (R, n, d+1) row layout, one
+    length-(d+1) row at a time: the reference for ``_newton_means``."""
     mu = np.array(mu)
     f_mu = (_geodesic_rows(mu, points) ** 2).mean(axis=-1)
     iterations = np.full(len(mu), max_iter)
@@ -353,13 +353,23 @@ def _karcher_rows(points, mu, tol, max_iter):
 
 
 @pytest.mark.parametrize("ambient, radius, n", CAPS)
-def test_karcher_means_match_the_row_layout(ambient, radius, n):
+def test_newton_means_agree_with_the_karcher_reference(ambient, radius, n):
     points = _cap_points(ambient, radius, n, 8)
     start = _project_rows(points.mean(axis=1))
-    means, iterations = _karcher_means(points, start, MEAN_TOL, MEAN_MAX_ITER)
+    means, iterations = _newton_means(points, start, MEAN_TOL, MEAN_MAX_ITER)
     ref_means, ref_iterations = _karcher_rows(points, start, MEAN_TOL, MEAN_MAX_ITER)
-    assert np.array_equal(iterations, ref_iterations)
-    assert np.max(np.abs(means - ref_means)) <= 1e-15
+    assert np.all(ref_iterations < MEAN_MAX_ITER)
+    assert np.all(iterations <= ref_iterations)
+    assert np.max(np.abs(means - ref_means)) <= 1e-9
+
+
+def test_newton_means_converge_on_a_wide_cap():
+    # the Karcher fixed point contracts at a rate near 1 - 0.176 here and
+    # spends the budget on about a fifth of these samples
+    reps, n = 40, 200
+    points = _cap_points(3, 2.9, n, reps)
+    _, iterations = SphereSpace(3).mean_many(sphere_sample(points.reshape(-1, 3)), reps)
+    assert np.all(iterations < MEAN_MAX_ITER)
 
 
 def test_karcher_means_refuse_the_cut_locus_in_a_block_and_alone():

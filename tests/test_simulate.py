@@ -259,7 +259,7 @@ def test_mc_consistency_point_mass_has_zero_error():
 
 
 def test_failure_budget_enforced():
-    failed = [(rep, "NoConvergence", "karcher exhausted") for rep in range(25)]
+    failed = [(rep, "NoConvergence", "newton exhausted") for rep in range(25)]
     with pytest.raises(FrechetStatsError):
         _check_failures(failed, reps=100, experiment="unit")
     _check_failures(failed[:1], reps=200, experiment="unit")
@@ -591,10 +591,10 @@ def test_failed_block_falls_back_to_single_fits():
 
 
 def test_block_spending_the_iteration_budget_falls_back_to_single_fits(monkeypatch):
-    # with an iteration budget of 4 for the block and the single fits, some
-    # Karcher replications spend it; the block checks them by estimate_mean's
+    # with an iteration budget of 1 for the block and the single fits, some
+    # Newton replications spend it; the block checks them by estimate_mean's
     # rule (check_convergence), so the same ones fail
-    budget = 4
+    budget = 1
     sampler = cap_sampler(37)
     space = sampler.space
     failed = []
@@ -617,9 +617,9 @@ def test_block_spending_the_iteration_budget_falls_back_to_single_fits(monkeypat
 
 @pytest.mark.filterwarnings("error")
 def test_consistency_checks_the_budget_before_an_empty_median(monkeypatch):
-    # an iteration budget of 3 fails every replication of n = 30: the
+    # an iteration budget of 0 fails every replication of n = 30: the
     # failure-budget error comes before any median of no errors is taken
-    budget = 3
+    budget = 0
     sampler = cap_sampler(37)
     space = sampler.space
     monkeypatch.setattr(space, "mean_many", functools.partial(space.mean_many, max_iter=budget))
