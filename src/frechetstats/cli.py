@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -32,11 +33,14 @@ from .fiber import (
     fiber_site_tests,
     generate_fiber_dataset,
     parse_fiber_csv,
+    raise_refused,
+    read_columns,
+    read_table,
     write_fiber_csv,
     write_site_csv,
 )
-from .geometry import UPPER_COLUMNS, euclidean_point, matrix_to_upper, openbook_point
-from .geometry import spd_sample, sphere_point, upper_to_matrix
+from .geometry import UPPER_COLUMNS, _Refusals, euclidean_sample, matrix_to_upper, openbook_sample
+from .geometry import spd_sample, sphere_sample, upper_to_matrix
 from .inference import two_sample_test
 from .simulate import (
     GaussianDescriptor,
@@ -68,6 +72,8 @@ def _fail(message, code):
 
 
 def _normalize_metric(metric):
+    if metric is not None and not isinstance(metric, str):  # from a JSON descriptor
+        raise InvalidDescriptor(f"metric must be a string, got {metric!r}")
     return metric.replace("-", "_") if metric else None
 
 
@@ -80,72 +86,51 @@ def _read_input(path, read):
             raise CLIInputError(f"{path}: not UTF-8 text ({exc})") from None
 
 
+def _header_problem(space_kind, columns):
+    """The problem of a point file's header line for ``space_kind``, or None."""
+    if space_kind == "sphere" and len(columns) < 2:
+        return "too few coordinate columns"
+    if space_kind == "spd" and columns != UPPER_COLUMNS:
+        return f"expected header {','.join(UPPER_COLUMNS)!r}"
+    if space_kind == "openbook" and (len(columns) < 2 or columns[0] != "leaf"):
+        return "expected header 'leaf,x0[,x1,...]'"
+    return None
+
+
 def load_points(path, space_kind, metric=None):
-    """Read a point file (mandatory header line) into (space, Sample)."""
-    lines = _read_input(path, lambda fh: fh.read().splitlines())
-    rows = [(i + 1, ln.strip()) for i, ln in enumerate(lines) if ln.strip()]
-    if not rows:
-        raise CLIInputError(f"{path}: line 1: empty file, header expected")
-    header_no, header = rows[0]
-    columns = [c.strip() for c in header.split(",")]
-    data_rows = rows[1:]
-    if not data_rows:
-        raise CLIInputError(f"{path}: line {header_no + 1}: no data rows")
+    """Read a point file (mandatory header line) into (space, Sample).
 
-    def parse_floats(lineno, parts, expected):
-        if len(parts) != expected:
-            raise CLIInputError(f"{path}: line {lineno}: expected {expected} columns")
-        try:
-            return [float(v) for v in parts]
-        except ValueError as exc:
-            raise CLIInputError(f"{path}: line {lineno}: {exc}") from exc
-
-    if space_kind in ("euclidean", "sphere"):
-        dim = len(columns)
-        if dim < 1 or (space_kind == "sphere" and dim < 2):
-            raise CLIInputError(f"{path}: line {header_no}: too few coordinate columns")
-        metric = _normalize_metric(metric) or "intrinsic"
-        space = (
-            EuclideanSpace(dim)
-            if space_kind == "euclidean"
-            else SphereSpace(dim, metric)
-        )
-        make = euclidean_point if space_kind == "euclidean" else sphere_point
-    elif space_kind == "spd":
-        if tuple(columns) != UPPER_COLUMNS:
-            raise CLIInputError(
-                f"{path}: line {header_no}: expected header {','.join(UPPER_COLUMNS)!r}"
-            )
-        space = SPDSpace(3, _normalize_metric(metric) or "log_euclidean")
-        make = list  # the rows are validated as one batch below
-    elif space_kind == "openbook":
-        if len(columns) < 2 or columns[0] != "leaf":
-            raise CLIInputError(
-                f"{path}: line {header_no}: expected header 'leaf,x0[,x1,...]'"
-            )
-        space = None  # sized by the largest leaf label, once the rows are read
-
-        def make(values):
-            if not values[0].is_integer():  # also rejects nan and inf
-                raise InvalidPoint("leaf must be an integer")
-            return openbook_point(int(values[0]), values[1:])
-    else:
+    The rows are read as float columns and validated as one batch; a
+    CLIInputError names the file's first bad line."""
+    if space_kind not in ("euclidean", "sphere", "spd", "openbook"):
         raise CLIInputError(f"unknown space {space_kind!r}")
-    sample = []
-    for lineno, line in data_rows:
-        values = parse_floats(lineno, [c.strip() for c in line.split(",")], len(columns))
-        try:
-            sample.append(make(values))
-        except InvalidPoint as exc:
-            raise CLIInputError(f"{path}: line {lineno}: {exc}") from exc
-    if space_kind == "spd":
-        try:
-            sample = spd_sample(upper_to_matrix(sample))
-        except InvalidPoint as exc:
-            lineno = data_rows[np.argmax(exc.refused)][0]
-            raise CLIInputError(f"{path}: line {lineno}: {exc}") from exc
-    if space is None:
-        space = OpenBookSpace(max(2, max(p.leaf for p in sample)), len(columns) - 2)
+
+    def error(message):
+        return CLIInputError(f"{path}: {message}")
+
+    columns, body, numbers = _read_input(path, lambda fh: read_table(
+        fh.read().splitlines(), error, partial(_header_problem, space_kind)))
+    metric = _normalize_metric(metric)
+    refusals = _Refusals()
+    values = np.column_stack(read_columns(body, (float,) * len(columns), refusals))
+    try:
+        if space_kind == "euclidean":
+            space, sample = EuclideanSpace(len(columns)), euclidean_sample(values)
+        elif space_kind == "sphere":
+            space, sample = SphereSpace(len(columns), metric or "intrinsic"), sphere_sample(values)
+        elif space_kind == "spd":
+            space = SPDSpace(3, metric or "log_euclidean")
+            sample = spd_sample(upper_to_matrix(values))
+        else:
+            leaf = values[:, 0]
+            bad = (np.floor(leaf) != leaf) | np.isinf(leaf)  # also nan
+            refusals.check(bad, "leaf must be an integer")
+            leaf[bad] = 0.0  # the labels are cast to int
+            sample = openbook_sample(leaf, values[:, 1:])
+            space = OpenBookSpace(max(2, int(sample.leaves.max())), len(columns) - 2)
+    except InvalidPoint as exc:
+        refusals.check(exc.refused, str(exc))
+    raise_refused(refusals, numbers, error)
     return space, space.check_sample(sample)
 
 
@@ -216,6 +201,8 @@ def cmd_mean(args):
 
 
 def cmd_test2(args):
+    if not 0.0 < args.alpha < 1.0:
+        return _fail(f"alpha must lie in (0, 1), got {args.alpha!r}", EXIT_INPUT)
     space, sample_x = load_points(args.input_x, args.space, args.metric)
     _, sample_y = load_points(args.input_y, args.space, args.metric)
     try:
@@ -264,6 +251,8 @@ def _integer(field, value):
 
 
 def _space_from_config(cfg):
+    if not isinstance(cfg, dict):
+        raise InvalidDescriptor(f"space must be a JSON object, got {cfg!r}")
     kind = cfg.get("kind")
     if kind == "euclidean":
         return EuclideanSpace(_integer("dim", cfg["dim"]))
@@ -277,6 +266,8 @@ def _space_from_config(cfg):
 
 
 def _descriptor_from_config(cfg):
+    if not isinstance(cfg, dict):
+        raise InvalidDescriptor(f"distribution must be a JSON object, got {cfg!r}")
     kind = cfg.get("kind")
     if kind == "gaussian":
         return GaussianDescriptor(mean=tuple(cfg["mean"]), cov=cfg.get("cov", 1.0))
@@ -364,8 +355,10 @@ def _parse_site_ranges(text):
     for chunk in text.split(","):
         chunk = chunk.strip()
         if "-" in chunk:
-            lo, hi = chunk.split("-", 1)
-            sites.update(range(int(lo), int(hi) + 1))
+            lo, hi = map(int, chunk.split("-", 1))
+            if lo > hi:
+                raise ValueError(f"effect site range {chunk!r} is reversed")
+            sites.update(range(lo, hi + 1))
         elif chunk:
             sites.add(int(chunk))
     return sites

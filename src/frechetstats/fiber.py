@@ -4,23 +4,23 @@ two-sample sweep with Bonferroni and BH correction.
 
 The pipeline works on whole arrays: the parser splits the data lines into
 columns (``CHUNK_LINES`` lines at a time), converts each column with one
-call per chunk, checks the columns as arrays and fills the tensors in one
+call per chunk, checks the columns as arrays, refusing bad lines by mask so
+that an error names the first bad line, and fills the tensors in one
 scatter; a dataset validates all its tensors in one batch when it is built;
 the sweep maps every tensor to the chart at once and tests all sites in one
-batched chi-square computation (``inference.chi2_two_sample``).  Only a file
-with a problem is read again line by line, so that the error names the
-first bad line.
+batched chi-square computation (``inference.chi2_two_sample``).  The CLI's
+point files are read by the same reader (``read_table``, ``read_columns``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import compress, count, repeat
 
 import numpy as np
 
 from .errors import InvalidPoint, NotPositiveDefinite
-from .geometry import UPPER_COLUMNS, Sample, matrix_to_upper, spd_sample, upper_to_matrix
+from .geometry import UPPER_COLUMNS, Sample, _Refusals, matrix_to_upper, spd_sample, upper_to_matrix
 from .inference import bh_fdr, bonferroni, chi2_two_sample
 from .spaces.spd import SPDSpace, _vech_inv_rows, spd_expm, spd_logm
 from .streams import Streams
@@ -67,135 +67,136 @@ class FiberDataset:
         return self.tensors.shape[1]
 
 
-def _spd_error(rows):
-    """FiberParseError naming the first non-SPD matrix among the
-    ``(lineno, upper-triangle values)`` of ``rows``, or None."""
-    numbered = list(rows.values())
-    uppers = np.array([values for _, values in numbered]).reshape(-1, len(UPPER_COLUMNS))
-    try:
-        spd_sample(upper_to_matrix(uppers))
-    except InvalidPoint as exc:
-        return FiberParseError(f"line {numbered[np.argmax(exc.refused)][0]}: "
-                               f"matrix is not SPD ({exc})")
-    return None
+def read_table(lines, error, header):
+    """``(columns, body, numbers)`` of a table file: the stripped fields of
+    its header line, its stripped non-blank lines after it and their 1-based
+    line numbers.  ``header(columns)`` is the header's problem, or None;
+    ``error(message)`` is the exception raised for an empty file, a header
+    with a problem or no data lines, its message naming the line.
+    """
+    stripped = list(map(str.strip, lines))
+    body = list(filter(None, stripped))
+    if not body:
+        raise error("line 1: empty file, header expected")
+    numbers = list(compress(count(1), stripped)) if len(body) < len(stripped) else range(1, len(body) + 1)
+    columns = tuple(c.strip() for c in body.pop(0).split(","))
+    problem = header(columns)
+    if problem is not None:
+        raise error(f"line {numbers[0]}: {problem}")
+    if not body:
+        raise error(f"line {numbers[0] + 1}: no data rows")
+    return columns, body, numbers[1:]
 
 
-def _read_line(line, groups, rows):
-    """((subject, site), values) of one data line, checked against the lines
-    before it; raises FiberParseError with the problem (no line number)."""
-    parts = line.split(",")
-    if len(parts) != len(FIBER_COLUMNS):
-        raise FiberParseError(f"expected {len(FIBER_COLUMNS)} columns")
-    subject = parts[0].strip()
-    try:  # int and float ignore surrounding whitespace
-        group = int(parts[1])
-        site = int(parts[2])
-        values = list(map(float, parts[3:]))
-    except ValueError as exc:
-        raise FiberParseError(str(exc)) from exc
-    if group not in (0, 1):
-        raise FiberParseError("group must be 0 or 1")
-    if site < 0:
-        raise FiberParseError("site must be nonnegative")
-    if groups.setdefault(subject, group) != group:
-        raise FiberParseError(f"subject {subject!r} changes group")
-    if (subject, site) in rows:
-        raise FiberParseError("duplicate (subject, site) pair")
-    return (subject, site), values
+def read_columns(body, kinds, refusals):
+    """The columns of the data lines ``body``, split at commas into one
+    field per converter of ``kinds`` (``float``, ``int`` or ``str.strip``,
+    which all ignore the whitespace around a field): (n,) arrays of float,
+    int64 (object if a value does not fit) or object.
+
+    ``refusals`` refuses the lines with a wrong number of fields, then,
+    column after column, the lines with a field its converter rejects, with
+    the exception's text; a refused field holds ``kind("0")``.  Each column
+    of ``CHUNK_LINES`` lines is converted with one call; only a chunk column
+    that fails is converted again, field by field.
+    """
+    n, width = len(body), len(kinds)
+    wrong = np.fromiter(map(str.count, body, repeat(",")), np.intp, n) != width - 1
+    if wrong.any():
+        refusals.check(wrong, f"expected {width} columns")
+        body = [",".join("0" * width) if w else line for w, line in zip(wrong.tolist(), body)]
+    dtypes = [{float: float, int: np.int64}.get(kind, object) for kind in kinds]
+    pieces = [[] for _ in kinds]
+    for start in range(0, n, CHUNK_LINES):
+        fields = ",".join(body[start:start + CHUNK_LINES]).split(",")
+        for k, (kind, dtype, piece) in enumerate(zip(kinds, dtypes, pieces)):
+            try:
+                piece.append(np.fromiter(map(kind, fields[k::width]), dtype, len(fields) // width))
+            except (ValueError, OverflowError):  # OverflowError: an int beyond int64
+                piece.append(_convert(kind, fields[k::width], start, n, refusals))
+    return [np.concatenate(piece) for piece in pieces]
 
 
-def _first_problem(numbered):
-    """FiberParseError for the first problem of the ``(lineno, line)`` data
-    lines, found by checking them one at a time."""
-    rows = {}  # (subject, site) -> (lineno, values), in file order
-    groups = {}
-    for lineno, line in numbered:
+def _convert(kind, fields, start, n, refusals):
+    """``kind`` of each field of the lines from ``start`` on (of ``n``), one
+    at a time, as an array; ``refusals`` refuses the lines it rejects."""
+    values, problems = [], {}
+    for row, field in enumerate(fields, start):
         try:
-            pair, values = _read_line(line, groups, rows)
-        except FiberParseError as exc:
-            # a non-SPD matrix on an earlier line is the first problem of the file
-            return _spd_error(rows) or FiberParseError(f"line {lineno}: {exc}")
-        rows[pair] = (lineno, values)
-    # every line is fine alone, so a matrix is not SPD or a pair is missing
-    error = _spd_error(rows)
-    if error is None:
-        n_sites = max(site for _, site in rows) + 1
-        subject, site = next(
-            (subject, site) for subject in sorted(groups) for site in range(n_sites)
-            if (subject, site) not in rows
-        )
-        error = FiberParseError(f"subject {subject!r} is missing site {site} (every pair required)")
-    return error
+            values.append(kind(field))
+        except ValueError as exc:
+            values.append(kind("0"))
+            problems[row] = str(exc)
+    bad = np.zeros(n, dtype=bool)
+    bad[list(problems)] = True
+    refusals.check(bad, problems.__getitem__)
+    return np.array(values, float if kind is float else object)
 
 
-def _read_columns(body):
-    """FiberDataset of the stripped data lines ``body``, read column by
-    column, or None if any line has a problem."""
-    n, width = len(body), len(FIBER_COLUMNS)
-    if set(map(str.count, body, repeat(","))) != {width - 1}:
-        return None
-    subject_of_row, groups, sites = [], [], []
-    values = np.empty((n, len(UPPER_COLUMNS)))
-    try:  # int and float ignore surrounding whitespace
-        for start in range(0, n, CHUNK_LINES):
-            fields = ",".join(body[start:start + CHUNK_LINES]).split(",")
-            subject_of_row += map(str.strip, fields[0::width])
-            groups += map(int, fields[1::width])
-            sites += map(int, fields[2::width])
-            chunk = values[start:start + CHUNK_LINES]
-            for k in range(3, width):
-                chunk[:, k - 3] = np.fromiter(map(float, fields[k::width]), float, len(chunk))
-    except ValueError:
-        return None
-    if not set(groups) <= {0, 1} or min(sites) < 0:
-        return None
-    subjects = sorted(set(subject_of_row))
-    n_sites = max(sites) + 1
-    if n != len(subjects) * n_sites:  # before allocating anything n_sites long
-        return None
-    index = {subject: i for i, subject in enumerate(subjects)}
-    row = np.fromiter(map(index.__getitem__, subject_of_row), np.intp, n)
-    site = np.array(sites)
-    filled = np.zeros((len(subjects), n_sites), dtype=bool)
-    filled[row, site] = True  # n rows fill all n pairs only if no pair repeats
-    group = np.array(groups)
-    group_of = np.zeros(len(subjects), dtype=int)
-    group_of[row] = group
-    if not filled.all() or not np.array_equal(group_of[row], group):
-        return None
-    uppers = np.empty((len(subjects), n_sites, len(UPPER_COLUMNS)))
-    uppers[row, site] = values
+def raise_refused(refusals, numbers, error):
+    """Raise ``error`` naming the first line that ``refusals`` refused, with
+    its message, if it refused any (``numbers`` are the lines' numbers)."""
     try:
-        return FiberDataset(
-            subjects=tuple(subjects), groups=group_of, tensors=upper_to_matrix(uppers)
-        )
-    except InvalidPoint:
-        return None
+        refusals.raise_any()
+    except InvalidPoint as exc:
+        raise error(f"line {numbers[int(np.argmax(exc.refused))]}: {exc}") from None
 
 
 def parse_fiber_csv(lines):
     """Parse the dataset format (header + one row per subject/site pair).
 
-    The data lines are read and checked as whole columns, and the tensors
-    validated together.  Only if that finds a problem are the lines checked
-    one at a time, to raise a FiberParseError naming the 1-based line of the
-    file's first problem.
+    The data lines are read as columns (``read_columns``) and checked as
+    arrays, and the tensors are validated together when the dataset is
+    built.  Each check refuses the lines it finds wrong among those no
+    earlier check refused: group, site, a subject changing group (its first
+    line sets its group), a repeated pair, a matrix that is not SPD.  A
+    FiberParseError names the file's first refused line, or else the first
+    missing (subject, site) pair.
     """
-    stripped = list(map(str.strip, lines))
-    body = list(filter(None, stripped))
-    if not body:
-        raise FiberParseError("line 1: empty file, header expected")
-    header_no = stripped.index(body[0]) + 1
-    if tuple(c.strip() for c in body[0].split(",")) != FIBER_COLUMNS:
-        raise FiberParseError(f"line {header_no}: expected header {','.join(FIBER_COLUMNS)!r}")
-    del body[0]
-    if not body:
-        raise FiberParseError(f"line {header_no + 1}: no data rows")
-    dataset = _read_columns(body)
-    if dataset is None:
-        numbered = enumerate(stripped[header_no:], start=header_no + 1)
-        raise _first_problem((lineno, line) for lineno, line in numbered if line)
-    return dataset
+    _, body, numbers = read_table(lines, FiberParseError, lambda columns: None if columns == FIBER_COLUMNS
+                                  else f"expected header {','.join(FIBER_COLUMNS)!r}")
+    n = len(body)
+    refusals = _Refusals()
+    subject, group, site, *uppers = read_columns(body, (str.strip, int, int) + (float,) * 6, refusals)
+    refusals.check((group != 0) & (group != 1), "group must be 0 or 1")
+    refusals.check(site < 0, "site must be nonnegative")
+    # the checks below read refused lines too: a refused line can only make
+    # a later line look wrong, so the first refused line stays the same
+    subjects = sorted(set(subject))
+    index = {name: i for i, name in enumerate(subjects)}
+    row = np.fromiter(map(index.__getitem__, subject), np.intp, n)
+    group = group == 1
+    group_of = np.zeros(len(subjects), dtype=bool)
+    group_of[row] = group  # some line's group
+    if not np.array_equal(group_of[row], group):
+        group_of = group[np.unique(row, return_index=True)[1]]  # the first line's
+        refusals.check(group != group_of[row], lambda i: f"subject {subject[i]!r} changes group")
+    uppers = np.column_stack(uppers)
+    n_sites = int(site.max()) + 1  # a Python int: the largest int64 site does not wrap
+    if refusals.rows is None and n == len(subjects) * n_sites:  # before allocating anything n_sites long
+        filled = np.zeros((len(subjects), n_sites), dtype=bool)
+        filled[row, site] = True  # n rows fill all n pairs only if no pair repeats
+        if filled.all():
+            grid = np.empty((len(subjects), n_sites, len(UPPER_COLUMNS)))
+            grid[row, site] = uppers
+            try:
+                return FiberDataset(tuple(subjects), group_of.astype(int), upper_to_matrix(grid))
+            except InvalidPoint:
+                pass  # its first non-SPD line is found below, in file order
+    first = np.unique(row * n + np.unique(site, return_inverse=True)[1], return_index=True)[1]
+    repeated = np.ones(n, dtype=bool)
+    repeated[first] = False
+    refusals.check(repeated, "duplicate (subject, site) pair")
+    try:
+        spd_sample(upper_to_matrix(uppers))
+    except InvalidPoint as exc:
+        refusals.check(exc.refused, f"matrix is not SPD ({exc})")
+    raise_refused(refusals, numbers, FiberParseError)
+    # every line is fine, so the pairs are distinct and a subject has fewer than n_sites
+    short = int(np.argmax(np.bincount(row, minlength=len(subjects)) < n_sites))
+    taken = set(site[row == short].tolist())
+    missing = next(k for k in count() if k not in taken)
+    raise FiberParseError(f"subject {subjects[short]!r} is missing site {missing} (every pair required)")
 
 
 def write_fiber_csv(dataset, stream):

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from frechetstats.cli import main
+from frechetstats.cli import CLIInputError, load_points, main
 from frechetstats.errors import InvalidPoint, NearSingularCovariance
 from frechetstats.fiber import (
     CHUNK_LINES,
@@ -16,7 +16,7 @@ from frechetstats.fiber import (
     write_fiber_csv,
     write_site_csv,
 )
-from frechetstats.geometry import Sample, spd_sample
+from frechetstats.geometry import UPPER_COLUMNS, Sample, spd_sample
 from frechetstats.inference import two_sample_test
 from frechetstats.simulate import Sampler, SphereCapDescriptor
 from frechetstats.spaces import SPDSpace, SphereSpace
@@ -84,6 +84,13 @@ def test_parse_errors_name_the_line():
         # fails before anything a billion sites long is allocated
         (good + "s0,0,1000000000,1,0,0,1,0,1\n",
          "subject 's0' is missing site 0 (every pair required)"),
+        # a site at or beyond the int64 limit is still a missing site, and
+        # still a repeated pair
+        (good + f"s0,0,{2**63 - 1},1,0,0,1,0,1\n",
+         "subject 's0' is missing site 0 (every pair required)"),
+        (good + f"s0,0,{10**30},1,0,0,1,0,1\n",
+         "subject 's0' is missing site 0 (every pair required)"),
+        (good + f"s0,0,{10**30},1,0,0,1,0,1\n" * 2, "line 3: duplicate (subject, site) pair"),
         # a short and a long line that, split together, would read as two good rows
         (good + "a,0,0,1,0,0,1,0\n" + "1,2,0,0,1,0,0,1,0,1\n", "line 2: expected 9 columns"),
         # the non-SPD line comes before the duplicate
@@ -129,6 +136,64 @@ def test_reordered_and_padded_files_give_the_same_dataset(tmp_path):
         sites = tmp_path / "sites.csv"
         assert main(["fiber", str(path), "--output", str(sites)]) == 0, name
         assert sites.read_bytes() == expected_sites.read_bytes(), name
+
+
+# line-local corruptions of a data line's fields, each with the message
+# the line gets; None marks the fiber-only ones
+CORRUPTIONS = [
+    (lambda f: f[:-1], "expected {width} columns", "expected {width} columns"),
+    (lambda f: f[:-1] + ["1.2.3"], "could not convert string to float: '1.2.3'",
+     "could not convert string to float: '1.2.3'"),
+    (lambda f: f[:-3] + ["-1"] + f[-2:], "matrix is not SPD (spd payload has a non-positive eigenvalue)",
+     "spd payload has a non-positive eigenvalue"),
+    (lambda f: f[:-4] + ["nan"] + f[-3:], "matrix is not SPD (point payload contains non-finite entries)",
+     "point payload contains non-finite entries"),
+    (lambda f: f[:1] + ["g"] + f[2:], "invalid literal for int() with base 10: 'g'", None),
+    (lambda f: f[:1] + ["2"] + f[2:], "group must be 0 or 1", None),
+    (lambda f: f[:2] + ["-1"] + f[3:], "site must be nonnegative", None),
+]
+
+
+def _corrupt(rows, rng, cli):
+    """``rows`` with 1-3 of them corrupted, and the expected (line, message)
+    of the first corrupted line (the header is line 1)."""
+    rows = list(rows)
+    kinds = [c for c in CORRUPTIONS if c[2] is not None] if cli else CORRUPTIONS
+    corrupted = {}
+    for i in rng.choice(len(rows), size=rng.integers(1, 4), replace=False).tolist():
+        change, fiber_message, cli_message = kinds[rng.integers(len(kinds))]
+        width = len(rows[i].split(","))
+        rows[i] = ",".join(change(rows[i].split(",")))
+        corrupted[i + 2] = (cli_message if cli else fiber_message).format(width=width)
+    first = min(corrupted)
+    return rows, f"line {first}: {corrupted[first]}"
+
+
+@pytest.mark.parametrize("sites", [3, 60])  # 60 sites: 540 rows, more than one chunk
+def test_corrupted_lines_report_the_first_one(sites, tmp_path):
+    ds = generate_fiber_dataset(seed=8, n_sites=sites, n_group1=5, n_group0=4)
+    buf = io.StringIO()
+    write_fiber_csv(ds, buf)
+    header, *rows = buf.getvalue().splitlines()
+    spd_rows = [",".join(row.split(",")[3:]) for row in rows]
+    rng = np.random.default_rng(sites)
+    for _ in range(400 // sites + 20):
+        shuffled = [rows[i] for i in rng.permutation(len(rows))]
+        lines, message = _corrupt(shuffled, rng, cli=False)
+        with pytest.raises(FiberParseError) as info:
+            parse_fiber_csv(io.StringIO("\n".join([header] + lines) + "\n"))
+        assert str(info.value) == message
+        lines, message = _corrupt(spd_rows[:2 * sites], rng, cli=True)
+        path = write(tmp_path / "points.csv", "\n".join([",".join(UPPER_COLUMNS)] + lines) + "\n")
+        with pytest.raises(CLIInputError) as info:
+            load_points(path, "spd")
+        assert str(info.value) == f"{path}: {message}"
+
+
+def test_cli_point_file_header_is_checked_before_its_rows(tmp_path, capsys):
+    bad = write(tmp_path / "bad.csv", "a,b\n")
+    assert main(["mean", bad, "--space", "spd"]) == 2
+    assert f"{bad}: line 1: expected header 'a11,a12,a13,a22,a23,a33'" in capsys.readouterr().err
 
 
 def test_identical_groups_give_unit_pvalues():
@@ -259,6 +324,8 @@ def test_cli_spd_points_name_the_first_bad_line(command, tmp_path, capsys):
         (good + "\n" + "1,0,0,1,0,nan\n" + "1,2,0,1,0,1\n", "line 4: point payload contains non-finite"),
         ("1,2,0,1,0,1\n" + good + good + "1,0,0,1,0,nan\n",
          "line 2: spd payload has a non-positive eigenvalue"),
+        # a non-SPD line before a line that is not numbers
+        (good + "-1,0,0,1,0,1\n" + "x,0,0,1,0,1\n", "line 3: spd payload has a non-positive eigenvalue"),
     ]:
         bad = write(tmp_path / "bad.csv", header + rows)
         inputs = [bad] if command == "mean" else [ok, bad]
@@ -288,6 +355,14 @@ def test_cli_test2(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["statistic"] == pytest.approx(1.0, abs=1e-9)
     assert out["df"] == 1
+
+
+@pytest.mark.parametrize("alpha", ["5", "0", "1", "-0.1", "nan"])
+def test_cli_test2_refuses_alpha_outside_the_unit_interval(alpha, tmp_path, capsys):
+    a = write(tmp_path / "a.csv", "x\n0\n1\n2\n")
+    assert main(["test2", a, a, "--space", "euclidean", "--alpha", alpha]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "alpha must lie in (0, 1)" in err
 
 
 def test_cli_test2_dimension_mismatch_exits_2(tmp_path, capsys):
@@ -326,6 +401,13 @@ def test_cli_gen_fiber_and_fiber_round_trip(tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert lines[0] == SITE_HEADER
     assert len(lines) == 7
+
+
+def test_cli_gen_fiber_refuses_a_reversed_site_range(tmp_path, capsys):
+    out = tmp_path / "fiber.csv"
+    assert main(["gen-fiber", "--effect-sites", "3,20-10", "--output", str(out)]) == 2
+    assert "effect site range '20-10' is reversed" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_gen_fiber_reproducible_bytes(tmp_path):
@@ -536,6 +618,22 @@ def test_cli_simulate_refuses_non_integral_sizes(experiment, changes, field, tmp
     assert main(["simulate", desc, "--experiment", experiment]) == 2
     out, err = capsys.readouterr()
     assert out == "" and "InvalidDescriptor" in err and f"{field} must be an integer" in err
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        pytest.param({"space": 5}, "space must be a JSON object, got 5", id="space"),
+        pytest.param({"distribution": 7}, "distribution must be a JSON object, got 7", id="distribution"),
+        pytest.param({"space": {"kind": "sphere", "ambient_dim": 2, "metric": 5}},
+                     "metric must be a string, got 5", id="metric"),
+    ],
+)
+def test_cli_simulate_refuses_malformed_descriptors(changes, message, tmp_path, capsys):
+    desc = write(tmp_path / "run.json", json.dumps({**EUCLID_RUN, **changes}))
+    assert main(["simulate", desc, "--experiment", "coverage"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "InvalidDescriptor" in err and message in err
 
 
 def test_cli_simulate_accepts_integral_float_sizes(tmp_path, capsys):
