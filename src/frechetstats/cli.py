@@ -122,14 +122,12 @@ def load_points(path, space_kind, metric=None):
             space = SPDSpace(3, metric or "log_euclidean")
             sample = spd_sample(upper_to_matrix(values))
         else:
-            leaf = values[:, 0]
-            bad = (np.floor(leaf) != leaf) | np.isinf(leaf)  # also nan
-            refusals.check(bad, "leaf must be an integer")
-            leaf[bad] = 0.0  # the labels are cast to int
-            sample = openbook_sample(leaf, values[:, 1:])
+            sample = openbook_sample(values[:, 0], values[:, 1:])
             space = OpenBookSpace(max(2, int(sample.leaves.max())), len(columns) - 2)
     except InvalidPoint as exc:
         refusals.check(exc.refused, str(exc))
+    except ValueError as exc:  # a metric the space does not have
+        raise CLIInputError(str(exc)) from None
     raise_refused(refusals, numbers, error)
     return space, space.check_sample(sample)
 
@@ -142,24 +140,9 @@ def _point_json(point):
     return list(point.data)
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return _jsonable(obj.tolist())
-    if isinstance(obj, (np.bool_, bool)):  # before int: bool subclasses int
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    return obj
-
-
 def _emit_json(payload, output):
-    text = json.dumps(_jsonable(payload), indent=2) + "\n"
+    # numpy arrays and scalars are the payloads' only non-JSON values
+    text = json.dumps(payload, indent=2, default=lambda o: o.tolist()) + "\n"
     if output:
         with open(output, "w") as fh:
             fh.write(text)

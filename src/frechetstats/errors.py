@@ -44,7 +44,9 @@ class NonUniqueProjection(FrechetStatsError):
 class NoConvergence(FrechetStatsError):
     """Iterative mean estimation exhausted its iteration budget.
 
-    The partial fit (with diagnostics) is attached as ``.fit``.
+    The partial fit is attached as ``.fit``: ``(means, iterations)`` of
+    every replication from ``mean_many``, a FrechetFit (with diagnostics)
+    from ``estimate_mean``.
     """
 
     def __init__(self, message, fit=None, refused=None):

@@ -3,7 +3,8 @@
 ``estimate_mean`` finds a stationary point of the empirical Frechet
 function with the space's own ``mean`` (its ``mean_many`` on one sample):
 closed forms (Euclidean, SPD under both metrics, chordal sphere, open book)
-and, for the geodesic sphere, a damped Riemannian Newton iteration.
+and, for the geodesic sphere, a damped Riemannian Newton iteration, which
+alone decides whether it converged (NoConvergence).
 
 ``sandwich_covariance`` then forms, in the chart anchored at the estimate,
 
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NearSingularCovariance, NearSingularHessian, NoConvergence
-from .geometry import MEAN_MAX_ITER, MEAN_TOL, Point, mean_gradient, numeric_gradient
+from .geometry import Point, mean_gradient, numeric_gradient
 from .geometry import numeric_hessian, row_norms
 
 #: condition-number ceiling beyond which Lambda_n (or a covariance) is
@@ -57,7 +58,7 @@ class FrechetFit:
     lambda_pd: bool | None = None
 
 
-def estimate_mean(space, sample, *, tol=MEAN_TOL, max_iter=MEAN_MAX_ITER):
+def estimate_mean(space, sample):
     """Stationary point of the empirical Frechet function, found by
     ``space.mean`` (the fit's ``strategy`` is the space's ``mean_strategy``).
 
@@ -66,51 +67,39 @@ def estimate_mean(space, sample, *, tol=MEAN_TOL, max_iter=MEAN_MAX_ITER):
     space : Space
     sample : Sample or sequence of Point
         Nonempty, all of the space's kind.
-    tol : float
-        Convergence threshold on the chart-coordinate gradient norm of the
-        empirical Frechet function.
-    max_iter : int
-        Iteration budget for the iterative strategies.
 
     Raises
     ------
     NoConvergence
-        Iteration budget exhausted; the partial fit rides on the exception.
+        ``space.mean`` did not converge; the partial fit (the last iterate,
+        the spent budget and the gradient norm there) rides on the exception.
     MixedSpacePoints
         Some sample point is from a different space.
     TooFewPoints
         The sample is empty.
     """
     sample = space.check_sample(sample)
-    strategy = space.mean_strategy
-    mean, iterations = space.mean(sample, tol=tol, max_iter=max_iter)
+    failure = None
+    try:
+        mean, iterations = space.mean(sample)
+    except NoConvergence as exc:
+        failure, (means, its) = exc, exc.fit
+        mean, iterations = means[0], int(its[0])
     chart = space.chart_at(mean)
     coords = chart.forward(mean)
-    grad_norm = row_norms(mean_gradient(chart, coords, chart.pack(sample)))
     fit = FrechetFit(
         mean=mean,
         chart_coords=coords,
         n=len(sample),
         iterations=iterations,
-        grad_norm=float(grad_norm),
-        strategy=strategy,
+        grad_norm=float(row_norms(mean_gradient(chart, coords, chart.pack(sample)))),
+        strategy=space.mean_strategy,
         chart=chart,
     )
-    check_convergence(strategy, grad_norm, iterations, tol=tol, max_iter=max_iter, fit=fit)
+    if failure is not None:
+        failure.fit = fit
+        raise failure
     return fit
-
-
-def check_convergence(strategy, grad_norms, iterations, *, tol=MEAN_TOL, max_iter=MEAN_MAX_ITER,
-                      fit=None):
-    """Raise NoConvergence (with ``fit``) masking the fits of the iterative
-    ``"newton"`` strategy that spent ``max_iter`` iterations with the gradient norm
-    at the mean still above ``tol``; ``grad_norms`` and ``iterations`` are
-    one fit's, or R fits' (R,) arrays."""
-    refused = (strategy == "newton") & (iterations >= max_iter) & (grad_norms > tol)
-    if np.any(refused):
-        norm = grad_norms.flat[np.flatnonzero(refused)[0]]
-        raise NoConvergence(f"{strategy} exhausted {max_iter} iterations (grad norm {norm:.3e})",
-                            fit=fit, refused=refused)
 
 
 def guarded_inverse(matrices):

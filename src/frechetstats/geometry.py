@@ -40,10 +40,6 @@ POINT_ATOL = 1e-12
 #: leading minors, of a matrix over its largest entry, that certify SPD(3)
 _MINOR_MARGIN = 1e-8
 
-#: default gradient-norm tolerance and iteration budget of the iterative means
-MEAN_TOL = 1e-10
-MEAN_MAX_ITER = 200
-
 
 @dataclass(frozen=True, eq=False)
 class Point:
@@ -314,13 +310,20 @@ def openbook_sample(leaves, coords):
     coordinates with x0 >= 0.
 
     Rows with ``x0 == 0`` lie on the spine and are canonicalized to leaf 0,
-    so equality of glued boundary points is well defined.
+    so equality of glued boundary points is well defined.  A label that is
+    not an integer (nan and infinity included) or does not fit int64 is
+    refused before the labels are cast to int.
     """
     refusals = _Refusals()
     c = _finite_rows(coords, 2, refusals)
-    labels = np.asarray(leaves).astype(int)
+    labels = np.asarray(leaves)
     if c.shape[1] == 0 or labels.shape != (c.shape[0],):
         raise InvalidPoint("open-book sample needs one leaf label per row of coordinates")
+    if labels.dtype.kind == "f":
+        bad = ~(np.abs(labels) < 2.0**63) | (np.floor(labels) != labels)  # also nan
+        refusals.check(bad, "leaf must be an integer")
+        labels = np.where(bad, 0.0, labels)
+    labels = labels.astype(int)
     refusals.check(c[:, 0] < 0.0, "open-book coordinate x0 must be nonnegative")
     refusals.check(labels < 0, "leaf label must be nonnegative")
     refusals.check((labels == 0) & (c[:, 0] > 0.0), "spine points (leaf 0) must have x0 == 0")
@@ -570,19 +573,19 @@ class Space(ABC):
         and as a Sample."""
         return self.check_sample([base] if isinstance(base, Point) else base)
 
-    def mean(self, sample, *, tol=MEAN_TOL, max_iter=MEAN_MAX_ITER):
+    def mean(self, sample):
         """Sample Frechet mean as ``(point, iterations)``, the batch of one of
         ``mean_many``."""
-        means, its = self.mean_many(self.check_sample(sample), 1, tol=tol, max_iter=max_iter)
+        means, its = self.mean_many(self.check_sample(sample), 1)
         return means[0], int(its[0])
 
     @abstractmethod
-    def mean_many(self, sample, reps, *, tol=MEAN_TOL, max_iter=MEAN_MAX_ITER):
+    def mean_many(self, sample, reps):
         """Sample Frechet means of ``reps`` equal-size samples stacked
         row-wise in one Sample, as ``(means, iterations)``: a Sample of the
-        R means and their (R,) iteration counts (``max_iter`` where an
-        iterative strategy stopped before the gradient norm of the averaged
-        h reached ``tol``)."""
+        R means and their (R,) iteration counts.  An iterative mean raises
+        NoConvergence, masking the replications it could not converge, with
+        ``(means, iterations)`` as the partial fit."""
 
 
 def mean_gradient(chart, x, packed):

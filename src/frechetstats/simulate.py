@@ -27,9 +27,9 @@ import numpy as np
 from scipy import special
 
 from .errors import CutLocus, FrechetStatsError, InvalidDescriptor, InvalidPoint
-from .estimator import check_convergence, confidence_regions_contain, stacked_sandwich
-from .geometry import MEAN_MAX_ITER, Sample, as_sample, euclidean_point, euclidean_sample
-from .geometry import mean_gradient, openbook_point, openbook_sample, row_norms, row_products
+from .estimator import confidence_regions_contain, stacked_sandwich
+from .geometry import Sample, as_sample, euclidean_point, euclidean_sample, openbook_point
+from .geometry import openbook_sample, row_norms, row_products
 from .geometry import sphere_point, sphere_sample
 from .inference import two_sample_tests
 from .spaces.euclidean import EuclideanSpace
@@ -475,25 +475,15 @@ def _outcomes(space, keys, block, batched, failed):
     that masks rows or fits of the stack being run fails the replications
     they belong to, each recorded in ``failed`` (in key order) as (key,
     class, message), and the others run again; any other raise aborts.
-    Replications that spend the iteration budget are checked by
-    ``check_convergence``, as ``estimate_mean`` checks one."""
+    ``mean_many`` is such a kernel: it masks the replications whose
+    iterative mean did not converge (NoConvergence)."""
     reps = len(keys)
     live, out, refused = np.arange(reps), [], {}  # the replications not failed yet
     while live.size:
         sample = block if len(live) == reps else _part(block, reps, live)
         stack = live  # the replications of the call in progress
         try:
-            means, iterations = space.mean_many(sample, len(live))
-            spent = np.flatnonzero(iterations >= MEAN_MAX_ITER)
-            if spent.size:
-                stack, bases = live[spent], _part(means, len(live), spent)
-                chart = space.chart_at(bases)
-                packed = chart.pack(_part(sample, len(live), spent))
-                grad = mean_gradient(chart, chart.forward_many(bases),
-                                     packed.reshape((len(spent), -1) + packed.shape[1:]))
-                check_convergence(space.mean_strategy, row_norms(grad), iterations[spent],
-                                  max_iter=MEAN_MAX_ITER)
-            stack = live
+            means, _ = space.mean_many(sample, len(live))
             strata = np.zeros(len(live), bool) if means.leaves is None else means.leaves > 0
             if strata.all() or not strata.any():
                 out = batched(sample, means)
@@ -535,9 +525,13 @@ def mc_coverage(sampler, n, reps, alpha, derivatives="auto"):
     chart's domain count as misses; numeric failures are counted separately
     and tolerated only up to the failure budget.  A block of replications
     is fitted as arrays, in either ``derivatives`` mode, in the charts at
-    its means stacked (one stack per stratum on the open book).
+    its means stacked (one stack per stratum on the open book).  An
+    unknown ``derivatives`` mode raises InvalidDescriptor before anything
+    is drawn.
     """
     _check_run(reps, alpha, n=n)
+    if derivatives not in ("auto", "numeric"):
+        raise InvalidDescriptor(f"unknown derivatives mode {derivatives!r}")
     space = sampler.space
     truth = sampler.population_mean()
 

@@ -45,7 +45,7 @@ class EuclideanSpace(Space):
             self.check_bases(base)
         return EuclideanChart(self, base)
 
-    def mean_many(self, sample, reps, **_):
+    def mean_many(self, sample, reps):
         """Arithmetic means (the exact Frechet means of R^s), after 0
         iterations."""
         means = sample.data.reshape(reps, -1, self.dim).mean(axis=1)

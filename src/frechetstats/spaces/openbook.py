@@ -253,7 +253,7 @@ class OpenBookSpace(Space):
             return OpenBookLeafChart(self, base)
         return OpenBookSpineChart(self, base)
 
-    def mean_many(self, sample, reps, **_):
+    def mean_many(self, sample, reps):
         """Exact sample Frechet means, after 0 iterations: the squared
         distance separates into the folded x0 and the spine block, so a
         replication's mean is (k; m_k, mean of rest) when its largest folded

@@ -309,7 +309,7 @@ class SPDSpace(Space):
             self.check_bases(base)
         return SPDChart(self)
 
-    def mean_many(self, sample, reps, **_):
+    def mean_many(self, sample, reps):
         """Closed-form Frechet means (see ``spd_mean``), after 0 iterations.
         Log-Euclidean means keep their mean logs (``_expm_sample``)."""
         p, its = self.p, np.zeros(reps, dtype=int)

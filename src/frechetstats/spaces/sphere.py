@@ -20,11 +20,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import CutLocus, InvalidPoint, NonUniqueProjection
-from ..geometry import MEAN_MAX_ITER, MEAN_TOL, Chart, Point, Space, row_dots, row_norms
-from ..geometry import row_products, sphere_point, sphere_sample
+from ..errors import CutLocus, InvalidPoint, NoConvergence, NonUniqueProjection
+from ..geometry import Chart, Point, Space, row_dots, row_norms, row_products, sphere_point
+from ..geometry import sphere_sample
 
 _CUT_TOL = 1e-9
+
+#: gradient-norm tolerance and iteration budget of the geodesic means
+MEAN_TOL = 1e-10
+MEAN_MAX_ITER = 200
 
 
 def sphere_distance(p, q):
@@ -151,29 +155,33 @@ def _hessians(coords):
     return 2.0 * (outer_sum + t.mean(axis=-1)[..., None, None] * np.eye(coords.shape[-1]))
 
 
-def _newton_means(points, mu, tol, max_iter):
+def _newton_means(points, mu):
     """Riemannian Newton iteration for the geodesic means of an (R, n, d+1)
-    stack of samples from the (R, d+1) starts ``mu``: the means and the (R,)
-    iteration counts (``max_iter`` where the gradient norm never reached
-    ``tol``).  Each step is the Newton step in the tangent basis at the
-    current mean where the Hessian there is positive definite, else the
-    gradient step -g/2 (the Karcher step).  Each row halves its own step
-    while the step raises its Frechet function, with arithmetic independent
-    of the other rows.  The samples are iterated on as one (R, d+1, n) array
-    of coordinates."""
+    stack of samples from the (R, d+1) starts ``mu``: the means, the (R,)
+    iteration counts and the gradient norms at the means.  A row stops once
+    its gradient norm is at most MEAN_TOL; a row still above it after
+    MEAN_MAX_ITER steps has its gradient taken once more, at its last
+    iterate, and its count is MEAN_MAX_ITER.  Each step is the Newton step
+    in the tangent basis at the current mean where the Hessian there is
+    positive definite, else the gradient step -g/2 (the Karcher step).  Each
+    row halves its own step while the step raises its Frechet function,
+    with arithmetic independent of the other rows.  The samples are
+    iterated on as one (R, d+1, n) array of coordinates."""
     cols = _columns(points)
     mu = np.array(mu)
     f_mu = (_geodesics(cols, mu) ** 2).mean(axis=-1)  # Frechet function at mu
-    iterations = np.full(len(mu), max_iter)
+    iterations = np.full(len(mu), MEAN_MAX_ITER)
+    grad_norms = np.empty(len(mu))
     todo = np.ones(len(mu), dtype=bool)  # replications still iterating
-    for it in range(max_iter):
+    for it in range(MEAN_MAX_ITER + 1):
         basis = tangent_basis(mu)  # (R, d, d+1)
         coords = np.swapaxes(_logs(cols, mu), -1, -2) @ np.swapaxes(basis, -1, -2)
         g = -2.0 * coords.mean(axis=-2)
-        done = todo & (row_norms(g) <= tol)
+        grad_norms[todo] = row_norms(g[todo])
+        done = todo & (grad_norms <= MEAN_TOL)
         iterations[done] = it
         todo &= ~done
-        if not todo.any():
+        if not todo.any() or it == MEAN_MAX_ITER:
             break
         hess = _hessians(coords)
         newton = np.linalg.eigvalsh(hess)[:, 0] > 0.0
@@ -191,7 +199,7 @@ def _newton_means(points, mu, tol, max_iter):
             mu[ok], f_mu[ok] = cand[ok], f[ok]
             moving &= ~ok
             tau *= 0.5
-    return mu, iterations
+    return mu, iterations, grad_norms
 
 
 class _TangentChart(Chart):
@@ -348,13 +356,19 @@ class SphereSpace(Space):
             return SphereIntrinsicChart(self, base)
         return SphereExtrinsicChart(self, base)
 
-    def mean_many(self, sample, reps, *, tol=MEAN_TOL, max_iter=MEAN_MAX_ITER):
+    def mean_many(self, sample, reps):
         """The extrinsic means (0 iterations) under the chordal metric; under
-        the geodesic metric, Newton iteration from them (``_newton_means``),
-        each replication stopped once its gradient norm is at most ``tol``."""
+        the geodesic metric, Newton iteration from them (``_newton_means``).
+        NoConvergence masks the replications whose gradient norm is still
+        above MEAN_TOL after MEAN_MAX_ITER steps; its ``fit`` is ``(means,
+        iterations)`` of every replication."""
         points = sample.data.reshape(reps, -1, self.ambient_dim)
         start = sphere_sample(_project_rows(points.mean(axis=1)))
         if self.metric == "extrinsic":
             return start, np.zeros(reps, dtype=int)
-        means, iterations = _newton_means(points, start.data, tol, max_iter)
-        return sphere_sample(means), iterations
+        means, iterations, grad_norms = _newton_means(points, start.data)
+        means, refused = sphere_sample(means), grad_norms > MEAN_TOL
+        if refused.any():
+            raise NoConvergence(f"newton exhausted {MEAN_MAX_ITER} iterations (grad norm "
+                                f"{grad_norms[refused][0]:.3e})", (means, iterations), refused)
+        return means, iterations

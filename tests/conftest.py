@@ -1,9 +1,11 @@
-"""Shared fixtures: random point generators per space and an
-affine-reparameterized chart wrapper used by the invariance tests."""
+"""Shared fixtures: random point generators per space, an
+affine-reparameterized chart wrapper used by the invariance tests and the
+Newton budget of the geodesic sphere's means."""
 
 import numpy as np
 import pytest
 
+import frechetstats.spaces.sphere as sphere_module
 from frechetstats.geometry import Chart, Space, euclidean_point, openbook_point, openbook_sample
 from frechetstats.geometry import spd_point, sphere_point
 from frechetstats.spaces import EuclideanSpace, OpenBookSpace, SPDSpace, SphereSpace
@@ -134,10 +136,23 @@ class AffineChartSpace(Space):
     def chart_at(self, base):
         return AffineChart(self.inner.chart_at(base), self.mat, self.offset)
 
-    def mean_many(self, sample, reps, **options):
-        return self.inner.mean_many(sample, reps, **options)
+    def mean_many(self, sample, reps):
+        return self.inner.mean_many(sample, reps)
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)
+
+
+@pytest.fixture
+def newton_budget(monkeypatch):
+    """``newton_budget(max_iter, tol=MEAN_TOL)`` sets, for the test, the
+    iteration budget and gradient-norm tolerance that the geodesic sphere's
+    Newton means read when they run."""
+
+    def set_budget(max_iter, tol=sphere_module.MEAN_TOL):
+        monkeypatch.setattr(sphere_module, "MEAN_MAX_ITER", max_iter)
+        monkeypatch.setattr(sphere_module, "MEAN_TOL", tol)
+
+    return set_budget

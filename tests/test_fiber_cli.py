@@ -365,6 +365,21 @@ def test_cli_test2_refuses_alpha_outside_the_unit_interval(alpha, tmp_path, caps
     assert out == "" and "alpha must lie in (0, 1)" in err
 
 
+@pytest.mark.parametrize("command", ["mean", "test2"])
+@pytest.mark.parametrize("space, metric, text", [
+    pytest.param("sphere", "bogus", "x,y,z\n0,0,1\n0,1,0\n1,0,0\n", id="sphere"),
+    pytest.param("spd", "intrinsic", ",".join(UPPER_COLUMNS) + "\n1,0,0,1,0,1\n2,0,0,1,0,1\n",
+                 id="spd"),
+])
+def test_cli_refuses_a_metric_the_space_does_not_have(command, space, metric, text, tmp_path,
+                                                      capsys):
+    inp = write(tmp_path / "points.csv", text)
+    inputs = [inp] if command == "mean" else [inp, inp]
+    assert main([command, *inputs, "--space", space, "--metric", metric]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and repr(metric) in err
+
+
 def test_cli_test2_dimension_mismatch_exits_2(tmp_path, capsys):
     a = write(tmp_path / "a.csv", "x,y\n0,1\n1,0\n2,2\n")
     b = write(tmp_path / "b.csv", "x,y,z\n0,1,2\n1,0,2\n2,2,2\n")

@@ -177,6 +177,9 @@ VALIDATOR_CASES = {
     "openbook x0": (openbook_sample, [1, 2, 1, 2], [[1.0, 0.0], [-0.5, 1.0], [0.0, 3.0], [-1.0, 0.0]]),
     "openbook label": (openbook_sample, [1, -2, 1, -1], [[1.0, 0.0], [0.5, 1.0], [0.0, 3.0], [0.0, 0.0]]),
     "openbook spine": (openbook_sample, [1, 0, 0, 2], [[1.0, 0.0], [0.5, 1.0], [0.0, 3.0], [2.0, 0.0]]),
+    "openbook fractional label": (openbook_sample, [1, 1.5, 2, 2.75], [[1.0, 0.0], [0.5, 1.0], [1.0, 3.0], [2.0, 0.0]]),
+    "openbook label beyond int64": (openbook_sample, [1, 1e20, 2, -1e19], [[1.0, 0.0], [0.5, 1.0], [1.0, 3.0], [2.0, 0.0]]),
+    "openbook non-finite label": (openbook_sample, [1, np.nan, 2, np.inf], [[1.0, 0.0], [0.5, 1.0], [1.0, 3.0], [2.0, 0.0]]),
     "spd mixed": (spd_sample, [_ASYM, np.eye(2), _NAN]),
     "spd mixed, non-finite first": (spd_sample, [np.eye(2), np.diag([np.inf, 1.0]), _ASYM, -np.eye(2)]),
     "sphere mixed": (sphere_sample, [[0.0, 0.0, 2.0], [1.0, 0.0, 0.0], [np.nan, 0.0, 0.0]]),

@@ -11,8 +11,8 @@ import frechetstats.spaces.spd as spd_module
 import frechetstats.spaces.sphere as sphere_module
 from frechetstats import simulate
 from frechetstats.errors import CutLocus, InvalidPoint, NoConvergence, NotPositiveDefinite
-from frechetstats.estimator import stacked_sandwich
-from frechetstats.geometry import MEAN_MAX_ITER, MEAN_TOL, Sample, row_dots, row_norms
+from frechetstats.estimator import estimate_mean, stacked_sandwich
+from frechetstats.geometry import Sample, row_dots, row_norms
 from frechetstats.geometry import as_sample, sphere_sample
 from frechetstats.simulate import (
     Sampler,
@@ -23,7 +23,8 @@ from frechetstats.simulate import (
 )
 from frechetstats.spaces import SPDSpace, SphereSpace
 from frechetstats.spaces.spd import KEPT_LOG_SPREAD, spd_exp_sample
-from frechetstats.spaces.sphere import _exp_rows, _newton_means, _project_rows
+from frechetstats.spaces.sphere import MEAN_MAX_ITER, MEAN_TOL, _exp_rows, _newton_means
+from frechetstats.spaces.sphere import _project_rows
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +357,7 @@ def _karcher_rows(points, mu, tol, max_iter):
 def test_newton_means_agree_with_the_karcher_reference(ambient, radius, n):
     points = _cap_points(ambient, radius, n, 8)
     start = _project_rows(points.mean(axis=1))
-    means, iterations = _newton_means(points, start, MEAN_TOL, MEAN_MAX_ITER)
+    means, iterations, _ = _newton_means(points, start)
     ref_means, ref_iterations = _karcher_rows(points, start, MEAN_TOL, MEAN_MAX_ITER)
     assert np.all(ref_iterations < MEAN_MAX_ITER)
     assert np.all(iterations <= ref_iterations)
@@ -370,6 +371,34 @@ def test_newton_means_converge_on_a_wide_cap():
     points = _cap_points(3, 2.9, n, reps)
     _, iterations = SphereSpace(3).mean_many(sphere_sample(points.reshape(-1, 3)), reps)
     assert np.all(iterations < MEAN_MAX_ITER)
+
+
+def test_newton_means_refuse_the_replications_that_spend_the_budget(newton_budget):
+    reps, n, budget = 40, 200, 4
+    points = _cap_points(3, 2.9, n, reps)
+    sample = sphere_sample(points.reshape(-1, 3))
+    space = SphereSpace(3)
+    full, iterations = space.mean_many(sample, reps)
+    spent = iterations > budget  # their first ``budget`` steps are the same
+    assert 0 < spent.sum() < reps
+    newton_budget(budget)
+    with pytest.raises(NoConvergence, match=rf"^newton exhausted {budget} iterations") as err:
+        space.mean_many(sample, reps)
+    assert err.value.refused.tolist() == spent.tolist()
+    means, spent_iterations = err.value.fit
+    assert np.array_equal(spent_iterations, np.minimum(iterations, budget))
+    assert np.array_equal(means.data[~spent], full.data[~spent])
+    # one spent replication alone: Space.mean raises, and estimate_mean's
+    # partial fit holds its last iterate, the budget and the gradient there
+    one = sphere_sample(points[np.argmax(spent)])
+    with pytest.raises(NoConvergence) as alone:
+        space.mean(one)
+    assert alone.value.refused.tolist() == [True]
+    with pytest.raises(NoConvergence) as fitted:
+        estimate_mean(space, one)
+    fit = fitted.value.fit
+    assert fit.mean.close_to(alone.value.fit[0][0], atol=0.0) and fit.iterations == budget
+    assert fit.grad_norm > MEAN_TOL
 
 
 def test_karcher_means_refuse_the_cut_locus_in_a_block_and_alone():

@@ -274,6 +274,8 @@ def test_failure_budget_enforced():
                      id="coverage-reps"),
         pytest.param(lambda: mc_coverage(euclid_sampler(), 10, 10, 0.0), r"alpha must lie in",
                      id="coverage-alpha"),
+        pytest.param(lambda: mc_coverage(euclid_sampler(), 20, 10, 0.05, derivatives="bogus"),
+                     "unknown derivatives mode 'bogus'", id="coverage-derivatives"),
         pytest.param(lambda: mc_stickiness(book_sampler(0), 0, 10), "n must be >= 1",
                      id="stickiness-n"),
         pytest.param(lambda: mc_stickiness(book_sampler(0), 10, 0), "reps must be >= 1",
@@ -590,22 +592,20 @@ def test_failed_block_falls_back_to_single_fits():
         )
 
 
-def test_block_spending_the_iteration_budget_falls_back_to_single_fits(monkeypatch):
+def test_block_spending_the_iteration_budget_falls_back_to_single_fits(newton_budget):
     # with an iteration budget of 1 for the block and the single fits, some
-    # Newton replications spend it; the block checks them by estimate_mean's
-    # rule (check_convergence), so the same ones fail
-    budget = 1
+    # Newton replications spend it; the block and estimate_mean share the
+    # Newton mean's rule, so the same ones fail
+    newton_budget(1)
     sampler = cap_sampler(37)
     space = sampler.space
     failed = []
     for r in range(10):
         try:
-            estimate_mean(space, sampler.draw(30, (30, r)), max_iter=budget)
+            estimate_mean(space, sampler.draw(30, (30, r)))
         except NoConvergence:
             failed.append((30, r))
     assert 0 < len(failed) < 10
-    monkeypatch.setattr(space, "mean_many", functools.partial(space.mean_many, max_iter=budget))
-    monkeypatch.setattr(simulate, "MEAN_MAX_ITER", budget)
     with pytest.raises(FrechetStatsError) as batched:
         mc_consistency(space, sampler, [30], 10)
     keys = ", ".join(map(str, failed[:5])) + (", ..." if len(failed) > 5 else "")
@@ -616,14 +616,12 @@ def test_block_spending_the_iteration_budget_falls_back_to_single_fits(monkeypat
 
 
 @pytest.mark.filterwarnings("error")
-def test_consistency_checks_the_budget_before_an_empty_median(monkeypatch):
+def test_consistency_checks_the_budget_before_an_empty_median(newton_budget):
     # an iteration budget of 0 fails every replication of n = 30: the
     # failure-budget error comes before any median of no errors is taken
-    budget = 0
+    newton_budget(0)
     sampler = cap_sampler(37)
     space = sampler.space
-    monkeypatch.setattr(space, "mean_many", functools.partial(space.mean_many, max_iter=budget))
-    monkeypatch.setattr(simulate, "MEAN_MAX_ITER", budget)
     with pytest.raises(FrechetStatsError) as failed:
         mc_consistency(space, sampler, [30], 10)
     assert str(failed.value) == (
