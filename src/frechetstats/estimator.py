@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NearSingularCovariance, NearSingularHessian, NoConvergence
+from .errors import InvalidDescriptor, NearSingularCovariance, NearSingularHessian, NoConvergence
 from .geometry import Point, mean_gradient, numeric_gradient
 from .geometry import numeric_hessian, row_norms
 
@@ -129,7 +129,8 @@ def sandwich_covariance(space, sample, fit, *, derivatives="auto"):
 
     ``derivatives`` selects the gradient/Hessian route: ``auto`` prefers a
     chart's closed forms, ``numeric`` forces central differences (same
-    estimator contract, useful for validating the analytic path).
+    estimator contract, useful for validating the analytic path); another
+    mode raises InvalidDescriptor.
 
     Raises NearSingularHessian when Lambda_n has condition number beyond
     1e12, which signals a boundary or otherwise degenerate configuration.
@@ -145,6 +146,12 @@ def sandwich_covariance(space, sample, fit, *, derivatives="auto"):
     )
 
 
+def check_derivatives(derivatives):
+    """Refuse an unknown ``derivatives`` mode (InvalidDescriptor)."""
+    if derivatives not in ("auto", "numeric"):
+        raise InvalidDescriptor(f"unknown derivatives mode {derivatives!r}")
+
+
 def stacked_sandwich(chart, coords, packed, *, derivatives="auto"):
     """Lambda_n, C_n and the asymptotic covariance Lambda_n^-1 C_n
     Lambda_n^-1 of one fit, or of R fits at once, in ``chart``.
@@ -158,8 +165,7 @@ def stacked_sandwich(chart, coords, packed, *, derivatives="auto"):
     ``sandwich_covariance``.  Raises NearSingularHessian masking the fits
     whose Lambda_n is numerically singular.
     """
-    if derivatives not in ("auto", "numeric"):
-        raise ValueError(f"unknown derivatives mode {derivatives!r}")
+    check_derivatives(derivatives)
     if coords.shape[-1] == 0:  # a zero-dimensional chart: the mean is pinned, exactly
         empty = np.zeros(coords.shape + (0,))
         return empty, empty, empty, np.ones(coords.shape[:-1]), np.ones(coords.shape[:-1], bool)

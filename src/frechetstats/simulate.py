@@ -27,7 +27,7 @@ import numpy as np
 from scipy import special
 
 from .errors import CutLocus, FrechetStatsError, InvalidDescriptor, InvalidPoint
-from .estimator import confidence_regions_contain, stacked_sandwich
+from .estimator import check_derivatives, confidence_regions_contain, stacked_sandwich
 from .geometry import Sample, as_sample, euclidean_point, euclidean_sample, openbook_point
 from .geometry import openbook_sample, row_norms, row_products
 from .geometry import sphere_point, sphere_sample
@@ -530,27 +530,25 @@ def mc_coverage(sampler, n, reps, alpha, derivatives="auto"):
     is drawn.
     """
     _check_run(reps, alpha, n=n)
-    if derivatives not in ("auto", "numeric"):
-        raise InvalidDescriptor(f"unknown derivatives mode {derivatives!r}")
+    check_derivatives(derivatives)
     space = sampler.space
     truth = sampler.population_mean()
-
-    def truth_coords(chart, means):
-        # the truth in the charts at the means; outside one's domain, a miss
-        try:
-            return chart.forward_many(as_sample([truth] * len(means))), True
-        except (InvalidPoint, CutLocus):
-            if len(means) == 1:
-                return chart.forward_many(means), False
-            one = [truth_coords(space.chart_at(m), m) for m in means.split([1] * len(means))]
-            return np.concatenate([c for c, _ in one]), np.array([inside for _, inside in one])
 
     def batched(block, means):
         chart = space.chart_at(means)
         coords = chart.forward_many(means)
         packed = chart.pack(block).reshape(len(means), n, -1)
         asym = stacked_sandwich(chart, coords, packed, derivatives=derivatives)[2]
-        candidates, inside = truth_coords(chart, means)
+        # the truth in the charts at the means; outside a chart's domain, a
+        # miss whose candidate is the mean itself, the others retried once
+        truths, inside = as_sample([truth] * len(means)), True
+        try:
+            candidates = chart.forward_many(truths)
+        except (InvalidPoint, CutLocus) as exc:
+            inside = ~np.reshape(exc.refused, len(means))
+            rows = np.arange(len(means)) + np.where(inside, 0, len(means))
+            retry = chart.forward_many(Sample.join([truths, means]).take(rows))
+            candidates = np.where(inside[:, None], retry, coords)
         return (inside & confidence_regions_contain(n, coords, asym, candidates, alpha)).tolist()
 
     outcomes, failed = [], []

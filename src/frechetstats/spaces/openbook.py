@@ -195,7 +195,7 @@ class OpenBookSpineChart(FlatChart):
 
     def forward_many(self, sample):
         if np.any(sample.leaves != 0):
-            raise InvalidPoint("spine chart is only defined on the spine")
+            raise InvalidPoint("spine chart is only defined on the spine", sample.leaves != 0)
         return self.test_images(sample)
 
     def test_images(self, sample):

@@ -17,19 +17,15 @@ the Euclidean metric, and a Point taken from the sample, read the
 matrices.  Log-Euclidean means likewise keep their mean logs, and
 ``spd_expm`` builds their matrices when they are read.
 
-When built, a drawn stack is decomposed by a batched cyclic Jacobi
-eigensolver for p = 3: it keeps the six unique entries of every matrix as
-separate (n,) arrays, so each numpy operation covers the whole stack,
-where LAPACK decomposes one 3x3 matrix at a time.
-A matrix whose largest off-diagonal entry is still above a fixed fraction
-of its largest entry after a fixed number of sweeps goes to
-``np.linalg.eigh``.  Its eigenvalues are then within 1e-14 of the largest
-in magnitude (about 2e-15 measured), and such an error in an eigenvalue of
-the decomposed log is a relative error of that size in its exponential.
-Everything else (``spd_logm``, ``spd_expm``, every p != 3) stays on
-LAPACK, which is faster on the small stacks of means, truths and single
-matrices those see; the choice never depends on the stack size, so a
-matrix gets the same bits in any stack.
+Every matrix log and exponential, of user data or of a draw, comes from
+one decomposition, ``_eigh``: LAPACK's for p != 3, and for p = 3 a batched
+cyclic Jacobi eigensolver (``_eigh3``) that keeps the six unique entries of
+every matrix as (n,) arrays, so each numpy operation covers the whole stack;
+a matrix still unconverged after a fixed number of sweeps goes to LAPACK.
+Eigenvalues are within 1e-14 of the largest in magnitude (about 2e-15
+measured), a relative error of that size in an exponential.  The choice
+depends only on p, so a matrix gets the same bits drawn or read, alone or
+in any stack; one matrix alone costs about 0.2 ms, against LAPACK's 0.006.
 """
 
 from __future__ import annotations
@@ -38,7 +34,7 @@ import functools
 
 import numpy as np
 
-from ..errors import NotPositiveDefinite
+from ..errors import InvalidPoint, NotPositiveDefinite
 from ..geometry import FlatChart, Sample, Space, as_sample, row_norms, spd_point, spd_sample
 from ..geometry import UPPER_COLUMNS, matrix_to_upper, upper_to_matrix  # noqa: F401 (re-exported)
 
@@ -49,9 +45,8 @@ _SQRT2 = np.sqrt(2.0)
 #: ln(1e14) ~ 32.2, where ``spd_logm`` refuses a matrix as near-singular
 KEPT_LOG_SPREAD = 30.0
 
-#: sweeps of the 3x3 Jacobi eigensolver; a matrix whose largest off-diagonal
-#: entry is still above _JACOBI_TOL times its largest entry after them goes
-#: to np.linalg.eigh
+#: sweeps of the 3x3 Jacobi eigensolver, and the tolerance of its test for
+#: the slow matrices that ``_eigh`` decomposes by np.linalg.eigh instead
 _JACOBI_SWEEPS = 4
 _JACOBI_TOL = 1e-15
 
@@ -69,47 +64,61 @@ def _symmetric(a):
 
 def _spectral(w, v):
     """The symmetrized matrices V diag(w) V^T of a (..., p, p) stack."""
-    out = (v * w[..., None, :]) @ np.swapaxes(v, -1, -2)
-    return 0.5 * (out + np.swapaxes(out, -1, -2))
+    return _symmetric((v * w[..., None, :]) @ np.swapaxes(v, -1, -2))
+
+
+def _eigh(a):
+    """Eigenvalues (..., p) and orthonormal eigenvectors (..., p, p, one per
+    column) of the symmetric part of each matrix of a (..., p, p) stack:
+    unordered from ``_eigh3`` for p = 3, but LAPACK's for the matrices it
+    leaves unconverged and for every other p.  InvalidPoint masks the
+    matrices with a non-finite entry."""
+    nonfinite = ~np.isfinite(a).all(axis=(-2, -1))
+    if nonfinite.any():
+        raise InvalidPoint("matrix has a non-finite entry", nonfinite)
+    a = _symmetric(a)
+    if a.shape[-1] != 3:
+        return np.linalg.eigh(a)
+    flat = a.reshape(-1, 3, 3)
+    w, v, slow = _eigh3(flat)
+    if slow.size:
+        w[slow], v[slow] = np.linalg.eigh(flat[slow])
+    return w.reshape(a.shape[:-1]), v.reshape(a.shape)
 
 
 def spd_logm(a):
     """Matrix logarithm of an SPD matrix, or of each matrix of a (..., p, p)
-    stack, via symmetric eigendecomposition.  A matrix whose eigenvalue
-    ratio is at most 1e-14 raises NotPositiveDefinite, which masks every
-    such matrix of the stack and quotes the smallest eigenvalue of the
-    first."""
-    w, v = np.linalg.eigh(_symmetric(a))
-    refused = w[..., 0] <= 1e-14 * np.maximum(w[..., -1], 0.0)
+    stack, via symmetric eigendecomposition (``_eigh``).  A matrix whose
+    eigenvalue ratio is at most 1e-14 raises NotPositiveDefinite, which
+    masks every such matrix of the stack and quotes the smallest eigenvalue
+    of the first."""
+    w, v = _eigh(a)
+    refused = w.min(axis=-1) <= 1e-14 * np.maximum(w.max(axis=-1), 0.0)
     if refused.any():
-        bad = int(np.flatnonzero(refused)[0])
-        raise NotPositiveDefinite(f"matrix has near-zero or negative eigenvalue "
-                                  f"{w[..., 0].flat[bad]:.3e}", refused)
+        low = w.reshape(-1, w.shape[-1])[np.flatnonzero(refused)[0]].min()
+        raise NotPositiveDefinite(f"matrix has near-zero or negative eigenvalue {low:.3e}", refused)
     return _spectral(np.log(w), v)
 
 
 def spd_expm(b):
     """Matrix exponential of a symmetric matrix, or of each matrix of a
-    (..., p, p) stack (always SPD)."""
-    w, v = np.linalg.eigh(_symmetric(b))
+    (..., p, p) stack (always SPD), via ``_eigh``."""
+    w, v = _eigh(b)
     return _spectral(np.exp(w), v)
 
 
 def _eigh3(a):
     """Eigenvalues (n, 3) and orthonormal eigenvectors (n, 3, 3, one per
     column) of an (n, 3, 3) stack of symmetric matrices, as np.linalg.eigh
-    gives them but in no particular order: _JACOBI_SWEEPS cyclic Jacobi
-    sweeps over the whole stack at once, each matrix's arithmetic
-    independent of the others'.  A matrix whose largest off-diagonal entry
-    is then above _JACOBI_TOL times its largest entry is decomposed by
-    np.linalg.eigh instead."""
+    gives them but in no particular order, and the indices of the slow
+    matrices: _JACOBI_SWEEPS cyclic Jacobi sweeps over the whole stack at
+    once, each matrix's arithmetic independent of the others', leave a slow
+    matrix's largest off-diagonal entry above _JACOBI_TOL times its largest."""
     d = [a[:, 0, 0], a[:, 1, 1], a[:, 2, 2]]
     off = [a[:, 0, 1], a[:, 0, 2], a[:, 1, 2]]
     largest = np.max(np.abs(d + off), axis=0)  # over the six unique entries
     zero = np.zeros(len(a))
-    cols = [np.zeros((3, len(a))) for _ in range(3)]  # eigenvector j as cols[j][k]
-    for j in range(3):
-        cols[j][j] = 1.0
+    cols = [np.tile(e[:, None], len(a)) for e in np.eye(3)]  # eigenvector j as cols[j][k]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(_JACOBI_SWEEPS):
             for p, q, pq, rp, rq in _ROTATIONS:
@@ -120,31 +129,19 @@ def _eigh3(a):
                 t = 1.0 / (theta + np.copysign(np.sqrt(theta * theta + 1.0), theta))
                 t[np.isnan(t)] = 0.0  # 0/0: apq = 0 on an equal diagonal pair, no rotation
                 c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                g = t * apq
+                s, g = t * c, t * apq
                 d[p], d[q], off[pq] = d[p] - g, d[q] + g, zero
                 off[rp], off[rq] = c * off[rp] - s * off[rq], s * off[rp] + c * off[rq]
                 cols[p], cols[q] = c * cols[p] - s * cols[q], s * cols[p] + c * cols[q]
     w = np.stack(d, axis=-1)
     v = np.stack(cols, axis=-1).transpose(1, 0, 2)
-    slow = np.flatnonzero(np.max(np.abs(off), axis=0) > _JACOBI_TOL * largest)
-    if slow.size:
-        w[slow], v[slow] = np.linalg.eigh(a[slow])
-    return w, v
-
-
-def _exp_logs(logs):
-    """Matrix exponentials of an (n, p, p) stack of symmetric matrices, the
-    deferred data of ``spd_exp_sample``: decomposed by ``_eigh3`` for
-    p = 3, by np.linalg.eigh otherwise, each matrix on its own."""
-    w, v = _eigh3(logs) if logs.shape[-1] == 3 else np.linalg.eigh(logs)
-    return _spectral(np.exp(w), v)
+    return w, v, np.flatnonzero(np.max(np.abs(off), axis=0) > _JACOBI_TOL * largest)
 
 
 def spd_exp_sample(logs):
     """Sample of the matrix exponentials of an (n, p, p) stack of symmetric
     matrices (SPD by construction).  The sample is deferred: it holds the
-    stack and exponentiates it (``_exp_logs``) only when its data is read,
+    stack and exponentiates it (``spd_expm``) only when its data is read,
     which no log-Euclidean fit does.  It keeps the stack as the sample's
     read-only matrix logs, so that no fit takes them again, but only the
     logs whose eigenvalues spread at most KEPT_LOG_SPREAD; ``spd_logm``
@@ -171,13 +168,13 @@ def spd_exp_sample(logs):
         if wide.size:
             kept = logs.copy()
             kept[wide] = np.nan  # not kept
-    return Sample("spd", logs, None, _exp_logs, kept)
+    return Sample("spd", logs, None, spd_expm, kept)
 
 
 def _expm_sample(logs):
     """Sample of the matrix exponentials of an (n, p, p) stack of symmetric
     matrices that keeps the stack as its read-only matrix logs, deferred:
-    ``spd_expm`` (LAPACK) takes the exponentials when its data is read.
+    ``spd_expm`` takes the exponentials when its data is read.
     Log-Euclidean means are such samples, so that their chart coordinates
     are their mean logs, not the logs of their exponentials."""
     logs = _symmetric(logs)
@@ -236,21 +233,19 @@ def _sample_logs(sample):
     images and the distances of one fit share them.  The logs not kept yet
     (all, unless the sample was built from them; the NaN rows of
     ``spd_exp_sample``'s) are taken by one ``spd_logm`` of their matrices
-    alone, built alone; its NotPositiveDefinite masks the refused rows of
-    the whole sample and keeps no log."""
-    logs = sample._logs
-    if logs is None:
-        logs = np.full(sample.shape, np.nan)
+    alone, built alone; its NotPositiveDefinite (or InvalidPoint) masks the
+    refused rows of the whole sample and keeps no log."""
+    logs = np.full(sample.shape, np.nan) if sample._logs is None else sample._logs
     missing = np.flatnonzero(np.isnan(logs[:, 0, 0]))
     if not missing.size:
         return logs
     logs = logs.copy()
     try:
         logs[missing] = spd_logm(sample.take(missing).data)
-    except NotPositiveDefinite as exc:
+    except (InvalidPoint, NotPositiveDefinite) as exc:
         refused = np.zeros(len(sample), dtype=bool)
         refused[missing] = exc.refused
-        raise NotPositiveDefinite(str(exc), refused) from None
+        raise type(exc)(str(exc), refused) from None
     logs.setflags(write=False)
     object.__setattr__(sample, "_logs", logs)  # as Sample.data keeps its build
     return logs

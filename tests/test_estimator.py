@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from frechetstats.errors import (
+    InvalidDescriptor,
     MixedSpacePoints,
     NearSingularCovariance,
     NearSingularHessian,
@@ -126,6 +127,14 @@ def test_sandwich_two_point_line():
     assert fit.lambda_n[0, 0] == pytest.approx(2.0, abs=1e-12)
     assert fit.c_n[0, 0] == pytest.approx(4.0, abs=1e-12)
     assert fit.asym_cov[0, 0] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_sandwich_refuses_an_unknown_derivatives_mode(rng):
+    sp = EuclideanSpace(2)
+    sample = euclid_sample(rng, dim=2)
+    fit = estimate_mean(sp, sample)
+    with pytest.raises(InvalidDescriptor, match="unknown derivatives mode 'bogus'"):
+        sandwich_covariance(sp, sample, fit, derivatives="bogus")
 
 
 def test_euclidean_sandwich_equals_sample_covariance(rng):

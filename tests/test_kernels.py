@@ -1,5 +1,5 @@
 """The geometry kernels of the Monte Carlo hot path: the batched 3x3 Jacobi
-eigensolver that exponentiates drawn SPD stacks, and the component-major
+eigensolver that decomposes every SPD(3) stack, and the component-major
 sphere log map and geodesic distance of the Newton mean iteration and the
 geodesic charts.  Each is checked against the plain computation it
 replaces, and for its rows' independence of their stack."""
@@ -22,7 +22,7 @@ from frechetstats.simulate import (
     mc_type1,
 )
 from frechetstats.spaces import SPDSpace, SphereSpace
-from frechetstats.spaces.spd import KEPT_LOG_SPREAD, spd_exp_sample
+from frechetstats.spaces.spd import KEPT_LOG_SPREAD, spd_exp_sample, spd_expm, spd_logm
 from frechetstats.spaces.sphere import MEAN_MAX_ITER, MEAN_TOL, _exp_rows, _newton_means
 from frechetstats.spaces.sphere import _project_rows
 
@@ -69,7 +69,7 @@ STACKS = _stacks()
 @pytest.mark.parametrize("name", list(STACKS))
 def test_jacobi_matches_eigh(name):
     a = STACKS[name]
-    w, v = spd_module._eigh3(a)
+    w, v = spd_module._eigh(a)
     reference = np.linalg.eigvalsh(a)
     norm = np.max(np.abs(reference), axis=1)  # spectral norm of each matrix
     rebuilt = (v * w[:, None, :]) @ np.swapaxes(v, 1, 2)
@@ -84,21 +84,60 @@ def test_jacobi_row_is_the_same_alone_and_in_a_stack():
     stack = np.concatenate([STACKS[name] for name in STACKS])
     stack = stack[rng.permutation(len(stack))][:2000]
     assert len(stack) == 2000
-    w, v = spd_module._eigh3(stack)
+    w, v = spd_module._eigh(stack)
     for i in rng.choice(len(stack), size=40, replace=False):
-        w1, v1 = spd_module._eigh3(stack[i : i + 1])
-        assert np.array_equal(w1[0], w[i]) and np.array_equal(v1[0], v[i])
+        w1, v1 = spd_module._eigh(stack[i])
+        assert np.array_equal(w1, w[i]) and np.array_equal(v1, v[i])
 
 
 def test_jacobi_sends_unconverged_rows_to_eigh(monkeypatch):
     a = np.concatenate([STACKS["distinct"][:50], STACKS["diagonal"][:5]])
     monkeypatch.setattr(spd_module, "_JACOBI_SWEEPS", 0)
-    w, v = spd_module._eigh3(a)
+    w, v = spd_module._eigh(a)
     # without a sweep every non-diagonal matrix is left to eigh
     w_ref, v_ref = np.linalg.eigh(a[:50])
     assert np.array_equal(w[:50], w_ref) and np.array_equal(v[:50], v_ref)
     assert np.array_equal(w[50:], np.diagonal(a[50:], axis1=1, axis2=2))
     assert np.array_equal(v[50:], np.tile(np.eye(3), (5, 1, 1)))
+
+
+def _symmetric_logs(shape, seed=13):
+    """Symmetric matrices of every kind of ``STACKS`` with spectra within
+    [-3, 3], in a (*shape, 3, 3) stack."""
+    rng = np.random.default_rng(seed)
+    kinds = ("distinct", "double", "triple", "near double", "cluster", "diagonal",
+             "diagonal double", "identity")
+    logs = np.concatenate([STACKS[name][:40] / 5.0 for name in kinds])
+    return logs[rng.choice(len(logs), size=int(np.prod(shape)))].reshape(shape + (3, 3))
+
+
+@pytest.mark.parametrize("sweeps", [spd_module._JACOBI_SWEEPS, 2])
+@pytest.mark.parametrize("shape", [(240,), (12, 20)], ids=["n", "a-b"])
+def test_logm_and_expm_of_a_matrix_are_its_row_of_any_stack(shape, sweeps, monkeypatch):
+    # at 2 sweeps about a sixth of the matrices go to LAPACK, alone or stacked
+    monkeypatch.setattr(spd_module, "_JACOBI_SWEEPS", sweeps)
+    logs = _symmetric_logs(shape)
+    exps = spd_expm(logs)
+    mats = exps + np.eye(3)  # SPD, and not exponentials of the logs
+    stacked = spd_logm(mats)
+    assert exps.shape == stacked.shape == shape + (3, 3)
+    for i in np.ndindex(shape):
+        assert np.array_equal(spd_expm(logs[i]), exps[i]), i
+        assert np.array_equal(spd_logm(mats[i]), stacked[i]), i
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_logm_and_expm_refuse_non_finite_matrices(p):
+    stack = np.tile(np.eye(p), (4, 1, 1))
+    stack[1, 0, 0] = np.nan
+    stack[3, 0, p - 1] = stack[3, p - 1, 0] = np.inf
+    for f in (spd_logm, spd_expm):
+        with pytest.raises(InvalidPoint, match="non-finite") as refused:
+            f(stack)
+        assert refused.value.refused.tolist() == [False, True, False, True]
+        for matrix in stack[[1, 3]]:
+            with pytest.raises(InvalidPoint, match="non-finite"):
+                f(matrix)
 
 
 def _sizes_seen_by_eigh(monkeypatch):
@@ -136,12 +175,12 @@ def test_spd_blocks_decompose_no_drawn_matrix_with_eigh(monkeypatch):
     reps = 2 * (simulate.BLOCK_POINTS // 200) + 3  # three blocks of drawn matrices
     assert mc_coverage(sampler, 200, reps, 0.05).failures == 0
     # the truth's matrix, the exponential of the log it keeps
-    assert sizes == [1]
-    sizes.clear()
+    assert jacobi == [1]
+    jacobi.clear()
     assert mc_type1(sampler.space, sampler, 100, 100, reps, 0.05).failures == 0
-    assert sizes == []
-    # no drawn matrix, and no mean, is ever built
+    # no drawn matrix, and no mean, is ever built, and nothing goes to LAPACK
     assert jacobi == []
+    assert sizes == []
 
 
 # ---------------------------------------------------------------------------
@@ -170,16 +209,9 @@ def _drawn_logs(n, seed=15):
     return 0.5 * (b + np.swapaxes(b, 1, 2))
 
 
-def _eager(logs):
-    """The exponentials of a stack of logs as a draw built them before it
-    was deferred: ``_spectral(exp(w), v)`` of one ``_eigh3`` of the stack."""
-    w, v = spd_module._eigh3(logs)
-    return spd_module._spectral(np.exp(w), v)
-
-
 def test_deferred_draw_builds_the_eager_bits_whole_split_and_joined():
     logs = _drawn_logs(300)
-    eager = _eager(logs)
+    eager = spd_expm(logs)
     assert np.array_equal(spd_exp_sample(logs).data, eager)
     sizes = [120, 1, 179]
     parts = spd_exp_sample(logs).split(sizes)
@@ -200,7 +232,7 @@ def test_deferred_draw_builds_the_eager_bits_one_replication_at_a_time(monkeypat
                       SPDLogGaussianDescriptor(np.diag([0.4, 0.0, -0.3]), 0.15), 44)
     keys, n = list(range(6)), 30
     block = sampler.draw_many(n, keys)
-    eager = _eager(block._logs)  # every log kept at these spreads
+    eager = spd_expm(block._logs)  # every log kept at these spreads
     jacobi = _calls_of_jacobi(monkeypatch)
     # each replication's draw alone, and its rows taken from the block
     # (as a block that failed some replications takes the others'), builds
@@ -220,14 +252,15 @@ def test_deferred_draw_is_not_built_by_its_size_checks_or_parts(monkeypatch):
     assert space.check_sample(sample) is sample
     joined = Sample.join(sample.split([20, 30])[::-1])
     assert len(joined) == 50
+    assert jacobi == []
     truth = space.mean(joined)[0]  # a mean is built from its log, not from the draw
     assert len(as_sample([truth])) == 1
     with pytest.raises(InvalidPoint):
         SPDSpace(2).check_sample(sample)
-    assert jacobi == []
+    assert jacobi == [1]  # the mean's matrix alone
     built = sample.data
-    assert jacobi == [50]
-    assert sample.data is built and jacobi == [50]  # built once
+    assert jacobi == [1, 50]
+    assert sample.data is built and jacobi == [1, 50]  # built once
 
 
 def test_logs_a_draw_did_not_keep_are_taken_from_their_matrices_alone(monkeypatch):
@@ -240,9 +273,10 @@ def test_logs_a_draw_did_not_keep_are_taken_from_their_matrices_alone(monkeypatc
     assert 0 < missing.sum() < len(block)
     jacobi = _calls_of_jacobi(monkeypatch)
     logs = spd_module._sample_logs(block)
-    assert jacobi == [missing.sum()]
+    # the matrices not kept are built, then their logs taken
+    assert jacobi == [missing.sum()] * 2
     assert np.array_equal(logs[missing], spd_module.spd_logm(block.data[missing]))
-    assert jacobi == [missing.sum(), len(block)]
+    assert jacobi == [missing.sum()] * 2 + [len(block), missing.sum()]
 
 
 def _refused_alone(matrix):

@@ -159,10 +159,10 @@ def test_fiber_site_statistics_are_pinned(metric):
 #: sha256 of the ``fiber`` site CSV of ``gen-fiber --seed 1 --effect-sites
 #: 10-20 --effect-size 0.3`` (46 subjects x 75 sites) under each metric
 FIBER_SITE_CSV_SHA256 = {
-    "log-euclidean": "8cb8c8e32e83ebd0209d662bf99b93e668d33a99741af14a3b4f0cfa1f8bc84c",
-    "euclidean": "882889cd4ea07c580899884d66564afc87d59d821a60fde183db481a82c2e46e",
+    "log-euclidean": "1c0e893a9273972021feeafdcfc06430d59ddc9dd08972d88c624ca04b30ffd6",
+    "euclidean": "8b1a93f822d12e07d1f0d9f40ab2f300a1604290d32d6f36635fdc9f883da0f0",
 }
-FIBER_DATA_SHA256 = "91ffc9296c29ff6e7f2d281ca411eed4b3a6c7607e6cc1cc62cf351d46a4b8cd"
+FIBER_DATA_SHA256 = "e267d5d8d82e32bb89f49d023fa39d75af4070c509902fbf7d9fee941b506fe6"
 
 
 @pytest.mark.parametrize("metric", sorted(FIBER_SITE_CSV_SHA256))

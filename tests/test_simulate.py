@@ -418,6 +418,12 @@ def wide_cap_sampler(seed):
     return cap_sampler(seed, radius=1.5)
 
 
+def wide_chordal_cap_sampler(seed):
+    # at seed 31 and n = 200, 10 of 45 means have the truth outside the
+    # open hemisphere of their chart: one block holds hits, misses and those
+    return cap_sampler(seed, "extrinsic", 2.7)
+
+
 @pytest.mark.parametrize(
     "make, derivatives, n, block_points",
     [
@@ -431,6 +437,7 @@ def wide_cap_sampler(seed):
         pytest.param(wide_cap_sampler, "auto", 200, 2048, id="wide_cap_sampler"),
         pytest.param(chordal_cap_sampler, "auto", 200, 2048, id="chordal_cap_sampler"),
         pytest.param(chordal_cap_sampler, "numeric", 200, 2048, id="chordal_cap_sampler-numeric"),
+        pytest.param(wide_chordal_cap_sampler, "auto", 200, 2048, id="wide_chordal_cap_sampler"),
         pytest.param(spine_book_sampler, "auto", 200, 2048, id="spine_book_sampler"),
         pytest.param(leaf_book_sampler, "auto", 200, 2048, id="leaf_book_sampler"),
         pytest.param(boundary_book_sampler, "auto", 200, 2048, id="boundary_book_sampler"),

@@ -164,10 +164,8 @@ def test_spd_exp_sample_keeps_its_logs(rng):
     sample = spd_exp_sample(b)
     assert np.array_equal(sample.data, np.swapaxes(sample.data, 1, 2))
     assert np.array_equal(spd_sample(sample.data).data, sample.data)
-    # the Jacobi eigensolver's exponentials, within rounding of LAPACK's
-    # (at most 3.3e-15 of the largest entry over 500 such stacks)
-    expm = spd_expm(b)
-    assert np.all(np.abs(sample.data - expm) <= 4e-15 * np.abs(expm).max(axis=(1, 2))[:, None, None])
+    # the drawn matrices are spd_expm's, bit for bit
+    assert np.array_equal(sample.data, spd_expm(b))
     logs = _sample_logs(sample)
     assert np.array_equal(logs, b) and not logs.flags.writeable
     assert np.allclose(logs, spd_logm(sample.data), rtol=0.0, atol=1e-14)
