@@ -91,7 +91,9 @@ def spd_logm(a):
     stack, via symmetric eigendecomposition (``_eigh``).  A matrix whose
     eigenvalue ratio is at most 1e-14 raises NotPositiveDefinite, which
     masks every such matrix of the stack and quotes the smallest eigenvalue
-    of the first."""
+    of the first.  For p = 3 the ratio is Jacobi's, so a matrix within
+    about 2e-15 of its largest eigenvalue of the threshold may be decided
+    otherwise than by LAPACK's."""
     w, v = _eigh(a)
     refused = w.min(axis=-1) <= 1e-14 * np.maximum(w.max(axis=-1), 0.0)
     if refused.any():
@@ -118,7 +120,9 @@ def _eigh3(a):
     off = [a[:, 0, 1], a[:, 0, 2], a[:, 1, 2]]
     largest = np.max(np.abs(d + off), axis=0)  # over the six unique entries
     zero = np.zeros(len(a))
-    cols = [np.tile(e[:, None], len(a)) for e in np.eye(3)]  # eigenvector j as cols[j][k]
+    cols = [np.zeros((3, len(a))) for _ in range(3)]  # eigenvector j as cols[j][k]
+    for j in range(3):
+        cols[j][j] = 1.0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(_JACOBI_SWEEPS):
             for p, q, pq, rp, rq in _ROTATIONS:
@@ -129,7 +133,8 @@ def _eigh3(a):
                 t = 1.0 / (theta + np.copysign(np.sqrt(theta * theta + 1.0), theta))
                 t[np.isnan(t)] = 0.0  # 0/0: apq = 0 on an equal diagonal pair, no rotation
                 c = 1.0 / np.sqrt(t * t + 1.0)
-                s, g = t * c, t * apq
+                s = t * c
+                g = t * apq
                 d[p], d[q], off[pq] = d[p] - g, d[q] + g, zero
                 off[rp], off[rq] = c * off[rp] - s * off[rq], s * off[rp] + c * off[rq]
                 cols[p], cols[q] = c * cols[p] - s * cols[q], s * cols[p] + c * cols[q]
@@ -235,7 +240,9 @@ def _sample_logs(sample):
     ``spd_exp_sample``'s) are taken by one ``spd_logm`` of their matrices
     alone, built alone; its NotPositiveDefinite (or InvalidPoint) masks the
     refused rows of the whole sample and keeps no log."""
-    logs = np.full(sample.shape, np.nan) if sample._logs is None else sample._logs
+    logs = sample._logs
+    if logs is None:
+        logs = np.full(sample.shape, np.nan)
     missing = np.flatnonzero(np.isnan(logs[:, 0, 0]))
     if not missing.size:
         return logs

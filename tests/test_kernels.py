@@ -140,6 +140,26 @@ def test_logm_and_expm_refuse_non_finite_matrices(p):
                 f(matrix)
 
 
+def test_logm_refuses_the_rotated_near_singular_matrices_lapack_refuses():
+    # eigenvalues (1, 0.5, r): Jacobi's errors (about 2e-15 of the largest)
+    # leave its decision at ratio r the same as LAPACK's away from 1e-14
+    rng = np.random.default_rng(14)
+    ratios = np.repeat([1e-13, 2e-14, 5e-15, 0.0, -1e-13], 100)
+    a = _rotated(rng, np.column_stack([np.ones_like(ratios), np.full_like(ratios, 0.5), ratios]))
+    w = np.linalg.eigvalsh(a)
+    lapack = w[:, 0] <= 1e-14 * np.maximum(w[:, -1], 0.0)
+    assert lapack.tolist() == (ratios < 1e-14).tolist()
+    with pytest.raises(NotPositiveDefinite) as refused:
+        spd_logm(a)
+    assert refused.value.refused.tolist() == lapack.tolist()
+    for i in range(0, len(a), 10):
+        if lapack[i]:
+            with pytest.raises(NotPositiveDefinite):
+                spd_logm(a[i])
+        else:
+            spd_logm(a[i])
+
+
 def _sizes_seen_by_eigh(monkeypatch):
     """The number of 3x3 matrices of every later np.linalg.eigh call."""
     sizes = []
