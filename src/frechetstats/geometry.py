@@ -9,9 +9,9 @@ finds its own sample Frechet means (``Space.mean_many``, batched over
 replications); everything downstream of the mean (sandwich covariances,
 two-sample tests) works on ``h`` and its first two derivatives.
 
-A Sample, and a Point taken from one, carries what belongs to its rows as
-fields: the leaf labels of an open-book sample, and the matrix logs of an
-SPD sample (``_logs``), its log-Euclidean coordinates.
+A Sample carries what belongs to its rows as fields: the leaf labels of an
+open-book sample, and the matrix logs of an SPD sample (``_logs``).  A Point
+is the one row of a one-row Sample, and keeps what its row keeps there.
 """
 
 from __future__ import annotations
@@ -43,21 +43,29 @@ _MINOR_MARGIN = 1e-8
 
 @dataclass(frozen=True, eq=False)
 class Point:
-    """Element of one of the supported sample spaces.
+    """Element of one of the supported sample spaces: the one row of the
+    one-row Sample ``sample``, which keeps the row's state (an SPD log).
 
     ``kind`` is one of ``euclidean | sphere | spd | openbook``; ``data``
     holds the coordinate payload (vector, unit vector, SPD matrix, or the
     half-space coordinates ``(x0, x1, ..., xD)``).  ``leaf`` is meaningful
     for open-book points only: leaf 0 is the spine, and spine points always
-    carry ``leaf == 0`` and ``x0 == 0``.  ``_logs`` is the read-only
-    matrix log (p, p) of an SPD point taken from a Sample that has its logs
-    (NaN when not taken yet), else None.
+    carry ``leaf == 0`` and ``x0 == 0``.
     """
 
-    kind: str
-    data: np.ndarray
-    leaf: int = 0
-    _logs: np.ndarray | None = None
+    sample: Sample
+
+    @property
+    def kind(self):
+        return self.sample.kind
+
+    @property
+    def data(self):
+        return self.sample.data[0]
+
+    @property
+    def leaf(self):
+        return 0 if self.sample.leaves is None else int(self.sample.leaves[0])
 
     def close_to(self, other, atol=1e-12):
         if self.kind != other.kind or self.leaf != other.leaf:
@@ -90,8 +98,8 @@ class Sample:
 
     ``_logs`` is None, or an SPD sample's read-only (n, p, p) matrix logs,
     NaN in the rows whose logs are not taken yet (see
-    ``spaces.spd._sample_logs``, which fills them).  Indexing, ``take``,
-    ``join`` and ``as_sample`` carry them as they carry ``leaves``.
+    ``spaces.spd._sample_logs``, which fills them).  Indexing, ``take``
+    and ``join`` carry them as they carry ``leaves``.
     """
 
     kind: str
@@ -125,8 +133,8 @@ class Sample:
         return self._rows.shape[0]
 
     def __getitem__(self, i):
-        leaf = 0 if self.leaves is None else int(self.leaves[i])
-        return Point(self.kind, self.data[i], leaf, None if self._logs is None else self._logs[i])
+        i = range(len(self))[i]
+        return Point(self.take(slice(i, i + 1)))
 
     def take(self, index):
         """The Sample of the rows ``index`` (a slice or integer array),
@@ -141,20 +149,23 @@ class Sample:
 
     @classmethod
     def join(cls, parts):
-        """The Sample of the rows of ``parts`` (Samples of one kind) in
-        order, deferred when every part is deferred alike, with their logs
-        when every part has them."""
+        """The Sample of the rows of ``parts`` (Samples of one kind and
+        payload shape, else MixedSpacePoints) in order, deferred when every
+        part is deferred alike, with their logs when every part has them."""
+        kind, shape = parts[0].kind, parts[0].shape[1:]
+        if any(p.kind != kind or p.shape[1:] != shape for p in parts):
+            raise MixedSpacePoints(f"a sample mixes {kind} points of shape {shape} with others")
         build = parts[0]._build
         if any(p._build is not build for p in parts):
             build = None
         payloads = [p.data if build is None else p._rows for p in parts]
-        return cls(parts[0].kind, np.concatenate(payloads), _joined([p.leaves for p in parts]),
+        return cls(kind, np.concatenate(payloads), _joined([p.leaves for p in parts]),
                    build, _joined([p._logs for p in parts]))
 
 
-def _joined(arrays, join=np.concatenate):
-    """``join(arrays)``, or None when an array is None."""
-    return None if any(a is None for a in arrays) else join(arrays)
+def _joined(arrays):
+    """The arrays concatenated, or None when an array is None."""
+    return None if any(a is None for a in arrays) else np.concatenate(arrays)
 
 
 class _Refusals:
@@ -332,39 +343,40 @@ def openbook_sample(leaves, coords):
 
 
 def as_sample(sample):
-    """``sample`` as one Sample: a Sample is returned as is, a sequence of
-    Points of one kind (validated when they were built) is stacked once,
-    with their logs when every Point has them.  TooFewPoints for an empty
-    sample."""
+    """``sample`` as one Sample: a Sample is returned as is, a Point as its
+    own Sample, and a list or tuple of Points (validated when they were
+    built) as the join of theirs.  TooFewPoints for an empty sample,
+    MixedSpacePoints for anything else."""
+    if isinstance(sample, Point):
+        return sample.sample
+    if isinstance(sample, (list, tuple)) and all(isinstance(p, Point) for p in sample):
+        sample = Sample.join([p.sample for p in sample]) if sample else sample
+    elif not isinstance(sample, Sample):
+        raise MixedSpacePoints(f"expected Points, got {type(sample).__name__}")
     if len(sample) == 0:
         raise TooFewPoints("sample must be nonempty")
-    if isinstance(sample, Sample):
-        return sample
-    kind = sample[0].kind
-    leaves = np.array([p.leaf for p in sample]) if kind == "openbook" else None
-    return Sample(kind, np.stack([p.data for p in sample]), leaves, None,
-                  _joined([p._logs for p in sample], np.stack))
+    return sample
 
 
 def euclidean_point(v):
     """Point of R^s."""
-    return euclidean_sample(np.atleast_1d(np.asarray(v, dtype=float))[None])[0]
+    return Point(euclidean_sample(np.atleast_1d(np.asarray(v, dtype=float))[None]))
 
 
 def sphere_point(v):
     """Unit vector in R^{d+1}; the norm must already be 1 within POINT_ATOL."""
-    return sphere_sample(np.atleast_1d(np.asarray(v, dtype=float))[None])[0]
+    return Point(sphere_sample(np.atleast_1d(np.asarray(v, dtype=float))[None]))
 
 
 def spd_point(a):
     """Symmetric positive definite matrix."""
-    return spd_sample(np.asarray(a, dtype=float)[None])[0]
+    return Point(spd_sample(np.asarray(a, dtype=float)[None]))
 
 
 def openbook_point(leaf, coords):
     """Open-book point: leaf label plus half-space coordinates (x0 >= 0);
     a point with ``x0 == 0`` is on the spine (leaf 0)."""
-    return openbook_sample([int(leaf)], np.atleast_1d(np.asarray(coords, dtype=float))[None])[0]
+    return Point(openbook_sample([int(leaf)], np.atleast_1d(np.asarray(coords, dtype=float))[None]))
 
 
 def _check_finite(value):
@@ -459,8 +471,7 @@ class Chart(ABC):
 
     def forward(self, p):
         """Chart coordinates phi(p) in R^s."""
-        self.space.check_point(p)
-        return self.forward_many(as_sample([p]))[0]
+        return self.forward_many(self.space.point_sample(p))[0]
 
     @abstractmethod
     def inverse(self, x):
@@ -483,7 +494,7 @@ class Chart(ABC):
         return self.forward_many(sample)
 
     def h(self, x, q):
-        return float(self.h_many(np.asarray(x, dtype=float), self.pack(as_sample([q])))[0])
+        return float(self.h_many(np.asarray(x, dtype=float), self.pack(q.sample))[0])
 
     def grad_h_many(self, x, packed):
         """Analytic (n, s) gradient rows of h(.; Y_j) at x, or None."""
@@ -538,40 +549,28 @@ class Space(ABC):
     def distance(self, p, q):
         """Metric distance between two points of the space (the batch of one
         of ``distance_many``)."""
-        self.check_point(p)
-        return float(self.distance_many(as_sample([p]), q)[0])
+        return float(self.distance_many(self.point_sample(p), q)[0])
 
     @abstractmethod
     def chart_at(self, base):
         """Chart anchored at ``base`` whose domain contains ``base``, or the
         charts at a Sample of R bases stacked in one chart (see ``Chart``)."""
 
-    def check_point(self, p):
-        if not isinstance(p, Point):
-            got = getattr(p, "kind", type(p).__name__)
-            raise MixedSpacePoints(f"expected a {self.kind} point, got {got}")
-        self._check_payloads(p.kind, p.data.shape)
-
-    def _check_payloads(self, kind, shape):
-        if kind != self.kind:
-            raise MixedSpacePoints(f"expected a {self.kind} point, got {kind}")
-        if self.point_shape is not None and shape != self.point_shape:
-            raise InvalidPoint(f"expected payload shape {self.point_shape}, got {shape}")
-
     def check_sample(self, sample):
-        """The sample as one Sample of this space (a sequence of Points is
-        checked point by point and converted once)."""
-        if not isinstance(sample, Sample):
-            for p in sample:
-                self.check_point(p)
+        """The sample (a Sample, a Point or a sequence of Points) as one
+        Sample of this space (see ``as_sample``); a Point's is its own."""
         sample = as_sample(sample)
-        self._check_payloads(sample.kind, sample.shape[1:])  # shared by its rows
+        if sample.kind != self.kind:
+            raise MixedSpacePoints(f"expected a {self.kind} point, got {sample.kind}")
+        if self.point_shape is not None and sample.shape[1:] != self.point_shape:
+            raise InvalidPoint(f"expected payload shape {self.point_shape}, got {sample.shape[1:]}")
         return sample
 
-    def check_bases(self, base):
-        """The base of a chart, one Point or a Sample of R points, checked
-        and as a Sample."""
-        return self.check_sample([base] if isinstance(base, Point) else base)
+    def point_sample(self, p):
+        """The checked Sample of this space's Point ``p`` (MixedSpacePoints for a non-Point)."""
+        if not isinstance(p, Point):
+            raise MixedSpacePoints(f"expected a {self.kind} point, got {type(p).__name__}")
+        return self.check_sample(p)
 
     def mean(self, sample):
         """Sample Frechet mean as ``(point, iterations)``, the batch of one of

@@ -11,7 +11,7 @@ import numpy as np
 from scipy import special
 
 from .errors import InvalidPoint, NearSingularCovariance, TooFewPoints
-from .estimator import estimate_mean, guarded_inverse
+from .estimator import guarded_inverse
 from .geometry import Sample
 
 
@@ -130,12 +130,13 @@ def two_sample_test(space, sample_x, sample_y):
     Both samples' test images in the chart at their pooled mean estimate
     (on Euclidean and SPD spaces the global chart, which ignores its base)
     are compared by ``two_sample_tests``.  Raises NearSingularCovariance when
-    the pooled covariance is numerically singular, TooFewPoints for too few.
+    the pooled covariance is numerically singular, TooFewPoints for too few,
+    and ``space.mean``'s NoConvergence (its ``fit``: ``(means, iterations)``).
     """
     sample_x = space.check_sample(sample_x)
     sample_y = space.check_sample(sample_y)
     both = Sample.join([sample_x, sample_y])
-    chart = space.chart_at(estimate_mean(space, both).mean)
+    chart = space.chart_at(space.mean(both)[0])
     stat, p, mean_x, mean_y, cov = (a[0] for a in two_sample_tests(chart, both, 1, len(sample_x)))
     return TwoSampleResult(statistic=float(stat), df=chart.s, p_value=float(p), n1=len(sample_x),
                            n2=len(sample_y), mean_x=mean_x, mean_y=mean_y, pooled_cov=cov)

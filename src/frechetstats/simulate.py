@@ -28,7 +28,7 @@ from scipy import special
 
 from .errors import CutLocus, FrechetStatsError, InvalidDescriptor, InvalidPoint
 from .estimator import check_derivatives, confidence_regions_contain, stacked_sandwich
-from .geometry import Sample, as_sample, euclidean_point, euclidean_sample, openbook_point
+from .geometry import Sample, euclidean_point, euclidean_sample, openbook_point
 from .geometry import openbook_sample, row_norms, row_products
 from .geometry import sphere_point, sphere_sample
 from .inference import two_sample_tests
@@ -541,7 +541,7 @@ def mc_coverage(sampler, n, reps, alpha, derivatives="auto"):
         asym = stacked_sandwich(chart, coords, packed, derivatives=derivatives)[2]
         # the truth in the charts at the means; outside a chart's domain, a
         # miss whose candidate is the mean itself, the others retried once
-        truths, inside = as_sample([truth] * len(means)), True
+        truths, inside = truth.sample.take(np.zeros(len(means), int)), True
         try:
             candidates = chart.forward_many(truths)
         except (InvalidPoint, CutLocus) as exc:

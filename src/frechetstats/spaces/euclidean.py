@@ -42,7 +42,7 @@ class EuclideanSpace(Space):
 
     def chart_at(self, base=None):
         if base is not None:
-            self.check_bases(base)
+            self.check_sample(base)
         return EuclideanChart(self, base)
 
     def mean_many(self, sample, reps):
@@ -52,5 +52,4 @@ class EuclideanSpace(Space):
         return euclidean_sample(means), np.zeros(reps, dtype=int)
 
     def distance_many(self, sample, q):
-        self.check_point(q)
-        return row_norms(sample.data - q.data)
+        return row_norms(sample.data - self.point_sample(q).data)

@@ -33,11 +33,11 @@ def _fold(sample, k):
 
 
 def _distances(sample, q):
-    """Distance from each point of a Sample to the point ``q``: the
-    Euclidean distance of the half-space coordinates after folding the
-    sample onto q's leaf, which reflects x0 across the spine exactly for
-    the points of other leaves."""
-    return row_norms(_fold(sample, q.leaf) - q.data)
+    """Distance from each point of a Sample to the point of the one-row
+    Sample ``q``: the Euclidean distance of the half-space coordinates after
+    folding the sample onto q's leaf, which reflects x0 across the spine
+    exactly for the points of other leaves."""
+    return row_norms(_fold(sample, q.leaves[0]) - q.data)
 
 
 def openbook_distance(a, b):
@@ -47,7 +47,7 @@ def openbook_distance(a, b):
     half-space coordinates.  Different leaves: Euclidean distance after
     reflecting one x0, i.e. sqrt((x0 + y0)^2 + ||rest difference||^2).
     """
-    return float(_distances(as_sample([a]), b)[0])
+    return float(_distances(a.sample, b.sample)[0])
 
 
 def openbook_fold(k, p):
@@ -55,7 +55,7 @@ def openbook_fold(k, p):
     other leaves.  Returns a plain (D+1,) vector."""
     if k < 1:
         raise ValueError("fold index must be a leaf label >= 1")
-    return _fold(as_sample([p]), k)[0]
+    return _fold(p.sample, k)[0]
 
 
 @dataclass(frozen=True)
@@ -227,26 +227,19 @@ class OpenBookSpace(Space):
     def __repr__(self):
         return f"OpenBookSpace(n_leaves={self.n_leaves}, spine_dim={self.spine_dim})"
 
-    def check_point(self, p):
-        super().check_point(p)
-        self._check_leaf(p.leaf)
-
     def check_sample(self, sample):
         sample = super().check_sample(sample)
-        self._check_leaf(int(sample.leaves.max()))
-        return sample
-
-    def _check_leaf(self, leaf):
+        leaf = int(sample.leaves.max())
         if leaf > self.n_leaves:
             raise InvalidPoint(f"leaf label {leaf} exceeds n_leaves={self.n_leaves}")
+        return sample
 
     def distance_many(self, sample, q):
-        self.check_point(q)
-        return _distances(sample, q)
+        return _distances(sample, self.point_sample(q))
 
     def chart_at(self, base):
         """Stacked charts lie in one stratum, all on the spine or all on leaves."""
-        leaves = self.check_bases(base).leaves
+        leaves = self.check_sample(base).leaves
         if leaves.all() != leaves.any():
             raise InvalidPoint("stacked chart bases lie in different strata (spine and leaves)")
         if leaves.any():

@@ -7,15 +7,15 @@ sqrt(2) factor so the chart preserves the Frobenius norm exactly, which
 reduces both geometries to the Euclidean case (closed-form means, analytic
 derivatives, sandwich covariance equal to the chart-vector covariance).
 
-An SPD sample's matrix logs are its ``_logs`` field (a Point's too),
+An SPD sample's matrix logs are its ``_logs`` field (a Point's own Sample's),
 filled by ``_sample_logs`` when first needed.  A drawn log-Gaussian stack
 (``spd_exp_sample``) is a deferred Sample: it is built with its matrix
 logs as that field and builds its matrices only when its ``data`` is
 read.  A log-Euclidean fit reads only the logs (means, chart images,
 sandwiches, tests), so log-Euclidean Monte Carlo builds no drawn matrix;
-the Euclidean metric, and a Point taken from the sample, read the
-matrices.  Log-Euclidean means likewise keep their mean logs, and
-``spd_expm`` builds their matrices when they are read.
+the Euclidean metric reads the matrices, and a Point taken from the
+sample builds its own alone.  Log-Euclidean means likewise keep their
+mean logs, and ``spd_expm`` builds their matrices when they are read.
 
 Every matrix log and exponential, of user data or of a draw, comes from
 one decomposition, ``_eigh``: LAPACK's for p != 3, and for p = 3 a batched
@@ -308,7 +308,7 @@ class SPDSpace(Space):
 
     def chart_at(self, base=None):
         if base is not None:
-            self.check_bases(base)
+            self.check_sample(base)
         return SPDChart(self)
 
     def mean_many(self, sample, reps):
@@ -320,9 +320,9 @@ class SPDSpace(Space):
         return _expm_sample(_sample_logs(sample).reshape(reps, -1, p, p).mean(axis=1)), its
 
     def distance_many(self, sample, q):
-        self.check_point(q)
+        q = self.point_sample(q)
         if self.metric == "euclidean":
             diff = sample.data - q.data
         else:
-            diff = _sample_logs(sample) - _sample_logs(as_sample([q]))
+            diff = _sample_logs(sample) - _sample_logs(q)
         return row_norms(diff.reshape(len(diff), -1))

@@ -208,7 +208,7 @@ class _TangentChart(Chart):
     unit vectors."""
 
     def __init__(self, space, base):
-        bases = space.check_bases(base).data
+        bases = space.check_sample(base).data
         self.s = space.chart_dim
         self.base = base
         self.space = space
@@ -276,7 +276,7 @@ class SphereIntrinsicChart(_TangentChart):
 
 class SphereExtrinsicChart(_TangentChart):
     """Tangent-projection chart of the open hemisphere around the base
-    (InvalidPoint masks the points outside it); h is the squared chordal distance.
+    (InvalidPoint masks the points, or coordinates, outside it); h is the squared chordal distance.
 
     Analytic derivatives are available at every chart point via the
     differential of the hemisphere parameterization.  The test images are
@@ -297,8 +297,10 @@ class SphereExtrinsicChart(_TangentChart):
     def _point_at(self, x):
         x = np.asarray(x, dtype=float)
         sq = row_dots(x, x)
-        if np.any(sq >= 1.0):
-            raise ValueError("chart coordinates outside the unit-hemisphere domain")
+        outside = sq >= 1.0
+        if np.any(outside):
+            raise InvalidPoint("chart coordinates outside the unit-hemisphere domain",
+                               outside if outside.ndim else None)
         gamma = np.sqrt(1.0 - sq)
         return self._ambient(x) + gamma[..., None] * self._b, gamma
 
@@ -346,10 +348,10 @@ class SphereSpace(Space):
         return f"SphereSpace(ambient_dim={self.ambient_dim}, metric={self.metric!r})"
 
     def distance_many(self, sample, q):
-        self.check_point(q)
+        q = self.point_sample(q).data[0]
         if self.metric == "intrinsic":
-            return _geodesics(_columns(sample.data), q.data)
-        return row_norms(sample.data - q.data)
+            return _geodesics(_columns(sample.data), q)
+        return row_norms(sample.data - q)
 
     def chart_at(self, base):
         if self.metric == "intrinsic":

@@ -230,6 +230,48 @@ def test_point_payload_is_immutable():
         p.data[0] = 3.0
 
 
+@pytest.mark.parametrize("sample", [
+    euclidean_sample([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]),
+    openbook_sample([1, 0, 2], [[1.0, 0.5], [0.0, 2.0], [3.0, -1.0]]),
+], ids=["euclidean", "openbook"])
+def test_a_point_is_the_one_row_sample_of_its_index(sample):
+    n = len(sample)
+    points = list(sample)
+    assert len(points) == n
+    for i, p in enumerate(points):
+        assert len(p.sample) == 1 and p.kind == sample.kind
+        assert np.array_equal(p.sample.data, sample.data[i : i + 1])
+        assert np.array_equal(p.data, sample.data[i])
+        assert p.leaf == (0 if sample.leaves is None else sample.leaves[i])
+        assert sample[i - n].close_to(p, atol=0.0)  # negative indices count from the end
+    assert np.array_equal(sample[-1].data, sample.data[-1])
+    for i in (n, -n - 1):
+        with pytest.raises(IndexError):
+            sample[i]
+
+
+def test_points_and_lists_of_points_are_checked_as_samples():
+    space = EuclideanSpace(2)
+    with pytest.raises(MixedSpacePoints):
+        space.check_sample([euclidean_point((0.0, 1.0)), sphere_point((0.0, 1.0))])
+    with pytest.raises(MixedSpacePoints, match="mixes euclidean points of shape"):
+        space.check_sample([euclidean_point((0.0, 1.0)), euclidean_point((0.0, 1.0, 2.0))])
+    with pytest.raises(MixedSpacePoints):
+        space.check_sample([euclidean_point((0.0, 1.0)), np.zeros(2)])
+    # a single-point argument is a Point, not a Sample of several rows
+    sample = euclidean_sample([[0.0, 0.0], [1.0, 0.0]])
+    calls = [
+        lambda: space.distance(euclidean_point((0.0, 1.0)), 3.0),
+        lambda: space.distance(sample, euclidean_point((0.0, 1.0))),
+        lambda: space.distance_many(sample, sample),
+        lambda: space.chart_at(None).forward(sample),
+        lambda: frechet_value(space, sample, sample),
+    ]
+    for call in calls:
+        with pytest.raises(MixedSpacePoints):
+            call()
+
+
 # ---------------------------------------------------------------------------
 # frechet_value
 

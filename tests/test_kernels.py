@@ -13,7 +13,7 @@ from frechetstats import simulate
 from frechetstats.errors import CutLocus, InvalidPoint, NoConvergence, NotPositiveDefinite
 from frechetstats.estimator import estimate_mean, stacked_sandwich
 from frechetstats.geometry import Sample, row_dots, row_norms
-from frechetstats.geometry import as_sample, sphere_sample
+from frechetstats.geometry import as_sample, spd_point, sphere_sample
 from frechetstats.simulate import (
     Sampler,
     SPDLogGaussianDescriptor,
@@ -194,9 +194,8 @@ def test_spd_blocks_decompose_no_drawn_matrix_with_eigh(monkeypatch):
                       SPDLogGaussianDescriptor(np.diag([0.4, 0.0, -0.3]), 0.15), 43)
     reps = 2 * (simulate.BLOCK_POINTS // 200) + 3  # three blocks of drawn matrices
     assert mc_coverage(sampler, 200, reps, 0.05).failures == 0
-    # the truth's matrix, the exponential of the log it keeps
-    assert jacobi == [1]
-    jacobi.clear()
+    # not even the truth's matrix: its copies keep the log it keeps
+    assert jacobi == []
     assert mc_type1(sampler.space, sampler, 100, 100, reps, 0.05).failures == 0
     # no drawn matrix, and no mean, is ever built, and nothing goes to LAPACK
     assert jacobi == []
@@ -277,10 +276,34 @@ def test_deferred_draw_is_not_built_by_its_size_checks_or_parts(monkeypatch):
     assert len(as_sample([truth])) == 1
     with pytest.raises(InvalidPoint):
         SPDSpace(2).check_sample(sample)
-    assert jacobi == [1]  # the mean's matrix alone
+    assert jacobi == []  # nor the mean's matrix, which its log gives
     built = sample.data
-    assert jacobi == [1, 50]
-    assert sample.data is built and jacobi == [1, 50]  # built once
+    assert jacobi == [50]
+    assert sample.data is built and jacobi == [50]  # built once
+
+
+def test_a_point_of_a_draw_builds_its_own_matrix_alone(monkeypatch):
+    logs = _drawn_logs(50)
+    sample = spd_exp_sample(logs)
+    jacobi = _calls_of_jacobi(monkeypatch)
+    point = sample[7]
+    assert jacobi == []
+    assert np.array_equal(point.data, spd_expm(logs[7]))
+    assert jacobi == [1, 1]  # the point's matrix, then the reference's
+    assert np.array_equal(point.sample._logs[0], logs[7])
+
+
+def test_repeated_distances_take_each_points_log_once(monkeypatch):
+    space = SPDSpace(3)
+    p, q = (spd_point(spd_expm(_drawn_logs(1, seed)[0])) for seed in (18, 19))
+    jacobi = _calls_of_jacobi(monkeypatch)
+    first = space.distance(p, q)
+    assert jacobi == [1, 1]  # the log of p, then of q
+    for _ in range(5):
+        assert space.distance(p, q) == first
+        assert space.distance(q, p) == first
+    assert space.chart_at().forward(p).shape == (6,)
+    assert jacobi == [1, 1]
 
 
 def test_logs_a_draw_did_not_keep_are_taken_from_their_matrices_alone(monkeypatch):

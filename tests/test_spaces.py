@@ -100,6 +100,23 @@ def test_chordal_chart_rejects_the_far_hemisphere():
         stacked.forward_many(sphere_sample(np.concatenate([near.data, near.data])))
 
 
+def test_chordal_chart_refuses_coordinates_outside_its_unit_ball():
+    space = SphereSpace(3, "extrinsic")
+    chart = space.chart_at(sphere_point((0.0, 0.0, 1.0)))
+    q = sphere_point((0.6, 0.0, 0.8))
+    for x in ([1.0, 0.5], [0.6, 0.8]):  # beyond and on the boundary
+        for call in (lambda: chart.inverse(x), lambda: chart.h(x, q)):
+            with pytest.raises(InvalidPoint, match="unit-hemisphere domain") as refused:
+                call()
+            assert refused.value.refused is None
+    # a stack of three charts masks the rows of the coordinates outside
+    stacked = space.chart_at(sphere_sample(np.tile([0.0, 0.0, 1.0], (3, 1))))
+    packed = stacked.pack(sphere_sample(np.tile(q.data, (6, 1)))).reshape(3, 2, 3)
+    with pytest.raises(InvalidPoint) as refused:
+        stacked.h_many(np.array([[0.1, 0.2], [1.0, 0.5], [0.0, 0.0]]), packed)
+    assert refused.value.refused.tolist() == [False, True, False]
+
+
 def test_intrinsic_and_extrinsic_means_agree_when_concentrated(rng):
     # support in a small cap: the two notions of mean are nearly the same
     intrinsic = SphereSpace(3, "intrinsic")
@@ -192,7 +209,7 @@ def test_a_point_of_a_log_euclidean_mean_stack_carries_its_mean_log(rng, monkeyp
     calls = count_logm(monkeypatch)
     for i in range(4):
         point, taken = means[i], means.take([i])
-        assert np.array_equal(point._logs, _sample_logs(taken)[0])
+        assert np.array_equal(point.sample._logs, _sample_logs(taken))
         assert np.array_equal(_sample_logs(as_sample([point])), _sample_logs(taken))
         assert np.array_equal(chart.forward(point), chart.forward_many(taken)[0])
         assert np.array_equal(space.distance_many(draws, point),
@@ -200,7 +217,7 @@ def test_a_point_of_a_log_euclidean_mean_stack_carries_its_mean_log(rng, monkeyp
     assert calls == []  # no mean's log is taken again from its matrix
     # a point the user builds carries no logs: spd_logm takes them
     user = spd_point(point.data)
-    assert user._logs is None and as_sample([user])._logs is None
+    assert user.sample._logs is None and as_sample([user])._logs is None
     assert np.array_equal(_sample_logs(as_sample([user]))[0], spd_logm(point.data))
     assert calls == [1]
 
