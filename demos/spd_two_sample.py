@@ -38,7 +38,7 @@ for metric in ("log_euclidean", "euclidean"):
     res = fs.two_sample_test(space, xs, ys_null)
     print(f"{metric:14s}: T = {res.statistic:8.3f}, df = {res.df}, p = {res.p_value:.3f}")
 
-means = {m: fs.spd_mean(xs, m).data for m in ("log_euclidean", "euclidean")}
+means = {m: fs.SPDSpace(3, m).mean(xs)[0].data for m in ("log_euclidean", "euclidean")}
 print("\ngroup-A mean tensors (diagonal):")
 for metric, mean in means.items():
     print(f"  {metric:14s}: {np.round(np.diag(mean), 4)}")

@@ -10,7 +10,7 @@ from .geometry import (
     Chart,
     euclidean_point,
     euclidean_sample,
-    frechet_value,
+    frechet_values,
     numeric_gradient,
     numeric_hessian,
     openbook_point,
@@ -55,18 +55,11 @@ from .spaces import (
     SPDSpace,
     SphereSpace,
     openbook_classify,
-    openbook_distance,
-    openbook_fold,
-    openbook_frechet_mean,
     openbook_moments,
     spd_expm,
     spd_logm,
-    spd_mean,
     spd_vech,
     spd_vech_inv,
-    sphere_exp,
-    sphere_extrinsic_project,
-    sphere_log,
 )
 
 __version__ = "0.1.0"

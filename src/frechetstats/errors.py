@@ -12,7 +12,8 @@ class FrechetStatsError(Exception):
 
 
 class MixedSpacePoints(FrechetStatsError):
-    """Points from different sample spaces were mixed in one operation."""
+    """Points from different sample spaces were mixed in one operation, or
+    a sample was paired with targets that its rows do not group by."""
 
 
 class InvalidPoint(FrechetStatsError):

@@ -225,6 +225,14 @@ def row_norms(rows):
     return np.sqrt(row_dots(rows, rows))
 
 
+def group_differences(rows, targets):
+    """Each of R equal groups of consecutive rows of an (n, ...) array
+    minus its row of the (R, ...) ``targets``, as an (n, ...) array: the
+    pairing of ``Space.distance_many``."""
+    groups = rows.reshape(targets.shape[:1] + (-1,) + rows.shape[1:])
+    return (groups - targets[:, None]).reshape(rows.shape)
+
+
 def row_products(rows, matrix):
     """``rows @ matrix`` for an (..., k) array, computed row by row as one
     vector times ``matrix`` (a (k, m) matrix, or a stack that broadcasts
@@ -494,7 +502,9 @@ class Chart(ABC):
         return self.forward_many(sample)
 
     def h(self, x, q):
-        return float(self.h_many(np.asarray(x, dtype=float), self.pack(q.sample))[0])
+        """h(x; q) of this space's Point ``q`` (the batch of one of ``h_many``)."""
+        packed = self.pack(self.space.point_sample(q))
+        return float(self.h_many(np.asarray(x, dtype=float), packed)[0])
 
     def grad_h_many(self, x, packed):
         """Analytic (n, s) gradient rows of h(.; Y_j) at x, or None."""
@@ -543,13 +553,26 @@ class Space(ABC):
 
     @abstractmethod
     def distance_many(self, sample, q):
-        """Metric distance from each point of a Sample of this space to the
-        point ``q``, as an (n,) array."""
+        """Metric distances, as an (n,) array, from the points of a Sample of
+        this space to ``q``: to the Point ``q``, or, when ``q`` is a Sample
+        of R points, from each of R equal groups of consecutive sample rows
+        to its row of ``q`` (see ``targets``)."""
 
     def distance(self, p, q):
         """Metric distance between two points of the space (the batch of one
         of ``distance_many``)."""
         return float(self.distance_many(self.point_sample(p), q)[0])
+
+    def targets(self, sample, q):
+        """The checked Sample of the ``q`` of ``distance_many(sample, q)``:
+        a Point's own, or a Sample of R points when ``sample``'s rows form R
+        equal groups (MixedSpacePoints for anything else)."""
+        if not isinstance(q, Sample):
+            return self.point_sample(q)
+        q = self.check_sample(q)
+        if len(sample) % len(q):
+            raise MixedSpacePoints(f"{len(sample)} sample rows do not form {len(q)} equal groups")
+        return q
 
     @abstractmethod
     def chart_at(self, base):
@@ -596,8 +619,12 @@ def mean_gradient(chart, x, packed):
     return numeric_gradient(lambda xx: chart.h_many(xx, packed).mean(axis=-1), x)
 
 
-def frechet_value(space, sample, p):
-    """Empirical Frechet function: the mean squared distance to ``p``."""
-    sample = space.check_sample(sample)
-    w = np.full(len(sample), 1.0 / len(sample))
-    return float(w @ space.distance_many(sample, p) ** 2)
+def frechet_values(space, sample, candidates):
+    """Empirical Frechet function, the mean squared distance from the
+    sample's points, at each of m candidates (a Point, Points or a Sample),
+    as an (m,) array: one grouped ``distance_many`` of the sample repeated
+    m times."""
+    sample, candidates = space.check_sample(sample), space.check_sample(candidates)
+    n = len(sample)
+    d = space.distance_many(sample.take(np.tile(np.arange(n), len(candidates))), candidates)
+    return row_dots(d.reshape(-1, n) ** 2, np.full(n, 1.0 / n))

@@ -35,7 +35,7 @@ from .inference import two_sample_tests
 from .spaces.euclidean import EuclideanSpace
 from .spaces.openbook import OpenBookSpace
 from .spaces.spd import SPDSpace, _expm_sample, _vech_inv_rows, spd_exp_sample, spd_vech
-from .spaces.sphere import SphereSpace, sphere_exp, sphere_log, tangent_basis
+from .spaces.sphere import SphereSpace, _columns, _exp_rows, _logs, tangent_basis
 from .streams import Streams, is_count
 
 #: estimation failures tolerated (as a fraction of replications) before a
@@ -195,7 +195,8 @@ class SphereTwoPointDescriptor:
     def population_mean(self, space):
         a = np.asarray(self.a, dtype=float)
         b = np.asarray(self.b, dtype=float)
-        return sphere_point(sphere_exp(a, 0.5 * sphere_log(a, b)))
+        half = 0.5 * _logs(_columns(b), a)[:, 0]
+        return sphere_point(_exp_rows(a[None], half[None])[0])
 
 
 @dataclass(frozen=True)

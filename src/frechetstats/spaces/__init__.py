@@ -1,19 +1,11 @@
 """Concrete sample spaces: Euclidean, sphere, SPD matrices, open book."""
 
 from .euclidean import EuclideanSpace
-from .sphere import (
-    SphereSpace,
-    sphere_distance,
-    sphere_exp,
-    sphere_extrinsic_project,
-    sphere_log,
-    tangent_basis,
-)
+from .sphere import SphereSpace, tangent_basis
 from .spd import (
     SPDSpace,
     spd_expm,
     spd_logm,
-    spd_mean,
     spd_vech,
     spd_vech_inv,
 )
@@ -22,9 +14,6 @@ from .openbook import (
     OpenBookMoments,
     OpenBookSpace,
     openbook_classify,
-    openbook_distance,
-    openbook_fold,
-    openbook_frechet_mean,
     openbook_moments,
 )
 
@@ -35,19 +24,11 @@ __all__ = [
     "OpenBookSpace",
     "Classification",
     "OpenBookMoments",
-    "sphere_distance",
-    "sphere_exp",
-    "sphere_log",
-    "sphere_extrinsic_project",
     "tangent_basis",
     "spd_logm",
     "spd_expm",
     "spd_vech",
     "spd_vech_inv",
-    "spd_mean",
-    "openbook_distance",
-    "openbook_fold",
     "openbook_moments",
     "openbook_classify",
-    "openbook_frechet_mean",
 ]

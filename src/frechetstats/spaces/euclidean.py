@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..geometry import FlatChart, Space, euclidean_point, euclidean_sample, row_norms
+from ..geometry import FlatChart, Space, euclidean_point, euclidean_sample, group_differences
+from ..geometry import row_norms
 
 
 class EuclideanChart(FlatChart):
@@ -52,4 +53,4 @@ class EuclideanSpace(Space):
         return euclidean_sample(means), np.zeros(reps, dtype=int)
 
     def distance_many(self, sample, q):
-        return row_norms(sample.data - self.point_sample(q).data)
+        return row_norms(group_differences(sample.data, self.targets(sample, q).data))

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import InvalidPoint
-from ..geometry import FlatChart, Sample, Space, as_sample, openbook_point, row_norms
+from ..geometry import FlatChart, Sample, Space, as_sample, group_differences, openbook_point
+from ..geometry import row_norms
 
 
 def _fold(sample, k):
@@ -30,32 +31,6 @@ def _fold(sample, k):
     other = ((leaves != np.asarray(k)[..., None]) & (leaves != 0)).reshape(-1)
     folded[other, 0] = -folded[other, 0]
     return folded
-
-
-def _distances(sample, q):
-    """Distance from each point of a Sample to the point of the one-row
-    Sample ``q``: the Euclidean distance of the half-space coordinates after
-    folding the sample onto q's leaf, which reflects x0 across the spine
-    exactly for the points of other leaves."""
-    return row_norms(_fold(sample, q.leaves[0]) - q.data)
-
-
-def openbook_distance(a, b):
-    """Distance between two open-book points.
-
-    Same leaf (or either point on the spine): Euclidean distance of the
-    half-space coordinates.  Different leaves: Euclidean distance after
-    reflecting one x0, i.e. sqrt((x0 + y0)^2 + ||rest difference||^2).
-    """
-    return float(_distances(a.sample, b.sample)[0])
-
-
-def openbook_fold(k, p):
-    """Folding map f_k: identity on leaf k and the spine, x0 negated on
-    other leaves.  Returns a plain (D+1,) vector."""
-    if k < 1:
-        raise ValueError("fold index must be a leaf label >= 1")
-    return _fold(p.sample, k)[0]
 
 
 @dataclass(frozen=True)
@@ -142,18 +117,6 @@ def openbook_classify(moments):
     return Classification("spine")
 
 
-def openbook_frechet_mean(sample, n_leaves=None):
-    """Exact sample Frechet mean of an open-book sample (the batch of one of
-    ``OpenBookSpace.mean_many``).
-
-    ``n_leaves`` defaults to the largest leaf label present (at least 2);
-    leaves the sample does not reach do not move the mean.
-    """
-    sample = as_sample(sample)
-    n_leaves = max(int(sample.leaves.max()), 2) if n_leaves is None else n_leaves
-    return OpenBookSpace(n_leaves, sample.data.shape[1] - 1).mean(sample)[0]
-
-
 class OpenBookLeafChart(FlatChart):
     """Chart of a leaf stratum: the folding map f_k, s = D + 1, with
     h(x; q) = ||x - f_k(q)||^2.  Stacked at R bases on leaves, the i-th
@@ -235,7 +198,11 @@ class OpenBookSpace(Space):
         return sample
 
     def distance_many(self, sample, q):
-        return _distances(sample, self.point_sample(q))
+        """The Euclidean distances of the half-space coordinates after
+        folding each group of rows onto its target's leaf, which reflects x0
+        across the spine exactly for the points of other leaves."""
+        q = self.targets(sample, q)
+        return row_norms(group_differences(_fold(sample, q.leaves), q.data))
 
     def chart_at(self, base):
         """Stacked charts lie in one stratum, all on the spine or all on leaves."""

@@ -35,7 +35,8 @@ import functools
 import numpy as np
 
 from ..errors import InvalidPoint, NotPositiveDefinite
-from ..geometry import FlatChart, Sample, Space, as_sample, row_norms, spd_point, spd_sample
+from ..geometry import FlatChart, Sample, Space, group_differences, row_norms, spd_point
+from ..geometry import spd_sample
 from ..geometry import UPPER_COLUMNS, matrix_to_upper, upper_to_matrix  # noqa: F401 (re-exported)
 
 _SQRT2 = np.sqrt(2.0)
@@ -258,17 +259,6 @@ def _sample_logs(sample):
     return logs
 
 
-def spd_mean(sample, metric="log_euclidean"):
-    """Closed-form Frechet mean of SPD matrices under either metric (the
-    batch of one of ``SPDSpace.mean_many``).
-
-    Euclidean: entrywise mean (SPD by convexity of the cone).
-    Log-Euclidean: expm of the mean of matrix logs.
-    """
-    sample = as_sample(sample)
-    return SPDSpace(sample.shape[-1], metric).mean(sample)[0]
-
-
 class SPDChart(FlatChart):
     """Global vech chart (of the matrix, or of its log); h is exactly the
     squared chart-space Euclidean distance."""
@@ -280,8 +270,17 @@ class SPDChart(FlatChart):
         self._log = space.metric == "log_euclidean"
 
     def inverse(self, x):
+        """The Point of chart coordinates ``x``.  Under the log-Euclidean
+        metric it keeps the log it exponentiates, as a draw does
+        (``spd_exp_sample``), and InvalidPoint refuses an exponential that
+        overflowed, or underflowed out of SPD."""
         b = spd_vech_inv(x, self.space.p)
-        return spd_point(spd_expm(b) if self._log else b)
+        if not self._log:
+            return spd_point(b)
+        point = spd_exp_sample(b[None])[0]
+        with np.errstate(over="ignore", invalid="ignore"):  # spd_sample refuses the result
+            spd_sample(point.sample.data)
+        return point
 
     def pack(self, sample):
         return _vech_rows(_sample_logs(sample) if self._log else sample.data)
@@ -312,17 +311,19 @@ class SPDSpace(Space):
         return SPDChart(self)
 
     def mean_many(self, sample, reps):
-        """Closed-form Frechet means (see ``spd_mean``), after 0 iterations.
-        Log-Euclidean means keep their mean logs (``_expm_sample``)."""
+        """Closed-form Frechet means, after 0 iterations: the entrywise means
+        (SPD by convexity of the cone) under the Euclidean metric, the
+        exponentials of the mean matrix logs under the log-Euclidean one,
+        which keep their mean logs (``_expm_sample``)."""
         p, its = self.p, np.zeros(reps, dtype=int)
         if self.metric == "euclidean":
             return spd_sample(sample.data.reshape(reps, -1, p, p).mean(axis=1)), its
         return _expm_sample(_sample_logs(sample).reshape(reps, -1, p, p).mean(axis=1)), its
 
     def distance_many(self, sample, q):
-        q = self.point_sample(q)
+        q = self.targets(sample, q)
         if self.metric == "euclidean":
-            diff = sample.data - q.data
+            diff = group_differences(sample.data, q.data)
         else:
-            diff = _sample_logs(sample) - _sample_logs(q)
+            diff = group_differences(_sample_logs(sample), _sample_logs(q))
         return row_norms(diff.reshape(len(diff), -1))

@@ -7,12 +7,12 @@ onto that tangent basis.  The intrinsic chart excludes the antipode of
 the base, the extrinsic chart the closed hemisphere opposite the base.
 
 The log map and the geodesic distance are written once, for every caller
-(charts, distances, derivatives, Newton means and the single-point
-helpers), on points stored component-major: an (..., d+1, n) array of
-coordinates (``_columns``).  Every per-point quantity (the dot with the
-base, the log-map scale, the geodesic distance) is an (..., n) array of
-one numpy operation per coordinate, summed over the coordinates in their
-order, where the row layout would reduce length-(d+1) rows one at a time.
+(charts, distances, derivatives and Newton means), on points stored
+component-major: an (..., d+1, n) array of coordinates (``_columns``).
+Every per-point quantity (the dot with the base, the log-map scale, the
+geodesic distance) is an (..., n) array of one numpy operation per
+coordinate, summed over the coordinates in their order, where the row
+layout would reduce length-(d+1) rows one at a time.
 A point's arithmetic is thus its own, alone or in any stack.
 """
 
@@ -21,45 +21,14 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import CutLocus, InvalidPoint, NoConvergence, NonUniqueProjection
-from ..geometry import Chart, Point, Space, row_dots, row_norms, row_products, sphere_point
-from ..geometry import sphere_sample
+from ..geometry import Chart, Point, Space, group_differences, row_dots, row_norms, row_products
+from ..geometry import sphere_point, sphere_sample
 
 _CUT_TOL = 1e-9
 
 #: gradient-norm tolerance and iteration budget of the geodesic means
 MEAN_TOL = 1e-10
 MEAN_MAX_ITER = 200
-
-
-def sphere_distance(p, q):
-    """Geodesic distance 2*arcsin(||p - q|| / 2) between unit vectors.
-
-    The chord form is exactly symmetric in its arguments and accurate away
-    from the antipodal configuration.
-    """
-    return float(_geodesics(_columns(p), np.asarray(q, dtype=float))[0])
-
-
-def sphere_exp(base, v):
-    """Exponential map: cos(|v|) base + sin(|v|) v/|v| (base when v = 0)."""
-    return _exp_rows(np.asarray(base, dtype=float)[None], np.asarray(v, dtype=float)[None])[0]
-
-
-def sphere_log(base, p):
-    """Inverse of the exponential map on the geodesic ball of radius pi.
-
-    Raises CutLocus when ``p`` is within 1e-9 of the antipode of ``base``.
-    """
-    return _logs(_columns(p), np.asarray(base, dtype=float))[:, 0]
-
-
-def sphere_extrinsic_project(m):
-    """Nearest point on the sphere, m/||m||.
-
-    Raises NonUniqueProjection when ||m|| <= 1e-12 (every point of the
-    sphere is then equally close).
-    """
-    return _project_rows(np.asarray(m, dtype=float)[None])[0]
 
 
 def tangent_basis(base):
@@ -348,10 +317,11 @@ class SphereSpace(Space):
         return f"SphereSpace(ambient_dim={self.ambient_dim}, metric={self.metric!r})"
 
     def distance_many(self, sample, q):
-        q = self.point_sample(q).data[0]
+        q = self.targets(sample, q).data
         if self.metric == "intrinsic":
-            return _geodesics(_columns(sample.data), q)
-        return row_norms(sample.data - q)
+            groups = sample.data.reshape(len(q), -1, self.ambient_dim)
+            return _geodesics(_columns(groups), q).reshape(-1)
+        return row_norms(group_differences(sample.data, q))
 
     def chart_at(self, base):
         if self.metric == "intrinsic":

@@ -6,19 +6,12 @@ import numpy as np
 import pytest
 
 import frechetstats.spaces.sphere as sphere_module
-from frechetstats.geometry import Chart, Space, euclidean_point, openbook_point, openbook_sample
-from frechetstats.geometry import spd_point, sphere_point
+from frechetstats.geometry import Chart, Space, euclidean_sample, openbook_sample, row_norms
+from frechetstats.geometry import spd_sample, sphere_point, sphere_sample
 from frechetstats.spaces import EuclideanSpace, OpenBookSpace, SPDSpace, SphereSpace
-from frechetstats.spaces.spd import spd_expm, spd_vech_inv
-
-
-def random_euclidean(rng, dim=3):
-    return euclidean_point(rng.normal(size=dim))
-
-
-def random_sphere(rng, ambient=3):
-    v = rng.normal(size=ambient)
-    return sphere_point(v / np.linalg.norm(v))
+from frechetstats.spaces.openbook import _folded_means
+from frechetstats.spaces.spd import _vech_inv_rows, spd_expm
+from frechetstats.spaces.sphere import _exp_rows
 
 
 def seed_sequence_stream(seed, key):
@@ -42,29 +35,62 @@ def count_logm(monkeypatch):
     return calls
 
 
+def random_spd_sample(rng, size, p=3, log_scale=1.0):
+    """``size`` random SPD matrices, the exponentials of Gaussian symmetric
+    matrices drawn as one array, as one Sample."""
+    logs = _vech_inv_rows(log_scale * rng.normal(size=(size, p * (p + 1) // 2)), p)
+    return spd_sample(spd_expm(logs))
+
+
 def random_spd(rng, p=3, log_scale=1.0):
-    b = spd_vech_inv(log_scale * rng.normal(size=p * (p + 1) // 2), p)
-    return spd_point(spd_expm(b))
+    return random_spd_sample(rng, 1, p, log_scale)[0]
 
 
-def random_openbook_coords(rng, n_leaves=3, spine_dim=2, spine_prob=0.2):
-    """Leaf label and half-space coordinates of a random open-book point."""
-    if rng.random() < spine_prob:
-        return 0, np.concatenate([[0.0], rng.normal(size=spine_dim)])
-    leaf = int(rng.integers(1, n_leaves + 1))
-    x0 = abs(rng.normal()) + 1e-12
-    return leaf, np.concatenate([[x0], rng.normal(size=spine_dim)])
+def random_openbook_sample(rng, size, n_leaves=3, spine_dim=2, spine_prob=0.2):
+    """``size`` random open-book points, each on the spine with probability
+    ``spine_prob`` and otherwise on a uniform leaf at height |N(0, 1)| +
+    1e-12, with standard normal spine coordinates, drawn as arrays and
+    validated as one Sample."""
+    spine = rng.random(size) < spine_prob
+    leaves = np.where(spine, 0, rng.integers(1, n_leaves + 1, size))
+    x0 = np.where(spine, 0.0, np.abs(rng.normal(size=size)) + 1e-12)
+    return openbook_sample(leaves, np.column_stack([x0, rng.normal(size=(size, spine_dim))]))
 
 
-def random_openbook(rng, n_leaves=3, spine_dim=2, spine_prob=0.2):
-    return openbook_point(*random_openbook_coords(rng, n_leaves, spine_dim, spine_prob))
+def positive_folded_means(rng, sizes):
+    """The number of positive folded means of a random sample of each size
+    of ``sizes`` on the open book with 3 leaves and a 1-d spine, grouped by
+    size: one batched call of ``openbook_moments``' kernel per size."""
+    counts = []
+    for n in np.unique(sizes):
+        reps = int(np.sum(sizes == n))
+        sample = random_openbook_sample(rng, reps * n, 3, 1)
+        heights = sample.data[:, 0].reshape(reps, n)
+        folded = _folded_means(sample.leaves.reshape(reps, n), heights, 3)
+        counts.append(np.sum(folded > 0.0, axis=1))
+    return np.concatenate(counts)
 
 
-def random_openbook_sample(rng, n):
-    """n random points of the open book with 3 leaves and a 2-d spine, drawn
-    as by n calls of random_openbook and validated as one Sample."""
-    leaves, coords = zip(*(random_openbook_coords(rng) for _ in range(n)))
-    return openbook_sample(leaves, np.stack(coords))
+def random_points(space, rng, size):
+    """A Sample of ``size`` random points of ``space``, drawn as arrays."""
+    if space.kind == "euclidean":
+        return euclidean_sample(rng.normal(size=(size, space.dim)))
+    if space.kind == "sphere":
+        v = rng.normal(size=(size, space.ambient_dim))
+        return sphere_sample(v / row_norms(v)[:, None])
+    if space.kind == "spd":
+        return random_spd_sample(rng, size, space.p)
+    return random_openbook_sample(rng, size, space.n_leaves, space.spine_dim)
+
+
+def random_point(space, rng):
+    return random_points(space, rng, 1)[0]
+
+
+def sphere_exp_point(base, v):
+    """The sphere Point exp_base(v), by the sphere's exponential-map kernel."""
+    base, v = (np.asarray(a, dtype=float)[None] for a in (base, v))
+    return sphere_point(_exp_rows(base, v)[0])
 
 
 def space_instances():
@@ -78,20 +104,11 @@ def space_instances():
     ]
 
 
-def random_point(space, rng):
-    if space.kind == "euclidean":
-        return random_euclidean(rng, space.dim)
-    if space.kind == "sphere":
-        return random_sphere(rng, space.ambient_dim)
-    if space.kind == "spd":
-        return random_spd(rng, space.p)
-    return random_openbook(rng, space.n_leaves, space.spine_dim)
-
-
 class AffineChart(Chart):
     """Chart composed with an invertible affine map y = A x + b."""
 
-    def __init__(self, inner, mat, offset):
+    def __init__(self, space, inner, mat, offset):
+        self.space = space
         self.inner = inner
         self.mat = np.asarray(mat, dtype=float)
         self.offset = np.asarray(offset, dtype=float)
@@ -134,7 +151,7 @@ class AffineChartSpace(Space):
         return self.inner.distance_many(sample, q)
 
     def chart_at(self, base):
-        return AffineChart(self.inner.chart_at(base), self.mat, self.offset)
+        return AffineChart(self, self.inner.chart_at(base), self.mat, self.offset)
 
     def mean_many(self, sample, reps):
         return self.inner.mean_many(sample, reps)

@@ -14,8 +14,8 @@ from scipy import stats as scipy_stats
 
 import frechetstats as fs
 from frechetstats.cli import main as cli_main
-from frechetstats.spaces.spd import _vech_rows, spd_logm, spd_vech_inv
-from conftest import AffineChartSpace, random_openbook, random_openbook_sample
+from frechetstats.spaces.spd import _vech_inv_rows, _vech_rows, spd_logm
+from conftest import AffineChartSpace, positive_folded_means, random_openbook_sample
 
 
 def check(criterion, passed, detail):
@@ -65,13 +65,12 @@ def test_criterion_2_spd_reduction():
     space = fs.SPDSpace(3, "log_euclidean")
     worst_mean, worst_cov = 0.0, 0.0
     for _ in range(100):
-        logs = np.stack([spd_vech_inv(0.4 * rng.normal(size=6), 3) for _ in range(40)])
-        sample = [fs.spd_point(fs.spd_expm(b)) for b in logs]
+        logs = _vech_inv_rows(0.4 * rng.normal(size=(40, 6)), 3)
+        sample = fs.spd_sample(fs.spd_expm(logs))
         fit = fs.sandwich_covariance(space, sample, fs.estimate_mean(space, sample))
         expected = fs.spd_expm(logs.mean(axis=0))
         worst_mean = max(worst_mean, float(np.linalg.norm(fit.mean.data - expected)))
-        vecs = _vech_rows(spd_logm(np.stack([p.data for p in sample])))
-        cov = np.cov(vecs, rowvar=False, ddof=0)
+        cov = np.cov(_vech_rows(spd_logm(sample.data)), rowvar=False, ddof=0)
         worst_cov = max(worst_cov, float(np.linalg.norm(fit.asym_cov - cov) / np.linalg.norm(cov)))
     elapsed = time.perf_counter() - start
     check(
@@ -260,39 +259,25 @@ def test_criterion_8_deterministic_inference_oracles():
 
 def test_criterion_9_geometry_kernel():
     rng = np.random.default_rng(9)
-    worst_roundtrip = 0.0
-    for _ in range(200):
-        b = spd_vech_inv(rng.uniform(-3.0, 3.0, size=6), 3)
-        w = np.linalg.eigvalsh(b)
-        b *= 3.0 / max(3.0, float(np.max(np.abs(w))))
-        worst_roundtrip = max(
-            worst_roundtrip, float(np.linalg.norm(fs.spd_logm(fs.spd_expm(b)) - b))
-        )
+    b = _vech_inv_rows(rng.uniform(-3.0, 3.0, size=(200, 6)), 3)
+    w = np.linalg.eigvalsh(b)
+    b *= (3.0 / np.maximum(3.0, np.abs(w).max(axis=1)))[:, None, None]
+    worst_roundtrip = float(np.linalg.norm(fs.spd_logm(fs.spd_expm(b)) - b, axis=(1, 2)).max())
 
-    positive_violations = 0
-    for _ in range(10_000):
-        n = int(rng.integers(1, 12))
-        sample = [random_openbook(rng, 3, 1) for _ in range(n)]
-        mom = fs.openbook_moments(sample, 3)
-        if int(np.sum(mom.folded_means > 0.0)) > 1:
-            positive_violations += 1
+    positives = positive_folded_means(rng, rng.integers(1, 12, size=10_000))
+    positive_violations = int(np.sum(positives > 1))
 
     space = fs.OpenBookSpace(3, 2)
     min_violations = 0
     for _ in range(1000):
         sample = random_openbook_sample(rng, int(rng.integers(2, 12)))
-        mu = fs.openbook_frechet_mean(sample, 3)
-        f_mu = fs.frechet_value(space, sample, mu)
-        for cand in random_openbook_sample(rng, 100):
-            if f_mu > fs.frechet_value(space, sample, cand) + 1e-12:
-                min_violations += 1
-                break
+        candidates = fs.Sample.join([space.mean(sample)[0].sample, random_openbook_sample(rng, 100)])
+        values = fs.frechet_values(space, sample, candidates)
+        min_violations += bool(values[0] > values[1:].min() + 1e-12)
 
-    triangle_violations = 0
-    for _ in range(10_000):
-        p, q, r = (random_openbook(rng) for _ in range(3))
-        if fs.openbook_distance(p, r) > fs.openbook_distance(p, q) + fs.openbook_distance(q, r) + 1e-12:
-            triangle_violations += 1
+    p, q, r = (random_openbook_sample(rng, 10_000) for _ in range(3))
+    via = space.distance_many(p, q) + space.distance_many(q, r)
+    triangle_violations = int(np.sum(space.distance_many(p, r) > via + 1e-12))
 
     check(
         9,

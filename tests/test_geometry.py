@@ -8,7 +8,7 @@ from frechetstats.geometry import (
     HESSIAN_STEP_SCALE,
     euclidean_point,
     euclidean_sample,
-    frechet_value,
+    frechet_values,
     numeric_gradient,
     numeric_hessian,
     openbook_point,
@@ -20,9 +20,10 @@ from frechetstats.geometry import (
 )
 from frechetstats.estimator import estimate_mean, sandwich_covariance
 from frechetstats.inference import two_sample_test
-from frechetstats.spaces import EuclideanSpace, OpenBookSpace, SphereSpace, openbook_moments
+from frechetstats.spaces import EuclideanSpace, OpenBookSpace, SPDSpace, SphereSpace
+from frechetstats.spaces import openbook_moments
 
-from conftest import random_point, space_instances
+from conftest import random_point, random_points, space_instances
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +156,7 @@ def test_openbook_leaf_label_beyond_n_leaves_is_caught_in_any_row():
         lambda: space.check_sample(bad),
         lambda: estimate_mean(space, bad),
         lambda: sandwich_covariance(space, bad, fit),
-        lambda: frechet_value(space, bad, fit.mean),
+        lambda: frechet_values(space, bad, fit.mean),
         lambda: two_sample_test(space, good, bad),
     ]
     for call in calls:
@@ -258,47 +259,71 @@ def test_points_and_lists_of_points_are_checked_as_samples():
         space.check_sample([euclidean_point((0.0, 1.0)), euclidean_point((0.0, 1.0, 2.0))])
     with pytest.raises(MixedSpacePoints):
         space.check_sample([euclidean_point((0.0, 1.0)), np.zeros(2)])
-    # a single-point argument is a Point, not a Sample of several rows
+    # a single-point argument is a Point, not a Sample of several rows, and
+    # the targets of distance_many are a Point or as many rows as form groups
     sample = euclidean_sample([[0.0, 0.0], [1.0, 0.0]])
+    targets = euclidean_sample([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
     calls = [
         lambda: space.distance(euclidean_point((0.0, 1.0)), 3.0),
         lambda: space.distance(sample, euclidean_point((0.0, 1.0))),
-        lambda: space.distance_many(sample, sample),
+        lambda: space.distance_many(sample, targets),  # 2 rows form no 3 equal groups
         lambda: space.chart_at(None).forward(sample),
-        lambda: frechet_value(space, sample, sample),
+        lambda: frechet_values(space, sample, 3.0),
     ]
     for call in calls:
         with pytest.raises(MixedSpacePoints):
             call()
 
 
+@pytest.mark.parametrize("space", space_instances(), ids=repr)
+def test_grouped_distances_are_the_per_pair_distances(space, rng):
+    sample = random_points(space, rng, 12)
+    for targets in (random_points(space, rng, 12), random_points(space, rng, 3), sample[5].sample):
+        rows = space.distance_many(sample, targets)
+        group = len(sample) // len(targets)
+        pairs = [space.distance(p, targets[i // group]) for i, p in enumerate(sample)]
+        assert rows.tolist() == pairs
+
+
+def test_a_chart_checks_the_point_of_h_against_its_space():
+    pole = sphere_point((0.0, 0.0, 1.0))
+    for chart, x in ((EuclideanSpace(3).chart_at(None), np.zeros(3)),
+                     (SPDSpace(3, "euclidean").chart_at(None), np.zeros(6))):
+        with pytest.raises(MixedSpacePoints):
+            chart.h(x, pole)
+
+
 # ---------------------------------------------------------------------------
-# frechet_value
+# frechet_values
 
 
 def test_frechet_value_euclidean_pair():
     sp = EuclideanSpace(1)
     sample = [euclidean_point([0.0]), euclidean_point([2.0])]
-    assert frechet_value(sp, sample, euclidean_point([1.0])) == pytest.approx(1.0)
+    values = frechet_values(sp, sample, euclidean_sample([[1.0], [0.0], [3.0]]))
+    assert values == pytest.approx([1.0, 2.0, 5.0])
+    assert frechet_values(sp, sample, euclidean_point([1.0])).shape == (1,)
 
 
 def test_frechet_value_identity_is_zero():
     sp = EuclideanSpace(2)
     q = euclidean_point((0.3, -0.7))
-    assert frechet_value(sp, [q], q) == 0.0
+    assert frechet_values(sp, [q], q)[0] == 0.0
 
 
 def test_frechet_value_sphere_quarter_circles():
     sp = SphereSpace(3)
     sample = [sphere_point((1, 0, 0)), sphere_point((0, 1, 0))]
-    value = frechet_value(sp, sample, sphere_point((0, 0, 1)))
+    value = frechet_values(sp, sample, sphere_point((0, 0, 1)))[0]
     assert value == pytest.approx((np.pi / 2) ** 2, abs=1e-12)
 
 
 def test_frechet_value_rejects_mixed_points():
     sp = EuclideanSpace(3)
     with pytest.raises(MixedSpacePoints):
-        frechet_value(sp, [sphere_point((0, 0, 1))], euclidean_point((0, 0, 0)))
+        frechet_values(sp, [sphere_point((0, 0, 1))], euclidean_point((0, 0, 0)))
+    with pytest.raises(MixedSpacePoints):
+        frechet_values(sp, [euclidean_point((0, 0, 0))], sphere_point((0, 0, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -404,20 +429,18 @@ def test_numeric_gradient_of_a_vector_map_has_one_row_per_component():
 
 @pytest.mark.parametrize("space", space_instances(), ids=repr)
 def test_distance_metric_axioms(space, rng):
-    for _ in range(1000):
-        p = random_point(space, rng)
-        q = random_point(space, rng)
-        d_pq = space.distance(p, q)
-        assert d_pq == space.distance(q, p)  # bit-exact symmetry
-        assert d_pq >= 0.0
-        assert space.distance(p, p) == 0.0
+    p, q = random_points(space, rng, 1000), random_points(space, rng, 1000)
+    d_pq = space.distance_many(p, q)
+    assert np.array_equal(d_pq, space.distance_many(q, p))  # bit-exact symmetry
+    assert np.all(d_pq >= 0.0)
+    assert np.all(space.distance_many(p, p) == 0.0)
 
 
 @pytest.mark.parametrize("space", space_instances(), ids=repr)
 def test_triangle_inequality(space, rng):
-    for _ in range(1000):
-        p, q, r = (random_point(space, rng) for _ in range(3))
-        assert space.distance(p, r) <= space.distance(p, q) + space.distance(q, r) + 1e-12
+    p, q, r = (random_points(space, rng, 1000) for _ in range(3))
+    via = space.distance_many(p, q) + space.distance_many(q, r)
+    assert np.all(space.distance_many(p, r) <= via + 1e-12)
 
 
 def _random_chart_point(space, base, rng):

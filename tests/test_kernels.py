@@ -23,6 +23,7 @@ from frechetstats.simulate import (
 )
 from frechetstats.spaces import SPDSpace, SphereSpace
 from frechetstats.spaces.spd import KEPT_LOG_SPREAD, spd_exp_sample, spd_expm, spd_logm
+from frechetstats.spaces.spd import spd_vech, spd_vech_inv
 from frechetstats.spaces.sphere import MEAN_MAX_ITER, MEAN_TOL, _exp_rows, _newton_means
 from frechetstats.spaces.sphere import _project_rows
 
@@ -304,6 +305,26 @@ def test_repeated_distances_take_each_points_log_once(monkeypatch):
         assert space.distance(q, p) == first
     assert space.chart_at().forward(p).shape == (6,)
     assert jacobi == [1, 1]
+
+
+def test_the_log_euclidean_chart_inverse_keeps_the_log_it_exponentiates(monkeypatch):
+    chart = SPDSpace(3).chart_at()
+    x = np.array([0.3, -0.2, 0.1, 0.05, -0.4, 0.25])
+    jacobi = _calls_of_jacobi(monkeypatch)
+    point = chart.inverse(x)
+    # x back, as exactly as the vech round trip gives it, with one decomposition
+    assert np.array_equal(chart.forward(point), spd_vech(spd_vech_inv(x, 3)))
+    assert jacobi == [1]
+    # an exponential that overflows, or underflows out of SPD, is refused;
+    # row 0 is apart from the others, so exp(-900) makes it exactly 0
+    for x0 in (900.0, -900.0):
+        with pytest.raises(InvalidPoint):
+            chart.inverse([x0, -0.2, 0.1, 0.0, 0.0, 0.25])
+    # a log too wide to keep is not kept: the matrix it leaves is refused as
+    # near-singular when its log is needed, as any other matrix would be
+    near_singular = chart.inverse(np.concatenate([[-900.0], x[1:]]))
+    with pytest.raises(NotPositiveDefinite):
+        chart.forward(near_singular)
 
 
 def test_logs_a_draw_did_not_keep_are_taken_from_their_matrices_alone(monkeypatch):

@@ -3,10 +3,11 @@ import pytest
 
 from frechetstats.errors import CutLocus, InvalidPoint, NonUniqueProjection, NotPositiveDefinite
 from frechetstats.geometry import (
+    Sample,
     as_sample,
     euclidean_point,
     euclidean_sample,
-    frechet_value,
+    frechet_values,
     openbook_point,
     spd_point,
     spd_sample,
@@ -19,23 +20,18 @@ from frechetstats.spaces import (
     SPDSpace,
     SphereSpace,
     openbook_classify,
-    openbook_distance,
-    openbook_fold,
-    openbook_frechet_mean,
     openbook_moments,
     spd_expm,
     spd_logm,
-    spd_mean,
     spd_vech,
     spd_vech_inv,
-    sphere_exp,
-    sphere_extrinsic_project,
-    sphere_log,
+    tangent_basis,
 )
 from frechetstats.estimator import estimate_mean
 from frechetstats.spaces.spd import KEPT_LOG_SPREAD, _sample_logs, _spectral, spd_exp_sample
 
-from conftest import count_logm, random_openbook, random_openbook_sample, random_spd
+from conftest import count_logm, positive_folded_means, random_openbook_sample, random_spd
+from conftest import sphere_exp_point
 
 
 # ---------------------------------------------------------------------------
@@ -43,13 +39,13 @@ from conftest import count_logm, random_openbook, random_openbook_sample, random
 
 
 def test_sphere_exp_quarter_circle():
-    out = sphere_exp(np.array([0.0, 0.0, 1.0]), np.array([np.pi / 2, 0.0, 0.0]))
-    assert np.allclose(out, [1.0, 0.0, 0.0], atol=1e-12)
+    out = sphere_exp_point((0.0, 0.0, 1.0), (np.pi / 2, 0.0, 0.0))
+    assert np.allclose(out.data, [1.0, 0.0, 0.0], atol=1e-12)
 
 
 def test_sphere_log_at_self_is_zero():
-    p = np.array([0.6, 0.8, 0.0])
-    assert np.allclose(sphere_log(p, p), 0.0, atol=1e-15)
+    p = sphere_point((0.6, 0.8, 0.0))
+    assert np.allclose(SphereSpace(3).chart_at(p).forward(p), 0.0, atol=1e-15)
 
 
 def test_sphere_distance_quarter():
@@ -59,6 +55,8 @@ def test_sphere_distance_quarter():
 
 
 def test_sphere_log_exp_round_trip(rng):
+    # the geodesic chart at b is the log map at b in b's tangent basis
+    space = SphereSpace(3)
     for _ in range(500):
         b = rng.normal(size=3)
         b /= np.linalg.norm(b)
@@ -66,20 +64,27 @@ def test_sphere_log_exp_round_trip(rng):
         v -= (v @ b) * b
         norm = rng.uniform(0.0, np.pi - 0.01)
         v *= norm / max(np.linalg.norm(v), 1e-300)
-        assert np.allclose(sphere_log(b, sphere_exp(b, v)), v, atol=1e-10)
+        log = space.chart_at(sphere_point(b)).forward(sphere_exp_point(b, v)) @ tangent_basis(b)
+        assert np.allclose(log, v, atol=1e-10)
 
 
 def test_sphere_log_cut_locus():
     b = np.array([0.0, 0.0, 1.0])
     with pytest.raises(CutLocus):
-        sphere_log(b, -b)
+        SphereSpace(3).chart_at(sphere_point(b)).forward(sphere_point(-b))
 
 
 def test_sphere_extrinsic_project():
-    assert np.allclose(sphere_extrinsic_project((0.0, 0.0, 0.5)), [0, 0, 1])
-    assert np.allclose(sphere_extrinsic_project((3.0, 4.0, 0.0)), [0.6, 0.8, 0.0])
+    # the chordal mean is the ambient mean projected onto the sphere
+    space = SphereSpace(3, "extrinsic")
+
+    def mean(*rows):
+        return space.mean(sphere_sample(rows))[0].data
+
+    assert np.allclose(mean([0.0, 0.6, 0.8], [0.0, -0.6, 0.8]), [0, 0, 1])
+    assert np.allclose(mean([1.0, 0.0, 0.0], [0.0, 1.0, 0.0]), [np.sqrt(0.5), np.sqrt(0.5), 0.0])
     with pytest.raises(NonUniqueProjection):
-        sphere_extrinsic_project((0.0, 0.0, 0.0))
+        mean([0.0, 0.0, 1.0], [0.0, 0.0, -1.0])
 
 
 def test_chordal_chart_rejects_the_far_hemisphere():
@@ -128,7 +133,7 @@ def test_intrinsic_and_extrinsic_means_agree_when_concentrated(rng):
             v = rng.normal(size=3)
             v -= (v @ center) * center
             v *= rng.uniform(0.0, 0.1) / np.linalg.norm(v)
-            sample.append(sphere_point(sphere_exp(center, v)))
+            sample.append(sphere_exp_point(center, v))
         mu_i = estimate_mean(intrinsic, sample).mean
         mu_e = estimate_mean(extrinsic, sample).mean
         assert intrinsic.distance(mu_i, mu_e) < 0.02
@@ -279,14 +284,15 @@ def test_spd_vech_round_trip(rng):
 
 
 def test_spd_mean_examples():
+    log_euclidean, euclidean = SPDSpace(2, "log_euclidean"), SPDSpace(2, "euclidean")
     a = spd_point(np.diag([np.e**2, 1.0]))
     b = spd_point(np.diag([np.e**-2, 1.0]))
-    assert np.allclose(spd_mean([a, b], "log_euclidean").data, np.eye(2), atol=1e-12)
+    assert np.allclose(log_euclidean.mean([a, b])[0].data, np.eye(2), atol=1e-12)
     c = spd_point(np.diag([1.0, 1.0]))
     d = spd_point(np.diag([3.0, 1.0]))
-    assert np.allclose(spd_mean([c, d], "euclidean").data, np.diag([2.0, 1.0]), atol=1e-15)
-    assert np.allclose(spd_mean([a, a], "log_euclidean").data, a.data, atol=1e-12)
-    assert np.allclose(spd_mean([a, a], "euclidean").data, a.data, atol=1e-15)
+    assert np.allclose(euclidean.mean([c, d])[0].data, np.diag([2.0, 1.0]), atol=1e-15)
+    assert np.allclose(log_euclidean.mean([a, a])[0].data, a.data, atol=1e-12)
+    assert np.allclose(euclidean.mean([a, a])[0].data, a.data, atol=1e-15)
 
 
 def test_log_euclidean_distance_orthogonal_invariance(rng):
@@ -325,18 +331,23 @@ def test_flat_space_single_forms_are_the_plain_formulas(rng):
 
 
 def test_openbook_distance_examples():
-    same = openbook_distance(openbook_point(1, (1.0, 2.0, 3.0)), openbook_point(1, (1.0, 2.0, 7.0)))
+    same = OpenBookSpace(3, 2).distance(openbook_point(1, (1.0, 2.0, 3.0)),
+                                        openbook_point(1, (1.0, 2.0, 7.0)))
     assert same == pytest.approx(4.0, abs=1e-15)
-    cross = openbook_distance(openbook_point(1, (1.0, 0.0)), openbook_point(2, (2.0, 0.0)))
+    space = OpenBookSpace(3, 1)
+    cross = space.distance(openbook_point(1, (1.0, 0.0)), openbook_point(2, (2.0, 0.0)))
     assert cross == pytest.approx(3.0, abs=1e-15)
-    cross2 = openbook_distance(openbook_point(1, (1.0, 3.0)), openbook_point(2, (1.0, 7.0)))
+    cross2 = space.distance(openbook_point(1, (1.0, 3.0)), openbook_point(2, (1.0, 7.0)))
     assert cross2 == pytest.approx(np.sqrt(20.0), abs=1e-12)
 
 
 def test_openbook_fold_examples():
-    assert np.allclose(openbook_fold(1, openbook_point(1, (2.0, 5.0))), [2.0, 5.0])
-    assert np.allclose(openbook_fold(1, openbook_point(3, (2.0, 5.0))), [-2.0, 5.0])
-    assert np.allclose(openbook_fold(2, openbook_point(0, (0.0, 5.0))), [0.0, 5.0])
+    # the leaf chart at a base on leaf k is the fold f_k
+    space = OpenBookSpace(3, 1)
+    fold = [space.chart_at(openbook_point(k, (1.0, 0.0))).forward for k in (1, 2, 3)]
+    assert np.allclose(fold[0](openbook_point(1, (2.0, 5.0))), [2.0, 5.0])
+    assert np.allclose(fold[0](openbook_point(3, (2.0, 5.0))), [-2.0, 5.0])
+    assert np.allclose(fold[1](openbook_point(0, (0.0, 5.0))), [0.0, 5.0])
 
 
 def test_openbook_moments_example_three_leaves():
@@ -394,40 +405,35 @@ def test_openbook_frechet_mean_examples():
         + [openbook_point(2, (1.0, 0.0)) for _ in range(2)]
         + [openbook_point(3, (1.0, 0.0)) for _ in range(2)]
     )
-    mu = openbook_frechet_mean(sample, 3)
+    space = OpenBookSpace(3, 1)
+    mu = space.mean(sample)[0]
     assert mu.leaf == 1
     assert np.allclose(mu.data, [0.2, 0.0], atol=1e-15)
 
     sample2 = [openbook_point(k, (1.0, float(k))) for k in (1, 2, 3)]
-    mu2 = openbook_frechet_mean(sample2, 3)
+    mu2 = space.mean(sample2)[0]
     assert mu2.leaf == 0
     assert np.allclose(mu2.data, [0.0, 2.0])
 
     single = [openbook_point(2, (5.0, 1.0))]
-    assert openbook_frechet_mean(single, 3).close_to(openbook_point(2, (5.0, 1.0)))
+    assert space.mean(single)[0].close_to(openbook_point(2, (5.0, 1.0)))
 
 
 def test_at_most_one_positive_folded_mean(rng):
-    space = OpenBookSpace(3, 1)
-    for _ in range(10_000):
-        n = int(rng.integers(1, 12))
-        sample = [random_openbook(rng, 3, 1) for _ in range(n)]
-        mom = openbook_moments(sample, 3)
-        assert int(np.sum(mom.folded_means > 0.0)) <= 1
+    assert positive_folded_means(rng, rng.integers(1, 12, size=10_000)).max() <= 1
 
 
 def test_openbook_mean_minimizes_frechet_function(rng):
     space = OpenBookSpace(3, 2)
     for _ in range(1000):
-        n = int(rng.integers(2, 15))
-        sample = random_openbook_sample(rng, n)
-        mu = openbook_frechet_mean(sample, 3)
-        f_mu = frechet_value(space, sample, mu)
-        for cand in random_openbook_sample(rng, 100):
-            assert f_mu <= frechet_value(space, sample, cand) + 1e-12
+        sample = random_openbook_sample(rng, int(rng.integers(2, 15)))
+        candidates = Sample.join([space.mean(sample)[0].sample, random_openbook_sample(rng, 100)])
+        values = frechet_values(space, sample, candidates)
+        assert values[0] <= values[1:].min() + 1e-12
 
 
 def test_openbook_triangle_inequality_bulk(rng):
-    for _ in range(10_000):
-        p, q, r = (random_openbook(rng) for _ in range(3))
-        assert openbook_distance(p, r) <= openbook_distance(p, q) + openbook_distance(q, r) + 1e-12
+    space = OpenBookSpace(3, 2)
+    p, q, r = (random_openbook_sample(rng, 10_000) for _ in range(3))
+    via = space.distance_many(p, q) + space.distance_many(q, r)
+    assert np.all(space.distance_many(p, r) <= via + 1e-12)
