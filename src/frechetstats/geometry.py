@@ -626,5 +626,8 @@ def frechet_values(space, sample, candidates):
     m times."""
     sample, candidates = space.check_sample(sample), space.check_sample(candidates)
     n = len(sample)
+    # each point's distance to itself fills what the sample keeps for its
+    # distances (an SPD sample's matrix logs), which the repeats carry
+    space.distance_many(sample, sample)
     d = space.distance_many(sample.take(np.tile(np.arange(n), len(candidates))), candidates)
     return row_dots(d.reshape(-1, n) ** 2, np.full(n, 1.0 / n))

@@ -35,7 +35,8 @@ from .inference import two_sample_tests
 from .spaces.euclidean import EuclideanSpace
 from .spaces.openbook import OpenBookSpace
 from .spaces.spd import SPDSpace, _expm_sample, _vech_inv_rows, spd_exp_sample, spd_vech
-from .spaces.sphere import SphereSpace, _columns, _exp_rows, _logs, tangent_basis
+from .spaces.sphere import SphereSpace, _columns, _coordinate_norms, _coordinate_sum, _exp_rows
+from .spaces.sphere import _logs, tangent_basis
 from .streams import Streams, is_count
 
 #: estimation failures tolerated (as a fraction of replications) before a
@@ -44,7 +45,8 @@ FAILURE_BUDGET = 0.01
 
 #: sample points drawn and fitted together in one block of replications;
 #: bounds the memory of the batched experiments.  On the small-n Monte Carlo
-#: benchmark workload (one core of a 2-core Xeon, two runs each), blocks of
+#: benchmark workload as it was when BENCH_13.json was recorded (one core of
+#: a 2-core Xeon, two runs each; the kernels have changed since), blocks of
 #: 2,048, 4,096, 8,192 and 16,384 points ran 4,380, 5,440, 6,240 and 6,940
 #: replications/s at a peak RSS of 122.4, 124.4, 125.8 and 130.4 MB: the
 #: last doubling buys 11% for three times the memory step of the one before.
@@ -132,36 +134,40 @@ class SphereCapDescriptor:
         if self.radius == 0.0:
             return lambda rng, n: (np.empty((n, 0)),)
         if space.ambient_dim == 3:
-            return lambda rng, n: (np.column_stack([rng.random(n), rng.random(n)]),)
+            return lambda rng, n: (rng.random(n), rng.random(n))
         # the colatitude's CDF level, then a Gaussian tangent direction
-        return lambda rng, n: (
-            np.column_stack([rng.random(n), rng.standard_normal((n, space.chart_dim))]),
-        )
+        return lambda rng, n: (rng.random(n), rng.standard_normal((n, space.chart_dim)))
 
     def assemble(self, variates, space):
-        (v,) = variates
         center = self._center()
         if self.radius == 0.0:
-            return sphere_sample(np.tile(center, (len(v), 1)))
+            return sphere_sample(np.tile(center, (len(variates[0]), 1)))
+        level, direction = variates
         basis = tangent_basis(center)
         if space.ambient_dim == 3:
-            # exact inverse-CDF sampling of the colatitude on S^2
-            theta = np.arccos(1.0 - v[:, 0] * (1.0 - np.cos(self.radius)))
-            phi = 2.0 * np.pi * v[:, 1]
-            dirs = np.cos(phi)[:, None] * basis[0] + np.sin(phi)[:, None] * basis[1]
-            rows = np.cos(theta)[:, None] * center + np.sin(theta)[:, None] * dirs
-        else:
-            # on S^d, w = (1 - cos theta) / 2 is Beta(d/2, d/2) under the
-            # uniform law; invert its CDF truncated to the cap, w <= sin(r/2)^2
-            a = 0.5 * space.chart_dim
-            top = special.betainc(a, a, np.sin(0.5 * self.radius) ** 2)
-            w = special.betaincinv(a, a, v[:, 0] * top)
-            dirs = row_products(v[:, 1:], basis)
-            dirs /= row_norms(dirs)[:, None]
-            cos_t, sin_t = 1.0 - 2.0 * w, 2.0 * np.sqrt(w * (1.0 - w))
-            rows = cos_t[:, None] * center + sin_t[:, None] * dirs
-        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
-        return Sample("sphere", rows)  # unit rows by construction
+            # exact inverse-CDF sampling of the colatitude on S^2, the
+            # points built and normalized as (3, n) columns
+            theta = np.arccos(1.0 - level * (1.0 - np.cos(self.radius)))
+            phi = 2.0 * np.pi * direction
+            cos_t, sin_t, cos_p, sin_p = np.cos(theta), np.sin(theta), np.cos(phi), np.sin(phi)
+            cols, rows = np.empty((3, len(level))), np.empty((len(level), 3))
+            for k in range(3):
+                np.add(cos_t * center[k], sin_t * (cos_p * basis[0, k] + sin_p * basis[1, k]),
+                       out=cols[k])
+            nrm = np.sqrt(_coordinate_sum(cols * cols))
+            for k in range(3):
+                np.divide(cols[k], nrm, out=rows[:, k])
+            return Sample("sphere", rows)  # unit rows by construction
+        # on S^d, w = (1 - cos theta) / 2 is Beta(d/2, d/2) under the
+        # uniform law; invert its CDF truncated to the cap, w <= sin(r/2)^2
+        a = 0.5 * space.chart_dim
+        top = special.betainc(a, a, np.sin(0.5 * self.radius) ** 2)
+        w = special.betaincinv(a, a, level * top)
+        dirs = row_products(direction, basis)
+        dirs /= row_norms(dirs)[:, None]
+        cos_t, sin_t = 1.0 - 2.0 * w, 2.0 * np.sqrt(w * (1.0 - w))
+        rows = cos_t[:, None] * center + sin_t[:, None] * dirs
+        return Sample("sphere", rows / _coordinate_norms(rows)[:, None])  # unit rows by construction
 
     def population_mean(self, space):
         return sphere_point(self._center())

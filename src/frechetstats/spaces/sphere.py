@@ -14,6 +14,22 @@ geodesic distance) is an (..., n) array of one numpy operation per
 coordinate, summed over the coordinates in their order, where the row
 layout would reduce length-(d+1) rows one at a time.
 A point's arithmetic is thus its own, alone or in any stack.
+
+No block kernel reduces or broadcasts over the short coordinate axis
+(length 2 or 3 on S^2): numpy pays a loop per row there, and such a
+reduction of a (20, 400, 2) block costs about ten times the same sum laid
+out along a long axis, with the same bits.  So:
+
+- per-point norms and sums run over the coordinates (``_coordinate_sum``,
+  ``_coordinate_norms``), each term an operation over the n points;
+- the Newton gradient's mean over the sample sums its (n, R, s) layout
+  over axis 0, the points, one after the other as numpy's mean over axis
+  -2 of the (R, n, s) layout does;
+- Frechet functions and the Hessians' mean of theta*cot(theta) reduce
+  over the last axis of C-contiguous (..., n) arrays, numpy's pairwise sum;
+- the Hessians' outer products and the tangent coordinates are matrix
+  products over the points (BLAS), and every other per-point quantity is
+  one operation per coordinate.
 """
 
 from __future__ import annotations
@@ -82,6 +98,17 @@ def _coordinate_sum(a):
     return out
 
 
+def _coordinate_norms(rows):
+    """``np.linalg.norm(rows, axis=-1)`` of an (..., k) array, bit for bit,
+    as a C-contiguous array.  numpy adds fewer than 8 squares in order, so
+    a short row's squares are summed one coordinate at a time, each an
+    operation over the long axes; numpy adds 8 or more pairwise, and such
+    rows are left to it."""
+    if rows.shape[-1] >= 8:
+        return np.ascontiguousarray(np.linalg.norm(rows, axis=-1))
+    return np.sqrt(_coordinate_sum(np.swapaxes(rows * rows, -1, -2)))
+
+
 def _geodesics(cols, p):
     """Geodesic distances 2 arcsin(|y - p| / 2) from each row of ``p``
     (..., d+1) to the points y of the matching ``cols`` (..., d+1, n)."""
@@ -114,13 +141,16 @@ def _hessians(coords):
     the (..., n, s) log-map coordinates of the points in an orthonormal
     tangent basis at each base: the eigenvalues of Hess(d^2)/2 are 1 along
     the geodesic and theta*cot(theta) orthogonal to it (unit curvature)."""
-    theta = np.linalg.norm(coords, axis=-1)
+    theta = _coordinate_norms(coords)  # C-contiguous: t's mean is a pairwise sum in any layout
     small = theta < 1e-8
     safe = np.where(small, 1.0, theta)
     t = np.where(small, 1.0 - theta**2 / 3.0, safe / np.tan(safe))
-    u = coords / np.where(theta[..., None] < 1e-15, 1.0, theta[..., None])
-    u[theta < 1e-15] = 0.0
-    outer_sum = np.swapaxes(u * (1.0 - t)[..., None], -1, -2) @ u / coords.shape[-2]
+    unit = ~(theta < 1e-15)
+    u, w = np.zeros_like(coords), np.empty_like(coords)  # the unit directions, and (1 - t) u
+    for k in range(coords.shape[-1]):
+        np.divide(coords[..., k], theta, out=u[..., k], where=unit)
+        np.multiply(u[..., k], 1.0 - t, out=w[..., k])
+    outer_sum = np.swapaxes(w, -1, -2) @ u / coords.shape[-2]
     return 2.0 * (outer_sum + t.mean(axis=-1)[..., None, None] * np.eye(coords.shape[-1]))
 
 
@@ -134,25 +164,41 @@ def _newton_means(points, mu):
     in the tangent basis at the current mean where the Hessian there is
     positive definite, else the gradient step -g/2 (the Karcher step).  Each
     row halves its own step while the step raises its Frechet function,
-    with arithmetic independent of the other rows.  The samples are
-    iterated on as one (R, d+1, n) array of coordinates."""
+    with arithmetic independent of the other rows.  The samples still
+    iterating are carried as one (R', d+1, n) array of coordinates; a row
+    that stops leaves it."""
     cols = _columns(points)
     mu = np.array(mu)
     f_mu = (_geodesics(cols, mu) ** 2).mean(axis=-1)  # Frechet function at mu
+    means = mu.copy()
     iterations = np.full(len(mu), MEAN_MAX_ITER)
     grad_norms = np.empty(len(mu))
-    todo = np.ones(len(mu), dtype=bool)  # replications still iterating
+    live = np.arange(len(mu))  # the replications still iterating: the rows of cols, mu, f_mu
     for it in range(MEAN_MAX_ITER + 1):
-        basis = tangent_basis(mu)  # (R, d, d+1)
-        coords = np.swapaxes(_logs(cols, mu), -1, -2) @ np.swapaxes(basis, -1, -2)
-        g = -2.0 * coords.mean(axis=-2)
-        grad_norms[todo] = row_norms(g[todo])
-        done = todo & (grad_norms <= MEAN_TOL)
-        iterations[done] = it
-        todo &= ~done
-        if not todo.any() or it == MEAN_MAX_ITER:
+        basis = tangent_basis(mu)  # (R', d, d+1)
+        try:
+            logs = _logs(cols, mu)
+        except CutLocus as err:
+            cut = np.zeros((len(means), cols.shape[-1]), dtype=bool)
+            cut[live] = err.refused
+            raise CutLocus(str(err), cut) from None
+        # the log-map coordinates laid out (n, R', d), so that the gradient
+        # sums over the long axis 0, in the order of a sum over axis -2
+        coords = np.empty(cols.shape[-1:] + basis.shape[:-1])
+        np.matmul(np.swapaxes(logs, -1, -2), np.swapaxes(basis, -1, -2),
+                  out=np.swapaxes(coords, 0, 1))
+        g = -2.0 * (coords.sum(axis=0) / cols.shape[-1])
+        norms = row_norms(g)
+        grad_norms[live], means[live] = norms, mu
+        done = norms <= MEAN_TOL
+        iterations[live[done]] = it
+        if done.all() or it == MEAN_MAX_ITER:
             break
-        hess = _hessians(coords)
+        if done.any():
+            keep = ~done
+            live, cols, mu, f_mu = live[keep], cols[keep], mu[keep], f_mu[keep]
+            basis, coords, g = basis[keep], coords[:, keep], g[keep]
+        hess = _hessians(np.swapaxes(coords, 0, 1))
         newton = np.linalg.eigvalsh(hess)[:, 0] > 0.0
         x = -0.5 * g
         x[newton] = np.linalg.solve(hess[newton], -g[newton, :, None])[..., 0]
@@ -160,7 +206,7 @@ def _newton_means(points, mu):
         # allow rounding-level increases, or the damping can stall the
         # iteration just above the gradient tolerance
         limit = f_mu + 1e-15 * (1.0 + np.abs(f_mu))
-        moving, tau = todo.copy(), 1.0
+        moving, tau = np.ones(len(mu), dtype=bool), 1.0
         while moving.any():
             cand = _exp_rows(mu, tau * step)
             f = (_geodesics(cols, cand) ** 2).mean(axis=-1)
@@ -168,7 +214,7 @@ def _newton_means(points, mu):
             mu[ok], f_mu[ok] = cand[ok], f[ok]
             moving &= ~ok
             tau *= 0.5
-    return mu, iterations, grad_norms
+    return means, iterations, grad_norms
 
 
 class _TangentChart(Chart):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from frechetstats import geometry
+from frechetstats.spaces import spd as spd_module
 from frechetstats.errors import InvalidPoint, MixedSpacePoints, NonFiniteValue
 from frechetstats.geometry import (
     GRADIENT_STEP_SCALE,
@@ -316,6 +317,24 @@ def test_frechet_value_sphere_quarter_circles():
     sample = [sphere_point((1, 0, 0)), sphere_point((0, 1, 0))]
     value = frechet_values(sp, sample, sphere_point((0, 0, 1)))[0]
     assert value == pytest.approx((np.pi / 2) ** 2, abs=1e-12)
+
+
+def test_frechet_values_take_each_spd_log_once(monkeypatch):
+    rng = np.random.default_rng(31)
+    a = rng.normal(size=(140, 3, 3))
+    matrices = a @ np.swapaxes(a, 1, 2) + 0.5 * np.eye(3)
+    space = SPDSpace(3, "log_euclidean")
+    sample, candidates = spd_sample(matrices[:40]), spd_sample(matrices[40:])
+    decomposed = []
+    eigh = spd_module._eigh
+    monkeypatch.setattr(spd_module, "_eigh", lambda m: decomposed.append(len(m)) or eigh(m))
+    values = frechet_values(space, sample, candidates)
+    # the 40 sample matrices and the 100 candidates, each once (the sample
+    # repeated once per candidate took 4,000 logs)
+    assert sum(decomposed) == 140
+    weights = np.full(40, 1.0 / 40)
+    for i in range(0, 100, 9):
+        assert values[i] == geometry.row_dots(space.distance_many(sample, candidates[i]) ** 2, weights)
 
 
 def test_frechet_value_rejects_mixed_points():

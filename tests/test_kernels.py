@@ -1,18 +1,19 @@
 """The geometry kernels of the Monte Carlo hot path: the batched 3x3 Jacobi
-eigensolver that decomposes every SPD(3) stack, and the component-major
+eigensolver that decomposes every SPD(3) stack, the component-major
 sphere log map and geodesic distance of the Newton mean iteration and the
-geodesic charts.  Each is checked against the plain computation it
+geodesic charts, and the cap draw.  Each is checked against the plain computation it
 replaces, and for its rows' independence of their stack."""
 
 import numpy as np
 import pytest
+from scipy import special
 
 import frechetstats.spaces.spd as spd_module
 import frechetstats.spaces.sphere as sphere_module
 from frechetstats import simulate
 from frechetstats.errors import CutLocus, InvalidPoint, NoConvergence, NotPositiveDefinite
 from frechetstats.estimator import estimate_mean, stacked_sandwich
-from frechetstats.geometry import Sample, row_dots, row_norms
+from frechetstats.geometry import Sample, row_dots, row_norms, row_products
 from frechetstats.geometry import as_sample, spd_point, sphere_sample
 from frechetstats.simulate import (
     Sampler,
@@ -534,6 +535,148 @@ def test_geodesic_chart_kernels_match_the_row_layout(ambient, radius, n):
     assert close(chart.grad_h_many(np.zeros_like(x), points), -2.0 * logs)
     assert close(space.distance_many(sphere_sample(points[0]), means[0]),
                  _geodesic_rows(means.data[0], points[0]))
+
+
+def _hessian_rows(coords):
+    """The Hessians of ``_hessians`` on the (..., n, s) row layout, each
+    length-s row normed and scaled as one: its reference."""
+    theta = np.linalg.norm(coords, axis=-1)
+    small = theta < 1e-8
+    safe = np.where(small, 1.0, theta)
+    t = np.where(small, 1.0 - theta**2 / 3.0, safe / np.tan(safe))
+    u = coords / np.where(theta[..., None] < 1e-15, 1.0, theta[..., None])
+    u[theta < 1e-15] = 0.0
+    outer_sum = np.swapaxes(u * (1.0 - t)[..., None], -1, -2) @ u / coords.shape[-2]
+    return 2.0 * (outer_sum + t.mean(axis=-1)[..., None, None] * np.eye(coords.shape[-1]))
+
+
+def _newton_gradient_rows(points, mu):
+    """The Newton gradient -2 mean(log) at each row of ``mu`` in its
+    tangent basis, a mean over axis -2 of the (R, n, s) coordinates: the
+    reference for the sum over the long axis in ``_newton_means``."""
+    basis_t = np.swapaxes(sphere_module.tangent_basis(mu), -1, -2)
+    logs = sphere_module._logs(sphere_module._columns(points), mu)
+    return -2.0 * (np.swapaxes(logs, -1, -2) @ basis_t).mean(axis=-2)
+
+
+@pytest.mark.parametrize("ambient, radius, n", CAPS)
+def test_newton_hessians_and_gradients_match_the_row_layout(ambient, radius, n):
+    reps = 8
+    points = _cap_points(ambient, radius, n, reps)
+    start = _project_rows(points.mean(axis=1))
+    means, _, grad_norms = _newton_means(points, start)
+    assert np.array_equal(grad_norms, row_norms(_newton_gradient_rows(points, means)))
+    basis_t = np.swapaxes(sphere_module.tangent_basis(start), -1, -2)
+    coords = np.swapaxes(sphere_module._logs(sphere_module._columns(points), start), -1, -2) @ basis_t
+    coords[:, :3] = [[0.0], [1e-16], [1e-9]]  # the rows that are not unit or not tan-scaled
+    expected = _hessian_rows(coords)
+    assert np.array_equal(sphere_module._hessians(coords), expected)
+    # the (n, R, s) layout that the Newton iteration passes
+    assert np.array_equal(sphere_module._hessians(
+        np.ascontiguousarray(np.swapaxes(coords, 0, 1)).swapaxes(0, 1)), expected)
+
+
+def _cap_rows(descriptor, ambient, level, direction):
+    """The points of a cap draw built as (n, d+1) rows: the reference for
+    ``SphereCapDescriptor.assemble``."""
+    center = descriptor._center()
+    basis = sphere_module.tangent_basis(center)
+    if ambient == 3:
+        theta = np.arccos(1.0 - level * (1.0 - np.cos(descriptor.radius)))
+        phi = 2.0 * np.pi * direction
+        dirs = np.cos(phi)[:, None] * basis[0] + np.sin(phi)[:, None] * basis[1]
+        rows = np.cos(theta)[:, None] * center + np.sin(theta)[:, None] * dirs
+    else:
+        a = 0.5 * (ambient - 1)
+        top = special.betainc(a, a, np.sin(0.5 * descriptor.radius) ** 2)
+        w = special.betaincinv(a, a, level * top)
+        dirs = row_products(direction, basis)
+        dirs /= row_norms(dirs)[:, None]
+        cos_t, sin_t = 1.0 - 2.0 * w, 2.0 * np.sqrt(w * (1.0 - w))
+        rows = cos_t[:, None] * center + sin_t[:, None] * dirs
+    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("ambient", [3, 6, 10])
+@pytest.mark.parametrize("radius", [0.5, 2.9])
+def test_cap_draws_match_the_row_layout(ambient, radius):
+    center = np.zeros(ambient)
+    center[0], center[-1] = 0.6, 0.8
+    descriptor = SphereCapDescriptor(tuple(center), radius)
+    space = SphereSpace(ambient)
+    rng = np.random.default_rng(17)
+    level, direction = descriptor.variates(space)(rng, 3000)
+    got = descriptor.assemble((level, direction), space).data
+    assert got.flags.c_contiguous
+    assert np.array_equal(got, _cap_rows(descriptor, ambient, level, direction))
+
+
+def _slow_block(reps=20, slow=6, n=400):
+    """An (reps + slow, n, 3) block of narrow-cap samples (radius 0.5) with
+    ``slow`` wide-cap samples (radius 2.9) among them, and its starts."""
+    narrow, wide = _cap_points(3, 0.5, n, reps), _cap_points(3, 2.9, n, slow, seed=29)
+    order = np.random.default_rng(18).permutation(reps + slow)
+    points = np.concatenate([narrow, wide])[order]
+    return points, _project_rows(points.mean(axis=1))
+
+
+def test_newton_row_is_its_own_alone_or_in_a_block_with_slow_rows():
+    points, start = _slow_block()
+    means, iterations, grad_norms = _newton_means(points, start)
+    assert iterations.max() > 5 * np.median(iterations)  # the wide caps iterate longest
+    for r in range(len(points)):
+        alone = _newton_means(points[r:r + 1], start[r:r + 1])
+        assert np.array_equal(alone[0][0], means[r])
+        assert alone[1][0] == iterations[r] and np.array_equal(alone[2][0], grad_norms[r])
+
+
+def test_newton_row_refused_alone_is_refused_in_a_block(newton_budget):
+    points, _ = _slow_block()
+    space, budget = SphereSpace(3), 3
+    newton_budget(budget)
+    with pytest.raises(NoConvergence) as block:
+        space.mean_many(sphere_sample(points.reshape(-1, 3)), len(points))
+    means, iterations = block.value.fit
+    refused = block.value.refused
+    assert 0 < refused.sum() < len(points)
+    messages = []
+    for r in range(len(points)):
+        one = sphere_sample(points[r])
+        if refused[r]:
+            with pytest.raises(NoConvergence) as alone:
+                space.mean_many(one, 1)
+            messages.append(str(alone.value))
+            alone_means, alone_iterations = alone.value.fit
+        else:
+            alone_means, alone_iterations = space.mean_many(one, 1)
+        assert np.array_equal(alone_means.data[0], means.data[r])
+        assert alone_iterations[0] == iterations[r]
+    # the block's message quotes the first refused replication's gradient
+    assert str(block.value) == messages[0]
+
+
+def test_newton_means_mask_a_cut_locus_among_the_live_rows(monkeypatch):
+    # replication 0 converges at once; the cut locus met at the second step
+    # masks replication 1 of the whole block, not row 0 of the live rows
+    points = _cap_points(3, 0.5, 50, 3).copy()
+    points[0] = points[0, 0]
+    start = _project_rows(points.mean(axis=1))
+    logs, calls = sphere_module._logs, []
+
+    def cut_on_second_call(cols, base):
+        calls.append(len(base))
+        if len(calls) == 2:
+            cut = np.zeros(cols.shape[::2], dtype=bool)
+            cut[0, 7] = True
+            raise CutLocus("log map requested at the cut locus (antipode of base)", cut)
+        return logs(cols, base)
+
+    monkeypatch.setattr(sphere_module, "_logs", cut_on_second_call)
+    with pytest.raises(CutLocus) as err:
+        _newton_means(points, start)
+    assert calls == [3, 2]
+    assert err.value.refused.shape == (3, 50)
+    assert np.flatnonzero(err.value.refused).tolist() == [57]
 
 
 def test_numeric_sandwich_copies_its_sample_component_major_once(monkeypatch):
