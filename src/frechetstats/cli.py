@@ -126,7 +126,7 @@ def load_points(path, space_kind, metric=None):
             space = OpenBookSpace(max(2, int(sample.leaves.max())), len(columns) - 2)
     except InvalidPoint as exc:
         refusals.check(exc.refused, str(exc))
-    except ValueError as exc:  # a metric the space does not have
+    except InvalidDescriptor as exc:  # a metric the space does not have
         raise CLIInputError(str(exc)) from None
     raise_refused(refusals, numbers, error)
     return space, space.check_sample(sample)

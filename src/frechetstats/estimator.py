@@ -65,7 +65,7 @@ def estimate_mean(space, sample):
     Parameters
     ----------
     space : Space
-    sample : Sample or sequence of Point
+    sample : Sample, or a Point for one row
         Nonempty, all of the space's kind.
 
     Raises
@@ -208,7 +208,7 @@ def confidence_region_contains(fit, candidate_chart_coords, alpha):
     chi-square(s) quantile at level 1 - alpha (boundary inclusive).
     """
     if fit.asym_cov is None:
-        raise ValueError("fit has no covariance; run sandwich_covariance first")
+        raise InvalidDescriptor("fit has no covariance; run sandwich_covariance first")
     contains = confidence_regions_contain(
         fit.n, fit.chart_coords[None], fit.asym_cov[None], candidate_chart_coords, alpha
     )
@@ -227,7 +227,7 @@ def confidence_regions_contain(n, coords, asym_covs, candidate_chart_coords, alp
     from .inference import chi2_quantile
 
     if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must be in (0, 1)")
+        raise InvalidDescriptor("alpha must be in (0, 1)")
     if coords.shape[-1] == 0:
         return np.ones(len(coords), dtype=bool)  # a pinned mean: the region is the whole chart
     d = coords - np.asarray(candidate_chart_coords, dtype=float)

@@ -67,11 +67,6 @@ class Point:
     def leaf(self):
         return 0 if self.sample.leaves is None else int(self.sample.leaves[0])
 
-    def close_to(self, other, atol=1e-12):
-        if self.kind != other.kind or self.leaf != other.leaf:
-            return False
-        return bool(np.allclose(self.data, other.data, rtol=0.0, atol=atol))
-
     def __repr__(self):
         if self.kind == "openbook":
             return f"Point(openbook, leaf={self.leaf}, {np.array2string(self.data, precision=6)})"
@@ -351,16 +346,13 @@ def openbook_sample(leaves, coords):
 
 
 def as_sample(sample):
-    """``sample`` as one Sample: a Sample is returned as is, a Point as its
-    own Sample, and a list or tuple of Points (validated when they were
-    built) as the join of theirs.  TooFewPoints for an empty sample,
-    MixedSpacePoints for anything else."""
+    """``sample`` as one Sample: a Sample is returned as is and a Point as
+    its own Sample.  TooFewPoints for an empty Sample, MixedSpacePoints for
+    anything else (a list or tuple of Points too)."""
     if isinstance(sample, Point):
         return sample.sample
-    if isinstance(sample, (list, tuple)) and all(isinstance(p, Point) for p in sample):
-        sample = Sample.join([p.sample for p in sample]) if sample else sample
-    elif not isinstance(sample, Sample):
-        raise MixedSpacePoints(f"expected Points, got {type(sample).__name__}")
+    if not isinstance(sample, Sample):
+        raise MixedSpacePoints(f"expected a Sample or a Point, got {type(sample).__name__}")
     if len(sample) == 0:
         raise TooFewPoints("sample must be nonempty")
     return sample
@@ -501,11 +493,6 @@ class Chart(ABC):
         """The (n, s) images a two-sample test compares: the chart map."""
         return self.forward_many(sample)
 
-    def h(self, x, q):
-        """h(x; q) of this space's Point ``q`` (the batch of one of ``h_many``)."""
-        packed = self.pack(self.space.point_sample(q))
-        return float(self.h_many(np.asarray(x, dtype=float), packed)[0])
-
     def grad_h_many(self, x, packed):
         """Analytic (n, s) gradient rows of h(.; Y_j) at x, or None."""
         return None
@@ -580,8 +567,8 @@ class Space(ABC):
         charts at a Sample of R bases stacked in one chart (see ``Chart``)."""
 
     def check_sample(self, sample):
-        """The sample (a Sample, a Point or a sequence of Points) as one
-        Sample of this space (see ``as_sample``); a Point's is its own."""
+        """The sample (a Sample, or a Point for one row) as one Sample of
+        this space (see ``as_sample``)."""
         sample = as_sample(sample)
         if sample.kind != self.kind:
             raise MixedSpacePoints(f"expected a {self.kind} point, got {sample.kind}")
@@ -621,7 +608,7 @@ def mean_gradient(chart, x, packed):
 
 def frechet_values(space, sample, candidates):
     """Empirical Frechet function, the mean squared distance from the
-    sample's points, at each of m candidates (a Point, Points or a Sample),
+    sample's points, at each of m candidates (a Point or a Sample),
     as an (m,) array: one grouped ``distance_many`` of the sample repeated
     m times."""
     sample, candidates = space.check_sample(sample), space.check_sample(candidates)

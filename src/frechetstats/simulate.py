@@ -32,10 +32,8 @@ from .geometry import Sample, euclidean_point, euclidean_sample, openbook_point
 from .geometry import openbook_sample, row_norms, row_products
 from .geometry import sphere_point, sphere_sample
 from .inference import two_sample_tests
-from .spaces.euclidean import EuclideanSpace
-from .spaces.openbook import OpenBookSpace
-from .spaces.spd import SPDSpace, _expm_sample, _vech_inv_rows, spd_exp_sample, spd_vech
-from .spaces.sphere import SphereSpace, _columns, _coordinate_norms, _coordinate_sum, _exp_rows
+from .spaces.spd import _expm_sample, _vech_inv_rows, spd_exp_sample, spd_vech
+from .spaces.sphere import _columns, _coordinate_norms, _coordinate_sum, _exp_rows
 from .spaces.sphere import _logs, tangent_basis
 from .streams import Streams, is_count
 
@@ -77,7 +75,7 @@ class GaussianDescriptor:
         return c
 
     def validate(self, space):
-        if not isinstance(space, EuclideanSpace):
+        if getattr(space, "kind", None) != "euclidean":
             raise InvalidDescriptor("gaussian descriptor requires a Euclidean space")
         m = np.asarray(self.mean, dtype=float)
         if m.shape != (space.dim,):
@@ -116,7 +114,7 @@ class SphereCapDescriptor:
     radius: float
 
     def validate(self, space):
-        if not isinstance(space, SphereSpace):
+        if getattr(space, "kind", None) != "sphere":
             raise InvalidDescriptor("cap descriptor requires a sphere space")
         c = np.asarray(self.center, dtype=float)
         if c.shape != (space.ambient_dim,):
@@ -182,7 +180,7 @@ class SphereTwoPointDescriptor:
     b: tuple
 
     def validate(self, space):
-        if not isinstance(space, SphereSpace):
+        if getattr(space, "kind", None) != "sphere":
             raise InvalidDescriptor("two-point descriptor requires a sphere space")
         for v in (self.a, self.b):
             u = np.asarray(v, dtype=float)
@@ -214,7 +212,7 @@ class SPDLogGaussianDescriptor:
     scale: float
 
     def validate(self, space):
-        if not isinstance(space, SPDSpace):
+        if getattr(space, "kind", None) != "spd":
             raise InvalidDescriptor("spd descriptor requires an SPD space")
         m = np.asarray(self.mean_log, dtype=float)
         if m.shape != (space.p, space.p) or not np.allclose(m, m.T, atol=1e-10):
@@ -283,7 +281,7 @@ class OpenBookDescriptor:
         return fams
 
     def validate(self, space):
-        if not isinstance(space, OpenBookSpace):
+        if getattr(space, "kind", None) != "openbook":
             raise InvalidDescriptor("open-book descriptor requires an open-book space")
         probs = np.asarray(self.leaf_probs, dtype=float)
         if probs.shape != (space.n_leaves,):
@@ -577,7 +575,7 @@ def mc_stickiness(sampler, n, reps):
     """
     _check_run(reps, n=n)
     space = sampler.space
-    if not isinstance(space, OpenBookSpace):
+    if getattr(space, "kind", None) != "openbook":
         raise InvalidDescriptor("mc_stickiness requires an open-book sampler")
     pop_m = sampler.descriptor.population_folded_means(space)
     pop_leaf = int(np.argmax(pop_m)) + 1 if float(np.max(pop_m)) > 0.0 else 0

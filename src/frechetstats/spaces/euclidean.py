@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..errors import InvalidDescriptor
 from ..geometry import FlatChart, Space, euclidean_point, euclidean_sample, group_differences
 from ..geometry import row_norms
 
@@ -33,7 +34,7 @@ class EuclideanSpace(Space):
 
     def __init__(self, dim):
         if dim < 1:
-            raise ValueError("dimension must be >= 1")
+            raise InvalidDescriptor("dimension must be >= 1")
         self.dim = int(dim)
         self.chart_dim = self.dim
         self.point_shape = (self.dim,)

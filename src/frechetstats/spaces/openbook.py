@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import InvalidPoint
+from ..errors import InvalidDescriptor, InvalidPoint
 from ..geometry import FlatChart, Sample, Space, as_sample, group_differences, openbook_point
 from ..geometry import row_norms
 
@@ -179,9 +179,9 @@ class OpenBookSpace(Space):
 
     def __init__(self, n_leaves, spine_dim):
         if n_leaves < 2:
-            raise ValueError("an open book needs at least 2 leaves")
+            raise InvalidDescriptor("an open book needs at least 2 leaves")
         if spine_dim < 0:
-            raise ValueError("spine dimension must be >= 0")
+            raise InvalidDescriptor("spine dimension must be >= 0")
         self.n_leaves = int(n_leaves)
         self.spine_dim = int(spine_dim)
         self.chart_dim = self.spine_dim + 1

@@ -34,7 +34,7 @@ import functools
 
 import numpy as np
 
-from ..errors import InvalidPoint, NotPositiveDefinite
+from ..errors import InvalidDescriptor, InvalidPoint, NotPositiveDefinite
 from ..geometry import FlatChart, Sample, Space, group_differences, row_norms, spd_point
 from ..geometry import spd_sample
 from ..geometry import UPPER_COLUMNS, matrix_to_upper, upper_to_matrix  # noqa: F401 (re-exported)
@@ -197,7 +197,7 @@ def spd_vech_inv(x, p):
     """Inverse of spd_vech for a p x p symmetric matrix."""
     x = np.asarray(x, dtype=float)
     if x.shape != (p * (p + 1) // 2,):
-        raise ValueError(f"expected a vector of length {p * (p + 1) // 2}")
+        raise InvalidPoint(f"expected a vector of length {p * (p + 1) // 2}")
     return _vech_inv_rows(x[None], p)[0]
 
 
@@ -294,9 +294,9 @@ class SPDSpace(Space):
 
     def __init__(self, p, metric="log_euclidean"):
         if p < 1:
-            raise ValueError("matrix size must be >= 1")
+            raise InvalidDescriptor("matrix size must be >= 1")
         if metric not in ("euclidean", "log_euclidean"):
-            raise ValueError(f"unknown spd metric {metric!r}")
+            raise InvalidDescriptor(f"unknown spd metric {metric!r}")
         self.p = int(p)
         self.metric = metric
         self.chart_dim = self.p * (self.p + 1) // 2

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import CutLocus, InvalidPoint, NoConvergence, NonUniqueProjection
+from ..errors import CutLocus, InvalidDescriptor, InvalidPoint, NoConvergence, NonUniqueProjection
 from ..geometry import Chart, Point, Space, group_differences, row_dots, row_norms, row_products
 from ..geometry import sphere_point, sphere_sample
 
@@ -350,9 +350,9 @@ class SphereSpace(Space):
 
     def __init__(self, ambient_dim, metric="intrinsic"):
         if ambient_dim < 2:
-            raise ValueError("ambient dimension must be >= 2")
+            raise InvalidDescriptor("ambient dimension must be >= 2")
         if metric not in ("intrinsic", "extrinsic"):
-            raise ValueError(f"unknown sphere metric {metric!r}")
+            raise InvalidDescriptor(f"unknown sphere metric {metric!r}")
         self.ambient_dim = int(ambient_dim)
         self.metric = metric
         self.chart_dim = self.ambient_dim - 1

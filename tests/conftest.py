@@ -7,7 +7,7 @@ import pytest
 
 import frechetstats.spaces.sphere as sphere_module
 from frechetstats.geometry import Chart, Space, euclidean_sample, openbook_sample, row_norms
-from frechetstats.geometry import spd_sample, sphere_point, sphere_sample
+from frechetstats.geometry import spd_sample, sphere_sample
 from frechetstats.spaces import EuclideanSpace, OpenBookSpace, SPDSpace, SphereSpace
 from frechetstats.spaces.openbook import _folded_means
 from frechetstats.spaces.spd import _vech_inv_rows, spd_expm
@@ -87,10 +87,15 @@ def random_point(space, rng):
     return random_points(space, rng, 1)[0]
 
 
+def sphere_exp_sample(base, v):
+    """The sphere Sample of exp_base(v) of each row of an (n, d+1) ``v``, by
+    the sphere's exponential-map kernel."""
+    return sphere_sample(_exp_rows(np.asarray(base, dtype=float), np.asarray(v, dtype=float)))
+
+
 def sphere_exp_point(base, v):
     """The sphere Point exp_base(v), by the sphere's exponential-map kernel."""
-    base, v = (np.asarray(a, dtype=float)[None] for a in (base, v))
-    return sphere_point(_exp_rows(base, v)[0])
+    return sphere_exp_sample(base, np.asarray(v, dtype=float)[None])[0]
 
 
 def space_instances():

@@ -44,7 +44,7 @@ def test_criterion_1_euclidean_oracle():
     worst_mean, worst_cov = 0.0, 0.0
     for _ in range(100):
         rows = rng.normal(size=(50, 6)) @ np.diag(rng.uniform(0.5, 2.0, size=6))
-        sample = [fs.euclidean_point(r) for r in rows]
+        sample = fs.euclidean_sample(rows)
         fit = fs.sandwich_covariance(space, sample, fs.estimate_mean(space, sample))
         worst_mean = max(worst_mean, float(np.max(np.abs(fit.mean.data - rows.mean(axis=0)))))
         cov = np.cov(rows, rowvar=False, ddof=0)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,16 +17,34 @@ from frechetstats.estimator import (
     estimate_mean,
     sandwich_covariance,
 )
-from frechetstats.geometry import Space, euclidean_point, openbook_point, spd_sample, sphere_point
+from frechetstats.geometry import (
+    Sample,
+    Space,
+    euclidean_point,
+    euclidean_sample,
+    openbook_point,
+    openbook_sample,
+    sphere_sample,
+)
 from frechetstats.inference import chi2_quantile
 from frechetstats.spaces import EuclideanSpace, OpenBookSpace, SPDSpace, SphereSpace
 from frechetstats.spaces.spd import _vech_rows, spd_logm
 
-from conftest import AffineChartSpace, random_point, space_instances, sphere_exp_point
+from conftest import AffineChartSpace, random_points, space_instances
+from conftest import sphere_exp_sample
 
 
 def euclid_sample(rng, n=40, dim=3):
-    return [euclidean_point(v) for v in rng.normal(size=(n, dim))]
+    return euclidean_sample(rng.normal(size=(n, dim)))
+
+
+def near_pole(sample, radius):
+    """The sphere Sample of the exponentials at the pole e3 of ``radius``
+    times the tangent part at e3 of each point of ``sample``: a sample in
+    the geodesic ball of that radius about e3."""
+    center = np.array([0.0, 0.0, 1.0])
+    v = sample.data
+    return sphere_exp_sample(center, radius * v - radius * (v @ center)[:, None] * center)
 
 
 # ---------------------------------------------------------------------------
@@ -33,7 +53,7 @@ def euclid_sample(rng, n=40, dim=3):
 
 def test_mean_euclidean_triangle():
     sp = EuclideanSpace(2)
-    fit = estimate_mean(sp, [euclidean_point(v) for v in [(0, 0), (2, 0), (1, 3)]])
+    fit = estimate_mean(sp, euclidean_sample([(0, 0), (2, 0), (1, 3)]))
     assert np.allclose(fit.mean.data, [1.0, 1.0], atol=1e-15)
     assert fit.strategy == "closed_form"
 
@@ -41,9 +61,7 @@ def test_mean_euclidean_triangle():
 def test_mean_sphere_symmetric_pair_is_pole():
     sp = SphereSpace(3)
     pole = np.array([0.0, 0.0, 1.0])
-    a = sphere_exp_point(pole, (0.7, 0.0, 0.0))
-    b = sphere_exp_point(pole, (-0.7, 0.0, 0.0))
-    fit = estimate_mean(sp, [a, b])
+    fit = estimate_mean(sp, sphere_exp_sample(pole, [(0.7, 0.0, 0.0), (-0.7, 0.0, 0.0)]))
     assert np.allclose(fit.mean.data, pole, atol=1e-12)
     assert fit.strategy == "newton"
     assert fit.grad_norm <= 1e-10
@@ -52,28 +70,27 @@ def test_mean_sphere_symmetric_pair_is_pole():
 def test_mean_openbook_single_point():
     sp = OpenBookSpace(3, 1)
     p = openbook_point(2, (5.0, 1.0))
-    fit = estimate_mean(sp, [p])
-    assert fit.mean.close_to(p)
+    fit = estimate_mean(sp, p)
+    assert (fit.mean.kind, fit.mean.leaf) == (p.kind, p.leaf)
+    assert np.allclose(fit.mean.data, p.data, rtol=0.0, atol=1e-12)
     assert fit.strategy == "openbook_exact"
 
 
 def test_mean_rejects_mixed_sample():
     sp = EuclideanSpace(3)
     with pytest.raises(MixedSpacePoints):
-        estimate_mean(sp, [euclidean_point((0, 0, 0)), sphere_point((0, 0, 1))])
+        estimate_mean(sp, sphere_sample([(0.0, 0.0, 1.0)]))
+    with pytest.raises(MixedSpacePoints):
+        Sample.join([euclidean_sample([(0.0, 0.0, 0.0)]), sphere_sample([(0.0, 0.0, 1.0)])])
 
 
 @pytest.mark.parametrize("space", space_instances(), ids=repr)
 def test_stationarity_of_fitted_mean(space, rng):
     for _ in range(10):
-        sample = [random_point(space, rng) for _ in range(30)]
+        sample = random_points(space, rng, 30)
         if space.kind == "sphere":
             # keep the sample in one geodesic ball so the mean is unique
-            center = np.array([0.0, 0.0, 1.0])
-            sample = [
-                sphere_exp_point(center, 0.4 * v.data - 0.4 * (v.data @ center) * center)
-                for v in sample
-            ]
+            sample = near_pole(sample, 0.4)
         fit = estimate_mean(space, sample)
         assert fit.grad_norm <= 1e-10
 
@@ -94,8 +111,10 @@ def test_a_space_without_mean_many_cannot_be_instantiated():
 
 
 @pytest.mark.parametrize("space", space_instances(), ids=repr)
-def test_an_empty_sample_has_no_mean(space):
+def test_an_empty_sample_has_no_mean(space, rng):
     with pytest.raises(TooFewPoints, match="sample must be nonempty"):
+        estimate_mean(space, random_points(space, rng, 1).take(slice(0, 0)))
+    with pytest.raises(MixedSpacePoints, match="got list"):
         estimate_mean(space, [])
 
 
@@ -103,14 +122,14 @@ def test_no_convergence_carries_diagnostics(rng, newton_budget):
     newton_budget(1, tol=1e-15)
     sp = SphereSpace(3)
     center = np.array([0.0, 0.0, 1.0])
-    sample = []
+    steps = []
     for _ in range(9):
         v = rng.normal(size=3)
         v -= (v @ center) * center
         v *= rng.uniform(0.1, 0.9) / np.linalg.norm(v)
-        sample.append(sphere_exp_point(center, v))
+        steps.append(v)
     with pytest.raises(NoConvergence) as err:
-        estimate_mean(sp, sample)
+        estimate_mean(sp, sphere_exp_sample(center, steps))
     assert err.value.fit is not None
     assert err.value.fit.iterations == 1
 
@@ -121,7 +140,7 @@ def test_no_convergence_carries_diagnostics(rng, newton_budget):
 
 def test_sandwich_two_point_line():
     sp = EuclideanSpace(1)
-    sample = [euclidean_point([-1.0]), euclidean_point([1.0])]
+    sample = euclidean_sample([[-1.0], [1.0]])
     fit = sandwich_covariance(sp, sample, estimate_mean(sp, sample))
     assert fit.lambda_n[0, 0] == pytest.approx(2.0, abs=1e-12)
     assert fit.c_n[0, 0] == pytest.approx(4.0, abs=1e-12)
@@ -140,8 +159,7 @@ def test_euclidean_sandwich_equals_sample_covariance(rng):
     sp = EuclideanSpace(4)
     sample = euclid_sample(rng, n=60, dim=4)
     fit = sandwich_covariance(sp, sample, estimate_mean(sp, sample))
-    rows = np.stack([p.data for p in sample])
-    cov = np.cov(rows, rowvar=False, ddof=0)
+    cov = np.cov(sample.data, rowvar=False, ddof=0)
     assert np.allclose(fit.asym_cov, cov, atol=1e-8)
     assert np.allclose(fit.lambda_n, 2.0 * np.eye(4), atol=1e-12)
     assert np.allclose(fit.c_n, 4.0 * cov, atol=1e-8)
@@ -149,9 +167,9 @@ def test_euclidean_sandwich_equals_sample_covariance(rng):
 
 def test_spd_log_euclidean_sandwich_is_chart_covariance(rng):
     sp = SPDSpace(3, "log_euclidean")
-    sample = [random_point(sp, rng) for _ in range(50)]
+    sample = random_points(sp, rng, 50)
     fit = sandwich_covariance(sp, sample, estimate_mean(sp, sample))
-    vecs = _vech_rows(spd_logm(np.stack([p.data for p in sample])))
+    vecs = _vech_rows(spd_logm(sample.data))
     cov = np.cov(vecs, rowvar=False, ddof=0)
     assert np.allclose(fit.asym_cov, cov, atol=1e-8)
 
@@ -167,13 +185,9 @@ def test_numeric_and_analytic_sandwich_agree(rng):
 
 def test_sandwich_matrices_are_valid(rng):
     for space in space_instances():
-        sample = [random_point(space, rng) for _ in range(25)]
+        sample = random_points(space, rng, 25)
         if space.kind == "sphere":
-            center = np.array([0.0, 0.0, 1.0])
-            sample = [
-                sphere_exp_point(center, 0.3 * (p.data - (p.data @ center) * center))
-                for p in sample
-            ]
+            sample = near_pole(sample, 0.3)
         fit = sandwich_covariance(space, sample, estimate_mean(space, sample))
         assert np.min(np.linalg.eigvalsh(fit.c_n)) >= -1e-10  # PSD
         assert np.allclose(fit.asym_cov, fit.asym_cov.T, atol=1e-10)
@@ -192,7 +206,7 @@ def test_near_singular_hessian_raises(rng):
 
 def test_degenerate_spine_zero_dimensional_chart():
     sp = OpenBookSpace(2, 0)
-    sample = [openbook_point(1, (1.0,)), openbook_point(2, (1.0,))]
+    sample = openbook_sample([1, 2], [(1.0,), (1.0,)])
     fit = estimate_mean(sp, sample)
     assert fit.mean.leaf == 0
     fit = sandwich_covariance(sp, sample, fit)
@@ -247,6 +261,16 @@ def test_region_boundary_is_inclusive():
     assert confidence_region_contains(fit, candidate, 0.05)
 
 
+def test_a_region_needs_a_covariance_and_a_level_in_the_unit_interval():
+    fit = _manual_fit([0.0, 0.0], np.eye(2), 10)
+    no_covariance = dataclasses.replace(fit, asym_cov=None)
+    with pytest.raises(InvalidDescriptor, match="^fit has no covariance; run sandwich_covariance first$"):
+        confidence_region_contains(no_covariance, [0.1, 0.1], 0.05)
+    for alpha in (0.0, 1.0, 1.5):
+        with pytest.raises(InvalidDescriptor, match=r"^alpha must be in \(0, 1\)$"):
+            confidence_region_contains(fit, [0.1, 0.1], alpha)
+
+
 def test_region_near_singular_covariance():
     fit = _manual_fit([0.0, 0.0], np.diag([1.0, 1e-13]), 10)
     with pytest.raises(NearSingularCovariance):
@@ -283,7 +307,7 @@ def test_spd_fit_and_sandwich_take_the_matrix_log_once(rng, monkeypatch):
 
     monkeypatch.setattr(spd_module, "spd_logm", counted)
     sp = SPDSpace(3, "log_euclidean")
-    sample = spd_sample(np.stack([random_point(sp, rng).data for _ in range(40)]))
+    sample = random_points(sp, rng, 40)
     fit = sandwich_covariance(sp, sample, estimate_mean(sp, sample))
     assert fit.asym_cov.shape == (6, 6)
     assert calls == [40]  # the sample; the mean's chart coordinates are its mean log

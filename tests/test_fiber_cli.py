@@ -368,6 +368,7 @@ def test_cli_test2_refuses_alpha_outside_the_unit_interval(alpha, tmp_path, caps
 @pytest.mark.parametrize("command", ["mean", "test2"])
 @pytest.mark.parametrize("space, metric, text", [
     pytest.param("sphere", "bogus", "x,y,z\n0,0,1\n0,1,0\n1,0,0\n", id="sphere"),
+    pytest.param("sphere", "riemann", "x,y,z\n0,0,1\n0,1,0\n1,0,0\n", id="sphere-riemann"),
     pytest.param("spd", "intrinsic", ",".join(UPPER_COLUMNS) + "\n1,0,0,1,0,1\n2,0,0,1,0,1\n",
                  id="spd"),
 ])
@@ -642,6 +643,8 @@ def test_cli_simulate_refuses_non_integral_sizes(experiment, changes, field, tmp
         pytest.param({"distribution": 7}, "distribution must be a JSON object, got 7", id="distribution"),
         pytest.param({"space": {"kind": "sphere", "ambient_dim": 2, "metric": 5}},
                      "metric must be a string, got 5", id="metric"),
+        pytest.param({"space": {"kind": "sphere", "ambient_dim": 1}},
+                     "ambient dimension must be >= 2", id="ambient_dim-1"),
     ],
 )
 def test_cli_simulate_refuses_malformed_descriptors(changes, message, tmp_path, capsys):

@@ -3,10 +3,12 @@ import pytest
 
 from frechetstats import geometry
 from frechetstats.spaces import spd as spd_module
-from frechetstats.errors import InvalidPoint, MixedSpacePoints, NonFiniteValue
+from frechetstats.errors import InvalidPoint, MixedSpacePoints, NonFiniteValue, TooFewPoints
 from frechetstats.geometry import (
     GRADIENT_STEP_SCALE,
     HESSIAN_STEP_SCALE,
+    Sample,
+    as_sample,
     euclidean_point,
     euclidean_sample,
     frechet_values,
@@ -140,11 +142,14 @@ def test_openbook_point_canonicalizes_spine():
 
 def test_wrong_payload_shape_or_leaf_label_raises_invalid_point():
     with pytest.raises(InvalidPoint):
+        estimate_mean(EuclideanSpace(3), euclidean_point([1.0, 2.0]))
+    with pytest.raises(InvalidPoint):
+        estimate_mean(OpenBookSpace(2, 1), openbook_point(3, (1.0, 0.0)))
+    with pytest.raises(InvalidPoint):
+        openbook_moments(openbook_point(3, (1.0, 0.0)), 2)
+    # a list of Points is no sample, whatever its Points hold
+    with pytest.raises(MixedSpacePoints, match="got list"):
         estimate_mean(EuclideanSpace(3), [euclidean_point([1.0, 2.0])])
-    with pytest.raises(InvalidPoint):
-        estimate_mean(OpenBookSpace(2, 1), [openbook_point(3, (1.0, 0.0))])
-    with pytest.raises(InvalidPoint):
-        openbook_moments([openbook_point(3, (1.0, 0.0))], 2)
 
 
 def test_openbook_leaf_label_beyond_n_leaves_is_caught_in_any_row():
@@ -245,7 +250,8 @@ def test_a_point_is_the_one_row_sample_of_its_index(sample):
         assert np.array_equal(p.sample.data, sample.data[i : i + 1])
         assert np.array_equal(p.data, sample.data[i])
         assert p.leaf == (0 if sample.leaves is None else sample.leaves[i])
-        assert sample[i - n].close_to(p, atol=0.0)  # negative indices count from the end
+        back = sample[i - n]  # negative indices count from the end
+        assert (back.kind, back.leaf) == (p.kind, p.leaf) and np.array_equal(back.data, p.data)
     assert np.array_equal(sample[-1].data, sample.data[-1])
     for i in (n, -n - 1):
         with pytest.raises(IndexError):
@@ -254,12 +260,15 @@ def test_a_point_is_the_one_row_sample_of_its_index(sample):
 
 def test_points_and_lists_of_points_are_checked_as_samples():
     space = EuclideanSpace(2)
+    p = euclidean_point((0.0, 1.0))
+    assert space.check_sample(p) is p.sample  # a Point is its one-row Sample
+    # a Sample holds one kind and one payload shape
     with pytest.raises(MixedSpacePoints):
-        space.check_sample([euclidean_point((0.0, 1.0)), sphere_point((0.0, 1.0))])
+        Sample.join([p.sample, sphere_point((0.0, 1.0)).sample])
     with pytest.raises(MixedSpacePoints, match="mixes euclidean points of shape"):
-        space.check_sample([euclidean_point((0.0, 1.0)), euclidean_point((0.0, 1.0, 2.0))])
-    with pytest.raises(MixedSpacePoints):
-        space.check_sample([euclidean_point((0.0, 1.0)), np.zeros(2)])
+        Sample.join([p.sample, euclidean_point((0.0, 1.0, 2.0)).sample])
+    with pytest.raises(MixedSpacePoints, match="got list"):
+        space.check_sample([p, np.zeros(2)])
     # a single-point argument is a Point, not a Sample of several rows, and
     # the targets of distance_many are a Point or as many rows as form groups
     sample = euclidean_sample([[0.0, 0.0], [1.0, 0.0]])
@@ -286,12 +295,30 @@ def test_grouped_distances_are_the_per_pair_distances(space, rng):
         assert rows.tolist() == pairs
 
 
-def test_a_chart_checks_the_point_of_h_against_its_space():
+def test_a_list_or_tuple_of_points_is_refused():
+    space = EuclideanSpace(2)
+    p, q = euclidean_point((0.0, 1.0)), euclidean_point((1.0, 0.0))
+    calls = {
+        "list": [lambda: as_sample([p]), lambda: estimate_mean(space, [p]),
+                 lambda: estimate_mean(space, []), lambda: frechet_values(space, [p, q], q)],
+        "tuple": [lambda: space.check_sample((p, q)), lambda: as_sample(()),
+                  lambda: sandwich_covariance(space, (p, q), estimate_mean(space, p)),
+                  lambda: two_sample_test(space, (p, q), (q, p))],
+    }
+    for name, refused in calls.items():
+        for call in refused:
+            with pytest.raises(MixedSpacePoints, match=f"got {name}"):
+                call()
+    # an empty Sample is a sample too small for a mean
+    with pytest.raises(TooFewPoints, match="sample must be nonempty"):
+        estimate_mean(space, euclidean_sample(np.zeros((0, 2))))
+
+
+def test_a_chart_checks_the_point_of_forward_against_its_space():
     pole = sphere_point((0.0, 0.0, 1.0))
-    for chart, x in ((EuclideanSpace(3).chart_at(None), np.zeros(3)),
-                     (SPDSpace(3, "euclidean").chart_at(None), np.zeros(6))):
+    for chart in (EuclideanSpace(3).chart_at(None), SPDSpace(3, "euclidean").chart_at(None)):
         with pytest.raises(MixedSpacePoints):
-            chart.h(x, pole)
+            chart.forward(pole)
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +327,7 @@ def test_a_chart_checks_the_point_of_h_against_its_space():
 
 def test_frechet_value_euclidean_pair():
     sp = EuclideanSpace(1)
-    sample = [euclidean_point([0.0]), euclidean_point([2.0])]
+    sample = euclidean_sample([[0.0], [2.0]])
     values = frechet_values(sp, sample, euclidean_sample([[1.0], [0.0], [3.0]]))
     assert values == pytest.approx([1.0, 2.0, 5.0])
     assert frechet_values(sp, sample, euclidean_point([1.0])).shape == (1,)
@@ -309,12 +336,12 @@ def test_frechet_value_euclidean_pair():
 def test_frechet_value_identity_is_zero():
     sp = EuclideanSpace(2)
     q = euclidean_point((0.3, -0.7))
-    assert frechet_values(sp, [q], q)[0] == 0.0
+    assert frechet_values(sp, q, q)[0] == 0.0
 
 
 def test_frechet_value_sphere_quarter_circles():
     sp = SphereSpace(3)
-    sample = [sphere_point((1, 0, 0)), sphere_point((0, 1, 0))]
+    sample = sphere_sample([(1, 0, 0), (0, 1, 0)])
     value = frechet_values(sp, sample, sphere_point((0, 0, 1)))[0]
     assert value == pytest.approx((np.pi / 2) ** 2, abs=1e-12)
 
@@ -340,9 +367,9 @@ def test_frechet_values_take_each_spd_log_once(monkeypatch):
 def test_frechet_value_rejects_mixed_points():
     sp = EuclideanSpace(3)
     with pytest.raises(MixedSpacePoints):
-        frechet_values(sp, [sphere_point((0, 0, 1))], euclidean_point((0, 0, 0)))
+        frechet_values(sp, sphere_sample([(0, 0, 1)]), euclidean_point((0, 0, 0)))
     with pytest.raises(MixedSpacePoints):
-        frechet_values(sp, [euclidean_point((0, 0, 0))], sphere_point((0, 0, 1)))
+        frechet_values(sp, euclidean_sample([(0, 0, 0)]), sphere_point((0, 0, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -379,8 +406,8 @@ def test_numeric_hessian_general_quadratic():
 def test_numeric_hessian_of_squared_distance_is_twice_identity():
     sp = EuclideanSpace(2)
     chart = sp.chart_at()
-    q = euclidean_point((0.4, -1.1))
-    h = numeric_hessian(lambda x: chart.h(x, q), np.array([0.9, 0.2]))
+    packed = chart.pack(euclidean_sample([(0.4, -1.1)]))
+    h = numeric_hessian(lambda x: float(chart.h_many(x, packed)[0]), np.array([0.9, 0.2]))
     assert np.allclose(h, 2.0 * np.eye(2), atol=1e-6)
 
 
@@ -481,9 +508,12 @@ def test_chart_round_trip_and_h_consistency(space, rng):
         chart = space.chart_at(base)
         p = _random_chart_point(space, base, rng)
         x = chart.forward(p)
-        assert chart.inverse(x).close_to(p, atol=1e-10)
+        back = chart.inverse(x)
+        assert (back.kind, back.leaf) == (p.kind, p.leaf)
+        assert np.allclose(back.data, p.data, rtol=0.0, atol=1e-10)
         q = random_point(space, rng)
-        assert chart.h(x, q) == pytest.approx(space.distance(p, q) ** 2, abs=1e-10)
+        h = chart.h_many(x, chart.pack(q.sample))[0]
+        assert h == pytest.approx(space.distance(p, q) ** 2, abs=1e-10)
 
 
 def test_openbook_leaf_chart_covers_own_leaf(rng):
@@ -494,6 +524,9 @@ def test_openbook_leaf_chart_covers_own_leaf(rng):
     chart = space.chart_at(base)
     for _ in range(200):
         p = openbook_point(2, np.concatenate([[abs(rng.normal()) + 1e-9], rng.normal(size=2)]))
-        assert chart.inverse(chart.forward(p)).close_to(p, atol=1e-12)
+        back = chart.inverse(chart.forward(p))
+        assert (back.kind, back.leaf) == (p.kind, p.leaf)
+        assert np.allclose(back.data, p.data, rtol=0.0, atol=1e-12)
         q = random_point(space, rng)
-        assert chart.h(chart.forward(p), q) == pytest.approx(space.distance(p, q) ** 2, abs=1e-10)
+        h = chart.h_many(chart.forward(p), chart.pack(q.sample))[0]
+        assert h == pytest.approx(space.distance(p, q) ** 2, abs=1e-10)

@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from frechetstats.errors import InvalidPoint, NearSingularCovariance, TooFewPoints
-from frechetstats.geometry import euclidean_point, openbook_sample
+from frechetstats.geometry import euclidean_sample, openbook_sample
 from frechetstats.inference import (
     bh_fdr,
     bonferroni,
@@ -16,7 +16,7 @@ from frechetstats.inference import (
 )
 from frechetstats.spaces import EuclideanSpace, OpenBookSpace, SPDSpace
 
-from conftest import AffineChartSpace, random_spd
+from conftest import AffineChartSpace, random_spd_sample
 
 
 def chi2_sf_quadrature(x, k):
@@ -105,8 +105,8 @@ def test_chi2_cdf_maps_an_array_as_chi2_sf_does():
 
 def test_two_sample_identical_groups():
     sp = EuclideanSpace(2)
-    sample = [euclidean_point(v) for v in [(0, 0), (1, 0), (0, 1), (2, 2)]]
-    res = two_sample_test(sp, sample, list(sample))
+    sample = euclidean_sample([(0, 0), (1, 0), (0, 1), (2, 2)])
+    res = two_sample_test(sp, sample, sample)
     assert res.statistic == pytest.approx(0.0, abs=1e-20)
     assert res.p_value == 1.0
     assert res.df == 2
@@ -117,8 +117,8 @@ def test_two_sample_one_dimensional_unit_case():
     # to make Sigma = 1 and the mean gap 1: use spread 1/sqrt(2)
     sp = EuclideanSpace(1)
     d = 1.0 / np.sqrt(2.0)
-    xs = [euclidean_point([0.0 - d]), euclidean_point([0.0 + d])]
-    ys = [euclidean_point([1.0 - d]), euclidean_point([1.0 + d])]
+    xs = euclidean_sample([[0.0 - d], [0.0 + d]])
+    ys = euclidean_sample([[1.0 - d], [1.0 + d]])
     res = two_sample_test(sp, xs, ys)
     assert res.statistic == pytest.approx(1.0, abs=1e-12)
     assert res.p_value == pytest.approx(0.31731, abs=1e-5)
@@ -132,20 +132,21 @@ def test_two_sample_chi2_six_quantile_maps_to_alpha():
 
 def test_two_sample_preconditions():
     sp = EuclideanSpace(4)
-    pts = [euclidean_point(v) for v in np.eye(4)]
+    first, rest = euclidean_sample(np.eye(4)).split([1, 3])
+    two = rest.take(slice(0, 2))
     with pytest.raises(TooFewPoints, match="each group needs at least 2 observations"):
-        two_sample_test(sp, pts[:1], pts[1:])
+        two_sample_test(sp, first, rest)
     with pytest.raises(TooFewPoints, match=r"need n1 \+ n2 >= 6"):
-        two_sample_test(sp, pts[:2], pts[:2])  # n1 + n2 < s + 2
+        two_sample_test(sp, two, two)  # n1 + n2 < s + 2
     # still a ValueError, as it was before it had a class of its own
     with pytest.raises(ValueError):
-        two_sample_test(sp, pts[1:], pts[:1])
+        two_sample_test(sp, rest, first)
 
 
 def test_two_sample_near_singular_covariance():
     sp = EuclideanSpace(2)
-    xs = [euclidean_point((0.0, 0.0)) for _ in range(5)]
-    ys = [euclidean_point((1.0, 1.0)) for _ in range(5)]
+    xs = euclidean_sample(np.zeros((5, 2)))
+    ys = euclidean_sample(np.ones((5, 2)))
     with pytest.raises(NearSingularCovariance):
         two_sample_test(sp, xs, ys)
 
@@ -162,8 +163,8 @@ def test_two_sample_on_the_spine_of_a_book_without_spine_coordinates():
 
 def test_two_sample_statistic_affine_invariant(rng):
     inner = SPDSpace(3, "log_euclidean")
-    xs = [random_spd(rng, log_scale=0.3) for _ in range(25)]
-    ys = [random_spd(rng, log_scale=0.3) for _ in range(20)]
+    xs = random_spd_sample(rng, 25, log_scale=0.3)
+    ys = random_spd_sample(rng, 20, log_scale=0.3)
     base = two_sample_test(inner, xs, ys)
     for _ in range(5):
         mat = rng.normal(size=(6, 6)) + 4.0 * np.eye(6)
@@ -179,14 +180,14 @@ def test_two_sample_vech_scaling_does_not_change_decision(rng):
     from frechetstats.spaces.spd import spd_logm
 
     sp = SPDSpace(3, "log_euclidean")
-    xs = [random_spd(rng, log_scale=0.3) for _ in range(25)]
-    ys = [random_spd(rng, log_scale=0.3) for _ in range(20)]
+    xs = random_spd_sample(rng, 25, log_scale=0.3)
+    ys = random_spd_sample(rng, 20, log_scale=0.3)
     res = two_sample_test(sp, xs, ys)
 
     iu = np.triu_indices(3)
 
     def plain_vech(sample):
-        logs = spd_logm(np.stack([p.data for p in sample]))
+        logs = spd_logm(sample.data)
         return logs[:, iu[0], iu[1]]
 
     vx, vy = plain_vech(xs), plain_vech(ys)

@@ -2,29 +2,33 @@
 single-point forms are the batch of one of the row forms, bit for bit (one
 fit's sandwich is its row of the stacked sandwich), the distances are
 metrics, and the charts and folds satisfy their defining identities; and
-for the multiple-testing procedures."""
+for the multiple-testing procedures.
+
+Every case is drawn as arrays and validated as one Sample by the library's
+batch validators; a single point is a one-row draw."""
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from frechetstats.errors import FrechetStatsError, NoConvergence
 from frechetstats.estimator import estimate_mean, sandwich_covariance, stacked_sandwich
 from frechetstats.geometry import (
     Sample,
-    as_sample,
-    euclidean_point,
-    openbook_point,
+    euclidean_sample,
     openbook_sample,
-    spd_point,
-    sphere_point,
+    row_dots,
+    row_norms,
+    spd_sample,
+    sphere_sample,
 )
 from frechetstats.inference import bh_fdr, bonferroni, two_sample_test, two_sample_tests
 from frechetstats.simulate import Sampler, SPDLogGaussianDescriptor
 from frechetstats.spaces import openbook_classify, openbook_moments
 from frechetstats.spaces.openbook import _fold
-from frechetstats.spaces.spd import spd_expm, spd_vech_inv
+from frechetstats.spaces.spd import _vech_inv_rows, spd_expm, spd_logm, spd_vech_inv
 
 from conftest import space_instances
 
@@ -32,54 +36,112 @@ from conftest import space_instances
 SETTINGS = settings(max_examples=25, deadline=None, derandomize=True, database=None)
 
 coordinate = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
+height = st.floats(0.0, 3.0, allow_nan=False)
 
 
-def vectors(size):
-    return st.lists(coordinate, min_size=size, max_size=size).map(np.array)
+def coordinates(rows, cols):
+    """Strategy for (rows, cols) arrays of coordinates."""
+    return arrays(float, (rows, cols), elements=coordinate)
 
 
-def points(space):
-    """Strategy for the points of ``space``."""
+def entries(dtype, n, elements):
+    """Strategy for (n,) arrays whose every entry is its own draw of
+    ``elements``, as the entries of a list are: no fill value shared by
+    many entries, which would put most open-book rows on one leaf."""
+    return arrays(dtype, n, elements=elements, fill=st.nothing())
+
+
+def unit_rows(v):
+    """The sphere Sample of the rows of ``v`` over their norms; a row of
+    norm at most 0.1 is replaced by the first unit vector."""
+    nrm = row_norms(v)
+    short = nrm <= 0.1
+    v = np.where(short[:, None], np.eye(v.shape[1])[0], v)
+    return sphere_sample(v / np.where(short, 1.0, nrm)[:, None])
+
+
+def book_rows(leaves, heights, spine):
+    """The open-book Sample of rows on leaves ``leaves`` (0: the spine) at
+    ``heights`` (0 on the spine) with spine coordinates ``spine``."""
+    return openbook_sample(leaves, np.column_stack([np.where(leaves == 0, 0.0, heights), spine]))
+
+
+def samples(space, min_size, max_size=None):
+    """Strategy for a Sample of ``min_size`` points of ``space`` (of
+    ``min_size`` to ``max_size``, when given), drawn as arrays."""
+    if max_size is not None:
+        return st.integers(min_size, max_size).flatmap(lambda n: samples(space, n))
+    n = min_size
     if space.kind == "euclidean":
-        return vectors(space.dim).map(euclidean_point)
+        return coordinates(n, space.dim).map(euclidean_sample)
     if space.kind == "sphere":
-        return (
-            vectors(space.ambient_dim)
-            .filter(lambda v: np.linalg.norm(v) > 0.1)
-            .map(lambda v: sphere_point(v / np.linalg.norm(v)))
-        )
+        return coordinates(n, space.ambient_dim).map(unit_rows)
     if space.kind == "spd":
-        return vectors(space.chart_dim).map(lambda v: spd_point(spd_expm(spd_vech_inv(v / 3.0, space.p))))
+        return coordinates(n, space.chart_dim).map(
+            lambda v: spd_sample(spd_expm(_vech_inv_rows(v / 3.0, space.p))))
     return st.builds(
-        lambda leaf, x0, rest: openbook_point(leaf, np.concatenate([[x0 if leaf else 0.0], rest])),
-        st.integers(0, space.n_leaves),
-        st.floats(0.0, 3.0, allow_nan=False),
-        vectors(space.spine_dim),
+        book_rows,
+        entries(np.int64, n, st.integers(0, space.n_leaves)),
+        entries(float, n, height),
+        coordinates(n, space.spine_dim),
     )
 
 
-def in_domain(space, chart, p):
-    """Whether ``p`` lies in the domain where ``chart`` is invertible."""
+def single(space):
+    """Strategy for one point of ``space``: the Point of a one-row draw."""
+    return samples(space, 1).map(lambda sample: sample[0])
+
+
+def in_domain(space, chart, sample):
+    """Mask of the rows of ``sample`` in the domain where ``chart`` is invertible."""
     if space.kind == "sphere":
-        c = float(p.data @ chart.base.data)
+        c = row_dots(sample.data, chart.base.data)
         return c > 0.05 if space.metric == "extrinsic" else c > -0.9
     if space.kind == "openbook":
-        return p.leaf in (0, chart.base.leaf) and (chart.base.leaf != 0 or p.leaf == 0)
-    return True
+        base = chart.base.leaf
+        return (sample.leaves == 0) | ((sample.leaves == base) & (base != 0))
+    return np.ones(len(sample), dtype=bool)
 
 
 SPACES = space_instances()
 
 
 @pytest.mark.parametrize("space", SPACES, ids=repr)
+def test_the_strategies_reach_the_edge_cases(space):
+    drawn = []
+
+    # the draws of two of the tests below
+    @settings(SETTINGS, max_examples=50)
+    @given(base=single(space), sample=samples(space, 1, 6))
+    def draw(base, sample):
+        drawn.append((base, sample))
+
+    draw()
+    rows = Sample.join([part for base, sample in drawn for part in (base.sample, sample)])
+    # hypothesis draws the end of a range itself now and then, but how often
+    # depends on the constants it mines from the modules loaded: a draw
+    # reaches an end when it comes within 0.1 of it
+    if space.kind == "euclidean":  # both ends of the coordinate range
+        assert rows.data.min() <= -2.9 and rows.data.max() >= 2.9
+    elif space.kind == "sphere":  # a row that the chart at the base does not map
+        assert any(not in_domain(space, space.chart_at(base), sample).all() for base, sample in drawn)
+    elif space.kind == "spd":  # a matrix log entry at the end of the range, 3 / 3
+        assert np.abs(spd_logm(rows.data)).max() >= 2.9 / 3.0
+    else:  # spine rows, every leaf label and the heights 0 and 3
+        assert set(rows.leaves) == set(range(space.n_leaves + 1))
+        assert rows.data[:, 0].min() == 0.0 and rows.data[:, 0].max() >= 2.9
+
+
+@pytest.mark.parametrize("space", SPACES, ids=repr)
 @SETTINGS
 @given(data=st.data())
 def test_forward_is_its_row_of_forward_many(space, data):
-    base = data.draw(points(space))
-    pts = data.draw(st.lists(points(space), min_size=1, max_size=6))
+    base = data.draw(single(space))
+    pts = data.draw(samples(space, 1, 6))
     chart = space.chart_at(base)
-    pts = [p for p in pts if in_domain(space, chart, p)] or [base]
-    rows = chart.forward_many(as_sample(pts))
+    kept = np.flatnonzero(in_domain(space, chart, pts))
+    pts = pts.take(kept) if kept.size else base.sample
+    rows = chart.forward_many(pts)
     for i, p in enumerate(pts):
         assert np.array_equal(chart.forward(p), rows[i])
 
@@ -88,9 +150,9 @@ def test_forward_is_its_row_of_forward_many(space, data):
 @SETTINGS
 @given(data=st.data())
 def test_distance_is_its_row_of_distance_many_and_symmetric(space, data):
-    pts = data.draw(st.lists(points(space), min_size=1, max_size=6))
-    q = data.draw(points(space))
-    rows = space.distance_many(as_sample(pts), q)
+    pts = data.draw(samples(space, 1, 6))
+    q = data.draw(single(space))
+    rows = space.distance_many(pts, q)
     for i, p in enumerate(pts):
         d = space.distance(p, q)
         assert d == rows[i]
@@ -102,7 +164,7 @@ def test_distance_is_its_row_of_distance_many_and_symmetric(space, data):
 @SETTINGS
 @given(data=st.data())
 def test_triangle_inequality_holds(space, data):
-    p, q, r = (data.draw(points(space)) for _ in range(3))
+    p, q, r = (data.draw(single(space)) for _ in range(3))
     via = space.distance(p, q) + space.distance(q, r)
     assert space.distance(p, r) <= via * (1.0 + 1e-12) + 1e-12
 
@@ -111,7 +173,7 @@ def test_triangle_inequality_holds(space, data):
 @SETTINGS
 @given(data=st.data(), reps=st.integers(1, 4), n=st.integers(1, 6))
 def test_mean_is_its_row_of_mean_many(space, data, reps, n):
-    block = as_sample(data.draw(st.lists(points(space), min_size=reps * n, max_size=reps * n)))
+    block = data.draw(samples(space, reps * n))
     singles = []
     for part in block.split([n] * reps):
         try:
@@ -148,7 +210,7 @@ def by_stratum(block, means, reps):
 @SETTINGS
 @given(data=st.data(), reps=st.integers(1, 4), n=st.integers(1, 8))
 def test_sandwich_is_its_row_of_the_stacked_sandwich(space, derivatives, data, reps, n):
-    block = as_sample(data.draw(st.lists(points(space), min_size=reps * n, max_size=reps * n)))
+    block = data.draw(samples(space, reps * n))
     singles = []
     for part in block.split([n] * reps):
         try:
@@ -181,18 +243,18 @@ def test_sandwich_is_its_row_of_the_stacked_sandwich(space, derivatives, data, r
         assert fit.lambda_cond == cond and fit.lambda_pd == pd
 
 
-def clustered(space):
-    """Strategy for points of ``space`` that the chart at the mean of any
-    sample of them maps: sphere points within 41 degrees of a pole, so that
-    each is less than 90 degrees from the mean."""
+def clustered(space, size):
+    """Strategy for a Sample of ``size`` points of ``space`` that the chart
+    at the mean of any sample of them maps: sphere points within 41 degrees
+    of a pole, so that each is less than 90 degrees from the mean."""
     if space.kind != "sphere":
-        return points(space)
+        return samples(space, size)
 
     def near_pole(v):
-        v = np.append(v[:-1], abs(v[-1]) + 5.0)
-        return sphere_point(v / np.linalg.norm(v))
+        v = np.column_stack([v[:, :-1], np.abs(v[:, -1]) + 5.0])
+        return sphere_sample(v / row_norms(v)[:, None])
 
-    return vectors(space.ambient_dim).map(near_pole)
+    return coordinates(size, space.ambient_dim).map(near_pole)
 
 
 @pytest.mark.parametrize("space", SPACES, ids=repr)
@@ -201,7 +263,7 @@ def clustered(space):
 def test_two_sample_test_is_its_row_of_two_sample_tests(space, data, reps, n1, n2):
     n2 += space.chart_dim  # n1 + n2 >= s + 4
     n = n1 + n2
-    block = as_sample(data.draw(st.lists(clustered(space), min_size=reps * n, max_size=reps * n)))
+    block = data.draw(clustered(space, reps * n))
     singles = []
     for part in block.split([n] * reps):
         try:
@@ -239,8 +301,9 @@ def _replication_results(space, sample, reps, n1):
 
 @pytest.mark.parametrize("space", [space for space in SPACES if space.kind == "spd"], ids=repr)
 @SETTINGS
-@given(mean_log=vectors(6), scale=st.floats(0.05, 1.0), seed=st.integers(0, 2**32 - 1),
-       reps=st.integers(1, 4), n1=st.integers(2, 6), n2=st.integers(7, 10))
+@given(mean_log=arrays(float, 6, elements=coordinate), scale=st.floats(0.05, 1.0),
+       seed=st.integers(0, 2**32 - 1), reps=st.integers(1, 4), n1=st.integers(2, 6),
+       n2=st.integers(7, 10))
 def test_spd_replication_is_the_same_alone_in_a_block_and_split(space, mean_log, scale, seed,
                                                                 reps, n1, n2):
     sampler = Sampler(space, SPDLogGaussianDescriptor(spd_vech_inv(mean_log / 3.0, 3), scale),
@@ -263,10 +326,10 @@ def test_spd_replication_is_the_same_alone_in_a_block_and_split(space, mean_log,
 @SETTINGS
 @given(data=st.data())
 def test_chart_inverse_undoes_forward(space, data):
-    base = data.draw(points(space))
-    p = data.draw(points(space))
+    base = data.draw(single(space))
+    p = data.draw(single(space))
     chart = space.chart_at(base)
-    assume(in_domain(space, chart, p))
+    assume(in_domain(space, chart, p.sample)[0])
     back = chart.inverse(chart.forward(p))
     assert back.kind == p.kind and back.leaf == p.leaf
     assert np.allclose(back.data, p.data, rtol=1e-9, atol=1e-9)
@@ -276,7 +339,7 @@ OPEN_BOOK = next(space for space in SPACES if space.kind == "openbook")
 
 
 @SETTINGS
-@given(p=points(OPEN_BOOK), q=points(OPEN_BOOK), k=st.integers(1, OPEN_BOOK.n_leaves))
+@given(p=single(OPEN_BOOK), q=single(OPEN_BOOK), k=st.integers(1, OPEN_BOOK.n_leaves))
 def test_fold_identities(p, q, k):
     folded = _fold(p.sample, k)[0]
     # f_k is the identity on leaf k and the spine and reflects x0 elsewhere

@@ -74,6 +74,32 @@ def test_cap_radius_zero_is_point_mass():
     assert all(np.allclose(p.data, [0, 0, 1]) for p in pts)
 
 
+@pytest.mark.parametrize("descriptor, kind, message", [
+    pytest.param(GaussianDescriptor(mean=(0.0, 0.0, 0.0)), "euclidean",
+                 "gaussian descriptor requires a Euclidean space", id="gaussian"),
+    pytest.param(SphereCapDescriptor(center=(0, 0, 1.0), radius=0.1), "sphere",
+                 "cap descriptor requires a sphere space", id="cap"),
+    pytest.param(SphereTwoPointDescriptor(a=(0, 0, 1.0), b=(0, 1.0, 0)), "sphere",
+                 "two-point descriptor requires a sphere space", id="two-point"),
+    pytest.param(SPDLogGaussianDescriptor(mean_log=tuple(map(tuple, np.eye(3))), scale=0.1), "spd",
+                 "spd descriptor requires an SPD space", id="log-gaussian"),
+    pytest.param(OpenBookDescriptor(leaf_probs=(0.5, 0.5)), "openbook",
+                 "open-book descriptor requires an open-book space", id="openbook"),
+])
+def test_a_descriptor_refuses_a_space_of_another_kind_or_none(descriptor, kind, message):
+    spaces = [EuclideanSpace(3), SphereSpace(3), SPDSpace(3), OpenBookSpace(2, 0), None]
+    for space in spaces:
+        if getattr(space, "kind", None) != kind:
+            with pytest.raises(InvalidDescriptor, match=f"^{message}$"):
+                descriptor.validate(space)
+
+
+def test_stickiness_refuses_a_sampler_off_the_open_book():
+    sampler = Sampler(EuclideanSpace(1), GaussianDescriptor(mean=(0.0,)), 0)
+    with pytest.raises(InvalidDescriptor, match="^mc_stickiness requires an open-book sampler$"):
+        mc_stickiness(sampler, 10, 10)
+
+
 def test_invalid_descriptors_rejected():
     with pytest.raises(InvalidDescriptor):
         Sampler(SphereSpace(3), SphereCapDescriptor(center=(0, 0, 1.0), radius=-0.5), 0)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from frechetstats.errors import CutLocus, InvalidPoint, NonUniqueProjection, NotPositiveDefinite
+from frechetstats.errors import CutLocus, InvalidDescriptor, InvalidPoint, NonUniqueProjection
+from frechetstats.errors import NotPositiveDefinite
 from frechetstats.geometry import (
     Sample,
     as_sample,
@@ -9,6 +10,7 @@ from frechetstats.geometry import (
     euclidean_sample,
     frechet_values,
     openbook_point,
+    openbook_sample,
     spd_point,
     spd_sample,
     sphere_point,
@@ -31,7 +33,33 @@ from frechetstats.estimator import estimate_mean
 from frechetstats.spaces.spd import KEPT_LOG_SPREAD, _sample_logs, _spectral, spd_exp_sample
 
 from conftest import count_logm, positive_folded_means, random_openbook_sample, random_spd
-from conftest import sphere_exp_point
+from conftest import sphere_exp_point, sphere_exp_sample
+
+
+# ---------------------------------------------------------------------------
+# construction
+
+
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: EuclideanSpace(0), "dimension must be >= 1", id="euclidean-dim"),
+    pytest.param(lambda: SphereSpace(1), "ambient dimension must be >= 2", id="sphere-dim"),
+    pytest.param(lambda: SphereSpace(3, "riemann"), "unknown sphere metric 'riemann'",
+                 id="sphere-metric"),
+    pytest.param(lambda: SPDSpace(0), "matrix size must be >= 1", id="spd-size"),
+    pytest.param(lambda: SPDSpace(3, "riemann"), "unknown spd metric 'riemann'", id="spd-metric"),
+    pytest.param(lambda: OpenBookSpace(1, 1), "an open book needs at least 2 leaves",
+                 id="openbook-leaves"),
+    pytest.param(lambda: OpenBookSpace(3, -1), "spine dimension must be >= 0",
+                 id="openbook-spine"),
+])
+def test_a_space_with_bad_sizes_or_metric_is_an_invalid_descriptor(build, message):
+    with pytest.raises(InvalidDescriptor, match=f"^{message}$"):
+        build()
+
+
+def test_spd_vech_inv_of_a_wrong_length_is_an_invalid_point():
+    with pytest.raises(InvalidPoint, match=r"^expected a vector of length 6$"):
+        spd_vech_inv(np.zeros(5), 3)
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +138,8 @@ def test_chordal_chart_refuses_coordinates_outside_its_unit_ball():
     chart = space.chart_at(sphere_point((0.0, 0.0, 1.0)))
     q = sphere_point((0.6, 0.0, 0.8))
     for x in ([1.0, 0.5], [0.6, 0.8]):  # beyond and on the boundary
-        for call in (lambda: chart.inverse(x), lambda: chart.h(x, q)):
+        for call in (lambda: chart.inverse(x),
+                     lambda: chart.h_many(np.asarray(x), chart.pack(q.sample))):
             with pytest.raises(InvalidPoint, match="unit-hemisphere domain") as refused:
                 call()
             assert refused.value.refused is None
@@ -128,12 +157,13 @@ def test_intrinsic_and_extrinsic_means_agree_when_concentrated(rng):
     extrinsic = SphereSpace(3, "extrinsic")
     center = np.array([0.0, 0.0, 1.0])
     for _ in range(20):
-        sample = []
+        steps = []
         for _ in range(40):
             v = rng.normal(size=3)
             v -= (v @ center) * center
             v *= rng.uniform(0.0, 0.1) / np.linalg.norm(v)
-            sample.append(sphere_exp_point(center, v))
+            steps.append(v)
+        sample = sphere_exp_sample(center, steps)
         mu_i = estimate_mean(intrinsic, sample).mean
         mu_e = estimate_mean(extrinsic, sample).mean
         assert intrinsic.distance(mu_i, mu_e) < 0.02
@@ -215,15 +245,15 @@ def test_a_point_of_a_log_euclidean_mean_stack_carries_its_mean_log(rng, monkeyp
     for i in range(4):
         point, taken = means[i], means.take([i])
         assert np.array_equal(point.sample._logs, _sample_logs(taken))
-        assert np.array_equal(_sample_logs(as_sample([point])), _sample_logs(taken))
+        assert np.array_equal(_sample_logs(as_sample(point)), _sample_logs(taken))
         assert np.array_equal(chart.forward(point), chart.forward_many(taken)[0])
         assert np.array_equal(space.distance_many(draws, point),
                               [space.distance_many(taken, q)[0] for q in draws])
     assert calls == []  # no mean's log is taken again from its matrix
     # a point the user builds carries no logs: spd_logm takes them
     user = spd_point(point.data)
-    assert user.sample._logs is None and as_sample([user])._logs is None
-    assert np.array_equal(_sample_logs(as_sample([user]))[0], spd_logm(point.data))
+    assert user.sample._logs is None
+    assert np.array_equal(_sample_logs(as_sample(user))[0], spd_logm(point.data))
     assert calls == [1]
 
 
@@ -285,14 +315,14 @@ def test_spd_vech_round_trip(rng):
 
 def test_spd_mean_examples():
     log_euclidean, euclidean = SPDSpace(2, "log_euclidean"), SPDSpace(2, "euclidean")
-    a = spd_point(np.diag([np.e**2, 1.0]))
-    b = spd_point(np.diag([np.e**-2, 1.0]))
-    assert np.allclose(log_euclidean.mean([a, b])[0].data, np.eye(2), atol=1e-12)
-    c = spd_point(np.diag([1.0, 1.0]))
-    d = spd_point(np.diag([3.0, 1.0]))
-    assert np.allclose(euclidean.mean([c, d])[0].data, np.diag([2.0, 1.0]), atol=1e-15)
-    assert np.allclose(log_euclidean.mean([a, a])[0].data, a.data, atol=1e-12)
-    assert np.allclose(euclidean.mean([a, a])[0].data, a.data, atol=1e-15)
+    a = np.diag([np.e**2, 1.0])
+    b = np.diag([np.e**-2, 1.0])
+    assert np.allclose(log_euclidean.mean(spd_sample([a, b]))[0].data, np.eye(2), atol=1e-12)
+    c = np.diag([1.0, 1.0])
+    d = np.diag([3.0, 1.0])
+    assert np.allclose(euclidean.mean(spd_sample([c, d]))[0].data, np.diag([2.0, 1.0]), atol=1e-15)
+    assert np.allclose(log_euclidean.mean(spd_sample([a, a]))[0].data, a, atol=1e-12)
+    assert np.allclose(euclidean.mean(spd_sample([a, a]))[0].data, a, atol=1e-15)
 
 
 def test_log_euclidean_distance_orthogonal_invariance(rng):
@@ -351,11 +381,7 @@ def test_openbook_fold_examples():
 
 
 def test_openbook_moments_example_three_leaves():
-    sample = (
-        [openbook_point(1, (1.0,)) for _ in range(6)]
-        + [openbook_point(2, (1.0,)) for _ in range(2)]
-        + [openbook_point(3, (1.0,)) for _ in range(2)]
-    )
+    sample = openbook_sample([1] * 6 + [2] * 2 + [3] * 2, np.ones((10, 1)))
     mom = openbook_moments(sample, 3)
     assert np.allclose(mom.folded_means, [0.2, -0.6, -0.6], atol=1e-15)
     assert np.allclose(mom.leaf_weights, [0.6, 0.2, 0.2])
@@ -363,18 +389,14 @@ def test_openbook_moments_example_three_leaves():
 
 
 def test_openbook_moments_all_spine():
-    sample = [openbook_point(0, (0.0, 1.0)) for _ in range(5)]
+    sample = openbook_sample(np.zeros(5, dtype=int), np.tile([0.0, 1.0], (5, 1)))
     mom = openbook_moments(sample, 2)
     assert np.allclose(mom.folded_means, 0.0)
     assert mom.spine_fraction == 1.0
 
 
 def test_openbook_moments_two_leaves():
-    sample = [
-        openbook_point(1, (1.0,)),
-        openbook_point(1, (3.0,)),
-        openbook_point(2, (2.0,)),
-    ]
+    sample = openbook_sample([1, 1, 2], [(1.0,), (3.0,), (2.0,)])
     mom = openbook_moments(sample, 2)
     assert np.allclose(mom.folded_means, [2.0 / 3.0, -2.0 / 3.0])
 
@@ -400,23 +422,21 @@ def test_openbook_classify_examples():
 
 
 def test_openbook_frechet_mean_examples():
-    sample = (
-        [openbook_point(1, (1.0, 0.0)) for _ in range(6)]
-        + [openbook_point(2, (1.0, 0.0)) for _ in range(2)]
-        + [openbook_point(3, (1.0, 0.0)) for _ in range(2)]
-    )
+    sample = openbook_sample([1] * 6 + [2] * 2 + [3] * 2, np.tile([1.0, 0.0], (10, 1)))
     space = OpenBookSpace(3, 1)
     mu = space.mean(sample)[0]
     assert mu.leaf == 1
     assert np.allclose(mu.data, [0.2, 0.0], atol=1e-15)
 
-    sample2 = [openbook_point(k, (1.0, float(k))) for k in (1, 2, 3)]
+    sample2 = openbook_sample([1, 2, 3], [(1.0, 1.0), (1.0, 2.0), (1.0, 3.0)])
     mu2 = space.mean(sample2)[0]
     assert mu2.leaf == 0
     assert np.allclose(mu2.data, [0.0, 2.0])
 
-    single = [openbook_point(2, (5.0, 1.0))]
-    assert space.mean(single)[0].close_to(openbook_point(2, (5.0, 1.0)))
+    single = openbook_point(2, (5.0, 1.0))
+    mu3 = space.mean(single)[0]
+    assert (mu3.kind, mu3.leaf) == (single.kind, single.leaf)
+    assert np.allclose(mu3.data, single.data, rtol=0.0, atol=1e-12)
 
 
 def test_at_most_one_positive_folded_mean(rng):
