@@ -39,16 +39,11 @@ coordinate = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
 height = st.floats(0.0, 3.0, allow_nan=False)
 
 
-def coordinates(rows, cols):
-    """Strategy for (rows, cols) arrays of coordinates."""
-    return arrays(float, (rows, cols), elements=coordinate)
-
-
-def entries(dtype, n, elements):
-    """Strategy for (n,) arrays whose every entry is its own draw of
+def entries(dtype, shape, elements):
+    """Strategy for arrays of ``shape`` whose every entry is its own draw of
     ``elements``, as the entries of a list are: no fill value shared by
-    many entries, which would put most open-book rows on one leaf."""
-    return arrays(dtype, n, elements=elements, fill=st.nothing())
+    many entries, which would make most rows of a sample one point."""
+    return arrays(dtype, shape, elements=elements, fill=st.nothing())
 
 
 def unit_rows(v):
@@ -73,17 +68,17 @@ def samples(space, min_size, max_size=None):
         return st.integers(min_size, max_size).flatmap(lambda n: samples(space, n))
     n = min_size
     if space.kind == "euclidean":
-        return coordinates(n, space.dim).map(euclidean_sample)
+        return entries(float, (n, space.dim), coordinate).map(euclidean_sample)
     if space.kind == "sphere":
-        return coordinates(n, space.ambient_dim).map(unit_rows)
+        return entries(float, (n, space.ambient_dim), coordinate).map(unit_rows)
     if space.kind == "spd":
-        return coordinates(n, space.chart_dim).map(
+        return entries(float, (n, space.chart_dim), coordinate).map(
             lambda v: spd_sample(spd_expm(_vech_inv_rows(v / 3.0, space.p))))
     return st.builds(
         book_rows,
         entries(np.int64, n, st.integers(0, space.n_leaves)),
         entries(float, n, height),
-        coordinates(n, space.spine_dim),
+        entries(float, (n, space.spine_dim), coordinate),
     )
 
 
@@ -130,6 +125,21 @@ def test_the_strategies_reach_the_edge_cases(space):
     else:  # spine rows, every leaf label and the heights 0 and 3
         assert set(rows.leaves) == set(range(space.n_leaves + 1))
         assert rows.data[:, 0].min() == 0.0 and rows.data[:, 0].max() >= 2.9
+
+
+@pytest.mark.parametrize("space", SPACES, ids=repr)
+def test_the_strategies_draw_distinct_rows(space):
+    distinct = []
+
+    # the size of the blocks of the mean tests below
+    @SETTINGS
+    @given(sample=samples(space, 24))
+    def draw(sample):
+        distinct.append(len(np.unique(sample.data.reshape(len(sample), -1), axis=0)))
+
+    draw()
+    # a shared fill value would make most rows of a block one point
+    assert sum(distinct) >= 0.8 * 24 * len(distinct)
 
 
 @pytest.mark.parametrize("space", SPACES, ids=repr)
@@ -254,7 +264,7 @@ def clustered(space, size):
         v = np.column_stack([v[:, :-1], np.abs(v[:, -1]) + 5.0])
         return sphere_sample(v / row_norms(v)[:, None])
 
-    return coordinates(size, space.ambient_dim).map(near_pole)
+    return entries(float, (size, space.ambient_dim), coordinate).map(near_pole)
 
 
 @pytest.mark.parametrize("space", SPACES, ids=repr)
@@ -301,7 +311,7 @@ def _replication_results(space, sample, reps, n1):
 
 @pytest.mark.parametrize("space", [space for space in SPACES if space.kind == "spd"], ids=repr)
 @SETTINGS
-@given(mean_log=arrays(float, 6, elements=coordinate), scale=st.floats(0.05, 1.0),
+@given(mean_log=entries(float, 6, coordinate), scale=st.floats(0.05, 1.0),
        seed=st.integers(0, 2**32 - 1), reps=st.integers(1, 4), n1=st.integers(2, 6),
        n2=st.integers(7, 10))
 def test_spd_replication_is_the_same_alone_in_a_block_and_split(space, mean_log, scale, seed,
