@@ -29,7 +29,8 @@ for name, descriptor in regimes.items():
     m = descriptor.population_folded_means(space)
     print(f"\n{name}")
     print(f"  population folded means: {np.round(m, 4)}")
-    print(f"  population mean: {descriptor.population_mean(space)}")
+    mean = descriptor.population_mean(space)
+    print(f"  population mean: leaf {mean.leaves[0]}, {np.round(mean.data[0], 6)}")
     report = fs.mc_stickiness(sampler, n=200, reps=1000)
     for tag, frac in sorted(report.details["fractions"].items()):
         print(f"  sample mean lands on {tag:7s} in {frac:6.1%} of replications")
@@ -40,4 +41,5 @@ sample = sampler.draw(200)
 moments = fs.openbook_moments(sample, 3)
 print("  empirical folded means:", np.round(moments.folded_means, 4))
 print("  classification:", fs.openbook_classify(moments))
-print("  exact sample mean:", space.mean(sample)[0])
+mean = space.mean(sample)[0]
+print(f"  exact sample mean: leaf {mean.leaves[0]}, {np.round(mean.data[0], 6)}")

@@ -20,19 +20,19 @@ sample = sampler.draw(400)
 fit = fs.estimate_mean(space, sample)
 fit = fs.sandwich_covariance(space, sample, fit)
 
-print("geodesic mean      :", np.round(fit.mean.data, 6))
+print("geodesic mean      :", np.round(fit.mean.data[0], 6))
 print("iterations         :", fit.iterations)
 print("gradient norm      :", f"{fit.grad_norm:.2e}")
 print("asymptotic cov / n :")
 print(np.round(fit.asym_cov / fit.n, 8))
 
 extrinsic_fit = fs.estimate_mean(chordal, sample)
-gap = space.distance(fit.mean, extrinsic_fit.mean)
-print("chordal-projection mean:", np.round(extrinsic_fit.mean.data, 6))
+gap = space.distance_many(fit.mean, extrinsic_fit.mean)[0]
+print("chordal-projection mean:", np.round(extrinsic_fit.mean.data[0], 6))
 print(f"geodesic gap between the two means: {gap:.2e}")
 
 truth = sampler.population_mean()
-inside = fs.confidence_region_contains(fit, fit.chart.forward(truth), alpha=0.05)
+inside = fs.confidence_region_contains(fit, fit.chart.forward_many(truth)[0], alpha=0.05)
 print("true center inside the 95% ellipsoid:", inside)
 
 print("\nsmall-sample caveat: empirical coverage of the 95% region")

@@ -133,11 +133,12 @@ def load_points(path, space_kind, metric=None):
 
 
 def _point_json(point):
+    """The JSON payload of a one-row Sample."""
     if point.kind == "spd":
-        return matrix_to_upper(point.data)
+        return matrix_to_upper(point.data[0])
     if point.kind == "openbook":
-        return {"leaf": point.leaf, "coords": list(point.data)}
-    return list(point.data)
+        return {"leaf": int(point.leaves[0]), "coords": list(point.data[0])}
+    return list(point.data[0])
 
 
 def _emit_json(payload, output):

@@ -16,7 +16,7 @@ coordinates (to be divided by n for the covariance of the estimate), from
 the chart's closed-form derivatives of h or else from central differences
 with fixed steps (``geometry.numeric_gradient`` and ``numeric_hessian``).
 ``stacked_sandwich`` forms the same for R fits at once, in a chart stacked
-at their R means; one fit's sandwich is its batch of one.
+at their R means; one fit is the R = 1 stack.
 """
 
 from __future__ import annotations
@@ -27,8 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidDescriptor, NearSingularCovariance, NearSingularHessian, NoConvergence
-from .geometry import Point, mean_gradient, numeric_gradient
-from .geometry import numeric_hessian, row_norms
+from .geometry import Sample, mean_gradient, numeric_gradient, numeric_hessian, row_norms
 
 #: condition-number ceiling beyond which Lambda_n (or a covariance) is
 #: treated as numerically singular
@@ -39,12 +38,13 @@ COND_LIMIT = 1e12
 class FrechetFit:
     """Estimated Frechet mean with optional sandwich covariance.
 
-    ``chart`` is the chart anchored at the estimate in which
+    ``mean`` is the estimate as a one-row Sample and ``chart`` the chart
+    anchored at it (a stack of one chart), in which the (s,)
     ``chart_coords``, ``lambda_n``, ``c_n`` and ``asym_cov`` live.  The
     covariance of the chart coordinates of the estimate is ``asym_cov / n``.
     """
 
-    mean: Point
+    mean: Sample
     chart_coords: np.ndarray
     n: int
     iterations: int
@@ -65,8 +65,8 @@ def estimate_mean(space, sample):
     Parameters
     ----------
     space : Space
-    sample : Sample, or a Point for one row
-        Nonempty, all of the space's kind.
+    sample : Sample
+        Nonempty, of the space's kind.
 
     Raises
     ------
@@ -83,16 +83,16 @@ def estimate_mean(space, sample):
     try:
         mean, iterations = space.mean(sample)
     except NoConvergence as exc:
-        failure, (means, its) = exc, exc.fit
-        mean, iterations = means[0], int(its[0])
+        failure, (mean, its) = exc, exc.fit
+        iterations = int(its[0])
     chart = space.chart_at(mean)
-    coords = chart.forward(mean)
+    coords = chart.forward_many(mean)  # (1, s): the chart is a stack of one
     fit = FrechetFit(
         mean=mean,
-        chart_coords=coords,
+        chart_coords=coords[0],
         n=len(sample),
         iterations=iterations,
-        grad_norm=float(row_norms(mean_gradient(chart, coords, chart.pack(sample)))),
+        grad_norm=float(row_norms(mean_gradient(chart, coords, chart.pack(sample)[None]))[0]),
         strategy=space.mean_strategy,
         chart=chart,
     )
@@ -125,7 +125,7 @@ def guarded_inverse(matrices):
 
 def sandwich_covariance(space, sample, fit, *, derivatives="auto"):
     """Populate Lambda_n, C_n and the sandwich covariance of a fit
-    (``stacked_sandwich`` of one fit).
+    (row 0 of ``stacked_sandwich`` of the one fit).
 
     ``derivatives`` selects the gradient/Hessian route: ``auto`` prefers a
     chart's closed forms, ``numeric`` forces central differences (same
@@ -137,10 +137,9 @@ def sandwich_covariance(space, sample, fit, *, derivatives="auto"):
     """
     sample = space.check_sample(sample)
     chart = fit.chart
-    lam, c, asym, cond, pd = stacked_sandwich(
-        chart, np.asarray(fit.chart_coords, dtype=float), chart.pack(sample),
-        derivatives=derivatives,
-    )
+    lam, c, asym, cond, pd = (a[0] for a in stacked_sandwich(
+        chart, fit.chart_coords[None], chart.pack(sample)[None], derivatives=derivatives
+    ))
     return dataclasses.replace(
         fit, lambda_n=lam, c_n=c, asym_cov=asym, lambda_cond=float(cond), lambda_pd=bool(pd)
     )
@@ -154,15 +153,14 @@ def check_derivatives(derivatives):
 
 def stacked_sandwich(chart, coords, packed, *, derivatives="auto"):
     """Lambda_n, C_n and the asymptotic covariance Lambda_n^-1 C_n
-    Lambda_n^-1 of one fit, or of R fits at once, in ``chart``.
+    Lambda_n^-1 of R fits at once, in ``chart``.
 
-    ``coords`` are the fitted means' chart coordinates and ``packed`` the
-    chart's packed sample: (s,) and (n, ...) for one fit, (R, s) and
-    (R, n, ...) for R fits of equal-size samples in a chart stacked at the
-    R means, or in a global chart.  Returns ``(lambda_n, c_n, asym_cov,
-    lambda_cond, lambda_pd)`` with the leading axes of ``coords``; each
-    fit gets the values it gets alone.  ``derivatives`` is as for
-    ``sandwich_covariance``.  Raises NearSingularHessian masking the fits
+    ``coords`` (R, s) are the fitted means' chart coordinates and
+    ``packed`` (R, n, ...) the chart's packed samples, of R equal-size
+    samples in a chart stacked at the R means, or in a global chart.
+    Returns ``(lambda_n, c_n, asym_cov, lambda_cond, lambda_pd)`` with the
+    leading axis R; each fit gets the values it gets alone.
+    ``derivatives`` is as for ``sandwich_covariance``.  Raises NearSingularHessian masking the fits
     whose Lambda_n is numerically singular.
     """
     check_derivatives(derivatives)

@@ -1,6 +1,5 @@
-"""Core abstractions: tagged points and validated samples, sample-space
-descriptors and charts, finite differences, and the empirical Frechet
-function.
+"""Core abstractions: validated samples, sample-space descriptors and
+charts, finite differences, and the empirical Frechet function.
 
 A *space* bundles a distance with a chart ``phi`` mapping a neighborhood of
 the mean onto an open subset of R^s; ``h(x; q) = distance(phi^-1(x), q)^2``
@@ -9,9 +8,10 @@ finds its own sample Frechet means (``Space.mean_many``, batched over
 replications); everything downstream of the mean (sandwich covariances,
 two-sample tests) works on ``h`` and its first two derivatives.
 
+A Sample is the one form of points in the library: a point is a one-row
+Sample, and a chart at R bases (a Sample of R rows) is a stack of R charts.
 A Sample carries what belongs to its rows as fields: the leaf labels of an
-open-book sample, and the matrix logs of an SPD sample (``_logs``).  A Point
-is the one row of a one-row Sample, and keeps what its row keeps there.
+open-book sample, and the matrix logs of an SPD sample (``_logs``).
 """
 
 from __future__ import annotations
@@ -42,38 +42,6 @@ _MINOR_MARGIN = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
-class Point:
-    """Element of one of the supported sample spaces: the one row of the
-    one-row Sample ``sample``, which keeps the row's state (an SPD log).
-
-    ``kind`` is one of ``euclidean | sphere | spd | openbook``; ``data``
-    holds the coordinate payload (vector, unit vector, SPD matrix, or the
-    half-space coordinates ``(x0, x1, ..., xD)``).  ``leaf`` is meaningful
-    for open-book points only: leaf 0 is the spine, and spine points always
-    carry ``leaf == 0`` and ``x0 == 0``.
-    """
-
-    sample: Sample
-
-    @property
-    def kind(self):
-        return self.sample.kind
-
-    @property
-    def data(self):
-        return self.sample.data[0]
-
-    @property
-    def leaf(self):
-        return 0 if self.sample.leaves is None else int(self.sample.leaves[0])
-
-    def __repr__(self):
-        if self.kind == "openbook":
-            return f"Point(openbook, leaf={self.leaf}, {np.array2string(self.data, precision=6)})"
-        return f"Point({self.kind}, {np.array2string(self.data, precision=6)})"
-
-
-@dataclass(frozen=True, eq=False)
 class Sample:
     """Batch of n points of one kind, the form every sample takes inside
     the library.
@@ -82,7 +50,8 @@ class Sample:
     ``leaves`` the read-only ``(n,)`` leaf labels of an open-book sample
     (None for the other kinds).  The constructors ``euclidean_sample``,
     ``sphere_sample``, ``spd_sample`` and ``openbook_sample`` validate the
-    whole batch at once.  ``len``, indexing and iteration give Points.
+    whole batch at once.  A point is a one-row Sample: indexing and
+    iteration give the one-row Samples of the rows.
 
     A Sample built with ``build`` is deferred: its ``data`` is
     ``build(rows)`` of the ``rows`` it was given, computed when ``data`` is
@@ -129,7 +98,7 @@ class Sample:
 
     def __getitem__(self, i):
         i = range(len(self))[i]
-        return Point(self.take(slice(i, i + 1)))
+        return self.take(slice(i, i + 1))
 
     def take(self, index):
         """The Sample of the rows ``index`` (a slice or integer array),
@@ -346,37 +315,35 @@ def openbook_sample(leaves, coords):
 
 
 def as_sample(sample):
-    """``sample`` as one Sample: a Sample is returned as is and a Point as
-    its own Sample.  TooFewPoints for an empty Sample, MixedSpacePoints for
-    anything else (a list or tuple of Points too)."""
-    if isinstance(sample, Point):
-        return sample.sample
+    """``sample``, a nonempty Sample: TooFewPoints for an empty Sample,
+    MixedSpacePoints for anything else (a list or tuple too)."""
     if not isinstance(sample, Sample):
-        raise MixedSpacePoints(f"expected a Sample or a Point, got {type(sample).__name__}")
+        raise MixedSpacePoints(f"expected a Sample, got {type(sample).__name__}")
     if len(sample) == 0:
         raise TooFewPoints("sample must be nonempty")
     return sample
 
 
 def euclidean_point(v):
-    """Point of R^s."""
-    return Point(euclidean_sample(np.atleast_1d(np.asarray(v, dtype=float))[None]))
+    """One-row Sample of the point ``v`` of R^s."""
+    return euclidean_sample(np.atleast_1d(np.asarray(v, dtype=float))[None])
 
 
 def sphere_point(v):
-    """Unit vector in R^{d+1}; the norm must already be 1 within POINT_ATOL."""
-    return Point(sphere_sample(np.atleast_1d(np.asarray(v, dtype=float))[None]))
+    """One-row Sample of the unit vector ``v`` in R^{d+1}; the norm must
+    already be 1 within POINT_ATOL."""
+    return sphere_sample(np.atleast_1d(np.asarray(v, dtype=float))[None])
 
 
 def spd_point(a):
-    """Symmetric positive definite matrix."""
-    return Point(spd_sample(np.asarray(a, dtype=float)[None]))
+    """One-row Sample of the symmetric positive definite matrix ``a``."""
+    return spd_sample(np.asarray(a, dtype=float)[None])
 
 
 def openbook_point(leaf, coords):
-    """Open-book point: leaf label plus half-space coordinates (x0 >= 0);
-    a point with ``x0 == 0`` is on the spine (leaf 0)."""
-    return Point(openbook_sample([int(leaf)], np.atleast_1d(np.asarray(coords, dtype=float))[None]))
+    """One-row open-book Sample: leaf label plus half-space coordinates
+    (x0 >= 0); a point with ``x0 == 0`` is on the spine (leaf 0)."""
+    return openbook_sample([int(leaf)], np.atleast_1d(np.asarray(coords, dtype=float))[None])
 
 
 def _check_finite(value):
@@ -442,40 +409,33 @@ def numeric_hessian(f, x):
 
 
 class Chart(ABC):
-    """Chart ``phi: G -> U`` of a space, anchored at a base point.
+    """The charts ``phi: G -> U`` of a space anchored at a Sample of R base
+    points (of one stratum on the open book), stacked: one chart is the
+    stack of R = 1.
 
     Subclasses provide the row forms: the chart map ``forward_many`` of a
-    Sample, the inverse map, and a vectorized squared distance ``h_many``;
-    ``forward`` of one point is the batch of one of ``forward_many``.
-    Analytic derivative hooks may return ``None`` when a closed form is
-    unavailable at the requested point, in which case callers fall back to
-    central differences on ``h_many``.  The chart map and its inverse
-    refuse a point outside the chart's domain; ``test_images``, the linear
-    images a two-sample test compares, may map every point.
+    Sample and a vectorized squared distance ``h_many``.  Analytic
+    derivative hooks may return ``None`` when a closed form is unavailable
+    at the requested point, in which case callers fall back to central
+    differences on ``h_many``.  The chart map refuses a point outside the
+    chart's domain; ``test_images``, the linear images a two-sample test
+    compares, may map every point.
 
-    A chart may be anchored at a Sample of R base points (of one stratum
-    on the open book): it is then the R charts at once.  ``forward_many``
-    and ``test_images`` map the i-th of R equal groups of consecutive
-    sample rows in the i-th chart, ``pack`` returns an array whose rows
-    regroup as (R, n, ...), and ``h_many`` and the derivative hooks take
-    coordinates (R, s) and a packed sample per chart, (R, n, ...), and
-    return their results with a leading axis R.
+    ``forward_many`` and ``test_images`` map the i-th of R equal groups of
+    consecutive sample rows in the i-th chart, ``pack`` returns an array
+    whose rows regroup as (R, n, ...), and ``h_many`` and the derivative
+    hooks take coordinates (R, s) and a packed sample per chart,
+    (R, n, ...), and return their results with a leading axis R.
     """
 
     #: chart dimension s
     s: int
-    #: base point the chart is anchored at
-    base: Point
     #: the space the chart belongs to
     space: Space
 
-    def forward(self, p):
-        """Chart coordinates phi(p) in R^s."""
-        return self.forward_many(self.space.point_sample(p))[0]
-
-    @abstractmethod
-    def inverse(self, x):
-        """Point phi^-1(x) for x in the chart domain."""
+    def __init__(self, space):
+        self.s = space.chart_dim
+        self.space = space
 
     @abstractmethod
     def pack(self, sample):
@@ -527,8 +487,8 @@ class FlatChart(Chart):
 class Space(ABC):
     """Sample-space descriptor: distance plus charts.
 
-    ``kind`` names the Point variant the space accepts and ``chart_dim`` is
-    the dimension of the chart at a generic (top-stratum) point.
+    ``kind`` names the kind of Sample the space accepts and ``chart_dim``
+    is the dimension of the chart at a generic (top-stratum) point.
     """
 
     kind: str
@@ -541,21 +501,14 @@ class Space(ABC):
     @abstractmethod
     def distance_many(self, sample, q):
         """Metric distances, as an (n,) array, from the points of a Sample of
-        this space to ``q``: to the Point ``q``, or, when ``q`` is a Sample
-        of R points, from each of R equal groups of consecutive sample rows
-        to its row of ``q`` (see ``targets``)."""
-
-    def distance(self, p, q):
-        """Metric distance between two points of the space (the batch of one
-        of ``distance_many``)."""
-        return float(self.distance_many(self.point_sample(p), q)[0])
+        this space to the R points of the Sample ``q``: from each of R equal
+        groups of consecutive sample rows to its row of ``q`` (see
+        ``targets``); a one-row ``q`` is one point for every row."""
 
     def targets(self, sample, q):
-        """The checked Sample of the ``q`` of ``distance_many(sample, q)``:
-        a Point's own, or a Sample of R points when ``sample``'s rows form R
-        equal groups (MixedSpacePoints for anything else)."""
-        if not isinstance(q, Sample):
-            return self.point_sample(q)
+        """The checked Sample ``q`` of ``distance_many(sample, q)``;
+        MixedSpacePoints unless ``sample``'s rows form ``len(q)`` equal
+        groups."""
         q = self.check_sample(q)
         if len(sample) % len(q):
             raise MixedSpacePoints(f"{len(sample)} sample rows do not form {len(q)} equal groups")
@@ -563,12 +516,12 @@ class Space(ABC):
 
     @abstractmethod
     def chart_at(self, base):
-        """Chart anchored at ``base`` whose domain contains ``base``, or the
-        charts at a Sample of R bases stacked in one chart (see ``Chart``)."""
+        """The charts at the R rows of the Sample ``base``, each of whose
+        domain contains its base, stacked in one chart (see ``Chart``)."""
 
     def check_sample(self, sample):
-        """The sample (a Sample, or a Point for one row) as one Sample of
-        this space (see ``as_sample``)."""
+        """The Sample ``sample``, checked as one of this space (see
+        ``as_sample``)."""
         sample = as_sample(sample)
         if sample.kind != self.kind:
             raise MixedSpacePoints(f"expected a {self.kind} point, got {sample.kind}")
@@ -576,17 +529,11 @@ class Space(ABC):
             raise InvalidPoint(f"expected payload shape {self.point_shape}, got {sample.shape[1:]}")
         return sample
 
-    def point_sample(self, p):
-        """The checked Sample of this space's Point ``p`` (MixedSpacePoints for a non-Point)."""
-        if not isinstance(p, Point):
-            raise MixedSpacePoints(f"expected a {self.kind} point, got {type(p).__name__}")
-        return self.check_sample(p)
-
     def mean(self, sample):
-        """Sample Frechet mean as ``(point, iterations)``, the batch of one of
-        ``mean_many``."""
+        """Sample Frechet mean as ``(one-row Sample, iterations)``, the batch
+        of one of ``mean_many``."""
         means, its = self.mean_many(self.check_sample(sample), 1)
-        return means[0], int(its[0])
+        return means, int(its[0])
 
     @abstractmethod
     def mean_many(self, sample, reps):
@@ -608,7 +555,7 @@ def mean_gradient(chart, x, packed):
 
 def frechet_values(space, sample, candidates):
     """Empirical Frechet function, the mean squared distance from the
-    sample's points, at each of m candidates (a Point or a Sample),
+    sample's points, at each of the m rows of the Sample ``candidates``,
     as an (m,) array: one grouped ``distance_many`` of the sample repeated
     m times."""
     sample, candidates = space.check_sample(sample), space.check_sample(candidates)

@@ -101,10 +101,9 @@ def chi2_two_sample(vx, vy):
 def two_sample_tests(chart, block, reps, n1):
     """Two-sample chart tests of ``reps`` replications stacked in ``block``,
     each its first group (n1 rows) followed by its second, on their
-    ``chart.test_images`` (in the charts stacked at their pooled means, or
-    one chart for one replication).  The images are C-contiguous rows, so
-    each replication's (n, s) images have one layout, and one arithmetic,
-    in a block and alone.
+    ``chart.test_images`` (in the charts stacked at their pooled means).
+    The images are C-contiguous rows, so each replication's (n, s) images
+    have one layout, and one arithmetic, in a block and alone.
 
     Returns ``(statistic, p_value, mean_x, mean_y, pooled)`` of
     ``chi2_two_sample`` along the replications.  Raises

@@ -235,7 +235,7 @@ class SPDLogGaussianDescriptor:
                 "available under the log-Euclidean metric"
             )
         # expm(mean_log), which keeps mean_log as its matrix log
-        return _expm_sample(np.asarray(self.mean_log, dtype=float)[None])[0]
+        return _expm_sample(np.asarray(self.mean_log, dtype=float)[None])
 
 
 _X0_FAMILIES = ("constant", "exponential", "half_gaussian")
@@ -363,6 +363,9 @@ class Sampler:
     def __post_init__(self):
         if not is_count(self.seed):
             raise InvalidDescriptor(f"seed must be a non-negative integer, got {self.seed!r}")
+        # a Sample has a kind too, which the descriptors' kind checks would accept
+        if isinstance(self.space, Sample):
+            raise InvalidDescriptor(f"a Sampler needs a space, got a {type(self.space).__name__}")
         self.descriptor.validate(self.space)
 
     def rng(self, rep=0, streams=None):
@@ -546,7 +549,7 @@ def mc_coverage(sampler, n, reps, alpha, derivatives="auto"):
         asym = stacked_sandwich(chart, coords, packed, derivatives=derivatives)[2]
         # the truth in the charts at the means; outside a chart's domain, a
         # miss whose candidate is the mean itself, the others retried once
-        truths, inside = truth.sample.take(np.zeros(len(means), int)), True
+        truths, inside = truth.take(np.zeros(len(means), int)), True
         try:
             candidates = chart.forward_many(truths)
         except (InvalidPoint, CutLocus) as exc:

@@ -10,20 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import InvalidDescriptor
-from ..geometry import FlatChart, Space, euclidean_point, euclidean_sample, group_differences
-from ..geometry import row_norms
-
-
-class EuclideanChart(FlatChart):
-    """Identity chart; h(x; q) = ||x - q||^2."""
-
-    def __init__(self, space, base):
-        self.s = space.chart_dim
-        self.base = base
-        self.space = space
-
-    def inverse(self, x):
-        return euclidean_point(x)
+from ..geometry import FlatChart, Space, euclidean_sample, group_differences, row_norms
 
 
 class EuclideanSpace(Space):
@@ -43,9 +30,10 @@ class EuclideanSpace(Space):
         return f"EuclideanSpace(dim={self.dim})"
 
     def chart_at(self, base=None):
+        """The identity chart, h(x; q) = ||x - q||^2, the same at every base."""
         if base is not None:
             self.check_sample(base)
-        return EuclideanChart(self, base)
+        return FlatChart(self)
 
     def mean_many(self, sample, reps):
         """Arithmetic means (the exact Frechet means of R^s), after 0

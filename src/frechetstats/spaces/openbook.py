@@ -16,9 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import InvalidDescriptor, InvalidPoint
-from ..geometry import FlatChart, Sample, Space, as_sample, group_differences, openbook_point
-from ..geometry import row_norms
+from ..errors import InvalidDescriptor, InvalidPoint, MixedSpacePoints
+from ..geometry import FlatChart, Sample, Space, as_sample, group_differences, row_norms
 
 
 def _fold(sample, k):
@@ -81,8 +80,11 @@ def openbook_moments(sample, n_leaves=None):
     """Per-leaf occupation weights, folded means and the spine-block mean.
 
     ``n_leaves`` defaults to the largest leaf label present in the sample.
+    MixedSpacePoints refuses a Sample of another kind.
     """
     sample = as_sample(sample)
+    if sample.kind != "openbook":
+        raise MixedSpacePoints(f"expected an openbook sample, got {sample.kind}")
     leaves = sample.leaves
     coords = sample.data
     k_max = int(leaves.max(initial=0))
@@ -118,25 +120,17 @@ def openbook_classify(moments):
 
 
 class OpenBookLeafChart(FlatChart):
-    """Chart of a leaf stratum: the folding map f_k, s = D + 1, with
-    h(x; q) = ||x - f_k(q)||^2.  Stacked at R bases on leaves, the i-th
-    chart folds onto the i-th base's leaf."""
+    """Charts of a leaf stratum: the folding map f_k, s = D + 1, with
+    h(x; q) = ||x - f_k(q)||^2.  At R bases on leaves, the i-th chart folds
+    onto the i-th base's leaf, of the (R,) ``leaves``."""
 
-    def __init__(self, space, base):
-        self.s = space.spine_dim + 1
-        self.base = base
-        self.leaf = base.leaves if isinstance(base, Sample) else base.leaf
-        self.space = space
-
-    def inverse(self, x):
-        x = np.asarray(x, dtype=float)
-        if x[0] < 0.0:
-            raise InvalidPoint("coordinates outside the closed-leaf chart domain")
-        return openbook_point(self.leaf if x[0] > 0.0 else 0, x)
+    def __init__(self, space, leaves):
+        super().__init__(space)
+        self.leaves = leaves
 
     def pack(self, sample):
         """The folded sample f_k(Y_j), as an (n, D+1) matrix."""
-        return _fold(sample, self.leaf)
+        return _fold(sample, self.leaves)
 
 
 class OpenBookSpineChart(FlatChart):
@@ -144,13 +138,9 @@ class OpenBookSpineChart(FlatChart):
     in the spine coordinates, the x0 of the sample entering h only as the
     additive x0^2.  So the test images are every point's spine coordinates."""
 
-    def __init__(self, space, base):
+    def __init__(self, space):
         self.s = space.spine_dim
-        self.base = base
         self.space = space
-
-    def inverse(self, x):
-        return openbook_point(0, np.concatenate([[0.0], np.asarray(x, dtype=float)]))
 
     def pack(self, sample):
         """(n, D+1) rows of x0^2, then the spine coordinates."""
@@ -210,8 +200,8 @@ class OpenBookSpace(Space):
         if leaves.all() != leaves.any():
             raise InvalidPoint("stacked chart bases lie in different strata (spine and leaves)")
         if leaves.any():
-            return OpenBookLeafChart(self, base)
-        return OpenBookSpineChart(self, base)
+            return OpenBookLeafChart(self, leaves)
+        return OpenBookSpineChart(self)
 
     def mean_many(self, sample, reps):
         """Exact sample Frechet means, after 0 iterations: the squared

@@ -7,15 +7,16 @@ sqrt(2) factor so the chart preserves the Frobenius norm exactly, which
 reduces both geometries to the Euclidean case (closed-form means, analytic
 derivatives, sandwich covariance equal to the chart-vector covariance).
 
-An SPD sample's matrix logs are its ``_logs`` field (a Point's own Sample's),
-filled by ``_sample_logs`` when first needed.  A drawn log-Gaussian stack
+An SPD sample's matrix logs are its ``_logs`` field, filled by
+``_sample_logs`` when first needed.  A drawn log-Gaussian stack
 (``spd_exp_sample``) is a deferred Sample: it is built with its matrix
 logs as that field and builds its matrices only when its ``data`` is
 read.  A log-Euclidean fit reads only the logs (means, chart images,
 sandwiches, tests), so log-Euclidean Monte Carlo builds no drawn matrix;
-the Euclidean metric reads the matrices, and a Point taken from the
-sample builds its own alone.  Log-Euclidean means likewise keep their
-mean logs, and ``spd_expm`` builds their matrices when they are read.
+the Euclidean metric reads the matrices, and a row taken from the sample
+(a one-row Sample) builds its own alone.  Log-Euclidean means likewise
+keep their mean logs, and ``spd_expm`` builds their matrices when they
+are read.
 
 Every matrix log and exponential, of user data or of a draw, comes from
 one decomposition, ``_eigh``: LAPACK's for p != 3, and for p = 3 a batched
@@ -35,8 +36,7 @@ import functools
 import numpy as np
 
 from ..errors import InvalidDescriptor, InvalidPoint, NotPositiveDefinite
-from ..geometry import FlatChart, Sample, Space, group_differences, row_norms, spd_point
-from ..geometry import spd_sample
+from ..geometry import FlatChart, Sample, Space, group_differences, row_norms, spd_sample
 from ..geometry import UPPER_COLUMNS, matrix_to_upper, upper_to_matrix  # noqa: F401 (re-exported)
 
 _SQRT2 = np.sqrt(2.0)
@@ -264,23 +264,8 @@ class SPDChart(FlatChart):
     squared chart-space Euclidean distance."""
 
     def __init__(self, space):
-        self.s = space.chart_dim
-        self.base = None
-        self.space = space
+        super().__init__(space)
         self._log = space.metric == "log_euclidean"
-
-    def inverse(self, x):
-        """The Point of chart coordinates ``x``.  Under the log-Euclidean
-        metric it keeps the log it exponentiates, as a draw does
-        (``spd_exp_sample``), and InvalidPoint refuses an exponential that
-        overflowed, or underflowed out of SPD."""
-        b = spd_vech_inv(x, self.space.p)
-        if not self._log:
-            return spd_point(b)
-        point = spd_exp_sample(b[None])[0]
-        with np.errstate(over="ignore", invalid="ignore"):  # spd_sample refuses the result
-            spd_sample(point.sample.data)
-        return point
 
     def pack(self, sample):
         return _vech_rows(_sample_logs(sample) if self._log else sample.data)

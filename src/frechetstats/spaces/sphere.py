@@ -37,8 +37,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import CutLocus, InvalidDescriptor, InvalidPoint, NoConvergence, NonUniqueProjection
-from ..geometry import Chart, Point, Space, group_differences, row_dots, row_norms, row_products
-from ..geometry import sphere_point, sphere_sample
+from ..geometry import Chart, Space, group_differences, row_dots, row_norms, row_products
+from ..geometry import sphere_sample
 
 _CUT_TOL = 1e-9
 
@@ -218,17 +218,14 @@ def _newton_means(points, mu):
 
 
 class _TangentChart(Chart):
-    """Chart at ``base`` in the orthonormal tangent basis of ``base``, or the
-    charts at a Sample of R bases stacked; the packed sample is its array of
+    """Charts at the R rows of the Sample ``base``, each in the orthonormal
+    tangent basis of its base, stacked; the packed sample is its array of
     unit vectors."""
 
     def __init__(self, space, base):
-        bases = space.check_sample(base).data
-        self.s = space.chart_dim
-        self.base = base
-        self.space = space
-        self._b = bases[0] if isinstance(base, Point) else bases
-        self._basis_t = np.swapaxes(tangent_basis(self._b), -1, -2)  # (..., d+1, d)
+        super().__init__(space)
+        self._b = space.check_sample(base).data  # (R, d+1)
+        self._basis_t = np.swapaxes(tangent_basis(self._b), -1, -2)  # (R, d+1, d)
 
     def pack(self, sample):
         return sample.data
@@ -238,16 +235,16 @@ class _TangentChart(Chart):
 
     def _in_basis(self, sample, tangent):
         # the (n, s) coordinates of ``tangent`` of the rows, one group per chart
-        rows = sample.data.reshape(self._b.shape[:-1] + (-1, self._b.shape[-1]))
+        rows = sample.data.reshape(len(self._b), -1, self._b.shape[-1])
         return row_products(tangent(rows), self._basis_t[..., None, :, :]).reshape(-1, self.s)
 
     def _ambient(self, x):
-        """Chart coordinates (..., s) as ambient tangent vectors (..., d+1)."""
+        """Chart coordinates (R, s) as ambient tangent vectors (R, d+1)."""
         return (self._basis_t @ np.asarray(x, dtype=float)[..., None])[..., 0]
 
 
 class SphereIntrinsicChart(_TangentChart):
-    """Log-map chart at ``base`` in an orthonormal tangent basis.
+    """Log-map charts at the bases, each in its base's orthonormal tangent basis.
 
     Gradient and Hessian of h are closed-form at the chart origin (where the
     estimator evaluates them); elsewhere callers fall back to differences.
@@ -258,14 +255,8 @@ class SphereIntrinsicChart(_TangentChart):
     def _tangent(self, rows):
         return np.swapaxes(_logs(_columns(rows), self._b), -1, -2)
 
-    def _point_at(self, x):
-        return _exp_rows(self._b, self._ambient(x))
-
-    def inverse(self, x):
-        return sphere_point(self._point_at(x))
-
     def h_many(self, x, packed):
-        return _geodesics(self._columns_of(packed), self._point_at(x)) ** 2
+        return _geodesics(self._columns_of(packed), _exp_rows(self._b, self._ambient(x))) ** 2
 
     def _columns_of(self, packed):
         """``_columns(packed)``, kept for the last read-only packed sample:
@@ -290,8 +281,9 @@ class SphereIntrinsicChart(_TangentChart):
 
 
 class SphereExtrinsicChart(_TangentChart):
-    """Tangent-projection chart of the open hemisphere around the base
-    (InvalidPoint masks the points, or coordinates, outside it); h is the squared chordal distance.
+    """Tangent-projection charts of the open hemisphere around each base
+    (InvalidPoint masks the points, or coordinates, outside it); h is the
+    squared chordal distance.
 
     Analytic derivatives are available at every chart point via the
     differential of the hemisphere parameterization.  The test images are
@@ -314,14 +306,9 @@ class SphereExtrinsicChart(_TangentChart):
         sq = row_dots(x, x)
         outside = sq >= 1.0
         if np.any(outside):
-            raise InvalidPoint("chart coordinates outside the unit-hemisphere domain",
-                               outside if outside.ndim else None)
+            raise InvalidPoint("chart coordinates outside the unit-hemisphere domain", outside)
         gamma = np.sqrt(1.0 - sq)
         return self._ambient(x) + gamma[..., None] * self._b, gamma
-
-    def inverse(self, x):
-        p, _ = self._point_at(x)
-        return sphere_point(p / np.linalg.norm(p))
 
     def h_many(self, x, packed):
         p, _ = self._point_at(x)

@@ -43,7 +43,7 @@ def random_spd_sample(rng, size, p=3, log_scale=1.0):
 
 
 def random_spd(rng, p=3, log_scale=1.0):
-    return random_spd_sample(rng, 1, p, log_scale)[0]
+    return random_spd_sample(rng, 1, p, log_scale)
 
 
 def random_openbook_sample(rng, size, n_leaves=3, spine_dim=2, spine_prob=0.2):
@@ -84,7 +84,7 @@ def random_points(space, rng, size):
 
 
 def random_point(space, rng):
-    return random_points(space, rng, 1)[0]
+    return random_points(space, rng, 1)
 
 
 def sphere_exp_sample(base, v):
@@ -94,8 +94,9 @@ def sphere_exp_sample(base, v):
 
 
 def sphere_exp_point(base, v):
-    """The sphere Point exp_base(v), by the sphere's exponential-map kernel."""
-    return sphere_exp_sample(base, np.asarray(v, dtype=float)[None])[0]
+    """The one-row sphere Sample of exp_base(v), by the sphere's
+    exponential-map kernel."""
+    return sphere_exp_sample(base, np.asarray(v, dtype=float)[None])
 
 
 def space_instances():
@@ -119,19 +120,12 @@ class AffineChart(Chart):
         self.offset = np.asarray(offset, dtype=float)
         self.mat_inv = np.linalg.inv(self.mat)
         self.s = inner.s
-        self.base = inner.base
 
     def _pull(self, y):
-        return self.mat_inv @ (np.asarray(y, dtype=float) - self.offset)
-
-    def forward(self, p):
-        return self.mat @ self.inner.forward(p) + self.offset
+        return (np.asarray(y, dtype=float) - self.offset) @ self.mat_inv.T
 
     def forward_many(self, sample):
         return self.inner.forward_many(sample) @ self.mat.T + self.offset
-
-    def inverse(self, y):
-        return self.inner.inverse(self._pull(y))
 
     def pack(self, sample):
         return self.inner.pack(sample)

@@ -271,7 +271,7 @@ def test_criterion_9_geometry_kernel():
     min_violations = 0
     for _ in range(1000):
         sample = random_openbook_sample(rng, int(rng.integers(2, 12)))
-        candidates = fs.Sample.join([space.mean(sample)[0].sample, random_openbook_sample(rng, 100)])
+        candidates = fs.Sample.join([space.mean(sample)[0], random_openbook_sample(rng, 100)])
         values = fs.frechet_values(space, sample, candidates)
         min_violations += bool(values[0] > values[1:].min() + 1e-12)
 

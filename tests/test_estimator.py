@@ -71,7 +71,7 @@ def test_mean_openbook_single_point():
     sp = OpenBookSpace(3, 1)
     p = openbook_point(2, (5.0, 1.0))
     fit = estimate_mean(sp, p)
-    assert (fit.mean.kind, fit.mean.leaf) == (p.kind, p.leaf)
+    assert (fit.mean.kind, fit.mean.leaves.tolist()) == (p.kind, p.leaves.tolist())
     assert np.allclose(fit.mean.data, p.data, rtol=0.0, atol=1e-12)
     assert fit.strategy == "openbook_exact"
 
@@ -208,7 +208,7 @@ def test_degenerate_spine_zero_dimensional_chart():
     sp = OpenBookSpace(2, 0)
     sample = openbook_sample([1, 2], [(1.0,), (1.0,)])
     fit = estimate_mean(sp, sample)
-    assert fit.mean.leaf == 0
+    assert fit.mean.leaves.tolist() == [0]
     fit = sandwich_covariance(sp, sample, fit)
     assert fit.asym_cov.shape == (0, 0)
     assert confidence_region_contains(fit, np.zeros(0), 0.05)
@@ -221,7 +221,6 @@ def test_degenerate_spine_zero_dimensional_chart():
 def _manual_fit(coords, asym_cov, n):
     class _Chart:
         s = len(coords)
-        base = None
 
     return FrechetFit(
         mean=euclidean_point(coords),
@@ -287,10 +286,10 @@ def test_confidence_decisions_affine_invariant(rng):
     for _ in range(200):
         target = euclidean_point(rng.normal(size=3))
         inside_inner = confidence_region_contains(
-            fit_inner, fit_inner.chart.forward(target), 0.05
+            fit_inner, fit_inner.chart.forward_many(target)[0], 0.05
         )
         inside_wrapped = confidence_region_contains(
-            fit_wrapped, fit_wrapped.chart.forward(target), 0.05
+            fit_wrapped, fit_wrapped.chart.forward_many(target)[0], 0.05
         )
         assert inside_inner == inside_wrapped
 

@@ -672,7 +672,7 @@ def test_cli_test2_chordal_sphere_past_the_pooled_means_hemisphere(tmp_path, cap
     sampler = Sampler(SphereSpace(3, "extrinsic"), SphereCapDescriptor((0.0, 0.0, 1.0), 2.8), 4)
     x, y = sampler.draw(40, 0), sampler.draw(50, 1)
     pooled = SphereSpace(3, "extrinsic").mean(Sample.join([x, y]))[0]
-    assert np.any(np.concatenate([x.data, y.data]) @ pooled.data < 0.0)
+    assert np.any(np.concatenate([x.data, y.data]) @ pooled.data[0] < 0.0)
     paths = []
     for name, sample in (("x.csv", x), ("y.csv", y)):
         rows = "".join(",".join(map(repr, row)) + "\n" for row in sample.data.tolist())

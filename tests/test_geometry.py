@@ -133,7 +133,7 @@ def test_spd_sample_sends_eigvalsh_only_the_uncertified_matrices(monkeypatch):
 
 def test_openbook_point_canonicalizes_spine():
     p = openbook_point(2, (0.0, 5.0))
-    assert p.leaf == 0
+    assert p.leaves.tolist() == [0]
     with pytest.raises(InvalidPoint):
         openbook_point(1, (-0.5, 0.0))
     with pytest.raises(InvalidPoint):
@@ -147,7 +147,7 @@ def test_wrong_payload_shape_or_leaf_label_raises_invalid_point():
         estimate_mean(OpenBookSpace(2, 1), openbook_point(3, (1.0, 0.0)))
     with pytest.raises(InvalidPoint):
         openbook_moments(openbook_point(3, (1.0, 0.0)), 2)
-    # a list of Points is no sample, whatever its Points hold
+    # a list of points is no sample, whatever its points hold
     with pytest.raises(MixedSpacePoints, match="got list"):
         estimate_mean(EuclideanSpace(3), [euclidean_point([1.0, 2.0])])
 
@@ -246,13 +246,15 @@ def test_a_point_is_the_one_row_sample_of_its_index(sample):
     points = list(sample)
     assert len(points) == n
     for i, p in enumerate(points):
-        assert len(p.sample) == 1 and p.kind == sample.kind
-        assert np.array_equal(p.sample.data, sample.data[i : i + 1])
-        assert np.array_equal(p.data, sample.data[i])
-        assert p.leaf == (0 if sample.leaves is None else sample.leaves[i])
+        assert isinstance(p, Sample) and len(p) == 1 and p.kind == sample.kind
+        assert np.array_equal(p.data, sample.data[i : i + 1])
+        if sample.leaves is None:
+            assert p.leaves is None
+        else:
+            assert p.leaves.tolist() == [sample.leaves[i]]
         back = sample[i - n]  # negative indices count from the end
-        assert (back.kind, back.leaf) == (p.kind, p.leaf) and np.array_equal(back.data, p.data)
-    assert np.array_equal(sample[-1].data, sample.data[-1])
+        assert np.array_equal(back.data, p.data) and np.array_equal(back.leaves, p.leaves)
+    assert np.array_equal(sample[-1].data[0], sample.data[-1])
     for i in (n, -n - 1):
         with pytest.raises(IndexError):
             sample[i]
@@ -261,23 +263,22 @@ def test_a_point_is_the_one_row_sample_of_its_index(sample):
 def test_points_and_lists_of_points_are_checked_as_samples():
     space = EuclideanSpace(2)
     p = euclidean_point((0.0, 1.0))
-    assert space.check_sample(p) is p.sample  # a Point is its one-row Sample
+    assert space.check_sample(p) is p  # a point is a one-row Sample
     # a Sample holds one kind and one payload shape
     with pytest.raises(MixedSpacePoints):
-        Sample.join([p.sample, sphere_point((0.0, 1.0)).sample])
+        Sample.join([p, sphere_point((0.0, 1.0))])
     with pytest.raises(MixedSpacePoints, match="mixes euclidean points of shape"):
-        Sample.join([p.sample, euclidean_point((0.0, 1.0, 2.0)).sample])
+        Sample.join([p, euclidean_point((0.0, 1.0, 2.0))])
     with pytest.raises(MixedSpacePoints, match="got list"):
         space.check_sample([p, np.zeros(2)])
-    # a single-point argument is a Point, not a Sample of several rows, and
-    # the targets of distance_many are a Point or as many rows as form groups
+    # the targets of distance_many are a Sample of as many rows as form
+    # groups of the sample's rows
     sample = euclidean_sample([[0.0, 0.0], [1.0, 0.0]])
     targets = euclidean_sample([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
     calls = [
-        lambda: space.distance(euclidean_point((0.0, 1.0)), 3.0),
-        lambda: space.distance(sample, euclidean_point((0.0, 1.0))),
+        lambda: space.distance_many(p, 3.0),
         lambda: space.distance_many(sample, targets),  # 2 rows form no 3 equal groups
-        lambda: space.chart_at(None).forward(sample),
+        lambda: space.chart_at(3.0),
         lambda: frechet_values(space, sample, 3.0),
     ]
     for call in calls:
@@ -288,10 +289,10 @@ def test_points_and_lists_of_points_are_checked_as_samples():
 @pytest.mark.parametrize("space", space_instances(), ids=repr)
 def test_grouped_distances_are_the_per_pair_distances(space, rng):
     sample = random_points(space, rng, 12)
-    for targets in (random_points(space, rng, 12), random_points(space, rng, 3), sample[5].sample):
+    for targets in (random_points(space, rng, 12), random_points(space, rng, 3), sample[5]):
         rows = space.distance_many(sample, targets)
         group = len(sample) // len(targets)
-        pairs = [space.distance(p, targets[i // group]) for i, p in enumerate(sample)]
+        pairs = [space.distance_many(p, targets[i // group])[0] for i, p in enumerate(sample)]
         assert rows.tolist() == pairs
 
 
@@ -316,9 +317,9 @@ def test_a_list_or_tuple_of_points_is_refused():
 
 def test_a_chart_checks_the_point_of_forward_against_its_space():
     pole = sphere_point((0.0, 0.0, 1.0))
-    for chart in (EuclideanSpace(3).chart_at(None), SPDSpace(3, "euclidean").chart_at(None)):
+    for space in (EuclideanSpace(3), SPDSpace(3, "euclidean")):
         with pytest.raises(MixedSpacePoints):
-            chart.forward(pole)
+            space.chart_at(pole)
 
 
 # ---------------------------------------------------------------------------
@@ -496,24 +497,22 @@ def _random_chart_point(space, base, rng):
     if space.kind == "sphere" and space.metric == "extrinsic":
         while True:  # extrinsic chart covers the open hemisphere around base
             p = random_point(space, rng)
-            if p.data @ base.data > 0.05:
+            if p.data[0] @ base.data[0] > 0.05:
                 return p
     return random_point(space, rng)
 
 
 @pytest.mark.parametrize("space", space_instances(), ids=repr)
 def test_chart_round_trip_and_h_consistency(space, rng):
+    # the chart's inverse is h's: at x = phi(p), h(x; q) is d(p, q)^2
     for _ in range(200):
         base = random_point(space, rng)
         chart = space.chart_at(base)
         p = _random_chart_point(space, base, rng)
-        x = chart.forward(p)
-        back = chart.inverse(x)
-        assert (back.kind, back.leaf) == (p.kind, p.leaf)
-        assert np.allclose(back.data, p.data, rtol=0.0, atol=1e-10)
+        x = chart.forward_many(p)
         q = random_point(space, rng)
-        h = chart.h_many(x, chart.pack(q.sample))[0]
-        assert h == pytest.approx(space.distance(p, q) ** 2, abs=1e-10)
+        h = chart.h_many(x, chart.pack(q)[None])[0, 0]
+        assert h == pytest.approx(space.distance_many(q, p)[0] ** 2, abs=1e-10)
 
 
 def test_openbook_leaf_chart_covers_own_leaf(rng):
@@ -524,9 +523,8 @@ def test_openbook_leaf_chart_covers_own_leaf(rng):
     chart = space.chart_at(base)
     for _ in range(200):
         p = openbook_point(2, np.concatenate([[abs(rng.normal()) + 1e-9], rng.normal(size=2)]))
-        back = chart.inverse(chart.forward(p))
-        assert (back.kind, back.leaf) == (p.kind, p.leaf)
-        assert np.allclose(back.data, p.data, rtol=0.0, atol=1e-12)
+        x = chart.forward_many(p)
+        assert np.array_equal(x, p.data)  # the identity on the chart's own leaf
         q = random_point(space, rng)
-        h = chart.h_many(chart.forward(p), chart.pack(q.sample))[0]
-        assert h == pytest.approx(space.distance(p, q) ** 2, abs=1e-10)
+        h = chart.h_many(x, chart.pack(q)[None])[0, 0]
+        assert h == pytest.approx(space.distance_many(q, p)[0] ** 2, abs=1e-10)

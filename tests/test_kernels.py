@@ -24,7 +24,6 @@ from frechetstats.simulate import (
 )
 from frechetstats.spaces import SPDSpace, SphereSpace
 from frechetstats.spaces.spd import KEPT_LOG_SPREAD, spd_exp_sample, spd_expm, spd_logm
-from frechetstats.spaces.spd import spd_vech, spd_vech_inv
 from frechetstats.spaces.sphere import MEAN_MAX_ITER, MEAN_TOL, _exp_rows, _newton_means
 from frechetstats.spaces.sphere import _project_rows
 
@@ -290,42 +289,22 @@ def test_a_point_of_a_draw_builds_its_own_matrix_alone(monkeypatch):
     jacobi = _calls_of_jacobi(monkeypatch)
     point = sample[7]
     assert jacobi == []
-    assert np.array_equal(point.data, spd_expm(logs[7]))
+    assert np.array_equal(point.data[0], spd_expm(logs[7]))
     assert jacobi == [1, 1]  # the point's matrix, then the reference's
-    assert np.array_equal(point.sample._logs[0], logs[7])
+    assert np.array_equal(point._logs[0], logs[7])
 
 
 def test_repeated_distances_take_each_points_log_once(monkeypatch):
     space = SPDSpace(3)
     p, q = (spd_point(spd_expm(_drawn_logs(1, seed)[0])) for seed in (18, 19))
     jacobi = _calls_of_jacobi(monkeypatch)
-    first = space.distance(p, q)
+    first = space.distance_many(p, q)[0]
     assert jacobi == [1, 1]  # the log of p, then of q
     for _ in range(5):
-        assert space.distance(p, q) == first
-        assert space.distance(q, p) == first
-    assert space.chart_at().forward(p).shape == (6,)
+        assert space.distance_many(p, q)[0] == first
+        assert space.distance_many(q, p)[0] == first
+    assert space.chart_at().forward_many(p).shape == (1, 6)
     assert jacobi == [1, 1]
-
-
-def test_the_log_euclidean_chart_inverse_keeps_the_log_it_exponentiates(monkeypatch):
-    chart = SPDSpace(3).chart_at()
-    x = np.array([0.3, -0.2, 0.1, 0.05, -0.4, 0.25])
-    jacobi = _calls_of_jacobi(monkeypatch)
-    point = chart.inverse(x)
-    # x back, as exactly as the vech round trip gives it, with one decomposition
-    assert np.array_equal(chart.forward(point), spd_vech(spd_vech_inv(x, 3)))
-    assert jacobi == [1]
-    # an exponential that overflows, or underflows out of SPD, is refused;
-    # row 0 is apart from the others, so exp(-900) makes it exactly 0
-    for x0 in (900.0, -900.0):
-        with pytest.raises(InvalidPoint):
-            chart.inverse([x0, -0.2, 0.1, 0.0, 0.0, 0.25])
-    # a log too wide to keep is not kept: the matrix it leaves is refused as
-    # near-singular when its log is needed, as any other matrix would be
-    near_singular = chart.inverse(np.concatenate([[-900.0], x[1:]]))
-    with pytest.raises(NotPositiveDefinite):
-        chart.forward(near_singular)
 
 
 def test_logs_a_draw_did_not_keep_are_taken_from_their_matrices_alone(monkeypatch):
@@ -496,8 +475,8 @@ def test_newton_means_refuse_the_replications_that_spend_the_budget(newton_budge
     with pytest.raises(NoConvergence) as fitted:
         estimate_mean(space, one)
     fit = fitted.value.fit
-    last = alone.value.fit[0][0]
-    assert (fit.mean.kind, fit.mean.leaf) == (last.kind, last.leaf)
+    last = alone.value.fit[0]
+    assert fit.mean.kind == last.kind and len(fit.mean) == len(last) == 1
     assert np.array_equal(fit.mean.data, last.data) and fit.iterations == budget
     assert fit.grad_norm > MEAN_TOL
 

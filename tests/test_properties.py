@@ -1,6 +1,6 @@
-"""Property tests (hypothesis) for the row kernels of every space: the
-single-point forms are the batch of one of the row forms, bit for bit (one
-fit's sandwich is its row of the stacked sandwich), the distances are
+"""Property tests (hypothesis) for the row kernels of every space: a
+point's results (a one-row Sample's) are its row of a batch's, bit for bit
+(one fit's sandwich is its row of the stacked sandwich), the distances are
 metrics, and the charts and folds satisfy their defining identities; and
 for the multiple-testing procedures.
 
@@ -82,19 +82,15 @@ def samples(space, min_size, max_size=None):
     )
 
 
-def single(space):
-    """Strategy for one point of ``space``: the Point of a one-row draw."""
-    return samples(space, 1).map(lambda sample: sample[0])
-
-
-def in_domain(space, chart, sample):
-    """Mask of the rows of ``sample`` in the domain where ``chart`` is invertible."""
+def in_domain(space, base, sample):
+    """Mask of the rows of ``sample`` in the domain where the chart at the
+    point ``base`` is invertible."""
     if space.kind == "sphere":
-        c = row_dots(sample.data, chart.base.data)
+        c = row_dots(sample.data, base.data[0])
         return c > 0.05 if space.metric == "extrinsic" else c > -0.9
     if space.kind == "openbook":
-        base = chart.base.leaf
-        return (sample.leaves == 0) | ((sample.leaves == base) & (base != 0))
+        leaf = base.leaves[0]
+        return (sample.leaves == 0) | ((sample.leaves == leaf) & (leaf != 0))
     return np.ones(len(sample), dtype=bool)
 
 
@@ -107,19 +103,19 @@ def test_the_strategies_reach_the_edge_cases(space):
 
     # the draws of two of the tests below
     @settings(SETTINGS, max_examples=50)
-    @given(base=single(space), sample=samples(space, 1, 6))
+    @given(base=samples(space, 1), sample=samples(space, 1, 6))
     def draw(base, sample):
         drawn.append((base, sample))
 
     draw()
-    rows = Sample.join([part for base, sample in drawn for part in (base.sample, sample)])
+    rows = Sample.join([part for base, sample in drawn for part in (base, sample)])
     # hypothesis draws the end of a range itself now and then, but how often
     # depends on the constants it mines from the modules loaded: a draw
     # reaches an end when it comes within 0.1 of it
     if space.kind == "euclidean":  # both ends of the coordinate range
         assert rows.data.min() <= -2.9 and rows.data.max() >= 2.9
     elif space.kind == "sphere":  # a row that the chart at the base does not map
-        assert any(not in_domain(space, space.chart_at(base), sample).all() for base, sample in drawn)
+        assert any(not in_domain(space, base, sample).all() for base, sample in drawn)
     elif space.kind == "spd":  # a matrix log entry at the end of the range, 3 / 3
         assert np.abs(spd_logm(rows.data)).max() >= 2.9 / 3.0
     else:  # spine rows, every leaf label and the heights 0 and 3
@@ -146,14 +142,14 @@ def test_the_strategies_draw_distinct_rows(space):
 @SETTINGS
 @given(data=st.data())
 def test_forward_is_its_row_of_forward_many(space, data):
-    base = data.draw(single(space))
+    base = data.draw(samples(space, 1))
     pts = data.draw(samples(space, 1, 6))
     chart = space.chart_at(base)
-    kept = np.flatnonzero(in_domain(space, chart, pts))
-    pts = pts.take(kept) if kept.size else base.sample
+    kept = np.flatnonzero(in_domain(space, base, pts))
+    pts = pts.take(kept) if kept.size else base
     rows = chart.forward_many(pts)
     for i, p in enumerate(pts):
-        assert np.array_equal(chart.forward(p), rows[i])
+        assert np.array_equal(chart.forward_many(p), rows[i : i + 1])
 
 
 @pytest.mark.parametrize("space", SPACES, ids=repr)
@@ -161,22 +157,22 @@ def test_forward_is_its_row_of_forward_many(space, data):
 @given(data=st.data())
 def test_distance_is_its_row_of_distance_many_and_symmetric(space, data):
     pts = data.draw(samples(space, 1, 6))
-    q = data.draw(single(space))
+    q = data.draw(samples(space, 1))
     rows = space.distance_many(pts, q)
     for i, p in enumerate(pts):
-        d = space.distance(p, q)
+        d = space.distance_many(p, q)[0]
         assert d == rows[i]
-        assert d == space.distance(q, p)
-    assert space.distance(q, q) == 0.0
+        assert d == space.distance_many(q, p)[0]
+    assert space.distance_many(q, q)[0] == 0.0
 
 
 @pytest.mark.parametrize("space", SPACES, ids=repr)
 @SETTINGS
 @given(data=st.data())
 def test_triangle_inequality_holds(space, data):
-    p, q, r = (data.draw(single(space)) for _ in range(3))
-    via = space.distance(p, q) + space.distance(q, r)
-    assert space.distance(p, r) <= via * (1.0 + 1e-12) + 1e-12
+    p, q, r = (data.draw(samples(space, 1)) for _ in range(3))
+    via = space.distance_many(p, q)[0] + space.distance_many(q, r)[0]
+    assert space.distance_many(p, r)[0] <= via * (1.0 + 1e-12) + 1e-12
 
 
 @pytest.mark.parametrize("space", SPACES, ids=repr)
@@ -200,8 +196,8 @@ def test_mean_is_its_row_of_mean_many(space, data, reps, n):
     for r, single in enumerate(singles):
         assert not isinstance(single, type), f"replication {r} raised {single.__name__} alone"
         mean, it = single
-        assert np.array_equal(means.data[r], mean.data)
-        assert means[r].leaf == mean.leaf and iterations[r] == it
+        assert np.array_equal(means[r].data, mean.data)
+        assert np.array_equal(means[r].leaves, mean.leaves) and iterations[r] == it
 
 
 def by_stratum(block, means, reps):
@@ -336,32 +332,36 @@ def test_spd_replication_is_the_same_alone_in_a_block_and_split(space, mean_log,
 @SETTINGS
 @given(data=st.data())
 def test_chart_inverse_undoes_forward(space, data):
-    base = data.draw(single(space))
-    p = data.draw(single(space))
+    # the chart's inverse is h's, h(x; q) = d(phi^-1(x), q)^2: at x = phi(p)
+    # it is d(p, q)^2, 0 at q = p
+    base = data.draw(samples(space, 1))
+    p = data.draw(samples(space, 1))
     chart = space.chart_at(base)
-    assume(in_domain(space, chart, p.sample)[0])
-    back = chart.inverse(chart.forward(p))
-    assert back.kind == p.kind and back.leaf == p.leaf
-    assert np.allclose(back.data, p.data, rtol=1e-9, atol=1e-9)
+    assume(in_domain(space, base, p)[0])
+    sample = Sample.join([base, p])
+    h = chart.h_many(chart.forward_many(p), chart.pack(sample)[None])[0]
+    assert np.allclose(np.sqrt(h), space.distance_many(sample, p), rtol=1e-9, atol=1e-9)
 
 
 OPEN_BOOK = next(space for space in SPACES if space.kind == "openbook")
 
 
 @SETTINGS
-@given(p=single(OPEN_BOOK), q=single(OPEN_BOOK), k=st.integers(1, OPEN_BOOK.n_leaves))
+@given(p=samples(OPEN_BOOK, 1), q=samples(OPEN_BOOK, 1), k=st.integers(1, OPEN_BOOK.n_leaves))
 def test_fold_identities(p, q, k):
-    folded = _fold(p.sample, k)[0]
+    folded = _fold(p, k)[0]
     # f_k is the identity on leaf k and the spine and reflects x0 elsewhere
-    expected = p.data.copy()
-    if p.leaf not in (0, k):
+    expected = p.data[0].copy()
+    if p.leaves[0] not in (0, k):
         expected[0] = -expected[0]
     assert np.array_equal(folded, expected)
     # folding onto q's leaf turns the distance to q into a Euclidean one
-    if q.leaf:
-        assert OPEN_BOOK.distance(p, q) == float(np.linalg.norm(_fold(p.sample, q.leaf)[0] - q.data))
+    leaf = q.leaves[0]
+    if leaf:
+        distance = float(np.linalg.norm(_fold(p, leaf)[0] - q.data[0]))
+        assert OPEN_BOOK.distance_many(p, q)[0] == distance
         # ... and the leaf chart at q is f_{leaf(q)}
-        assert np.array_equal(OPEN_BOOK.chart_at(q).forward(p), _fold(p.sample, q.leaf)[0])
+        assert np.array_equal(OPEN_BOOK.chart_at(q).forward_many(p)[0], _fold(p, leaf)[0])
 
 
 @SETTINGS

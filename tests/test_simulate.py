@@ -30,7 +30,7 @@ from frechetstats.simulate import (
     mc_type1,
 )
 from frechetstats.spaces import EuclideanSpace, OpenBookSpace, SPDSpace, SphereSpace
-from frechetstats.geometry import Sample, openbook_sample, sphere_point
+from frechetstats.geometry import Sample, euclidean_sample, openbook_sample, sphere_point
 from frechetstats.spaces.spd import spd_expm
 
 from conftest import count_logm, seed_sequence_stream
@@ -64,7 +64,7 @@ def test_openbook_all_mass_on_one_leaf():
     space = OpenBookSpace(3, 1)
     d = OpenBookDescriptor(leaf_probs=(1.0, 0.0, 0.0), x0=("exponential", 1.0), spine_mean=(0.0,))
     pts = Sampler(space, d, 1).draw(50)
-    assert all(p.leaf == 1 for p in pts)
+    assert pts.leaves.tolist() == [1] * 50
 
 
 def test_cap_radius_zero_is_point_mass():
@@ -123,8 +123,13 @@ def test_gaussian_descriptor_allows_singular_covariance():
     space = EuclideanSpace(2)
     d = GaussianDescriptor(mean=(0.0, 0.0), cov=((1.0, 1.0), (1.0, 1.0)))
     pts = Sampler(space, d, 0).draw(50)
-    rows = np.stack([p.data for p in pts])
-    assert np.allclose(rows[:, 0], rows[:, 1], atol=1e-12)  # degenerate direction
+    assert np.allclose(pts.data[:, 0], pts.data[:, 1], atol=1e-12)  # degenerate direction
+
+
+def test_a_sample_is_no_sampler_space():
+    # a Sample has a kind, as a space does, but is refused with a typed error
+    with pytest.raises(InvalidDescriptor, match="^a Sampler needs a space, got a Sample$"):
+        Sampler(euclidean_sample(np.zeros((3, 2))), GaussianDescriptor((0.0, 0.0)), 1)
 
 
 def test_cap_sampling_matches_radius_bound():
@@ -171,8 +176,8 @@ def test_population_means():
     assert np.allclose(mid.data, np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0))
     from frechetstats.geometry import sphere_point
 
-    assert sph.distance(mid, sphere_point((1.0, 0, 0))) == pytest.approx(
-        sph.distance(mid, sphere_point((0, 1.0, 0))), abs=1e-12
+    assert sph.distance_many(mid, sphere_point((1.0, 0, 0)))[0] == pytest.approx(
+        sph.distance_many(mid, sphere_point((0, 1.0, 0)))[0], abs=1e-12
     )
 
     spd = SPDSpace(3, "log_euclidean")
@@ -202,14 +207,14 @@ def test_openbook_population_moments():
     assert d.population_folded_variance(space, 1) == pytest.approx(2.0)
     assert d.population_folded_variance(space, 2) == pytest.approx(2.0 - 0.25)
     mu = d.population_mean(space)
-    assert mu.leaf == 0 and np.allclose(mu.data, [0.0, 1.0, -1.0])
+    assert mu.leaves.tolist() == [0] and np.allclose(mu.data, [0.0, 1.0, -1.0])
 
     d2 = OpenBookDescriptor(
         leaf_probs=(0.6, 0.2, 0.2), x0=("constant", 1.0), spine_mean=(0.0, 0.0)
     )
     assert np.allclose(d2.population_folded_means(space), [0.2, -0.6, -0.6])
     mu2 = d2.population_mean(space)
-    assert mu2.leaf == 1 and mu2.data[0] == pytest.approx(0.2)
+    assert mu2.leaves.tolist() == [1] and mu2.data[0, 0] == pytest.approx(0.2)
 
     d3 = OpenBookDescriptor(
         leaf_probs=(0.5, 0.5), x0=("half_gaussian", 2.0), spine_mean=()
@@ -424,7 +429,7 @@ def single_coverage(sampler, n, reps, alpha, derivatives="auto"):
         fit = sandwich_covariance(sampler.space, sample, estimate_mean(sampler.space, sample),
                                   derivatives=derivatives)
         try:
-            candidate = fit.chart.forward(truth)
+            candidate = fit.chart.forward_many(truth)[0]
         except (CutLocus, InvalidPoint):
             out.append(False)
             continue
@@ -525,9 +530,10 @@ def test_batched_stickiness_matches_single_means(monkeypatch):
     means = [sampler.space.mean(sampler.draw(n, rep))[0] for rep in range(reps)]
     keys = record_streams(monkeypatch)
     report = mc_stickiness(sampler, n, reps)
-    assert report.outcomes == tuple("spine" if m.leaf == 0 else f"leaf_{m.leaf}" for m in means)
+    leaves = [m.leaves[0] for m in means]
+    assert report.outcomes == tuple("spine" if leaf == 0 else f"leaf_{leaf}" for leaf in leaves)
     np.testing.assert_allclose(
-        report.details["mean_x0"], [m.data[0] for m in means], rtol=1e-12, atol=1e-15
+        report.details["mean_x0"], [m.data[0, 0] for m in means], rtol=1e-12, atol=1e-15
     )
     assert keys == list(range(reps))
 
@@ -548,8 +554,8 @@ def test_batched_consistency_matches_single_fits(make, monkeypatch):
     assert reps * grid[1] > 2 * simulate.BLOCK_POINTS  # several blocks
     expected = [
         (n, float(np.median([
-            sampler.space.distance(estimate_mean(sampler.space, sampler.draw(n, (n, r))).mean,
-                                   sampler.population_mean())
+            sampler.space.distance_many(estimate_mean(sampler.space, sampler.draw(n, (n, r))).mean,
+                                        sampler.population_mean())[0]
             for r in range(reps)
         ])))
         for n in grid

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from frechetstats.errors import CutLocus, InvalidDescriptor, InvalidPoint, NonUniqueProjection
-from frechetstats.errors import NotPositiveDefinite
+from frechetstats.errors import MixedSpacePoints, NotPositiveDefinite
 from frechetstats.geometry import (
     Sample,
     as_sample,
@@ -73,12 +73,12 @@ def test_sphere_exp_quarter_circle():
 
 def test_sphere_log_at_self_is_zero():
     p = sphere_point((0.6, 0.8, 0.0))
-    assert np.allclose(SphereSpace(3).chart_at(p).forward(p), 0.0, atol=1e-15)
+    assert np.allclose(SphereSpace(3).chart_at(p).forward_many(p), 0.0, atol=1e-15)
 
 
 def test_sphere_distance_quarter():
     sp = SphereSpace(3)
-    d = sp.distance(sphere_point((1, 0, 0)), sphere_point((0, 1, 0)))
+    d = sp.distance_many(sphere_point((1, 0, 0)), sphere_point((0, 1, 0)))[0]
     assert d == pytest.approx(np.pi / 2, abs=1e-12)
 
 
@@ -92,14 +92,15 @@ def test_sphere_log_exp_round_trip(rng):
         v -= (v @ b) * b
         norm = rng.uniform(0.0, np.pi - 0.01)
         v *= norm / max(np.linalg.norm(v), 1e-300)
-        log = space.chart_at(sphere_point(b)).forward(sphere_exp_point(b, v)) @ tangent_basis(b)
+        chart = space.chart_at(sphere_point(b))
+        log = chart.forward_many(sphere_exp_point(b, v))[0] @ tangent_basis(b)
         assert np.allclose(log, v, atol=1e-10)
 
 
 def test_sphere_log_cut_locus():
     b = np.array([0.0, 0.0, 1.0])
     with pytest.raises(CutLocus):
-        SphereSpace(3).chart_at(sphere_point(b)).forward(sphere_point(-b))
+        SphereSpace(3).chart_at(sphere_point(b)).forward_many(sphere_point(-b))
 
 
 def test_sphere_extrinsic_project():
@@ -138,11 +139,9 @@ def test_chordal_chart_refuses_coordinates_outside_its_unit_ball():
     chart = space.chart_at(sphere_point((0.0, 0.0, 1.0)))
     q = sphere_point((0.6, 0.0, 0.8))
     for x in ([1.0, 0.5], [0.6, 0.8]):  # beyond and on the boundary
-        for call in (lambda: chart.inverse(x),
-                     lambda: chart.h_many(np.asarray(x), chart.pack(q.sample))):
-            with pytest.raises(InvalidPoint, match="unit-hemisphere domain") as refused:
-                call()
-            assert refused.value.refused is None
+        with pytest.raises(InvalidPoint, match="unit-hemisphere domain") as refused:
+            chart.h_many(np.asarray([x]), chart.pack(q)[None])
+        assert refused.value.refused.tolist() == [True]
     # a stack of three charts masks the rows of the coordinates outside
     stacked = space.chart_at(sphere_sample(np.tile([0.0, 0.0, 1.0], (3, 1))))
     packed = stacked.pack(sphere_sample(np.tile(q.data, (6, 1)))).reshape(3, 2, 3)
@@ -166,7 +165,7 @@ def test_intrinsic_and_extrinsic_means_agree_when_concentrated(rng):
         sample = sphere_exp_sample(center, steps)
         mu_i = estimate_mean(intrinsic, sample).mean
         mu_e = estimate_mean(extrinsic, sample).mean
-        assert intrinsic.distance(mu_i, mu_e) < 0.02
+        assert intrinsic.distance_many(mu_i, mu_e)[0] < 0.02
 
 
 # ---------------------------------------------------------------------------
@@ -244,16 +243,16 @@ def test_a_point_of_a_log_euclidean_mean_stack_carries_its_mean_log(rng, monkeyp
     calls = count_logm(monkeypatch)
     for i in range(4):
         point, taken = means[i], means.take([i])
-        assert np.array_equal(point.sample._logs, _sample_logs(taken))
+        assert np.array_equal(point._logs, _sample_logs(taken))
         assert np.array_equal(_sample_logs(as_sample(point)), _sample_logs(taken))
-        assert np.array_equal(chart.forward(point), chart.forward_many(taken)[0])
+        assert np.array_equal(chart.forward_many(point), chart.forward_many(taken))
         assert np.array_equal(space.distance_many(draws, point),
                               [space.distance_many(taken, q)[0] for q in draws])
     assert calls == []  # no mean's log is taken again from its matrix
     # a point the user builds carries no logs: spd_logm takes them
-    user = spd_point(point.data)
-    assert user.sample._logs is None
-    assert np.array_equal(_sample_logs(as_sample(user))[0], spd_logm(point.data))
+    user = spd_point(point.data[0])
+    assert user._logs is None
+    assert np.array_equal(_sample_logs(as_sample(user))[0], spd_logm(point.data[0]))
     assert calls == [1]
 
 
@@ -331,25 +330,27 @@ def test_log_euclidean_distance_orthogonal_invariance(rng):
     for _ in range(100):
         a = random_spd(rng)
         b = random_spd(rng)
-        ra = spd_point(q @ a.data @ q.T)
-        rb = spd_point(q @ b.data @ q.T)
-        assert space.distance(ra, rb) == pytest.approx(space.distance(a, b), abs=1e-10)
+        ra = spd_point(q @ a.data[0] @ q.T)
+        rb = spd_point(q @ b.data[0] @ q.T)
+        assert space.distance_many(ra, rb)[0] == pytest.approx(space.distance_many(a, b)[0],
+                                                               abs=1e-10)
 
 
 def test_flat_space_single_forms_are_the_plain_formulas(rng):
-    # distance and mean run as the batch of one of distance_many and
-    # mean_many; they must still equal the textbook formulas bit for bit
+    # one point's distance and one sample's mean are the batches of one of
+    # distance_many and mean_many; they must equal the textbook formulas
+    # bit for bit
     euc = EuclideanSpace(4)
     rows = rng.normal(size=(25, 4))
-    assert euc.mean(euclidean_sample(rows))[0].data.tolist() == rows.mean(axis=0).tolist()
+    assert euc.mean(euclidean_sample(rows))[0].data[0].tolist() == rows.mean(axis=0).tolist()
     a, b = euclidean_point(rows[0]), euclidean_point(rows[1])
-    assert euc.distance(a, b) == float(np.linalg.norm(rows[0] - rows[1]))
-    mats = np.stack([random_spd(rng).data for _ in range(25)])
+    assert euc.distance_many(a, b)[0] == float(np.linalg.norm(rows[0] - rows[1]))
+    mats = np.stack([random_spd(rng).data[0] for _ in range(25)])
     for metric in ("euclidean", "log_euclidean"):
         space = SPDSpace(3, metric)
         logm = spd_logm if metric == "log_euclidean" else np.asarray
         a, b = spd_point(mats[0]), spd_point(mats[1])
-        assert space.distance(a, b) == float(np.linalg.norm(logm(mats[0]) - logm(mats[1])))
+        assert space.distance_many(a, b)[0] == float(np.linalg.norm(logm(mats[0]) - logm(mats[1])))
         expected = mats.mean(axis=0) if metric == "euclidean" else spd_expm(
             np.mean([spd_logm(m) for m in mats], axis=0)
         )
@@ -361,20 +362,20 @@ def test_flat_space_single_forms_are_the_plain_formulas(rng):
 
 
 def test_openbook_distance_examples():
-    same = OpenBookSpace(3, 2).distance(openbook_point(1, (1.0, 2.0, 3.0)),
-                                        openbook_point(1, (1.0, 2.0, 7.0)))
+    same = OpenBookSpace(3, 2).distance_many(openbook_point(1, (1.0, 2.0, 3.0)),
+                                             openbook_point(1, (1.0, 2.0, 7.0)))[0]
     assert same == pytest.approx(4.0, abs=1e-15)
     space = OpenBookSpace(3, 1)
-    cross = space.distance(openbook_point(1, (1.0, 0.0)), openbook_point(2, (2.0, 0.0)))
+    cross = space.distance_many(openbook_point(1, (1.0, 0.0)), openbook_point(2, (2.0, 0.0)))[0]
     assert cross == pytest.approx(3.0, abs=1e-15)
-    cross2 = space.distance(openbook_point(1, (1.0, 3.0)), openbook_point(2, (1.0, 7.0)))
+    cross2 = space.distance_many(openbook_point(1, (1.0, 3.0)), openbook_point(2, (1.0, 7.0)))[0]
     assert cross2 == pytest.approx(np.sqrt(20.0), abs=1e-12)
 
 
 def test_openbook_fold_examples():
     # the leaf chart at a base on leaf k is the fold f_k
     space = OpenBookSpace(3, 1)
-    fold = [space.chart_at(openbook_point(k, (1.0, 0.0))).forward for k in (1, 2, 3)]
+    fold = [space.chart_at(openbook_point(k, (1.0, 0.0))).forward_many for k in (1, 2, 3)]
     assert np.allclose(fold[0](openbook_point(1, (2.0, 5.0))), [2.0, 5.0])
     assert np.allclose(fold[0](openbook_point(3, (2.0, 5.0))), [-2.0, 5.0])
     assert np.allclose(fold[1](openbook_point(0, (0.0, 5.0))), [0.0, 5.0])
@@ -393,6 +394,11 @@ def test_openbook_moments_all_spine():
     mom = openbook_moments(sample, 2)
     assert np.allclose(mom.folded_means, 0.0)
     assert mom.spine_fraction == 1.0
+
+
+def test_openbook_moments_refuses_a_sample_of_another_kind():
+    with pytest.raises(MixedSpacePoints, match="^expected an openbook sample, got euclidean$"):
+        openbook_moments(euclidean_sample(np.ones((3, 2))))
 
 
 def test_openbook_moments_two_leaves():
@@ -425,17 +431,17 @@ def test_openbook_frechet_mean_examples():
     sample = openbook_sample([1] * 6 + [2] * 2 + [3] * 2, np.tile([1.0, 0.0], (10, 1)))
     space = OpenBookSpace(3, 1)
     mu = space.mean(sample)[0]
-    assert mu.leaf == 1
+    assert mu.leaves.tolist() == [1]
     assert np.allclose(mu.data, [0.2, 0.0], atol=1e-15)
 
     sample2 = openbook_sample([1, 2, 3], [(1.0, 1.0), (1.0, 2.0), (1.0, 3.0)])
     mu2 = space.mean(sample2)[0]
-    assert mu2.leaf == 0
+    assert mu2.leaves.tolist() == [0]
     assert np.allclose(mu2.data, [0.0, 2.0])
 
     single = openbook_point(2, (5.0, 1.0))
     mu3 = space.mean(single)[0]
-    assert (mu3.kind, mu3.leaf) == (single.kind, single.leaf)
+    assert (mu3.kind, mu3.leaves.tolist()) == (single.kind, single.leaves.tolist())
     assert np.allclose(mu3.data, single.data, rtol=0.0, atol=1e-12)
 
 
@@ -447,7 +453,7 @@ def test_openbook_mean_minimizes_frechet_function(rng):
     space = OpenBookSpace(3, 2)
     for _ in range(1000):
         sample = random_openbook_sample(rng, int(rng.integers(2, 15)))
-        candidates = Sample.join([space.mean(sample)[0].sample, random_openbook_sample(rng, 100)])
+        candidates = Sample.join([space.mean(sample)[0], random_openbook_sample(rng, 100)])
         values = frechet_values(space, sample, candidates)
         assert values[0] <= values[1:].min() + 1e-12
 
