@@ -447,7 +447,8 @@ class Chart(ABC):
 
     @abstractmethod
     def forward_many(self, sample):
-        """Chart coordinates of every point of a Sample, as an (n, s) matrix."""
+        """Chart coordinates of every point of a Sample, as an (n, s) matrix;
+        MixedSpacePoints for anything but a Sample of the chart's space."""
 
     def test_images(self, sample):
         """The (n, s) images a two-sample test compares: the chart map."""
@@ -471,7 +472,7 @@ class FlatChart(Chart):
         return sample.data
 
     def forward_many(self, sample):
-        return self.pack(sample)
+        return self.pack(self.space.check_sample(sample))
 
     def h_many(self, x, packed):
         diff = packed - np.asarray(x, dtype=float)[..., None, :]
@@ -506,10 +507,10 @@ class Space(ABC):
         ``targets``); a one-row ``q`` is one point for every row."""
 
     def targets(self, sample, q):
-        """The checked Sample ``q`` of ``distance_many(sample, q)``;
-        MixedSpacePoints unless ``sample``'s rows form ``len(q)`` equal
-        groups."""
-        q = self.check_sample(q)
+        """The checked Sample ``q`` of ``distance_many(sample, q)``, after
+        checking ``sample``; MixedSpacePoints unless ``sample``'s rows form
+        ``len(q)`` equal groups."""
+        sample, q = self.check_sample(sample), self.check_sample(q)
         if len(sample) % len(q):
             raise MixedSpacePoints(f"{len(sample)} sample rows do not form {len(q)} equal groups")
         return q

@@ -42,4 +42,5 @@ class EuclideanSpace(Space):
         return euclidean_sample(means), np.zeros(reps, dtype=int)
 
     def distance_many(self, sample, q):
-        return row_norms(group_differences(sample.data, self.targets(sample, q).data))
+        q = self.targets(sample, q)
+        return row_norms(group_differences(sample.data, q.data))

@@ -139,14 +139,15 @@ class OpenBookSpineChart(FlatChart):
     additive x0^2.  So the test images are every point's spine coordinates."""
 
     def __init__(self, space):
+        super().__init__(space)
         self.s = space.spine_dim
-        self.space = space
 
     def pack(self, sample):
         """(n, D+1) rows of x0^2, then the spine coordinates."""
         return np.column_stack([sample.data[:, 0] ** 2, sample.data[:, 1:]])
 
     def forward_many(self, sample):
+        sample = self.space.check_sample(sample)
         if np.any(sample.leaves != 0):
             raise InvalidPoint("spine chart is only defined on the spine", sample.leaves != 0)
         return self.test_images(sample)

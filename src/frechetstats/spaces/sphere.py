@@ -231,7 +231,7 @@ class _TangentChart(Chart):
         return sample.data
 
     def forward_many(self, sample):
-        return self._in_basis(sample, self._tangent)
+        return self._in_basis(self.space.check_sample(sample), self._tangent)
 
     def _in_basis(self, sample, tangent):
         # the (n, s) coordinates of ``tangent`` of the rows, one group per chart

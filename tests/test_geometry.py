@@ -277,6 +277,7 @@ def test_points_and_lists_of_points_are_checked_as_samples():
     targets = euclidean_sample([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
     calls = [
         lambda: space.distance_many(p, 3.0),
+        lambda: space.distance_many(3.0, p),
         lambda: space.distance_many(sample, targets),  # 2 rows form no 3 equal groups
         lambda: space.chart_at(3.0),
         lambda: frechet_values(space, sample, 3.0),
@@ -316,10 +317,27 @@ def test_a_list_or_tuple_of_points_is_refused():
 
 
 def test_a_chart_checks_the_point_of_forward_against_its_space():
-    pole = sphere_point((0.0, 0.0, 1.0))
-    for space in (EuclideanSpace(3), SPDSpace(3, "euclidean")):
-        with pytest.raises(MixedSpacePoints):
-            space.chart_at(pole)
+    # the chart map and the distances refuse a point of another kind, the
+    # sample of distance_many as well as its targets
+    pole, origin = sphere_point((0.0, 0.0, 1.0)), euclidean_point((0.0, 0.0, 0.0))
+    book = OpenBookSpace(3, 2)
+    charts = [
+        EuclideanSpace(3).chart_at(),
+        SPDSpace(3, "euclidean").chart_at(),
+        book.chart_at(openbook_point(1, (1.0, 0.0, 0.0))),
+        book.chart_at(openbook_point(0, (0.0, 0.0, 0.0))),
+        SphereSpace(3, "intrinsic").chart_at(pole),
+        SphereSpace(3, "extrinsic").chart_at(pole),
+    ]
+    for chart in charts:
+        own = chart.space.kind == "sphere"
+        foreign = origin if own else pole
+        with pytest.raises(MixedSpacePoints, match=f"got {foreign.kind}"):
+            chart.forward_many(foreign)
+        here = pole if own else random_point(chart.space, np.random.default_rng(0))
+        for args in ((foreign, here), (here, foreign)):
+            with pytest.raises(MixedSpacePoints, match=f"got {foreign.kind}"):
+                chart.space.distance_many(*args)
 
 
 # ---------------------------------------------------------------------------
