@@ -5,49 +5,165 @@ distribution functions they rely on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy import special
 
 from .errors import InvalidPoint, NearSingularCovariance, TooFewPoints
 from .estimator import guarded_inverse
 from .geometry import Sample
 
+# The chi-square functions are closed forms for an integer number k of
+# degrees of freedom (the chart dimension, in the paper's limit): with
+# y = x/2 and nu = (k mod 2)/2, the upper tail is the finite Poisson sum
+#
+#     P(chi2_k > x) = [erfc(sqrt(y)) if k is odd]
+#                     + sum_{j < k//2} e^-y y^(j+nu) / Gamma(j+nu+1)
+#
+# of positive terms, each term the one before times y/(j+nu).
+
+#: y above which e^-y is taken as two factors e^-y/2, one on the terms and
+#: one on their sum, so a tail whose e^-y underflows (e^-709 is no longer
+#: a normal float) keeps its digits
+_SPLIT_Y = 700.0
+#: y above which e^-y/2 underflows too, and each term is built in log space
+_LOG_Y = 1400.0
+#: stands in for y = inf in log space, where inf - inf would be NaN
+_BIG_Y = 1e300
+#: Newton steps of a quantile before it gives up (it takes about ten)
+_QUANTILE_STEPS = 200
+
+_EPS = np.finfo(float).eps
+_TINY = np.finfo(float).tiny
+_erfc = np.frompyfunc(math.erfc, 1, 1)
+
 
 def _check_df(k):
+    """The integer k of chi2_k; ValueError for k < 1 or a fraction."""
     if k < 1:
         raise ValueError("degrees of freedom must be >= 1")
+    if not float(k).is_integer():
+        raise ValueError("degrees of freedom must be an integer")
+    return int(k)
 
 
-def _gamma_tail(tail, x, k):
-    """``tail(k/2, x/2)`` of a regularized incomplete gamma function, for a
-    scalar ``x`` (a float) or an array (a NaN entry gives NaN)."""
+def _upper(y, k):
+    """Q(k/2, y) = P(chi2_k > 2y) along a 1-d array y >= 0 (NaN gives NaN)."""
+    y = np.minimum(y, _BIG_Y)
+    nu = 0.5 * (k % 2)
+    far = y > _LOG_Y
+    near = np.where(far, 0.0, y)
+    split = np.where(near > _SPLIT_Y, 0.5 * near, 0.0)
+    term = np.exp(split - near)
+    if nu:
+        term = term * (2.0 * np.sqrt(near / np.pi))  # y^(1/2) / Gamma(3/2)
+    total = np.zeros_like(y)
+    for j in range(k // 2):
+        if j:
+            term = term * near / (j + nu)
+        total = total + term
+    q = total * np.exp(-split)
+    if far.any():
+        yf = y[far]
+        q[far] = sum(np.exp((j + nu) * np.log(yf) - yf - math.lgamma(j + nu + 1.0))
+                     for j in range(k // 2))
+    if nu:
+        q += _erfc(np.sqrt(y)).astype(float)
+    return q
+
+
+def _cdf(y, k):
+    """P(k/2, y) = P(chi2_k <= 2y) along a 1-d array y >= 0: 1 - Q where
+    Q <= 1/2, and elsewhere (below the median, where every ratio y/(a+n)
+    is below 1) the convergent series
+
+        e^-y y^a / Gamma(a+1) sum_n y^n / ((a+1)...(a+n)),   a = k/2,
+
+    so a small lower tail keeps its relative accuracy.
+    """
+    sf = _upper(y, k)
+    cdf = 1.0 - sf
+    below = sf > 0.5
+    a, yb = 0.5 * k, y[below]
+    with np.errstate(divide="ignore"):
+        term = np.exp(a * np.log(yb) - yb - math.lgamma(a + 1.0))
+    total, n = term, 0
+    while np.any(term > 0.25 * _EPS * total):
+        n += 1
+        term = term * yb / (a + n)
+        total = total + term
+    cdf[below] = total
+    return cdf
+
+
+def _tail(fn, x, k):
+    """``fn(x/2, k)`` for a scalar ``x`` (a float) or an array of any shape."""
     x = np.asarray(x, dtype=float)
     if np.any(x < 0.0):
         raise ValueError("x must be nonnegative")
-    _check_df(k)
-    p = tail(0.5 * k, 0.5 * x)
+    p = fn(0.5 * x.ravel(), _check_df(k)).reshape(x.shape)
     return float(p) if p.ndim == 0 else p
 
 
 def chi2_sf(x, k):
-    """Upper tail P(chi2_k > x) via the regularized upper incomplete gamma
-    function Q(k/2, x/2); ``x`` may be an array."""
-    return _gamma_tail(special.gammaincc, x, k)
+    """Upper tail P(chi2_k > x); ``x`` may be an array."""
+    return _tail(_upper, x, k)
 
 
 def chi2_cdf(x, k):
     """Lower tail P(chi2_k <= x); ``x`` may be an array."""
-    return _gamma_tail(special.gammainc, x, k)
+    return _tail(_cdf, x, k)
 
 
 def chi2_quantile(k, prob):
     """Value q with P(chi2_k <= q) = prob."""
-    _check_df(k)
+    k = _check_df(k)
     if not 0.0 < prob < 1.0:
         raise ValueError("prob must be in (0, 1)")
-    return float(2.0 * special.gammainccinv(0.5 * k, 1.0 - prob))
+    return _quantile(k, float(prob))
+
+
+@lru_cache(maxsize=256)
+def _quantile(k, prob):
+    """``chi2_quantile``: Newton's method on the log of the smaller tail
+    against log q, kept inside a bracket of the root; a step that would
+    leave the bracket halves or doubles q, or bisects the bracket's logs.
+    A quantile below the normal floats (k = 1 and prob below about 1e-154,
+    say) is 0.0.  Memoized: a Monte Carlo run asks for one quantile per
+    block."""
+    upper = prob > 0.5
+    tail, sign = (_upper, -1.0) if upper else (_cdf, 1.0)
+    target = math.log1p(-prob) if upper else math.log(prob)
+    a = 0.5 * k
+    lo, hi, q = 0.0, math.inf, float(k)
+    for _ in range(_QUANTILE_STEPS):
+        y = 0.5 * q
+        p = float(tail(np.array([y]), k)[0])
+        excess = math.log(p) - target if p > 0.0 else -math.inf
+        if sign * excess > 0.0:
+            hi = q
+        else:
+            lo = q
+        step, slope = math.nan, 0.0
+        if p > 0.0:  # d log(tail) / d log(q) = +-y^a e^-y / (Gamma(a) tail)
+            slope = sign * math.exp(a * math.log(y) - y - math.lgamma(a) - math.log(p))
+        if slope:
+            log_step = -excess / slope
+            # done when the step is within the rounding of log(tail) itself
+            if abs(log_step) <= _EPS * (2.0 + abs(target / slope)):
+                return q * math.exp(log_step)
+            step = q * math.exp(min(max(log_step, -700.0), 700.0))
+        if hi - lo <= 4.0 * _EPS * q:
+            return q
+        if not lo < step < hi:
+            step = 2.0 * q if hi == math.inf else 0.5 * q if lo == 0.0 else \
+                math.sqrt(lo) * math.sqrt(hi)
+        if step < _TINY:
+            return 0.0
+        q = step
+    return q
 
 
 @dataclass(frozen=True)

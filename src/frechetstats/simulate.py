@@ -24,7 +24,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
 from .errors import CutLocus, FrechetStatsError, InvalidDescriptor, InvalidPoint
 from .estimator import check_derivatives, confidence_regions_contain, stacked_sandwich
@@ -158,6 +157,9 @@ class SphereCapDescriptor:
             return Sample("sphere", rows)  # unit rows by construction
         # on S^d, w = (1 - cos theta) / 2 is Beta(d/2, d/2) under the
         # uniform law; invert its CDF truncated to the cap, w <= sin(r/2)^2
+        # (scipy is imported here, the one place the library needs it)
+        from scipy import special
+
         a = 0.5 * space.chart_dim
         top = special.betainc(a, a, np.sin(0.5 * self.radius) ** 2)
         w = special.betaincinv(a, a, level * top)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 from scipy.integrate import quad
 
 from frechetstats.errors import InvalidPoint, NearSingularCovariance, TooFewPoints
@@ -41,15 +42,15 @@ def test_chi2_sf_at_zero_is_one():
 
 
 def test_chi2_sf_two_dof_closed_form():
-    for x in (0.1, 1.0, 3.0, 12.0):
-        assert chi2_sf(x, 2) == pytest.approx(math.exp(-x / 2.0), abs=1e-14)
+    # exactly e^-x/2 wherever that is a normal float
+    xs = np.linspace(0.0, 1400.0, 2801)
+    np.testing.assert_array_equal(chi2_sf(xs, 2), np.exp(-xs / 2.0))
 
 
 def test_chi2_sf_one_dof_closed_form():
-    # P(chi2_1 > x) = 2 (1 - Phi(sqrt(x)))
-    for x in (0.2, 1.0, 4.0, 9.0):
-        expected = math.erfc(math.sqrt(x / 2.0))
-        assert chi2_sf(x, 1) == pytest.approx(expected, abs=1e-10)
+    # P(chi2_1 > x) = 2 (1 - Phi(sqrt(x))) = erfc(sqrt(x/2)), exactly
+    xs = np.linspace(0.0, 1500.0, 3001)
+    assert chi2_sf(xs, 1).tolist() == [math.erfc(math.sqrt(x / 2.0)) for x in xs]
 
 
 def test_chi2_sf_six_dof_vs_quadrature():
@@ -81,12 +82,102 @@ def test_chi2_input_validation():
         chi2_sf(1.0, 0)
     with pytest.raises(ValueError):
         chi2_quantile(3, 1.5)
+    for call in (lambda k: chi2_sf(1.0, k), lambda k: chi2_cdf(1.0, k),
+                 lambda k: chi2_quantile(k, 0.95)):
+        for k in (2.5, 1.0 + 1e-12, math.inf, math.nan):
+            with pytest.raises(ValueError, match="degrees of freedom must be an integer"):
+                call(k)
+        with pytest.raises(ValueError, match="degrees of freedom must be >= 1"):
+            call(0.5)
+        assert call(6.0) == call(np.int64(6)) == call(6)
 
 
 def test_chi2_functions_share_one_degrees_of_freedom_check():
     for call in (lambda: chi2_sf(1.0, 0), lambda: chi2_cdf(1.0, 0), lambda: chi2_quantile(0, 0.95)):
         with pytest.raises(ValueError, match="degrees of freedom must be >= 1"):
             call()
+
+
+#: the degrees of freedom of the reference tests
+REFERENCE_DFS = [*range(1, 13), 21, 55]
+
+
+def _reference_grid(k):
+    """x from 0 to past the point where P(chi2_k > x) underflows, dense near
+    0 (where the lower tail is small) and in steps of 0.5 beyond."""
+    tail = np.arange(1.0, 2 * 830.0 + 2 * k, 0.5)
+    return np.concatenate([[0.0], np.geomspace(1e-12, 1.0, 121), tail])
+
+
+def _assert_matches_scipy(ours, ref):
+    """Relative agreement to 1e-13 wherever scipy's value exceeds 1e-300,
+    and to 2 L 2^-52 where the value e^-L is below about e^-230.  There
+    both sides carry the rounding of a large exponent, about L ulps: scipy
+    takes exp of a rounded L, and erfc(sqrt(y)) magnifies the rounding of
+    sqrt(y) 2y times.  Against 40-digit mpmath scipy is off by up to
+    1.15e-13 (k = 6, x = 1070) and the closed form by up to 9.2e-14
+    (k = 1, x near 1400); the mpmath test below holds every value of the
+    closed form to 1e-13."""
+    ours, ref = np.asarray(ours), np.asarray(ref)
+    kept = ref > 1e-300
+    bound = np.maximum(1e-13, 2.0 * np.abs(np.log(ref[kept])) * np.finfo(float).eps)
+    err = np.abs(ours[kept] / ref[kept] - 1.0)
+    assert np.all(err <= bound), (err / bound).max()
+
+
+@pytest.mark.parametrize("k", REFERENCE_DFS)
+def test_chi2_tails_match_scipy(k):
+    xs = _reference_grid(k)
+    sf = special.gammaincc(0.5 * k, 0.5 * xs)
+    assert sf[-1] == 0.0  # the grid reaches the underflow
+    _assert_matches_scipy(chi2_sf(xs, k), sf)
+    _assert_matches_scipy(chi2_cdf(xs, k), special.gammainc(0.5 * k, 0.5 * xs))
+
+
+@pytest.mark.parametrize("k", REFERENCE_DFS)
+def test_chi2_sf_matches_mpmath_to_1e_13(k):
+    mpmath = pytest.importorskip("mpmath")
+    xs = _reference_grid(k)[::7]
+    with mpmath.workdps(40):
+        exact = [mpmath.gammainc(0.5 * k, 0.5 * x, regularized=True) for x in xs]
+        exact = np.array([float(v) for v in exact])
+    kept = exact > 1e-300
+    np.testing.assert_allclose(chi2_sf(xs, k)[kept], exact[kept], rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("k", REFERENCE_DFS)
+def test_chi2_quantile_matches_scipy(k):
+    probs = np.linspace(1e-3, 1.0 - 1e-3, 51)
+    qs = np.array([chi2_quantile(k, p) for p in probs])
+    np.testing.assert_allclose(qs, 2.0 * special.gammainccinv(0.5 * k, 1.0 - probs),
+                               rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(chi2_cdf(qs, k), probs, rtol=1e-13, atol=0.0)
+
+
+def test_chi2_tails_at_the_edges():
+    xs = np.array([0.0, np.inf, np.nan])
+    for k in (1, 2, 3, 6, 55):
+        sf, cdf = chi2_sf(xs, k), chi2_cdf(xs, k)
+        assert sf[:2].tolist() == [1.0, 0.0] and cdf[:2].tolist() == [0.0, 1.0]
+        assert np.isnan(sf[2]) and np.isnan(cdf[2])
+        assert chi2_sf(0.0, k) == 1.0 and chi2_sf(math.inf, k) == 0.0
+        assert math.isnan(chi2_sf(math.nan, k)) and math.isnan(chi2_cdf(math.nan, k))
+    # quantiles far out in either tail, and one below the normal floats
+    assert chi2_cdf(chi2_quantile(3, 1e-200), 3) == pytest.approx(1e-200, rel=1e-12)
+    assert chi2_sf(chi2_quantile(6, 1.0 - 2.0 ** -50), 6) == pytest.approx(2.0 ** -50, rel=1e-12)
+    assert chi2_quantile(1, 1e-300) == 0.0
+    # a tail whose e^-x/2 underflows is still representable (and right)
+    assert chi2_sf(1500.0, 100) == pytest.approx(special.gammaincc(50.0, 750.0), rel=1e-13)
+    assert chi2_sf(3000.0, 1200) == pytest.approx(special.gammaincc(600.0, 1500.0), rel=1e-12)
+
+
+def test_chi2_tails_give_a_scalar_the_bits_of_its_array_entry():
+    xs = np.array([0.0, 0.5, 3.0, 12.5916, 800.0, 1420.0, 1600.0, 3000.0])
+    for k in (1, 2, 5, 6, 600):
+        sf, cdf = chi2_sf(xs, k), chi2_cdf(xs, k)
+        assert sf.tolist() == [chi2_sf(float(x), k) for x in xs]
+        assert cdf.tolist() == [chi2_cdf(float(x), k) for x in xs]
+        np.testing.assert_array_equal(chi2_sf(xs.reshape(2, 4), k), sf.reshape(2, 4))
 
 
 def test_chi2_cdf_maps_an_array_as_chi2_sf_does():

@@ -159,8 +159,8 @@ def test_fiber_site_statistics_are_pinned(metric):
 #: sha256 of the ``fiber`` site CSV of ``gen-fiber --seed 1 --effect-sites
 #: 10-20 --effect-size 0.3`` (46 subjects x 75 sites) under each metric
 FIBER_SITE_CSV_SHA256 = {
-    "log-euclidean": "1c0e893a9273972021feeafdcfc06430d59ddc9dd08972d88c624ca04b30ffd6",
-    "euclidean": "8b1a93f822d12e07d1f0d9f40ab2f300a1604290d32d6f36635fdc9f883da0f0",
+    "log-euclidean": "a353f4a510bd1656d09f737d6268941e9e077976a853756df591fe7594fc1edc",
+    "euclidean": "5703eaa4613cf8c0309e95e1389e5989c5c401da93db9fd3d282e51931c2c8cf",
 }
 FIBER_DATA_SHA256 = "e267d5d8d82e32bb89f49d023fa39d75af4070c509902fbf7d9fee941b506fe6"
 
