@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -367,6 +367,7 @@ def cmd_gen_fiber(args):
     return EXIT_OK
 
 
+@cache  # one parser per process: parse_args leaves it as it was
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="frechetstats",

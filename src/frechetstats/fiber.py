@@ -19,7 +19,7 @@ from itertools import compress, count, repeat
 
 import numpy as np
 
-from .errors import InvalidPoint, NotPositiveDefinite
+from .errors import InvalidDescriptor, InvalidPoint, NotPositiveDefinite
 from .geometry import UPPER_COLUMNS, Sample, _Refusals, matrix_to_upper, spd_sample, upper_to_matrix
 from .inference import bh_fdr, bonferroni, chi2_two_sample
 from .spaces.spd import SPDSpace, _vech_inv_rows, spd_expm, spd_logm
@@ -110,10 +110,12 @@ def read_columns(body, kinds, refusals):
     for start in range(0, n, CHUNK_LINES):
         fields = ",".join(body[start:start + CHUNK_LINES]).split(",")
         for k, (kind, dtype, piece) in enumerate(zip(kinds, dtypes, pieces)):
-            try:
-                piece.append(np.fromiter(map(kind, fields[k::width]), dtype, len(fields) // width))
+            column = fields[k::width]
+            try:  # an int column has few distinct fields (group, site): convert each once
+                convert = {field: int(field) for field in set(column)}.__getitem__ if kind is int else kind
+                piece.append(np.fromiter(map(convert, column), dtype, len(column)))
             except (ValueError, OverflowError):  # OverflowError: an int beyond int64
-                piece.append(_convert(kind, fields[k::width], start, n, refusals))
+                piece.append(_convert(kind, column, start, n, refusals))
     return [np.concatenate(piece) for piece in pieces]
 
 
@@ -200,12 +202,12 @@ def parse_fiber_csv(lines):
 
 
 def write_fiber_csv(dataset, stream):
-    stream.write(",".join(FIBER_COLUMNS) + "\n")
-    uppers = matrix_to_upper(dataset.tensors)
-    for i, subject in enumerate(dataset.subjects):
-        for site in range(dataset.n_sites):
-            values = ",".join(f"{v:.17g}" for v in uppers[i, site])
-            stream.write(f"{subject},{dataset.groups[i]},{site},{values}\n")
+    """Write ``dataset`` in the dataset format, in one formatted pass."""
+    line = "%s,%d,%d" + ",%.17g" * len(UPPER_COLUMNS) + "\n"
+    pairs = [(subject, group, site) for subject, group in zip(dataset.subjects, dataset.groups.tolist())
+             for site in range(dataset.n_sites)]
+    uppers = matrix_to_upper(dataset.tensors).reshape(len(pairs), -1).tolist()
+    stream.write(",".join(FIBER_COLUMNS) + "\n" + "".join([line % (*p, *u) for p, u in zip(pairs, uppers)]))
 
 
 def generate_fiber_dataset(
@@ -225,10 +227,10 @@ def generate_fiber_dataset(
     the normalized diagonal direction.
     """
     if n_group0 < 2 or n_group1 < 2 or n_sites < 1:
-        raise ValueError("need at least 2 subjects per group and 1 site")
+        raise InvalidDescriptor("need at least 2 subjects per group and 1 site")
     effect = set(int(s) for s in effect_sites)
     if effect and (min(effect) < 0 or max(effect) >= n_sites):
-        raise ValueError("effect sites must lie in [0, n_sites)")
+        raise InvalidDescriptor("effect sites must lie in [0, n_sites)")
     n = n_group1 + n_group0
     subjects = tuple(f"subj{i:03d}" for i in range(n))
     groups = np.array([1] * n_group1 + [0] * n_group0)
@@ -239,7 +241,9 @@ def generate_fiber_dataset(
         logs[np.ix_(groups == 1, sorted(effect))] += effect_size * np.eye(3) / np.sqrt(3.0)
     keys = [(i, site) for i in range(n) for site in range(n_sites)]
     streams = Streams(seed, keys)
-    z = np.array([streams.open(key).standard_normal(6) for key in keys])
+    z = np.empty((len(keys), 6))
+    for key, row in zip(keys, z):
+        streams.open(key).standard_normal(out=row)
     noise = _vech_inv_rows(noise_scale * z, 3).reshape(logs.shape)
     return FiberDataset(subjects=subjects, groups=groups, tensors=spd_expm(logs + noise))
 

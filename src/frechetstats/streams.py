@@ -109,22 +109,31 @@ def _seed_pool(seed):
 def _key_words(keys):
     """(m, w) uint32 words of each key (its integers' words in order,
     zero-padded to the longest key) and the (m,) count of each key's
-    words."""
-    flat, lengths = [], []
-    for key in keys:
-        parts = key if isinstance(key, tuple) else (key,)
-        if not parts or not all(map(is_count, parts)):
-            raise InvalidDescriptor(
-                "a stream key must be a non-negative integer or a nonempty tuple of them, "
-                f"got {key!r}"
-            )
-        start = len(flat)
-        for k in parts:
-            flat += _int_words(int(k))
-        lengths.append(len(flat) - start)
-    lengths = np.array(lengths, dtype=int)
+    words.  The keys are checked and split as arrays: one type check over
+    all their integers (a bool is refused before numpy could read it as 1);
+    if any has several words, all are split as one object array, shifted 32
+    bits at a time."""
+    parts = [key if isinstance(key, tuple) else (key,) for key in keys]
+    flat = [k for part in parts for k in part]
+    types = set(map(type, flat))
+    lengths = np.fromiter(map(len, parts), np.intp, len(parts))
+    if (not lengths.all() or bool in types or not all(issubclass(t, (int, np.integer)) for t in types)
+            or min(flat, default=0) < 0):
+        bad = next(key for key, part in zip(keys, parts) if not part or not all(map(is_count, part)))
+        raise InvalidDescriptor(
+            f"a stream key must be a non-negative integer or a nonempty tuple of them, got {bad!r}"
+        )
+    values = flat
+    if max(flat, default=0) > _MASK:  # list each value's words in turn, and count each key's
+        shifted = [np.fromiter(map(int, flat), object, len(flat))]  # values >> 32 j, until all are 0
+        while (rest := shifted[-1] >> 32).any():
+            shifted.append(rest)
+        shifted = np.array(shifted)
+        counts = 1 + (shifted[1:] != 0).sum(axis=0)  # each value's words, one for 0
+        values = (shifted & _MASK).T[np.arange(len(shifted)) < counts[:, None]]
+        lengths = np.add.reduceat(counts, np.cumsum(lengths) - lengths)
     words = np.zeros((len(lengths), lengths.max(initial=1)), dtype=np.uint32)
-    words[np.arange(words.shape[1]) < lengths[:, None]] = flat
+    words[np.arange(words.shape[1]) < lengths[:, None]] = values
     return words, lengths
 
 

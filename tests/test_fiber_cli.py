@@ -1,11 +1,13 @@
 import io
 import json
+import re
 
 import numpy as np
 import pytest
 
+from frechetstats import cli
 from frechetstats.cli import CLIInputError, load_points, main
-from frechetstats.errors import InvalidPoint, NearSingularCovariance
+from frechetstats.errors import InvalidDescriptor, InvalidPoint, NearSingularCovariance
 from frechetstats.fiber import (
     CHUNK_LINES,
     FiberDataset,
@@ -424,6 +426,54 @@ def test_cli_gen_fiber_refuses_a_reversed_site_range(tmp_path, capsys):
     assert main(["gen-fiber", "--effect-sites", "3,20-10", "--output", str(out)]) == 2
     assert "effect site range '20-10' is reversed" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args, kwargs, message",
+    [
+        (["--group1-size", "1"], dict(n_group1=1), "need at least 2 subjects per group and 1 site"),
+        (["--group0-size", "1"], dict(n_group0=1), "need at least 2 subjects per group and 1 site"),
+        (["--sites", "0"], dict(n_sites=0), "need at least 2 subjects per group and 1 site"),
+        (["--sites", "5", "--effect-sites", "3-5"], dict(n_sites=5, effect_sites=[3, 4, 5]),
+         "effect sites must lie in [0, n_sites)"),
+    ],
+)
+def test_gen_fiber_refuses_bad_sizes_with_a_typed_error(args, kwargs, message, tmp_path, capsys):
+    with pytest.raises(InvalidDescriptor, match=re.escape(message)):
+        generate_fiber_dataset(**kwargs)
+    out = tmp_path / "fiber.csv"
+    assert main(["gen-fiber", *args, "--output", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_one_parser_serves_every_call_of_a_process(tmp_path, capsys):
+    data, sites, made = tmp_path / "fiber.csv", tmp_path / "sites.csv", tmp_path / "made.csv"
+    with open(data, "w") as fh:
+        write_fiber_csv(generate_fiber_dataset(seed=2, n_sites=8, n_group1=5, n_group0=4), fh)
+    calls = [
+        ["fiber", str(data), "--metric", "euclidean", "--alpha", "0.1", "--output", str(sites)],
+        ["gen-fiber", "--sites", "8", "--group1-size", "5", "--group0-size", "4", "--output", str(made)],
+        ["gen-fiber", "--effect-sites", "20-10", "--seed", "3", "--output", str(made)],
+        ["fiber", str(data), "--output", str(sites)],
+    ]
+
+    def run(argv):
+        for path in (sites, made):
+            path.unlink(missing_ok=True)
+        code = main(argv)
+        files = [path.read_bytes() if path.exists() else None for path in (sites, made)]
+        return code, capsys.readouterr(), files
+
+    firsts = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        firsts.append(run(argv))
+    cli.build_parser.cache_clear()
+    assert [run(argv) for argv in calls] == firsts  # one parser, built by the first call
+    assert [code for code, _, _ in firsts] == [0, 0, 2, 0]
+    assert firsts[0][1].out != firsts[3][1].out  # the second fiber call took the default metric
+    assert cli.build_parser.cache_info().misses == 1
 
 
 def test_cli_gen_fiber_reproducible_bytes(tmp_path):

@@ -1,7 +1,7 @@
 """Rules the library's source keeps (checked by parsing, not by running
-it): the spaces and the estimator refuse with typed errors, never a bare
-``ValueError``, and nothing dispatches with ``isinstance`` on a space
-class (a space says what it is by its ``kind``)."""
+it): the spaces, the estimator and the fiber pipeline refuse with typed
+errors, never a bare ``ValueError``, and nothing dispatches with
+``isinstance`` on a space class (a space says what it is by its ``kind``)."""
 
 import ast
 from pathlib import Path
@@ -28,7 +28,8 @@ def _name(node):
 
 
 def test_no_bare_value_error_is_raised_by_a_space_or_the_estimator():
-    sources = sorted(PACKAGE.joinpath("spaces").glob("*.py")) + [PACKAGE / "estimator.py"]
+    sources = sorted(PACKAGE.joinpath("spaces").glob("*.py"))
+    sources += [PACKAGE / "estimator.py", PACKAGE / "fiber.py"]
     raised = [
         (path, node.lineno)
         for path, node in _nodes(sources)

@@ -1,9 +1,13 @@
 """The block stream opener against numpy's own SeedSequence streams."""
 
+import re
+
 import numpy as np
 import pytest
+from numpy.random.bit_generator import _coerce_to_uint32_array
 
-from frechetstats.streams import Streams, philox_keys
+from frechetstats.errors import InvalidDescriptor
+from frechetstats.streams import Streams, _key_words, philox_keys
 
 from conftest import seed_sequence_stream
 
@@ -90,3 +94,37 @@ def test_keys_with_equal_words_share_a_stream():
 def test_each_experiments_keys_open_distinct_streams(keys):
     for seed in (0, 2**40 + 3):
         assert len(np.unique(philox_keys(seed, keys), axis=0)) == len(keys)
+
+
+@pytest.mark.parametrize(
+    "keys",
+    [
+        pytest.param([2**32, (0, 1)], id="2**32_and_(0,1)"),
+        pytest.param([5, (5,)], id="5_and_(5,)"),
+        pytest.param([2**64 + 5, (2**64 + 5, 0), 2**100], id="multi_word_ints"),
+        pytest.param([(1,), (2, 3, 4), 7, (2**40, 0, 9), (0,)], id="mixed_length_tuples"),
+        pytest.param([np.int64(9), (np.int32(3), np.uint32(4)), np.uint64(2**63 + 1)], id="numpy_ints"),
+        pytest.param([(i, s) for i in range(46) for s in range(75)], id="fiber_block"),
+    ],
+)
+def test_key_words_are_seed_sequence_words(keys):
+    words, lengths = _key_words(keys)
+    for key, row, length in zip(keys, words, lengths):
+        # the words SeedSequence itself absorbs for the spawn key
+        expected = _coerce_to_uint32_array(key if isinstance(key, tuple) else (key,))
+        assert np.array_equal(row[:length], expected) and not row[length:].any()
+    for seed in (0, 2**40 + 3):
+        assert np.array_equal(philox_keys(seed, keys), seed_sequence_keys(seed, keys))
+
+
+@pytest.mark.parametrize(
+    "bad", [True, (1, True), -1, (1, -2), 1.0, (), np.int64(-3), (2, np.float64(1.0)), "3"],
+    ids=repr,
+)
+def test_key_words_refuse_what_is_not_a_count(bad):
+    # numpy would read True and 1.0 as 1: the type check must come first
+    for keys in ([bad], [(0, 1), bad, 4]):
+        with pytest.raises(InvalidDescriptor, match=f"got {re.escape(repr(bad))}$"):
+            _key_words(keys)
+        with pytest.raises(InvalidDescriptor):
+            Streams(0, keys)
