@@ -25,6 +25,12 @@ class TooFewPoints(FrechetStatsError, ValueError):
     a two-sample group of one point); also a ValueError, as it once was."""
 
 
+class InvalidArgument(FrechetStatsError, ValueError):
+    """An argument of a chi-square function or a multiple-testing procedure
+    lies outside its domain (degrees of freedom, a probability, p-values,
+    alpha); also a ValueError, as it once was."""
+
+
 class NonFiniteValue(FrechetStatsError):
     """A function returned NaN or infinity at a probe point."""
 

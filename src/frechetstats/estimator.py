@@ -27,11 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidDescriptor, NearSingularCovariance, NearSingularHessian, NoConvergence
-from .geometry import Sample, mean_gradient, numeric_gradient, numeric_hessian, row_norms
-
-#: condition-number ceiling beyond which Lambda_n (or a covariance) is
-#: treated as numerically singular
-COND_LIMIT = 1e12
+from .geometry import Sample, guarded_inverse, mean_gradient, numeric_gradient, numeric_hessian
+from .geometry import refuse_singular, row_norms
+from .inference import chi2_quantile, quadratic_forms
 
 
 @dataclass(frozen=True)
@@ -102,27 +100,6 @@ def estimate_mean(space, sample):
     return fit
 
 
-def guarded_inverse(matrices):
-    """Inverses of the symmetric parts of a (..., s, s) stack of nonempty
-    square matrices, through their eigendecompositions.
-
-    Returns ``(inv, w, cond, singular)``: the symmetrized inverses, the
-    eigenvalues, the condition numbers max|w| / min|w| (inf when an
-    eigenvalue is 0) and the mask of matrices treated as numerically
-    singular, those whose condition number exceeds COND_LIMIT.  A singular
-    matrix gets a finite stand-in for its inverse (its eigenvalues replaced
-    by 1), so callers decide what it means.
-    """
-    m = np.asarray(matrices, dtype=float)
-    w, v = np.linalg.eigh(0.5 * (m + np.swapaxes(m, -1, -2)))
-    absw = np.abs(w)
-    amax, amin = absw.max(axis=-1), absw.min(axis=-1)
-    cond = np.divide(amax, amin, out=np.full_like(amax, np.inf), where=amin > 0.0)
-    singular = cond > COND_LIMIT
-    inv = (v / np.where(singular[..., None], 1.0, w)[..., None, :]) @ np.swapaxes(v, -1, -2)
-    return 0.5 * (inv + np.swapaxes(inv, -1, -2)), w, cond, singular
-
-
 def sandwich_covariance(space, sample, fit, *, derivatives="auto"):
     """Populate Lambda_n, C_n and the sandwich covariance of a fit
     (row 0 of ``stacked_sandwich`` of the one fit).
@@ -179,9 +156,7 @@ def stacked_sandwich(chart, coords, packed, *, derivatives="auto"):
     lam = 0.5 * (lam + np.swapaxes(lam, -1, -2))
     c = _second_moments(rows)
     lam_inv, w, cond, singular = guarded_inverse(lam)
-    if singular.any():
-        raise NearSingularHessian(f"Lambda_n is numerically singular (condition number "
-                                  f"{float(cond[singular].flat[0]):.3e})", singular)
+    refuse_singular(NearSingularHessian, "Lambda_n", cond, singular)
     return lam, c, _sandwich_product(lam_inv, c), cond, np.min(w, axis=-1) > 0.0
 
 
@@ -204,7 +179,10 @@ def confidence_region_contains(fit, candidate_chart_coords, alpha):
 
     Returns whether ``n (nu_n - x)^T asym_cov^-1 (nu_n - x)`` is at most the
     chi-square(s) quantile at level 1 - alpha (boundary inclusive).
+    InvalidDescriptor when ``fit`` is not a FrechetFit or has no covariance.
     """
+    if not isinstance(fit, FrechetFit):
+        raise InvalidDescriptor(f"fit must be a FrechetFit, got {type(fit).__name__}")
     if fit.asym_cov is None:
         raise InvalidDescriptor("fit has no covariance; run sandwich_covariance first")
     contains = confidence_regions_contain(
@@ -222,8 +200,6 @@ def confidence_regions_contain(n, coords, asym_covs, candidate_chart_coords, alp
     mask.  Raises NearSingularCovariance masking the fits whose covariance
     is numerically singular while the candidate differs from their mean.
     """
-    from .inference import chi2_quantile
-
     if not 0.0 < alpha < 1.0:
         raise InvalidDescriptor("alpha must be in (0, 1)")
     if coords.shape[-1] == 0:
@@ -231,10 +207,6 @@ def confidence_regions_contain(n, coords, asym_covs, candidate_chart_coords, alp
     d = coords - np.asarray(candidate_chart_coords, dtype=float)
     # the statistic is identically 0 at the mean, even for degenerate fits
     at_mean = ~np.any(d, axis=-1)
-    inv, _, cond, singular = guarded_inverse(asym_covs)
-    refused = singular & ~at_mean
-    if refused.any():
-        raise NearSingularCovariance(f"asym_cov is numerically singular (condition number "
-                                     f"{float(cond[refused][0]):.3e})", refused)
-    statistic = ((n * d)[:, None, :] @ inv @ d[:, :, None])[:, 0, 0]
+    statistic, cond, singular = quadratic_forms(d, asym_covs, scale=n)
+    refuse_singular(NearSingularCovariance, "asym_cov", cond, singular & ~at_mean)
     return at_mean | (statistic <= chi2_quantile(coords.shape[-1], 1.0 - alpha))

@@ -8,8 +8,9 @@ call per chunk, checks the columns as arrays, refusing bad lines by mask so
 that an error names the first bad line, and fills the tensors in one
 scatter; a dataset validates all its tensors in one batch when it is built;
 the sweep maps every tensor to the chart at once and tests all sites in one
-batched chi-square computation (``inference.chi2_two_sample``).  The CLI's
-point files are read by the same reader (``read_table``, ``read_columns``).
+batched chi-square computation (``inference.chi2_two_sample``), whose
+``singular`` mask names the failed sites.  The CLI's point files are read
+by the same reader (``read_table``, ``read_columns``).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from .errors import InvalidDescriptor, InvalidPoint, NotPositiveDefinite
 from .geometry import UPPER_COLUMNS, Sample, _Refusals, matrix_to_upper, spd_sample, upper_to_matrix
-from .inference import bh_fdr, bonferroni, chi2_two_sample
+from .inference import bh_fdr, bonferroni, check_alpha, chi2_two_sample
 from .spaces.spd import SPDSpace, _vech_inv_rows, spd_expm, spd_logm
 from .streams import Streams
 
@@ -273,8 +274,9 @@ def fiber_site_tests(dataset, metric="log_euclidean", alpha=0.05):
     its reason and the condition number of its pooled covariance (None when
     infinite) in ``failed_site_details``.  Raises NotPositiveDefinite,
     naming the subject and site, for a tensor too close to singular for the
-    log-Euclidean chart.
+    log-Euclidean chart, and InvalidArgument for ``alpha`` outside (0, 1).
     """
+    check_alpha(alpha)
     space = SPDSpace(3, metric)
     n, n_sites = dataset.tensors.shape[:2]
     sample = Sample("spd", dataset.tensors.reshape(n * n_sites, 3, 3))  # validated by the dataset
@@ -289,10 +291,9 @@ def fiber_site_tests(dataset, metric="log_euclidean", alpha=0.05):
         ) from None
     images = images.reshape(n, n_sites, space.chart_dim)
     images = np.swapaxes(images, 0, 1)  # (site, subject, coordinate)
-    stats, pvals, cond, _, _, _ = chi2_two_sample(
+    stats, pvals, cond, failed, *_ = chi2_two_sample(
         images[:, dataset.groups == 1], images[:, dataset.groups == 0]
     )
-    failed = np.isnan(stats)
     ok = ~failed
     bh = np.zeros(n_sites, dtype=bool)
     bonf = np.zeros(n_sites, dtype=bool)

@@ -40,6 +40,10 @@ POINT_ATOL = 1e-12
 #: leading minors, of a matrix over its largest entry, that certify SPD(3)
 _MINOR_MARGIN = 1e-8
 
+#: condition-number ceiling beyond which Lambda_n (or a covariance) is
+#: treated as numerically singular
+COND_LIMIT = 1e12
+
 
 @dataclass(frozen=True, eq=False)
 class Sample:
@@ -204,6 +208,31 @@ def row_products(rows, matrix):
     rows (a single matrix product of R rows need not round them all
     alike)."""
     return (rows[..., None, :] @ matrix)[..., 0, :]
+
+
+def guarded_inverse(matrices):
+    """Inverses of the symmetric parts of a (..., s, s) stack of nonempty
+    square matrices, through their eigendecompositions, as ``(inv, w, cond,
+    singular)``: the symmetrized inverses, the eigenvalues, the condition
+    numbers max|w| / min|w| (inf when an eigenvalue is 0) and the mask of
+    those beyond COND_LIMIT, treated as numerically singular.  A singular
+    matrix gets a finite stand-in for its inverse (its eigenvalues replaced
+    by 1), so callers decide what it means."""
+    m = np.asarray(matrices, dtype=float)
+    w, v = np.linalg.eigh(0.5 * (m + np.swapaxes(m, -1, -2)))
+    absw = np.abs(w)
+    amax, amin = absw.max(axis=-1), absw.min(axis=-1)
+    cond = np.divide(amax, amin, out=np.full_like(amax, np.inf), where=amin > 0.0)
+    singular = cond > COND_LIMIT
+    inv = (v / np.where(singular[..., None], 1.0, w)[..., None, :]) @ np.swapaxes(v, -1, -2)
+    return 0.5 * (inv + np.swapaxes(inv, -1, -2)), w, cond, singular
+
+
+def refuse_singular(error, what, cond, refused):
+    """Raise ``error`` masking ``refused``, if any: "<what> is numerically singular (...)"."""
+    if refused.any():
+        raise error(f"{what} is numerically singular (condition number "
+                    f"{float(cond[refused].flat[0]):.3e})", refused)
 
 
 def euclidean_sample(rows):

@@ -1,6 +1,7 @@
 """Two-sample chi-square tests on chart coordinates and multiple-testing
 procedures (Bonferroni, Benjamini-Hochberg), plus the chi-square
-distribution functions they rely on.
+distribution functions they rely on and ``quadratic_forms``, the one place
+a region or test statistic ``d' S^-1 d`` is formed.
 """
 
 from __future__ import annotations
@@ -11,9 +12,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidPoint, NearSingularCovariance, TooFewPoints
-from .estimator import guarded_inverse
-from .geometry import Sample
+from .errors import InvalidArgument, InvalidPoint, NearSingularCovariance, TooFewPoints
+from .geometry import Sample, guarded_inverse, refuse_singular
 
 # The chi-square functions are closed forms for an integer number k of
 # degrees of freedom (the chart dimension, in the paper's limit): with
@@ -41,11 +41,11 @@ _erfc = np.frompyfunc(math.erfc, 1, 1)
 
 
 def _check_df(k):
-    """The integer k of chi2_k; ValueError for k < 1 or a fraction."""
+    """The integer k of chi2_k; InvalidArgument for k < 1 or a fraction."""
     if k < 1:
-        raise ValueError("degrees of freedom must be >= 1")
+        raise InvalidArgument("degrees of freedom must be >= 1")
     if not float(k).is_integer():
-        raise ValueError("degrees of freedom must be an integer")
+        raise InvalidArgument("degrees of freedom must be an integer")
     return int(k)
 
 
@@ -102,7 +102,7 @@ def _tail(fn, x, k):
     """``fn(x/2, k)`` for a scalar ``x`` (a float) or an array of any shape."""
     x = np.asarray(x, dtype=float)
     if np.any(x < 0.0):
-        raise ValueError("x must be nonnegative")
+        raise InvalidArgument("x must be nonnegative")
     p = fn(0.5 * x.ravel(), _check_df(k)).reshape(x.shape)
     return float(p) if p.ndim == 0 else p
 
@@ -121,7 +121,7 @@ def chi2_quantile(k, prob):
     """Value q with P(chi2_k <= q) = prob."""
     k = _check_df(k)
     if not 0.0 < prob < 1.0:
-        raise ValueError("prob must be in (0, 1)")
+        raise InvalidArgument("prob must be in (0, 1)")
     return _quantile(k, float(prob))
 
 
@@ -166,6 +166,17 @@ def _quantile(k, prob):
     return q
 
 
+def quadratic_forms(d, covs, scale=1.0):
+    """``scale d_r' S_r^-1 d_r`` of R stacked (R, s) ``d`` and (R, s, s)
+    ``covs`` (d scaled before the products), as ``(statistic, cond,
+    singular)``: clamped at 0, NaN where ``guarded_inverse`` finds S_r
+    numerically singular, with its condition numbers and mask."""
+    inv, _, cond, singular = guarded_inverse(covs)
+    statistic = np.maximum(((scale * d)[:, None, :] @ inv @ d[:, :, None])[:, 0, 0], 0.0)
+    statistic[singular] = np.nan
+    return statistic, cond, singular
+
+
 @dataclass(frozen=True)
 class TwoSampleResult:
     """Chi-square two-sample comparison of chart-coordinate means."""
@@ -188,11 +199,11 @@ def chi2_two_sample(vx, vy):
 
         T = (xbar - ybar)^T (S_x/n1 + S_y/n2)^-1 (xbar - ybar)
 
-    of unbiased (n-1) group covariances, against chi-square(s).  Returns
-    ``(statistic, p_value, cond, mean_x, mean_y, pooled)`` along the batch
-    axis; a comparison whose pooled covariance is numerically singular
-    (``guarded_inverse``) gets NaN statistic and p-value.  TooFewPoints for
-    a group of fewer than 2 points or groups of fewer than s + 2 together.
+    of unbiased (n-1) group covariances (``quadratic_forms``), against
+    chi-square(s).  Returns ``(statistic, p_value, cond, singular, mean_x,
+    mean_y, pooled)`` along the batch axis, NaN statistic and p-value where
+    ``singular`` masks a numerically singular pooled covariance.  TooFewPoints
+    for a group of fewer than 2 points or groups of fewer than s + 2 together.
     """
     n1, n2, s = vx.shape[1], vy.shape[1], vx.shape[2]
     if n1 < 2 or n2 < 2:
@@ -206,12 +217,8 @@ def chi2_two_sample(vx, vy):
     cov_x = np.swapaxes(cx, 1, 2) @ cx * (1.0 / (n1 - 1))
     cov_y = np.swapaxes(cy, 1, 2) @ cy * (1.0 / (n2 - 1))
     pooled = cov_x / n1 + cov_y / n2
-
-    inv, _, cond, singular = guarded_inverse(pooled)
-    diff = (mean_x - mean_y)[:, None, :]
-    statistic = np.maximum((diff @ inv @ np.swapaxes(diff, 1, 2))[:, 0, 0], 0.0)
-    statistic[singular] = np.nan
-    return statistic, chi2_sf(statistic, s), cond, mean_x, mean_y, pooled
+    statistic, cond, singular = quadratic_forms(mean_x - mean_y, pooled)
+    return statistic, chi2_sf(statistic, s), cond, singular, mean_x, mean_y, pooled
 
 
 def two_sample_tests(chart, block, reps, n1):
@@ -223,19 +230,16 @@ def two_sample_tests(chart, block, reps, n1):
 
     Returns ``(statistic, p_value, mean_x, mean_y, pooled)`` of
     ``chi2_two_sample`` along the replications.  Raises
-    NearSingularCovariance masking the replications whose pooled covariance
-    is numerically singular, and InvalidPoint masking all in a
+    NearSingularCovariance with ``chi2_two_sample``'s ``singular`` mask
+    (numerically singular pooled covariances), and InvalidPoint masking all in a
     zero-dimensional chart (the spine of a book without spine coordinates).
     """
     if chart.s == 0:
         raise InvalidPoint("a zero-dimensional chart has no two-sample test",
                            np.ones(reps, dtype=bool))
     images = chart.test_images(block).reshape(reps, -1, chart.s)
-    statistic, p_value, cond, *rest = chi2_two_sample(images[:, :n1], images[:, n1:])
-    singular = np.isnan(statistic)
-    if singular.any():
-        raise NearSingularCovariance(f"pooled two-sample covariance is numerically singular "
-                                     f"(condition number {cond[singular][0]:.3e})", singular)
+    statistic, p_value, cond, singular, *rest = chi2_two_sample(images[:, :n1], images[:, n1:])
+    refuse_singular(NearSingularCovariance, "pooled two-sample covariance", cond, singular)
     return (statistic, p_value, *rest)
 
 
@@ -276,14 +280,19 @@ class MultiTestResult:
     global_p: float | None
 
 
+def check_alpha(alpha):
+    """Refuse a level outside (0, 1) (InvalidArgument)."""
+    if not 0.0 < alpha < 1.0:
+        raise InvalidArgument("alpha must be in (0, 1)")
+
+
 def _validated_pvalues(pvalues, alpha):
     p = np.asarray(pvalues, dtype=float)
     if p.ndim != 1 or p.size == 0:
-        raise ValueError("pvalues must be a nonempty 1-d sequence")
+        raise InvalidArgument("pvalues must be a nonempty 1-d sequence")
     if np.any(~np.isfinite(p)) or np.any(p < 0.0) or np.any(p > 1.0):
-        raise ValueError("pvalues must lie in [0, 1]")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must be in (0, 1)")
+        raise InvalidArgument("pvalues must lie in [0, 1]")
+    check_alpha(alpha)
     return p
 
 

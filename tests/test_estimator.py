@@ -268,6 +268,9 @@ def test_a_region_needs_a_covariance_and_a_level_in_the_unit_interval():
     for alpha in (0.0, 1.0, 1.5):
         with pytest.raises(InvalidDescriptor, match=r"^alpha must be in \(0, 1\)$"):
             confidence_region_contains(fit, [0.1, 0.1], alpha)
+    for not_a_fit in (3.0, None, {"asym_cov": np.eye(1)}):  # 3.0 once raised AttributeError
+        with pytest.raises(InvalidDescriptor, match="^fit must be a FrechetFit, got "):
+            confidence_region_contains(not_a_fit, [0.0], 0.05)
 
 
 def test_region_near_singular_covariance():

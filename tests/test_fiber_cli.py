@@ -7,7 +7,7 @@ import pytest
 
 from frechetstats import cli
 from frechetstats.cli import CLIInputError, load_points, main
-from frechetstats.errors import InvalidDescriptor, InvalidPoint, NearSingularCovariance
+from frechetstats.errors import InvalidArgument, InvalidDescriptor, InvalidPoint, NearSingularCovariance
 from frechetstats.fiber import (
     CHUNK_LINES,
     FiberDataset,
@@ -501,6 +501,24 @@ def test_cli_fiber_partial_failure_exit_code(tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert len(lines) == 4  # header + all three sites still emitted
     assert lines[1].startswith("0,nan")
+
+
+@pytest.mark.parametrize("noise_scale", [0.0, 0.15])
+def test_fiber_refuses_alpha_outside_the_unit_interval_even_when_every_site_fails(
+        noise_scale, tmp_path, capsys):
+    # with no noise every site's pooled covariance is singular, so no site
+    # reaches the corrections, which used to be the only check of alpha
+    ds = generate_fiber_dataset(5, 5, 2, noise_scale=noise_scale)
+    for alpha in (5.0, 0.0, 1.0, float("nan")):
+        with pytest.raises(InvalidArgument, match=r"alpha must be in \(0, 1\)"):
+            fiber_site_tests(ds, alpha=alpha)
+    data = tmp_path / "data.csv"
+    with open(data, "w") as fh:
+        write_fiber_csv(ds, fh)
+    out = tmp_path / "sites.csv"
+    assert main(["fiber", str(data), "--alpha", "5", "--output", str(out)]) == 2
+    assert "alpha must be in (0, 1)" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("sizes", [(5, 1), (1, 5), (3, 4)])

@@ -5,14 +5,16 @@ import pytest
 from scipy import special
 from scipy.integrate import quad
 
-from frechetstats.errors import InvalidPoint, NearSingularCovariance, TooFewPoints
-from frechetstats.geometry import euclidean_sample, openbook_sample
+from frechetstats.errors import FrechetStatsError, InvalidArgument, InvalidPoint
+from frechetstats.errors import NearSingularCovariance, TooFewPoints
+from frechetstats.geometry import euclidean_sample, guarded_inverse, openbook_sample
 from frechetstats.inference import (
     bh_fdr,
     bonferroni,
     chi2_cdf,
     chi2_quantile,
     chi2_sf,
+    quadratic_forms,
     two_sample_test,
 )
 from frechetstats.spaces import EuclideanSpace, OpenBookSpace, SPDSpace
@@ -90,6 +92,22 @@ def test_chi2_input_validation():
         with pytest.raises(ValueError, match="degrees of freedom must be >= 1"):
             call(0.5)
         assert call(6.0) == call(np.int64(6)) == call(6)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: chi2_sf(-1.0, 3), "x must be nonnegative"),
+    (lambda: chi2_cdf(1.0, 0), "degrees of freedom must be >= 1"),
+    (lambda: chi2_quantile(2.5, 0.5), "degrees of freedom must be an integer"),
+    (lambda: chi2_quantile(3, 1.5), "prob must be in (0, 1)"),
+    (lambda: bonferroni([]), "pvalues must be a nonempty 1-d sequence"),
+    (lambda: bh_fdr([0.5, 1.2]), "pvalues must lie in [0, 1]"),
+    (lambda: bh_fdr([0.5], 1.5), "alpha must be in (0, 1)"),
+])
+def test_domain_errors_are_typed_and_still_value_errors(call, message):
+    with pytest.raises(InvalidArgument) as info:
+        call()
+    assert isinstance(info.value, FrechetStatsError) and isinstance(info.value, ValueError)
+    assert str(info.value) == message
 
 
 def test_chi2_functions_share_one_degrees_of_freedom_check():
@@ -188,6 +206,62 @@ def test_chi2_cdf_maps_an_array_as_chi2_sf_does():
     np.testing.assert_allclose(cdf[:-1] + chi2_sf(xs[:-1], 6), 1.0, rtol=0.0, atol=1e-12)
     with pytest.raises(ValueError, match="x must be nonnegative"):
         chi2_cdf(np.array([1.0, -1.0]), 6)
+
+
+# ---------------------------------------------------------------------------
+# the quadratic-form kernel
+
+
+def _covariances(rng, r, s):
+    """R random SPD (s, s) covariances, s >= 2, with row 1 zero (condition
+    number inf) and row 2 of condition number 1e13, both singular."""
+    a = rng.normal(size=(r, s, s))
+    covs = a @ np.swapaxes(a, 1, 2) + 0.1 * np.eye(s)
+    covs[1] = 0.0
+    covs[2] = np.diag(np.r_[1.0, np.full(s - 1, 1e-13)])
+    return covs
+
+
+@pytest.mark.parametrize("s", [2, 3, 6])
+def test_quadratic_forms_are_nan_exactly_on_the_singular_covariances(rng, s):
+    covs = _covariances(rng, 6, s)
+    statistic, cond, singular = quadratic_forms(rng.normal(size=(6, s)), covs)
+    _, _, expected_cond, expected_singular = guarded_inverse(covs)
+    assert singular.tolist() == expected_singular.tolist() == [False, True, True, False, False, False]
+    assert cond.tobytes() == expected_cond.tobytes()
+    assert np.isnan(statistic).tolist() == singular.tolist()
+    assert np.all(statistic[~singular] > 0.0)
+
+
+def test_quadratic_forms_of_a_zero_difference_are_zero_and_never_negative(rng):
+    covs = _covariances(rng, 4, 3)[[0, 3]]
+    assert quadratic_forms(np.zeros((2, 3)), covs, scale=50)[0].tolist() == [0.0, 0.0]
+    # an indefinite matrix gives a negative form, which is clamped at 0
+    statistic, _, singular = quadratic_forms(np.array([[0.0, 1.0]]), np.diag([1.0, -1.0])[None])
+    assert statistic.tolist() == [0.0] and not singular.any()
+
+
+@pytest.mark.parametrize("scale", [1.0, 37])
+@pytest.mark.parametrize("r, s", [(2, 1), (7, 3), (75, 6)])
+def test_each_quadratic_form_is_its_own_r1_call(rng, r, s, scale):
+    covs = rng.normal(size=(r, s, s))
+    covs = covs @ np.swapaxes(covs, 1, 2) + 0.01 * np.eye(s)
+    d = rng.normal(size=(r, s)) * rng.uniform(1e-3, 1e3, size=(r, 1))
+    stacked = quadratic_forms(d, covs, scale)
+    for row in range(r):
+        alone = quadratic_forms(d[row:row + 1], covs[row:row + 1], scale)
+        for got, want in zip(alone, stacked):
+            assert got.tobytes() == want[row:row + 1].tobytes()
+
+
+def test_quadratic_forms_scale_the_difference_before_the_products(rng):
+    # the confidence region's statistic is (n d)' S^-1 d, bit for bit
+    covs = rng.normal(size=(50, 4, 4))
+    covs = covs @ np.swapaxes(covs, 1, 2) + 0.01 * np.eye(4)
+    d = rng.normal(size=(50, 4))
+    inv = guarded_inverse(covs)[0]
+    expected = ((37 * d)[:, None, :] @ inv @ d[:, :, None])[:, 0, 0]
+    assert quadratic_forms(d, covs, scale=37)[0].tobytes() == expected.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,10 @@
 """Rules the library's source keeps (checked by parsing, not by running
-it): the spaces, the estimator and the fiber pipeline refuse with typed
-errors, never a bare ``ValueError``, and nothing dispatches with
-``isinstance`` on a space class (a space says what it is by its ``kind``)."""
+it): the spaces, the estimator, inference and the fiber pipeline refuse
+with typed errors, never a bare ``ValueError``; nothing dispatches with
+``isinstance`` on a space class (a space says what it is by its ``kind``);
+and only ``quadratic_forms`` and ``stacked_sandwich`` invert a covariance
+with ``guarded_inverse``, so every region and test statistic is formed by
+the one kernel."""
 
 import ast
 from pathlib import Path
@@ -29,7 +32,7 @@ def _name(node):
 
 def test_no_bare_value_error_is_raised_by_a_space_or_the_estimator():
     sources = sorted(PACKAGE.joinpath("spaces").glob("*.py"))
-    sources += [PACKAGE / "estimator.py", PACKAGE / "fiber.py"]
+    sources += [PACKAGE / "estimator.py", PACKAGE / "fiber.py", PACKAGE / "inference.py"]
     raised = [
         (path, node.lineno)
         for path, node in _nodes(sources)
@@ -46,3 +49,25 @@ def test_nothing_dispatches_with_isinstance_on_a_space_class():
             classes = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
             checked += [(path, node.lineno, _name(c)) for c in classes if _name(c) in SPACE_CLASSES]
     assert checked == []
+
+
+def _callers(node, name, scope="<module>"):
+    """The innermost function (or ``<module>``) around each call of ``name``
+    in the tree under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _callers(child, name, child.name)
+            continue
+        if isinstance(child, ast.Call) and _name(child.func) == name:
+            yield scope
+        yield from _callers(child, name, scope)
+
+
+def test_only_the_quadratic_form_kernel_and_the_sandwich_invert_a_covariance():
+    callers = sorted(
+        (str(source.relative_to(PACKAGE)), caller)
+        for source in sorted(PACKAGE.rglob("*.py"))
+        for caller in _callers(ast.parse(source.read_text(), filename=str(source)),
+                               "guarded_inverse")
+    )
+    assert callers == [("estimator.py", "stacked_sandwich"), ("inference.py", "quadratic_forms")]
