@@ -179,14 +179,25 @@ def confidence_region_contains(fit, candidate_chart_coords, alpha):
 
     Returns whether ``n (nu_n - x)^T asym_cov^-1 (nu_n - x)`` is at most the
     chi-square(s) quantile at level 1 - alpha (boundary inclusive).
-    InvalidDescriptor when ``fit`` is not a FrechetFit or has no covariance.
+    InvalidDescriptor when ``fit`` is not a FrechetFit or has no covariance,
+    or when the candidate is not the fit's s finite chart coordinates.
     """
     if not isinstance(fit, FrechetFit):
         raise InvalidDescriptor(f"fit must be a FrechetFit, got {type(fit).__name__}")
     if fit.asym_cov is None:
         raise InvalidDescriptor("fit has no covariance; run sandwich_covariance first")
+    try:
+        candidate = np.asarray(candidate_chart_coords, dtype=float)
+    except (TypeError, ValueError):
+        raise InvalidDescriptor(
+            f"candidate_chart_coords must be numbers, got {candidate_chart_coords!r}") from None
+    if candidate.shape != fit.chart_coords.shape:
+        raise InvalidDescriptor(f"candidate_chart_coords must have shape {fit.chart_coords.shape}, "
+                                f"got {candidate.shape}")
+    if not np.isfinite(candidate).all():
+        raise InvalidDescriptor(f"candidate_chart_coords must be finite, got {candidate.tolist()}")
     contains = confidence_regions_contain(
-        fit.n, fit.chart_coords[None], fit.asym_cov[None], candidate_chart_coords, alpha
+        fit.n, fit.chart_coords[None], fit.asym_cov[None], candidate, alpha
     )
     return bool(contains[0])
 

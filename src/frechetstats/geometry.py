@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidPoint, MixedSpacePoints, NonFiniteValue, TooFewPoints
+from .errors import InvalidDescriptor, InvalidPoint, MixedSpacePoints, NonFiniteValue, TooFewPoints
 
 _EPS = float(np.finfo(float).eps)
 
@@ -512,6 +512,18 @@ class FlatChart(Chart):
 
     def hess_h_mean(self, x, packed):
         return 2.0 * np.eye(self.s)
+
+
+def space_size(value, name):
+    """``value`` as an int; InvalidDescriptor naming ``name`` when it is not
+    an integer (an integral float is one; NaN and infinity are not)."""
+    try:
+        size = int(value)
+    except (ValueError, OverflowError):
+        size = None
+    if size is None or size != value:
+        raise InvalidDescriptor(f"{name} must be an integer, got {value!r}")
+    return size
 
 
 class Space(ABC):

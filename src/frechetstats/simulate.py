@@ -9,10 +9,10 @@ order in which replications execute (see ``streams``).
 
 The experiments run their replications in blocks of at most BLOCK_POINTS
 sample points.  Each replication draws its raw variates from its own
-stream; the descriptor turns the whole block into points at once.  A
-block's means come from one ``mean_many`` call, and each group of
-replications whose means share a stratum (all of them, but on the open
-book) is run in the charts at its means, stacked.  A kernel that refuses
+stream into the block's arrays; the descriptor turns the whole block into
+points at once.  A block's means come from one ``mean_many`` call, and
+each group of replications whose means share a stratum (all of them, but
+on the open book) is run in the charts at its means, stacked.  A kernel that refuses
 some rows or fits of a stack raises an error that masks them; the block
 records a failure for each replication they belong to and runs the rest
 of its replications again, through the same function.
@@ -31,7 +31,7 @@ from .geometry import Sample, euclidean_point, euclidean_sample, openbook_point
 from .geometry import openbook_sample, row_norms, row_products
 from .geometry import sphere_point, sphere_sample
 from .inference import two_sample_tests
-from .spaces.spd import _expm_sample, _vech_inv_rows, spd_exp_sample, spd_vech
+from .spaces.spd import _expm_sample, spd_exp_sample, spd_vech
 from .spaces.sphere import _columns, _coordinate_norms, _coordinate_sum, _exp_rows
 from .spaces.sphere import _logs, tangent_basis
 from .streams import Streams, is_count
@@ -55,6 +55,10 @@ QUOTED_KEYS = 5
 
 # ---------------------------------------------------------------------------
 # distribution descriptors
+# ``variates(space, size)``: a block's raw variate arrays and ``draw(rng,
+# start, end)``, which fills one replication's rows with its stream's RNG
+# calls and only what must be done per replication (the open book's leaf
+# counts, the Gaussian product); ``assemble`` does the rest once per block.
 
 
 @dataclass(frozen=True)
@@ -83,18 +87,20 @@ class GaussianDescriptor:
         if not np.allclose(c, c.T) or np.linalg.eigvalsh(c)[0] < 0.0:
             raise InvalidDescriptor("covariance must be symmetric PSD")
 
-    def variates(self, space):
+    def variates(self, space, size):
         # eigen root instead of Cholesky: singular PSD covariances are legal
         w, v = np.linalg.eigh(self._cov_matrix(space.dim))
         root_t = (v * np.sqrt(np.maximum(w, 0.0))).T
-        # one product per replication: BLAS computes a single row by another
-        # path than a stack of rows, so a product over the whole block would
-        # change the draws of n = 1
-        return lambda rng, n: (rng.standard_normal((n, space.dim)) @ root_t,)
+        rows = np.empty((size, space.dim))
+        # one product per replication, in place: BLAS computes a single row
+        # by another path than a stack of rows, so a product over the whole
+        # block would change the draws of n = 1
+        return (rows,), lambda rng, start, end: np.matmul(
+            rng.standard_normal(out=rows[start:end]), root_t, out=rows[start:end])
 
     def assemble(self, variates, space):
-        (z,) = variates
-        return euclidean_sample(np.asarray(self.mean, dtype=float) + z)
+        (rows,) = variates
+        return euclidean_sample(np.add(rows, np.asarray(self.mean, dtype=float), out=rows))
 
     def population_mean(self, space):
         return euclidean_point(self.mean)
@@ -127,13 +133,20 @@ class SphereCapDescriptor:
         center = np.asarray(self.center, dtype=float)
         return center / np.linalg.norm(center)
 
-    def variates(self, space):
+    def variates(self, space, size):
         if self.radius == 0.0:
-            return lambda rng, n: (np.empty((n, 0)),)
-        if space.ambient_dim == 3:
-            return lambda rng, n: (rng.random(n), rng.random(n))
-        # the colatitude's CDF level, then a Gaussian tangent direction
-        return lambda rng, n: (rng.random(n), rng.standard_normal((n, space.chart_dim)))
+            return (np.empty((size, 0)),), lambda rng, start, end: None
+        # the colatitude's CDF level, then the azimuth's on S^2, a Gaussian
+        # tangent direction on S^d
+        s2 = space.ambient_dim == 3
+        level, direction = np.empty(size), np.empty((size,) if s2 else (size, space.chart_dim))
+        method = "random" if s2 else "standard_normal"
+
+        def draw(rng, start, end):
+            rng.random(out=level[start:end])
+            getattr(rng, method)(out=direction[start:end])
+
+        return (level, direction), draw
 
     def assemble(self, variates, space):
         center = self._center()
@@ -191,8 +204,9 @@ class SphereTwoPointDescriptor:
         if np.linalg.norm(np.asarray(self.a) + np.asarray(self.b)) < 1e-9:
             raise InvalidDescriptor("antipodal support has no unique mean")
 
-    def variates(self, space):
-        return lambda rng, n: (rng.random(n),)
+    def variates(self, space, size):
+        u = np.empty(size)
+        return (u,), lambda rng, start, end: rng.random(out=u[start:end])
 
     def assemble(self, variates, space):
         (u,) = variates
@@ -208,7 +222,8 @@ class SphereTwoPointDescriptor:
 @dataclass(frozen=True)
 class SPDLogGaussianDescriptor:
     """expm of a Gaussian symmetric matrix: isotropic normal with standard
-    deviation ``scale`` per isometric-vech coordinate around ``mean_log``."""
+    deviation ``scale`` per isometric-vech coordinate around ``mean_log``;
+    a block's matrices are built from its vech rows (``spd_exp_sample``)."""
 
     mean_log: tuple
     scale: float
@@ -222,13 +237,15 @@ class SPDLogGaussianDescriptor:
         if self.scale < 0.0:
             raise InvalidDescriptor("scale must be nonnegative")
 
-    def variates(self, space):
-        return lambda rng, n: (rng.standard_normal((n, space.chart_dim)),)
+    def variates(self, space, size):
+        z = np.empty((size, space.chart_dim))
+        return (z,), lambda rng, start, end: rng.standard_normal(out=z[start:end])
 
     def assemble(self, variates, space):
         (z,) = variates
-        z = spd_vech(np.asarray(self.mean_log, dtype=float)) + self.scale * z
-        return spd_exp_sample(_vech_inv_rows(z, space.p))
+        z *= self.scale
+        z += spd_vech(np.asarray(self.mean_log, dtype=float))  # the drawn vech rows
+        return spd_exp_sample(z, space.p)
 
     def population_mean(self, space):
         if space.metric != "log_euclidean":
@@ -240,7 +257,9 @@ class SPDLogGaussianDescriptor:
         return _expm_sample(np.asarray(self.mean_log, dtype=float)[None])
 
 
-_X0_FAMILIES = ("constant", "exponential", "half_gaussian")
+#: each height family, with the Generator method that draws its standard variates
+_X0_FAMILIES = {"constant": None, "exponential": "standard_exponential",
+                "half_gaussian": "standard_normal"}
 
 
 def _x0_moments(family, param):
@@ -260,7 +279,8 @@ class OpenBookDescriptor:
     Gaussian law for the spine-parallel coordinates.
 
     Height families: ``("constant", c)``, ``("exponential", rate)``,
-    ``("half_gaussian", scale)``.
+    ``("half_gaussian", scale)``, drawn as standard exponential and normal
+    variates, leaf by leaf, and scaled once per block.
     """
 
     leaf_probs: tuple
@@ -296,34 +316,40 @@ class OpenBookDescriptor:
             raise InvalidDescriptor("spine_sd must be nonnegative")
         self._families(space.n_leaves)
 
-    def _draw_x0(self, rng, family, count):
-        name, param = family
-        if name == "constant":
-            return np.full(count, float(param))
-        if name == "exponential":
-            return rng.exponential(scale=1.0 / float(param), size=count)
-        return np.abs(rng.normal(0.0, float(param), size=count))
-
-    def variates(self, space):
-        fams = self._families(space.n_leaves)
+    def variates(self, space, size):
+        methods = [_X0_FAMILIES[name] for name, _ in self._families(space.n_leaves)]
         edges = np.cumsum(np.asarray(self.leaf_probs, dtype=float))
+        leaf, z = np.empty(size, dtype=np.intp), np.empty((size, space.spine_dim))
+        heights = np.empty((space.n_leaves, size))  # each leaf's, in the order drawn
+        drawn = [0] * space.n_leaves
 
-        def draw(rng, n):
-            labels = np.searchsorted(edges, rng.random(n), side="right") + 1
-            labels[labels > space.n_leaves] = 0  # spine mass
-            x0 = np.zeros(n)
-            for k in range(1, space.n_leaves + 1):
-                mask = labels == k
-                if mask.any():
-                    x0[mask] = self._draw_x0(rng, fams[k - 1], int(mask.sum()))
-            return labels, x0, rng.standard_normal((n, space.spine_dim))
+        def draw(rng, start, end):
+            # each point's leaf index (its label less one; n_leaves for spine
+            # mass), whose counts size the height draws
+            leaf[start:end] = np.searchsorted(edges, rng.random(end - start), side="right")
+            counts = np.bincount(leaf[start:end], minlength=space.n_leaves + 1)[:-1]
+            for k, count in enumerate(counts.tolist()):
+                if count and methods[k]:
+                    getattr(rng, methods[k])(out=heights[k, drawn[k] : drawn[k] + count])
+                drawn[k] += count
+            rng.standard_normal(out=z[start:end])
 
-        return draw
+        return (leaf, heights, z), draw
 
     def assemble(self, variates, space):
-        labels, x0, z = variates
-        rest = np.asarray(self.spine_mean, dtype=float) + self.spine_sd * z
-        return openbook_sample(labels, np.column_stack([x0, rest]))
+        leaf, heights, z = variates
+        coords = np.zeros((len(leaf), space.spine_dim + 1))
+        x0 = coords[:, 0]  # 0 on the spine mass
+        for k, (name, param) in enumerate(self._families(space.n_leaves)):
+            rows = leaf == k
+            if name == "constant":
+                x0[rows] = float(param)
+                continue
+            h, c = heights[k, : np.count_nonzero(rows)], float(param)
+            # exponential(1 / rate) and |normal(0, scale)|, bit for bit
+            x0[rows] = (1.0 / c) * h if name == "exponential" else np.abs(c * h)
+        np.add(np.asarray(self.spine_mean, dtype=float), self.spine_sd * z, out=coords[:, 1:])
+        return openbook_sample(np.where(leaf < space.n_leaves, leaf + 1, 0), coords)  # 0: spine
 
     def _leaf_moments(self, space):
         """(K, 2): each leaf's probability times the mean and the second
@@ -388,8 +414,8 @@ class Sampler:
         key, stacked row-wise in one Sample: the rows of ``keys[i]`` follow
         those of ``keys[i - 1]``.  ``n`` may also be one size per key.  The
         streams are opened in key order, one ``rng`` call per key on one
-        bit generator for the call, and the descriptor turns all their
-        variates into points at once."""
+        bit generator for the call; each key draws its rows of the block's
+        variates, and the descriptor turns them all into points at once."""
         if len(keys) == 0:
             raise InvalidDescriptor("keys name no replication")
         sizes = np.asarray(n)
@@ -402,9 +428,11 @@ class Sampler:
         if np.any(sizes < 1):
             raise InvalidDescriptor("n must be >= 1")
         streams = Streams(self.seed, keys)
-        variates = self.descriptor.variates(self.space)
-        parts = [variates(self.rng(key, streams), size) for key, size in zip(keys, sizes.tolist())]
-        return self.descriptor.assemble(tuple(map(np.concatenate, zip(*parts))), self.space)
+        ends = np.cumsum(sizes).tolist()
+        variates, draw = self.descriptor.variates(self.space, ends[-1])
+        for key, start, end in zip(keys, [0, *ends], ends):
+            draw(self.rng(key, streams), start, end)
+        return self.descriptor.assemble(variates, self.space)
 
     def population_mean(self):
         return self.descriptor.population_mean(self.space)
@@ -451,10 +479,13 @@ def _check_failures(failed, reps, experiment):
         )
 
 
-def _check_run(reps, alpha=None, least=1, **sizes):
-    """Refuse, before anything is drawn, a run of no replications, an
-    ``alpha`` outside (0, 1), or a count of replications or a sample size
-    that is not an integer or is below ``least``."""
+def _check_run(sampler, reps, alpha=None, least=1, **sizes):
+    """Refuse, before anything is drawn, a ``sampler`` that is not a
+    Sampler, a run of no replications, an ``alpha`` outside (0, 1), or a
+    count of replications or a sample size that is not an integer or is
+    below ``least``."""
+    if not isinstance(sampler, Sampler):
+        raise InvalidDescriptor(f"sampler must be a Sampler, got {type(sampler).__name__}")
     if alpha is not None and not 0.0 < alpha < 1.0:
         raise InvalidDescriptor(f"alpha must lie in (0, 1), got {alpha!r}")
     for name, value, low in (("reps", reps, 1), *((k, v, least) for k, v in sizes.items())):
@@ -539,7 +570,7 @@ def mc_coverage(sampler, n, reps, alpha, derivatives="auto"):
     unknown ``derivatives`` mode raises InvalidDescriptor before anything
     is drawn.
     """
-    _check_run(reps, alpha, n=n)
+    _check_run(sampler, reps, alpha, n=n)
     check_derivatives(derivatives)
     space = sampler.space
     truth = sampler.population_mean()
@@ -578,19 +609,20 @@ def mc_stickiness(sampler, n, reps):
     replication's mean for boundary-regime diagnostics.  The means of a
     whole block come from one ``mean_many`` call.
     """
-    _check_run(reps, n=n)
+    _check_run(sampler, reps, n=n)
     space = sampler.space
     if getattr(space, "kind", None) != "openbook":
         raise InvalidDescriptor("mc_stickiness requires an open-book sampler")
     pop_m = sampler.descriptor.population_folded_means(space)
     pop_leaf = int(np.argmax(pop_m)) + 1 if float(np.max(pop_m)) > 0.0 else 0
     tags, heights = [], []
+    names = ["spine"] + [f"leaf_{k}" for k in range(1, space.n_leaves + 1)]  # one string each
     for keys in _blocks(list(range(reps)), n):
         means, _ = space.mean_many(sampler.draw_many(n, keys), len(keys))
-        tags += ["spine" if leaf == 0 else f"leaf_{leaf}" for leaf in means.leaves.tolist()]
+        tags += [names[leaf] for leaf in means.leaves.tolist()]
         heights += means.data[:, 0].tolist()
     fractions = {tag: tags.count(tag) / reps for tag in sorted(set(tags))}
-    target = "spine" if pop_leaf == 0 else f"leaf_{pop_leaf}"
+    target = names[pop_leaf]
     est = fractions.get(target, 0.0)
     return MCReport(
         experiment="stickiness",
@@ -618,7 +650,7 @@ def mc_type1(space, sampler, n1, n2, reps, alpha):
     of freedom (on the open book D at a pooled mean on the spine, D + 1 on
     a leaf).
     """
-    _check_run(reps, alpha, least=2, n1=n1, n2=n2)
+    _check_run(sampler, reps, alpha, least=2, n1=n1, n2=n2)
     if repr(sampler.space) != repr(space):
         raise InvalidDescriptor("sampler and space arguments disagree")
 
@@ -641,11 +673,15 @@ def mc_consistency(space, sampler, n_grid, reps):
     size; returns a list of (n, median error) rows.  A block of
     replications is fitted with one ``mean_many`` call and scored with one
     ``distance_many`` call."""
-    n_grid = list(n_grid)
+    try:
+        n_grid = list(n_grid)
+    except TypeError:
+        raise InvalidDescriptor(
+            f"n_grid must be an iterable of sample sizes, got {n_grid!r}") from None
     if not n_grid:
         raise InvalidDescriptor("n_grid names no sample size")
     for n in n_grid:
-        _check_run(reps, n=n)
+        _check_run(sampler, reps, n=n)
     if repr(sampler.space) != repr(space):
         raise InvalidDescriptor("sampler and space arguments disagree")
     truth = sampler.population_mean()

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import InvalidDescriptor
-from ..geometry import FlatChart, Space, euclidean_sample, group_differences, row_norms
+from ..geometry import FlatChart, Space, euclidean_sample, group_differences, row_norms, space_size
 
 
 class EuclideanSpace(Space):
@@ -20,9 +20,9 @@ class EuclideanSpace(Space):
     mean_strategy = "closed_form"
 
     def __init__(self, dim):
-        if dim < 1:
+        self.dim = space_size(dim, "dimension")
+        if self.dim < 1:
             raise InvalidDescriptor("dimension must be >= 1")
-        self.dim = int(dim)
         self.chart_dim = self.dim
         self.point_shape = (self.dim,)
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import InvalidDescriptor, InvalidPoint, MixedSpacePoints
-from ..geometry import FlatChart, Sample, Space, as_sample, group_differences, row_norms
+from ..geometry import FlatChart, Sample, Space, as_sample, group_differences, row_norms, space_size
 
 
 def _fold(sample, k):
@@ -169,12 +169,12 @@ class OpenBookSpace(Space):
     mean_strategy = "openbook_exact"
 
     def __init__(self, n_leaves, spine_dim):
-        if n_leaves < 2:
+        self.n_leaves = space_size(n_leaves, "leaf count")
+        self.spine_dim = space_size(spine_dim, "spine dimension")
+        if self.n_leaves < 2:
             raise InvalidDescriptor("an open book needs at least 2 leaves")
-        if spine_dim < 0:
+        if self.spine_dim < 0:
             raise InvalidDescriptor("spine dimension must be >= 0")
-        self.n_leaves = int(n_leaves)
-        self.spine_dim = int(spine_dim)
         self.chart_dim = self.spine_dim + 1
         self.point_shape = (self.spine_dim + 1,)
 

@@ -9,14 +9,14 @@ derivatives, sandwich covariance equal to the chart-vector covariance).
 
 An SPD sample's matrix logs are its ``_logs`` field, filled by
 ``_sample_logs`` when first needed.  A drawn log-Gaussian stack
-(``spd_exp_sample``) is a deferred Sample: it is built with its matrix
-logs as that field and builds its matrices only when its ``data`` is
-read.  A log-Euclidean fit reads only the logs (means, chart images,
-sandwiches, tests), so log-Euclidean Monte Carlo builds no drawn matrix;
-the Euclidean metric reads the matrices, and a row taken from the sample
-(a one-row Sample) builds its own alone.  Log-Euclidean means likewise
-keep their mean logs, and ``spd_expm`` builds their matrices when they
-are read.
+(``spd_exp_sample``) is a deferred Sample: its matrix logs, gathered from
+its drawn vech rows, are that field, and it builds its matrices only when
+its ``data`` is read.  A log-Euclidean fit reads only the logs (means,
+chart images, sandwiches, tests), so log-Euclidean Monte Carlo builds no
+drawn matrix; the Euclidean metric reads the matrices, and a row taken
+from the sample (a one-row Sample) builds its own alone.  Log-Euclidean
+means likewise keep their mean logs, and ``spd_expm`` builds their
+matrices when they are read.
 
 Every matrix log and exponential, of user data or of a draw, comes from
 one decomposition, ``_eigh``: LAPACK's for p != 3, and for p = 3 a batched
@@ -36,7 +36,8 @@ import functools
 import numpy as np
 
 from ..errors import InvalidDescriptor, InvalidPoint, NotPositiveDefinite
-from ..geometry import FlatChart, Sample, Space, group_differences, row_norms, spd_sample
+from ..geometry import FlatChart, Sample, Space, group_differences, row_norms, space_size
+from ..geometry import spd_sample
 from ..geometry import UPPER_COLUMNS, matrix_to_upper, upper_to_matrix  # noqa: F401 (re-exported)
 
 _SQRT2 = np.sqrt(2.0)
@@ -144,28 +145,25 @@ def _eigh3(a):
     return w, v, np.flatnonzero(np.max(np.abs(off), axis=0) > _JACOBI_TOL * largest)
 
 
-def spd_exp_sample(logs):
-    """Sample of the matrix exponentials of an (n, p, p) stack of symmetric
-    matrices (SPD by construction).  The sample is deferred: it holds the
-    stack and exponentiates it (``spd_expm``) only when its data is read,
-    which no log-Euclidean fit does.  It keeps the stack as the sample's
+def spd_exp_sample(rows, p):
+    """Sample of the matrix exponentials (SPD by construction) of the
+    symmetric p x p matrices whose isometric vech rows (``spd_vech``) are
+    the (n, p(p+1)/2) ``rows``.  The sample is deferred: it holds the
+    matrices and exponentiates them (``spd_expm``) only when its data is
+    read, which no log-Euclidean fit does.  It keeps them as the sample's
     read-only matrix logs, so that no fit takes them again, but only the
     logs whose eigenvalues spread at most KEPT_LOG_SPREAD; ``spd_logm``
     takes the others when first needed (see ``_sample_logs``), and refuses
     a near-singular matrix as it would any other sample's.  The spread of
-    a log L is at most sqrt(2) ||L - tr(L)/p I||_F, so only the logs whose
-    bound is not below KEPT_LOG_SPREAD by more than rounding have their
-    eigenvalues taken (``eigvalsh``) to decide."""
-    logs = _symmetric(logs)
-    p = logs.shape[-1]
-    idx, *iu = _indices(p)
-    # (p, n) diagonal and upper entries, so each sum is one pass over whole
-    # arrays, not n short ones
-    diag = np.ascontiguousarray(logs[:, idx, idx].T)
-    upper = np.ascontiguousarray(logs[:, iu[0], iu[1]].T)
-    mid = diag.sum(axis=0) / p
-    dev = diag - mid
-    bound = _SQRT2 * np.sqrt((dev * dev).sum(axis=0) + 2.0 * (upper * upper).sum(axis=0))
+    a log L is at most sqrt(2) ||L - tr(L)/p I||_F, read off the rows, so
+    only the logs whose bound is not below KEPT_LOG_SPREAD by more than
+    rounding have their eigenvalues taken (``eigvalsh``) to decide."""
+    # the columns make each sum one pass over whole arrays, not n short ones
+    logs, cols = _unvech_rows(rows, p)
+    mid = cols[:p].sum(axis=0) / p
+    cols[:p] -= mid  # the diagonal's deviations from mid, then all squared
+    cols *= cols
+    bound = _SQRT2 * np.sqrt(cols[:p].sum(axis=0) + 2.0 * cols[p:].sum(axis=0))
     near = np.flatnonzero(bound > KEPT_LOG_SPREAD - 1e-12 * (KEPT_LOG_SPREAD + np.abs(mid)))
     kept = logs
     if near.size:
@@ -221,16 +219,20 @@ def _vech_rows(mats):
     return rows
 
 
+def _unvech_rows(x, p):
+    """The (n, p, p) symmetric matrices of (n, p(p+1)/2) vech rows, and the
+    (p(p+1)/2, n) columns of their diagonal, then upper entries."""
+    idx, *iu = _indices(p)
+    pos = np.diag(idx)  # each matrix entry's column
+    pos[iu[0], iu[1]] = pos[iu[1], iu[0]] = p + np.arange(len(iu[0]))
+    div = np.concatenate([np.ones(p), np.full(len(iu[0]), _SQRT2)])[:, None]
+    cols = np.divide(np.asarray(x, dtype=float).T, div, out=np.empty((len(div), len(x))))
+    return np.ascontiguousarray(cols[pos].transpose(2, 0, 1)), cols
+
+
 def _vech_inv_rows(x, p):
     """Batched spd_vech_inv over (n, p(p+1)/2) rows."""
-    x = np.asarray(x, dtype=float)
-    b = np.zeros((x.shape[0], p, p))
-    idx, *iu = _indices(p)
-    b[:, idx, idx] = x[:, :p]
-    off = x[:, p:] / _SQRT2
-    b[:, iu[0], iu[1]] = off
-    b[:, iu[1], iu[0]] = off
-    return b
+    return _unvech_rows(x, p)[0]
 
 
 def _sample_logs(sample):
@@ -278,11 +280,11 @@ class SPDSpace(Space):
     mean_strategy = "closed_form"
 
     def __init__(self, p, metric="log_euclidean"):
-        if p < 1:
+        self.p = space_size(p, "matrix size")
+        if self.p < 1:
             raise InvalidDescriptor("matrix size must be >= 1")
         if metric not in ("euclidean", "log_euclidean"):
             raise InvalidDescriptor(f"unknown spd metric {metric!r}")
-        self.p = int(p)
         self.metric = metric
         self.chart_dim = self.p * (self.p + 1) // 2
         self.point_shape = (self.p, self.p)

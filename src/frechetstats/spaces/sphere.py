@@ -38,7 +38,7 @@ import numpy as np
 
 from ..errors import CutLocus, InvalidDescriptor, InvalidPoint, NoConvergence, NonUniqueProjection
 from ..geometry import Chart, Space, group_differences, row_dots, row_norms, row_products
-from ..geometry import sphere_sample
+from ..geometry import space_size, sphere_sample
 
 _CUT_TOL = 1e-9
 
@@ -336,11 +336,11 @@ class SphereSpace(Space):
     kind = "sphere"
 
     def __init__(self, ambient_dim, metric="intrinsic"):
-        if ambient_dim < 2:
+        self.ambient_dim = space_size(ambient_dim, "ambient dimension")
+        if self.ambient_dim < 2:
             raise InvalidDescriptor("ambient dimension must be >= 2")
         if metric not in ("intrinsic", "extrinsic"):
             raise InvalidDescriptor(f"unknown sphere metric {metric!r}")
-        self.ambient_dim = int(ambient_dim)
         self.metric = metric
         self.chart_dim = self.ambient_dim - 1
         self.point_shape = (self.ambient_dim,)

@@ -35,6 +35,18 @@ def count_logm(monkeypatch):
     return calls
 
 
+def vech_matrices(rows, p):
+    """The symmetric p x p matrices of (n, p(p+1)/2) vech rows, scattered
+    entry by entry into zeroed matrices: the reference for the gather of
+    ``spaces.spd._unvech_rows``."""
+    rows = np.asarray(rows, dtype=float)
+    b = np.zeros((len(rows), p, p))
+    upper = np.triu_indices(p, k=1)
+    b[:, np.arange(p), np.arange(p)] = rows[:, :p]
+    b[:, upper[0], upper[1]] = b[:, upper[1], upper[0]] = rows[:, p:] / np.sqrt(2.0)
+    return b
+
+
 def random_spd_sample(rng, size, p=3, log_scale=1.0):
     """``size`` random SPD matrices, the exponentials of Gaussian symmetric
     matrices drawn as one array, as one Sample."""

@@ -273,6 +273,21 @@ def test_a_region_needs_a_covariance_and_a_level_in_the_unit_interval():
             confidence_region_contains(not_a_fit, [0.0], 0.05)
 
 
+def test_a_region_refuses_a_candidate_that_is_not_the_fits_chart_coordinates(rng):
+    space = EuclideanSpace(2)
+    sample = euclid_sample(rng, n=20, dim=2)
+    fit = sandwich_covariance(space, sample, estimate_mean(space, sample))
+    # once numpy's broadcast ValueError, an IndexError, and False (outside)
+    for candidate, message in (([0.1, 0.2, 0.3], r"must have shape \(2,\), got \(3,\)"),
+                               (np.zeros((2, 2)), r"must have shape \(2,\), got \(2, 2\)"),
+                               ([np.nan, 0.0], r"must be finite, got \[nan, 0.0\]"),
+                               ([np.inf, 0.0], r"must be finite"),
+                               ("far", "must be numbers, got 'far'")):
+        with pytest.raises(InvalidDescriptor, match=f"^candidate_chart_coords {message}"):
+            confidence_region_contains(fit, candidate, 0.05)
+    assert confidence_region_contains(fit, fit.chart_coords.tolist(), 0.05)
+
+
 def test_region_near_singular_covariance():
     fit = _manual_fit([0.0, 0.0], np.diag([1.0, 1e-13]), 10)
     with pytest.raises(NearSingularCovariance):

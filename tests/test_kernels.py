@@ -23,9 +23,12 @@ from frechetstats.simulate import (
     mc_type1,
 )
 from frechetstats.spaces import SPDSpace, SphereSpace
-from frechetstats.spaces.spd import KEPT_LOG_SPREAD, spd_exp_sample, spd_expm, spd_logm
+from frechetstats.spaces.spd import KEPT_LOG_SPREAD, _vech_rows, spd_exp_sample
+from frechetstats.spaces.spd import spd_expm, spd_logm
 from frechetstats.spaces.sphere import MEAN_MAX_ITER, MEAN_TOL, _exp_rows, _newton_means
 from frechetstats.spaces.sphere import _project_rows
+
+from conftest import vech_matrices
 
 
 # ---------------------------------------------------------------------------
@@ -224,25 +227,26 @@ def test_spd_means_are_the_same_alone_and_in_a_block_with_wide_spreads():
 # deferred exponentials of drawn SPD stacks
 
 
-def _drawn_logs(n, seed=15):
-    b = np.random.default_rng(seed).normal(scale=0.4, size=(n, 3, 3))
-    return 0.5 * (b + np.swapaxes(b, 1, 2))
+def _drawn(n, seed=15):
+    """Vech rows of n symmetric 3x3 matrices, and the matrices."""
+    rows = np.random.default_rng(seed).normal(scale=0.4, size=(n, 6))
+    return rows, vech_matrices(rows, 3)
 
 
 def test_deferred_draw_builds_the_eager_bits_whole_split_and_joined():
-    logs = _drawn_logs(300)
+    rows, logs = _drawn(300)
     eager = spd_expm(logs)
-    assert np.array_equal(spd_exp_sample(logs).data, eager)
+    assert np.array_equal(spd_exp_sample(rows, 3).data, eager)
     sizes = [120, 1, 179]
-    parts = spd_exp_sample(logs).split(sizes)
+    parts = spd_exp_sample(rows, 3).split(sizes)
     # read out of order: each part builds its own rows
     for i in (2, 0, 1):
         assert np.array_equal(parts[i].data, np.split(eager, np.cumsum(sizes)[:-1])[i])
-    deferred = spd_exp_sample(logs).split(sizes)
+    deferred = spd_exp_sample(rows, 3).split(sizes)
     joined = Sample.join(deferred[::-1])
     assert np.array_equal(joined.data, np.concatenate([eager[121:], eager[120:121], eager[:120]]))
     # a join of a built part and deferred ones builds the rest
-    mixed = spd_exp_sample(logs).split(sizes)
+    mixed = spd_exp_sample(rows, 3).split(sizes)
     assert np.array_equal(mixed[1].data, eager[120:121])
     assert np.array_equal(Sample.join(mixed).data, eager)
 
@@ -267,7 +271,7 @@ def test_deferred_draw_builds_the_eager_bits_one_replication_at_a_time(monkeypat
 def test_deferred_draw_is_not_built_by_its_size_checks_or_parts(monkeypatch):
     jacobi = _calls_of_jacobi(monkeypatch)
     space = SPDSpace(3, "log_euclidean")
-    sample = spd_exp_sample(_drawn_logs(50))
+    sample = spd_exp_sample(_drawn(50)[0], 3)
     assert len(sample) == 50 and sample.shape == (50, 3, 3)
     assert space.check_sample(sample) is sample
     joined = Sample.join(sample.split([20, 30])[::-1])
@@ -284,8 +288,8 @@ def test_deferred_draw_is_not_built_by_its_size_checks_or_parts(monkeypatch):
 
 
 def test_a_point_of_a_draw_builds_its_own_matrix_alone(monkeypatch):
-    logs = _drawn_logs(50)
-    sample = spd_exp_sample(logs)
+    rows, logs = _drawn(50)
+    sample = spd_exp_sample(rows, 3)
     jacobi = _calls_of_jacobi(monkeypatch)
     point = sample[7]
     assert jacobi == []
@@ -296,7 +300,7 @@ def test_a_point_of_a_draw_builds_its_own_matrix_alone(monkeypatch):
 
 def test_repeated_distances_take_each_points_log_once(monkeypatch):
     space = SPDSpace(3)
-    p, q = (spd_point(spd_expm(_drawn_logs(1, seed)[0])) for seed in (18, 19))
+    p, q = (spd_point(spd_expm(_drawn(1, seed)[1][0])) for seed in (18, 19))
     jacobi = _calls_of_jacobi(monkeypatch)
     first = space.distance_many(p, q)[0]
     assert jacobi == [1, 1]  # the log of p, then of q
@@ -356,8 +360,9 @@ def test_kept_logs_follow_the_exact_eigenvalues_near_the_spread_limit():
     # the middle eigenvalue anywhere between, or at the midpoint, where the
     # screening bound sqrt(2) ||L - tr(L)/3 I||_F is the spread itself
     middle = np.where(rng.random(m) < 0.5, low + rng.random(m) * spreads, low + 0.5 * spreads)
-    logs = _rotated(rng, np.column_stack([low, middle, low + spreads]))
-    sample = spd_exp_sample(logs)
+    rows = _vech_rows(_rotated(rng, np.column_stack([low, middle, low + spreads])))
+    logs = vech_matrices(rows, 3)  # the matrices of the rows, to rounding the rotated ones
+    sample = spd_exp_sample(rows, 3)
     w = np.linalg.eigvalsh(logs)
     exact = w[:, -1] - w[:, 0] <= KEPT_LOG_SPREAD
     kept = ~np.isnan(sample._logs[:, 0, 0])
@@ -586,7 +591,8 @@ def test_cap_draws_match_the_row_layout(ambient, radius):
     descriptor = SphereCapDescriptor(tuple(center), radius)
     space = SphereSpace(ambient)
     rng = np.random.default_rng(17)
-    level, direction = descriptor.variates(space)(rng, 3000)
+    (level, direction), draw = descriptor.variates(space, 3000)
+    draw(rng, 0, 3000)
     got = descriptor.assemble((level, direction), space).data
     assert got.flags.c_contiguous
     assert np.array_equal(got, _cap_rows(descriptor, ambient, level, direction))

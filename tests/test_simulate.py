@@ -1,4 +1,5 @@
 import functools
+import hashlib
 
 import numpy as np
 import pytest
@@ -336,6 +337,18 @@ def test_failure_budget_enforced():
                      "n must be an integer, got 10.7", id="consistency-float-grid"),
         pytest.param(lambda: mc_consistency(EuclideanSpace(2), euclid_sampler(), [10, 20.5], 20),
                      "n must be an integer, got 20.5", id="consistency-float-grid-entry"),
+        # a sampler that is not a Sampler, a grid that is not a sequence
+        pytest.param(lambda: mc_coverage(3.0, 10, 5, 0.05),
+                     "^sampler must be a Sampler, got float$", id="coverage-sampler"),
+        pytest.param(lambda: mc_stickiness(3.0, 10, 5), "^sampler must be a Sampler, got float$",
+                     id="stickiness-sampler"),
+        pytest.param(lambda: mc_type1(EuclideanSpace(2), None, 10, 10, 5, 0.05),
+                     "^sampler must be a Sampler, got NoneType$", id="type1-sampler"),
+        pytest.param(lambda: mc_consistency(EuclideanSpace(2), EuclideanSpace(2), [10], 5),
+                     "^sampler must be a Sampler, got EuclideanSpace$", id="consistency-sampler"),
+        pytest.param(lambda: mc_consistency(EuclideanSpace(2), euclid_sampler(), 10, 3),
+                     "^n_grid must be an iterable of sample sizes, got 10$",
+                     id="consistency-int-grid"),
     ],
 )
 def test_mc_arguments_are_refused_before_anything_is_drawn(run, message, monkeypatch):
@@ -900,6 +913,65 @@ def test_draw_many_draws_each_key_from_its_seed_sequence_stream():
     assert np.array_equal(block.data, np.concatenate(expected))
 
 
+_MEAN_LOG = ((0.4, 0.1, 0.0), (0.1, -0.2, 0.05), (0.0, 0.05, 0.3))
+
+#: a sampler of every descriptor family (and of each branch of one), with
+#: the sha256 of the bytes of its ``draw_many(DRAW_SIZES, DRAW_KEYS)``: the
+#: data, an open book's leaves, and an SPD draw's not-kept mask and logs
+DRAWS = {
+    "gaussian": (lambda: Sampler(EuclideanSpace(3), GaussianDescriptor(
+        (1.0, -2.0, 0.5), ((2.0, 0.3, 0.0), (0.3, 1.0, -0.2), (0.0, -0.2, 0.5))), 3),
+        "efff855c8a4c40d93fbebdf1d931d05fabad4d9623eaef82ec60db8433a0b51d"),
+    "spd": (lambda: Sampler(SPDSpace(3), SPDLogGaussianDescriptor(_MEAN_LOG, 0.15), 4),
+            "78ab64723d9f86bbcf51c6d2869e942091b9c4873de9a09b3cbf0ac8a0f8e8c6"),
+    # log scale 6: 7 of the 356 logs spread wider than KEPT_LOG_SPREAD
+    "spd_wide": (lambda: Sampler(SPDSpace(3), SPDLogGaussianDescriptor(_MEAN_LOG, 6.0), 5),
+                 "90a1afd7e37c93d978a2f827c655f103e4d40ebf5893c22eb4b5597622a374ed"),
+    "spd_p2": (lambda: Sampler(SPDSpace(2, "euclidean"),
+                               SPDLogGaussianDescriptor(((0.2, 0.1), (0.1, 0.0)), 0.5), 6),
+               "8f29b185b103273f2b26e78a31d805ce23825b7dda535386429ae5228cd995df"),
+    "cap_s2": (lambda: Sampler(SphereSpace(3), SphereCapDescriptor((0.0, 0.6, 0.8), 0.9), 7),
+               "49e96f2aa6eb06a215e891b0602fd276da36ad13a66c1bf23fd0e28290e4cde5"),
+    "cap_s4": (lambda: Sampler(SphereSpace(5),
+                               SphereCapDescriptor((0.0, 0.0, 0.0, 0.6, 0.8), 1.3), 8),
+               "9b6a625488ddd8eb37036a911bbfbbe31940ccba94e98b91bdcf19a83fdf85b8"),
+    "cap_point": (lambda: Sampler(SphereSpace(3), SphereCapDescriptor((0.0, 0.0, 1.0), 0.0), 9),
+                  "a1a82990740c037724651d068a9459546400597c11ecbddf41ccb62c5127fb2d"),
+    "two_point": (lambda: Sampler(SphereSpace(3), SphereTwoPointDescriptor(
+        (1.0, 0.0, 0.0), (0.0, 0.6, 0.8)), 10),
+        "d02d462256389de5852509e59a23e064dbd190ae597799cff1d30983730fd4d4"),
+    "book_exponential": (lambda: Sampler(OpenBookSpace(3, 2), OpenBookDescriptor(
+        (0.5, 0.25, 0.25), ("exponential", 1.5), (0.5, -1.0), 0.7), 11),
+        "b87d464ef4ded18d0c2ac26bd2b64b18e5eb6578bf9e064e53fb3481ac5405af"),
+    "book_half_gaussian": (lambda: Sampler(OpenBookSpace(2, 1), OpenBookDescriptor(
+        (0.3, 0.7), ("half_gaussian", 0.8), (0.2,)), 12),
+        "3095112a22ca31889b274f8f55dd0a337edfc8570aa56ef566190f1f2564e59c"),
+    "book_constant": (lambda: Sampler(OpenBookSpace(3, 0), OpenBookDescriptor(
+        (0.2, 0.5, 0.3), ("constant", 1.25)), 13),
+        "9ae665e906dc9f167a53469e7793215df3ceb8eaaeca1264f4c72422a8dde6ff"),
+    # 0.25 spine mass, a different height family on each leaf
+    "book_spine_mass": (lambda: Sampler(OpenBookSpace(3, 2), OpenBookDescriptor(
+        (0.3, 0.2, 0.25), (("exponential", 2.0), ("half_gaussian", 0.6), ("constant", 0.5)),
+        (0.0, 1.0), 1.2), 14),
+        "473631aedbcf7cfdf24ee25128e098449a870f7a4ec899dc171e304a84e9f16a"),
+}
+DRAW_KEYS, DRAW_SIZES = [0, (1, 0), (1, 1), 7, 2**33, 7], [37, 1, 250, 3, 64, 1]
+
+
+@pytest.mark.parametrize("family", DRAWS)
+def test_draw_many_keeps_the_bits_of_every_descriptor_family(family):
+    make, expected = DRAWS[family]
+    sample = make().draw_many(DRAW_SIZES, DRAW_KEYS)
+    digest = hashlib.sha256(np.ascontiguousarray(sample.data).tobytes())
+    if sample.leaves is not None:
+        digest.update(np.ascontiguousarray(sample.leaves, dtype=np.int64).tobytes())
+    if sample._logs is not None:
+        assert sample._logs.flags.c_contiguous  # the layout later reductions read
+        digest.update(np.isnan(sample._logs[:, 0, 0]).tobytes())
+        digest.update(sample._logs.tobytes())
+    assert digest.hexdigest() == expected
+
+
 def test_draw_many_opens_its_streams_through_rng_in_key_order(monkeypatch):
     # the benchmark's stream log wraps Sampler.rng and reads its first argument
     seen = []
@@ -910,10 +982,11 @@ def test_draw_many_opens_its_streams_through_rng_in_key_order(monkeypatch):
         return rng(sampler, *args, **kwargs)
 
     monkeypatch.setattr(Sampler, "rng", logged)
-    sampler = Sampler(SPDSpace(3), SPDLogGaussianDescriptor(tuple(map(tuple, np.eye(3))), 0.1), 2)
     keys = [(3, 0), (3, 0), (4, 0), (4, 1), 9]
-    sampler.draw_many(5, keys)
-    assert seen == keys
+    for family, (make, _) in DRAWS.items():  # every descriptor family
+        seen.clear()
+        make().draw_many(5, keys)
+        assert seen == keys, family
 
 
 @pytest.mark.parametrize("seed", [-1, 1.5, 2.0, True, np.float64(3.0), "3", None])

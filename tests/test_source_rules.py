@@ -1,10 +1,10 @@
 """Rules the library's source keeps (checked by parsing, not by running
-it): the spaces, the estimator, inference and the fiber pipeline refuse
-with typed errors, never a bare ``ValueError``; nothing dispatches with
-``isinstance`` on a space class (a space says what it is by its ``kind``);
-and only ``quadratic_forms`` and ``stacked_sandwich`` invert a covariance
-with ``guarded_inverse``, so every region and test statistic is formed by
-the one kernel."""
+it): the spaces, the estimator, inference, the fiber pipeline and the
+Monte Carlo experiments refuse with typed errors, never a bare
+``ValueError``; nothing dispatches with ``isinstance`` on a space class (a
+space says what it is by its ``kind``); and only ``quadratic_forms`` and
+``stacked_sandwich`` invert a covariance with ``guarded_inverse``, so every
+region and test statistic is formed by the one kernel."""
 
 import ast
 from pathlib import Path
@@ -32,7 +32,8 @@ def _name(node):
 
 def test_no_bare_value_error_is_raised_by_a_space_or_the_estimator():
     sources = sorted(PACKAGE.joinpath("spaces").glob("*.py"))
-    sources += [PACKAGE / "estimator.py", PACKAGE / "fiber.py", PACKAGE / "inference.py"]
+    sources += [PACKAGE / name
+                for name in ("estimator.py", "fiber.py", "inference.py", "simulate.py")]
     raised = [
         (path, node.lineno)
         for path, node in _nodes(sources)

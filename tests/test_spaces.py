@@ -30,9 +30,11 @@ from frechetstats.spaces import (
     tangent_basis,
 )
 from frechetstats.estimator import estimate_mean
-from frechetstats.spaces.spd import KEPT_LOG_SPREAD, _sample_logs, _spectral, spd_exp_sample
+from frechetstats.spaces.spd import KEPT_LOG_SPREAD, _sample_logs, _spectral, _vech_inv_rows
+from frechetstats.spaces.spd import _vech_rows, spd_exp_sample
 
 from conftest import count_logm, positive_folded_means, random_openbook_sample, random_spd
+from conftest import vech_matrices
 from conftest import sphere_exp_point, sphere_exp_sample
 
 
@@ -51,6 +53,20 @@ from conftest import sphere_exp_point, sphere_exp_sample
                  id="openbook-leaves"),
     pytest.param(lambda: OpenBookSpace(3, -1), "spine dimension must be >= 0",
                  id="openbook-spine"),
+    # sizes that are not integers: NaN and infinity once escaped as ValueError
+    # and OverflowError from int()
+    pytest.param(lambda: EuclideanSpace(float("nan")), "dimension must be an integer, got nan",
+                 id="euclidean-nan"),
+    pytest.param(lambda: EuclideanSpace(2.5), "dimension must be an integer, got 2.5",
+                 id="euclidean-fraction"),
+    pytest.param(lambda: SPDSpace(float("nan")), "matrix size must be an integer, got nan",
+                 id="spd-nan"),
+    pytest.param(lambda: SphereSpace(float("inf")), "ambient dimension must be an integer, got inf",
+                 id="sphere-inf"),
+    pytest.param(lambda: OpenBookSpace(float("inf"), 2), "leaf count must be an integer, got inf",
+                 id="openbook-inf"),
+    pytest.param(lambda: OpenBookSpace(3, float("nan")),
+                 "spine dimension must be an integer, got nan", id="openbook-spine-nan"),
 ])
 def test_a_space_with_bad_sizes_or_metric_is_an_invalid_descriptor(build, message):
     with pytest.raises(InvalidDescriptor, match=f"^{message}$"):
@@ -210,9 +226,9 @@ def _diagonal_logs(spreads):
 
 
 def test_spd_exp_sample_keeps_its_logs(rng):
-    b = rng.normal(scale=0.3, size=(40, 3, 3))
-    b = b + np.swapaxes(b, 1, 2)
-    sample = spd_exp_sample(b)
+    rows = rng.normal(scale=0.6, size=(40, 6))
+    b = vech_matrices(rows, 3)
+    sample = spd_exp_sample(rows, 3)
     assert np.array_equal(sample.data, np.swapaxes(sample.data, 1, 2))
     assert np.array_equal(spd_sample(sample.data).data, sample.data)
     # the Jacobi eigensolver's exponentials, within rounding of LAPACK's
@@ -236,8 +252,7 @@ def test_spd_exp_sample_keeps_its_logs(rng):
 
 def test_a_point_of_a_log_euclidean_mean_stack_carries_its_mean_log(rng, monkeypatch):
     space = SPDSpace(3, "log_euclidean")
-    b = rng.normal(scale=0.3, size=(40, 3, 3))
-    draws = spd_exp_sample(b + np.swapaxes(b, 1, 2))
+    draws = spd_exp_sample(rng.normal(scale=0.6, size=(40, 6)), 3)
     means = space.mean_many(draws, 4)[0]
     chart = space.chart_at()
     calls = count_logm(monkeypatch)
@@ -259,9 +274,9 @@ def test_a_point_of_a_log_euclidean_mean_stack_carries_its_mean_log(rng, monkeyp
 @pytest.mark.parametrize("p", [2, 4])
 def test_spd_exp_sample_of_other_sizes_is_spd_expm(p, rng):
     # p != 3 is decomposed by LAPACK, as spd_expm is: the very same bits
-    b = rng.normal(scale=0.3, size=(40, p, p))
-    b = b + np.swapaxes(b, 1, 2)
-    sample = spd_exp_sample(b)
+    rows = rng.normal(scale=0.6, size=(40, p * (p + 1) // 2))
+    b = vech_matrices(rows, p)
+    sample = spd_exp_sample(rows, p)
     assert np.array_equal(sample.data, spd_expm(b))
     assert np.array_equal(_sample_logs(sample), b)
 
@@ -272,7 +287,7 @@ def test_spd_exp_sample_leaves_wide_spreads_to_logm(spreads, monkeypatch):
     # spreads between KEPT_LOG_SPREAD and ln(1e14) ~ 32.2 pass spd_logm's
     # guard; spd_logm takes those matrices' logs, and only theirs
     logs = _diagonal_logs(spreads)
-    sample = spd_exp_sample(logs)
+    sample = spd_exp_sample(_vech_rows(logs), 3)
     kept = np.array(spreads) <= KEPT_LOG_SPREAD
     assert np.allclose(_sample_logs(sample), logs, rtol=0.0, atol=1e-12)
     assert np.array_equal(_sample_logs(sample)[kept], logs[kept])
@@ -280,13 +295,13 @@ def test_spd_exp_sample_leaves_wide_spreads_to_logm(spreads, monkeypatch):
     _sample_logs(sample)
     assert len(calls) == 1  # taken once
     calls.clear()
-    _sample_logs(spd_exp_sample(_diagonal_logs([KEPT_LOG_SPREAD] * 5)))
+    _sample_logs(spd_exp_sample(_vech_rows(_diagonal_logs([KEPT_LOG_SPREAD] * 5)), 3))
     assert calls == []
 
 
 def test_spd_exp_sample_names_the_near_singular_matrix_of_the_stack():
     # spreads 31 (taken by spd_logm) and 40 (refused by it) among kept ones
-    sample = spd_exp_sample(_diagonal_logs([1.0, 31.0, 1.0, 40.0, 40.0, 1.0]))
+    sample = spd_exp_sample(_vech_rows(_diagonal_logs([1.0, 31.0, 1.0, 40.0, 40.0, 1.0])), 3)
     with pytest.raises(NotPositiveDefinite) as info:
         _sample_logs(sample)
     refused = [False, False, False, True, True, False]
@@ -303,6 +318,16 @@ def test_spd_vech_examples():
     v = spd_vech(b)
     assert np.allclose(v, [0, 0, 0, np.sqrt(2), 0, 0])
     assert np.linalg.norm(v) == pytest.approx(np.linalg.norm(b), abs=1e-15)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_vech_rows_gather_the_matrices_of_the_entry_scatter(p, rng):
+    rows = rng.normal(size=(50, p * (p + 1) // 2))
+    rows[3] = 0.0
+    rows[4, -1] = -0.0
+    mats = _vech_inv_rows(rows, p)
+    assert mats.flags.c_contiguous
+    assert mats.tobytes() == vech_matrices(rows, p).tobytes()  # -0.0 kept too
 
 
 def test_spd_vech_round_trip(rng):
