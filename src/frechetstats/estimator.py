@@ -110,8 +110,10 @@ def sandwich_covariance(space, sample, fit, *, derivatives="auto"):
     mode raises InvalidDescriptor.
 
     Raises NearSingularHessian when Lambda_n has condition number beyond
-    1e12, which signals a boundary or otherwise degenerate configuration.
+    1e12, which signals a boundary or otherwise degenerate configuration,
+    and InvalidDescriptor when ``fit`` is not a FrechetFit.
     """
+    _check_fit(fit)
     sample = space.check_sample(sample)
     chart = fit.chart
     lam, c, asym, cond, pd = (a[0] for a in stacked_sandwich(
@@ -120,6 +122,12 @@ def sandwich_covariance(space, sample, fit, *, derivatives="auto"):
     return dataclasses.replace(
         fit, lambda_n=lam, c_n=c, asym_cov=asym, lambda_cond=float(cond), lambda_pd=bool(pd)
     )
+
+
+def _check_fit(fit):
+    """Refuse a ``fit`` that is not a FrechetFit (InvalidDescriptor)."""
+    if not isinstance(fit, FrechetFit):
+        raise InvalidDescriptor(f"fit must be a FrechetFit, got {type(fit).__name__}")
 
 
 def check_derivatives(derivatives):
@@ -182,8 +190,7 @@ def confidence_region_contains(fit, candidate_chart_coords, alpha):
     InvalidDescriptor when ``fit`` is not a FrechetFit or has no covariance,
     or when the candidate is not the fit's s finite chart coordinates.
     """
-    if not isinstance(fit, FrechetFit):
-        raise InvalidDescriptor(f"fit must be a FrechetFit, got {type(fit).__name__}")
+    _check_fit(fit)
     if fit.asym_cov is None:
         raise InvalidDescriptor("fit has no covariance; run sandwich_covariance first")
     try:

@@ -2,15 +2,17 @@
 a synthetic generator with a controllable group effect, and the per-site
 two-sample sweep with Bonferroni and BH correction.
 
-The pipeline works on whole arrays: the parser splits the data lines into
-columns (``CHUNK_LINES`` lines at a time), converts each column with one
-call per chunk, checks the columns as arrays, refusing bad lines by mask so
-that an error names the first bad line, and fills the tensors in one
-scatter; a dataset validates all its tensors in one batch when it is built;
-the sweep maps every tensor to the chart at once and tests all sites in one
-batched chi-square computation (``inference.chi2_two_sample``), whose
-``singular`` mask names the failed sites.  The CLI's point files are read
-by the same reader (``read_table``, ``read_columns``).
+The pipeline works on whole arrays.  The parser reads a well-formed file's
+columns in one ``np.loadtxt`` pass; a file that numpy's parser refuses is
+read again field by field (``CHUNK_LINES`` lines at a time), which refuses
+the bad lines by mask, so that an error names the first bad line.  It then
+checks the columns as arrays, refusing lines the same way, and fills the
+tensors in one scatter.  A dataset validates all its tensors in one batch
+when it is built; the sweep maps every tensor to the chart at once and
+tests all sites in one batched chi-square computation
+(``inference.chi2_two_sample``), whose ``singular`` mask names the failed
+sites.  The CLI's point files are read by the same reader (``read_table``,
+``read_columns``).
 """
 
 from __future__ import annotations
@@ -29,9 +31,16 @@ from .streams import Streams
 #: canonical column order of the dataset CSV
 FIBER_COLUMNS = ("subject", "group", "site") + UPPER_COLUMNS
 
-#: data lines the parser splits into fields at once; only one chunk's field
-#: strings are alive at a time, which bounds the parser's memory
+#: data lines the refusal path (``_read_fields``) splits into fields at once;
+#: only one chunk's field strings are alive at a time, which bounds its memory
 CHUNK_LINES = 512
+
+#: the array type of a column of each converter but ``str.strip``'s (object)
+_DTYPES = {float: float, int: np.int64}
+
+#: U+001C-U+001F: numpy's parser skips them around a number, as str.strip
+#: does, but float and int refuse them
+_SEPARATORS = "\x1c\x1d\x1e\x1f"
 
 #: p-values below this are flagged as outside the reliable range of the
 #: chi-square approximation
@@ -95,6 +104,40 @@ def read_columns(body, kinds, refusals):
     which all ignore the whitespace around a field): (n,) arrays of float,
     int64 (object if a value does not fit) or object.
 
+    One ``np.loadtxt`` pass (``_load_table``) reads every file that
+    numpy's C parser accepts whole and that holds none of ``_SEPARATORS``:
+    it checks the number of fields of every line, then accepts no field
+    that ``float`` or ``int`` refuses, and gives a field they accept their
+    bits.  Any other file, including one with a field only Python reads
+    (``1_5``, non-ASCII digits, an int beyond int64), is read again by
+    ``_read_fields``, which alone refuses lines through ``refusals`` and so
+    names them.
+    """
+    dtypes = [_DTYPES.get(kind, object) for kind in kinds]
+    table = _load_table(body, dtypes)
+    if table is None:
+        return _read_fields(body, kinds, refusals)
+    return [np.fromiter(map(kind, table[name]), object, len(table)) if dtype is object else table[name]
+            for kind, dtype, name in zip(kinds, dtypes, table.dtype.names)]
+
+
+def _load_table(body, dtypes):
+    """The lines ``body`` as one structured array of fields of ``dtypes``
+    read by ``np.loadtxt``, or None if it refuses them or they hold one of
+    ``_SEPARATORS``.  An object field holds the field's raw text, NUL
+    included."""
+    if any(map("".join(body).__contains__, _SEPARATORS)):
+        return None
+    try:
+        return np.loadtxt(body, [("", dtype) for dtype in dtypes], delimiter=",", comments=None,
+                          quotechar=None, ndmin=1)
+    except ValueError:
+        return None
+
+
+def _read_fields(body, kinds, refusals):
+    """``read_columns`` field by field, for a file ``np.loadtxt`` refuses.
+
     ``refusals`` refuses the lines with a wrong number of fields, then,
     column after column, the lines with a field its converter rejects, with
     the exception's text; a refused field holds ``kind("0")``.  Each column
@@ -106,7 +149,7 @@ def read_columns(body, kinds, refusals):
     if wrong.any():
         refusals.check(wrong, f"expected {width} columns")
         body = [",".join("0" * width) if w else line for w, line in zip(wrong.tolist(), body)]
-    dtypes = [{float: float, int: np.int64}.get(kind, object) for kind in kinds]
+    dtypes = [_DTYPES.get(kind, object) for kind in kinds]
     pieces = [[] for _ in kinds]
     for start in range(0, n, CHUNK_LINES):
         fields = ",".join(body[start:start + CHUNK_LINES]).split(",")

@@ -371,8 +371,10 @@ def spd_point(a):
 
 def openbook_point(leaf, coords):
     """One-row open-book Sample: leaf label plus half-space coordinates
-    (x0 >= 0); a point with ``x0 == 0`` is on the spine (leaf 0)."""
-    return openbook_sample([int(leaf)], np.atleast_1d(np.asarray(coords, dtype=float))[None])
+    (x0 >= 0); a point with ``x0 == 0`` is on the spine (leaf 0).  A leaf
+    that is not an integer (nan included) is refused, as by
+    ``openbook_sample``."""
+    return openbook_sample([leaf], np.atleast_1d(np.asarray(coords, dtype=float))[None])
 
 
 def _check_finite(value):

@@ -234,7 +234,7 @@ class SPDLogGaussianDescriptor:
         m = np.asarray(self.mean_log, dtype=float)
         if m.shape != (space.p, space.p) or not np.allclose(m, m.T, atol=1e-10):
             raise InvalidDescriptor("mean_log must be a symmetric matrix of the space's size")
-        if self.scale < 0.0:
+        if not self.scale >= 0.0:  # NaN too
             raise InvalidDescriptor("scale must be nonnegative")
 
     def variates(self, space, size):
@@ -298,7 +298,7 @@ class OpenBookDescriptor:
         for name, param in fams:
             if name not in _X0_FAMILIES:
                 raise InvalidDescriptor(f"unknown height family {name!r}")
-            if float(param) < 0.0 or (name != "constant" and float(param) <= 0.0):
+            if not (float(param) > 0.0 or (name == "constant" and float(param) == 0.0)):  # NaN too
                 raise InvalidDescriptor(f"invalid parameter for height family {name!r}")
         return fams
 
@@ -308,11 +308,11 @@ class OpenBookDescriptor:
         probs = np.asarray(self.leaf_probs, dtype=float)
         if probs.shape != (space.n_leaves,):
             raise InvalidDescriptor("need one occupation probability per leaf")
-        if np.any(probs < 0.0) or probs.sum() > 1.0 + 1e-12:
+        if not (np.all(probs >= 0.0) and probs.sum() <= 1.0 + 1e-12):  # NaN too
             raise InvalidDescriptor("leaf probabilities must be nonnegative with sum <= 1")
         if np.asarray(self.spine_mean, dtype=float).shape != (space.spine_dim,):
             raise InvalidDescriptor("spine_mean length must equal the spine dimension")
-        if self.spine_sd < 0.0:
+        if not self.spine_sd >= 0.0:  # NaN too
             raise InvalidDescriptor("spine_sd must be nonnegative")
         self._families(space.n_leaves)
 

@@ -74,7 +74,11 @@ def _eigh(a):
     column) of the symmetric part of each matrix of a (..., p, p) stack:
     unordered from ``_eigh3`` for p = 3, but LAPACK's for the matrices it
     leaves unconverged and for every other p.  InvalidPoint masks the
-    matrices with a non-finite entry."""
+    matrices with a non-finite entry, and refuses outright an array that is
+    not a stack of p x p matrices, p >= 1."""
+    a = np.asarray(a, dtype=float)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] == 0:
+        raise InvalidPoint(f"expected a p x p matrix or a (..., p, p) stack of them, got shape {a.shape}")
     nonfinite = ~np.isfinite(a).all(axis=(-2, -1))
     if nonfinite.any():
         raise InvalidPoint("matrix has a non-finite entry", nonfinite)
@@ -187,8 +191,12 @@ def _expm_sample(logs):
 
 def spd_vech(b):
     """Isometric vectorization: diagonal entries, then sqrt(2)-scaled upper
-    off-diagonals in row-major order, so ||vech(B)||_2 = ||B||_F."""
-    return _vech_rows(np.asarray(b, dtype=float)[None])[0]
+    off-diagonals in row-major order, so ||vech(B)||_2 = ||B||_F.
+    InvalidPoint when ``b`` is not a square matrix."""
+    b = np.asarray(b, dtype=float)
+    if b.ndim != 2 or b.shape[0] != b.shape[1]:
+        raise InvalidPoint(f"expected a square matrix, got shape {b.shape}")
+    return _vech_rows(b[None])[0]
 
 
 def spd_vech_inv(x, p):

@@ -155,6 +155,12 @@ def test_sandwich_refuses_an_unknown_derivatives_mode(rng):
         sandwich_covariance(sp, sample, fit, derivatives="bogus")
 
 
+def test_sandwich_refuses_a_fit_that_is_not_a_frechet_fit(rng):
+    sp = EuclideanSpace(2)
+    with pytest.raises(InvalidDescriptor, match="^fit must be a FrechetFit, got float$"):
+        sandwich_covariance(sp, euclid_sample(rng, dim=2), 3.0)
+
+
 def test_euclidean_sandwich_equals_sample_covariance(rng):
     sp = EuclideanSpace(4)
     sample = euclid_sample(rng, n=60, dim=4)

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from frechetstats import cli
+from frechetstats import cli, fiber
 from frechetstats.cli import CLIInputError, load_points, main
 from frechetstats.errors import InvalidArgument, InvalidDescriptor, InvalidPoint, NearSingularCovariance
 from frechetstats.fiber import (
@@ -106,28 +106,39 @@ def test_parse_errors_name_the_line():
         assert str(info.value) == message
 
 
-def test_reordered_and_padded_files_give_the_same_dataset(tmp_path):
+def test_reordered_and_padded_files_give_the_same_dataset(tmp_path, monkeypatch):
     # 17 significant digits are exact, so every layout of the generated file
     # must give the generated dataset back bit for bit
     ds = generate_fiber_dataset(seed=11, n_sites=60, n_group1=5, n_group0=4)
     buf = io.StringIO()
     write_fiber_csv(ds, buf)
     header, *rows = buf.getvalue().splitlines()
-    assert len(rows) > CHUNK_LINES  # rows from every chunk are mixed
+    assert len(rows) > CHUNK_LINES  # the field-by-field reader mixes rows from every chunk
     rng = np.random.default_rng(0)
     shuffled = [rows[i] for i in rng.permutation(len(rows))]
     padded = [" " + " , ".join(row.split(",")) + "\t" for row in shuffled]
+    *head, last = shuffled
+    fields = last.split(",")
+    arabic = ",".join(fields[:3] + [field.replace("1", "\u0661") for field in fields[3:]])
+    assert arabic != last
     variants = {
         "shuffled": "\n".join([header] + shuffled) + "\n",
         "blank lines": "\n \n" + header + "\n\n" + "\n\n".join(shuffled) + "\n\n",
         "crlf": "\r\n".join([header] + shuffled) + "\r\n",
         "padded": "\n".join([" " + header + " "] + padded),
+        # numpy's parser refuses the Arabic-Indic digit one that float reads as 1
+        "one line of Arabic-Indic ones": "\n".join([header] + head + [arabic]) + "\n",
     }
     expected_sites = tmp_path / "expected.csv"
     canonical = write(tmp_path / "canonical.csv", buf.getvalue())
     assert main(["fiber", canonical, "--output", str(expected_sites)]) == 0
+    field_reads = []
+    read_fields = fiber._read_fields
+    monkeypatch.setattr(fiber, "_read_fields", lambda *args: field_reads.append(1) or read_fields(*args))
     for name, text in variants.items():
+        del field_reads[:]
         parsed = parse_fiber_csv(io.StringIO(text))
+        assert len(field_reads) == (name == "one line of Arabic-Indic ones"), name
         assert parsed.subjects == ds.subjects, name
         assert parsed.groups.dtype == ds.groups.dtype, name
         assert parsed.groups.tobytes() == ds.groups.tobytes(), name
@@ -190,6 +201,87 @@ def test_corrupted_lines_report_the_first_one(sites, tmp_path):
         with pytest.raises(CLIInputError) as info:
             load_points(path, "spd")
         assert str(info.value) == f"{path}: {message}"
+
+
+# fields that numpy's C parser and Python's float, int and str.strip read
+# differently, put in line 2 of a file: (column, field, a field Python reads
+# the same, or the file's message).  U+001C-U+001E break a point file's
+# lines (str.splitlines), so only U+001F is put in a tensor column.
+DIFFERENT_FIELDS = [
+    ("a11", "1_5", "15", None),
+    ("a11", "١.٥", "1.5", None),
+    ("a11", "１.５", "1.5", None),
+    ("a11", "\xa01.5\t", "1.5", None),
+    ("a11", "1.5#", None, "line 2: could not convert string to float: '1.5#'"),
+    ("a11", '"1.5"', None, "line 2: could not convert string to float: '\"1.5\"'"),
+    ("a11", "1.5\x1f", None, "line 2: could not convert string to float: '1.5\\x1f'"),
+    ("a22", "\x1f1.5", None, "line 2: could not convert string to float: '\\x1f1.5'"),
+    ("a11", "1.5\x00", None, "line 2: could not convert string to float: '1.5\\x00'"),
+    ("group", "١", "1", None),
+    ("group", "\x1c1", None, "line 2: invalid literal for int() with base 10: '\\x1c1'"),
+    ("site", "0_0", "0", None),
+    ("site", "0\x1d", None, "line 2: invalid literal for int() with base 10: '0\\x1d'"),
+    ("site", str(10**30), None, "subject 'subj000' is missing site 0 (every pair required)"),
+    ("subject", " subj000", "subj000", None),
+    ("subject", "\tsubj000\t", "subj000", None),
+    ("subject", "\xa0subj000\xa0", "subj000", None),
+    ("subject", "\x1esubj000\x1f", "subj000", None),
+]
+
+
+def _fiber_lines():
+    """Header and rows of a small generated dataset file; its line 2 is
+    subject subj000 (group 1) at site 0."""
+    ds = generate_fiber_dataset(seed=6, n_sites=2, n_group1=2, n_group0=2)
+    buf = io.StringIO()
+    write_fiber_csv(ds, buf)
+    return buf.getvalue().splitlines()
+
+
+def _line_2_with(lines, column, field):
+    """``lines`` as a file whose line 2 holds ``field`` in ``column``."""
+    header, first, *rest = lines
+    fields = first.split(",")
+    fields[header.split(",").index(column)] = field
+    return "\n".join([header, ",".join(fields)] + rest) + "\n"
+
+
+def _points_file(path, text):
+    """The tensors of the dataset file ``text`` as an SPD point file."""
+    rows = [",".join(line.split(",")[3:]) for line in text.splitlines()[1:]]
+    return write(path, "\n".join([",".join(UPPER_COLUMNS)] + rows) + "\n")
+
+
+@pytest.mark.parametrize("column, field, same, message", DIFFERENT_FIELDS)
+def test_a_field_is_read_as_python_reads_it(column, field, same, message, tmp_path):
+    lines = _fiber_lines()
+    text = _line_2_with(lines, column, field)
+    points = _points_file(tmp_path / "points.csv", text)
+    if message is not None:
+        with pytest.raises(FiberParseError) as info:
+            parse_fiber_csv(io.StringIO(text))
+        assert str(info.value) == message
+        if column in UPPER_COLUMNS:  # the CLI's point files are read by the same reader
+            with pytest.raises(CLIInputError) as info:
+                load_points(points, "spd")
+            assert str(info.value) == f"{points}: {message}"
+        return
+    parsed, expected = (parse_fiber_csv(io.StringIO(_line_2_with(lines, column, f))) for f in (field, same))
+    assert parsed.subjects == expected.subjects
+    assert parsed.groups.tobytes() == expected.groups.tobytes()
+    assert parsed.tensors.tobytes() == expected.tensors.tobytes()
+    same_points = _points_file(tmp_path / "same.csv", _line_2_with(lines, column, same))
+    assert load_points(points, "spd")[1].data.tobytes() == load_points(same_points, "spd")[1].data.tobytes()
+
+
+@pytest.mark.parametrize("name", ["s\x00j", "subj000" + "x" * 293, "subj000#1", '"subj000"', "'subj000"])
+def test_a_subject_keeps_every_character_but_the_surrounding_whitespace(name):
+    header, *rows = _fiber_lines()
+    padded = [row.replace("subj000,", f" {name}\t,") for row in rows]
+    parsed = parse_fiber_csv(io.StringIO("\n".join([header] + padded)))
+    expected = parse_fiber_csv(io.StringIO("\n".join([header] + rows)))
+    assert parsed.subjects == (name,) + expected.subjects[1:]  # subj000 and its rename sort first
+    assert parsed.tensors.tobytes() == expected.tensors.tobytes()
 
 
 def test_cli_point_file_header_is_checked_before_its_rows(tmp_path, capsys):

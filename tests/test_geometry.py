@@ -147,6 +147,9 @@ def test_wrong_payload_shape_or_leaf_label_raises_invalid_point():
         estimate_mean(OpenBookSpace(2, 1), openbook_point(3, (1.0, 0.0)))
     with pytest.raises(InvalidPoint):
         openbook_moments(openbook_point(3, (1.0, 0.0)), 2)
+    for leaf in (float("nan"), float("inf"), 1.5):
+        with pytest.raises(InvalidPoint, match="^leaf must be an integer$"):
+            openbook_point(leaf, (1.0, 0.0))
     # a list of points is no sample, whatever its points hold
     with pytest.raises(MixedSpacePoints, match="got list"):
         estimate_mean(EuclideanSpace(3), [euclidean_point([1.0, 2.0])])

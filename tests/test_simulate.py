@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -118,6 +119,26 @@ def test_invalid_descriptors_rejected():
             OpenBookDescriptor(leaf_probs=(0.5, 0.5), x0=("poisson", 1.0), spine_mean=()),
             0,
         )
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("space, descriptor, message", [
+    pytest.param(OpenBookSpace(3, 0), OpenBookDescriptor(leaf_probs=(NAN, 0.5, 0.25)),
+                 "leaf probabilities must be nonnegative with sum <= 1", id="leaf-prob"),
+    pytest.param(OpenBookSpace(2, 1), OpenBookDescriptor(leaf_probs=(0.5, 0.5), spine_mean=(0.0,), spine_sd=NAN),
+                 "spine_sd must be nonnegative", id="spine-sd"),
+    pytest.param(OpenBookSpace(2, 0), OpenBookDescriptor(leaf_probs=(0.5, 0.5), x0=("exponential", NAN)),
+                 "invalid parameter for height family 'exponential'", id="height-rate"),
+    pytest.param(OpenBookSpace(2, 0), OpenBookDescriptor(leaf_probs=(0.5, 0.5), x0=("constant", NAN)),
+                 "invalid parameter for height family 'constant'", id="height-constant"),
+    pytest.param(SPDSpace(2), SPDLogGaussianDescriptor(mean_log=((0.0, 0.0), (0.0, 0.0)), scale=NAN),
+                 "scale must be nonnegative", id="spd-scale"),
+])
+def test_a_nan_descriptor_parameter_is_refused(space, descriptor, message):
+    with pytest.raises(InvalidDescriptor, match=f"^{re.escape(message)}$"):
+        Sampler(space, descriptor, 0)
 
 
 def test_gaussian_descriptor_allows_singular_covariance():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -71,6 +73,26 @@ from conftest import sphere_exp_point, sphere_exp_sample
 def test_a_space_with_bad_sizes_or_metric_is_an_invalid_descriptor(build, message):
     with pytest.raises(InvalidDescriptor, match=f"^{message}$"):
         build()
+
+
+@pytest.mark.parametrize("call, shape", [
+    pytest.param(lambda: spd_logm(np.zeros((3, 2))), "(3, 2)", id="logm-rectangle"),
+    pytest.param(lambda: spd_logm(3.0), "()", id="logm-scalar"),
+    pytest.param(lambda: spd_logm(np.ones(3)), "(3,)", id="logm-vector"),
+    pytest.param(lambda: spd_logm(np.zeros((2, 0, 0))), "(2, 0, 0)", id="logm-empty-matrices"),
+    pytest.param(lambda: spd_expm(np.zeros((4, 3, 2))), "(4, 3, 2)", id="expm-rectangles"),
+])
+def test_logm_and_expm_refuse_what_is_not_a_stack_of_square_matrices(call, shape):
+    with pytest.raises(InvalidPoint, match=f"^expected a p x p matrix or a \\(\\.\\.\\., p, p\\) stack of them, "
+                                           f"got shape {re.escape(shape)}$"):
+        call()
+
+
+@pytest.mark.parametrize("b, shape", [(np.zeros((0, 2)), "(0, 2)"), (np.eye(3)[None], "(1, 3, 3)"),
+                                      (np.zeros(3), "(3,)")])
+def test_spd_vech_refuses_what_is_not_a_square_matrix(b, shape):
+    with pytest.raises(InvalidPoint, match=f"^expected a square matrix, got shape {re.escape(shape)}$"):
+        spd_vech(b)
 
 
 def test_spd_vech_inv_of_a_wrong_length_is_an_invalid_point():
