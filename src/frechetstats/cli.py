@@ -108,8 +108,8 @@ def load_points(path, space_kind, metric=None):
     def error(message):
         return CLIInputError(f"{path}: {message}")
 
-    columns, body, numbers = _read_input(path, lambda fh: read_table(
-        fh.read().splitlines(), error, partial(_header_problem, space_kind)))
+    columns, body, numbers = _read_input(
+        path, lambda fh: read_table(fh, error, partial(_header_problem, space_kind)))
     metric = _normalize_metric(metric)
     refusals = _Refusals()
     values = np.column_stack(read_columns(body, (float,) * len(columns), refusals))

@@ -28,8 +28,8 @@ import numpy as np
 
 from .errors import InvalidDescriptor, NearSingularCovariance, NearSingularHessian, NoConvergence
 from .geometry import Sample, guarded_inverse, mean_gradient, numeric_gradient, numeric_hessian
-from .geometry import refuse_singular, row_norms
-from .inference import chi2_quantile, quadratic_forms
+from .geometry import check_space, refuse_singular, row_norms
+from .inference import as_level, chi2_quantile, quadratic_forms
 
 
 @dataclass(frozen=True)
@@ -75,7 +75,10 @@ def estimate_mean(space, sample):
         Some sample point is from a different space.
     TooFewPoints
         The sample is empty.
+    InvalidDescriptor
+        ``space`` is no space (it has no ``check_sample``).
     """
+    check_space(space)
     sample = space.check_sample(sample)
     failure = None
     try:
@@ -114,6 +117,7 @@ def sandwich_covariance(space, sample, fit, *, derivatives="auto"):
     and InvalidDescriptor when ``fit`` is not a FrechetFit.
     """
     _check_fit(fit)
+    check_space(space)
     sample = space.check_sample(sample)
     chart = fit.chart
     lam, c, asym, cond, pd = (a[0] for a in stacked_sandwich(
@@ -218,7 +222,7 @@ def confidence_regions_contain(n, coords, asym_covs, candidate_chart_coords, alp
     mask.  Raises NearSingularCovariance masking the fits whose covariance
     is numerically singular while the candidate differs from their mean.
     """
-    if not 0.0 < alpha < 1.0:
+    if not 0.0 < as_level(alpha) < 1.0:
         raise InvalidDescriptor("alpha must be in (0, 1)")
     if coords.shape[-1] == 0:
         return np.ones(len(coords), dtype=bool)  # a pinned mean: the region is the whole chart

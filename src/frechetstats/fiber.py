@@ -4,15 +4,14 @@ two-sample sweep with Bonferroni and BH correction.
 
 The pipeline works on whole arrays.  The parser reads a well-formed file's
 columns in one ``np.loadtxt`` pass; a file that numpy's parser refuses is
-read again field by field (``CHUNK_LINES`` lines at a time), which refuses
-the bad lines by mask, so that an error names the first bad line.  It then
-checks the columns as arrays, refusing lines the same way, and fills the
-tensors in one scatter.  A dataset validates all its tensors in one batch
-when it is built; the sweep maps every tensor to the chart at once and
-tests all sites in one batched chi-square computation
-(``inference.chi2_two_sample``), whose ``singular`` mask names the failed
-sites.  The CLI's point files are read by the same reader (``read_table``,
-``read_columns``).
+read again field by field, which refuses the bad lines by mask, so that an
+error names the first bad line.  It then checks the columns as arrays,
+refusing lines the same way, and fills the tensors in one scatter.  A
+dataset validates all its tensors in one batch when it is built; the sweep
+maps every tensor to the chart at once and tests all sites in one batched
+chi-square computation (``inference.chi2_two_sample``), whose ``singular``
+mask names the failed sites.  The CLI's point files are read by the same
+reader (``read_table``, ``read_columns``).
 """
 
 from __future__ import annotations
@@ -30,10 +29,6 @@ from .streams import Streams
 
 #: canonical column order of the dataset CSV
 FIBER_COLUMNS = ("subject", "group", "site") + UPPER_COLUMNS
-
-#: data lines the refusal path (``_read_fields``) splits into fields at once;
-#: only one chunk's field strings are alive at a time, which bounds its memory
-CHUNK_LINES = 512
 
 #: the array type of a column of each converter but ``str.strip``'s (object)
 _DTYPES = {float: float, int: np.int64}
@@ -80,9 +75,11 @@ class FiberDataset:
 def read_table(lines, error, header):
     """``(columns, body, numbers)`` of a table file: the stripped fields of
     its header line, its stripped non-blank lines after it and their 1-based
-    line numbers.  ``header(columns)`` is the header's problem, or None;
-    ``error(message)`` is the exception raised for an empty file, a header
-    with a problem or no data lines, its message naming the line.
+    line numbers.  ``lines`` is the open file (or its lines), so every table
+    file is split only at ``\\n``, ``\\r\\n`` and ``\\r``.  ``header(columns)``
+    is the header's problem, or None; ``error(message)`` is the exception
+    raised for an empty file, a header with a problem or no data lines, its
+    message naming the line.
     """
     stripped = list(map(str.strip, lines))
     body = list(filter(None, stripped))
@@ -141,39 +138,37 @@ def _read_fields(body, kinds, refusals):
     ``refusals`` refuses the lines with a wrong number of fields, then,
     column after column, the lines with a field its converter rejects, with
     the exception's text; a refused field holds ``kind("0")``.  Each column
-    of ``CHUNK_LINES`` lines is converted with one call; only a chunk column
-    that fails is converted again, field by field.
+    is converted with one call; only a column that fails is converted
+    again, field by field.
     """
     n, width = len(body), len(kinds)
     wrong = np.fromiter(map(str.count, body, repeat(",")), np.intp, n) != width - 1
     if wrong.any():
         refusals.check(wrong, f"expected {width} columns")
         body = [",".join("0" * width) if w else line for w, line in zip(wrong.tolist(), body)]
-    dtypes = [_DTYPES.get(kind, object) for kind in kinds]
-    pieces = [[] for _ in kinds]
-    for start in range(0, n, CHUNK_LINES):
-        fields = ",".join(body[start:start + CHUNK_LINES]).split(",")
-        for k, (kind, dtype, piece) in enumerate(zip(kinds, dtypes, pieces)):
-            column = fields[k::width]
-            try:  # an int column has few distinct fields (group, site): convert each once
-                convert = {field: int(field) for field in set(column)}.__getitem__ if kind is int else kind
-                piece.append(np.fromiter(map(convert, column), dtype, len(column)))
-            except (ValueError, OverflowError):  # OverflowError: an int beyond int64
-                piece.append(_convert(kind, column, start, n, refusals))
-    return [np.concatenate(piece) for piece in pieces]
+    fields = ",".join(body).split(",")
+    columns = []
+    for k, kind in enumerate(kinds):
+        column = fields[k::width]
+        try:  # an int column has few distinct fields (group, site): convert each once
+            convert = {field: int(field) for field in set(column)}.__getitem__ if kind is int else kind
+            columns.append(np.fromiter(map(convert, column), _DTYPES.get(kind, object), n))
+        except (ValueError, OverflowError):  # OverflowError: an int beyond int64
+            columns.append(_convert(kind, column, refusals))
+    return columns
 
 
-def _convert(kind, fields, start, n, refusals):
-    """``kind`` of each field of the lines from ``start`` on (of ``n``), one
-    at a time, as an array; ``refusals`` refuses the lines it rejects."""
+def _convert(kind, fields, refusals):
+    """``kind`` of each field, one at a time, as an array; ``refusals``
+    refuses the lines it rejects."""
     values, problems = [], {}
-    for row, field in enumerate(fields, start):
+    for row, field in enumerate(fields):
         try:
             values.append(kind(field))
         except ValueError as exc:
             values.append(kind("0"))
             problems[row] = str(exc)
-    bad = np.zeros(n, dtype=bool)
+    bad = np.zeros(len(fields), dtype=bool)
     bad[list(problems)] = True
     refusals.check(bad, problems.__getitem__)
     return np.array(values, float if kind is float else object)
@@ -379,10 +374,9 @@ def fiber_site_tests(dataset, metric="log_euclidean", alpha=0.05):
 
 
 def write_site_csv(results, stream):
-    """site,statistic,df,p_value,tiny_p,bh_rejected,bonferroni_rejected"""
-    stream.write("site,statistic,df,p_value,tiny_p,bh_rejected,bonferroni_rejected\n")
-    for r in results:
-        stream.write(
-            f"{r.site},{r.statistic:.17g},{r.df},{r.p_value:.17g},"
-            f"{int(r.tiny_p)},{int(r.bh_rejected)},{int(r.bonferroni_rejected)}\n"
-        )
+    """Write the per-site results as site,statistic,df,p_value,tiny_p,
+    bh_rejected,bonferroni_rejected lines, in one formatted pass."""
+    line = "%d,%.17g,%d,%.17g,%d,%d,%d\n"
+    stream.write("site,statistic,df,p_value,tiny_p,bh_rejected,bonferroni_rejected\n" + "".join([
+        line % (r.site, r.statistic, r.df, r.p_value, r.tiny_p, r.bh_rejected, r.bonferroni_rejected)
+        for r in results]))

@@ -331,10 +331,11 @@ def openbook_sample(leaves, coords):
     labels = np.asarray(leaves)
     if c.shape[1] == 0 or labels.shape != (c.shape[0],):
         raise InvalidPoint("open-book sample needs one leaf label per row of coordinates")
-    if labels.dtype.kind == "f":
-        bad = ~(np.abs(labels) < 2.0**63) | (np.floor(labels) != labels)  # also nan
+    if labels.dtype.kind in "fuO":  # uint64 or object: some label is beyond int64
+        with np.errstate(invalid="ignore"):
+            bad = ~(abs(labels) < 2**63) | (labels % 1 != 0)  # also nan
         refusals.check(bad, "leaf must be an integer")
-        labels = np.where(bad, 0.0, labels)
+        labels = np.where(bad, 0, labels)
     labels = labels.astype(int)
     refusals.check(c[:, 0] < 0.0, "open-book coordinate x0 must be nonnegative")
     refusals.check(labels < 0, "leaf label must be nonnegative")
@@ -351,6 +352,12 @@ def as_sample(sample):
     if len(sample) == 0:
         raise TooFewPoints("sample must be nonempty")
     return sample
+
+
+def check_space(space):
+    """Refuse a ``space`` that has no ``check_sample`` (InvalidDescriptor)."""
+    if not callable(getattr(space, "check_sample", None)):
+        raise InvalidDescriptor(f"space must be a Space, got {type(space).__name__}")
 
 
 def euclidean_point(v):
@@ -602,6 +609,7 @@ def frechet_values(space, sample, candidates):
     sample's points, at each of the m rows of the Sample ``candidates``,
     as an (m,) array: one grouped ``distance_many`` of the sample repeated
     m times."""
+    check_space(space)
     sample, candidates = space.check_sample(sample), space.check_sample(candidates)
     n = len(sample)
     # each point's distance to itself fills what the sample keeps for its

@@ -13,7 +13,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InvalidArgument, InvalidPoint, NearSingularCovariance, TooFewPoints
-from .geometry import Sample, guarded_inverse, refuse_singular
+from .geometry import Sample, check_space, guarded_inverse, refuse_singular
 
 # The chi-square functions are closed forms for an integer number k of
 # degrees of freedom (the chart dimension, in the paper's limit): with
@@ -252,6 +252,7 @@ def two_sample_test(space, sample_x, sample_y):
     the pooled covariance is numerically singular, TooFewPoints for too few,
     and ``space.mean``'s NoConvergence (its ``fit``: ``(means, iterations)``).
     """
+    check_space(space)
     sample_x = space.check_sample(sample_x)
     sample_y = space.check_sample(sample_y)
     both = Sample.join([sample_x, sample_y])
@@ -280,9 +281,18 @@ class MultiTestResult:
     global_p: float | None
 
 
+def as_level(alpha):
+    """``alpha`` as a float if it is one real number, else NaN, which a
+    check of (0, 1) refuses (a string or an array of several is not one)."""
+    try:
+        return float("nan") if np.ndim(alpha) or isinstance(alpha, (str, bytes)) else float(alpha)
+    except (TypeError, ValueError):
+        return float("nan")
+
+
 def check_alpha(alpha):
-    """Refuse a level outside (0, 1) (InvalidArgument)."""
-    if not 0.0 < alpha < 1.0:
+    """Refuse a level outside (0, 1) or not a number (InvalidArgument)."""
+    if not 0.0 < as_level(alpha) < 1.0:
         raise InvalidArgument("alpha must be in (0, 1)")
 
 

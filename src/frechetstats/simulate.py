@@ -30,7 +30,7 @@ from .estimator import check_derivatives, confidence_regions_contain, stacked_sa
 from .geometry import Sample, euclidean_point, euclidean_sample, openbook_point
 from .geometry import openbook_sample, row_norms, row_products
 from .geometry import sphere_point, sphere_sample
-from .inference import two_sample_tests
+from .inference import as_level, two_sample_tests
 from .spaces.spd import _expm_sample, spd_exp_sample, spd_vech
 from .spaces.sphere import _columns, _coordinate_norms, _coordinate_sum, _exp_rows
 from .spaces.sphere import _logs, tangent_basis
@@ -482,24 +482,27 @@ def _check_failures(failed, reps, experiment):
 def _check_run(sampler, reps, alpha=None, least=1, **sizes):
     """Refuse, before anything is drawn, a ``sampler`` that is not a
     Sampler, a run of no replications, an ``alpha`` outside (0, 1), or a
-    count of replications or a sample size that is not an integer or is
-    below ``least``."""
+    count of replications or a sample size that is not an integer, is
+    below ``least`` or is beyond int64."""
     if not isinstance(sampler, Sampler):
         raise InvalidDescriptor(f"sampler must be a Sampler, got {type(sampler).__name__}")
-    if alpha is not None and not 0.0 < alpha < 1.0:
+    if alpha is not None and not 0.0 < as_level(alpha) < 1.0:
         raise InvalidDescriptor(f"alpha must lie in (0, 1), got {alpha!r}")
     for name, value, low in (("reps", reps, 1), *((k, v, least) for k, v in sizes.items())):
         if not is_count(value):
             raise InvalidDescriptor(f"{name} must be an integer, got {value!r}")
         if value < low:
             raise InvalidDescriptor(f"{name} must be >= {low}, got {value!r}")
+        if value >= 2**63:
+            raise InvalidDescriptor(f"{name} must fit int64, got {value!r}")
 
 
 def _blocks(keys, points):
-    """``keys`` in consecutive blocks of at most BLOCK_POINTS sample points,
-    ``points`` per replication (at least one replication per block)."""
+    """The range ``keys`` in consecutive blocks of at most BLOCK_POINTS
+    sample points, ``points`` per replication (at least one replication per
+    block), one block at a time."""
     per = max(1, BLOCK_POINTS // points)
-    return [keys[i : i + per] for i in range(0, len(keys), per)]
+    return (keys[i : i + per] for i in range(0, len(keys), per))
 
 
 def _part(sample, count, groups):
@@ -593,7 +596,7 @@ def mc_coverage(sampler, n, reps, alpha, derivatives="auto"):
         return (inside & confidence_regions_contain(n, coords, asym, candidates, alpha)).tolist()
 
     outcomes, failed = [], []
-    for keys in _blocks(list(range(reps)), n):
+    for keys in _blocks(range(reps), n):
         outcomes += _outcomes(space, keys, sampler.draw_many(n, keys), batched, failed)
     return _rate_report("coverage", reps, outcomes, failed,
                         alpha=alpha, n=n, derivatives=derivatives)
@@ -617,7 +620,7 @@ def mc_stickiness(sampler, n, reps):
     pop_leaf = int(np.argmax(pop_m)) + 1 if float(np.max(pop_m)) > 0.0 else 0
     tags, heights = [], []
     names = ["spine"] + [f"leaf_{k}" for k in range(1, space.n_leaves + 1)]  # one string each
-    for keys in _blocks(list(range(reps)), n):
+    for keys in _blocks(range(reps), n):
         means, _ = space.mean_many(sampler.draw_many(n, keys), len(keys))
         tags += [names[leaf] for leaf in means.leaves.tolist()]
         heights += means.data[:, 0].tolist()
@@ -660,7 +663,7 @@ def mc_type1(space, sampler, n1, n2, reps, alpha):
         return [(reject, chart.s) for reject in (p_values <= alpha).tolist()]
 
     results, failed = [], []
-    for block_reps in _blocks(list(range(reps)), n1 + n2):
+    for block_reps in _blocks(range(reps), n1 + n2):
         keys = [key for rep in block_reps for key in ((rep, 0), (rep, 1))]
         block = sampler.draw_many([n1, n2] * len(block_reps), keys)
         results += _outcomes(space, block_reps, block, batched, failed)
@@ -693,7 +696,8 @@ def mc_consistency(space, sampler, n_grid, reps):
     for n in n_grid:
         errs = []
         runs.append((n, errs))
-        for keys in _blocks([(n, rep) for rep in range(reps)], n):
+        for block in _blocks(range(reps), n):
+            keys = [(n, rep) for rep in block]
             errs += _outcomes(space, keys, sampler.draw_many(n, keys), batched, failed)
     _check_failures(failed, reps * len(runs), "mc_consistency")
     return [(int(n), float(np.median(errs)) if errs else float("nan")) for n, errs in runs]

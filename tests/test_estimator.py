@@ -22,11 +22,12 @@ from frechetstats.geometry import (
     Space,
     euclidean_point,
     euclidean_sample,
+    frechet_values,
     openbook_point,
     openbook_sample,
     sphere_sample,
 )
-from frechetstats.inference import chi2_quantile
+from frechetstats.inference import chi2_quantile, two_sample_test
 from frechetstats.spaces import EuclideanSpace, OpenBookSpace, SPDSpace, SphereSpace
 from frechetstats.spaces.spd import _vech_rows, spd_logm
 
@@ -161,6 +162,18 @@ def test_sandwich_refuses_a_fit_that_is_not_a_frechet_fit(rng):
         sandwich_covariance(sp, euclid_sample(rng, dim=2), 3.0)
 
 
+@pytest.mark.parametrize("space", [3, None, "euclidean", object()])
+def test_a_space_argument_that_is_no_space_is_refused(space, rng):
+    sample = euclid_sample(rng, dim=2)
+    fit = estimate_mean(EuclideanSpace(2), sample)
+    for run in (lambda: estimate_mean(space, sample),
+                lambda: sandwich_covariance(space, sample, fit),
+                lambda: frechet_values(space, sample, sample),
+                lambda: two_sample_test(space, sample, sample)):
+        with pytest.raises(InvalidDescriptor, match=f"^space must be a Space, got {type(space).__name__}$"):
+            run()
+
+
 def test_euclidean_sandwich_equals_sample_covariance(rng):
     sp = EuclideanSpace(4)
     sample = euclid_sample(rng, n=60, dim=4)
@@ -271,7 +284,7 @@ def test_a_region_needs_a_covariance_and_a_level_in_the_unit_interval():
     no_covariance = dataclasses.replace(fit, asym_cov=None)
     with pytest.raises(InvalidDescriptor, match="^fit has no covariance; run sandwich_covariance first$"):
         confidence_region_contains(no_covariance, [0.1, 0.1], 0.05)
-    for alpha in (0.0, 1.0, 1.5):
+    for alpha in (0.0, 1.0, 1.5, np.array([0.05, 0.1])):
         with pytest.raises(InvalidDescriptor, match=r"^alpha must be in \(0, 1\)$"):
             confidence_region_contains(fit, [0.1, 0.1], alpha)
     for not_a_fit in (3.0, None, {"asym_cov": np.eye(1)}):  # 3.0 once raised AttributeError

@@ -9,7 +9,6 @@ from frechetstats import cli, fiber
 from frechetstats.cli import CLIInputError, load_points, main
 from frechetstats.errors import InvalidArgument, InvalidDescriptor, InvalidPoint, NearSingularCovariance
 from frechetstats.fiber import (
-    CHUNK_LINES,
     FiberDataset,
     FiberParseError,
     fiber_site_tests,
@@ -113,7 +112,6 @@ def test_reordered_and_padded_files_give_the_same_dataset(tmp_path, monkeypatch)
     buf = io.StringIO()
     write_fiber_csv(ds, buf)
     header, *rows = buf.getvalue().splitlines()
-    assert len(rows) > CHUNK_LINES  # the field-by-field reader mixes rows from every chunk
     rng = np.random.default_rng(0)
     shuffled = [rows[i] for i in rng.permutation(len(rows))]
     padded = [" " + " , ".join(row.split(",")) + "\t" for row in shuffled]
@@ -182,7 +180,7 @@ def _corrupt(rows, rng, cli):
     return rows, f"line {first}: {corrupted[first]}"
 
 
-@pytest.mark.parametrize("sites", [3, 60])  # 60 sites: 540 rows, more than one chunk
+@pytest.mark.parametrize("sites", [3, 60])  # 60 sites: 540 rows
 def test_corrupted_lines_report_the_first_one(sites, tmp_path):
     ds = generate_fiber_dataset(seed=8, n_sites=sites, n_group1=5, n_group0=4)
     buf = io.StringIO()
@@ -205,8 +203,9 @@ def test_corrupted_lines_report_the_first_one(sites, tmp_path):
 
 # fields that numpy's C parser and Python's float, int and str.strip read
 # differently, put in line 2 of a file: (column, field, a field Python reads
-# the same, or the file's message).  U+001C-U+001E break a point file's
-# lines (str.splitlines), so only U+001F is put in a tensor column.
+# the same, or the file's message).  A point file is split into lines as a
+# dataset file is, only at \n, \r\n and \r, so a tensor column may hold
+# any of U+001C-U+001F.
 DIFFERENT_FIELDS = [
     ("a11", "1_5", "15", None),
     ("a11", "١.٥", "1.5", None),
@@ -216,6 +215,9 @@ DIFFERENT_FIELDS = [
     ("a11", '"1.5"', None, "line 2: could not convert string to float: '\"1.5\"'"),
     ("a11", "1.5\x1f", None, "line 2: could not convert string to float: '1.5\\x1f'"),
     ("a22", "\x1f1.5", None, "line 2: could not convert string to float: '\\x1f1.5'"),
+    ("a12", "\x1c1.5", None, "line 2: could not convert string to float: '\\x1c1.5'"),
+    ("a13", "1.5\x1e", None, "line 2: could not convert string to float: '1.5\\x1e'"),
+    ("a33", "1.5\x0c", "1.5", None),
     ("a11", "1.5\x00", None, "line 2: could not convert string to float: '1.5\\x00'"),
     ("group", "١", "1", None),
     ("group", "\x1c1", None, "line 2: invalid literal for int() with base 10: '\\x1c1'"),
@@ -248,7 +250,7 @@ def _line_2_with(lines, column, field):
 
 def _points_file(path, text):
     """The tensors of the dataset file ``text`` as an SPD point file."""
-    rows = [",".join(line.split(",")[3:]) for line in text.splitlines()[1:]]
+    rows = [",".join(line.split(",")[3:]) for line in text.split("\n")[1:-1]]
     return write(path, "\n".join([",".join(UPPER_COLUMNS)] + rows) + "\n")
 
 
@@ -282,6 +284,16 @@ def test_a_subject_keeps_every_character_but_the_surrounding_whitespace(name):
     expected = parse_fiber_csv(io.StringIO("\n".join([header] + rows)))
     assert parsed.subjects == (name,) + expected.subjects[1:]  # subj000 and its rename sort first
     assert parsed.tensors.tobytes() == expected.tensors.tobytes()
+
+
+@pytest.mark.parametrize("end", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+def test_a_point_file_is_split_into_lines_only_at_line_ends(end, tmp_path):
+    # line 2 ends in ``end``, which str.strip drops, and line 3 holds "x";
+    # str.splitlines would also end a line at ``end`` and so name line 4
+    path = write(tmp_path / "points.csv", "\n".join([",".join(UPPER_COLUMNS), "1,0,0,1,0,1" + end, "x"]) + "\n")
+    with pytest.raises(CLIInputError) as info:
+        load_points(path, "spd")
+    assert str(info.value) == f"{path}: line 3: expected 6 columns"
 
 
 def test_cli_point_file_header_is_checked_before_its_rows(tmp_path, capsys):

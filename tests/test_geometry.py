@@ -147,7 +147,7 @@ def test_wrong_payload_shape_or_leaf_label_raises_invalid_point():
         estimate_mean(OpenBookSpace(2, 1), openbook_point(3, (1.0, 0.0)))
     with pytest.raises(InvalidPoint):
         openbook_moments(openbook_point(3, (1.0, 0.0)), 2)
-    for leaf in (float("nan"), float("inf"), 1.5):
+    for leaf in (float("nan"), float("inf"), 1.5, 10**30, 2**63):
         with pytest.raises(InvalidPoint, match="^leaf must be an integer$"):
             openbook_point(leaf, (1.0, 0.0))
     # a list of points is no sample, whatever its points hold
@@ -189,6 +189,7 @@ VALIDATOR_CASES = {
     "openbook spine": (openbook_sample, [1, 0, 0, 2], [[1.0, 0.0], [0.5, 1.0], [0.0, 3.0], [2.0, 0.0]]),
     "openbook fractional label": (openbook_sample, [1, 1.5, 2, 2.75], [[1.0, 0.0], [0.5, 1.0], [1.0, 3.0], [2.0, 0.0]]),
     "openbook label beyond int64": (openbook_sample, [1, 1e20, 2, -1e19], [[1.0, 0.0], [0.5, 1.0], [1.0, 3.0], [2.0, 0.0]]),
+    "openbook int label beyond int64": (openbook_sample, [1, 10**30, 2, 2**64], [[1.0, 0.0], [0.5, 1.0], [1.0, 3.0], [2.0, 0.0]]),
     "openbook non-finite label": (openbook_sample, [1, np.nan, 2, np.inf], [[1.0, 0.0], [0.5, 1.0], [1.0, 3.0], [2.0, 0.0]]),
     "spd mixed": (spd_sample, [_ASYM, np.eye(2), _NAN]),
     "spd mixed, non-finite first": (spd_sample, [np.eye(2), np.diag([np.inf, 1.0]), _ASYM, -np.eye(2)]),

@@ -444,7 +444,7 @@ def test_pvalue_validation():
         bh_fdr([0.5], 1.5)
 
 
-@pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0, -0.05])
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0, -0.05, np.array([0.05, 0.1]), "0.05", None])
 def test_bonferroni_refuses_alpha_outside_the_unit_interval_as_bh_does(alpha):
     for correct in (bonferroni, bh_fdr):
         with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\)"):

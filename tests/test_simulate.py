@@ -370,6 +370,11 @@ def test_failure_budget_enforced():
         pytest.param(lambda: mc_consistency(EuclideanSpace(2), euclid_sampler(), 10, 3),
                      "^n_grid must be an iterable of sample sizes, got 10$",
                      id="consistency-int-grid"),
+        # a level that is not one number
+        pytest.param(lambda: mc_coverage(euclid_sampler(), 10, 10, np.array([0.05, 0.1])),
+                     r"^alpha must lie in \(0, 1\), got array", id="coverage-array-alpha"),
+        pytest.param(lambda: mc_type1(EuclideanSpace(2), euclid_sampler(), 10, 10, 10, np.array([0.05])),
+                     r"^alpha must lie in \(0, 1\), got array", id="type1-array-alpha"),
     ],
 )
 def test_mc_arguments_are_refused_before_anything_is_drawn(run, message, monkeypatch):
@@ -377,6 +382,38 @@ def test_mc_arguments_are_refused_before_anything_is_drawn(run, message, monkeyp
     with pytest.raises(InvalidDescriptor, match=message):
         run()
     assert keys == []
+
+
+@pytest.mark.parametrize(
+    "run, name",
+    [
+        pytest.param(lambda: mc_coverage(euclid_sampler(), 10, 10**30, 0.05), "reps", id="coverage-reps"),
+        pytest.param(lambda: mc_coverage(euclid_sampler(), 2**63, 10, 0.05), "n", id="coverage-n"),
+        pytest.param(lambda: mc_stickiness(book_sampler(0), 10, 10**30), "reps", id="stickiness-reps"),
+        pytest.param(lambda: mc_type1(EuclideanSpace(2), euclid_sampler(), 10, 2**64, 10, 0.05), "n2",
+                     id="type1-n2"),
+        pytest.param(lambda: mc_type1(EuclideanSpace(2), euclid_sampler(), 10, 10, 10**30, 0.05), "reps",
+                     id="type1-reps"),
+        pytest.param(lambda: mc_consistency(EuclideanSpace(2), euclid_sampler(), [10], 10**30), "reps",
+                     id="consistency-reps"),
+    ],
+)
+def test_counts_beyond_int64_are_refused_before_any_block_is_made(run, name, monkeypatch):
+    # with _blocks replaced, a count let through fails here instead of drawing without end
+    def no_blocks(keys, points):
+        raise AssertionError("a block of replications was made")
+
+    monkeypatch.setattr(simulate, "_blocks", no_blocks)
+    with pytest.raises(InvalidDescriptor, match=f"^{name} must fit int64, got [0-9]+$"):
+        run()
+
+
+def test_replication_blocks_are_ranges_made_one_at_a_time():
+    # no run lists every replication key, only the keys of the block it draws
+    per = simulate.BLOCK_POINTS // 10
+    blocks = simulate._blocks(range(2 * per + 1), 10)
+    assert iter(blocks) is blocks
+    assert list(blocks) == [range(per), range(per, 2 * per), range(2 * per, 2 * per + 1)]
 
 
 def test_mc_runs_take_numpy_integer_sizes():

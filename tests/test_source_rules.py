@@ -72,3 +72,12 @@ def test_only_the_quadratic_form_kernel_and_the_sandwich_invert_a_covariance():
                                "guarded_inverse")
     )
     assert callers == [("estimator.py", "stacked_sandwich"), ("inference.py", "quadratic_forms")]
+
+
+def test_no_table_file_is_split_into_lines_by_splitlines():
+    # str.splitlines also ends a line at a form feed, U+001C-U+001E, U+0085
+    # and more; every table file is read by ``read_table`` from its open
+    # file, whose lines end only at \n, \r\n and \r
+    calls = [(path, node.lineno) for path, node in _nodes(sorted(PACKAGE.rglob("*.py")))
+             if isinstance(node, ast.Call) and _name(node.func) == "splitlines"]
+    assert calls == []
