@@ -16,6 +16,7 @@ open-book sample, and the matrix logs of an SPD sample (``_logs``).
 
 from __future__ import annotations
 
+import numbers
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
@@ -324,13 +325,19 @@ def openbook_sample(leaves, coords):
     Rows with ``x0 == 0`` lie on the spine and are canonicalized to leaf 0,
     so equality of glued boundary points is well defined.  A label that is
     not an integer (nan and infinity included) or does not fit int64 is
-    refused before the labels are cast to int.
+    refused before the labels are cast to int; so is every label that is
+    no real number (a bool, a string or a time delta among them).
     """
     refusals = _Refusals()
     c = _finite_rows(coords, 2, refusals)
     labels = np.asarray(leaves)
     if c.shape[1] == 0 or labels.shape != (c.shape[0],):
         raise InvalidPoint("open-book sample needs one leaf label per row of coordinates")
+    if labels.dtype.kind not in "iuf":  # of bools, strings, ... only an object's real entries
+        real = np.array([labels.dtype.kind == "O" and isinstance(x, numbers.Real)
+                         and not isinstance(x, (bool, np.timedelta64)) for x in labels], dtype=bool)
+        refusals.check(~real, "leaf must be an integer")
+        labels = np.where(real, labels.astype(object), 0)
     if labels.dtype.kind in "fuO":  # uint64 or object: some label is beyond int64
         with np.errstate(invalid="ignore"):
             bad = ~(abs(labels) < 2**63) | (labels % 1 != 0)  # also nan
@@ -355,8 +362,9 @@ def as_sample(sample):
 
 
 def check_space(space):
-    """Refuse a ``space`` that has no ``check_sample`` (InvalidDescriptor)."""
-    if not callable(getattr(space, "check_sample", None)):
+    """Refuse a ``space`` that has no ``check_sample``, or is a class
+    (InvalidDescriptor)."""
+    if isinstance(space, type) or not callable(getattr(space, "check_sample", None)):
         raise InvalidDescriptor(f"space must be a Space, got {type(space).__name__}")
 
 

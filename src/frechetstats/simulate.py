@@ -41,13 +41,17 @@ from .streams import Streams, is_count
 FAILURE_BUDGET = 0.01
 
 #: sample points drawn and fitted together in one block of replications;
-#: bounds the memory of the batched experiments.  On the small-n Monte Carlo
-#: benchmark workload as it was when BENCH_13.json was recorded (one core of
-#: a 2-core Xeon, two runs each; the kernels have changed since), blocks of
-#: 2,048, 4,096, 8,192 and 16,384 points ran 4,380, 5,440, 6,240 and 6,940
-#: replications/s at a peak RSS of 122.4, 124.4, 125.8 and 130.4 MB: the
-#: last doubling buys 11% for three times the memory step of the one before.
-BLOCK_POINTS = 8192
+#: bounds the memory of the batched experiments.  A block has a fixed cost
+#: (about 0.58 ms on S^2 with numeric derivatives, 0.1 ms on the other
+#: small-n configurations) that its replications share.  On the small-n
+#: Monte Carlo benchmark workload (BENCH_37.json: one core of a 2-core AMD
+#: EPYC, three 30 s runs each), blocks of 8,192, 16,384, 32,768 and 65,536
+#: points ran 10,350, 11,140, 11,580 and 12,500 replications/s at a peak RSS
+#: of 243.0, 254.0, 259.5 and 257.2 MB; in process the five configurations
+#: took 49.0, 45.9, 42.8 and 43.8 ms per cycle.  32,768 is the in-process
+#: knee; 65,536 would double a block's memory again (the SPD coverage
+#: block's traced peak is 7.9 MB at 32,768 and 15.8 MB at 65,536).
+BLOCK_POINTS = 32768
 
 #: failed replications quoted by key in a failure-budget error
 QUOTED_KEYS = 5

@@ -162,7 +162,7 @@ def test_sandwich_refuses_a_fit_that_is_not_a_frechet_fit(rng):
         sandwich_covariance(sp, euclid_sample(rng, dim=2), 3.0)
 
 
-@pytest.mark.parametrize("space", [3, None, "euclidean", object()])
+@pytest.mark.parametrize("space", [3, None, "euclidean", object(), EuclideanSpace])
 def test_a_space_argument_that_is_no_space_is_refused(space, rng):
     sample = euclid_sample(rng, dim=2)
     fit = estimate_mean(EuclideanSpace(2), sample)

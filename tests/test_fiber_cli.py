@@ -188,14 +188,15 @@ def test_corrupted_lines_report_the_first_one(sites, tmp_path):
     header, *rows = buf.getvalue().splitlines()
     spd_rows = [",".join(row.split(",")[3:]) for row in rows]
     rng = np.random.default_rng(sites)
-    for _ in range(400 // sites + 20):
+    for attempt in range(400 // sites + 20):
         shuffled = [rows[i] for i in rng.permutation(len(rows))]
         lines, message = _corrupt(shuffled, rng, cli=False)
         with pytest.raises(FiberParseError) as info:
             parse_fiber_csv(io.StringIO("\n".join([header] + lines) + "\n"))
         assert str(info.value) == message
         lines, message = _corrupt(spd_rows[:2 * sites], rng, cli=True)
-        path = write(tmp_path / "points.csv", "\n".join([",".join(UPPER_COLUMNS)] + lines) + "\n")
+        # a new file each time: truncating one to rewrite it can wait for its writeback
+        path = write(tmp_path / f"points{attempt}.csv", "\n".join([",".join(UPPER_COLUMNS)] + lines) + "\n")
         with pytest.raises(CLIInputError) as info:
             load_points(path, "spd")
         assert str(info.value) == f"{path}: {message}"

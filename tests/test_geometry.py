@@ -147,9 +147,18 @@ def test_wrong_payload_shape_or_leaf_label_raises_invalid_point():
         estimate_mean(OpenBookSpace(2, 1), openbook_point(3, (1.0, 0.0)))
     with pytest.raises(InvalidPoint):
         openbook_moments(openbook_point(3, (1.0, 0.0)), 2)
-    for leaf in (float("nan"), float("inf"), 1.5, 10**30, 2**63):
+    for leaf in (float("nan"), float("inf"), 1.5, 10**30, 2**63, "2", True, np.True_, 2 + 0j):
         with pytest.raises(InvalidPoint, match="^leaf must be an integer$"):
             openbook_point(leaf, (1.0, 0.0))
+    coords = [(1.0, 0.0), (1.0, 0.0)]
+    for leaves in (np.array(["1", "x"]), np.array([1, "2"], dtype=object),
+                   np.array([1, True], dtype=object), np.array([1, None], dtype=object),
+                   np.array([1, np.timedelta64(1, "s")], dtype=object)):
+        with pytest.raises(InvalidPoint, match="^leaf must be an integer$"):
+            openbook_sample(leaves, coords)
+    # an integral float, in a float or an object array, is a label
+    for leaves in (np.array([1.0, 2.0]), np.array([1, 2.0], dtype=object)):
+        assert openbook_sample(leaves, coords).leaves.tolist() == [1, 2]
     # a list of points is no sample, whatever its points hold
     with pytest.raises(MixedSpacePoints, match="got list"):
         estimate_mean(EuclideanSpace(3), [euclidean_point([1.0, 2.0])])

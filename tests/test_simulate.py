@@ -551,7 +551,8 @@ def wide_chordal_cap_sampler(seed):
 def test_batched_coverage_matches_single_fits(make, derivatives, n, block_points, monkeypatch):
     if block_points is not None:
         monkeypatch.setattr(simulate, "BLOCK_POINTS", block_points)
-    reps, alpha = 45, 0.2
+    # the default blocks hold 81 replications at n = 400: 164 span three
+    reps, alpha = (45 if block_points else 164), 0.2
     assert reps * n > 2 * simulate.BLOCK_POINTS  # several blocks
     expected = single_coverage(make(31), n, reps, alpha, derivatives)
     assert not all(expected)  # misses as well as hits
