@@ -27,6 +27,7 @@ from .errors import (
     NoConvergence,
     NotPositiveDefinite,
 )
+from .errors import choice, count, level
 from .estimator import estimate_mean, sandwich_covariance
 from .fiber import (
     FiberParseError,
@@ -60,6 +61,9 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NOCONVERGENCE = 3
 EXIT_PARTIAL = 4
+
+
+SPACE_KINDS = ("euclidean", "sphere", "spd", "openbook")
 
 
 class CLIInputError(ValueError):
@@ -101,9 +105,8 @@ def load_points(path, space_kind, metric=None):
     """Read a point file (mandatory header line) into (space, Sample).
 
     The rows are read as float columns and validated as one batch; a
-    CLIInputError names the file's first bad line."""
-    if space_kind not in ("euclidean", "sphere", "spd", "openbook"):
-        raise CLIInputError(f"unknown space {space_kind!r}")
+    CLIInputError names the file's first bad line, or an unknown space."""
+    choice(space_kind, SPACE_KINDS, "space", CLIInputError)
 
     def error(message):
         return CLIInputError(f"{path}: {message}")
@@ -185,8 +188,7 @@ def cmd_mean(args):
 
 
 def cmd_test2(args):
-    if not 0.0 < args.alpha < 1.0:
-        return _fail(f"alpha must lie in (0, 1), got {args.alpha!r}", EXIT_INPUT)
+    level(args.alpha, "alpha", CLIInputError)
     space, sample_x = load_points(args.input_x, args.space, args.metric)
     _, sample_y = load_points(args.input_y, args.space, args.metric)
     try:
@@ -228,10 +230,10 @@ def cmd_fiber(args):
 
 
 def _integer(field, value):
-    """A descriptor size: a JSON integer or an integral float such as 10.0."""
-    if type(value) not in (int, float) or value % 1:  # refuses true, 10.7, nan and inf
-        raise InvalidDescriptor(f"{field} must be an integer, got {value!r}")
-    return int(value)
+    """A descriptor size: a JSON integer or an integral float such as 10.0, as a count."""
+    if type(value) is float and value.is_integer():  # not nan or inf
+        value = int(value)
+    return count(value, field, 0, InvalidDescriptor)
 
 
 def _space_from_config(cfg):
@@ -377,7 +379,7 @@ def build_parser():
 
     p = sub.add_parser("mean", help="Frechet mean and sandwich covariance of a point file")
     p.add_argument("input")
-    p.add_argument("--space", required=True, choices=["euclidean", "sphere", "spd", "openbook"])
+    p.add_argument("--space", required=True, choices=SPACE_KINDS)
     p.add_argument("--metric", help="sphere: intrinsic|extrinsic; spd: euclidean|log-euclidean")
     p.add_argument("--output")
     p.set_defaults(func=cmd_mean)
@@ -385,7 +387,7 @@ def build_parser():
     p = sub.add_parser("test2", help="two-sample chart test between two point files")
     p.add_argument("input_x")
     p.add_argument("input_y")
-    p.add_argument("--space", required=True, choices=["euclidean", "sphere", "spd", "openbook"])
+    p.add_argument("--space", required=True, choices=SPACE_KINDS)
     p.add_argument("--metric")
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--output")

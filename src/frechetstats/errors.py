@@ -1,4 +1,7 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and the one check of each
+argument kind (``count``, ``level``, ``choice``) the entry points share."""
+
+import numpy as np
 
 
 class FrechetStatsError(Exception):
@@ -71,3 +74,36 @@ class NearSingularCovariance(FrechetStatsError):
 
 class InvalidDescriptor(FrechetStatsError):
     """A sampler or experiment descriptor is malformed or unsupported."""
+
+
+def count(value, name, least, error):
+    """``value`` as an int: an int or numpy integer (no bool) in [least, 2**63), or ``error``."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise error(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise error(f"{name} must be >= {least}, got {value!r}")
+    if value >= 2**63:
+        raise error(f"{name} must fit int64, got {value!r}")
+    return int(value)
+
+
+def real(value):
+    """``value`` as a float if it is one real number (no string or array), else NaN."""
+    try:
+        return float("nan") if np.ndim(value) or isinstance(value, (str, bytes)) else float(value)
+    except (OverflowError, TypeError, ValueError):  # 10**400 is no float
+        return float("nan")
+
+
+def level(value, name, error):
+    """``value`` as a float if it is one real number in (0, 1); else ``error`` naming ``name``."""
+    if not 0.0 < (x := real(value)) < 1.0:
+        raise error(f"{name} must be in (0, 1), got {value!r}")
+    return x
+
+
+def choice(value, options, what, error):
+    """``value`` if it is a string among ``options``; else ``error``."""
+    if not isinstance(value, str) or value not in options:
+        raise error(f"unknown {what} {value!r}")
+    return value

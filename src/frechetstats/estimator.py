@@ -27,9 +27,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidDescriptor, NearSingularCovariance, NearSingularHessian, NoConvergence
+from .errors import choice, level
 from .geometry import Sample, guarded_inverse, mean_gradient, numeric_gradient, numeric_hessian
 from .geometry import check_space, refuse_singular, row_norms
-from .inference import as_level, chi2_quantile, quadratic_forms
+from .inference import chi2_quantile, quadratic_forms
+
+#: the gradient and Hessian routes of ``sandwich_covariance``
+DERIVATIVES = ("auto", "numeric")
 
 
 @dataclass(frozen=True)
@@ -109,14 +113,14 @@ def sandwich_covariance(space, sample, fit, *, derivatives="auto"):
 
     ``derivatives`` selects the gradient/Hessian route: ``auto`` prefers a
     chart's closed forms, ``numeric`` forces central differences (same
-    estimator contract, useful for validating the analytic path); another
-    mode raises InvalidDescriptor.
+    estimator contract, useful for validating the analytic path).
 
     Raises NearSingularHessian when Lambda_n has condition number beyond
     1e12, which signals a boundary or otherwise degenerate configuration,
-    and InvalidDescriptor when ``fit`` is not a FrechetFit.
+    and InvalidDescriptor for a ``fit``, ``space`` or mode of another kind.
     """
     _check_fit(fit)
+    choice(derivatives, DERIVATIVES, "derivatives mode", InvalidDescriptor)
     check_space(space)
     sample = space.check_sample(sample)
     chart = fit.chart
@@ -134,12 +138,6 @@ def _check_fit(fit):
         raise InvalidDescriptor(f"fit must be a FrechetFit, got {type(fit).__name__}")
 
 
-def check_derivatives(derivatives):
-    """Refuse an unknown ``derivatives`` mode (InvalidDescriptor)."""
-    if derivatives not in ("auto", "numeric"):
-        raise InvalidDescriptor(f"unknown derivatives mode {derivatives!r}")
-
-
 def stacked_sandwich(chart, coords, packed, *, derivatives="auto"):
     """Lambda_n, C_n and the asymptotic covariance Lambda_n^-1 C_n
     Lambda_n^-1 of R fits at once, in ``chart``.
@@ -149,10 +147,9 @@ def stacked_sandwich(chart, coords, packed, *, derivatives="auto"):
     samples in a chart stacked at the R means, or in a global chart.
     Returns ``(lambda_n, c_n, asym_cov, lambda_cond, lambda_pd)`` with the
     leading axis R; each fit gets the values it gets alone.
-    ``derivatives`` is as for ``sandwich_covariance``.  Raises NearSingularHessian masking the fits
-    whose Lambda_n is numerically singular.
+    ``derivatives`` as for ``sandwich_covariance``, which checks it.  Raises
+    NearSingularHessian masking the fits whose Lambda_n is numerically singular.
     """
-    check_derivatives(derivatives)
     if coords.shape[-1] == 0:  # a zero-dimensional chart: the mean is pinned, exactly
         empty = np.zeros(coords.shape + (0,))
         return empty, empty, empty, np.ones(coords.shape[:-1]), np.ones(coords.shape[:-1], bool)
@@ -192,9 +189,11 @@ def confidence_region_contains(fit, candidate_chart_coords, alpha):
     Returns whether ``n (nu_n - x)^T asym_cov^-1 (nu_n - x)`` is at most the
     chi-square(s) quantile at level 1 - alpha (boundary inclusive).
     InvalidDescriptor when ``fit`` is not a FrechetFit or has no covariance,
-    or when the candidate is not the fit's s finite chart coordinates.
+    the candidate is not its s finite chart coordinates or ``alpha`` is not
+    in (0, 1).
     """
     _check_fit(fit)
+    level(alpha, "alpha", InvalidDescriptor)
     if fit.asym_cov is None:
         raise InvalidDescriptor("fit has no covariance; run sandwich_covariance first")
     try:
@@ -222,8 +221,6 @@ def confidence_regions_contain(n, coords, asym_covs, candidate_chart_coords, alp
     mask.  Raises NearSingularCovariance masking the fits whose covariance
     is numerically singular while the candidate differs from their mean.
     """
-    if not 0.0 < as_level(alpha) < 1.0:
-        raise InvalidDescriptor("alpha must be in (0, 1)")
     if coords.shape[-1] == 0:
         return np.ones(len(coords), dtype=bool)  # a pinned mean: the region is the whole chart
     d = coords - np.asarray(candidate_chart_coords, dtype=float)

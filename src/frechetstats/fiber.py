@@ -21,9 +21,9 @@ from itertools import compress, count, repeat
 
 import numpy as np
 
-from .errors import InvalidDescriptor, InvalidPoint, NotPositiveDefinite
+from .errors import InvalidArgument, InvalidDescriptor, InvalidPoint, NotPositiveDefinite, level
 from .geometry import UPPER_COLUMNS, Sample, _Refusals, matrix_to_upper, spd_sample, upper_to_matrix
-from .inference import bh_fdr, bonferroni, check_alpha, chi2_two_sample
+from .inference import bh_fdr, bonferroni, chi2_two_sample
 from .spaces.spd import SPDSpace, _vech_inv_rows, spd_expm, spd_logm
 from .streams import Streams
 
@@ -312,9 +312,10 @@ def fiber_site_tests(dataset, metric="log_euclidean", alpha=0.05):
     its reason and the condition number of its pooled covariance (None when
     infinite) in ``failed_site_details``.  Raises NotPositiveDefinite,
     naming the subject and site, for a tensor too close to singular for the
-    log-Euclidean chart, and InvalidArgument for ``alpha`` outside (0, 1).
+    log-Euclidean chart, InvalidArgument for ``alpha`` outside (0, 1), and
+    InvalidDescriptor for an unknown ``metric``.
     """
-    check_alpha(alpha)
+    level(alpha, "alpha", InvalidArgument)
     space = SPDSpace(3, metric)
     n, n_sites = dataset.tensors.shape[:2]
     sample = Sample("spd", dataset.tensors.reshape(n * n_sites, 3, 3))  # validated by the dataset

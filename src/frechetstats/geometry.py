@@ -531,18 +531,6 @@ class FlatChart(Chart):
         return 2.0 * np.eye(self.s)
 
 
-def space_size(value, name):
-    """``value`` as an int; InvalidDescriptor naming ``name`` when it is not
-    an integer (an integral float is one; NaN and infinity are not)."""
-    try:
-        size = int(value)
-    except (ValueError, OverflowError):
-        size = None
-    if size is None or size != value:
-        raise InvalidDescriptor(f"{name} must be an integer, got {value!r}")
-    return size
-
-
 class Space(ABC):
     """Sample-space descriptor: distance plus charts.
 

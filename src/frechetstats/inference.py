@@ -12,7 +12,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidArgument, InvalidPoint, NearSingularCovariance, TooFewPoints
+from .errors import InvalidArgument, InvalidPoint, NearSingularCovariance, TooFewPoints, count
+from .errors import level
 from .geometry import Sample, check_space, guarded_inverse, refuse_singular
 
 # The chi-square functions are closed forms for an integer number k of
@@ -41,12 +42,10 @@ _erfc = np.frompyfunc(math.erfc, 1, 1)
 
 
 def _check_df(k):
-    """The integer k of chi2_k; InvalidArgument for k < 1 or a fraction."""
-    if k < 1:
-        raise InvalidArgument("degrees of freedom must be >= 1")
-    if not float(k).is_integer():
-        raise InvalidArgument("degrees of freedom must be an integer")
-    return int(k)
+    """The integer k of chi2_k: a count >= 1 or an integral float such as 6.0 (InvalidArgument)."""
+    if isinstance(k, (float, np.floating)) and k.is_integer():
+        k = int(k)
+    return count(k, "degrees of freedom", 1, InvalidArgument)
 
 
 def _upper(y, k):
@@ -108,21 +107,18 @@ def _tail(fn, x, k):
 
 
 def chi2_sf(x, k):
-    """Upper tail P(chi2_k > x); ``x`` may be an array."""
+    """Upper tail P(chi2_k > x); ``x`` may be an array (InvalidArgument: x < 0 or a bad k)."""
     return _tail(_upper, x, k)
 
 
 def chi2_cdf(x, k):
-    """Lower tail P(chi2_k <= x); ``x`` may be an array."""
+    """Lower tail P(chi2_k <= x); ``x`` may be an array (InvalidArgument: x < 0 or a bad k)."""
     return _tail(_cdf, x, k)
 
 
 def chi2_quantile(k, prob):
-    """Value q with P(chi2_k <= q) = prob."""
-    k = _check_df(k)
-    if not 0.0 < prob < 1.0:
-        raise InvalidArgument("prob must be in (0, 1)")
-    return _quantile(k, float(prob))
+    """Value q with P(chi2_k <= q) = prob; InvalidArgument for a bad k or ``prob`` not in (0, 1)."""
+    return _quantile(_check_df(k), level(prob, "prob", InvalidArgument))
 
 
 @lru_cache(maxsize=256)
@@ -281,34 +277,20 @@ class MultiTestResult:
     global_p: float | None
 
 
-def as_level(alpha):
-    """``alpha`` as a float if it is one real number, else NaN, which a
-    check of (0, 1) refuses (a string or an array of several is not one)."""
-    try:
-        return float("nan") if np.ndim(alpha) or isinstance(alpha, (str, bytes)) else float(alpha)
-    except (TypeError, ValueError):
-        return float("nan")
-
-
-def check_alpha(alpha):
-    """Refuse a level outside (0, 1) or not a number (InvalidArgument)."""
-    if not 0.0 < as_level(alpha) < 1.0:
-        raise InvalidArgument("alpha must be in (0, 1)")
-
-
 def _validated_pvalues(pvalues, alpha):
     p = np.asarray(pvalues, dtype=float)
     if p.ndim != 1 or p.size == 0:
         raise InvalidArgument("pvalues must be a nonempty 1-d sequence")
     if np.any(~np.isfinite(p)) or np.any(p < 0.0) or np.any(p > 1.0):
         raise InvalidArgument("pvalues must lie in [0, 1]")
-    check_alpha(alpha)
+    level(alpha, "alpha", InvalidArgument)
     return p
 
 
 def bonferroni(pvalues, alpha=0.05):
     """Bonferroni correction: global p = min(1, m * min p); site i is
-    rejected at level alpha iff p_i <= alpha / m."""
+    rejected at level alpha iff p_i <= alpha / m.  InvalidArgument for bad
+    p-values or an ``alpha`` outside (0, 1)."""
     p = _validated_pvalues(pvalues, alpha)
     m = p.size
     order = np.argsort(p, kind="stable")
@@ -328,7 +310,8 @@ def bh_fdr(pvalues, alpha=0.05):
     """Benjamini-Hochberg step-up procedure at false discovery rate alpha.
 
     Rejects the i smallest p-values, where i is the largest index with
-    p_(i) <= i * alpha / m (none when no index qualifies).
+    p_(i) <= i * alpha / m (none when no index qualifies).  InvalidArgument
+    as for ``bonferroni``.
     """
     p = _validated_pvalues(pvalues, alpha)
     m = p.size

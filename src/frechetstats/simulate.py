@@ -25,16 +25,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CutLocus, FrechetStatsError, InvalidDescriptor, InvalidPoint
-from .estimator import check_derivatives, confidence_regions_contain, stacked_sandwich
+from .errors import CutLocus, FrechetStatsError, InvalidDescriptor, InvalidPoint, choice, count
+from .errors import level, real
+from .estimator import DERIVATIVES, confidence_regions_contain, stacked_sandwich
 from .geometry import Sample, euclidean_point, euclidean_sample, openbook_point
 from .geometry import openbook_sample, row_norms, row_products
 from .geometry import sphere_point, sphere_sample
-from .inference import as_level, two_sample_tests
+from .inference import two_sample_tests
 from .spaces.spd import _expm_sample, spd_exp_sample, spd_vech
 from .spaces.sphere import _columns, _coordinate_norms, _coordinate_sum, _exp_rows
 from .spaces.sphere import _logs, tangent_basis
-from .streams import Streams, is_count
+from .streams import Streams, check_seed
 
 #: estimation failures tolerated (as a fraction of replications) before a
 #: Monte Carlo run is aborted instead of silently dropping replications
@@ -130,7 +131,7 @@ class SphereCapDescriptor:
             raise InvalidDescriptor("center length does not match the ambient dimension")
         if abs(np.linalg.norm(c) - 1.0) > 1e-9:
             raise InvalidDescriptor("cap center must be a unit vector")
-        if not 0.0 <= self.radius < np.pi:
+        if not 0.0 <= real(self.radius) < np.pi:
             raise InvalidDescriptor("cap radius must lie in [0, pi)")
 
     def _center(self):
@@ -238,7 +239,7 @@ class SPDLogGaussianDescriptor:
         m = np.asarray(self.mean_log, dtype=float)
         if m.shape != (space.p, space.p) or not np.allclose(m, m.T, atol=1e-10):
             raise InvalidDescriptor("mean_log must be a symmetric matrix of the space's size")
-        if not self.scale >= 0.0:  # NaN too
+        if not real(self.scale) >= 0.0:  # NaN too
             raise InvalidDescriptor("scale must be nonnegative")
 
     def variates(self, space, size):
@@ -266,9 +267,8 @@ _X0_FAMILIES = {"constant": None, "exponential": "standard_exponential",
                 "half_gaussian": "standard_normal"}
 
 
-def _x0_moments(family, param):
-    """Mean and second moment of a height family."""
-    p = float(param)
+def _x0_moments(family, p):
+    """Mean and second moment of a height family of parameter ``p``."""
     if family == "constant":
         return p, p**2
     if family == "exponential":
@@ -293,16 +293,18 @@ class OpenBookDescriptor:
     spine_sd: float = 1.0
 
     def _families(self, n_leaves):
-        fams = self.x0
-        if fams and isinstance(fams[0], str):
-            fams = [tuple(fams)] * n_leaves
-        fams = [tuple(f) for f in fams]
+        """Each leaf's (name, float parameter) height family: ``x0`` is one or one per leaf."""
+        try:
+            fams = [self.x0] * n_leaves if isinstance(self.x0[0], str) else self.x0
+            fams = [(name, real(param)) for name, param in fams]
+        except (IndexError, KeyError, TypeError, ValueError):  # no pair, or no sequence of them
+            raise InvalidDescriptor(
+                f"x0 must be a height family or one per leaf, got {self.x0!r}") from None
         if len(fams) != n_leaves:
             raise InvalidDescriptor("need one height family per leaf")
         for name, param in fams:
-            if name not in _X0_FAMILIES:
-                raise InvalidDescriptor(f"unknown height family {name!r}")
-            if not (float(param) > 0.0 or (name == "constant" and float(param) == 0.0)):  # NaN too
+            choice(name, _X0_FAMILIES, "height family", InvalidDescriptor)
+            if not (param > 0.0 or (name == "constant" and param == 0.0)):  # NaN too
                 raise InvalidDescriptor(f"invalid parameter for height family {name!r}")
         return fams
 
@@ -316,7 +318,7 @@ class OpenBookDescriptor:
             raise InvalidDescriptor("leaf probabilities must be nonnegative with sum <= 1")
         if np.asarray(self.spine_mean, dtype=float).shape != (space.spine_dim,):
             raise InvalidDescriptor("spine_mean length must equal the spine dimension")
-        if not self.spine_sd >= 0.0:  # NaN too
+        if not real(self.spine_sd) >= 0.0:  # NaN too
             raise InvalidDescriptor("spine_sd must be nonnegative")
         self._families(space.n_leaves)
 
@@ -344,12 +346,12 @@ class OpenBookDescriptor:
         leaf, heights, z = variates
         coords = np.zeros((len(leaf), space.spine_dim + 1))
         x0 = coords[:, 0]  # 0 on the spine mass
-        for k, (name, param) in enumerate(self._families(space.n_leaves)):
+        for k, (name, c) in enumerate(self._families(space.n_leaves)):
             rows = leaf == k
             if name == "constant":
-                x0[rows] = float(param)
+                x0[rows] = c
                 continue
-            h, c = heights[k, : np.count_nonzero(rows)], float(param)
+            h = heights[k, : np.count_nonzero(rows)]
             # exponential(1 / rate) and |normal(0, scale)|, bit for bit
             x0[rows] = (1.0 / c) * h if name == "exponential" else np.abs(c * h)
         np.add(np.asarray(self.spine_mean, dtype=float), self.spine_sd * z, out=coords[:, 1:])
@@ -385,16 +387,15 @@ class OpenBookDescriptor:
 @dataclass(frozen=True)
 class Sampler:
     """Space + distribution descriptor + seed; the only source of randomness
-    for the Monte Carlo experiments.  The seed is a non-negative integer, and
-    so is a replication key or each entry of a tuple key."""
+    for the Monte Carlo experiments.  A seed, a replication key or each entry
+    of a tuple key is a non-negative integer of any size (InvalidDescriptor)."""
 
     space: object
     descriptor: object
     seed: int
 
     def __post_init__(self):
-        if not is_count(self.seed):
-            raise InvalidDescriptor(f"seed must be a non-negative integer, got {self.seed!r}")
+        check_seed(self.seed)
         # a Sample has a kind too, which the descriptors' kind checks would accept
         if isinstance(self.space, Sample):
             raise InvalidDescriptor(f"a Sampler needs a space, got a {type(self.space).__name__}")
@@ -429,8 +430,7 @@ class Sampler:
             sizes = np.broadcast_to(sizes, (len(keys),))
         except ValueError:
             raise InvalidDescriptor(f"{np.size(n)} sample sizes for {len(keys)} keys") from None
-        if np.any(sizes < 1):
-            raise InvalidDescriptor("n must be >= 1")
+        count(int(sizes.min()), "n", 1, InvalidDescriptor)
         streams = Streams(self.seed, keys)
         ends = np.cumsum(sizes).tolist()
         variates, draw = self.descriptor.variates(self.space, ends[-1])
@@ -474,7 +474,7 @@ def _check_failures(failed, reps, experiment):
     exceed the failure budget of ``reps`` replications."""
     if len(failed) > FAILURE_BUDGET * reps:
         counts = _failure_details(failed)["failure_counts"]
-        by_class = ", ".join(f"{name} x{count}" for name, count in sorted(counts.items()))
+        by_class = ", ".join(f"{name} x{times}" for name, times in sorted(counts.items()))
         keys = ", ".join(str(key) for key, _, _ in failed[:QUOTED_KEYS])
         more = ", ..." if len(failed) > QUOTED_KEYS else ""
         raise FrechetStatsError(
@@ -483,22 +483,10 @@ def _check_failures(failed, reps, experiment):
         )
 
 
-def _check_run(sampler, reps, alpha=None, least=1, **sizes):
-    """Refuse, before anything is drawn, a ``sampler`` that is not a
-    Sampler, a run of no replications, an ``alpha`` outside (0, 1), or a
-    count of replications or a sample size that is not an integer, is
-    below ``least`` or is beyond int64."""
+def _check_sampler(sampler):
+    """Refuse a ``sampler`` that is not a Sampler (InvalidDescriptor)."""
     if not isinstance(sampler, Sampler):
         raise InvalidDescriptor(f"sampler must be a Sampler, got {type(sampler).__name__}")
-    if alpha is not None and not 0.0 < as_level(alpha) < 1.0:
-        raise InvalidDescriptor(f"alpha must lie in (0, 1), got {alpha!r}")
-    for name, value, low in (("reps", reps, 1), *((k, v, least) for k, v in sizes.items())):
-        if not is_count(value):
-            raise InvalidDescriptor(f"{name} must be an integer, got {value!r}")
-        if value < low:
-            raise InvalidDescriptor(f"{name} must be >= {low}, got {value!r}")
-        if value >= 2**63:
-            raise InvalidDescriptor(f"{name} must fit int64, got {value!r}")
 
 
 def _blocks(keys, points):
@@ -573,12 +561,14 @@ def mc_coverage(sampler, n, reps, alpha, derivatives="auto"):
     chart's domain count as misses; numeric failures are counted separately
     and tolerated only up to the failure budget.  A block of replications
     is fitted as arrays, in either ``derivatives`` mode, in the charts at
-    its means stacked (one stack per stratum on the open book).  An
-    unknown ``derivatives`` mode raises InvalidDescriptor before anything
-    is drawn.
+    its means stacked (one stack per stratum on the open book).  Raises
+    InvalidDescriptor, before anything is drawn, for a bad sampler, count,
+    level or ``derivatives`` mode (see the README's argument contract).
     """
-    _check_run(sampler, reps, alpha, n=n)
-    check_derivatives(derivatives)
+    _check_sampler(sampler)
+    level(alpha, "alpha", InvalidDescriptor)
+    reps, n = count(reps, "reps", 1, InvalidDescriptor), count(n, "n", 1, InvalidDescriptor)
+    choice(derivatives, DERIVATIVES, "derivatives mode", InvalidDescriptor)
     space = sampler.space
     truth = sampler.population_mean()
 
@@ -614,9 +604,11 @@ def mc_stickiness(sampler, n, reps):
     stratum (spine fraction when the population folded means have no strict
     winner).  ``details['mean_x0']`` records the height of each
     replication's mean for boundary-regime diagnostics.  The means of a
-    whole block come from one ``mean_many`` call.
+    whole block come from one ``mean_many`` call.  InvalidDescriptor for a
+    sampler that is not an open book's, or a bad count.
     """
-    _check_run(sampler, reps, n=n)
+    _check_sampler(sampler)
+    reps, n = count(reps, "reps", 1, InvalidDescriptor), count(n, "n", 1, InvalidDescriptor)
     space = sampler.space
     if getattr(space, "kind", None) != "openbook":
         raise InvalidDescriptor("mc_stickiness requires an open-book sampler")
@@ -655,9 +647,13 @@ def mc_type1(space, sampler, n1, n2, reps, alpha):
     replications is tested by ``two_sample_tests`` in the charts at their
     pooled means, stacked.  ``details['df']`` counts the tests by degrees
     of freedom (on the open book D at a pooled mean on the spine, D + 1 on
-    a leaf).
+    a leaf).  InvalidDescriptor for a bad or disagreeing sampler, count
+    (``n1``, ``n2`` >= 2) or level.
     """
-    _check_run(sampler, reps, alpha, least=2, n1=n1, n2=n2)
+    _check_sampler(sampler)
+    level(alpha, "alpha", InvalidDescriptor)
+    reps = count(reps, "reps", 1, InvalidDescriptor)
+    n1, n2 = count(n1, "n1", 2, InvalidDescriptor), count(n2, "n2", 2, InvalidDescriptor)
     if repr(sampler.space) != repr(space):
         raise InvalidDescriptor("sampler and space arguments disagree")
 
@@ -679,16 +675,17 @@ def mc_consistency(space, sampler, n_grid, reps):
     """Median distance between the estimated and true mean at each sample
     size; returns a list of (n, median error) rows.  A block of
     replications is fitted with one ``mean_many`` call and scored with one
-    ``distance_many`` call."""
+    ``distance_many`` call.  InvalidDescriptor for a bad or disagreeing
+    sampler, count, or an ``n_grid`` that is no nonempty iterable."""
     try:
-        n_grid = list(n_grid)
+        n_grid = [count(n, "n", 1, InvalidDescriptor) for n in n_grid]
     except TypeError:
         raise InvalidDescriptor(
             f"n_grid must be an iterable of sample sizes, got {n_grid!r}") from None
     if not n_grid:
         raise InvalidDescriptor("n_grid names no sample size")
-    for n in n_grid:
-        _check_run(sampler, reps, n=n)
+    _check_sampler(sampler)
+    reps = count(reps, "reps", 1, InvalidDescriptor)
     if repr(sampler.space) != repr(space):
         raise InvalidDescriptor("sampler and space arguments disagree")
     truth = sampler.population_mean()
@@ -704,4 +701,4 @@ def mc_consistency(space, sampler, n_grid, reps):
             keys = [(n, rep) for rep in block]
             errs += _outcomes(space, keys, sampler.draw_many(n, keys), batched, failed)
     _check_failures(failed, reps * len(runs), "mc_consistency")
-    return [(int(n), float(np.median(errs)) if errs else float("nan")) for n, errs in runs]
+    return [(n, float(np.median(errs)) if errs else float("nan")) for n, errs in runs]

@@ -9,20 +9,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import InvalidDescriptor
-from ..geometry import FlatChart, Space, euclidean_sample, group_differences, row_norms, space_size
+from ..errors import InvalidDescriptor, count
+from ..geometry import FlatChart, Space, euclidean_sample, group_differences, row_norms
 
 
 class EuclideanSpace(Space):
-    """R^dim with the usual distance."""
+    """R^dim with the usual distance; InvalidDescriptor for a ``dim`` that is no count >= 1."""
 
     kind = "euclidean"
     mean_strategy = "closed_form"
 
     def __init__(self, dim):
-        self.dim = space_size(dim, "dimension")
-        if self.dim < 1:
-            raise InvalidDescriptor("dimension must be >= 1")
+        self.dim = count(dim, "dimension", 1, InvalidDescriptor)
         self.chart_dim = self.dim
         self.point_shape = (self.dim,)
 

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import InvalidDescriptor, InvalidPoint, MixedSpacePoints
-from ..geometry import FlatChart, Sample, Space, as_sample, group_differences, row_norms, space_size
+from ..errors import InvalidDescriptor, InvalidPoint, MixedSpacePoints, count
+from ..geometry import FlatChart, Sample, Space, as_sample, group_differences, row_norms
 
 
 def _fold(sample, k):
@@ -163,18 +163,15 @@ class OpenBookSpineChart(FlatChart):
 
 
 class OpenBookSpace(Space):
-    """Open book with ``n_leaves`` leaves glued along a D-dimensional spine."""
+    """Open book with ``n_leaves`` leaves glued along a D-dimensional spine;
+    InvalidDescriptor unless ``n_leaves`` is a count >= 2 and ``spine_dim`` one >= 0."""
 
     kind = "openbook"
     mean_strategy = "openbook_exact"
 
     def __init__(self, n_leaves, spine_dim):
-        self.n_leaves = space_size(n_leaves, "leaf count")
-        self.spine_dim = space_size(spine_dim, "spine dimension")
-        if self.n_leaves < 2:
-            raise InvalidDescriptor("an open book needs at least 2 leaves")
-        if self.spine_dim < 0:
-            raise InvalidDescriptor("spine dimension must be >= 0")
+        self.n_leaves = count(n_leaves, "leaf count", 2, InvalidDescriptor)
+        self.spine_dim = count(spine_dim, "spine dimension", 0, InvalidDescriptor)
         self.chart_dim = self.spine_dim + 1
         self.point_shape = (self.spine_dim + 1,)
 

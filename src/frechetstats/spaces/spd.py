@@ -35,8 +35,8 @@ import functools
 
 import numpy as np
 
-from ..errors import InvalidDescriptor, InvalidPoint, NotPositiveDefinite
-from ..geometry import FlatChart, Sample, Space, group_differences, row_norms, space_size
+from ..errors import InvalidDescriptor, InvalidPoint, NotPositiveDefinite, choice, count
+from ..geometry import FlatChart, Sample, Space, group_differences, row_norms
 from ..geometry import spd_sample
 from ..geometry import UPPER_COLUMNS, matrix_to_upper, upper_to_matrix  # noqa: F401 (re-exported)
 
@@ -282,18 +282,15 @@ class SPDChart(FlatChart):
 
 
 class SPDSpace(Space):
-    """SPD(p) under the Euclidean or log-Euclidean metric."""
+    """SPD(p) under the Euclidean or log-Euclidean metric; InvalidDescriptor
+    for a ``p`` that is no count >= 1 or another metric."""
 
     kind = "spd"
     mean_strategy = "closed_form"
 
     def __init__(self, p, metric="log_euclidean"):
-        self.p = space_size(p, "matrix size")
-        if self.p < 1:
-            raise InvalidDescriptor("matrix size must be >= 1")
-        if metric not in ("euclidean", "log_euclidean"):
-            raise InvalidDescriptor(f"unknown spd metric {metric!r}")
-        self.metric = metric
+        self.p = count(p, "matrix size", 1, InvalidDescriptor)
+        self.metric = choice(metric, ("euclidean", "log_euclidean"), "spd metric", InvalidDescriptor)
         self.chart_dim = self.p * (self.p + 1) // 2
         self.point_shape = (self.p, self.p)
 

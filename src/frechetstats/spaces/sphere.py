@@ -37,8 +37,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import CutLocus, InvalidDescriptor, InvalidPoint, NoConvergence, NonUniqueProjection
+from ..errors import choice, count
 from ..geometry import Chart, Space, group_differences, row_dots, row_norms, row_products
-from ..geometry import space_size, sphere_sample
+from ..geometry import sphere_sample
 
 _CUT_TOL = 1e-9
 
@@ -331,17 +332,14 @@ class SphereExtrinsicChart(_TangentChart):
 
 
 class SphereSpace(Space):
-    """S^d in R^{d+1} under the geodesic or the chordal metric."""
+    """S^d in R^{d+1} under the geodesic or the chordal metric; InvalidDescriptor
+    for an ``ambient_dim`` that is no count >= 2 or another metric."""
 
     kind = "sphere"
 
     def __init__(self, ambient_dim, metric="intrinsic"):
-        self.ambient_dim = space_size(ambient_dim, "ambient dimension")
-        if self.ambient_dim < 2:
-            raise InvalidDescriptor("ambient dimension must be >= 2")
-        if metric not in ("intrinsic", "extrinsic"):
-            raise InvalidDescriptor(f"unknown sphere metric {metric!r}")
-        self.metric = metric
+        self.ambient_dim = count(ambient_dim, "ambient dimension", 2, InvalidDescriptor)
+        self.metric = choice(metric, ("intrinsic", "extrinsic"), "sphere metric", InvalidDescriptor)
         self.chart_dim = self.ambient_dim - 1
         self.point_shape = (self.ambient_dim,)
         self.mean_strategy = "newton" if metric == "intrinsic" else "closed_form"

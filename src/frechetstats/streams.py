@@ -35,9 +35,17 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # the output hash
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 
 
-def is_count(value):
-    """Whether ``value`` is a non-negative integer (a bool is not)."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 0
+def _not_counts(values):
+    """Whether ``values`` hold other than non-negative integers (a bool is not one)."""
+    types = set(map(type, values))
+    return (bool in types or not all(issubclass(t, (int, np.integer)) for t in types)
+            or min(values, default=0) < 0)
+
+
+def check_seed(seed):
+    """Refuse a seed that is not a non-negative integer of any size (InvalidDescriptor)."""
+    if _not_counts([seed]):
+        raise InvalidDescriptor(f"seed must be a non-negative integer, got {seed!r}")
 
 
 def _int_words(x):
@@ -110,16 +118,14 @@ def _key_words(keys):
     """(m, w) uint32 words of each key (its integers' words in order,
     zero-padded to the longest key) and the (m,) count of each key's
     words.  The keys are checked and split as arrays: one type check over
-    all their integers (a bool is refused before numpy could read it as 1);
-    if any has several words, all are split as one object array, shifted 32
-    bits at a time."""
+    all their integers (``_not_counts``), then over each key's to name the
+    first it refuses; if any has several words, all are split as one
+    object array, shifted 32 bits at a time."""
     parts = [key if isinstance(key, tuple) else (key,) for key in keys]
     flat = [k for part in parts for k in part]
-    types = set(map(type, flat))
     lengths = np.fromiter(map(len, parts), np.intp, len(parts))
-    if (not lengths.all() or bool in types or not all(issubclass(t, (int, np.integer)) for t in types)
-            or min(flat, default=0) < 0):
-        bad = next(key for key, part in zip(keys, parts) if not part or not all(map(is_count, part)))
+    if not lengths.all() or _not_counts(flat):
+        bad = next(key for key, part in zip(keys, parts) if not part or _not_counts(part))
         raise InvalidDescriptor(
             f"a stream key must be a non-negative integer or a nonempty tuple of them, got {bad!r}"
         )
@@ -141,8 +147,7 @@ def philox_keys(seed, keys):
     """(m, 2) uint64 Philox keys of the streams ``keys`` under ``seed``:
     row i is ``SeedSequence(seed, spawn_key=keys[i]).generate_state(2,
     np.uint64)``, bit for bit."""
-    if not is_count(seed):
-        raise InvalidDescriptor(f"seed must be a non-negative integer, got {seed!r}")
+    check_seed(seed)
     words, lengths = _key_words(keys)
     pool, t = _seed_pool(int(seed))
     pool, _ = _absorb(np.repeat(pool, len(lengths), axis=1), words, lengths, t)

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -284,8 +285,9 @@ def test_a_region_needs_a_covariance_and_a_level_in_the_unit_interval():
     no_covariance = dataclasses.replace(fit, asym_cov=None)
     with pytest.raises(InvalidDescriptor, match="^fit has no covariance; run sandwich_covariance first$"):
         confidence_region_contains(no_covariance, [0.1, 0.1], 0.05)
-    for alpha in (0.0, 1.0, 1.5, np.array([0.05, 0.1])):
-        with pytest.raises(InvalidDescriptor, match=r"^alpha must be in \(0, 1\)$"):
+    for alpha in (0.0, 1.0, 1.5, np.array([0.05, 0.1]), 10**400):  # 10**400 once overflowed
+        message = rf"^alpha must be in \(0, 1\), got {re.escape(repr(alpha))}$"
+        with pytest.raises(InvalidDescriptor, match=message):
             confidence_region_contains(fit, [0.1, 0.1], alpha)
     for not_a_fit in (3.0, None, {"asym_cov": np.eye(1)}):  # 3.0 once raised AttributeError
         with pytest.raises(InvalidDescriptor, match="^fit must be a FrechetFit, got "):

@@ -469,7 +469,7 @@ def test_cli_test2_refuses_alpha_outside_the_unit_interval(alpha, tmp_path, caps
     a = write(tmp_path / "a.csv", "x\n0\n1\n2\n")
     assert main(["test2", a, a, "--space", "euclidean", "--alpha", alpha]) == 2
     out, err = capsys.readouterr()
-    assert out == "" and "alpha must lie in (0, 1)" in err
+    assert out == "" and "alpha must be in (0, 1), got" in err
 
 
 @pytest.mark.parametrize("command", ["mean", "test2"])

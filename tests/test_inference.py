@@ -86,22 +86,25 @@ def test_chi2_input_validation():
         chi2_quantile(3, 1.5)
     for call in (lambda k: chi2_sf(1.0, k), lambda k: chi2_cdf(1.0, k),
                  lambda k: chi2_quantile(k, 0.95)):
-        for k in (2.5, 1.0 + 1e-12, math.inf, math.nan):
-            with pytest.raises(ValueError, match="degrees of freedom must be an integer"):
+        # True once ran as k = 1; "2", None and [2] raised a bare TypeError
+        for k in (2.5, 1.0 + 1e-12, math.inf, math.nan, 0.5, True, False, "2", None, [2],
+                  np.array([2, 3])):
+            with pytest.raises(InvalidArgument, match="^degrees of freedom must be an integer, got "):
                 call(k)
-        with pytest.raises(ValueError, match="degrees of freedom must be >= 1"):
-            call(0.5)
+        for k in (0, 0.0, -3):
+            with pytest.raises(ValueError, match="degrees of freedom must be >= 1"):
+                call(k)
         assert call(6.0) == call(np.int64(6)) == call(6)
 
 
 @pytest.mark.parametrize("call, message", [
     (lambda: chi2_sf(-1.0, 3), "x must be nonnegative"),
-    (lambda: chi2_cdf(1.0, 0), "degrees of freedom must be >= 1"),
-    (lambda: chi2_quantile(2.5, 0.5), "degrees of freedom must be an integer"),
-    (lambda: chi2_quantile(3, 1.5), "prob must be in (0, 1)"),
+    (lambda: chi2_cdf(1.0, 0), "degrees of freedom must be >= 1, got 0"),
+    (lambda: chi2_quantile(2.5, 0.5), "degrees of freedom must be an integer, got 2.5"),
+    (lambda: chi2_quantile(3, 1.5), "prob must be in (0, 1), got 1.5"),
     (lambda: bonferroni([]), "pvalues must be a nonempty 1-d sequence"),
     (lambda: bh_fdr([0.5, 1.2]), "pvalues must lie in [0, 1]"),
-    (lambda: bh_fdr([0.5], 1.5), "alpha must be in (0, 1)"),
+    (lambda: bh_fdr([0.5], 1.5), "alpha must be in (0, 1), got 1.5"),
 ])
 def test_domain_errors_are_typed_and_still_value_errors(call, message):
     with pytest.raises(InvalidArgument) as info:

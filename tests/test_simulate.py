@@ -135,10 +135,72 @@ NAN = float("nan")
                  "invalid parameter for height family 'constant'", id="height-constant"),
     pytest.param(SPDSpace(2), SPDLogGaussianDescriptor(mean_log=((0.0, 0.0), (0.0, 0.0)), scale=NAN),
                  "scale must be nonnegative", id="spd-scale"),
+    # parameters that are no number, each once a bare TypeError or ValueError
+    pytest.param(OpenBookSpace(2, 0), OpenBookDescriptor((0.5, 0.5), x0=None),
+                 "x0 must be a height family or one per leaf, got None", id="x0-none"),
+    pytest.param(OpenBookSpace(2, 0), OpenBookDescriptor((0.5, 0.5), x0=("exponential",)),
+                 "x0 must be a height family or one per leaf, got ('exponential',)", id="x0-no-rate"),
+    pytest.param(OpenBookSpace(2, 0), OpenBookDescriptor((0.5, 0.5), x0=(["exponential"], 1.0)),
+                 "x0 must be a height family or one per leaf, got (['exponential'], 1.0)",
+                 id="x0-list-name"),
+    pytest.param(OpenBookSpace(2, 0), OpenBookDescriptor((0.5, 0.5), x0=("exponential", "a")),
+                 "invalid parameter for height family 'exponential'", id="x0-string-rate"),
+    pytest.param(OpenBookSpace(2, 0), OpenBookDescriptor((0.5, 0.5), spine_sd="a"),
+                 "spine_sd must be nonnegative", id="spine-sd-string"),
+    pytest.param(SphereSpace(3), SphereCapDescriptor(center=(0.0, 0.0, 1.0), radius="a"),
+                 "cap radius must lie in [0, pi)", id="cap-radius-string"),
+    pytest.param(SPDSpace(2), SPDLogGaussianDescriptor(((0.0, 0.0), (0.0, 0.0)), scale="a"),
+                 "scale must be nonnegative", id="spd-scale-string"),
 ])
 def test_a_nan_descriptor_parameter_is_refused(space, descriptor, message):
     with pytest.raises(InvalidDescriptor, match=f"^{re.escape(message)}$"):
         Sampler(space, descriptor, 0)
+
+
+CAP_SPACE = SphereSpace(3)
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: GaussianDescriptor((0.0, 0.0), cov=np.eye(3)).validate(EuclideanSpace(2)),
+                 "covariance shape does not match the dimension", id="gaussian-cov-shape"),
+    pytest.param(lambda: GaussianDescriptor((0.0, 0.0, 0.0)).validate(EuclideanSpace(2)),
+                 "mean length does not match the space dimension", id="gaussian-mean-length"),
+    pytest.param(lambda: GaussianDescriptor((0.0, 0.0), cov=((1.0, 0.5), (0.0, 1.0))).validate(
+                     EuclideanSpace(2)), "covariance must be symmetric PSD", id="gaussian-asymmetric"),
+    pytest.param(lambda: GaussianDescriptor((0.0, 0.0), cov=((1.0, 0.0), (0.0, -1.0))).validate(
+                     EuclideanSpace(2)), "covariance must be symmetric PSD", id="gaussian-indefinite"),
+    pytest.param(lambda: SphereCapDescriptor((0.0, 1.0), 0.1).validate(CAP_SPACE),
+                 "center length does not match the ambient dimension", id="cap-center-length"),
+    pytest.param(lambda: SphereCapDescriptor((0.0, 0.0, 2.0), 0.1).validate(CAP_SPACE),
+                 "cap center must be a unit vector", id="cap-center-norm"),
+    pytest.param(lambda: SphereTwoPointDescriptor((0.0, 0.0, 1.0), (0.0, 2.0, 0.0)).validate(CAP_SPACE),
+                 "two-point support must be unit vectors", id="two-point-norm"),
+    pytest.param(lambda: SphereTwoPointDescriptor((0.0, 0.0, 1.0), (0.0, 1.0)).validate(CAP_SPACE),
+                 "two-point support must be unit vectors", id="two-point-length"),
+    pytest.param(lambda: SphereTwoPointDescriptor((0.0, 0.0, 1.0), (0.0, 0.0, -1.0)).validate(CAP_SPACE),
+                 "antipodal support has no unique mean", id="two-point-antipodal"),
+    pytest.param(lambda: SPDLogGaussianDescriptor(((0.0, 1.0), (0.0, 0.0)), 0.1).validate(SPDSpace(2)),
+                 "mean_log must be a symmetric matrix of the space's size", id="spd-asymmetric"),
+    pytest.param(lambda: SPDLogGaussianDescriptor(((0.0, 0.0), (0.0, 0.0)), 0.1).validate(SPDSpace(3)),
+                 "mean_log must be a symmetric matrix of the space's size", id="spd-size"),
+    pytest.param(lambda: OpenBookDescriptor((0.5, 0.25, 0.25), x0=(("exponential", 1.0),) * 2).validate(
+                     OpenBookSpace(3, 0)), "need one height family per leaf", id="book-families"),
+    pytest.param(lambda: OpenBookDescriptor((0.5, 0.5)).validate(OpenBookSpace(3, 0)),
+                 "need one occupation probability per leaf", id="book-probabilities"),
+    pytest.param(lambda: OpenBookDescriptor((0.5, 0.5)).validate(OpenBookSpace(2, 1)),
+                 "spine_mean length must equal the spine dimension", id="book-spine-mean"),
+    pytest.param(lambda: mc_type1(EuclideanSpace(3), euclid_sampler(), 10, 10, 10, 0.05),
+                 "sampler and space arguments disagree", id="type1-space"),
+    pytest.param(lambda: mc_consistency(EuclideanSpace(3), euclid_sampler(), [10], 10),
+                 "sampler and space arguments disagree", id="consistency-space"),
+    pytest.param(lambda: mc_type1(None, euclid_sampler(), 10, 10, 10, 0.05),
+                 "sampler and space arguments disagree", id="type1-no-space"),
+    pytest.param(lambda: mc_consistency(None, euclid_sampler(), [10], 10),
+                 "sampler and space arguments disagree", id="consistency-no-space"),
+])
+def test_each_descriptor_and_experiment_refusal_names_its_cause(call, message):
+    with pytest.raises(InvalidDescriptor, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_gaussian_descriptor_allows_singular_covariance():
@@ -325,7 +387,7 @@ def test_failure_budget_enforced():
                      id="coverage-n"),
         pytest.param(lambda: mc_coverage(euclid_sampler(), 10, 0, 0.05), "reps must be >= 1",
                      id="coverage-reps"),
-        pytest.param(lambda: mc_coverage(euclid_sampler(), 10, 10, 0.0), r"alpha must lie in",
+        pytest.param(lambda: mc_coverage(euclid_sampler(), 10, 10, 0.0), r"alpha must be in \(0, 1\), got 0.0",
                      id="coverage-alpha"),
         pytest.param(lambda: mc_coverage(euclid_sampler(), 20, 10, 0.05, derivatives="bogus"),
                      "unknown derivatives mode 'bogus'", id="coverage-derivatives"),
@@ -334,7 +396,7 @@ def test_failure_budget_enforced():
         pytest.param(lambda: mc_stickiness(book_sampler(0), 10, 0), "reps must be >= 1",
                      id="stickiness-reps"),
         pytest.param(lambda: mc_type1(EuclideanSpace(2), euclid_sampler(), 10, 10, 10, 1.5),
-                     r"alpha must lie in", id="type1-alpha"),
+                     r"alpha must be in \(0, 1\), got 1.5", id="type1-alpha"),
         pytest.param(lambda: mc_type1(EuclideanSpace(2), euclid_sampler(), 1, 10, 10, 0.05),
                      "n1 must be >= 2", id="type1-n1"),
         pytest.param(lambda: mc_type1(EuclideanSpace(2), euclid_sampler(), 10, 1, 10, 0.05),
@@ -372,9 +434,9 @@ def test_failure_budget_enforced():
                      id="consistency-int-grid"),
         # a level that is not one number
         pytest.param(lambda: mc_coverage(euclid_sampler(), 10, 10, np.array([0.05, 0.1])),
-                     r"^alpha must lie in \(0, 1\), got array", id="coverage-array-alpha"),
+                     r"^alpha must be in \(0, 1\), got array", id="coverage-array-alpha"),
         pytest.param(lambda: mc_type1(EuclideanSpace(2), euclid_sampler(), 10, 10, 10, np.array([0.05])),
-                     r"^alpha must lie in \(0, 1\), got array", id="type1-array-alpha"),
+                     r"^alpha must be in \(0, 1\), got array", id="type1-array-alpha"),
     ],
 )
 def test_mc_arguments_are_refused_before_anything_is_drawn(run, message, monkeypatch):

@@ -2,9 +2,10 @@
 it): the spaces, the estimator, inference, the fiber pipeline and the
 Monte Carlo experiments refuse with typed errors, never a bare
 ``ValueError``; nothing dispatches with ``isinstance`` on a space class (a
-space says what it is by its ``kind``); and only ``quadratic_forms`` and
+space says what it is by its ``kind``); only ``quadratic_forms`` and
 ``stacked_sandwich`` invert a covariance with ``guarded_inverse``, so every
-region and test statistic is formed by the one kernel."""
+region and test statistic is formed by the one kernel; and only the checks
+in ``errors`` word the refusal of a count or a level."""
 
 import ast
 from pathlib import Path
@@ -81,3 +82,18 @@ def test_no_table_file_is_split_into_lines_by_splitlines():
     calls = [(path, node.lineno) for path, node in _nodes(sorted(PACKAGE.rglob("*.py")))
              if isinstance(node, ast.Call) and _name(node.func) == "splitlines"]
     assert calls == []
+
+
+#: the texts of ``errors.count`` and ``errors.level``
+KIND_TEXTS = ("must be an integer", "must be >= ", "must fit int64", "must be in (0, 1)")
+#: the one other such text: ``openbook_sample``'s refusal of rows of leaf
+#: labels, an array that no argument check sees
+ROW_TEXTS = {("geometry.py", "leaf must be an integer")}
+
+
+def test_only_the_checks_module_words_a_count_or_level_refusal():
+    # a new entry point calls errors.count or errors.level, never a copy
+    texts = [(path, node.value) for path, node in _nodes(sorted(PACKAGE.rglob("*.py")))
+             if path != "errors.py" and isinstance(node, ast.Constant) and isinstance(node.value, str)
+             and any(text in node.value for text in KIND_TEXTS)]
+    assert set(texts) <= ROW_TEXTS

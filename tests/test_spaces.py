@@ -45,15 +45,15 @@ from conftest import sphere_exp_point, sphere_exp_sample
 
 
 @pytest.mark.parametrize("build, message", [
-    pytest.param(lambda: EuclideanSpace(0), "dimension must be >= 1", id="euclidean-dim"),
-    pytest.param(lambda: SphereSpace(1), "ambient dimension must be >= 2", id="sphere-dim"),
+    pytest.param(lambda: EuclideanSpace(0), "dimension must be >= 1, got 0", id="euclidean-dim"),
+    pytest.param(lambda: SphereSpace(1), "ambient dimension must be >= 2, got 1", id="sphere-dim"),
     pytest.param(lambda: SphereSpace(3, "riemann"), "unknown sphere metric 'riemann'",
                  id="sphere-metric"),
-    pytest.param(lambda: SPDSpace(0), "matrix size must be >= 1", id="spd-size"),
+    pytest.param(lambda: SPDSpace(0), "matrix size must be >= 1, got 0", id="spd-size"),
     pytest.param(lambda: SPDSpace(3, "riemann"), "unknown spd metric 'riemann'", id="spd-metric"),
-    pytest.param(lambda: OpenBookSpace(1, 1), "an open book needs at least 2 leaves",
+    pytest.param(lambda: OpenBookSpace(1, 1), "leaf count must be >= 2, got 1",
                  id="openbook-leaves"),
-    pytest.param(lambda: OpenBookSpace(3, -1), "spine dimension must be >= 0",
+    pytest.param(lambda: OpenBookSpace(3, -1), "spine dimension must be >= 0, got -1",
                  id="openbook-spine"),
     # sizes that are not integers: NaN and infinity once escaped as ValueError
     # and OverflowError from int()
@@ -69,6 +69,11 @@ from conftest import sphere_exp_point, sphere_exp_sample
                  id="openbook-inf"),
     pytest.param(lambda: OpenBookSpace(3, float("nan")),
                  "spine dimension must be an integer, got nan", id="openbook-spine-nan"),
+    # an integral float or a bool is no count either (3.0 and True were once 3 and 1)
+    pytest.param(lambda: EuclideanSpace(3.0), "dimension must be an integer, got 3.0",
+                 id="euclidean-integral-float"),
+    pytest.param(lambda: SphereSpace(True), "ambient dimension must be an integer, got True",
+                 id="sphere-bool"),
 ])
 def test_a_space_with_bad_sizes_or_metric_is_an_invalid_descriptor(build, message):
     with pytest.raises(InvalidDescriptor, match=f"^{message}$"):
